@@ -1,8 +1,12 @@
 """Federated optimization algorithms driven by the event engine.
 
-A driver owns the round/cohort logic for one algorithm family and talks to
-the simulation through a narrow context interface (dispatch clients, apply
-server updates, schedule events). Conventions shared by every driver:
+A driver owns only the round semantics of one algorithm family: which
+clients are dispatched, which arrivals count, and where late straggler
+updates go. It talks to the simulation through a narrow context interface
+(dispatch clients, hand over the updates of one server step, publish an
+auxiliary model, schedule events); the engine sums and applies the
+updates, decides which model is served, and keeps the trace. Conventions
+shared by every driver:
 
 * A client update carries delta = w_dispatched - w_final, so the server
   subtracts: SGD does w <- w - (eta_g / count) * summed_delta.
@@ -35,12 +39,9 @@ Drivers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol
 
 import numpy as np
-
-if TYPE_CHECKING:
-    pass
 
 
 ALGORITHM_NAMES = ("fedavg", "fedadam", "fedbuff", "fare_dust", "feast")
@@ -180,7 +181,10 @@ class EmaAccumulator:
 
 @dataclass
 class ServerState:
-    """Global model plus optimizer slots; t counts applied updates."""
+    """Global model plus optimizer slots; t counts applied updates.
+
+    aux is the auxiliary model of algorithms that keep one (feast).
+    """
 
     w: np.ndarray
     eta_g: float
@@ -192,6 +196,7 @@ class ServerState:
     adam_m: np.ndarray | None = None
     adam_v: np.ndarray | None = None
     ema: EmaAccumulator | None = None
+    aux: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.opt_kind not in ("sgd", "adam"):
@@ -199,6 +204,14 @@ class ServerState:
         if self.opt_kind == "adam" and self.adam_m is None:
             self.adam_m = np.zeros_like(self.w)
             self.adam_v = np.zeros_like(self.w)
+
+    def served(self) -> tuple[str, np.ndarray]:
+        """The model that is evaluated and returned: aux, else EMA, else w."""
+        if self.aux is not None:
+            return "aux", self.aux
+        if self.ema is not None and self.ema.value is not None:
+            return "ema", self.ema.value
+        return "global", self.w
 
 
 def server_apply(state: ServerState, summed_delta: np.ndarray, count: int) -> ServerState:
@@ -301,7 +314,6 @@ class SimContext(Protocol):
     now: float
     counters: dict[str, int]
     state: ServerState
-    trace: bool
 
     def sample_cohort(self, k: int) -> list[int]: ...
 
@@ -316,15 +328,15 @@ class SimContext(Protocol):
         comm_scale: float = 1.0,
     ) -> ClientUpdate: ...
 
-    def apply_server_update(self, summed_delta: np.ndarray, count: int) -> None: ...
+    def apply_server_update(self, updates: list[ClientUpdate]) -> np.ndarray: ...
+
+    def publish_aux(self, aux: np.ndarray) -> None: ...
 
     def schedule_aux_deadline(self, round_id: int, fire_at: float) -> None: ...
 
     def schedule_refill(self) -> None: ...
 
     def budget_reached(self) -> bool: ...
-
-    def note_model_event(self) -> None: ...
 
     def teacher_gen(self) -> np.random.Generator: ...
 
@@ -338,31 +350,11 @@ class SimContext(Protocol):
 class SyncRound:
     round_id: int
     started_at: float
-    cohort: list[int]
     fast_ids: frozenset[int]
-    expected_fast: int
-    completed_at: dict[int, float] = field(default_factory=dict)
     fast_updates: list[ClientUpdate] = field(default_factory=list)
     pending_late: list[ClientUpdate] = field(default_factory=list)
     advanced: bool = False
-    advanced_at: float = float("nan")
     n_arrived: int = 0
-
-
-@dataclass
-class RoundTraceEntry:
-    """Per-round record kept only when tracing is enabled.
-
-    completed_at covers every dispatched client, fast or not.
-    """
-
-    round_id: int
-    started_at: float
-    cohort: list[int]
-    fast_ids: list[int]
-    completed_at: dict[int, float]
-    advanced_at: float
-    w_after: np.ndarray
 
 
 class SyncRoundDriver:
@@ -376,14 +368,13 @@ class SyncRoundDriver:
         self.next_round_id = 0
         self.rounds: dict[int, SyncRound] = {}
         self.w_finished = False
-        self.round_log: list[RoundTraceEntry] = []
 
     # -- hooks overridden by subclasses -- #
 
     def _teacher_for_dispatch(self) -> tuple[np.ndarray | None, float]:
         return None, 1.0
 
-    def _after_advance(self, rnd: SyncRound, summed: np.ndarray) -> None:
+    def _after_advance(self, rnd: SyncRound, summed: np.ndarray, w_before: np.ndarray) -> None:
         pass
 
     def _handle_late(self, update: ClientUpdate) -> None:
@@ -400,18 +391,6 @@ class SyncRoundDriver:
     def is_finished(self) -> bool:
         return self.w_finished
 
-    def eval_vector(self) -> np.ndarray:
-        state = self.sim.state
-        if state.ema is not None and state.ema.value is not None:
-            return state.ema.value
-        return state.w
-
-    def which_model(self) -> str:
-        state = self.sim.state
-        if state.ema is not None and state.ema.value is not None:
-            return "ema"
-        return "global"
-
     def on_dispatch(self) -> None:
         raise AssertionError("synchronous drivers do not use refill events")
 
@@ -423,7 +402,7 @@ class SyncRoundDriver:
         rnd.n_arrived += 1
         if update.client_id in rnd.fast_ids:
             rnd.fast_updates.append(update)
-            if len(rnd.fast_updates) == rnd.expected_fast:
+            if len(rnd.fast_updates) == self.cohort_size:
                 self._advance(rnd)
         elif rnd.advanced:
             self._handle_late(update)
@@ -457,35 +436,16 @@ class SyncRoundDriver:
             )
         by_finish = sorted(updates, key=lambda u: (u.completed_at, u.client_id))
         fast_ids = frozenset(u.client_id for u in by_finish[: self.cohort_size])
-        self.rounds[rid] = SyncRound(
-            round_id=rid,
-            started_at=self.sim.now,
-            cohort=cohort,
-            fast_ids=fast_ids,
-            expected_fast=self.cohort_size,
-            completed_at={u.client_id: u.completed_at for u in updates},
-        )
+        self.rounds[rid] = SyncRound(round_id=rid, started_at=self.sim.now, fast_ids=fast_ids)
 
     def _advance(self, rnd: SyncRound) -> None:
         rnd.advanced = True
-        rnd.advanced_at = self.sim.now
-        summed = canonical_delta_sum(rnd.fast_updates)
-        self._before_server_update(rnd)
-        self.sim.apply_server_update(summed, self.cohort_size)
-        if self.sim.trace:
-            self.round_log.append(
-                RoundTraceEntry(
-                    round_id=rnd.round_id,
-                    started_at=rnd.started_at,
-                    cohort=list(rnd.cohort),
-                    fast_ids=sorted(rnd.fast_ids),
-                    completed_at=dict(rnd.completed_at),
-                    advanced_at=rnd.advanced_at,
-                    w_after=self.sim.state.w.copy(),
-                )
-            )
+        # The server step rebinds state.w, so this reference keeps the
+        # pre-step model.
+        w_before = self.sim.state.w
+        summed = self.sim.apply_server_update(rnd.fast_updates)
         rnd.fast_updates.clear()
-        self._after_advance(rnd, summed)
+        self._after_advance(rnd, summed, w_before)
         for update in rnd.pending_late:
             self._handle_late(update)
         rnd.pending_late.clear()
@@ -493,9 +453,6 @@ class SyncRoundDriver:
             self.w_finished = True
         elif not self._blocks_next_round():
             self._start_round()
-
-    def _before_server_update(self, rnd: SyncRound) -> None:
-        pass
 
 
 class HistoryDistillationDriver(SyncRoundDriver):
@@ -518,8 +475,8 @@ class HistoryDistillationDriver(SyncRoundDriver):
         teacher = teacher_from_history(self.sim.state.w, entry, self.config.eta_g)
         return teacher, self.sim.teacher_comm_scale()
 
-    def _after_advance(self, rnd: SyncRound, summed: np.ndarray) -> None:
-        self.history.push(rnd.round_id, summed.copy(), self.cohort_size)
+    def _after_advance(self, rnd: SyncRound, summed: np.ndarray, w_before: np.ndarray) -> None:
+        self.history.push(rnd.round_id, summed, self.cohort_size)
 
     def _handle_late(self, update: ClientUpdate) -> None:
         if self.history.fold(update.round_id, update.delta):
@@ -559,45 +516,32 @@ class AuxTrackDriver(SyncRoundDriver):
 
     def __init__(self, sim: SimContext, config: AlgoConfig) -> None:
         super().__init__(sim, config)
-        self.aux: np.ndarray | None = None
         self.beta = config.feast_beta
         self.eta_a = config.resolved_eta_a()
         self.pending: dict[int, PendingAuxRound] = {}
         self.next_aux_round = 0
-        self._snapshot: np.ndarray | None = None
-        self.aux_log: list[np.ndarray] = []
 
     def start(self) -> None:
-        self.aux = self.sim.state.w.copy()
+        self.sim.state.aux = self.sim.state.w.copy()
         super().start()
 
     def is_finished(self) -> bool:
         return self.w_finished and not self.pending
 
-    def eval_vector(self) -> np.ndarray:
-        return self.aux if self.aux is not None else self.sim.state.w
-
-    def which_model(self) -> str:
-        return "aux"
-
     def _blocks_next_round(self) -> bool:
         return self.config.strict_sequential
 
-    def _before_server_update(self, rnd: SyncRound) -> None:
-        self._snapshot = self.sim.state.w.copy()
-
-    def _after_advance(self, rnd: SyncRound, summed: np.ndarray) -> None:
+    def _after_advance(self, rnd: SyncRound, summed: np.ndarray, w_before: np.ndarray) -> None:
         deadline = rnd.started_at + self.config.tau_max
         rec = PendingAuxRound(
             round_id=rnd.round_id,
-            w_snapshot=self._snapshot,
-            delta_plus=summed.copy(),
+            w_snapshot=w_before,
+            delta_plus=summed,
             count_plus=self.cohort_size,
             deadline=deadline,
             n_dispatched=self.dispatch_size,
             n_reported=self.cohort_size,
         )
-        self._snapshot = None
         self.pending[rnd.round_id] = rec
         if not self.config.strict_sequential and rec.n_reported == rec.n_dispatched:
             rec.ready = True
@@ -647,27 +591,18 @@ class AuxTrackDriver(SyncRoundDriver):
                     self._start_round()
 
     def _apply_aux(self, rec: PendingAuxRound) -> None:
-        assert rec.round_id == self.next_aux_round, (
-            f"auxiliary update for round {rec.round_id} out of order; "
-            f"expected {self.next_aux_round}"
-        )
+        if rec.round_id != self.next_aux_round:
+            raise RuntimeError(
+                f"auxiliary update for round {rec.round_id} out of order; "
+                f"expected {self.next_aux_round}"
+            )
         g = rec.delta_plus / rec.count_plus
         w_plus = rec.w_snapshot - self.sim.state.eta_g * g
-        self.aux = self.beta * (self.aux - self.eta_a * g) + (1.0 - self.beta) * w_plus
-        self.sim.counters["aux_rounds"] += 1
-        self.sim.note_model_event()
-        if self.sim.trace:
-            self.aux_log.append(self.aux.copy())
+        aux = self.sim.state.aux
+        self.sim.publish_aux(self.beta * (aux - self.eta_a * g) + (1.0 - self.beta) * w_plus)
 
 
 # ---- Buffered asynchronous aggregation ---- #
-
-
-@dataclass
-class FlushTraceEntry:
-    flushed_at: float
-    members: list[tuple[int, int]]
-    w_after: np.ndarray
 
 
 class BufferedDriver:
@@ -686,7 +621,6 @@ class BufferedDriver:
         self.config = config
         self.buffer: list[ClientUpdate] = []
         self.finished = False
-        self.flush_log: list[FlushTraceEntry] = []
 
     def start(self) -> None:
         for _ in range(self.config.max_concurrency):
@@ -695,29 +629,11 @@ class BufferedDriver:
     def is_finished(self) -> bool:
         return self.finished
 
-    def eval_vector(self) -> np.ndarray:
-        state = self.sim.state
-        if state.ema is not None and state.ema.value is not None:
-            return state.ema.value
-        return state.w
-
-    def which_model(self) -> str:
-        state = self.sim.state
-        if state.ema is not None and state.ema.value is not None:
-            return "ema"
-        return "global"
-
     def on_client_completed(self, update: ClientUpdate) -> None:
         self.buffer.append(update)
         if len(self.buffer) == self.config.buffer_size:
-            summed = canonical_delta_sum(self.buffer)
-            members = sorted((u.model_version, u.client_id) for u in self.buffer)
-            self.sim.apply_server_update(summed, self.config.buffer_size)
+            self.sim.apply_server_update(self.buffer)
             self.buffer.clear()
-            if self.sim.trace:
-                self.flush_log.append(
-                    FlushTraceEntry(self.sim.now, members, self.sim.state.w.copy())
-                )
             if self.sim.budget_reached():
                 self.finished = True
         if not self.finished:

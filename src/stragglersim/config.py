@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -101,15 +102,30 @@ def config_hash(config: ExperimentConfig) -> str:
 _TUPLE_FIELDS = {"straggler_classes", "class_mixture"}
 
 
+def _check_number(value: Any, annotation: str, path: str) -> None:
+    """Reject a bool given for a number, a float given for an int, and
+    non-finite floats; annotation is the field's annotation string."""
+    kinds = {part.strip() for part in annotation.split("|")}
+    if isinstance(value, bool):
+        if "bool" not in kinds and kinds & {"int", "float"}:
+            raise ConfigError(f"{path}: expected a number, got {value}")
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: must be finite, got {value}")
+        if "int" in kinds and "float" not in kinds:
+            raise ConfigError(f"{path}: expected an integer, got {value}")
+
+
 def _build_dataclass(cls: type, payload: Any, path: str):
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected an object, got {type(payload).__name__}")
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - field_names)
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(payload) - set(annotations))
     if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {unknown}; known keys: {sorted(field_names)}")
+        raise ConfigError(f"{path}: unknown key(s) {unknown}; known keys: {sorted(annotations)}")
     kwargs = {}
     for key, value in payload.items():
+        _check_number(value, annotations[key], f"{path}.{key}")
         if key in _TUPLE_FIELDS and isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value

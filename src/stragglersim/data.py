@@ -13,7 +13,6 @@ total split.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import asdict, dataclass, field
 
@@ -270,60 +269,6 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
 
 def total_examples(shards: list[ClientShard]) -> int:
     return sum(s.n_examples for s in shards)
-
-
-# ---- Fixture export / import ---- #
-
-
-def dataset_to_json(dataset: FederatedDataset) -> str:
-    """Serialize a dataset (lossless f64) for fixture tests."""
-    payload = {
-        "straggler_classes": sorted(dataset.straggler_classes),
-        "generator_config": dataset.generator_config,
-        "dropped_clients": list(dataset.dropped_clients),
-        "shards": [
-            {
-                "client_id": s.client_id,
-                "is_straggler": s.is_straggler,
-                "features": s.features.tolist(),
-                "labels": s.labels.tolist(),
-            }
-            for s in dataset.shards
-        ],
-        "eval_total": {
-            "features": dataset.eval_total.features.tolist(),
-            "labels": dataset.eval_total.labels.tolist(),
-        },
-    }
-    return json.dumps(payload)
-
-
-def dataset_from_json(text: str) -> FederatedDataset:
-    payload = json.loads(text)
-    shards = [
-        ClientShard(
-            client_id=s["client_id"],
-            features=np.asarray(s["features"], dtype=np.float64),
-            labels=np.asarray(s["labels"], dtype=np.int64),
-            is_straggler=s["is_straggler"],
-        )
-        for s in payload["shards"]
-    ]
-    eval_total = EvalSplit(
-        features=np.asarray(payload["eval_total"]["features"], dtype=np.float64),
-        labels=np.asarray(payload["eval_total"]["labels"], dtype=np.int64),
-    )
-    straggler_classes = frozenset(payload["straggler_classes"])
-    mask = np.isin(eval_total.labels, sorted(straggler_classes))
-    eval_straggler = EvalSplit(eval_total.features[mask], eval_total.labels[mask])
-    return FederatedDataset(
-        shards=shards,
-        eval_total=eval_total,
-        eval_straggler=eval_straggler,
-        straggler_classes=straggler_classes,
-        generator_config=payload["generator_config"],
-        dropped_clients=tuple(payload["dropped_clients"]),
-    )
 
 
 # ---- Report helpers ---- #

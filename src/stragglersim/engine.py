@@ -10,15 +10,15 @@ config and seed replay identically. Event kinds:
   eval_tick         evaluate the served model (no payload)
 
 The engine owns the wall-clock-free mechanics: client busy bookkeeping,
-latency sampling, local training at dispatch, server optimizer application,
-the update budget, and evaluation cadence. Round semantics live in the
-drivers (see algorithms).
+latency sampling, local training at dispatch, aggregation and the server
+optimizer step, the served model (ServerState.served), the update budget,
+evaluation cadence, and the trace. Round semantics live in the drivers
+(see algorithms).
 
 Client computation is charged for work actually performed: the latency
 factors are drawn first (the per-round time limit needs them), local
-training runs, and the completion fires at
-
-  now + comm * comm_scale + overhead + per_example * examples_processed.
+training runs, and the completion fires at now plus the factors' total
+for the examples actually processed (latency.LatencySample.total_s).
 
 A client is busy until its completion fires and is excluded from cohort
 sampling in the meantime (allow_busy_reuse lifts this). The run terminates
@@ -68,6 +68,25 @@ class EventQueue:
             return None
         fire_at, _, kind, payload = heapq.heappop(self._heap)
         return fire_at, kind, payload
+
+
+@dataclass(frozen=True)
+class TraceEvent:
+    """One entry of Simulation.events, recorded only when tracing is on.
+
+    kind is "dispatch" (one member; completed_at is when its update
+    arrives), "aggregate" (the members of one server step) or "aux" (an
+    auxiliary-model step; no members, applied in round order). Members are
+    (round_id, client_id) pairs; a buffered update's round_id is the model
+    version it was dispatched with. w is the model after an aggregate or aux
+    step.
+    """
+
+    kind: str
+    at: float
+    members: tuple[tuple[int, int], ...]
+    completed_at: float = math.nan
+    w: np.ndarray | None = None
 
 
 @dataclass
@@ -158,6 +177,7 @@ class Simulation:
         self.queue = EventQueue()
         self.counters: dict[str, int] = {k: 0 for k in _COUNTER_KEYS}
         self.records: list[MetricsRecord] = []
+        self.events: list[TraceEvent] = []
         self.last_model_event = 0.0
         self._busy_until = np.zeros(config.dataset.m_clients)
         self._client_ids = [s.client_id for s in self.dataset.shards]
@@ -210,16 +230,17 @@ class Simulation:
         if not self.algo.allow_busy_reuse and self._busy_until[client_id] > self.now:
             raise RuntimeError(f"client {client_id} dispatched while busy")
         shard = self.dataset.shard(client_id)
-        profile = self.scenario.profile_for(shard.is_straggler)
-        lat_gen = self._latency_gen(client_id)
-        comm = latency.sample_lognormal(profile.comm, lat_gen)
-        per_example = latency.sample_lognormal(profile.per_example, lat_gen)
-        overhead = latency.sample_lognormal(profile.overhead, lat_gen)
+        factors = latency.sample_client_latency(
+            self.scenario.profile_for(shard.is_straggler), self._latency_gen(client_id)
+        )
 
         if self.tau_limit is not None:
             steps = max(
                 1,
-                math.floor((self.tau_limit - overhead) / (per_example * self.algo.batch_size)),
+                math.floor(
+                    (self.tau_limit - factors.overhead_s)
+                    / (factors.per_example_s * self.algo.batch_size)
+                ),
             )
             epochs = None
         else:
@@ -243,13 +264,12 @@ class Simulation:
             distill_loss=self.config.model.distill_loss,
             distill_temperature=self.config.model.distill_temperature,
         )
-        total = comm * comm_scale + overhead + per_example * examples
         update = ClientUpdate(
             round_id=round_id,
             client_id=client_id,
             delta=w - w_final,
             dispatched_at=self.now,
-            completed_at=self.now + total,
+            completed_at=self.now + factors.total_s(examples, comm_scale),
             examples_processed=examples,
             steps_done=steps_done,
             model_version=self.state.t,
@@ -257,14 +277,33 @@ class Simulation:
         self._busy_until[client_id] = update.completed_at
         self.queue.schedule(update.completed_at, EVENT_CLIENT_COMPLETED, update, now=self.now)
         self.counters["dispatches"] += 1
+        if self.trace:
+            self.events.append(
+                TraceEvent("dispatch", self.now, ((round_id, client_id),), update.completed_at)
+            )
         return update
 
-    def apply_server_update(self, summed_delta: np.ndarray, count: int) -> None:
-        algorithms.server_apply(self.state, summed_delta, count)
-        self.counters["aggregated_updates"] += count
+    def apply_server_update(self, updates: list[ClientUpdate]) -> np.ndarray:
+        """Aggregate updates into one server step; returns their delta sum,
+        a fresh array the caller may keep."""
+        summed = algorithms.canonical_delta_sum(updates)
+        algorithms.server_apply(self.state, summed, len(updates))
+        self.counters["aggregated_updates"] += len(updates)
         self.note_model_event()
+        if self.trace:
+            members = tuple(sorted((u.round_id, u.client_id) for u in updates))
+            self.events.append(TraceEvent("aggregate", self.now, members, w=self.state.w.copy()))
         if self.state.t % self.config.eval_every == 0:
             self.queue.schedule(self.now, EVENT_EVAL_TICK, None, now=self.now)
+        return summed
+
+    def publish_aux(self, aux: np.ndarray) -> None:
+        """Serve a new auxiliary model; counts one auxiliary round."""
+        self.state.aux = aux
+        self.counters["aux_rounds"] += 1
+        self.note_model_event()
+        if self.trace:
+            self.events.append(TraceEvent("aux", self.now, (), w=aux.copy()))
 
     def schedule_aux_deadline(self, round_id: int, fire_at: float) -> None:
         self.queue.schedule(fire_at, EVENT_AUX_DEADLINE, round_id, now=self.now)
@@ -329,7 +368,7 @@ class Simulation:
         )
 
     def _eval_record(self, at_time: float) -> None:
-        vec = self.driver.eval_vector()
+        which_model, vec = self.state.served()
         total_acc, straggler_acc = metrics.evaluate_accuracy(
             vec, self.layout, self.dataset, self.config.eval_cap
         )
@@ -339,7 +378,7 @@ class Simulation:
             aggregated_updates=self.counters["aggregated_updates"],
             total_acc=total_acc,
             straggler_acc=straggler_acc,
-            which_model=self.driver.which_model(),
+            which_model=which_model,
         )
         last = self.records[-1] if self.records else None
         if (
@@ -359,7 +398,10 @@ class Simulation:
             if item is None:
                 raise RuntimeError("event queue drained before the run terminated")
             fire_at, kind, payload = item
-            assert fire_at >= self.now, "event queue produced a time regression"
+            if fire_at < self.now:
+                raise RuntimeError(
+                    f"event queue produced a time regression: {fire_at} < {self.now}"
+                )
             self.now = fire_at
             if kind == EVENT_CLIENT_COMPLETED:
                 self.driver.on_client_completed(payload)
@@ -379,12 +421,13 @@ class Simulation:
                 f"below budget {self.config.budget}"
             )
         self._eval_record(self.last_model_event)
+        which_model, served = self.state.served()
         return RunResult(
             records=self.records,
             counters=dict(self.counters),
             total_time_s=self.last_model_event,
             server_steps=self.state.t,
             aggregated_updates=aggregated,
-            output_w=self.driver.eval_vector().copy(),
-            which_model=self.driver.which_model(),
+            output_w=served.copy(),
+            which_model=which_model,
         )

@@ -84,13 +84,17 @@ class LatencyScenario:
 
 @dataclass(frozen=True)
 class LatencySample:
-    """One client's sampled factors and composed total for one round."""
+    """One participation's sampled latency factors, in seconds."""
 
     comm_s: float
     per_example_s: float
     overhead_s: float
-    total_s: float
-    n_examples: int
+
+    def total_s(self, n_examples: int, comm_scale: float = 1.0) -> float:
+        """comm * comm_scale + overhead + per_example * n_examples."""
+        if n_examples < 0:
+            raise ValueError(f"n_examples must be >= 0, got {n_examples}")
+        return self.comm_s * comm_scale + self.overhead_s + self.per_example_s * n_examples
 
 
 # Group-level parameterizations for an EMNIST-scale population: one shared
@@ -133,37 +137,16 @@ def sample_lognormal_batch(params: LognormalParams, rng: np.random.Generator, n:
     return np.exp(params.mu + params.sigma * z)
 
 
-def sample_client_latency(
-    scenario: LatencyScenario,
-    is_straggler: bool,
-    n_examples: int,
-    rng: np.random.Generator,
-) -> LatencySample:
-    """Sample one participation's latency factors and compose the total.
+def sample_client_latency(profile: LatencyProfile, rng: np.random.Generator) -> LatencySample:
+    """Sample one participation's latency factors from a group profile.
 
-    Factors are drawn in the fixed order comm, per_example, overhead from
-    the client's group profile; the order is part of the stream contract.
-
-    Args:
-        scenario: Group profiles and mode.
-        is_straggler: Which group profile the client draws from.
-        n_examples: Number of examples the client will process locally.
-        rng: The client's dedicated latency stream.
+    Factors are drawn in the fixed order comm, per_example, overhead; the
+    order is part of the stream contract.
     """
-    if n_examples < 0:
-        raise ValueError(f"n_examples must be >= 0, got {n_examples}")
-    profile = scenario.profile_for(is_straggler)
     comm = sample_lognormal(profile.comm, rng)
     per_example = sample_lognormal(profile.per_example, rng)
     overhead = sample_lognormal(profile.overhead, rng)
-    total = comm + overhead + per_example * n_examples
-    return LatencySample(
-        comm_s=comm,
-        per_example_s=per_example,
-        overhead_s=overhead,
-        total_s=total,
-        n_examples=n_examples,
-    )
+    return LatencySample(comm_s=comm, per_example_s=per_example, overhead_s=overhead)
 
 
 def nearest_rank_percentile(values: np.ndarray, pct: float) -> float:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import round_views
 
 from stragglersim import cli, rng
 from stragglersim.config import ExperimentConfig, config_from_dict, load_config
@@ -162,8 +163,8 @@ def test_acceptance_7a_fare_dust_rho0_reduces_to_fedavg_over_selection():
     sim_a.run()
     sim_b = Simulation(fare, trial_seed=3, trace=True)
     sim_b.run()
-    log_a = sim_a.driver.round_log
-    log_b = sim_b.driver.round_log
+    log_a = round_views(sim_a.events)
+    log_b = round_views(sim_b.events)
     assert len(log_a) == len(log_b) == 100
     worst = max(
         float(np.abs(ea.w_after - eb.w_after).max())
@@ -183,8 +184,8 @@ def test_acceptance_7b_feast_without_over_selection_tracks_w():
     )
     sim = Simulation(feast, trial_seed=3, trace=True)
     sim.run()
-    w_log = sim.driver.round_log
-    aux_log = sim.driver.aux_log
+    w_log = round_views(sim.events)
+    aux_log = [event.w for event in sim.events if event.kind == "aux"]
     assert len(w_log) == len(aux_log) == 100
     worst = max(
         float(np.abs(entry.w_after - aux).max())
@@ -231,8 +232,9 @@ def test_acceptance_8_round_durations_and_factor_medians():
         sim.run()
         sizes = {shard.client_id: len(shard.labels) for shard in sim.dataset.shards}
         flags = {shard.client_id: shard.is_straggler for shard in sim.dataset.shards}
-        assert len(sim.driver.round_log) == 10
-        for entry in sim.driver.round_log:
+        rounds = round_views(sim.events)
+        assert len(rounds) == 10
+        for entry in rounds:
             finish_times = []
             for cid in entry.cohort:
                 profile = config.latency.profile_for(flags[cid])

@@ -19,6 +19,7 @@ from stragglersim.algorithms import (
     server_apply,
     teacher_from_history,
 )
+from stragglersim.engine import Simulation
 from stragglersim.model import ModelLayout, local_sgd, loss_and_grad
 
 
@@ -46,6 +47,9 @@ class _StubSim:
         self.model_events = 0
         self.teacher_calls = 0
         self._teacher_gen = rng.stream(teacher_seed, rng.TEACHER)
+
+    # The engine's own bookkeeping, run against this stub's state.
+    publish_aux = Simulation.publish_aux
 
     def note_model_event(self):
         self.model_events += 1
@@ -340,7 +344,7 @@ def test_aux_update_matches_hand_computation():
     sim = _StubSim(w=[0.0, 0.0], eta_g=1.0)
     config = AlgoConfig("feast", feast_beta=0.5, eta_a=1.0)
     driver = AuxTrackDriver(sim, config)
-    driver.aux = np.array([1.0, 1.0])
+    sim.state.aux = np.array([1.0, 1.0])
     rec = PendingAuxRound(
         round_id=0,
         w_snapshot=np.array([0.5, 2.0]),
@@ -351,7 +355,7 @@ def test_aux_update_matches_hand_computation():
         n_reported=2,
     )
     driver._apply_aux(rec)
-    np.testing.assert_allclose(driver.aux, [-0.25, -0.5], atol=1e-15)
+    np.testing.assert_allclose(sim.state.aux, [-0.25, -0.5], atol=1e-15)
     assert sim.counters["aux_rounds"] == 1
     assert sim.model_events == 1
 
@@ -359,7 +363,7 @@ def test_aux_update_matches_hand_computation():
 def test_aux_updates_must_arrive_in_round_order():
     sim = _StubSim(w=[0.0])
     driver = AuxTrackDriver(sim, AlgoConfig("feast"))
-    driver.aux = np.zeros(1)
+    sim.state.aux = np.zeros(1)
     rec = PendingAuxRound(
         round_id=3,
         w_snapshot=np.zeros(1),
@@ -369,7 +373,7 @@ def test_aux_updates_must_arrive_in_round_order():
         n_dispatched=1,
         n_reported=1,
     )
-    with pytest.raises(AssertionError):
+    with pytest.raises(RuntimeError, match="out of order"):
         driver._apply_aux(rec)
 
 

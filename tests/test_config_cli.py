@@ -104,6 +104,23 @@ def test_bad_algo_value_is_path_qualified():
         config_from_dict(payload)
 
 
+@pytest.mark.parametrize(
+    "key, literal",
+    [
+        ("cohort_size", "true"),
+        ("batch_size", "true"),
+        ("cohort_size", "50.5"),
+        ("eta_g", "NaN"),
+        ("eta_l", "Infinity"),
+    ],
+)
+def test_number_fields_reject_bools_fractions_and_non_finite(tmp_path, key, literal):
+    payload = _payload()
+    payload["algo"][key] = json.loads(literal)
+    with pytest.raises(ConfigError, match=rf"algo\.{key}"):
+        load_config(_write_config(tmp_path, payload))
+
+
 def test_pe_mode_rejects_straggler_profile():
     payload = _payload(latency={"mode": "pe", "straggler": {"comm": [1.0, 0.5]}})
     with pytest.raises(ConfigError, match=r"config\.latency\.straggler.*single shared"):

@@ -14,8 +14,6 @@ from stragglersim.data import (
     apply_straggler_partition,
     build_dataset,
     class_centers,
-    dataset_from_json,
-    dataset_to_json,
     generate_synthetic,
     total_examples,
 )
@@ -270,23 +268,6 @@ def test_missing_straggler_class_in_straggler_shards_rejected():
     )
     with pytest.raises(ValueError, match="no straggler shard"):
         build_dataset(config, seed=0)
-
-
-def test_json_round_trip_is_exact():
-    dataset = build_dataset(SMALL, seed=4)
-    clone = dataset_from_json(dataset_to_json(dataset))
-    assert clone.n_clients == dataset.n_clients
-    assert clone.dropped_clients == dataset.dropped_clients
-    assert clone.straggler_classes == dataset.straggler_classes
-    for a, b in zip(dataset.shards, clone.shards):
-        assert a.client_id == b.client_id
-        assert a.is_straggler == b.is_straggler
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.labels, b.labels)
-    np.testing.assert_array_equal(dataset.eval_total.features, clone.eval_total.features)
-    np.testing.assert_array_equal(
-        dataset.eval_straggler.labels, clone.eval_straggler.labels
-    )
 
 
 def test_mixture_normalization():

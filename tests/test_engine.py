@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import round_views
 
 from stragglersim import rng
 from stragglersim.algorithms import AlgoConfig
@@ -94,7 +95,7 @@ def test_round_advances_at_bth_order_statistic_exactly():
     config = _config(algo, budget=40)
     sim, result = _run(config)
     assert sim.driver.dispatch_size == 6
-    for entry in sim.driver.round_log:
+    for entry in round_views(sim.events):
         assert len(entry.completed_at) == 6
         finishes = sorted((t, cid) for cid, t in entry.completed_at.items())
         assert entry.advanced_at == finishes[4][0]  # 5th smallest of 6
@@ -105,7 +106,7 @@ def test_full_participation_round_waits_for_slowest():
     algo = AlgoConfig("fedavg", cohort_size=5, eta_l=0.05, batch_size=4)
     config = _config(algo, budget=20)
     sim, result = _run(config)
-    for entry in sim.driver.round_log:
+    for entry in round_views(sim.events):
         assert entry.advanced_at == max(entry.completed_at.values())
         assert entry.fast_ids == sorted(entry.completed_at)
 
@@ -116,7 +117,7 @@ def test_deterministic_latency_matches_formula():
     algo = AlgoConfig("fedavg", cohort_size=4, over_selection=True, eta_l=0.05, batch_size=4)
     config = _config(algo, budget=16)
     sim, result = _run(config)
-    for entry in sim.driver.round_log:
+    for entry in round_views(sim.events):
         for cid, completed in entry.completed_at.items():
             shard = sim.dataset.shard(cid)
             profile = DET_PDPE.profile_for(shard.is_straggler)
@@ -157,7 +158,7 @@ def test_clients_are_never_double_booked():
     config = _config(algo, budget=60)
     sim, result = _run(config)
     intervals = {}
-    for entry in sim.driver.round_log:
+    for entry in round_views(sim.events):
         for cid, completed in entry.completed_at.items():
             intervals.setdefault(cid, []).append((entry.started_at, completed))
     for cid, spans in intervals.items():
@@ -240,6 +241,39 @@ def test_every_step_eval_has_no_duplicate_final():
     assert len(stamps) == len(result.records)
 
 
+_SMALL_STEP = dict(eta_l=0.05, batch_size=4)
+
+
+@pytest.mark.parametrize(
+    "algo, served",
+    [
+        (AlgoConfig("fedavg", cohort_size=4, over_selection=True, **_SMALL_STEP), "global"),
+        (AlgoConfig("fedadam", cohort_size=4, eta_g=0.05, **_SMALL_STEP), "global"),
+        (AlgoConfig("fedbuff", buffer_size=3, max_concurrency=6, **_SMALL_STEP), "global"),
+        (
+            AlgoConfig("fedbuff", buffer_size=3, max_concurrency=6, ema_enabled=True, **_SMALL_STEP),
+            "ema",
+        ),
+        (AlgoConfig("fare_dust", cohort_size=4, over_selection=True, rho=0.1, **_SMALL_STEP), "ema"),
+        (AlgoConfig("feast", cohort_size=4, over_selection=True, tau_max=50.0, **_SMALL_STEP), "aux"),
+    ],
+    ids=["fedavg", "fedadam", "fedbuff", "fedbuff_ema", "fare_dust", "feast"],
+)
+def test_trace_accounts_for_every_dispatch_step_and_aux_round(algo, served):
+    config = _config(algo, budget=40)
+    sim, result = _run(config)
+    kinds = [e.kind for e in sim.events]
+    assert kinds.count("dispatch") == sim.counters["dispatches"]
+    aggregated = sum(len(e.members) for e in sim.events if e.kind == "aggregate")
+    assert aggregated == result.aggregated_updates
+    assert kinds.count("aux") == sim.counters["aux_rounds"]
+    times = [e.at for e in sim.events]
+    assert times == sorted(times)
+    assert result.which_model == served
+    untraced, _ = _run(config, trace=False)
+    assert untraced.events == []
+
+
 # ---- lockstep equivalence of buffered and synchronous aggregation ---- #
 
 
@@ -269,18 +303,19 @@ def test_buffered_lockstep_matches_synchronous_bitwise(k):
     sync_sim, sync_res = _run(_config(sync_algo, dataset=dataset, scenario=DET_PE, budget=budget))
     buff_sim, buff_res = _run(_config(buff_algo, dataset=dataset, scenario=DET_PE, budget=budget))
 
-    sync_w = [e.w_after for e in sync_sim.driver.round_log]
-    buff_w = [e.w_after for e in buff_sim.driver.flush_log]
+    flushes = [e for e in buff_sim.events if e.kind == "aggregate"]
+    sync_w = [e.w_after for e in round_views(sync_sim.events)]
+    buff_w = [e.w for e in flushes]
     assert len(sync_w) == len(buff_w) == 6
     for a, b in zip(sync_w, buff_w):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(sync_res.output_w, buff_res.output_w)
     assert sync_res.total_time_s == buff_res.total_time_s
-    sync_members = [sorted(e.fast_ids) for e in sync_sim.driver.round_log]
-    buff_members = [sorted(cid for _, cid in e.members) for e in buff_sim.driver.flush_log]
+    sync_members = [sorted(e.fast_ids) for e in round_views(sync_sim.events)]
+    buff_members = [sorted(cid for _, cid in e.members) for e in flushes]
     assert sync_members == buff_members
     # each flush holds one whole wave: all members share a model version
-    for e in buff_sim.driver.flush_log:
+    for e in flushes:
         assert len({version for version, _ in e.members}) == 1
 
 
@@ -429,7 +464,7 @@ def test_overlapped_aux_rounds_apply_in_order_despite_readiness_inversions():
 
     # reconstruct per-round readiness and confirm an inversion occurred
     ready = []
-    for entry in sim.driver.round_log:
+    for entry in round_views(sim.events):
         all_reported = max(entry.completed_at.values())
         ready.append(min(all_reported, entry.started_at + 4000.0))
     assert any(ready[t + 1] < ready[t] for t in range(len(ready) - 1))

@@ -51,9 +51,8 @@ def test_zero_sigma_still_consumes_one_draw():
 
 def test_factor_order_is_comm_then_per_example_then_overhead():
     profile = PDPE_STRAGGLER_PROFILE
-    scenario = PDPE_SCENARIO
     gen = rng.stream(11, rng.LATENCY, 2)
-    sample = sample_client_latency(scenario, True, 40, gen)
+    sample = sample_client_latency(PDPE_SCENARIO.profile_for(True), gen)
 
     manual = rng.stream(11, rng.LATENCY, 2)
     comm = math.exp(profile.comm.mu + profile.comm.sigma * manual.standard_normal())
@@ -66,20 +65,22 @@ def test_factor_order_is_comm_then_per_example_then_overhead():
     assert sample.comm_s == comm
     assert sample.per_example_s == per_ex
     assert sample.overhead_s == overhead
-    assert sample.total_s == comm + overhead + per_ex * 40
+    assert sample.total_s(40) == comm + overhead + per_ex * 40
 
 
 def test_total_composition():
     gen = rng.stream(0, rng.LATENCY, 9)
-    sample = sample_client_latency(PE_SCENARIO, False, 17, gen)
-    assert sample.total_s == sample.comm_s + sample.overhead_s + sample.per_example_s * 17
-    assert sample.n_examples == 17
+    sample = sample_client_latency(PE_PROFILE, gen)
+    assert sample.total_s(17) == sample.comm_s + sample.overhead_s + sample.per_example_s * 17
+    assert sample.total_s(17, comm_scale=2.0) == (
+        2.0 * sample.comm_s + sample.overhead_s + sample.per_example_s * 17
+    )
 
 
 def test_zero_examples_drops_per_example_term():
     gen = rng.stream(0, rng.LATENCY, 9)
-    sample = sample_client_latency(PE_SCENARIO, False, 0, gen)
-    assert sample.total_s == sample.comm_s + sample.overhead_s
+    sample = sample_client_latency(PE_PROFILE, gen)
+    assert sample.total_s(0) == sample.comm_s + sample.overhead_s
 
 
 def test_group_profile_selection():
@@ -189,7 +190,7 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         LognormalParams(mu=0.0, sigma=-0.1)
     with pytest.raises(ValueError):
-        sample_client_latency(PE_SCENARIO, False, -1, rng.stream(0, rng.LATENCY, 0))
+        sample_client_latency(PE_PROFILE, rng.stream(0, rng.LATENCY, 0)).total_s(-1)
     with pytest.raises(ValueError):
         nearest_rank_percentile(np.array([]), 50.0)
     with pytest.raises(ValueError):
