@@ -10,7 +10,8 @@ Subcommands:
   data-report     per-client and per-class tables of the generated dataset
 
 Exit codes: 0 success, 1 failed verification, 2 bad input (missing file,
-malformed or unknown config keys).
+malformed or unknown config keys, wrong-typed values, cohorts larger than the
+dataset), 3 a trial failed at run time (RuntimeError or FloatingPointError).
 
 Trial seeds are base_seed + trial_index. --jobs (or STRAGGLERSIM_JOBS) runs
 trials in separate processes; each trial writes its own file, so outputs are
@@ -386,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, FloatingPointError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,15 +1,16 @@
 """Experiment configuration: typed schema, strict JSON loading, hashing.
 
-Unknown keys are rejected with a path-qualified message so a typo like
-"algo.eta_gl" fails loudly instead of silently running defaults. The config
-hash is the sha256 of the canonical JSON form of the fully resolved config
-and is stamped into every output so reports can refuse to mix runs of
-different configurations.
+Unknown keys and wrong-typed values are rejected with a path-qualified
+message, so a typo like "algo.eta_gl" or a budget of true fails loudly
+instead of silently running something else. The config hash is the sha256
+of the canonical JSON form of the fully resolved config and is stamped into
+every output so reports can refuse to mix runs of different configurations.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -29,6 +30,7 @@ from .latency import (
     LatencyScenario,
     LognormalParams,
 )
+from .model import ModelLayout
 
 
 class ConfigError(ValueError):
@@ -46,8 +48,6 @@ class ModelConfig:
     distill_temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.hidden < 0:
-            raise ValueError(f"hidden must be >= 0, got {self.hidden}")
         if self.init_scale < 0:
             raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
         if self.distill_loss not in ("soft_ce", "logit_mse"):
@@ -81,6 +81,20 @@ class ExperimentConfig:
             raise ValueError(f"eval_cap must be >= 1, got {self.eval_cap}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        try:
+            self.layout()
+        except ValueError as exc:
+            # DatasetConfig already checked d_in and n_classes: a model field is at fault
+            raise ValueError(f"model.{exc}") from exc
+
+    def layout(self) -> ModelLayout:
+        """The model shape; the only place it is validated."""
+        return ModelLayout(
+            d_in=self.dataset.d_in,
+            hidden=self.model.hidden,
+            n_classes=self.dataset.n_classes,
+            activation=self.model.activation,
+        )
 
     def effective_data_seed(self) -> int:
         return self.base_seed if self.data_seed is None else self.data_seed
@@ -99,35 +113,47 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-_TUPLE_FIELDS = {"straggler_classes", "class_mixture"}
+_SCALARS = {"int": int, "float": (int, float), "bool": bool, "str": str, "None": type(None)}
 
 
 def _check_number(value: Any, annotation: str, path: str) -> None:
-    """Reject a bool given for a number, a float given for an int, and
+    """Reject a value of the wrong type for a scalar field (a bool for a number,
+    a float for an int, a string for a number, a non-string for a string) and
     non-finite floats; annotation is the field's annotation string."""
-    kinds = {part.strip() for part in annotation.split("|")}
-    if isinstance(value, bool):
-        if "bool" not in kinds and kinds & {"int", "float"}:
-            raise ConfigError(f"{path}: expected a number, got {value}")
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ConfigError(f"{path}: must be finite, got {value}")
-        if "int" in kinds and "float" not in kinds:
-            raise ConfigError(f"{path}: expected an integer, got {value}")
+    kinds = [part.strip() for part in annotation.split("|")]
+    if not all(kind in _SCALARS for kind in kinds):
+        return
+    accepted = tuple(_SCALARS[kind] for kind in kinds)
+    if not isinstance(value, accepted) or (isinstance(value, bool) and "bool" not in kinds):
+        raise ConfigError(f"{path}: expected {annotation}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value}")
 
 
-def _build_dataclass(cls: type, payload: Any, path: str):
+def _build_dataclass(cls: type, payload: Any, path: str, sections: dict | None = None):
+    """Build cls from a JSON object; sections maps a key to the parser of its
+    nested value, every other value is checked against its field annotation."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected an object, got {type(payload).__name__}")
-    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - set(annotations))
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(payload) - set(fields))
     if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {unknown}; known keys: {sorted(annotations)}")
+        raise ConfigError(f"{path}: unknown key(s) {unknown}; known keys: {sorted(fields)}")
+    for name, f in fields.items():
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and name not in payload:
+            raise ConfigError(f"{path}.{name}: required key is missing")
     kwargs = {}
     for key, value in payload.items():
-        _check_number(value, annotations[key], f"{path}.{key}")
-        if key in _TUPLE_FIELDS and isinstance(value, list):
-            value = tuple(value)
+        if sections and key in sections:
+            value = sections[key](value, f"{path}.{key}")
+        else:
+            _check_number(value, fields[key].type, f"{path}.{key}")
+            if fields[key].type.startswith("tuple") and isinstance(value, list):
+                item_kind = fields[key].type[len("tuple[") :].split(",")[0]
+                for i, item in enumerate(value):
+                    _check_number(item, item_kind, f"{path}.{key}[{i}]")
+                value = tuple(value)
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -137,10 +163,9 @@ def _build_dataclass(cls: type, payload: Any, path: str):
 
 def _parse_lognormal(payload: Any, path: str) -> LognormalParams:
     if isinstance(payload, (list, tuple)) and len(payload) == 2:
-        try:
-            return LognormalParams(mu=float(payload[0]), sigma=float(payload[1]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        for key, value in zip(("mu", "sigma"), payload):
+            _check_number(value, "float", f"{path}.{key}")
+        payload = {"mu": float(payload[0]), "sigma": float(payload[1])}
     if isinstance(payload, dict):
         return _build_dataclass(LognormalParams, payload, path)
     raise ConfigError(f"{path}: expected [mu, sigma] or an object with mu/sigma")
@@ -152,18 +177,8 @@ def _parse_profile(payload: Any, path: str, default: LatencyProfile) -> LatencyP
     unknown = sorted(set(payload) - {"comm", "per_example", "overhead"})
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {unknown}")
-    return LatencyProfile(
-        comm=_parse_lognormal(payload["comm"], f"{path}.comm") if "comm" in payload else default.comm,
-        per_example=(
-            _parse_lognormal(payload["per_example"], f"{path}.per_example")
-            if "per_example" in payload
-            else default.per_example
-        ),
-        overhead=(
-            _parse_lognormal(payload["overhead"], f"{path}.overhead")
-            if "overhead" in payload
-            else default.overhead
-        ),
+    return dataclasses.replace(
+        default, **{key: _parse_lognormal(value, f"{path}.{key}") for key, value in payload.items()}
     )
 
 
@@ -189,56 +204,29 @@ def _parse_latency(payload: Any, path: str) -> LatencyScenario:
         straggler = _parse_profile(
             payload.get("straggler", {}), f"{path}.straggler", PDPE_STRAGGLER_PROFILE
         )
+    factor = payload.get("teacher_download_factor", 1.0)
+    _check_number(factor, "float", f"{path}.teacher_download_factor")
     try:
         return LatencyScenario(
             mode=mode,
             standard_profile=standard,
             straggler_profile=straggler,
-            teacher_download_factor=float(payload.get("teacher_download_factor", 1.0)),
+            teacher_download_factor=float(factor),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-_TOP_LEVEL_KEYS = {
-    "algo",
-    "dataset",
-    "latency",
-    "model",
-    "budget",
-    "eval_every",
-    "eval_cap",
-    "trials",
-    "base_seed",
-    "data_seed",
-    "name",
+_SECTIONS = {
+    "algo": functools.partial(_build_dataclass, AlgoConfig),
+    "dataset": functools.partial(_build_dataclass, DatasetConfig),
+    "model": functools.partial(_build_dataclass, ModelConfig),
+    "latency": _parse_latency,
 }
 
 
 def config_from_dict(payload: dict, path: str = "config") -> ExperimentConfig:
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: expected a JSON object at the top level")
-    unknown = sorted(set(payload) - _TOP_LEVEL_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {unknown}; known keys: {sorted(_TOP_LEVEL_KEYS)}")
-    if "algo" not in payload:
-        raise ConfigError(f"{path}.algo: required section is missing")
-    kwargs: dict[str, Any] = {
-        "algo": _build_dataclass(AlgoConfig, payload["algo"], f"{path}.algo")
-    }
-    if "dataset" in payload:
-        kwargs["dataset"] = _build_dataclass(DatasetConfig, payload["dataset"], f"{path}.dataset")
-    if "latency" in payload:
-        kwargs["latency"] = _parse_latency(payload["latency"], f"{path}.latency")
-    if "model" in payload:
-        kwargs["model"] = _build_dataclass(ModelConfig, payload["model"], f"{path}.model")
-    for key in ("budget", "eval_every", "eval_cap", "trials", "base_seed", "data_seed", "name"):
-        if key in payload:
-            kwargs[key] = payload[key]
-    try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _build_dataclass(ExperimentConfig, payload, path, _SECTIONS)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -36,10 +36,9 @@ import numpy as np
 
 from . import algorithms, latency, metrics, model, rng
 from .algorithms import ClientUpdate, EmaAccumulator, ServerState, make_driver
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .data import FederatedDataset, build_dataset
 from .metrics import MetricsRecord
-from .model import ModelLayout
 
 EVENT_CLIENT_COMPLETED = "client_completed"
 EVENT_DISPATCH = "dispatch"
@@ -147,12 +146,7 @@ class Simulation:
         self.dataset = dataset if dataset is not None else build_dataset(
             config.dataset, config.effective_data_seed()
         )
-        self.layout = ModelLayout(
-            d_in=config.dataset.d_in,
-            hidden=config.model.hidden,
-            n_classes=config.dataset.n_classes,
-            activation=config.model.activation,
-        )
+        self.layout = config.layout()
         self.scenario = config.latency
 
         w0 = model.init_params(
@@ -181,6 +175,18 @@ class Simulation:
         self.last_model_event = 0.0
         self._busy_until = np.zeros(config.dataset.m_clients)
         self._client_ids = [s.client_id for s in self.dataset.shards]
+        # a sync round draws distinct clients even with busy reuse; a fedbuff refill draws one
+        if self.algo.name != "fedbuff":
+            size = self.algo.resolved_dispatch_size()
+            field = "cohort_size" if size == self.algo.cohort_size else "dispatch_size"
+        else:
+            field = "max_concurrency"
+            size = 1 if self.algo.allow_busy_reuse else self.algo.max_concurrency
+        if size > len(self._client_ids):
+            raise ConfigError(
+                f"algo.{field}: {size} clients busy at once, but the dataset keeps only "
+                f"{len(self._client_ids)} clients"
+            )
         self._cohort_gen = rng.stream(trial_seed, rng.COHORT)
         self._teacher_gen = rng.stream(trial_seed, rng.TEACHER)
         self._latency_gens: dict[int, np.random.Generator] = {}
@@ -344,25 +350,19 @@ class Simulation:
 
         Pools overhead + per_example * shard_size draws over all clients
         using a dedicated stream keyed by the data seed, so every trial of
-        an experiment shares the same limit.
+        an experiment shares the same limit. Every shard's per_example draws
+        come first, then every shard's overhead draws.
         """
         gen = rng.stream(self.config.effective_data_seed(), rng.TIME_LIMIT)
-        shards = self.dataset.shards
-        mu_pe = np.empty(len(shards))
-        sg_pe = np.empty(len(shards))
-        mu_ov = np.empty(len(shards))
-        sg_ov = np.empty(len(shards))
-        sizes = np.empty(len(shards))
-        for i, shard in enumerate(shards):
-            profile = self.scenario.profile_for(shard.is_straggler)
-            mu_pe[i], sg_pe[i] = profile.per_example.mu, profile.per_example.sigma
-            mu_ov[i], sg_ov[i] = profile.overhead.mu, profile.overhead.sigma
-            sizes[i] = shard.n_examples
-        z_pe = gen.standard_normal((len(shards), draws_per_client))
-        z_ov = gen.standard_normal((len(shards), draws_per_client))
-        per_example = np.exp(mu_pe[:, None] + sg_pe[:, None] * z_pe)
-        overhead = np.exp(mu_ov[:, None] + sg_ov[:, None] * z_ov)
-        totals = overhead + per_example * sizes[:, None]
+        profiles = [self.scenario.profile_for(s.is_straggler) for s in self.dataset.shards]
+        per_example = [
+            latency.sample_lognormal_batch(p.per_example, gen, draws_per_client) for p in profiles
+        ]
+        overhead = [
+            latency.sample_lognormal_batch(p.overhead, gen, draws_per_client) for p in profiles
+        ]
+        sizes = np.array([s.n_examples for s in self.dataset.shards], dtype=float)
+        totals = np.array(overhead) + np.array(per_example) * sizes[:, None]
         return latency.nearest_rank_percentile(
             totals.ravel(), self.algo.time_limit_percentile
         )

@@ -36,7 +36,7 @@ class ModelLayout:
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.activation != "tanh":
-            raise ValueError(f"unsupported activation: {self.activation!r}")
+            raise ValueError(f"activation must be 'tanh', got {self.activation!r}")
 
     @property
     def n_params(self) -> int:
@@ -259,45 +259,31 @@ def local_sgd(
         raise ValueError("teacher_w required when rho > 0")
 
     w = w0.copy()
-    steps_done = 0
-    examples = 0
-
-    def run_batch(idx: np.ndarray) -> None:
-        nonlocal w, steps_done, examples
-        batch_x = features[idx]
-        batch_y = labels[idx]
-        t_logits = None
-        if rho > 0:
-            t_logits = forward_logits(teacher_w, layout, batch_x)
-        _, grad = loss_and_grad(
-            w,
-            layout,
-            batch_x,
-            batch_y,
-            rho=rho,
-            nu=nu,
-            teacher_logits=t_logits,
-            anchor=anchor,
-            distill_loss=distill_loss,
-            distill_temperature=distill_temperature,
-        )
-        w -= eta_l * grad
-        steps_done += 1
-        examples += len(idx)
-
-    if epochs is not None:
-        for _ in range(epochs):
-            perm = gen.permutation(n)
-            for start in range(0, n, batch_size):
-                run_batch(perm[start : start + batch_size])
-        return w, steps_done, examples
-
-    while steps_done < steps:
+    steps_done = examples = epochs_done = 0
+    while epochs_done != epochs:
         perm = gen.permutation(n)
         for start in range(0, n, batch_size):
-            run_batch(perm[start : start + batch_size])
+            idx = perm[start : start + batch_size]
+            batch_x = features[idx]
+            t_logits = forward_logits(teacher_w, layout, batch_x) if rho > 0 else None
+            _, grad = loss_and_grad(
+                w,
+                layout,
+                batch_x,
+                labels[idx],
+                rho=rho,
+                nu=nu,
+                teacher_logits=t_logits,
+                anchor=anchor,
+                distill_loss=distill_loss,
+                distill_temperature=distill_temperature,
+            )
+            w -= eta_l * grad
+            steps_done += 1
+            examples += len(idx)
             if steps_done == steps:
-                break
+                return w, steps_done, examples
+        epochs_done += 1
     return w, steps_done, examples
 
 

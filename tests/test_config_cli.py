@@ -16,6 +16,8 @@ from stragglersim.config import (
     load_sweep,
     sweep_points,
 )
+from stragglersim.data import build_dataset
+from stragglersim.engine import Simulation
 from stragglersim.verify import CheckReport
 
 BASE_PAYLOAD = {
@@ -105,20 +107,63 @@ def test_bad_algo_value_is_path_qualified():
 
 
 @pytest.mark.parametrize(
-    "key, literal",
+    "path, literal",
     [
-        ("cohort_size", "true"),
-        ("batch_size", "true"),
-        ("cohort_size", "50.5"),
-        ("eta_g", "NaN"),
-        ("eta_l", "Infinity"),
+        ("algo.cohort_size", "true"),
+        ("algo.batch_size", "true"),
+        ("algo.cohort_size", "50.5"),
+        ("algo.eta_g", "NaN"),
+        ("algo.eta_l", "Infinity"),
+        ("budget", "100.5"),
+        ("budget", "true"),
+        ("base_seed", "1.5"),
+        ("eval_every", '"10"'),
+        ("name", "5"),
+        ("latency.teacher_download_factor", '"3"'),
+        ("latency.teacher_download_factor", "true"),
+        ("latency.standard.comm", '["2.7", true]'),
+        ("model.activation", '"relu"'),
+        ("dataset.straggler_classes", "[0, 1.5]"),
+        ("dataset.straggler_classes", "[true, 1]"),
     ],
+    # algo fields are named without their section prefix in test ids
+    ids=lambda value: value.removeprefix("algo."),
 )
-def test_number_fields_reject_bools_fractions_and_non_finite(tmp_path, key, literal):
+def test_number_fields_reject_bools_fractions_and_non_finite(tmp_path, path, literal):
     payload = _payload()
-    payload["algo"][key] = json.loads(literal)
-    with pytest.raises(ConfigError, match=rf"algo\.{key}"):
+    *sections, key = path.split(".")
+    node = payload
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = json.loads(literal)
+    with pytest.raises(ConfigError) as excinfo:
         load_config(_write_config(tmp_path, payload))
+    assert str(excinfo.value).count(path) == 1, str(excinfo.value)
+
+
+def test_cohorts_larger_than_the_dataset_exit_2_before_the_first_event(tmp_path, capsys):
+    config = config_from_dict(_payload())
+    n = build_dataset(config.dataset, config.effective_data_seed()).n_clients
+    cases = [
+        ({"name": "fedavg", "cohort_size": n + 1}, "cohort_size"),
+        ({"name": "fedavg", "cohort_size": 2, "dispatch_size": n + 1}, "dispatch_size"),
+        ({"name": "fedbuff", "buffer_size": 2, "max_concurrency": n + 1}, "max_concurrency"),
+    ]
+    for algo, field in cases:
+        config_path = _write_config(tmp_path, _payload(algo=algo))
+        out = tmp_path / field
+        assert cli.main(["simulate", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"algo.{field}: {n + 1} clients" in err
+        assert f"only {n} clients" in err
+        assert not list(out.glob("*.jsonl"))
+    # a fedbuff refill that may reuse busy clients draws one client at a time
+    reuse = {"name": "fedbuff", "buffer_size": 2, "max_concurrency": n + 1,
+             "allow_busy_reuse": True}
+    assert Simulation(config_from_dict(_payload(algo=reuse)), 0).run().aggregated_updates == 8
+    # a synchronous round still needs dispatch_size distinct clients
+    with pytest.raises(ConfigError, match=rf"algo\.cohort_size: {n + 1} clients"):
+        Simulation(config_from_dict(_payload(algo={**cases[0][0], "allow_busy_reuse": True})), 0)
 
 
 def test_pe_mode_rejects_straggler_profile():
@@ -347,6 +392,18 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     stdout = capsys.readouterr().out
     assert "FAIL gap_recursion" in stdout
     assert "suite FAILED" in stdout
+
+
+@pytest.mark.parametrize("error", [RuntimeError, FloatingPointError])
+def test_runtime_failure_exits_3(tmp_path, monkeypatch, capsys, error):
+    def diverge(self):
+        raise error("non-finite loss or gradient")
+
+    monkeypatch.setattr(Simulation, "run", diverge)
+    config_path = _write_config(tmp_path, _payload())
+    assert cli.main(["simulate", "--config", str(config_path), "--out",
+                     str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: non-finite loss or gradient\n"
 
 
 def test_report_aggregates_single_config(tmp_path, capsys):
