@@ -3,10 +3,10 @@
 A driver owns only the round semantics of one algorithm family: which
 clients are dispatched, which arrivals count, and where late straggler
 updates go. It talks to the simulation through a narrow context interface
-(dispatch clients, hand over the updates of one server step, publish an
-auxiliary model, schedule events); the engine sums and applies the
-updates, decides which model is served, and keeps the trace. Conventions
-shared by every driver:
+(dispatch a client or a synchronous cohort, hand over the updates of one
+server step, publish an auxiliary model, schedule events); the engine sums
+and applies the updates, decides which model is served, and keeps the
+trace. Conventions shared by every driver:
 
 * A client update carries delta = w_dispatched - w_final, so the server
   subtracts: SGD does w <- w - (eta_g / count) * summed_delta.
@@ -328,6 +328,17 @@ class SimContext(Protocol):
         comm_scale: float = 1.0,
     ) -> ClientUpdate: ...
 
+    def dispatch_round(
+        self,
+        cohort: list[int],
+        round_id: int,
+        w: np.ndarray,
+        *,
+        teachers: list[np.ndarray | None],
+        anchor: np.ndarray | None,
+        comm_scales: list[float],
+    ) -> list[ClientUpdate]: ...
+
     def apply_server_update(self, updates: list[ClientUpdate]) -> np.ndarray: ...
 
     def publish_aux(self, aux: np.ndarray) -> None: ...
@@ -421,19 +432,16 @@ class SyncRoundDriver:
         self.sim.counters["rounds_started"] += 1
         cohort = self.sim.sample_cohort(self.dispatch_size)
         anchor = self.sim.state.w.copy() if self.config.nu > 0 else None
-        updates = []
-        for cid in cohort:
-            teacher_w, comm_scale = self._teacher_for_dispatch()
-            updates.append(
-                self.sim.dispatch(
-                    cid,
-                    rid,
-                    self.sim.state.w,
-                    teacher_w=teacher_w,
-                    anchor=anchor,
-                    comm_scale=comm_scale,
-                )
-            )
+        # Teachers are drawn in cohort order before any training.
+        teachers, comm_scales = zip(*(self._teacher_for_dispatch() for _ in cohort))
+        updates = self.sim.dispatch_round(
+            cohort,
+            rid,
+            self.sim.state.w,
+            teachers=list(teachers),
+            anchor=anchor,
+            comm_scales=list(comm_scales),
+        )
         by_finish = sorted(updates, key=lambda u: (u.completed_at, u.client_id))
         fast_ids = frozenset(u.client_id for u in by_finish[: self.cohort_size])
         self.rounds[rid] = SyncRound(round_id=rid, started_at=self.sim.now, fast_ids=fast_ids)

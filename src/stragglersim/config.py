@@ -217,8 +217,25 @@ def _parse_latency(payload: Any, path: str) -> LatencyScenario:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# Knobs that act only when their flag is on; given with the flag off they
+# would change the config hash and nothing else.
+_FLAGGED_KNOBS = {
+    "time_limit_s": "time_limit",
+    "time_limit_percentile": "time_limit",
+    "over_selection_factor": "over_selection",
+}
+
+
+def _parse_algo(payload: Any, path: str) -> AlgoConfig:
+    algo = _build_dataclass(AlgoConfig, payload, path)
+    for knob, flag in _FLAGGED_KNOBS.items():
+        if knob in payload and not getattr(algo, flag):
+            raise ConfigError(f"{path}.{knob}: has no effect unless {path}.{flag} is true")
+    return algo
+
+
 _SECTIONS = {
-    "algo": functools.partial(_build_dataclass, AlgoConfig),
+    "algo": _parse_algo,
     "dataset": functools.partial(_build_dataclass, DatasetConfig),
     "model": functools.partial(_build_dataclass, ModelConfig),
     "latency": _parse_latency,

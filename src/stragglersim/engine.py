@@ -18,7 +18,12 @@ evaluation cadence, and the trace. Round semantics live in the drivers
 Client computation is charged for work actually performed: the latency
 factors are drawn first (the per-round time limit needs them), local
 training runs, and the completion fires at now plus the factors' total
-for the examples actually processed (latency.LatencySample.total_s).
+for the examples actually processed (latency.LatencySample.total_s). A
+synchronous cohort starts from one model, so dispatch_round draws every
+member, trains them together (model.local_sgd_cohort) and then schedules
+them in cohort order; dispatch does the same for one client. A client
+whose local SGD leaves non-finite weights raises FloatingPointError naming
+the client, the round and the virtual time.
 
 A client is busy until its completion fires and is excluded from cohort
 sampling in the meantime (allow_busy_reuse lifts this). The run terminates
@@ -199,6 +204,14 @@ class Simulation:
                 if self.algo.time_limit_s is not None
                 else self._monte_carlo_time_limit()
             )
+        # local SGD arguments that every dispatch of the run shares
+        self._sgd_args = dict(
+            eta_l=self.algo.eta_l,
+            batch_size=self.algo.batch_size,
+            epochs=None if self.tau_limit is not None else self.algo.epochs,
+            distill_loss=config.model.distill_loss,
+            distill_temperature=config.model.distill_temperature,
+        )
 
         self.driver = make_driver(self, self.algo)
 
@@ -233,61 +246,91 @@ class Simulation:
         comm_scale: float = 1.0,
     ) -> ClientUpdate:
         """Run one client's local computation and schedule its completion."""
-        if not self.algo.allow_busy_reuse and self._busy_until[client_id] > self.now:
-            raise RuntimeError(f"client {client_id} dispatched while busy")
-        shard = self.dataset.shard(client_id)
-        factors = latency.sample_client_latency(
-            self.scenario.profile_for(shard.is_straggler), self._latency_gen(client_id)
+        shard, factors, steps = self._draw(client_id)
+        try:
+            w_final, steps_done, examples = model.local_sgd(
+                w,
+                self.layout,
+                shard.features,
+                shard.labels,
+                steps=steps,
+                gen=self._shuffle_gen(client_id),
+                rho=self.algo.rho if teacher_w is not None else 0.0,
+                nu=self.algo.nu if anchor is not None else 0.0,
+                teacher_w=teacher_w,
+                anchor=anchor,
+                **self._sgd_args,
+            )
+        except model.TrainingDiverged:
+            raise self._diverged(client_id, round_id) from None
+        return self._schedule(
+            ClientUpdate(
+                round_id=round_id,
+                client_id=client_id,
+                delta=w - w_final,
+                dispatched_at=self.now,
+                completed_at=self.now + factors.total_s(examples, comm_scale),
+                examples_processed=examples,
+                steps_done=steps_done,
+                model_version=self.state.t,
+            )
         )
 
-        if self.tau_limit is not None:
-            steps = max(
-                1,
-                math.floor(
-                    (self.tau_limit - factors.overhead_s)
-                    / (factors.per_example_s * self.algo.batch_size)
-                ),
-            )
-            epochs = None
-        else:
-            steps = None
-            epochs = self.algo.epochs
+    def dispatch_round(
+        self,
+        cohort: list[int],
+        round_id: int,
+        w: np.ndarray,
+        *,
+        teachers: list[np.ndarray | None],
+        anchor: np.ndarray | None,
+        comm_scales: list[float],
+    ) -> list[ClientUpdate]:
+        """Dispatch a synchronous cohort that starts from one w.
 
-        w_final, steps_done, examples = model.local_sgd(
-            w,
-            self.layout,
-            shard.features,
-            shard.labels,
-            eta_l=self.algo.eta_l,
-            batch_size=self.algo.batch_size,
-            epochs=epochs,
-            steps=steps,
-            gen=self._shuffle_gen(client_id),
-            rho=self.algo.rho if teacher_w is not None else 0.0,
-            nu=self.algo.nu if anchor is not None else 0.0,
-            teacher_w=teacher_w,
-            anchor=anchor,
-            distill_loss=self.config.model.distill_loss,
-            distill_temperature=self.config.model.distill_temperature,
-        )
-        update = ClientUpdate(
-            round_id=round_id,
-            client_id=client_id,
-            delta=w - w_final,
-            dispatched_at=self.now,
-            completed_at=self.now + factors.total_s(examples, comm_scale),
-            examples_processed=examples,
-            steps_done=steps_done,
-            model_version=self.state.t,
-        )
-        self._busy_until[client_id] = update.completed_at
-        self.queue.schedule(update.completed_at, EVENT_CLIENT_COMPLETED, update, now=self.now)
-        self.counters["dispatches"] += 1
-        if self.trace:
-            self.events.append(
-                TraceEvent("dispatch", self.now, ((round_id, client_id),), update.completed_at)
+        Trains every client in one stacked computation
+        (model.local_sgd_cohort), then schedules the completions in cohort
+        order. Equals dispatch per client, in cohort order, up to float
+        summation order. Each client distills against its entry of
+        teachers; the entries are all arrays or all None.
+        """
+        distill = teachers[0] is not None
+        if any((t is not None) != distill for t in teachers):
+            raise ValueError("a cohort distills against a teacher for every client or for none")
+        shards, factors, steps = zip(*(self._draw(cid) for cid in cohort))
+        try:
+            w_final, steps_done, examples = model.local_sgd_cohort(
+                w,
+                self.layout,
+                [shard.features for shard in shards],
+                [shard.labels for shard in shards],
+                steps=None if self.tau_limit is None else list(steps),
+                gens=[self._shuffle_gen(cid) for cid in cohort],
+                rho=self.algo.rho if distill else 0.0,
+                nu=self.algo.nu if anchor is not None else 0.0,
+                teacher_ws=teachers if distill else None,
+                anchor=anchor,
+                **self._sgd_args,
             )
-        return update
+        except model.TrainingDiverged as exc:
+            raise self._diverged(cohort[exc.member], round_id) from None
+        # Each delta is its own array: a view into w_final would keep the
+        # whole round's block alive while one late update is in flight.
+        return [
+            self._schedule(
+                ClientUpdate(
+                    round_id=round_id,
+                    client_id=cid,
+                    delta=w - w_final[i],
+                    dispatched_at=self.now,
+                    completed_at=self.now + factors[i].total_s(examples[i], comm_scales[i]),
+                    examples_processed=examples[i],
+                    steps_done=steps_done[i],
+                    model_version=self.state.t,
+                )
+            )
+            for i, cid in enumerate(cohort)
+        ]
 
     def apply_server_update(self, updates: list[ClientUpdate]) -> np.ndarray:
         """Aggregate updates into one server step; returns their delta sum,
@@ -330,6 +373,42 @@ class Simulation:
         return self.scenario.teacher_download_factor
 
     # -- internals -- #
+
+    def _draw(self, client_id: int):
+        """Busy check, latency factors and time-limit step budget of one
+        dispatch: (shard, factors, steps), steps None without a time limit."""
+        if not self.algo.allow_busy_reuse and self._busy_until[client_id] > self.now:
+            raise RuntimeError(f"client {client_id} dispatched while busy")
+        shard = self.dataset.shard(client_id)
+        factors = latency.sample_client_latency(
+            self.scenario.profile_for(shard.is_straggler), self._latency_gen(client_id)
+        )
+        steps = None
+        if self.tau_limit is not None:
+            steps = max(
+                1,
+                math.floor(
+                    (self.tau_limit - factors.overhead_s)
+                    / (factors.per_example_s * self.algo.batch_size)
+                ),
+            )
+        return shard, factors, steps
+
+    def _schedule(self, update: ClientUpdate) -> ClientUpdate:
+        """Mark the client busy and queue its completion."""
+        self._busy_until[update.client_id] = update.completed_at
+        self.queue.schedule(update.completed_at, EVENT_CLIENT_COMPLETED, update, now=self.now)
+        self.counters["dispatches"] += 1
+        if self.trace:
+            members = ((update.round_id, update.client_id),)
+            self.events.append(TraceEvent("dispatch", self.now, members, update.completed_at))
+        return update
+
+    def _diverged(self, client_id: int, round_id: int) -> FloatingPointError:
+        return FloatingPointError(
+            f"client {client_id} diverged in round {round_id} at t={self.now:.3f}: "
+            "local SGD left non-finite weights"
+        )
 
     def _latency_gen(self, client_id: int) -> np.random.Generator:
         gen = self._latency_gens.get(client_id)

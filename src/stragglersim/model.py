@@ -10,6 +10,11 @@ where supervised is mean softmax cross-entropy, distill compares student
 logits against fixed teacher logits (soft cross-entropy by default, logit
 mean-squared-error as an alternative), and proximal is half the squared
 distance to an anchor vector. All gradients are exact analytic expressions.
+
+loss_and_grad is the validated reference that also returns the loss terms.
+Training (local_sgd for one client, local_sgd_cohort for clients that start
+from the same weights) runs a private gradient kernel without checks or loss
+values, and checks the weights for finiteness once, when a client finishes.
 """
 
 from __future__ import annotations
@@ -66,27 +71,31 @@ def init_params(layout: ModelLayout, gen: np.random.Generator, scale: float = 0.
 
 
 def _unpack_linear(w: np.ndarray, layout: ModelLayout):
+    """Views of w (P,) or of a stack (B, P): weight (..., d, c), bias (..., 1, c)."""
     d, c = layout.d_in, layout.n_classes
-    weight = w[: d * c].reshape(d, c)
-    bias = w[d * c : d * c + c]
+    lead = w.shape[:-1]
+    weight = w[..., : d * c].reshape(lead + (d, c))
+    bias = w[..., d * c : d * c + c].reshape(lead + (1, c))
     return weight, bias
 
 
 def _unpack_mlp(w: np.ndarray, layout: ModelLayout):
     d, h, c = layout.d_in, layout.hidden, layout.n_classes
+    lead = w.shape[:-1]
     i = 0
-    w1 = w[i : i + d * h].reshape(d, h)
+    w1 = w[..., i : i + d * h].reshape(lead + (d, h))
     i += d * h
-    b1 = w[i : i + h]
+    b1 = w[..., i : i + h].reshape(lead + (1, h))
     i += h
-    w2 = w[i : i + h * c].reshape(h, c)
+    w2 = w[..., i : i + h * c].reshape(lead + (h, c))
     i += h * c
-    b2 = w[i : i + c]
+    b2 = w[..., i : i + c].reshape(lead + (1, c))
     return w1, b1, w2, b2
 
 
 def _forward(w: np.ndarray, layout: ModelLayout, x: np.ndarray):
-    """Returns (logits, hidden_activations_or_None) for a 2-D batch."""
+    """Returns (logits, hidden_activations_or_None) for a batch x (n, d_in)
+    under w (P,), or for stacked batches x (B, n, d_in) under w (B, P)."""
     if layout.hidden == 0:
         weight, bias = _unpack_linear(w, layout)
         return x @ weight + bias, None
@@ -108,38 +117,42 @@ def forward_logits(w: np.ndarray, layout: ModelLayout, x: np.ndarray) -> np.ndar
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Softmax over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _backward(
     w: np.ndarray, layout: ModelLayout, x: np.ndarray, hidden, dlogits: np.ndarray
 ) -> np.ndarray:
-    """Gradient of a scalar loss wrt w given d(loss)/d(logits)."""
+    """Gradient of a scalar loss wrt w given d(loss)/d(logits); the leading
+    axes broadcast as in _forward."""
     grad = np.empty_like(w)
+    lead = w.shape[:-1]
+    x_t = x.swapaxes(-1, -2)
     if layout.hidden == 0:
         d, c = layout.d_in, layout.n_classes
-        grad[: d * c] = (x.T @ dlogits).ravel()
-        grad[d * c :] = dlogits.sum(axis=0)
+        grad[..., : d * c] = (x_t @ dlogits).reshape(lead + (d * c,))
+        grad[..., d * c :] = dlogits.sum(axis=-2)
         return grad
     w1, b1, w2, b2 = _unpack_mlp(w, layout)
     d, h, c = layout.d_in, layout.hidden, layout.n_classes
-    dhidden = dlogits @ w2.T
+    dhidden = dlogits @ w2.swapaxes(-1, -2)
     dpre = dhidden * (1.0 - hidden * hidden)
     i = 0
-    grad[i : i + d * h] = (x.T @ dpre).ravel()
+    grad[..., i : i + d * h] = (x_t @ dpre).reshape(lead + (d * h,))
     i += d * h
-    grad[i : i + h] = dpre.sum(axis=0)
+    grad[..., i : i + h] = dpre.sum(axis=-2)
     i += h
-    grad[i : i + h * c] = (hidden.T @ dlogits).ravel()
+    grad[..., i : i + h * c] = (hidden.swapaxes(-1, -2) @ dlogits).reshape(lead + (h * c,))
     i += h * c
-    grad[i : i + c] = dlogits.sum(axis=0)
+    grad[..., i : i + c] = dlogits.sum(axis=-2)
     return grad
 
 
@@ -217,6 +230,78 @@ def loss_and_grad(
     return LossBreakdown(supervised, distill, proximal, total), grad
 
 
+class TrainingDiverged(FloatingPointError):
+    """Local SGD left non-finite weights. member is the client's position in
+    the cohort (0 for local_sgd)."""
+
+    def __init__(self, member: int) -> None:
+        super().__init__(f"local SGD left non-finite weights (cohort member {member})")
+        self.member = member
+
+
+def _check_training_args(
+    n_min, eta_l, batch_size, epochs, steps_min, rho, nu, teacher, anchor, distill_loss
+) -> None:
+    if (epochs is None) == (steps_min is None):
+        raise ValueError("pass exactly one of epochs or steps")
+    if epochs is not None and epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if steps_min is not None and steps_min < 1:
+        raise ValueError(f"steps must be >= 1, got {steps_min}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if eta_l < 0:
+        raise ValueError(f"eta_l must be >= 0, got {eta_l}")
+    if n_min == 0:
+        raise ValueError("empty shard")
+    if rho < 0 or nu < 0:
+        raise ValueError(f"rho and nu must be >= 0, got rho={rho}, nu={nu}")
+    if rho > 0 and teacher is None:
+        raise ValueError("teacher_w required when rho > 0")
+    if (anchor is not None) != (nu > 0):
+        raise ValueError("anchor must be passed exactly when nu > 0")
+    if distill_loss not in ("soft_ce", "logit_mse"):
+        raise ValueError(f"unknown distill_loss: {distill_loss!r}")
+
+
+def _check_finite(w_final: np.ndarray) -> None:
+    """Raise TrainingDiverged for the first non-finite row of w_final (B, P),
+    or for w_final (P,) itself."""
+    if not np.isfinite(w_final).all():
+        raise TrainingDiverged(int(np.argmin(np.isfinite(w_final).all(axis=-1))))
+
+
+def _sgd_grad(
+    w, layout, x, y, n, *, rho, nu, teacher_w, anchor, distill_loss, distill_temperature
+) -> np.ndarray:
+    """loss_and_grad's gradient without its checks and loss values.
+
+    Takes one batch x (n, d_in) under w (P,), or stacked batches x (B, n,
+    d_in) under w (B, P) and teacher_w (B, P). n divides every example's
+    term: the batch length, or an array broadcasting against (B, n, 1) that
+    holds each batch's length on its real rows and inf on padding rows,
+    which then add nothing.
+    """
+    logits, hidden = _forward(w, layout, x)
+    probs = np.exp(_log_softmax(logits))
+    if rho > 0:
+        t_logits, _ = _forward(teacher_w, layout, x)
+        if distill_loss == "soft_ce":
+            pull = rho * (probs - softmax(t_logits / distill_temperature)) / n
+        else:
+            pull = rho * (logits - t_logits) / n
+    # probs minus the one-hot labels, in place
+    rows = probs.reshape(-1, layout.n_classes)
+    rows[np.arange(len(rows)), y.ravel()] -= 1.0
+    dlogits = probs / n
+    if rho > 0:
+        dlogits = dlogits + pull
+    grad = _backward(w, layout, x, hidden, dlogits)
+    if nu > 0:
+        grad += nu * (w - anchor)
+    return grad
+
+
 def local_sgd(
     w0: np.ndarray,
     layout: ModelLayout,
@@ -241,50 +326,146 @@ def local_sgd(
     (last chunk may be short). In steps mode, epochs are consumed lazily
     until the step budget runs out. Teacher logits are computed per batch
     from the fixed teacher_w. Returns (w_final, steps_done, examples_processed).
+    Raises TrainingDiverged, a FloatingPointError, if w_final is not finite.
     """
-    if (epochs is None) == (steps is None):
-        raise ValueError("pass exactly one of epochs or steps")
-    if epochs is not None and epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if steps is not None and steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if eta_l < 0:
-        raise ValueError(f"eta_l must be >= 0, got {eta_l}")
     n = len(labels)
-    if n == 0:
-        raise ValueError("empty shard")
-    if rho > 0 and teacher_w is None:
-        raise ValueError("teacher_w required when rho > 0")
-
+    _check_training_args(
+        n, eta_l, batch_size, epochs, steps, rho, nu, teacher_w, anchor, distill_loss
+    )
     w = w0.copy()
     steps_done = examples = epochs_done = 0
-    while epochs_done != epochs:
-        perm = gen.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            batch_x = features[idx]
-            t_logits = forward_logits(teacher_w, layout, batch_x) if rho > 0 else None
-            _, grad = loss_and_grad(
-                w,
+    # Divergence is reported once, from the final weights.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while epochs_done != epochs and steps_done != steps:
+            perm = gen.permutation(n)
+            for start in range(0, n, batch_size):
+                idx = perm[start : start + batch_size]
+                w -= eta_l * _sgd_grad(
+                    w,
+                    layout,
+                    features[idx],
+                    labels[idx],
+                    len(idx),
+                    rho=rho,
+                    nu=nu,
+                    teacher_w=teacher_w,
+                    anchor=anchor,
+                    distill_loss=distill_loss,
+                    distill_temperature=distill_temperature,
+                )
+                steps_done += 1
+                examples += len(idx)
+                if steps_done == steps:
+                    break
+            epochs_done += 1
+    _check_finite(w)
+    return w, steps_done, examples
+
+
+def _cohort_plan(sizes, batch_size: int, epochs: int | None, steps, gens):
+    """Every client's batches in local_sgd's order, stacked by step.
+
+    Returns (order, index, lengths). order sorts the clients by descending
+    step count, so the clients with an s-th batch are a prefix of it.
+    index (n_steps, B, batch_size) holds rows of the shards concatenated in
+    that order; a short chunk is padded with row 0. lengths (n_steps, B) is
+    the number of real rows, 0 once a client has finished.
+    """
+    sizes = np.asarray(sizes)
+    per_epoch = -(-sizes // batch_size)
+    if steps is None:
+        n_steps = epochs * per_epoch
+        n_epochs = np.full(len(sizes), epochs)
+    else:
+        n_steps = np.asarray(steps)
+        n_epochs = -(-n_steps // per_epoch)
+    order = np.argsort(-n_steps, kind="stable")
+    sizes, per_epoch, n_epochs, n_steps = (a[order] for a in (sizes, per_epoch, n_epochs, n_steps))
+    # One permutation per epoch, as local_sgd draws them.
+    local = np.concatenate(
+        [gens[i].permutation(sizes[j]) for j, i in enumerate(order) for _ in range(n_epochs[j])]
+    )
+    # Client, epoch and position of every drawn index.
+    counts = sizes * n_epochs
+    client = np.repeat(np.arange(len(sizes)), counts)
+    run_start = np.repeat(np.cumsum(counts) - counts, counts)
+    epoch, pos = np.divmod(np.arange(len(local)) - run_start, sizes[client])
+    step = epoch * per_epoch[client] + pos // batch_size
+    keep = step < n_steps[client]  # steps mode may stop inside an epoch
+    client, step, col = client[keep], step[keep], pos[keep] % batch_size
+    shard_start = np.cumsum(sizes) - sizes
+    index = np.zeros((n_steps[0], len(sizes), batch_size), dtype=np.intp)
+    index[step, client, col] = local[keep] + shard_start[client]
+    lengths = np.zeros((n_steps[0], len(sizes)), dtype=np.intp)
+    np.add.at(lengths, (step, client), 1)
+    return order, index, lengths
+
+
+def local_sgd_cohort(
+    w0: np.ndarray,
+    layout: ModelLayout,
+    features: list[np.ndarray],
+    labels: list[np.ndarray],
+    *,
+    eta_l: float,
+    batch_size: int,
+    epochs: int | None = None,
+    steps: list[int] | None = None,
+    gens: list[np.random.Generator],
+    rho: float = 0.0,
+    nu: float = 0.0,
+    teacher_ws: list[np.ndarray] | None = None,
+    anchor: np.ndarray | None = None,
+    distill_loss: str = "soft_ce",
+    distill_temperature: float = 1.0,
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """Local SGD of B clients from one w0, trained as one stacked loop.
+
+    Client i trains on features[i] and labels[i], shuffled by gens[i], for
+    epochs or for steps[i] steps, distilling against teacher_ws[i]. It
+    draws the same batches and takes the same steps as local_sgd with those
+    arguments, and ends at the same weights up to float summation order.
+    Step s trains every client that has an s-th batch as one stacked batch;
+    short chunks are padded to batch_size with rows that add nothing.
+    Returns (w_final (B, P), steps_done, examples_processed), in cohort
+    order. Raises TrainingDiverged naming the first cohort member whose
+    weights are not finite.
+    """
+    sizes = [len(y) for y in labels]
+    steps_min = None if steps is None else min(steps)
+    _check_training_args(
+        min(sizes), eta_l, batch_size, epochs, steps_min, rho, nu, teacher_ws, anchor, distill_loss
+    )
+    order, index, lengths = _cohort_plan(sizes, batch_size, epochs, steps, gens)
+    x_all = np.concatenate([features[i] for i in order])
+    y_all = np.concatenate([labels[i] for i in order])
+    n_active = (lengths > 0).sum(axis=1)
+    real = np.arange(batch_size) < lengths[..., None]
+    divisor = np.where(real, lengths[..., None], np.inf)[..., None]
+    teachers = np.stack([teacher_ws[i] for i in order]) if rho > 0 else None
+
+    w = np.repeat(w0[None, :], len(sizes), axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, a in enumerate(n_active):
+            idx = index[s, :a]
+            w[:a] -= eta_l * _sgd_grad(
+                w[:a],
                 layout,
-                batch_x,
-                labels[idx],
+                x_all[idx],
+                y_all[idx],
+                divisor[s, :a],
                 rho=rho,
                 nu=nu,
-                teacher_logits=t_logits,
+                teacher_w=None if teachers is None else teachers[:a],
                 anchor=anchor,
                 distill_loss=distill_loss,
                 distill_temperature=distill_temperature,
             )
-            w -= eta_l * grad
-            steps_done += 1
-            examples += len(idx)
-            if steps_done == steps:
-                return w, steps_done, examples
-        epochs_done += 1
-    return w, steps_done, examples
+    inverse = np.argsort(order)
+    w_final = w[inverse]
+    _check_finite(w_final)
+    steps_done = (lengths > 0).sum(axis=0)[inverse]
+    return w_final, steps_done.tolist(), lengths.sum(axis=0)[inverse].tolist()
 
 
 def predict(w: np.ndarray, layout: ModelLayout, x: np.ndarray) -> np.ndarray:

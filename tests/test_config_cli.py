@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from stragglersim import cli, verify
+from stragglersim import cli, model, verify
 from stragglersim.config import (
     ConfigError,
     ExperimentConfig,
@@ -139,6 +139,30 @@ def test_number_fields_reject_bools_fractions_and_non_finite(tmp_path, path, lit
     with pytest.raises(ConfigError) as excinfo:
         load_config(_write_config(tmp_path, payload))
     assert str(excinfo.value).count(path) == 1, str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "knob, value, flag",
+    [
+        ("time_limit_s", 0.5, "time_limit"),
+        ("time_limit_percentile", 50.0, "time_limit"),
+        ("over_selection_factor", 1.5, "over_selection"),
+    ],
+)
+def test_knobs_without_their_flag_exit_2(tmp_path, capsys, knob, value, flag):
+    for flag_value in (None, False):
+        algo = {**BASE_PAYLOAD["algo"], knob: value}
+        if flag_value is not None:
+            algo[flag] = flag_value
+        config_path = _write_config(tmp_path, _payload(algo=algo))
+        assert cli.main(["simulate", "--config", str(config_path), "--out",
+                         str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"algo.{knob}: has no effect unless" in err
+        assert f"algo.{flag} is true" in err
+    # with the flag on, the knob loads and takes effect
+    config = config_from_dict(_payload(algo={**BASE_PAYLOAD["algo"], knob: value, flag: True}))
+    assert getattr(config.algo, knob) == value
 
 
 def test_cohorts_larger_than_the_dataset_exit_2_before_the_first_event(tmp_path, capsys):
@@ -404,6 +428,38 @@ def test_runtime_failure_exits_3(tmp_path, monkeypatch, capsys, error):
     assert cli.main(["simulate", "--config", str(config_path), "--out",
                      str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == "error: non-finite loss or gradient\n"
+
+
+@pytest.mark.parametrize(
+    "algo, trainer",
+    [
+        ({"name": "fedavg", "cohort_size": 2}, "local_sgd_cohort"),
+        ({"name": "fedbuff", "buffer_size": 2, "max_concurrency": 3}, "local_sgd"),
+    ],
+    ids=["fedavg", "fedbuff"],
+)
+def test_diverging_training_names_client_round_and_time_and_exits_3(
+    tmp_path, monkeypatch, capsys, algo, trainer
+):
+    # Softmax gradients are bounded, so only a step near the float maximum
+    # overflows the weights.
+    payload = _payload(algo={**algo, "eta_l": 1e308, "batch_size": 4})
+    calls = []
+    original = getattr(model, trainer)
+
+    def spy(*args, **kwargs):
+        calls.append(trainer)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model, trainer, spy)
+    with pytest.raises(FloatingPointError, match=r"^client \d+ diverged in round 0 at t=0\.000: "):
+        Simulation(config_from_dict(payload), 0).run()
+    assert calls == [trainer]
+    config_path = _write_config(tmp_path, payload)
+    assert cli.main(["simulate", "--config", str(config_path), "--out",
+                     str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: client ") and err.count("\n") == 1, err
 
 
 def test_report_aggregates_single_config(tmp_path, capsys):

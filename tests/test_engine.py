@@ -1,6 +1,9 @@
 """Tests for the discrete-event loop: ordering, equivalences, invariants."""
 
+import dataclasses
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,8 @@ from conftest import round_views
 
 from stragglersim import rng
 from stragglersim.algorithms import AlgoConfig
-from stragglersim.config import ExperimentConfig, ModelConfig
-from stragglersim.data import DatasetConfig
+from stragglersim.config import ExperimentConfig, ModelConfig, load_config
+from stragglersim.data import DatasetConfig, build_dataset
 from stragglersim.engine import (
     EVENT_CLIENT_COMPLETED,
     EventQueue,
@@ -317,6 +320,49 @@ def test_buffered_lockstep_matches_synchronous_bitwise(k):
     # each flush holds one whole wave: all members share a model version
     for e in flushes:
         assert len({version for version, _ in e.members}) == 1
+
+
+# ---- cohort training against per-client dispatch ---- #
+
+ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
+
+
+def _dispatch_each(sim, cohort, round_id, w, *, teachers, anchor, comm_scales):
+    """dispatch_round as one dispatch per client, in cohort order."""
+    return [
+        sim.dispatch(cid, round_id, w, teacher_w=teacher, anchor=anchor, comm_scale=scale)
+        for cid, teacher, scale in zip(cohort, teachers, comm_scales)
+    ]
+
+
+@pytest.mark.parametrize("name", ["fedavg_full", "fedavg_oversel", "fare_dust", "feast"])
+def test_cohort_training_matches_per_client_dispatch(monkeypatch, name):
+    config = dataclasses.replace(load_config(ACCEPTANCE_DIR / f"{name}.json"), budget=1000)
+    dataset = build_dataset(config.dataset, config.effective_data_seed())
+    stacked = Simulation(config, 0, dataset).run()
+    monkeypatch.setattr(Simulation, "dispatch_round", _dispatch_each)
+    each = Simulation(config, 0, dataset).run()
+    assert stacked.counters == each.counters
+    assert stacked.total_time_s == each.total_time_s
+    assert stacked.server_steps == each.server_steps
+    np.testing.assert_allclose(stacked.output_w, each.output_w, rtol=0, atol=1e-12)
+
+
+def test_each_update_of_a_round_owns_its_delta():
+    # A delta viewing the round's stacked weights would keep the whole block
+    # alive for as long as one late update is in flight.
+    algo = AlgoConfig("fedavg", cohort_size=5, over_selection=True, eta_l=0.05, batch_size=4)
+    sim = Simulation(_config(algo), trial_seed=0)
+    cohort = sim.sample_cohort(6)
+    updates = sim.dispatch_round(
+        cohort, 0, sim.state.w, teachers=[None] * 6, anchor=None, comm_scales=[1.0] * 6
+    )
+    assert [u.client_id for u in updates] == cohort
+    for u in updates:
+        assert u.delta.base is None and u.delta.flags.owndata
+        assert u.delta.shape == sim.state.w.shape
+    for a, b in itertools.combinations(updates, 2):
+        assert not np.shares_memory(a.delta, b.delta)
 
 
 def test_buffered_budget_overshoot_is_bounded():

@@ -6,10 +6,12 @@ import pytest
 from stragglersim import rng
 from stragglersim.model import (
     ModelLayout,
+    TrainingDiverged,
     accuracy,
     forward_logits,
     init_params,
     local_sgd,
+    local_sgd_cohort,
     loss_and_grad,
     predict,
     softmax,
@@ -253,6 +255,71 @@ def test_local_sgd_distill_uses_fixed_teacher():
         w0, layout, x[perm], y[perm], rho=0.5, teacher_logits=t_logits
     )
     np.testing.assert_allclose(got, w0 - 0.1 * grad, atol=1e-15)
+
+
+# One-example, short-chunk, single-batch and multi-batch shards for batch_size 4.
+_COHORT_SIZES = (1, 7, 4, 13, 6, 9)
+
+
+@pytest.mark.parametrize("hidden", [0, 5], ids=["linear", "mlp"])
+@pytest.mark.parametrize("bound", ["epochs", "steps"])
+@pytest.mark.parametrize(
+    "rho,nu,distill_loss",
+    [(0.0, 0.0, "soft_ce"), (0.4, 0.0, "soft_ce"), (0.4, 0.0, "logit_mse"), (0.0, 0.3, "soft_ce")],
+    ids=["plain", "soft_ce", "logit_mse", "proximal"],
+)
+def test_local_sgd_cohort_matches_per_client_local_sgd(hidden, bound, rho, nu, distill_loss):
+    gen = rng.stream(14, rng.VERIFY, hidden)
+    layout = ModelLayout(d_in=3, hidden=hidden, n_classes=4)
+    w0 = gen.standard_normal(layout.n_params) * 0.3
+    xs = [gen.standard_normal((n, 3)) for n in _COHORT_SIZES]
+    ys = [gen.integers(4, size=n) for n in _COHORT_SIZES]
+    teachers = w0 + 0.2 * gen.standard_normal((len(xs), layout.n_params))
+    steps = [int(s) for s in gen.integers(1, 7, size=len(xs))]
+    common = dict(
+        eta_l=0.2, batch_size=4, rho=rho, nu=nu, anchor=w0.copy() if nu > 0 else None,
+        distill_loss=distill_loss, distill_temperature=2.0,
+    )
+
+    def bounds(i):
+        return {"epochs": 2} if bound == "epochs" else {"steps": steps[i]}
+
+    gens = [rng.stream(5, rng.SHUFFLE, i) for i in range(len(xs))]
+    got, got_steps, got_examples = local_sgd_cohort(
+        w0, layout, xs, ys, gens=gens, teacher_ws=teachers if rho > 0 else None,
+        epochs=2 if bound == "epochs" else None, steps=steps if bound == "steps" else None,
+        **common,
+    )
+    assert got.shape == (len(xs), layout.n_params)
+    for i in range(len(xs)):
+        ref_gen = rng.stream(5, rng.SHUFFLE, i)
+        want, want_steps, want_examples = local_sgd(
+            w0, layout, xs[i], ys[i], gen=ref_gen, teacher_w=teachers[i] if rho > 0 else None,
+            **bounds(i), **common,
+        )
+        assert (got_steps[i], got_examples[i]) == (want_steps, want_examples)
+        np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
+        # the shuffle stream is left where local_sgd leaves it
+        assert gens[i].random() == ref_gen.random()
+
+
+def test_divergence_names_the_cohort_member():
+    # Huge features overflow one client's weights; the others stay finite.
+    gen = rng.stream(15, rng.VERIFY, 0)
+    layout = ModelLayout(d_in=3, hidden=0, n_classes=3)
+    w0 = np.zeros(layout.n_params)
+    xs = [gen.standard_normal((n, 3)) for n in (9, 12, 5, 3)]
+    xs[2] = xs[2] * 1e200
+    ys = [gen.integers(3, size=len(x)) for x in xs]
+    kwargs = dict(eta_l=1.0, batch_size=2, epochs=2)
+    with pytest.raises(TrainingDiverged) as excinfo:
+        local_sgd_cohort(
+            w0, layout, xs, ys, gens=[rng.stream(0, rng.SHUFFLE, i) for i in range(4)], **kwargs
+        )
+    assert excinfo.value.member == 2
+    with pytest.raises(FloatingPointError):
+        local_sgd(w0, layout, xs[2], ys[2], gen=rng.stream(0, rng.SHUFFLE, 2), **kwargs)
+    local_sgd(w0, layout, xs[1], ys[1], gen=rng.stream(0, rng.SHUFFLE, 1), **kwargs)
 
 
 def test_layout_param_counts():
