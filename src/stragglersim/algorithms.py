@@ -403,10 +403,10 @@ class SyncRoundDriver:
         return self.w_finished
 
     def on_dispatch(self) -> None:
-        raise AssertionError("synchronous drivers do not use refill events")
+        raise RuntimeError("synchronous drivers do not use refill events")
 
     def on_aux_deadline(self, round_id: int) -> None:
-        raise AssertionError("no deadline events expected for this driver")
+        raise RuntimeError("no deadline events expected for this driver")
 
     def on_client_completed(self, update: ClientUpdate) -> None:
         rnd = self.rounds[update.round_id]
@@ -653,7 +653,7 @@ class BufferedDriver:
         self._dispatch_one()
 
     def on_aux_deadline(self, round_id: int) -> None:
-        raise AssertionError("no deadline events expected for this driver")
+        raise RuntimeError("no deadline events expected for this driver")
 
     def _dispatch_one(self) -> None:
         cid = self.sim.sample_cohort(1)[0]

@@ -217,20 +217,46 @@ def _parse_latency(payload: Any, path: str) -> LatencyScenario:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-# Knobs that act only when their flag is on; given with the flag off they
-# would change the config hash and nothing else.
-_FLAGGED_KNOBS = {
-    "time_limit_s": "time_limit",
-    "time_limit_percentile": "time_limit",
-    "over_selection_factor": "over_selection",
+def _only(*names: str):
+    """The setting "the algorithm is one of names", as a test and as words."""
+    return (lambda algo: algo.name in names), "name is " + " or ".join(map(repr, names))
+
+
+# Knobs that act only under some setting: given without it they would change
+# the config hash and nothing else. Each maps to that setting, as a test and
+# as words. The base synchronous driver sends no teacher, so rho acts only in
+# fare_dust and fedbuff.
+_KNOB_SETTINGS = {
+    "time_limit_s": (lambda algo: algo.time_limit, "time_limit is true"),
+    "time_limit_percentile": (lambda algo: algo.time_limit, "time_limit is true"),
+    "over_selection_factor": (
+        lambda algo: algo.over_selection and algo.dispatch_size is None,
+        "over_selection is true and dispatch_size is not given",
+    ),
+    "ema_beta": (
+        lambda algo: algo.resolved_ema_enabled(),
+        "ema_enabled is true or name is 'fare_dust'",
+    ),
+    "buffer_size": _only("fedbuff"),
+    "max_concurrency": _only("fedbuff"),
+    "history_k": _only("fare_dust"),
+    "skip_distill_when_no_history": _only("fare_dust"),
+    "feast_beta": _only("feast"),
+    "kappa": _only("feast"),
+    "eta_a": _only("feast"),
+    "tau_max": _only("feast"),
+    "strict_sequential": _only("feast"),
+    "rho": _only("fare_dust", "fedbuff"),
 }
 
 
 def _parse_algo(payload: Any, path: str) -> AlgoConfig:
+    """Build the algo section and reject a knob the run would ignore, by key
+    presence, so the hashes of configs without one do not change."""
     algo = _build_dataclass(AlgoConfig, payload, path)
-    for knob, flag in _FLAGGED_KNOBS.items():
-        if knob in payload and not getattr(algo, flag):
-            raise ConfigError(f"{path}.{knob}: has no effect unless {path}.{flag} is true")
+    for knob, (acts, setting) in _KNOB_SETTINGS.items():
+        if knob in payload and not acts(algo):
+            raise ConfigError(f"{path}.{knob}: has no effect unless {path}.{setting}")
     return algo
 
 

@@ -179,7 +179,7 @@ class Simulation:
         self.events: list[TraceEvent] = []
         self.last_model_event = 0.0
         self._busy_until = np.zeros(config.dataset.m_clients)
-        self._client_ids = [s.client_id for s in self.dataset.shards]
+        self._client_ids = np.array([s.client_id for s in self.dataset.shards], dtype=np.int64)
         # a sync round draws distinct clients even with busy reuse; a fedbuff refill draws one
         if self.algo.name != "fedbuff":
             size = self.algo.resolved_dispatch_size()
@@ -220,20 +220,17 @@ class Simulation:
     def sample_cohort(self, k: int) -> list[int]:
         """k sequential uniform picks without replacement from the id-sorted
         idle pool; one index draw per slot."""
-        if self.algo.allow_busy_reuse:
-            pool = list(self._client_ids)
-        else:
-            pool = [cid for cid in self._client_ids if self._busy_until[cid] <= self.now]
+        ids = self._client_ids
+        pool = ids if self.algo.allow_busy_reuse else ids[self._busy_until[ids] <= self.now]
         if k > len(pool):
             raise RuntimeError(
                 f"cohort of {k} requested at t={self.now:.3f} but only "
                 f"{len(pool)} clients are idle"
             )
-        picks = []
-        for _ in range(k):
-            j = int(self._cohort_gen.integers(len(pool)))
-            picks.append(pool.pop(j))
-        return picks
+        if k == 1:  # a buffered refill: skip the list conversion
+            return [int(pool[self._cohort_gen.integers(len(pool))])]
+        pool = pool.tolist()
+        return [pool.pop(int(self._cohort_gen.integers(len(pool)))) for _ in range(k)]
 
     def dispatch(
         self,

@@ -9,11 +9,13 @@ from stragglersim import rng
 from stragglersim.algorithms import (
     AlgoConfig,
     AuxTrackDriver,
+    BufferedDriver,
     ClientUpdate,
     DeltaHistory,
     EmaAccumulator,
     HistoryDistillationDriver,
     PendingAuxRound,
+    SyncRoundDriver,
     ServerState,
     canonical_delta_sum,
     server_apply,
@@ -375,6 +377,16 @@ def test_aux_updates_must_arrive_in_round_order():
     )
     with pytest.raises(RuntimeError, match="out of order"):
         driver._apply_aux(rec)
+
+
+def test_events_a_driver_never_schedules_raise_runtime_error():
+    # RuntimeError, not AssertionError: the command line reports it as exit 3
+    sync = SyncRoundDriver(_StubSim(w=[0.0]), AlgoConfig("fedavg"))
+    buffered = BufferedDriver(_StubSim(w=[0.0]), AlgoConfig("fedbuff"))
+    for unexpected in (sync.on_dispatch, lambda: sync.on_aux_deadline(0),
+                       lambda: buffered.on_aux_deadline(0)):
+        with pytest.raises(RuntimeError, match="events"):
+            unexpected()
 
 
 def test_round_delta_descends_when_applied():

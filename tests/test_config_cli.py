@@ -165,6 +165,64 @@ def test_knobs_without_their_flag_exit_2(tmp_path, capsys, knob, value, flag):
     assert getattr(config.algo, knob) == value
 
 
+_FEDBUFF = {"name": "fedbuff", "buffer_size": 2, "max_concurrency": 4}
+
+
+@pytest.mark.parametrize(
+    "algo, knob, honoured_by",
+    [
+        ({"name": "fedavg", "buffer_size": 2}, "buffer_size", _FEDBUFF),
+        ({"name": "fedavg", "max_concurrency": 4}, "max_concurrency", _FEDBUFF),
+        ({"name": "fedavg", "history_k": 5}, "history_k", {"name": "fare_dust", "history_k": 5}),
+        (
+            {**_FEDBUFF, "skip_distill_when_no_history": True},
+            "skip_distill_when_no_history",
+            {"name": "fare_dust", "skip_distill_when_no_history": True},
+        ),
+        (
+            {"name": "fare_dust", "feast_beta": 0.9},
+            "feast_beta",
+            {"name": "feast", "feast_beta": 0.9},
+        ),
+        ({"name": "fedavg", "kappa": 0.5}, "kappa", {"name": "feast", "kappa": 0.5}),
+        ({"name": "fedadam", "eta_a": 0.5}, "eta_a", {"name": "feast", "eta_a": 0.5}),
+        ({"name": "fedavg", "tau_max": 5.0}, "tau_max", {"name": "feast", "tau_max": 5.0}),
+        (
+            {"name": "fare_dust", "strict_sequential": True},
+            "strict_sequential",
+            {"name": "feast", "strict_sequential": True},
+        ),
+        ({"name": "fedavg", "rho": 0.1}, "rho", {**_FEDBUFF, "rho": 0.1}),
+        ({"name": "feast", "rho": 0.1}, "rho", {"name": "fare_dust", "rho": 0.1}),
+        (
+            {"name": "fedavg", "ema_beta": 0.9},
+            "ema_beta",
+            {"name": "fedavg", "ema_enabled": True, "ema_beta": 0.9},
+        ),
+        (
+            {**_FEDBUFF, "ema_enabled": False, "ema_beta": 0.9},
+            "ema_beta",
+            {"name": "fare_dust", "ema_enabled": False, "ema_beta": 0.9},
+        ),
+        (
+            {"name": "fedavg", "over_selection": True, "over_selection_factor": 1.5,
+             "dispatch_size": 3},
+            "over_selection_factor",
+            {"name": "fedavg", "over_selection": True, "over_selection_factor": 1.5},
+        ),
+    ],
+    ids=lambda value: value if isinstance(value, str) else value["name"],
+)
+def test_knobs_the_algorithm_never_reads_exit_2(tmp_path, capsys, algo, knob, honoured_by):
+    base = {"cohort_size": 2, "eta_l": 0.05, "batch_size": 4}
+    config_path = _write_config(tmp_path, _payload(algo={**base, **algo}))
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert f"algo.{knob}: has no effect" in capsys.readouterr().err
+    # where the algorithm reads it, the knob loads and is kept
+    config = config_from_dict(_payload(algo={**base, **honoured_by}))
+    assert getattr(config.algo, knob) == honoured_by[knob]
+
+
 def test_cohorts_larger_than_the_dataset_exit_2_before_the_first_event(tmp_path, capsys):
     config = config_from_dict(_payload())
     n = build_dataset(config.dataset, config.effective_data_seed()).n_clients

@@ -1,5 +1,6 @@
 """Tests for the discrete-event loop: ordering, equivalences, invariants."""
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -200,6 +201,44 @@ def test_pool_exhaustion_raises_without_busy_reuse():
     assert result.aggregated_updates >= 20
 
 
+def _scan_cohort(sim, k, gen):
+    """The reference idle-pool rule: an id-sorted scan of every client, then
+    one index draw per slot without replacement."""
+    ids = sorted(shard.client_id for shard in sim.dataset.shards)
+    pool = ids if sim.algo.allow_busy_reuse else [
+        cid for cid in ids if sim._busy_until[cid] <= sim.now
+    ]
+    if k > len(pool):
+        raise RuntimeError("short pool")
+    return [pool.pop(int(gen.integers(len(pool)))) for _ in range(k)]
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["idle_only", "busy_reuse"])
+def test_sample_cohort_matches_the_id_sorted_scan(reuse):
+    algo = AlgoConfig("fedavg", cohort_size=2, allow_busy_reuse=reuse)
+    sim = Simulation(_config(algo), trial_seed=5)
+    ids = sorted(shard.client_id for shard in sim.dataset.shards)
+    sim.now = 4.0
+    for i, cid in enumerate(ids):
+        sim._busy_until[cid] = (0.0, 4.0, 9.0)[i % 3]  # idle, idle at now, busy
+    reference = copy.deepcopy(sim._cohort_gen)
+    n_idle = len(ids) if reuse else sum(sim._busy_until[cid] <= sim.now for cid in ids)
+    for k in (1, 3, 1, n_idle, 1):
+        picks = sim.sample_cohort(k)
+        assert picks == _scan_cohort(sim, k, reference)
+        assert all(type(cid) is int for cid in picks)
+    # the cohort stream is left where the scan leaves it
+    assert sim._cohort_gen.integers(2**62) == reference.integers(2**62)
+    with pytest.raises(RuntimeError, match="idle"):
+        sim.sample_cohort(n_idle + 1)
+    sim._busy_until[:] = 9.0
+    if reuse:
+        assert sim.sample_cohort(1) == _scan_cohort(sim, 1, reference)
+    else:
+        with pytest.raises(RuntimeError, match="only 0 clients are idle"):
+            sim.sample_cohort(1)
+
+
 def test_run_is_deterministic_in_the_trial_seed():
     algo = AlgoConfig("fedavg", cohort_size=5, over_selection=True, eta_l=0.05, batch_size=4)
     config = _config(algo, budget=30, eval_every=2)
@@ -275,6 +314,37 @@ def test_trace_accounts_for_every_dispatch_step_and_aux_round(algo, served):
     assert result.which_model == served
     untraced, _ = _run(config, trace=False)
     assert untraced.events == []
+
+
+_OVERSEL = dict(cohort_size=4, over_selection=True, **_SMALL_STEP)
+
+
+@pytest.mark.parametrize(
+    "algo",
+    [
+        AlgoConfig("fedavg", **_OVERSEL),
+        AlgoConfig("fedadam", eta_g=0.05, **_OVERSEL),
+        AlgoConfig("fedbuff", buffer_size=3, max_concurrency=6, **_SMALL_STEP),
+        AlgoConfig("fare_dust", rho=0.1, history_k=2, **_OVERSEL),
+        AlgoConfig("feast", tau_max=15.0, **_OVERSEL),
+        AlgoConfig("fedavg", time_limit=True, **_OVERSEL),
+        AlgoConfig("fedbuff", buffer_size=3, max_concurrency=40, allow_busy_reuse=True,
+                   **_SMALL_STEP),
+    ],
+    ids=["fedavg", "fedadam", "fedbuff", "fare_dust", "feast", "time_limit", "busy_reuse"],
+)
+def test_every_dispatch_is_aggregated_dropped_or_still_in_flight(algo):
+    sim, _ = _run(_config(algo, budget=200), trace=False)
+    in_flight = 0
+    while (item := sim.queue.pop()) is not None:
+        in_flight += item[1] == EVENT_CLIENT_COMPLETED
+    c = sim.counters
+    settled = (
+        c["aggregated_updates"] + c["discarded_updates"] + c["late_folded"]
+        + c["late_discarded"] + c["dropped_after_deadline"]
+    )
+    assert c["dispatches"] == settled + in_flight
+    assert in_flight > 0
 
 
 # ---- lockstep equivalence of buffered and synchronous aggregation ---- #
