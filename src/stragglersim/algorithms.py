@@ -3,10 +3,12 @@
 A driver owns only the round semantics of one algorithm family: which
 clients are dispatched, which arrivals count, and where late straggler
 updates go. It talks to the simulation through a narrow context interface
-(dispatch a client or a synchronous cohort, hand over the updates of one
-server step, publish an auxiliary model, schedule events); the engine sums
-and applies the updates, decides which model is served, and keeps the
-trace. Conventions shared by every driver:
+(dispatch a client, hand over the updates of one server step, publish an
+auxiliary model, schedule events). A dispatch only records the client's
+work; the engine trains every dispatch of a model version together when
+that version closes, at its server step. The engine also sums and applies
+the updates, decides which model is served, and keeps the trace.
+Conventions shared by every driver:
 
 * A client update carries delta = w_dispatched - w_final, so the server
   subtracts: SGD does w <- w - (eta_g / count) * summed_delta.
@@ -150,11 +152,15 @@ class AlgoConfig:
 
 @dataclass
 class ClientUpdate:
-    """Result of one client computation, delivered via a completion event."""
+    """Result of one client computation, delivered via a completion event.
+
+    delta is None until the engine trains the update's model version, which
+    it does before the version's first server step reads any delta.
+    """
 
     round_id: int
     client_id: int
-    delta: np.ndarray
+    delta: np.ndarray | None
     dispatched_at: float
     completed_at: float
     examples_processed: int
@@ -328,17 +334,6 @@ class SimContext(Protocol):
         comm_scale: float = 1.0,
     ) -> ClientUpdate: ...
 
-    def dispatch_round(
-        self,
-        cohort: list[int],
-        round_id: int,
-        w: np.ndarray,
-        *,
-        teachers: list[np.ndarray | None],
-        anchor: np.ndarray | None,
-        comm_scales: list[float],
-    ) -> list[ClientUpdate]: ...
-
     def apply_server_update(self, updates: list[ClientUpdate]) -> np.ndarray: ...
 
     def publish_aux(self, aux: np.ndarray) -> None: ...
@@ -431,17 +426,14 @@ class SyncRoundDriver:
         self.next_round_id += 1
         self.sim.counters["rounds_started"] += 1
         cohort = self.sim.sample_cohort(self.dispatch_size)
-        anchor = self.sim.state.w.copy() if self.config.nu > 0 else None
-        # Teachers are drawn in cohort order before any training.
-        teachers, comm_scales = zip(*(self._teacher_for_dispatch() for _ in cohort))
-        updates = self.sim.dispatch_round(
-            cohort,
-            rid,
-            self.sim.state.w,
-            teachers=list(teachers),
-            anchor=anchor,
-            comm_scales=list(comm_scales),
-        )
+        w = self.sim.state.w
+        anchor = w if self.config.nu > 0 else None
+        # Teachers are drawn in cohort order before any dispatch.
+        teachers = [self._teacher_for_dispatch() for _ in cohort]
+        updates = [
+            self.sim.dispatch(cid, rid, w, teacher_w=teacher, anchor=anchor, comm_scale=scale)
+            for cid, (teacher, scale) in zip(cohort, teachers)
+        ]
         by_finish = sorted(updates, key=lambda u: (u.completed_at, u.client_id))
         fast_ids = frozenset(u.client_id for u in by_finish[: self.cohort_size])
         self.rounds[rid] = SyncRound(round_id=rid, started_at=self.sim.now, fast_ids=fast_ids)
@@ -658,15 +650,12 @@ class BufferedDriver:
     def _dispatch_one(self) -> None:
         cid = self.sim.sample_cohort(1)[0]
         w = self.sim.state.w
-        teacher_w = w.copy() if self.config.rho > 0 else None
-        anchor = w.copy() if self.config.nu > 0 else None
         self.sim.dispatch(
             cid,
             self.sim.state.t,
             w,
-            teacher_w=teacher_w,
-            anchor=anchor,
-            comm_scale=1.0,
+            teacher_w=w if self.config.rho > 0 else None,
+            anchor=w if self.config.nu > 0 else None,
         )
 
 

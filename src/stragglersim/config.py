@@ -225,7 +225,10 @@ def _only(*names: str):
 # Knobs that act only under some setting: given without it they would change
 # the config hash and nothing else. Each maps to that setting, as a test and
 # as words. The base synchronous driver sends no teacher, so rho acts only in
-# fare_dust and fedbuff.
+# fare_dust and fedbuff; fedbuff sizes no rounds; fare_dust always keeps an
+# EMA.
+_SYNC = _only("fedavg", "fedadam", "fare_dust", "feast")
+_ADAM = (lambda algo: algo.resolved_server_opt() == "adam", "server_opt resolves to 'adam'")
 _KNOB_SETTINGS = {
     "time_limit_s": (lambda algo: algo.time_limit, "time_limit is true"),
     "time_limit_percentile": (lambda algo: algo.time_limit, "time_limit is true"),
@@ -247,6 +250,13 @@ _KNOB_SETTINGS = {
     "tau_max": _only("feast"),
     "strict_sequential": _only("feast"),
     "rho": _only("fare_dust", "fedbuff"),
+    "cohort_size": _SYNC,
+    "over_selection": _SYNC,
+    "dispatch_size": _SYNC,
+    "ema_enabled": (lambda algo: algo.name != "fare_dust", "name is not 'fare_dust'"),
+    "adam_beta1": _ADAM,
+    "adam_beta2": _ADAM,
+    "adam_eps": _ADAM,
 }
 
 

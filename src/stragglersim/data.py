@@ -213,10 +213,9 @@ def apply_straggler_partition(
         )
     if dropped:
         logger.warning(
-            "dropped %d standard shard(s) emptied by straggler-class removal: %s",
-            len(dropped),
-            dropped,
+            "dropped %d standard shard(s) emptied by straggler-class removal", len(dropped)
         )
+        logger.debug("dropped shard ids: %s", dropped)
     return out, tuple(dropped)
 
 

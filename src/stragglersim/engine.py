@@ -10,20 +10,21 @@ config and seed replay identically. Event kinds:
   eval_tick         evaluate the served model (no payload)
 
 The engine owns the wall-clock-free mechanics: client busy bookkeeping,
-latency sampling, local training at dispatch, aggregation and the server
-optimizer step, the served model (ServerState.served), the update budget,
-evaluation cadence, and the trace. Round semantics live in the drivers
-(see algorithms).
+latency sampling, local training, aggregation and the server optimizer
+step, the served model (ServerState.served), the update budget, evaluation
+cadence, and the trace. Round semantics live in the drivers (see
+algorithms).
 
-Client computation is charged for work actually performed: the latency
-factors are drawn first (the per-round time limit needs them), local
-training runs, and the completion fires at now plus the factors' total
-for the examples actually processed (latency.LatencySample.total_s). A
-synchronous cohort starts from one model, so dispatch_round draws every
-member, trains them together (model.local_sgd_cohort) and then schedules
-them in cohort order; dispatch does the same for one client. A client
-whose local SGD leaves non-finite weights raises FloatingPointError naming
-the client, the round and the virtual time.
+A dispatch records its work and does not train. Its completion time and
+counts never depend on the trained weights: the latency factors are drawn
+first (the per-round time limit needs them), the steps and examples follow
+by arithmetic, and the completion fires at now plus the factors' total for
+those examples (latency.LatencySample.total_s). Every dispatch of one model
+version starts from the same w, so the version trains as one stacked call
+(model.local_sgd_cohort) when it closes, at the next server step, before
+any of its deltas is read. A client whose local SGD leaves non-finite
+weights raises FloatingPointError naming the client, the round and the
+virtual time of its dispatch.
 
 A client is busy until its completion fires and is excluded from cohort
 sampling in the meantime (allow_busy_reuse lifts this). The run terminates
@@ -196,6 +197,8 @@ class Simulation:
         self._teacher_gen = rng.stream(trial_seed, rng.TEACHER)
         self._latency_gens: dict[int, np.random.Generator] = {}
         self._shuffle_gens: dict[int, np.random.Generator] = {}
+        # dispatches of the open model version, trained when it closes
+        self._pending: list[tuple] = []
 
         self.tau_limit: float | None = None
         if self.algo.time_limit:
@@ -242,96 +245,35 @@ class Simulation:
         anchor: np.ndarray | None = None,
         comm_scale: float = 1.0,
     ) -> ClientUpdate:
-        """Run one client's local computation and schedule its completion."""
-        shard, factors, steps = self._draw(client_id)
-        try:
-            w_final, steps_done, examples = model.local_sgd(
-                w,
-                self.layout,
-                shard.features,
-                shard.labels,
-                steps=steps,
-                gen=self._shuffle_gen(client_id),
-                rho=self.algo.rho if teacher_w is not None else 0.0,
-                nu=self.algo.nu if anchor is not None else 0.0,
-                teacher_w=teacher_w,
-                anchor=anchor,
-                **self._sgd_args,
-            )
-        except model.TrainingDiverged:
-            raise self._diverged(client_id, round_id) from None
-        return self._schedule(
+        """Record one client's local computation and schedule its completion.
+
+        The update's delta stays None until its model version closes
+        (apply_server_update). Every dispatch of one version passes the same
+        w and anchor objects and distills for all or for none.
+        """
+        shard, factors, steps, examples = self._draw(client_id)
+        update = self._schedule(
             ClientUpdate(
                 round_id=round_id,
                 client_id=client_id,
-                delta=w - w_final,
+                delta=None,
                 dispatched_at=self.now,
                 completed_at=self.now + factors.total_s(examples, comm_scale),
                 examples_processed=examples,
-                steps_done=steps_done,
+                steps_done=steps,
                 model_version=self.state.t,
             )
         )
-
-    def dispatch_round(
-        self,
-        cohort: list[int],
-        round_id: int,
-        w: np.ndarray,
-        *,
-        teachers: list[np.ndarray | None],
-        anchor: np.ndarray | None,
-        comm_scales: list[float],
-    ) -> list[ClientUpdate]:
-        """Dispatch a synchronous cohort that starts from one w.
-
-        Trains every client in one stacked computation
-        (model.local_sgd_cohort), then schedules the completions in cohort
-        order. Equals dispatch per client, in cohort order, up to float
-        summation order. Each client distills against its entry of
-        teachers; the entries are all arrays or all None.
-        """
-        distill = teachers[0] is not None
-        if any((t is not None) != distill for t in teachers):
-            raise ValueError("a cohort distills against a teacher for every client or for none")
-        shards, factors, steps = zip(*(self._draw(cid) for cid in cohort))
-        try:
-            w_final, steps_done, examples = model.local_sgd_cohort(
-                w,
-                self.layout,
-                [shard.features for shard in shards],
-                [shard.labels for shard in shards],
-                steps=None if self.tau_limit is None else list(steps),
-                gens=[self._shuffle_gen(cid) for cid in cohort],
-                rho=self.algo.rho if distill else 0.0,
-                nu=self.algo.nu if anchor is not None else 0.0,
-                teacher_ws=teachers if distill else None,
-                anchor=anchor,
-                **self._sgd_args,
-            )
-        except model.TrainingDiverged as exc:
-            raise self._diverged(cohort[exc.member], round_id) from None
-        # Each delta is its own array: a view into w_final would keep the
-        # whole round's block alive while one late update is in flight.
-        return [
-            self._schedule(
-                ClientUpdate(
-                    round_id=round_id,
-                    client_id=cid,
-                    delta=w - w_final[i],
-                    dispatched_at=self.now,
-                    completed_at=self.now + factors[i].total_s(examples[i], comm_scales[i]),
-                    examples_processed=examples[i],
-                    steps_done=steps_done[i],
-                    model_version=self.state.t,
-                )
-            )
-            for i, cid in enumerate(cohort)
-        ]
+        self._pending.append((update, shard, steps, w, teacher_w, anchor))
+        return update
 
     def apply_server_update(self, updates: list[ClientUpdate]) -> np.ndarray:
-        """Aggregate updates into one server step; returns their delta sum,
-        a fresh array the caller may keep."""
+        """Close the current model version, training its dispatches, then
+        aggregate updates into one server step; returns their delta sum, a
+        fresh array the caller may keep."""
+        if self._pending:
+            self._train_group(self._pending)
+            self._pending = []
         summed = algorithms.canonical_delta_sum(updates)
         algorithms.server_apply(self.state, summed, len(updates))
         self.counters["aggregated_updates"] += len(updates)
@@ -372,24 +314,26 @@ class Simulation:
     # -- internals -- #
 
     def _draw(self, client_id: int):
-        """Busy check, latency factors and time-limit step budget of one
-        dispatch: (shard, factors, steps), steps None without a time limit."""
+        """Busy check, latency factors and local work of one dispatch:
+        (shard, factors, steps, examples). Without a time limit a client
+        runs epochs * ceil(n / b) steps over epochs * n examples; with one,
+        the latency draw fixes the steps and the last epoch may stop early."""
         if not self.algo.allow_busy_reuse and self._busy_until[client_id] > self.now:
             raise RuntimeError(f"client {client_id} dispatched while busy")
         shard = self.dataset.shard(client_id)
         factors = latency.sample_client_latency(
             self.scenario.profile_for(shard.is_straggler), self._latency_gen(client_id)
         )
-        steps = None
-        if self.tau_limit is not None:
-            steps = max(
-                1,
-                math.floor(
-                    (self.tau_limit - factors.overhead_s)
-                    / (factors.per_example_s * self.algo.batch_size)
-                ),
-            )
-        return shard, factors, steps
+        n, b = shard.n_examples, self.algo.batch_size
+        per_epoch = -(-n // b)
+        if self.tau_limit is None:
+            return shard, factors, self.algo.epochs * per_epoch, self.algo.epochs * n
+        steps = max(
+            1, math.floor((self.tau_limit - factors.overhead_s) / (factors.per_example_s * b))
+        )
+        epochs, rest = divmod(steps, per_epoch)
+        # rest < per_epoch, so the unfinished epoch walked only whole chunks
+        return shard, factors, steps, epochs * n + rest * b
 
     def _schedule(self, update: ClientUpdate) -> ClientUpdate:
         """Mark the client busy and queue its completion."""
@@ -401,11 +345,48 @@ class Simulation:
             self.events.append(TraceEvent("dispatch", self.now, members, update.completed_at))
         return update
 
-    def _diverged(self, client_id: int, round_id: int) -> FloatingPointError:
-        return FloatingPointError(
-            f"client {client_id} diverged in round {round_id} at t={self.now:.3f}: "
-            "local SGD left non-finite weights"
-        )
+    def _train_group(self, group: list[tuple]) -> None:
+        """Train dispatches that start from one w in one stacked call and
+        set each update's delta. group holds dispatch's records: (update,
+        shard, steps, w, teacher_w, anchor)."""
+        updates, shards, steps, ws, teachers, anchors = zip(*group)
+        w, anchor, version = ws[0], anchors[0], updates[0].model_version
+        distill = teachers[0] is not None
+        for u, w_i, teacher, anchor_i in zip(updates, ws, teachers, anchors):
+            if (
+                w_i is not w
+                or anchor_i is not anchor
+                or (teacher is not None) != distill
+                or u.model_version != version
+            ):
+                raise RuntimeError(
+                    f"client {u.client_id} of model version {u.model_version} does not share "
+                    f"w, anchor and teacher use with the version {version} it trains with"
+                )
+        try:
+            w_final, _, _ = model.local_sgd_cohort(
+                w,
+                self.layout,
+                [shard.features for shard in shards],
+                [shard.labels for shard in shards],
+                steps=None if self.tau_limit is None else list(steps),
+                gens=[self._shuffle_gen(u.client_id) for u in updates],
+                rho=self.algo.rho if distill else 0.0,
+                nu=self.algo.nu if anchor is not None else 0.0,
+                teacher_ws=teachers if distill else None,
+                anchor=anchor,
+                **self._sgd_args,
+            )
+        except model.TrainingDiverged as exc:
+            u = updates[exc.member]
+            raise FloatingPointError(
+                f"client {u.client_id} diverged in round {u.round_id} at "
+                f"t={u.dispatched_at:.3f}: local SGD left non-finite weights"
+            ) from None
+        # Each delta is its own array: a view into w_final would keep the
+        # whole group's block alive while one late update is in flight.
+        for u, w_i in zip(updates, w_final):
+            u.delta = w - w_i
 
     def _latency_gen(self, client_id: int) -> np.random.Generator:
         gen = self._latency_gens.get(client_id)
@@ -496,6 +477,8 @@ class Simulation:
                 f"run finished with {aggregated} aggregated updates, "
                 f"below budget {self.config.budget}"
             )
+        if self._pending:
+            raise RuntimeError(f"run finished with {len(self._pending)} dispatches never trained")
         self._eval_record(self.last_model_event)
         which_model, served = self.state.served()
         return RunResult(

@@ -12,9 +12,10 @@ mean-squared-error as an alternative), and proximal is half the squared
 distance to an anchor vector. All gradients are exact analytic expressions.
 
 loss_and_grad is the validated reference that also returns the loss terms.
-Training (local_sgd for one client, local_sgd_cohort for clients that start
-from the same weights) runs a private gradient kernel without checks or loss
-values, and checks the weights for finiteness once, when a client finishes.
+Training has one loop, local_sgd_cohort: the clients of one model version
+start from the same weights and train as one stacked computation over a
+private gradient kernel without checks or loss values; local_sgd is its
+one-client form. The weights are checked for finiteness once, at the end.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def loss_and_grad(
 
 class TrainingDiverged(FloatingPointError):
     """Local SGD left non-finite weights. member is the client's position in
-    the cohort (0 for local_sgd)."""
+    the stacked call (0 for local_sgd)."""
 
     def __init__(self, member: int) -> None:
         super().__init__(f"local SGD left non-finite weights (cohort member {member})")
@@ -320,56 +321,46 @@ def local_sgd(
     distill_loss: str = "soft_ce",
     distill_temperature: float = 1.0,
 ) -> tuple[np.ndarray, int, int]:
-    """Mini-batch SGD over a shard; exactly one of epochs/steps bounds it.
+    """Mini-batch SGD over one shard: local_sgd_cohort with one member.
 
-    Each epoch reshuffles with gen.permutation and walks contiguous chunks
-    (last chunk may be short). In steps mode, epochs are consumed lazily
-    until the step budget runs out. Teacher logits are computed per batch
-    from the fixed teacher_w. Returns (w_final, steps_done, examples_processed).
-    Raises TrainingDiverged, a FloatingPointError, if w_final is not finite.
+    Exactly one of epochs/steps bounds it. Each epoch reshuffles with
+    gen.permutation and walks contiguous chunks (last chunk may be short).
+    In steps mode, epochs are consumed lazily until the step budget runs
+    out. Teacher logits come from the fixed teacher_w. Returns (w_final,
+    steps_done, examples_processed). Raises TrainingDiverged, a
+    FloatingPointError, if w_final is not finite.
     """
-    n = len(labels)
-    _check_training_args(
-        n, eta_l, batch_size, epochs, steps, rho, nu, teacher_w, anchor, distill_loss
+    w_final, steps_done, examples = local_sgd_cohort(
+        w0,
+        layout,
+        [features],
+        [labels],
+        eta_l=eta_l,
+        batch_size=batch_size,
+        epochs=epochs,
+        steps=None if steps is None else [steps],
+        gens=[gen],
+        rho=rho,
+        nu=nu,
+        teacher_ws=None if teacher_w is None else [teacher_w],
+        anchor=anchor,
+        distill_loss=distill_loss,
+        distill_temperature=distill_temperature,
     )
-    w = w0.copy()
-    steps_done = examples = epochs_done = 0
-    # Divergence is reported once, from the final weights.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while epochs_done != epochs and steps_done != steps:
-            perm = gen.permutation(n)
-            for start in range(0, n, batch_size):
-                idx = perm[start : start + batch_size]
-                w -= eta_l * _sgd_grad(
-                    w,
-                    layout,
-                    features[idx],
-                    labels[idx],
-                    len(idx),
-                    rho=rho,
-                    nu=nu,
-                    teacher_w=teacher_w,
-                    anchor=anchor,
-                    distill_loss=distill_loss,
-                    distill_temperature=distill_temperature,
-                )
-                steps_done += 1
-                examples += len(idx)
-                if steps_done == steps:
-                    break
-            epochs_done += 1
-    _check_finite(w)
-    return w, steps_done, examples
+    return w_final[0], steps_done[0], examples[0]
 
 
 def _cohort_plan(sizes, batch_size: int, epochs: int | None, steps, gens):
-    """Every client's batches in local_sgd's order, stacked by step.
+    """Every member's batches, stacked by step.
 
-    Returns (order, index, lengths). order sorts the clients by descending
-    step count, so the clients with an s-th batch are a prefix of it.
+    Each member draws one permutation per epoch from its gen and walks it
+    in batch_size chunks. Members draw in member order, so a client listed
+    twice (sharing one gen) draws its batches in the order it was listed.
+    Returns (order, index, lengths). order sorts the members by descending
+    step count, so the members with an s-th batch are a prefix of it.
     index (n_steps, B, batch_size) holds rows of the shards concatenated in
     that order; a short chunk is padded with row 0. lengths (n_steps, B) is
-    the number of real rows, 0 once a client has finished.
+    the number of real rows, 0 once a member has finished.
     """
     sizes = np.asarray(sizes)
     per_epoch = -(-sizes // batch_size)
@@ -379,12 +370,10 @@ def _cohort_plan(sizes, batch_size: int, epochs: int | None, steps, gens):
     else:
         n_steps = np.asarray(steps)
         n_epochs = -(-n_steps // per_epoch)
+    perms = [[gen.permutation(n) for _ in range(e)] for gen, n, e in zip(gens, sizes, n_epochs)]
     order = np.argsort(-n_steps, kind="stable")
     sizes, per_epoch, n_epochs, n_steps = (a[order] for a in (sizes, per_epoch, n_epochs, n_steps))
-    # One permutation per epoch, as local_sgd draws them.
-    local = np.concatenate(
-        [gens[i].permutation(sizes[j]) for j, i in enumerate(order) for _ in range(n_epochs[j])]
-    )
+    local = np.concatenate([p for i in order for p in perms[i]])
     # Client, epoch and position of every drawn index.
     counts = sizes * n_epochs
     client = np.repeat(np.arange(len(sizes)), counts)
@@ -419,16 +408,16 @@ def local_sgd_cohort(
     distill_loss: str = "soft_ce",
     distill_temperature: float = 1.0,
 ) -> tuple[np.ndarray, list[int], list[int]]:
-    """Local SGD of B clients from one w0, trained as one stacked loop.
+    """Local SGD of B members from one w0, trained as one stacked loop.
 
-    Client i trains on features[i] and labels[i], shuffled by gens[i], for
+    Member i trains on features[i] and labels[i], shuffled by gens[i], for
     epochs or for steps[i] steps, distilling against teacher_ws[i]. It
-    draws the same batches and takes the same steps as local_sgd with those
-    arguments, and ends at the same weights up to float summation order.
-    Step s trains every client that has an s-th batch as one stacked batch;
-    short chunks are padded to batch_size with rows that add nothing.
-    Returns (w_final (B, P), steps_done, examples_processed), in cohort
-    order. Raises TrainingDiverged naming the first cohort member whose
+    draws the same batches and takes the same steps as B one-member calls
+    made in member order, and ends at the same weights up to float
+    summation order. Step s trains every member that has an s-th batch as
+    one stacked batch; short chunks are padded to batch_size with rows that
+    add nothing. Returns (w_final (B, P), steps_done, examples_processed),
+    in member order. Raises TrainingDiverged naming the first member whose
     weights are not finite.
     """
     sizes = [len(y) for y in labels]

@@ -202,19 +202,46 @@ _FEDBUFF = {"name": "fedbuff", "buffer_size": 2, "max_concurrency": 4}
         (
             {**_FEDBUFF, "ema_enabled": False, "ema_beta": 0.9},
             "ema_beta",
-            {"name": "fare_dust", "ema_enabled": False, "ema_beta": 0.9},
+            {"name": "fare_dust", "ema_beta": 0.9},
         ),
         (
-            {"name": "fedavg", "over_selection": True, "over_selection_factor": 1.5,
-             "dispatch_size": 3},
+            {"name": "fedavg", "cohort_size": 2, "over_selection": True,
+             "over_selection_factor": 1.5, "dispatch_size": 3},
             "over_selection_factor",
             {"name": "fedavg", "over_selection": True, "over_selection_factor": 1.5},
+        ),
+        ({**_FEDBUFF, "cohort_size": 7}, "cohort_size", {"name": "fedavg", "cohort_size": 7}),
+        (
+            {**_FEDBUFF, "over_selection": True},
+            "over_selection",
+            {"name": "feast", "cohort_size": 2, "over_selection": True},
+        ),
+        (
+            {**_FEDBUFF, "dispatch_size": 60},
+            "dispatch_size",
+            {"name": "fare_dust", "cohort_size": 2, "dispatch_size": 3},
+        ),
+        (
+            {"name": "fare_dust", "ema_enabled": False},
+            "ema_enabled",
+            {**_FEDBUFF, "ema_enabled": True},
+        ),
+        ({"name": "fedavg", "adam_beta1": 0.5}, "adam_beta1", {"name": "fedadam", "adam_beta1": 0.5}),
+        (
+            {**_FEDBUFF, "adam_beta2": 0.9},
+            "adam_beta2",
+            {**_FEDBUFF, "server_opt": "adam", "adam_beta2": 0.9},
+        ),
+        (
+            {"name": "fare_dust", "server_opt": "sgd", "adam_eps": 0.1},
+            "adam_eps",
+            {"name": "fare_dust", "adam_eps": 0.1},
         ),
     ],
     ids=lambda value: value if isinstance(value, str) else value["name"],
 )
 def test_knobs_the_algorithm_never_reads_exit_2(tmp_path, capsys, algo, knob, honoured_by):
-    base = {"cohort_size": 2, "eta_l": 0.05, "batch_size": 4}
+    base = {"eta_l": 0.05, "batch_size": 4}
     config_path = _write_config(tmp_path, _payload(algo={**base, **algo}))
     assert cli.main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
     assert f"algo.{knob}: has no effect" in capsys.readouterr().err
@@ -492,7 +519,7 @@ def test_runtime_failure_exits_3(tmp_path, monkeypatch, capsys, error):
     "algo, trainer",
     [
         ({"name": "fedavg", "cohort_size": 2}, "local_sgd_cohort"),
-        ({"name": "fedbuff", "buffer_size": 2, "max_concurrency": 3}, "local_sgd"),
+        ({"name": "fedbuff", "buffer_size": 2, "max_concurrency": 3}, "local_sgd_cohort"),
     ],
     ids=["fedavg", "fedbuff"],
 )

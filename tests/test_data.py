@@ -103,6 +103,20 @@ def test_emptied_standard_shard_is_dropped_with_warning(caplog):
     assert any("dropped" in rec.message for rec in caplog.records)
 
 
+def test_drop_warning_gives_the_count_and_debug_gives_the_ids(caplog):
+    # A large population drops hundreds of shards; the ids stay out of WARNING.
+    shards = [_shard_with_labels(cid, [0, 1]) for cid in range(40)] + [
+        _shard_with_labels(40, [0] * 5)
+    ]
+    with caplog.at_level(logging.DEBUG, logger="stragglersim.data"):
+        _, dropped = apply_straggler_partition(shards, {0, 1}, 1)
+    assert dropped == tuple(range(40))
+    by_level = {rec.levelno: rec.getMessage() for rec in caplog.records}
+    assert "dropped 40 standard shard(s)" in by_level[logging.WARNING]
+    assert "39" not in by_level[logging.WARNING]
+    assert by_level[logging.DEBUG].endswith(str(list(range(40))))
+
+
 def test_population_scale_straggler_counts():
     config = DatasetConfig(m_clients=3400, n_straggler_clients=800)
     dataset = build_dataset(config, seed=0)

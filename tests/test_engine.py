@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import round_views
 
-from stragglersim import rng
+from stragglersim import model, rng
 from stragglersim.algorithms import AlgoConfig
 from stragglersim.config import ExperimentConfig, ModelConfig, load_config
 from stragglersim.data import DatasetConfig, build_dataset
@@ -392,25 +392,58 @@ def test_buffered_lockstep_matches_synchronous_bitwise(k):
         assert len({version for version, _ in e.members}) == 1
 
 
-# ---- cohort training against per-client dispatch ---- #
+# ---- version training against per-client training ---- #
 
 ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
+_CROWD = dict(eta_l=0.1, batch_size=20, buffer_size=10, max_concurrency=100)
 
 
-def _dispatch_each(sim, cohort, round_id, w, *, teachers, anchor, comm_scales):
-    """dispatch_round as one dispatch per client, in cohort order."""
-    return [
-        sim.dispatch(cid, round_id, w, teacher_w=teacher, anchor=anchor, comm_scale=scale)
-        for cid, teacher, scale in zip(cohort, teachers, comm_scales)
-    ]
+def _acceptance(name, algo=None):
+    config = load_config(ACCEPTANCE_DIR / f"{name}.json")
+    return dataclasses.replace(config, budget=1000, algo=algo or config.algo)
 
 
-@pytest.mark.parametrize("name", ["fedavg_full", "fedavg_oversel", "fare_dust", "feast"])
-def test_cohort_training_matches_per_client_dispatch(monkeypatch, name):
-    config = dataclasses.replace(load_config(ACCEPTANCE_DIR / f"{name}.json"), budget=1000)
+@pytest.mark.parametrize(
+    "config",
+    [
+        _acceptance("fedavg_full"),
+        _acceptance("fedavg_oversel"),
+        _acceptance("fare_dust"),
+        _acceptance("feast"),
+        _acceptance("fedavg_full", AlgoConfig("fedbuff", **_CROWD)),
+        _acceptance(
+            "fedavg_full",
+            AlgoConfig("fedbuff", ema_enabled=True, rho=0.2, nu=0.05, **_CROWD),
+        ),
+        # a busy client sampled again before the flush trains twice in one
+        # version group, with different step counts
+        _acceptance(
+            "fedavg_full",
+            AlgoConfig("fedbuff", allow_busy_reuse=True, time_limit=True, **_CROWD),
+        ),
+        _acceptance("fedavg_full", AlgoConfig("fedbuff", time_limit=True, **_CROWD)),
+    ],
+    ids=[
+        "fedavg_full", "fedavg_oversel", "fare_dust", "feast",
+        "fedbuff", "fedbuff_ema_rho_nu", "fedbuff_busy_reuse", "fedbuff_time_limit",
+    ],
+)
+def test_cohort_training_matches_per_client_dispatch(monkeypatch, config):
     dataset = build_dataset(config.dataset, config.effective_data_seed())
+    train_group = Simulation._train_group
+    sizes = []
+
+    def record_sizes(sim, group):
+        sizes.append(len(group))
+        train_group(sim, group)
+
+    monkeypatch.setattr(Simulation, "_train_group", record_sizes)
     stacked = Simulation(config, 0, dataset).run()
-    monkeypatch.setattr(Simulation, "dispatch_round", _dispatch_each)
+    assert max(sizes) > 1
+    # the engine's group trainer, one member at a time
+    monkeypatch.setattr(
+        Simulation, "_train_group", lambda sim, group: [train_group(sim, [m]) for m in group]
+    )
     each = Simulation(config, 0, dataset).run()
     assert stacked.counters == each.counters
     assert stacked.total_time_s == each.total_time_s
@@ -418,21 +451,89 @@ def test_cohort_training_matches_per_client_dispatch(monkeypatch, name):
     np.testing.assert_allclose(stacked.output_w, each.output_w, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("time_limit", [False, True], ids=["epochs", "time_limit"])
+def test_dispatch_charges_the_work_training_does(monkeypatch, time_limit):
+    # Dispatch computes steps and examples by arithmetic, before training.
+    algo = AlgoConfig("fedbuff", buffer_size=2, max_concurrency=20, allow_busy_reuse=True,
+                      eta_l=0.05, batch_size=3, epochs=2, time_limit=time_limit)
+    scenario = LatencyScenario("pdpe", _profile(1.0, -3.0, 0.5, 0.8), _profile(2.5, -2.0, 1.0, 0.8))
+    sim = Simulation(_config(algo, scenario=scenario), trial_seed=0)
+    trained = []
+    cohort = model.local_sgd_cohort
+
+    def spy(*args, **kwargs):
+        result = cohort(*args, **kwargs)
+        trained.append(result[1:])
+        return result
+
+    monkeypatch.setattr(model, "local_sgd_cohort", spy)
+    updates = [sim.dispatch(sim.sample_cohort(1)[0], 0, sim.state.w) for _ in range(40)]
+    sim.apply_server_update(updates[:2])
+    assert trained == [
+        ([u.steps_done for u in updates], [u.examples_processed for u in updates])
+    ]
+    if time_limit:  # the step budgets differ and some stop inside an epoch
+        per_epoch = [-(-sim.dataset.shard(u.client_id).n_examples // 3) for u in updates]
+        assert len({u.steps_done for u in updates}) > 1
+        assert any(u.steps_done % p for u, p in zip(updates, per_epoch))
+
+
 def test_each_update_of_a_round_owns_its_delta():
-    # A delta viewing the round's stacked weights would keep the whole block
-    # alive for as long as one late update is in flight.
-    algo = AlgoConfig("fedavg", cohort_size=5, over_selection=True, eta_l=0.05, batch_size=4)
-    sim = Simulation(_config(algo), trial_seed=0)
-    cohort = sim.sample_cohort(6)
-    updates = sim.dispatch_round(
-        cohort, 0, sim.state.w, teachers=[None] * 6, anchor=None, comm_scales=[1.0] * 6
-    )
-    assert [u.client_id for u in updates] == cohort
-    for u in updates:
-        assert u.delta.base is None and u.delta.flags.owndata
-        assert u.delta.shape == sim.state.w.shape
-    for a, b in itertools.combinations(updates, 2):
-        assert not np.shares_memory(a.delta, b.delta)
+    # A delta viewing the version's stacked weights would keep the whole
+    # block alive for as long as one late update is in flight.
+    for algo in (
+        AlgoConfig("fedavg", cohort_size=5, over_selection=True, eta_l=0.05, batch_size=4),
+        AlgoConfig("fedbuff", buffer_size=2, max_concurrency=6, eta_l=0.05, batch_size=4,
+                   rho=0.2, nu=0.1),
+    ):
+        sim = Simulation(_config(algo), trial_seed=0)
+        w = sim.state.w
+        teacher = w if algo.rho > 0 else None
+        anchor = w if algo.nu > 0 else None
+        updates = [
+            sim.dispatch(cid, 0, w, teacher_w=teacher, anchor=anchor)
+            for cid in sim.sample_cohort(6)
+        ]
+        assert all(u.delta is None for u in updates)
+        # a server step on two of them closes version 0: every dispatch of
+        # it trains, aggregated or still in flight
+        sim.apply_server_update(updates[:2])
+        for u in updates:
+            assert u.delta.base is None and u.delta.flags.owndata
+            assert u.delta.shape == w.shape
+            assert not np.shares_memory(u.delta, w)
+        for a, b in itertools.combinations(updates, 2):
+            assert not np.shares_memory(a.delta, b.delta)
+
+
+def test_a_version_trains_from_one_w_and_one_model_version():
+    algo = AlgoConfig("fedbuff", buffer_size=2, max_concurrency=6, eta_l=0.05, batch_size=4)
+    for mismatch in ("w", "version"):
+        sim = Simulation(_config(algo), trial_seed=0)
+        first, second = sim.sample_cohort(2)
+        update = sim.dispatch(first, 0, sim.state.w)
+        if mismatch == "w":
+            sim.dispatch(second, 0, sim.state.w.copy())
+        else:
+            sim.state.t += 1
+            sim.dispatch(second, 1, sim.state.w)
+        with pytest.raises(RuntimeError, match="does not share"):
+            sim.apply_server_update([update])
+
+
+def test_a_run_that_ends_with_an_untrained_dispatch_raises(monkeypatch):
+    algo = AlgoConfig("fedavg", cohort_size=3, eta_l=0.05, batch_size=4)
+    apply = Simulation.apply_server_update
+
+    def dispatch_after_the_last_step(sim, updates):
+        summed = apply(sim, updates)
+        if sim.budget_reached():
+            sim.dispatch(sim.sample_cohort(1)[0], -1, sim.state.w)
+        return summed
+
+    monkeypatch.setattr(Simulation, "apply_server_update", dispatch_after_the_last_step)
+    with pytest.raises(RuntimeError, match="1 dispatches never trained"):
+        Simulation(_config(algo, budget=6), trial_seed=0).run()
 
 
 def test_buffered_budget_overshoot_is_bounded():

@@ -257,6 +257,31 @@ def test_local_sgd_distill_uses_fixed_teacher():
     np.testing.assert_allclose(got, w0 - 0.1 * grad, atol=1e-15)
 
 
+def _reference_sgd(
+    w0, layout, x, y, gen, *, eta_l, batch_size, epochs=None, steps=None, rho, nu,
+    teacher_w, anchor, distill_loss, distill_temperature,
+):
+    """Mini-batch SGD with one checked loss_and_grad call per batch."""
+    w = w0.copy()
+    steps_done = examples = epochs_done = 0
+    while epochs_done != epochs and steps_done != steps:
+        perm = gen.permutation(len(y))
+        for start in range(0, len(y), batch_size):
+            idx = perm[start : start + batch_size]
+            t_logits = forward_logits(teacher_w, layout, x[idx]) if rho > 0 else None
+            _, grad = loss_and_grad(
+                w, layout, x[idx], y[idx], rho=rho, nu=nu, teacher_logits=t_logits,
+                anchor=anchor, distill_loss=distill_loss, distill_temperature=distill_temperature,
+            )
+            w = w - eta_l * grad
+            steps_done += 1
+            examples += len(idx)
+            if steps_done == steps:
+                break
+        epochs_done += 1
+    return w, steps_done, examples
+
+
 # One-example, short-chunk, single-batch and multi-batch shards for batch_size 4.
 _COHORT_SIZES = (1, 7, 4, 13, 6, 9)
 
@@ -293,14 +318,38 @@ def test_local_sgd_cohort_matches_per_client_local_sgd(hidden, bound, rho, nu, d
     assert got.shape == (len(xs), layout.n_params)
     for i in range(len(xs)):
         ref_gen = rng.stream(5, rng.SHUFFLE, i)
-        want, want_steps, want_examples = local_sgd(
-            w0, layout, xs[i], ys[i], gen=ref_gen, teacher_w=teachers[i] if rho > 0 else None,
+        want, want_steps, want_examples = _reference_sgd(
+            w0, layout, xs[i], ys[i], ref_gen, teacher_w=teachers[i] if rho > 0 else None,
             **bounds(i), **common,
         )
         assert (got_steps[i], got_examples[i]) == (want_steps, want_examples)
         np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
-        # the shuffle stream is left where local_sgd leaves it
+        # the shuffle stream is left where the reference leaves it
         assert gens[i].random() == ref_gen.random()
+
+
+def test_a_client_listed_twice_trains_as_two_sequential_calls():
+    # A version group can hold one client twice (a buffered client that
+    # completes and is sampled again before the flush). With a time limit
+    # its two dispatches take different step counts; they must still draw
+    # their batches from the client's one stream in dispatch order.
+    gen = rng.stream(16, rng.VERIFY, 0)
+    layout = ModelLayout(d_in=3, hidden=0, n_classes=3)
+    w0 = gen.standard_normal(layout.n_params) * 0.3
+    x = gen.standard_normal((7, 3))
+    y = gen.integers(3, size=7)
+    shared = rng.stream(6, rng.SHUFFLE, 0)
+    got, got_steps, got_examples = local_sgd_cohort(
+        w0, layout, [x, x], [y, y], eta_l=0.2, batch_size=3, steps=[2, 5], gens=[shared, shared]
+    )
+    ref_gen = rng.stream(6, rng.SHUFFLE, 0)
+    for i, steps in enumerate((2, 5)):
+        want, want_steps, want_examples = local_sgd(
+            w0, layout, x, y, eta_l=0.2, batch_size=3, steps=steps, gen=ref_gen
+        )
+        assert (got_steps[i], got_examples[i]) == (want_steps, want_examples)
+        np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
+    assert shared.random() == ref_gen.random()
 
 
 def test_divergence_names_the_cohort_member():
