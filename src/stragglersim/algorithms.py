@@ -3,16 +3,20 @@
 A driver owns only the round semantics of one algorithm family: which
 clients are dispatched, which arrivals count, and where late straggler
 updates go. It talks to the simulation through a narrow context interface
-(dispatch a client, hand over the updates of one server step, publish an
-auxiliary model, schedule events). A dispatch only records the client's
-work; the engine trains every dispatch of a model version together when
-that version closes, at its server step. The engine also sums and applies
-the updates, decides which model is served, and keeps the trace.
+(SimContext): dispatch a client with its teacher and communication scale,
+hand over the updates of one server step, publish an auxiliary model, and
+schedule one of its own hooks. The engine binds every dispatch to the open
+model version (start and anchor state.w, round id state.t), records the
+work, and trains every dispatch of a version together when that version
+closes, at its server step. The engine also sums and applies the updates,
+decides which model is served, and keeps the trace.
 Conventions shared by every driver:
 
 * A client update carries delta = w_dispatched - w_final, so the server
   subtracts: SGD does w <- w - (eta_g / count) * summed_delta.
-* Delta sums are always accumulated in (model_version, client_id) order so
+* An update's round_id is the model version it started from; a synchronous
+  round is named by the version its cohort trains from.
+* Delta sums are always accumulated in (round_id, client_id) order so
   aggregation is independent of event arrival order.
 * Synchronous cohorts are sampled sequentially without replacement from the
   id-sorted idle pool, one uniform index draw per slot; the buffered driver
@@ -40,6 +44,7 @@ Drivers:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -165,7 +170,6 @@ class ClientUpdate:
     completed_at: float
     examples_processed: int
     steps_done: int
-    model_version: int
 
 
 # ---- Server-side optimizers ---- #
@@ -246,10 +250,10 @@ def server_apply(state: ServerState, summed_delta: np.ndarray, count: int) -> Se
 
 
 def canonical_delta_sum(updates: list[ClientUpdate]) -> np.ndarray:
-    """Sum deltas in (model_version, client_id) order, independent of arrival."""
+    """Sum deltas in (round_id, client_id) order, independent of arrival."""
     if not updates:
         raise ValueError("no updates to sum")
-    ordered = sorted(updates, key=lambda u: (u.model_version, u.client_id))
+    ordered = sorted(updates, key=lambda u: (u.round_id, u.client_id))
     total = ordered[0].delta.copy()
     for u in ordered[1:]:
         total += u.delta
@@ -324,23 +328,14 @@ class SimContext(Protocol):
     def sample_cohort(self, k: int) -> list[int]: ...
 
     def dispatch(
-        self,
-        client_id: int,
-        round_id: int,
-        w: np.ndarray,
-        *,
-        teacher_w: np.ndarray | None = None,
-        anchor: np.ndarray | None = None,
-        comm_scale: float = 1.0,
+        self, client_id: int, *, teacher_w: np.ndarray | None = None, comm_scale: float = 1.0
     ) -> ClientUpdate: ...
 
     def apply_server_update(self, updates: list[ClientUpdate]) -> np.ndarray: ...
 
     def publish_aux(self, aux: np.ndarray) -> None: ...
 
-    def schedule_aux_deadline(self, round_id: int, fire_at: float) -> None: ...
-
-    def schedule_refill(self) -> None: ...
+    def schedule(self, fire_at: float, handler: Callable[..., None], *args) -> None: ...
 
     def budget_reached(self) -> bool: ...
 
@@ -371,7 +366,6 @@ class SyncRoundDriver:
         self.config = config
         self.cohort_size = config.cohort_size
         self.dispatch_size = config.resolved_dispatch_size()
-        self.next_round_id = 0
         self.rounds: dict[int, SyncRound] = {}
         self.w_finished = False
 
@@ -397,12 +391,6 @@ class SyncRoundDriver:
     def is_finished(self) -> bool:
         return self.w_finished
 
-    def on_dispatch(self) -> None:
-        raise RuntimeError("synchronous drivers do not use refill events")
-
-    def on_aux_deadline(self, round_id: int) -> None:
-        raise RuntimeError("no deadline events expected for this driver")
-
     def on_client_completed(self, update: ClientUpdate) -> None:
         rnd = self.rounds[update.round_id]
         rnd.n_arrived += 1
@@ -422,20 +410,17 @@ class SyncRoundDriver:
     # -- internals -- #
 
     def _start_round(self) -> None:
-        rid = self.next_round_id
-        self.next_round_id += 1
         self.sim.counters["rounds_started"] += 1
         cohort = self.sim.sample_cohort(self.dispatch_size)
-        w = self.sim.state.w
-        anchor = w if self.config.nu > 0 else None
         # Teachers are drawn in cohort order before any dispatch.
         teachers = [self._teacher_for_dispatch() for _ in cohort]
         updates = [
-            self.sim.dispatch(cid, rid, w, teacher_w=teacher, anchor=anchor, comm_scale=scale)
+            self.sim.dispatch(cid, teacher_w=teacher, comm_scale=scale)
             for cid, (teacher, scale) in zip(cohort, teachers)
         ]
         by_finish = sorted(updates, key=lambda u: (u.completed_at, u.client_id))
         fast_ids = frozenset(u.client_id for u in by_finish[: self.cohort_size])
+        rid = self.sim.state.t
         self.rounds[rid] = SyncRound(round_id=rid, started_at=self.sim.now, fast_ids=fast_ids)
 
     def _advance(self, rnd: SyncRound) -> None:
@@ -549,7 +534,7 @@ class AuxTrackDriver(SyncRoundDriver):
         else:
             # A deadline in the past still fires "now"; queued same-time
             # completions hold earlier sequence numbers, so they fold first.
-            self.sim.schedule_aux_deadline(rnd.round_id, max(deadline, self.sim.now))
+            self.sim.schedule(max(deadline, self.sim.now), self.on_aux_deadline, rnd.round_id)
 
     def _handle_late(self, update: ClientUpdate) -> None:
         rec = self.pending.get(update.round_id)
@@ -637,26 +622,16 @@ class BufferedDriver:
             if self.sim.budget_reached():
                 self.finished = True
         if not self.finished:
-            self.sim.schedule_refill()
+            self.sim.schedule(self.sim.now, self.on_dispatch)
 
     def on_dispatch(self) -> None:
         if self.finished:
             return
         self._dispatch_one()
 
-    def on_aux_deadline(self, round_id: int) -> None:
-        raise RuntimeError("no deadline events expected for this driver")
-
     def _dispatch_one(self) -> None:
         cid = self.sim.sample_cohort(1)[0]
-        w = self.sim.state.w
-        self.sim.dispatch(
-            cid,
-            self.sim.state.t,
-            w,
-            teacher_w=w if self.config.rho > 0 else None,
-            anchor=w if self.config.nu > 0 else None,
-        )
+        self.sim.dispatch(cid, teacher_w=self.sim.state.w if self.config.rho > 0 else None)
 
 
 def make_driver(sim: SimContext, config: AlgoConfig):

@@ -39,7 +39,7 @@ from .config import (
     load_sweep,
     sweep_points,
 )
-from .data import build_dataset, class_report_rows, shard_report_rows
+from .data import build_dataset, class_report_rows, shard_report_rows, total_examples
 from .engine import Simulation
 from .latency import latency_percentiles
 from .verify import CHECKS, run_suite
@@ -120,6 +120,13 @@ def _final_records(files: list[Path]) -> list[dict]:
     return finals
 
 
+def _band_columns(
+    band: metrics.MetricSummary, prefix: str, parts=("median", "lo", "hi"), digits: int = 6
+) -> dict:
+    """CSV columns <prefix>_<part> of one band, rounded, in the order of parts."""
+    return {f"{prefix}_{part}": round(getattr(band, part), digits) for part in parts}
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.trials is not None:
@@ -168,12 +175,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for name in param_names:
             row[name] = assignment[name]
         row.update(
-            objective_lo=round(objective.lo, 6),
-            objective_median=round(objective.median, 6),
-            objective_hi=round(objective.hi, 6),
-            total_acc_median=round(summary["total_acc"].median, 6),
-            straggler_acc_median=round(summary["straggler_acc"].median, 6),
-            time_s_median=round(summary["virtual_time_s"].median, 2),
+            **_band_columns(objective, "objective", ("lo", "median", "hi")),
+            **_band_columns(summary["total_acc"], "total_acc", ("median",)),
+            **_band_columns(summary["straggler_acc"], "straggler_acc", ("median",)),
+            **_band_columns(summary["virtual_time_s"], "time_s", ("median",), digits=2),
             best=0,
         )
         rows.append(row)
@@ -255,13 +260,9 @@ def cmd_report(args: argparse.Namespace) -> int:
                 "algo": group["algo"],
                 "config_hash": chash[:12],
                 "n_trials": len(group["finals"]),
-                "total_acc_median": round(summary["total_acc"].median, 6),
-                "total_acc_lo": round(summary["total_acc"].lo, 6),
-                "total_acc_hi": round(summary["total_acc"].hi, 6),
-                "straggler_acc_median": round(summary["straggler_acc"].median, 6),
-                "straggler_acc_lo": round(summary["straggler_acc"].lo, 6),
-                "straggler_acc_hi": round(summary["straggler_acc"].hi, 6),
-                "time_s_median": round(summary["virtual_time_s"].median, 2),
+                **_band_columns(summary["total_acc"], "total_acc"),
+                **_band_columns(summary["straggler_acc"], "straggler_acc"),
+                **_band_columns(summary["virtual_time_s"], "time_s", ("median",), digits=2),
             }
         )
     fieldnames = list(rows[0].keys())
@@ -312,10 +313,9 @@ def cmd_data_report(args: argparse.Namespace) -> int:
     )
     metrics.write_csv(classes_csv, class_report_rows(dataset), ["group", "class", "n_examples"])
     n_straggler = len(dataset.straggler_client_ids)
-    n_examples = sum(s.n_examples for s in dataset.shards)
     print(
         f"{dataset.n_clients} clients ({n_straggler} straggler, "
-        f"{dataset.n_clients - n_straggler} standard), {n_examples} examples, "
+        f"{dataset.n_clients - n_straggler} standard), {total_examples(dataset.shards)} examples, "
         f"{len(dataset.dropped_clients)} shard(s) dropped"
     )
     print(f"eval: {len(dataset.eval_total)} total, {len(dataset.eval_straggler)} straggler-class")

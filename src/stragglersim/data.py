@@ -287,7 +287,7 @@ def shard_report_rows(dataset: FederatedDataset) -> list[dict]:
 
 def class_report_rows(dataset: FederatedDataset) -> list[dict]:
     """One row per (group, class): total example count."""
-    n_classes = int(dataset.generator_config.get("n_classes", dataset.eval_total.labels.max() + 1))
+    n_classes = dataset.generator_config["n_classes"]
     counts = {"standard": np.zeros(n_classes, dtype=int), "straggler": np.zeros(n_classes, dtype=int)}
     for s in dataset.shards:
         group = "straggler" if s.is_straggler else "standard"

@@ -2,12 +2,10 @@
 
 Virtual time advances through a min-heap of events ordered by (fire_at,
 sequence number), so ties resolve in scheduling order and runs with the same
-config and seed replay identically. Event kinds:
-
-  client_completed  a dispatched client's update arrives (payload: update)
-  dispatch          a buffered-aggregation refill slot opens (no payload)
-  aux_deadline      a round's straggler-folding window closes (payload: round)
-  eval_tick         evaluate the served model (no payload)
+config and seed replay identically. An event carries its handler and
+arguments, and the loop calls handler(*args) at fire_at: a dispatch schedules
+the driver's on_client_completed(update), drivers schedule their own hooks
+(Simulation.schedule), and every eval_every-th server step an evaluation.
 
 The engine owns the wall-clock-free mechanics: client busy bookkeeping,
 latency sampling, local training, aggregation and the server optimizer
@@ -15,16 +13,17 @@ step, the served model (ServerState.served), the update budget, evaluation
 cadence, and the trace. Round semantics live in the drivers (see
 algorithms).
 
-A dispatch records its work and does not train. Its completion time and
-counts never depend on the trained weights: the latency factors are drawn
-first (the per-round time limit needs them), the steps and examples follow
-by arithmetic, and the completion fires at now plus the factors' total for
-those examples (latency.LatencySample.total_s). Every dispatch of one model
-version starts from the same w, so the version trains as one stacked call
-(model.local_sgd_cohort) when it closes, at the next server step, before
-any of its deltas is read. A client whose local SGD leaves non-finite
-weights raises FloatingPointError naming the client, the round and the
-virtual time of its dispatch.
+A driver decides only a dispatch's client, teacher and communication scale;
+the engine binds it to the open model version: start and anchor (nu > 0)
+state.w, round id state.t. A dispatch records its work and does not train.
+Its completion time and counts never depend on the trained weights: the
+latency factors are drawn first (the per-round time limit needs them), the
+steps and examples follow by arithmetic, and the completion fires at now
+plus the factors' total for those examples (latency.LatencySample.total_s).
+So the version trains as one stacked call (model.local_sgd_cohort) when it
+closes, at the next server step, before any of its deltas is read. A
+client whose local SGD leaves non-finite weights raises FloatingPointError
+naming the client, the round and the virtual time of its dispatch.
 
 A client is busy until its completion fires and is excluded from cohort
 sampling in the meantime (allow_busy_reuse lifts this). The run terminates
@@ -36,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,33 +46,28 @@ from .config import ConfigError, ExperimentConfig
 from .data import FederatedDataset, build_dataset
 from .metrics import MetricsRecord
 
-EVENT_CLIENT_COMPLETED = "client_completed"
-EVENT_DISPATCH = "dispatch"
-EVENT_AUX_DEADLINE = "aux_deadline"
-EVENT_EVAL_TICK = "eval_tick"
-
 
 class EventQueue:
-    """Min-heap of (fire_at, seq) with insertion-order tie-breaking."""
+    """Min-heap of (fire_at, seq, handler, args); ties pop in insertion order."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, str, object]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, fire_at: float, kind: str, payload: object, *, now: float) -> None:
+    def schedule(self, fire_at: float, handler: Callable[..., None], *args, now: float) -> None:
         if fire_at < now:
-            raise ValueError(f"cannot schedule {kind} at {fire_at} before now={now}")
-        heapq.heappush(self._heap, (fire_at, self._seq, kind, payload))
+            raise ValueError(f"cannot schedule {handler.__name__} at {fire_at} before now={now}")
+        heapq.heappush(self._heap, (fire_at, self._seq, handler, args))
         self._seq += 1
 
-    def pop(self) -> tuple[float, str, object] | None:
+    def pop(self) -> tuple[float, Callable[..., None], tuple] | None:
         if not self._heap:
             return None
-        fire_at, _, kind, payload = heapq.heappop(self._heap)
-        return fire_at, kind, payload
+        fire_at, _, handler, args = heapq.heappop(self._heap)
+        return fire_at, handler, args
 
 
 @dataclass(frozen=True)
@@ -82,9 +77,9 @@ class TraceEvent:
     kind is "dispatch" (one member; completed_at is when its update
     arrives), "aggregate" (the members of one server step) or "aux" (an
     auxiliary-model step; no members, applied in round order). Members are
-    (round_id, client_id) pairs; a buffered update's round_id is the model
-    version it was dispatched with. w is the model after an aggregate or aux
-    step.
+    (round_id, client_id) pairs, where round_id is the model version (server
+    step count) the client was dispatched with. w is the model after an
+    aggregate or aux step.
     """
 
     kind: str
@@ -236,35 +231,52 @@ class Simulation:
         return [pool.pop(int(self._cohort_gen.integers(len(pool)))) for _ in range(k)]
 
     def dispatch(
-        self,
-        client_id: int,
-        round_id: int,
-        w: np.ndarray,
-        *,
-        teacher_w: np.ndarray | None = None,
-        anchor: np.ndarray | None = None,
-        comm_scale: float = 1.0,
+        self, client_id: int, *, teacher_w: np.ndarray | None = None, comm_scale: float = 1.0
     ) -> ClientUpdate:
-        """Record one client's local computation and schedule its completion.
+        """Record one client's local computation on the open model version
+        and schedule its completion.
 
-        The update's delta stays None until its model version closes
-        (apply_server_update). Every dispatch of one version passes the same
-        w and anchor objects and distills for all or for none.
+        Without a time limit a client runs epochs * ceil(n / b) steps over
+        epochs * n examples; with one, the latency draw fixes the steps and
+        the last epoch may stop early. The update's delta stays None until
+        its model version closes (apply_server_update). Every dispatch of one
+        version distills (passes teacher_w) or none does.
         """
-        shard, factors, steps, examples = self._draw(client_id)
-        update = self._schedule(
-            ClientUpdate(
-                round_id=round_id,
-                client_id=client_id,
-                delta=None,
-                dispatched_at=self.now,
-                completed_at=self.now + factors.total_s(examples, comm_scale),
-                examples_processed=examples,
-                steps_done=steps,
-                model_version=self.state.t,
-            )
+        if not self.algo.allow_busy_reuse and self._busy_until[client_id] > self.now:
+            raise RuntimeError(f"client {client_id} dispatched while busy")
+        shard = self.dataset.shard(client_id)
+        factors = latency.sample_client_latency(
+            self.scenario.profile_for(shard.is_straggler), self._latency_gen(client_id)
         )
-        self._pending.append((update, shard, steps, w, teacher_w, anchor))
+        n, b = shard.n_examples, self.algo.batch_size
+        per_epoch = -(-n // b)
+        if self.tau_limit is None:
+            steps, examples = self.algo.epochs * per_epoch, self.algo.epochs * n
+        else:
+            steps = max(
+                1, math.floor((self.tau_limit - factors.overhead_s) / (factors.per_example_s * b))
+            )
+            epochs, rest = divmod(steps, per_epoch)
+            # rest < per_epoch, so the unfinished epoch walked only whole chunks
+            examples = epochs * n + rest * b
+        update = ClientUpdate(
+            round_id=self.state.t,
+            client_id=client_id,
+            delta=None,
+            dispatched_at=self.now,
+            completed_at=self.now + factors.total_s(examples, comm_scale),
+            examples_processed=examples,
+            steps_done=steps,
+        )
+        self._busy_until[client_id] = update.completed_at
+        self.queue.schedule(
+            update.completed_at, self.driver.on_client_completed, update, now=self.now
+        )
+        self.counters["dispatches"] += 1
+        if self.trace:
+            members = ((update.round_id, client_id),)
+            self.events.append(TraceEvent("dispatch", self.now, members, update.completed_at))
+        self._pending.append((update, shard, steps, teacher_w))
         return update
 
     def apply_server_update(self, updates: list[ClientUpdate]) -> np.ndarray:
@@ -282,7 +294,7 @@ class Simulation:
             members = tuple(sorted((u.round_id, u.client_id) for u in updates))
             self.events.append(TraceEvent("aggregate", self.now, members, w=self.state.w.copy()))
         if self.state.t % self.config.eval_every == 0:
-            self.queue.schedule(self.now, EVENT_EVAL_TICK, None, now=self.now)
+            self.schedule(self.now, self._eval_record, self.now)
         return summed
 
     def publish_aux(self, aux: np.ndarray) -> None:
@@ -293,11 +305,9 @@ class Simulation:
         if self.trace:
             self.events.append(TraceEvent("aux", self.now, (), w=aux.copy()))
 
-    def schedule_aux_deadline(self, round_id: int, fire_at: float) -> None:
-        self.queue.schedule(fire_at, EVENT_AUX_DEADLINE, round_id, now=self.now)
-
-    def schedule_refill(self) -> None:
-        self.queue.schedule(self.now, EVENT_DISPATCH, None, now=self.now)
+    def schedule(self, fire_at: float, handler: Callable[..., None], *args) -> None:
+        """Call handler(*args) at virtual time fire_at (not before now)."""
+        self.queue.schedule(fire_at, handler, *args, now=self.now)
 
     def budget_reached(self) -> bool:
         return self.counters["aggregated_updates"] >= self.config.budget
@@ -313,56 +323,21 @@ class Simulation:
 
     # -- internals -- #
 
-    def _draw(self, client_id: int):
-        """Busy check, latency factors and local work of one dispatch:
-        (shard, factors, steps, examples). Without a time limit a client
-        runs epochs * ceil(n / b) steps over epochs * n examples; with one,
-        the latency draw fixes the steps and the last epoch may stop early."""
-        if not self.algo.allow_busy_reuse and self._busy_until[client_id] > self.now:
-            raise RuntimeError(f"client {client_id} dispatched while busy")
-        shard = self.dataset.shard(client_id)
-        factors = latency.sample_client_latency(
-            self.scenario.profile_for(shard.is_straggler), self._latency_gen(client_id)
-        )
-        n, b = shard.n_examples, self.algo.batch_size
-        per_epoch = -(-n // b)
-        if self.tau_limit is None:
-            return shard, factors, self.algo.epochs * per_epoch, self.algo.epochs * n
-        steps = max(
-            1, math.floor((self.tau_limit - factors.overhead_s) / (factors.per_example_s * b))
-        )
-        epochs, rest = divmod(steps, per_epoch)
-        # rest < per_epoch, so the unfinished epoch walked only whole chunks
-        return shard, factors, steps, epochs * n + rest * b
-
-    def _schedule(self, update: ClientUpdate) -> ClientUpdate:
-        """Mark the client busy and queue its completion."""
-        self._busy_until[update.client_id] = update.completed_at
-        self.queue.schedule(update.completed_at, EVENT_CLIENT_COMPLETED, update, now=self.now)
-        self.counters["dispatches"] += 1
-        if self.trace:
-            members = ((update.round_id, update.client_id),)
-            self.events.append(TraceEvent("dispatch", self.now, members, update.completed_at))
-        return update
-
     def _train_group(self, group: list[tuple]) -> None:
-        """Train dispatches that start from one w in one stacked call and
-        set each update's delta. group holds dispatch's records: (update,
-        shard, steps, w, teacher_w, anchor)."""
-        updates, shards, steps, ws, teachers, anchors = zip(*group)
-        w, anchor, version = ws[0], anchors[0], updates[0].model_version
+        """Train the dispatches of the open model version in one stacked call
+        and set each update's delta. group holds dispatch's records:
+        (update, shard, steps, teacher_w). The server step that closes the
+        version rebinds state.w only after this, so state.w is the version's
+        start."""
+        updates, shards, steps, teachers = zip(*group)
         distill = teachers[0] is not None
-        for u, w_i, teacher, anchor_i in zip(updates, ws, teachers, anchors):
-            if (
-                w_i is not w
-                or anchor_i is not anchor
-                or (teacher is not None) != distill
-                or u.model_version != version
-            ):
+        for u, teacher in zip(updates, teachers):
+            if (teacher is not None) != distill:
                 raise RuntimeError(
-                    f"client {u.client_id} of model version {u.model_version} does not share "
-                    f"w, anchor and teacher use with the version {version} it trains with"
+                    f"client {u.client_id} of model version {u.round_id} does not share "
+                    "teacher use with the rest of its version"
                 )
+        w = self.state.w
         try:
             w_final, _, _ = model.local_sgd_cohort(
                 w,
@@ -372,9 +347,9 @@ class Simulation:
                 steps=None if self.tau_limit is None else list(steps),
                 gens=[self._shuffle_gen(u.client_id) for u in updates],
                 rho=self.algo.rho if distill else 0.0,
-                nu=self.algo.nu if anchor is not None else 0.0,
+                nu=self.algo.nu,
                 teacher_ws=teachers if distill else None,
-                anchor=anchor,
+                anchor=w if self.algo.nu > 0 else None,
                 **self._sgd_args,
             )
         except model.TrainingDiverged as exc:
@@ -454,22 +429,13 @@ class Simulation:
             item = self.queue.pop()
             if item is None:
                 raise RuntimeError("event queue drained before the run terminated")
-            fire_at, kind, payload = item
+            fire_at, handler, args = item
             if fire_at < self.now:
                 raise RuntimeError(
                     f"event queue produced a time regression: {fire_at} < {self.now}"
                 )
             self.now = fire_at
-            if kind == EVENT_CLIENT_COMPLETED:
-                self.driver.on_client_completed(payload)
-            elif kind == EVENT_DISPATCH:
-                self.driver.on_dispatch()
-            elif kind == EVENT_AUX_DEADLINE:
-                self.driver.on_aux_deadline(payload)
-            elif kind == EVENT_EVAL_TICK:
-                self._eval_record(self.now)
-            else:
-                raise RuntimeError(f"unknown event kind {kind!r}")
+            handler(*args)
 
         aggregated = self.counters["aggregated_updates"]
         if aggregated < self.config.budget:

@@ -44,20 +44,24 @@ def evaluate_accuracy(
     cap: int | None = None,
 ) -> tuple[float, float]:
     """Accuracy on the total and straggler-class eval splits, capped to
-    the first `cap` examples of each split."""
-    total, straggler = dataset.eval_total, dataset.eval_straggler
-    if cap is not None:
-        if cap < 1:
-            raise ValueError(f"cap must be >= 1, got {cap}")
-        total_x, total_y = total.features[:cap], total.labels[:cap]
-        strag_x, strag_y = straggler.features[:cap], straggler.labels[:cap]
-    else:
-        total_x, total_y = total.features, total.labels
-        strag_x, strag_y = straggler.features, straggler.labels
-    return (
-        model.accuracy(w, layout, total_x, total_y),
-        model.accuracy(w, layout, strag_x, strag_y),
-    )
+    the first `cap` examples of each split.
+
+    The straggler split is the rows of the total split whose labels are
+    straggler classes (data.make_eval_splits), so one forward pass over the
+    total rows up to the last one either split uses scores both.
+    """
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    total = dataset.eval_total
+    n_total = len(total) if cap is None else min(cap, len(total))
+    straggler_rows = np.flatnonzero(
+        np.isin(total.labels, sorted(dataset.straggler_classes))
+    )[:cap]
+    if n_total == 0 or len(straggler_rows) == 0:
+        raise ValueError("cannot score an empty split")
+    end = max(n_total, straggler_rows[-1] + 1)
+    correct = model.predict(w, layout, total.features[:end]) == total.labels[:end]
+    return float(correct[:n_total].mean()), float(correct[straggler_rows].mean())
 
 
 @dataclass(frozen=True)

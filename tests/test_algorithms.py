@@ -9,13 +9,11 @@ from stragglersim import rng
 from stragglersim.algorithms import (
     AlgoConfig,
     AuxTrackDriver,
-    BufferedDriver,
     ClientUpdate,
     DeltaHistory,
     EmaAccumulator,
     HistoryDistillationDriver,
     PendingAuxRound,
-    SyncRoundDriver,
     ServerState,
     canonical_delta_sum,
     server_apply,
@@ -25,7 +23,7 @@ from stragglersim.engine import Simulation
 from stragglersim.model import ModelLayout, local_sgd, loss_and_grad
 
 
-def _update(client_id, delta, version=0, round_id=0, completed=1.0):
+def _update(client_id, delta, round_id=0, completed=1.0):
     return ClientUpdate(
         round_id=round_id,
         client_id=client_id,
@@ -34,7 +32,6 @@ def _update(client_id, delta, version=0, round_id=0, completed=1.0):
         completed_at=completed,
         examples_processed=1,
         steps_done=1,
-        model_version=version,
     )
 
 
@@ -148,7 +145,7 @@ def test_server_apply_feeds_ema():
 def test_canonical_sum_is_arrival_order_invariant():
     gen = rng.stream(1, rng.VERIFY, 0)
     updates = [
-        _update(cid, gen.standard_normal(6) * 10.0**k, version=k % 2)
+        _update(cid, gen.standard_normal(6) * 10.0**k, round_id=k % 2)
         for k, cid in enumerate([7, 3, 9, 1, 5])
     ]
     ref = canonical_delta_sum(updates)
@@ -160,10 +157,10 @@ def test_canonical_sum_is_arrival_order_invariant():
 
 def test_canonical_sum_orders_by_version_then_id():
     # Floating-point addition is order sensitive, so pin the exact order:
-    # version ascending, then client id.
-    a = _update(5, [1e16], version=0)
-    b = _update(2, [1.0], version=1)
-    c = _update(9, [-1e16], version=0)
+    # round (model version) ascending, then client id.
+    a = _update(5, [1e16], round_id=0)
+    b = _update(2, [1.0], round_id=1)
+    c = _update(9, [-1e16], round_id=0)
     expected = (a.delta.copy() + c.delta) + b.delta  # (5,0),(9,0) then (2,1)
     np.testing.assert_array_equal(canonical_delta_sum([b, c, a]), expected)
     with pytest.raises(ValueError):
@@ -377,16 +374,6 @@ def test_aux_updates_must_arrive_in_round_order():
     )
     with pytest.raises(RuntimeError, match="out of order"):
         driver._apply_aux(rec)
-
-
-def test_events_a_driver_never_schedules_raise_runtime_error():
-    # RuntimeError, not AssertionError: the command line reports it as exit 3
-    sync = SyncRoundDriver(_StubSim(w=[0.0]), AlgoConfig("fedavg"))
-    buffered = BufferedDriver(_StubSim(w=[0.0]), AlgoConfig("fedbuff"))
-    for unexpected in (sync.on_dispatch, lambda: sync.on_aux_deadline(0),
-                       lambda: buffered.on_aux_deadline(0)):
-        with pytest.raises(RuntimeError, match="events"):
-            unexpected()
 
 
 def test_round_delta_descends_when_applied():

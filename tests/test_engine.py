@@ -14,11 +14,7 @@ from stragglersim import model, rng
 from stragglersim.algorithms import AlgoConfig
 from stragglersim.config import ExperimentConfig, ModelConfig, load_config
 from stragglersim.data import DatasetConfig, build_dataset
-from stragglersim.engine import (
-    EVENT_CLIENT_COMPLETED,
-    EventQueue,
-    Simulation,
-)
+from stragglersim.engine import EventQueue, Simulation
 from stragglersim.latency import LatencyProfile, LatencyScenario, LognormalParams
 
 
@@ -67,23 +63,26 @@ def test_queue_orders_by_time_then_insertion():
     gen = rng.stream(0, rng.VERIFY, 7)
     queue = EventQueue()
     scheduled = []
+    popped = []
     for k in range(500):
         t = float(np.round(gen.uniform(0.0, 20.0), 1))  # force plenty of ties
-        queue.schedule(t, EVENT_CLIENT_COMPLETED, k, now=0.0)
+        queue.schedule(t, popped.append, k, now=0.0)
         scheduled.append((t, k))
-    popped = []
+    times = []
     while len(queue):
-        fire_at, kind, payload = queue.pop()
-        popped.append((fire_at, payload))
-    assert popped == sorted(scheduled)  # payload k is the insertion counter
+        fire_at, handler, args = queue.pop()
+        times.append(fire_at)
+        handler(*args)
+    # k is the insertion counter
+    assert list(zip(times, popped)) == sorted(scheduled)
     assert queue.pop() is None
 
 
 def test_queue_rejects_events_in_the_past():
     queue = EventQueue()
     with pytest.raises(ValueError):
-        queue.schedule(1.0, EVENT_CLIENT_COMPLETED, None, now=2.0)
-    queue.schedule(2.0, EVENT_CLIENT_COMPLETED, None, now=2.0)  # "now" is fine
+        queue.schedule(1.0, print, now=2.0)
+    queue.schedule(2.0, print, now=2.0)  # "now" is fine
 
 
 # ---- synchronous rounds ---- #
@@ -337,7 +336,7 @@ def test_every_dispatch_is_aggregated_dropped_or_still_in_flight(algo):
     sim, _ = _run(_config(algo, budget=200), trace=False)
     in_flight = 0
     while (item := sim.queue.pop()) is not None:
-        in_flight += item[1] == EVENT_CLIENT_COMPLETED
+        in_flight += item[1] == sim.driver.on_client_completed
     c = sim.counters
     settled = (
         c["aggregated_updates"] + c["discarded_updates"] + c["late_folded"]
@@ -467,7 +466,7 @@ def test_dispatch_charges_the_work_training_does(monkeypatch, time_limit):
         return result
 
     monkeypatch.setattr(model, "local_sgd_cohort", spy)
-    updates = [sim.dispatch(sim.sample_cohort(1)[0], 0, sim.state.w) for _ in range(40)]
+    updates = [sim.dispatch(sim.sample_cohort(1)[0]) for _ in range(40)]
     sim.apply_server_update(updates[:2])
     assert trained == [
         ([u.steps_done for u in updates], [u.examples_processed for u in updates])
@@ -489,11 +488,7 @@ def test_each_update_of_a_round_owns_its_delta():
         sim = Simulation(_config(algo), trial_seed=0)
         w = sim.state.w
         teacher = w if algo.rho > 0 else None
-        anchor = w if algo.nu > 0 else None
-        updates = [
-            sim.dispatch(cid, 0, w, teacher_w=teacher, anchor=anchor)
-            for cid in sim.sample_cohort(6)
-        ]
+        updates = [sim.dispatch(cid, teacher_w=teacher) for cid in sim.sample_cohort(6)]
         assert all(u.delta is None for u in updates)
         # a server step on two of them closes version 0: every dispatch of
         # it trains, aggregated or still in flight
@@ -506,19 +501,24 @@ def test_each_update_of_a_round_owns_its_delta():
             assert not np.shares_memory(a.delta, b.delta)
 
 
-def test_a_version_trains_from_one_w_and_one_model_version():
+def test_a_version_trains_with_one_teacher_use():
+    algo = AlgoConfig("fedbuff", buffer_size=2, max_concurrency=6, eta_l=0.05, batch_size=4,
+                      rho=0.2)
+    sim = Simulation(_config(algo), trial_seed=0)
+    first, second = sim.sample_cohort(2)
+    update = sim.dispatch(first, teacher_w=sim.state.w)
+    sim.dispatch(second)
+    with pytest.raises(RuntimeError, match="does not share teacher use"):
+        sim.apply_server_update([update])
+
+
+def test_a_dispatch_is_bound_to_the_open_model_version():
     algo = AlgoConfig("fedbuff", buffer_size=2, max_concurrency=6, eta_l=0.05, batch_size=4)
-    for mismatch in ("w", "version"):
-        sim = Simulation(_config(algo), trial_seed=0)
-        first, second = sim.sample_cohort(2)
-        update = sim.dispatch(first, 0, sim.state.w)
-        if mismatch == "w":
-            sim.dispatch(second, 0, sim.state.w.copy())
-        else:
-            sim.state.t += 1
-            sim.dispatch(second, 1, sim.state.w)
-        with pytest.raises(RuntimeError, match="does not share"):
-            sim.apply_server_update([update])
+    sim = Simulation(_config(algo), trial_seed=0)
+    first = [sim.dispatch(cid) for cid in sim.sample_cohort(2)]
+    sim.apply_server_update(first)
+    (second,) = [sim.dispatch(cid) for cid in sim.sample_cohort(1)]
+    assert [u.round_id for u in first] == [0, 0] and second.round_id == sim.state.t == 1
 
 
 def test_a_run_that_ends_with_an_untrained_dispatch_raises(monkeypatch):
@@ -528,7 +528,7 @@ def test_a_run_that_ends_with_an_untrained_dispatch_raises(monkeypatch):
     def dispatch_after_the_last_step(sim, updates):
         summed = apply(sim, updates)
         if sim.budget_reached():
-            sim.dispatch(sim.sample_cohort(1)[0], -1, sim.state.w)
+            sim.dispatch(sim.sample_cohort(1)[0])
         return summed
 
     monkeypatch.setattr(Simulation, "apply_server_update", dispatch_after_the_last_step)
@@ -585,7 +585,7 @@ def test_time_limit_step_budget_formula():
     assert sim.tau_limit == 3.0
     cid = sim.dataset.shards[0].client_id
     profile = DET_PDPE.profile_for(sim.dataset.shard(cid).is_straggler)
-    update = sim.dispatch(cid, 0, sim.state.w)
+    update = sim.dispatch(cid)
     pe = math.exp(profile.per_example.mu)
     ov = math.exp(profile.overhead.mu)
     assert update.steps_done == max(1, math.floor((3.0 - ov) / (pe * 4)))
@@ -600,7 +600,7 @@ def test_time_limit_charges_at_least_one_step():
     )
     config = _config(algo, budget=4)
     sim = Simulation(config, trial_seed=0)
-    update = sim.dispatch(sim.dataset.shards[0].client_id, 0, sim.state.w)
+    update = sim.dispatch(sim.dataset.shards[0].client_id)
     assert update.steps_done == 1
     assert update.examples_processed <= 4
 
@@ -620,8 +620,8 @@ def test_teacher_download_scales_comm_factor_only():
     scaled = Simulation(_config(algo, scenario=scenario, budget=4), trial_seed=0)
     cid = base.dataset.shards[0].client_id
     profile = DET_PDPE.profile_for(base.dataset.shard(cid).is_straggler)
-    plain = base.dispatch(cid, 0, base.state.w)
-    doubled = scaled.dispatch(cid, 0, scaled.state.w, comm_scale=scaled.teacher_comm_scale())
+    plain = base.dispatch(cid)
+    doubled = scaled.dispatch(cid, comm_scale=scaled.teacher_comm_scale())
     comm = math.exp(profile.comm.mu)
     assert scaled.teacher_comm_scale() == 2.0
     assert doubled.completed_at - plain.completed_at == pytest.approx(comm, abs=1e-12)

@@ -17,6 +17,7 @@ import functools
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -131,8 +132,6 @@ def test_acceptance_simulate_logs_match_the_golden_digests(tmp_path):
 
 
 def record(path: Path = GOLDEN) -> None:
-    import tempfile
-
     variants = {
         name: {str(seed): _outcome(config, seed) for seed in SEEDS}
         for name, config in _variants().items()

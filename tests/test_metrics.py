@@ -15,7 +15,7 @@ from stragglersim.metrics import (
     write_csv,
     write_run_jsonl,
 )
-from stragglersim.model import ModelLayout
+from stragglersim.model import ModelLayout, accuracy
 
 DATA = DatasetConfig(
     n_classes=4,
@@ -92,6 +92,26 @@ def test_evaluate_accuracy_cap_limits_both_splits():
     assert capped_strag == manual_strag
     with pytest.raises(ValueError):
         evaluate_accuracy(w, layout, dataset, cap=0)
+
+
+def test_capped_straggler_rows_may_lie_beyond_the_capped_total_rows():
+    # Both splits are scored from one forward pass over the total split; the
+    # cap-th straggler row lies past the cap-th total row.
+    dataset = build_dataset(DATA, seed=0)
+    layout = ModelLayout(d_in=4, hidden=0, n_classes=4)
+    w = np.random.Generator(np.random.Philox(0)).standard_normal(layout.n_params)
+    cap = 50
+    straggler_rows = np.flatnonzero(np.isin(dataset.eval_total.labels, [0, 1]))
+    assert straggler_rows[cap - 1] >= cap
+    total, straggler = dataset.eval_total, dataset.eval_straggler
+    assert evaluate_accuracy(w, layout, dataset, cap=cap) == (
+        accuracy(w, layout, total.features[:cap], total.labels[:cap]),
+        accuracy(w, layout, straggler.features[:cap], straggler.labels[:cap]),
+    )
+    assert evaluate_accuracy(w, layout, dataset) == (
+        accuracy(w, layout, total.features, total.labels),
+        accuracy(w, layout, straggler.features, straggler.labels),
+    )
 
 
 def test_straggler_split_isolates_straggler_behavior():

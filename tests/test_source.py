@@ -2,10 +2,11 @@
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import stragglersim
-from stragglersim import engine, model
+from stragglersim import algorithms, engine, model
 
 SOURCE_DIR = Path(stragglersim.__file__).parent
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
@@ -43,3 +44,43 @@ def test_every_name_the_benchmark_tracer_patches_exists():
     finally:
         tracer.uninstall()
     assert all(o.__dict__[a] is original for o, a, original in originals)
+
+
+def _class_body(path: Path, name: str) -> ast.ClassDef:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name]
+    return cls
+
+
+def _attributes_of(tree, owner: str) -> set[str]:
+    """Every X of an `<owner>.X` expression in tree."""
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) == owner
+    }
+
+
+def test_drivers_use_only_the_declared_simulation_context():
+    # Drivers reach the engine only through self.sim. Every name they use is
+    # declared on SimContext and defined on Simulation (a method with the
+    # declared signature, or an attribute it sets), and SimContext declares
+    # nothing the drivers do not use.
+    used = _attributes_of(ast.parse((SOURCE_DIR / "algorithms.py").read_text()), "self.sim")
+    context = _class_body(SOURCE_DIR / "algorithms.py", "SimContext")
+    fields = {n.target.id for n in context.body if isinstance(n, ast.AnnAssign)}
+    methods = {n.name for n in context.body if isinstance(n, ast.FunctionDef)}
+    assert used == fields | methods, (
+        f"used, not declared: {sorted(used - fields - methods)}; "
+        f"declared, not used: {sorted((fields | methods) - used)}"
+    )
+    simulation = _class_body(SOURCE_DIR / "engine.py", "Simulation")
+    assigned = {
+        target.attr
+        for node in ast.walk(simulation) if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(target, ast.Attribute) and ast.unparse(target.value) == "self"
+    }
+    assert fields <= assigned, f"Simulation never sets {sorted(fields - assigned)}"
+    for name in sorted(methods):
+        declared = inspect.signature(getattr(algorithms.SimContext, name))
+        assert inspect.signature(getattr(engine.Simulation, name)) == declared, name
