@@ -45,8 +45,25 @@ def _acceptance(name, **changes):
 def _variants():
     fare = load_config(ACCEPTANCE_DIR / "fare_dust.json")
     feast = load_config(ACCEPTANCE_DIR / "feast.json")
+    oversel = load_config(ACCEPTANCE_DIR / "fedavg_oversel.json")
     return {
         **{name: _acceptance(name) for name in ACCEPTANCE},
+        "fedadam": _acceptance(
+            "fedavg_full",
+            algo=AlgoConfig("fedadam", eta_l=0.1, eta_g=0.03, batch_size=20, adam_eps=0.01),
+        ),
+        # a percentile time limit on a synchronous driver
+        "fedavg_oversel_time_limit": _acceptance(
+            "fedavg_oversel", algo=dataclasses.replace(oversel.algo, time_limit=True)
+        ),
+        # no over-selection: each auxiliary round is ready at its own advance
+        "feast_no_over_selection": _acceptance(
+            "feast", algo=dataclasses.replace(feast.algo, over_selection=False)
+        ),
+        # stragglers fold until the deadline, later ones are dropped
+        "feast_tau_max_120": _acceptance(
+            "feast", algo=dataclasses.replace(feast.algo, tau_max=120.0)
+        ),
         "fedbuff": _acceptance("fedavg_full", algo=AlgoConfig("fedbuff", **_CROWD)),
         "fedbuff_ema_rho_nu": _acceptance(
             "fedavg_full",
