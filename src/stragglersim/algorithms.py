@@ -9,7 +9,9 @@ schedule one of its own hooks. The engine binds every dispatch to the open
 model version (start and anchor state.w, round id state.t), records the
 work, and trains every dispatch of a version together when that version
 closes, at its server step. The engine also sums and applies the updates,
-decides which model is served, and keeps the trace.
+decides which model is served, and keeps the trace. Its update budget ends
+every run: a driver reads Simulation.budget_reached() and keeps no finished
+flag of its own.
 Conventions shared by every driver:
 
 * A client update carries delta = w_dispatched - w_final, so the server
@@ -367,7 +369,6 @@ class SyncRoundDriver:
         self.cohort_size = config.cohort_size
         self.dispatch_size = config.resolved_dispatch_size()
         self.rounds: dict[int, SyncRound] = {}
-        self.w_finished = False
 
     # -- hooks overridden by subclasses -- #
 
@@ -389,7 +390,7 @@ class SyncRoundDriver:
         self._start_round()
 
     def is_finished(self) -> bool:
-        return self.w_finished
+        return self.sim.budget_reached()
 
     def on_client_completed(self, update: ClientUpdate) -> None:
         rnd = self.rounds[update.round_id]
@@ -434,9 +435,7 @@ class SyncRoundDriver:
         for update in rnd.pending_late:
             self._handle_late(update)
         rnd.pending_late.clear()
-        if self.sim.budget_reached():
-            self.w_finished = True
-        elif not self._blocks_next_round():
+        if not self.sim.budget_reached() and not self._blocks_next_round():
             self._start_round()
 
 
@@ -472,15 +471,17 @@ class HistoryDistillationDriver(SyncRoundDriver):
 
 @dataclass
 class PendingAuxRound:
-    """One round waiting for stragglers before its auxiliary-model update."""
+    """One round waiting for stragglers before its auxiliary-model update.
+
+    delta_plus sums the deltas of its count_plus reported clients (the fast
+    cohort plus folded stragglers), applied from w_snapshot, the model the
+    round trained from. ready: the deadline passed or every client reported.
+    """
 
     round_id: int
     w_snapshot: np.ndarray
     delta_plus: np.ndarray
     count_plus: int
-    deadline: float
-    n_dispatched: int
-    n_reported: int
     ready: bool = False
 
 
@@ -511,69 +512,53 @@ class AuxTrackDriver(SyncRoundDriver):
         super().start()
 
     def is_finished(self) -> bool:
-        return self.w_finished and not self.pending
+        return self.sim.budget_reached() and not self.pending
 
     def _blocks_next_round(self) -> bool:
         return self.config.strict_sequential
 
     def _after_advance(self, rnd: SyncRound, summed: np.ndarray, w_before: np.ndarray) -> None:
-        deadline = rnd.started_at + self.config.tau_max
-        rec = PendingAuxRound(
-            round_id=rnd.round_id,
-            w_snapshot=w_before,
-            delta_plus=summed,
-            count_plus=self.cohort_size,
-            deadline=deadline,
-            n_dispatched=self.dispatch_size,
-            n_reported=self.cohort_size,
-        )
+        rec = PendingAuxRound(rnd.round_id, w_before, summed, self.cohort_size)
         self.pending[rnd.round_id] = rec
-        if not self.config.strict_sequential and rec.n_reported == rec.n_dispatched:
-            rec.ready = True
-            self._drain_ready()
+        if self._all_reported(rec):
+            self._mark_ready(rec)
         else:
             # A deadline in the past still fires "now"; queued same-time
             # completions hold earlier sequence numbers, so they fold first.
-            self.sim.schedule(max(deadline, self.sim.now), self.on_aux_deadline, rnd.round_id)
+            deadline = max(rnd.started_at + self.config.tau_max, self.sim.now)
+            self.sim.schedule(deadline, self.on_aux_deadline, rnd.round_id)
 
     def _handle_late(self, update: ClientUpdate) -> None:
         rec = self.pending.get(update.round_id)
         if rec is None or rec.ready:
             self.sim.counters["dropped_after_deadline"] += 1
             return
-        self._fold_straggler(rec, update)
-        if not self.config.strict_sequential and rec.n_reported == rec.n_dispatched:
-            rec.ready = True
-            self._drain_ready()
-
-    def _fold_straggler(self, rec: PendingAuxRound, update: ClientUpdate) -> None:
         rec.delta_plus += update.delta
         rec.count_plus += 1
-        rec.n_reported += 1
         self.sim.counters["late_folded"] += 1
+        if self._all_reported(rec):
+            self._mark_ready(rec)
+
+    def _all_reported(self, rec: PendingAuxRound) -> bool:
+        """Every dispatched client reported; a strict round waits for its deadline."""
+        return not self.config.strict_sequential and rec.count_plus == self.dispatch_size
 
     def on_aux_deadline(self, round_id: int) -> None:
         rec = self.pending.get(round_id)
-        if rec is None or rec.ready:
-            return
-        rec.ready = True
-        self._drain_ready()
+        if rec is not None and not rec.ready:
+            self._mark_ready(rec)
 
-    def _drain_ready(self) -> None:
+    def _mark_ready(self, rec: PendingAuxRound) -> None:
+        rec.ready = True
         # Later rounds can become ready before earlier ones; the auxiliary
         # update is applied strictly in round order, holding early-comers.
-        while True:
-            rec = self.pending.get(self.next_aux_round)
-            if rec is None or not rec.ready:
-                return
-            self._apply_aux(rec)
+        while (head := self.pending.get(self.next_aux_round)) is not None and head.ready:
+            self._apply_aux(head)
             del self.pending[self.next_aux_round]
             self.next_aux_round += 1
-            if self.config.strict_sequential and not self.w_finished:
-                if self.sim.budget_reached():
-                    self.w_finished = True
-                else:
-                    self._start_round()
+            # a strictly sequential run opens its next round only now
+            if self.config.strict_sequential and not self.sim.budget_reached():
+                self._start_round()
 
     def _apply_aux(self, rec: PendingAuxRound) -> None:
         if rec.round_id != self.next_aux_round:
@@ -605,31 +590,25 @@ class BufferedDriver:
         self.sim = sim
         self.config = config
         self.buffer: list[ClientUpdate] = []
-        self.finished = False
 
     def start(self) -> None:
         for _ in range(self.config.max_concurrency):
-            self._dispatch_one()
+            self.on_dispatch()
 
     def is_finished(self) -> bool:
-        return self.finished
+        return self.sim.budget_reached()
 
     def on_client_completed(self, update: ClientUpdate) -> None:
         self.buffer.append(update)
         if len(self.buffer) == self.config.buffer_size:
             self.sim.apply_server_update(self.buffer)
             self.buffer.clear()
-            if self.sim.budget_reached():
-                self.finished = True
-        if not self.finished:
+        # The run ends after this event once the budget is reached, so a
+        # queued refill never pops after it.
+        if not self.sim.budget_reached():
             self.sim.schedule(self.sim.now, self.on_dispatch)
 
     def on_dispatch(self) -> None:
-        if self.finished:
-            return
-        self._dispatch_one()
-
-    def _dispatch_one(self) -> None:
         cid = self.sim.sample_cohort(1)[0]
         self.sim.dispatch(cid, teacher_w=self.sim.state.w if self.config.rho > 0 else None)
 

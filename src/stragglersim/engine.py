@@ -26,15 +26,19 @@ client whose local SGD leaves non-finite weights raises FloatingPointError
 naming the client, the round and the virtual time of its dispatch.
 
 A client is busy until its completion fires and is excluded from cohort
-sampling in the meantime (allow_busy_reuse lifts this). The run terminates
-once the number of aggregated client updates reaches the budget; the total
-virtual time is the time of the last event that affected the output model.
+sampling in the meantime (allow_busy_reuse lifts this). The run ends at the
+server step that brings the aggregated client updates to the budget, except
+that feast first applies its open auxiliary rounds; the total virtual time
+is the time of the last event that affected the output model. The driver
+and the queued evaluations hold the engine only weakly, so reference
+counting frees a finished run.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -190,8 +194,8 @@ class Simulation:
             )
         self._cohort_gen = rng.stream(trial_seed, rng.COHORT)
         self._teacher_gen = rng.stream(trial_seed, rng.TEACHER)
-        self._latency_gens: dict[int, np.random.Generator] = {}
-        self._shuffle_gens: dict[int, np.random.Generator] = {}
+        # (purpose, client id) -> that client's stream, made on first use
+        self._client_gens: dict[tuple[int, int], np.random.Generator] = {}
         # dispatches of the open model version, trained when it closes
         self._pending: list[tuple] = []
 
@@ -206,12 +210,11 @@ class Simulation:
         self._sgd_args = dict(
             eta_l=self.algo.eta_l,
             batch_size=self.algo.batch_size,
-            epochs=None if self.tau_limit is not None else self.algo.epochs,
             distill_loss=config.model.distill_loss,
             distill_temperature=config.model.distill_temperature,
         )
 
-        self.driver = make_driver(self, self.algo)
+        self.driver = make_driver(weakref.proxy(self), self.algo)
 
     # -- context interface used by drivers -- #
 
@@ -246,7 +249,7 @@ class Simulation:
             raise RuntimeError(f"client {client_id} dispatched while busy")
         shard = self.dataset.shard(client_id)
         factors = latency.sample_client_latency(
-            self.scenario.profile_for(shard.is_straggler), self._latency_gen(client_id)
+            self.scenario.profile_for(shard.is_straggler), self._client_gen(rng.LATENCY, client_id)
         )
         n, b = shard.n_examples, self.algo.batch_size
         per_epoch = -(-n // b)
@@ -276,7 +279,7 @@ class Simulation:
         if self.trace:
             members = ((update.round_id, client_id),)
             self.events.append(TraceEvent("dispatch", self.now, members, update.completed_at))
-        self._pending.append((update, shard, steps, teacher_w))
+        self._pending.append((update, teacher_w))
         return update
 
     def apply_server_update(self, updates: list[ClientUpdate]) -> np.ndarray:
@@ -294,7 +297,7 @@ class Simulation:
             members = tuple(sorted((u.round_id, u.client_id) for u in updates))
             self.events.append(TraceEvent("aggregate", self.now, members, w=self.state.w.copy()))
         if self.state.t % self.config.eval_every == 0:
-            self.schedule(self.now, self._eval_record, self.now)
+            self.schedule(self.now, Simulation._eval_record, weakref.proxy(self), self.now)
         return summed
 
     def publish_aux(self, aux: np.ndarray) -> None:
@@ -326,10 +329,11 @@ class Simulation:
     def _train_group(self, group: list[tuple]) -> None:
         """Train the dispatches of the open model version in one stacked call
         and set each update's delta. group holds dispatch's records:
-        (update, shard, steps, teacher_w). The server step that closes the
-        version rebinds state.w only after this, so state.w is the version's
-        start."""
-        updates, shards, steps, teachers = zip(*group)
+        (update, teacher_w); each update trains for the steps its dispatch
+        charged. The server step that closes the version rebinds state.w only
+        after this, so state.w is the version's start."""
+        updates, teachers = zip(*group)
+        shards = [self.dataset.shard(u.client_id) for u in updates]
         distill = teachers[0] is not None
         for u, teacher in zip(updates, teachers):
             if (teacher is not None) != distill:
@@ -344,8 +348,8 @@ class Simulation:
                 self.layout,
                 [shard.features for shard in shards],
                 [shard.labels for shard in shards],
-                steps=None if self.tau_limit is None else list(steps),
-                gens=[self._shuffle_gen(u.client_id) for u in updates],
+                steps=[u.steps_done for u in updates],
+                gens=[self._client_gen(rng.SHUFFLE, u.client_id) for u in updates],
                 rho=self.algo.rho if distill else 0.0,
                 nu=self.algo.nu,
                 teacher_ws=teachers if distill else None,
@@ -363,18 +367,11 @@ class Simulation:
         for u, w_i in zip(updates, w_final):
             u.delta = w - w_i
 
-    def _latency_gen(self, client_id: int) -> np.random.Generator:
-        gen = self._latency_gens.get(client_id)
+    def _client_gen(self, purpose: int, client_id: int) -> np.random.Generator:
+        key = (purpose, client_id)
+        gen = self._client_gens.get(key)
         if gen is None:
-            gen = rng.stream(self.trial_seed, rng.LATENCY, client_id)
-            self._latency_gens[client_id] = gen
-        return gen
-
-    def _shuffle_gen(self, client_id: int) -> np.random.Generator:
-        gen = self._shuffle_gens.get(client_id)
-        if gen is None:
-            gen = rng.stream(self.trial_seed, rng.SHUFFLE, client_id)
-            self._shuffle_gens[client_id] = gen
+            gen = self._client_gens[key] = rng.stream(self.trial_seed, *key)
         return gen
 
     def _monte_carlo_time_limit(self, draws_per_client: int = 50) -> float:

@@ -349,9 +349,6 @@ def test_aux_update_matches_hand_computation():
         w_snapshot=np.array([0.5, 2.0]),
         delta_plus=np.array([2.0, 4.0]),
         count_plus=2,
-        deadline=10.0,
-        n_dispatched=2,
-        n_reported=2,
     )
     driver._apply_aux(rec)
     np.testing.assert_allclose(sim.state.aux, [-0.25, -0.5], atol=1e-15)
@@ -368,9 +365,6 @@ def test_aux_updates_must_arrive_in_round_order():
         w_snapshot=np.zeros(1),
         delta_plus=np.zeros(1),
         count_plus=1,
-        deadline=0.0,
-        n_dispatched=1,
-        n_reported=1,
     )
     with pytest.raises(RuntimeError, match="out of order"):
         driver._apply_aux(rec)

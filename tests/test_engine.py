@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import gc
 import itertools
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +346,36 @@ def test_every_dispatch_is_aggregated_dropped_or_still_in_flight(algo):
     )
     assert c["dispatches"] == settled + in_flight
     assert in_flight > 0
+
+
+@pytest.mark.parametrize(
+    "algo, eval_every",
+    [
+        (AlgoConfig("fedavg", cohort_size=4, **_SMALL_STEP), 10),
+        (AlgoConfig("fedavg", **_OVERSEL), 10),
+        (AlgoConfig("fedadam", eta_g=0.05, **_OVERSEL), 10),
+        (AlgoConfig("fare_dust", rho=0.1, history_k=2, **_OVERSEL), 10),
+        (AlgoConfig("feast", tau_max=15.0, **_OVERSEL), 10),
+        (AlgoConfig("fedbuff", buffer_size=3, max_concurrency=6, **_SMALL_STEP), 10),
+        (AlgoConfig("fare_dust", rho=0.1, **_OVERSEL), 1),
+    ],
+    ids=["fedavg", "fedavg_oversel", "fedadam", "fare_dust", "feast", "fedbuff", "eval_every_1"],
+)
+def test_a_finished_trial_is_freed_without_the_cycle_collector(algo, eval_every):
+    # Reference counting alone must free a dropped trial, with its queue of
+    # in-flight updates and any evaluation left queued after the last step.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulation(_config(algo, budget=40, eval_every=eval_every), trial_seed=0)
+        sim.run()
+        assert sim.driver.is_finished() and sim.queue.pop() is not None
+        freed = weakref.ref(sim)
+        del sim
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---- lockstep equivalence of buffered and synchronous aggregation ---- #
