@@ -10,8 +10,9 @@ Subcommands:
   data-report     per-client and per-class tables of the generated dataset
 
 Exit codes: 0 success, 1 failed verification, 2 bad input (missing file,
-malformed or unknown config keys, wrong-typed values, cohorts larger than the
-dataset), 3 a trial failed at run time (RuntimeError or FloatingPointError).
+malformed or unknown config keys, wrong-typed values, negative seeds, a count
+flag below 1, cohorts larger than the dataset), 3 a trial failed at run time
+(RuntimeError or FloatingPointError).
 
 Trial seeds are base_seed + trial_index. --jobs (or STRAGGLERSIM_JOBS) runs
 trials in separate processes; each trial writes its own file, so outputs are
@@ -43,6 +44,18 @@ from .data import build_dataset, class_report_rows, shard_report_rows, total_exa
 from .engine import Simulation
 from .latency import latency_percentiles
 from .verify import CHECKS, run_suite
+
+
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than low."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
 
 
 def _resolve_jobs(arg_jobs: int | None) -> int:
@@ -334,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one experiment's trials")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override base seed")
-    p.add_argument("--trials", type=int, default=None, help="override trial count")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override base seed")
+    p.add_argument("--trials", type=_int_at_least(1), default=None, help="override trial count")
     p.add_argument("--jobs", type=int, default=None, help="parallel worker processes")
     p.set_defaults(func=cmd_simulate)
 
@@ -349,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="all, gap_recursion, gap_zero_mean, local_grad_norm, "
                         "gap_norm_bound, or stationarity_schedule")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_verify)
 
@@ -364,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("latency-report", help="latency percentiles by client group")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="CSV path")
-    p.add_argument("--draws", type=int, default=1_000_000, help="total Monte Carlo draws")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--draws", type=_int_at_least(1), default=1_000_000,
+                   help="total Monte Carlo draws")
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_latency_report)
 
     p = sub.add_parser("data-report", help="dataset composition tables")

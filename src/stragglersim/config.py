@@ -81,6 +81,9 @@ class ExperimentConfig:
             raise ValueError(f"eval_cap must be >= 1, got {self.eval_cap}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        for name in ("base_seed", "data_seed"):
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         try:
             self.layout()
         except ValueError as exc:

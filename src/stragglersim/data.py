@@ -156,9 +156,10 @@ def generate_synthetic(config: DatasetConfig, seed: int) -> list[ClientShard]:
     alphas = config.concentration * mixture
     client_mixtures = mix_gen.dirichlet(alphas, size=config.m_clients)
 
+    keys = rng.stream_keys(seed, rng.DATA, 3, ids=range(config.m_clients))
     shards = []
     for client_id in range(config.m_clients):
-        ex_gen = rng.stream(seed, rng.DATA, 3, client_id)
+        ex_gen = rng.stream_from_key(keys[client_id])
         labels = ex_gen.choice(config.n_classes, size=sizes[client_id], p=client_mixtures[client_id])
         noise = ex_gen.standard_normal((sizes[client_id], config.d_in))
         features = centers[labels] + config.cluster_spread * noise

@@ -26,12 +26,14 @@ client whose local SGD leaves non-finite weights raises FloatingPointError
 naming the client, the round and the virtual time of its dispatch.
 
 A client is busy until its completion fires and is excluded from cohort
-sampling in the meantime (allow_busy_reuse lifts this). The run ends at the
-server step that brings the aggregated client updates to the budget, except
-that feast first applies its open auxiliary rounds; the total virtual time
-is the time of the last event that affected the output model. The driver
-and the queued evaluations hold the engine only weakly, so reference
-counting frees a finished run.
+sampling in the meantime (allow_busy_reuse lifts this). The busy-until table
+spans all m_clients ids and a dropped shard's id is busy forever, so the idle
+pool is one comparison. Client streams come from key tables (rng.stream_keys).
+The run ends at the server step that brings the aggregated client updates to
+the budget, except that feast first applies its open auxiliary rounds; the
+total virtual time is the time of the last event that affected the output
+model. The driver and the queued evaluations hold the engine only weakly, so
+reference counting frees a finished run.
 """
 
 from __future__ import annotations
@@ -178,8 +180,11 @@ class Simulation:
         self.records: list[MetricsRecord] = []
         self.events: list[TraceEvent] = []
         self.last_model_event = 0.0
-        self._busy_until = np.zeros(config.dataset.m_clients)
+        all_ids = range(config.dataset.m_clients)
         self._client_ids = np.array([s.client_id for s in self.dataset.shards], dtype=np.int64)
+        # an id without a shard is never idle
+        self._busy_until = np.full(len(all_ids), np.inf)
+        self._busy_until[self._client_ids] = 0.0
         # a sync round draws distinct clients even with busy reuse; a fedbuff refill draws one
         if self.algo.name != "fedbuff":
             size = self.algo.resolved_dispatch_size()
@@ -194,7 +199,9 @@ class Simulation:
             )
         self._cohort_gen = rng.stream(trial_seed, rng.COHORT)
         self._teacher_gen = rng.stream(trial_seed, rng.TEACHER)
-        # (purpose, client id) -> that client's stream, made on first use
+        # (purpose, client id) -> that client's stream, made on first use from its key row
+        purposes = (rng.LATENCY, rng.SHUFFLE)
+        self._client_keys = {p: rng.stream_keys(trial_seed, p, ids=all_ids) for p in purposes}
         self._client_gens: dict[tuple[int, int], np.random.Generator] = {}
         # dispatches of the open model version, trained when it closes
         self._pending: list[tuple] = []
@@ -221,8 +228,8 @@ class Simulation:
     def sample_cohort(self, k: int) -> list[int]:
         """k sequential uniform picks without replacement from the id-sorted
         idle pool; one index draw per slot."""
-        ids = self._client_ids
-        pool = ids if self.algo.allow_busy_reuse else ids[self._busy_until[ids] <= self.now]
+        reuse = self.algo.allow_busy_reuse
+        pool = self._client_ids if reuse else np.flatnonzero(self._busy_until <= self.now)
         if k > len(pool):
             raise RuntimeError(
                 f"cohort of {k} requested at t={self.now:.3f} but only "
@@ -371,7 +378,7 @@ class Simulation:
         key = (purpose, client_id)
         gen = self._client_gens.get(key)
         if gen is None:
-            gen = self._client_gens[key] = rng.stream(self.trial_seed, *key)
+            gen = self._client_gens[key] = rng.stream_from_key(self._client_keys[purpose][client_id])
         return gen
 
     def _monte_carlo_time_limit(self, draws_per_client: int = 50) -> float:

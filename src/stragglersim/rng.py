@@ -8,6 +8,10 @@ another (say, a client's latency). Two configurations that dispatch the
 same clients in the same order therefore see identical latency and
 shuffle sequences, which is what makes trajectory-equality checks between
 algorithm reductions exact.
+
+A family of per-id streams, such as one per client, need not build a
+SeedSequence per id (about 20 us): stream_keys hashes a whole id array into
+the keys that stream derives, and stream_from_key builds one id's generator.
 """
 
 from __future__ import annotations
@@ -40,3 +44,55 @@ def stream(seed: int, purpose: int, *ids: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(purpose, *ids))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# SeedSequence's pool size and hash constants (numpy/random/bit_generator.pyx)
+_POOL, _M32 = 4, 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash(words: np.ndarray, init: int, mult: int, calls: int) -> np.ndarray:
+    """SeedSequence's hash, once per pool word: row j hashes words with the
+    constant that init reaches after calls + j multiplications by mult."""
+    c = np.array([init * pow(mult, calls + j, 2**32) & _M32 for j in range(_POOL + 1)], np.uint32)
+    words = (words ^ c[:-1, None]) * c[1:, None]
+    return words ^ words >> 16
+
+
+def stream_keys(seed: int, purpose: int, *prefix: int, ids) -> np.ndarray:
+    """A (len(ids), 2) uint64 array: row i is the Philox key of
+    stream(seed, purpose, *prefix, ids[i]).
+
+    Every id shares the SeedSequence pool of (seed, purpose, *prefix), since
+    the id is the last word mixed in; it is mixed in over the whole array at
+    once and the pool hashed into a key as generate_state(2, uint64) does.
+    """
+    ids = np.asarray(ids)
+    if ids.size and not (0 <= ids.min() and ids.max() <= _M32):
+        raise ValueError(f"stream ids must be in [0, 2**32), got {ids.min()}..{ids.max()}")
+    shared = np.random.SeedSequence(entropy=seed, spawn_key=(purpose, *prefix)).pool
+    # Each uint32 word mixed so far (the seed, padded to the pool size, then
+    # the spawn key) made one hash call per pool word.
+    n_words = [max(int(k).bit_length() + 31, 32) // 32 for k in (seed, purpose, *prefix)]
+    calls = _POOL * (max(_POOL, n_words[0]) + sum(n_words[1:]))
+    hashed = _hash(ids.astype(np.uint32), _INIT_A, _MULT_A, calls)
+    pool = shared[:, None] * np.uint32(_MIX_L) - hashed * np.uint32(_MIX_R)
+    state = _hash(pool ^ pool >> 16, _INIT_B, _MULT_B, 0).astype(np.uint64)
+    # generate_state joins the four words into two as little-endian pairs
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+class _Key(np.random.bit_generator.ISeedSequence):
+    """Hands Philox one precomputed key."""
+
+    def __init__(self, key: np.ndarray) -> None:
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.key
+
+
+def stream_from_key(key: np.ndarray) -> np.random.Generator:
+    """The generator stream() gives for the ids of one stream_keys row."""
+    return np.random.Generator(np.random.Philox(_Key(key)))

@@ -232,6 +232,11 @@ class CheckReport:
         }
 
 
+# The round schedule the gap checks share: 2 of 4 dispatched clients are fast,
+# 4 local steps each, beta = B / B_plus.
+_GAP_SCHEDULE = dict(B=2, B_plus=4, T_l=4, eta_g=1.0, eta_l=0.05, eta_a=1.0, beta=0.5)
+
+
 def closed_form_gap(trace: GapTrace, t_next: int) -> np.ndarray:
     """a_{t+1} - w_{t+1} recomputed from logged deltas:
 
@@ -263,19 +268,9 @@ def check_gap_recursion(
     start = time.monotonic()
     quad = make_quad_set(8, 32, sigma_l=0.2, grad_clip=5.0, seed=base_seed)
     worst = 0.0
+    schedule = {**_GAP_SCHEDULE, "B": B, "B_plus": B_plus}
     for s in range(n_seeds):
-        trace = run_gap_trace(
-            quad,
-            T=T,
-            B=B,
-            B_plus=B_plus,
-            T_l=4,
-            eta_g=1.0,
-            eta_l=0.05,
-            eta_a=1.0,
-            beta=0.5,
-            seed=base_seed + 1 + s,
-        )
+        trace = run_gap_trace(quad, T=T, seed=base_seed + 1 + s, **schedule)
         for t_next in range(1, T + 1):
             lhs = trace.gap(t_next)
             rhs = closed_form_gap(trace, t_next)
@@ -306,19 +301,7 @@ def check_gap_zero_mean(
     quad = make_quad_set(8, d, sigma_l=0.2, grad_clip=5.0, seed=base_seed)
     gaps = np.empty((n_seeds, d))
     for s in range(n_seeds):
-        trace = run_gap_trace(
-            quad,
-            T=T,
-            B=2,
-            B_plus=4,
-            T_l=4,
-            eta_g=1.0,
-            eta_l=0.05,
-            eta_a=1.0,
-            beta=0.5,
-            seed=base_seed + 1 + s,
-        )
-        gaps[s] = trace.gap(T)
+        gaps[s] = run_gap_trace(quad, T=T, seed=base_seed + 1 + s, **_GAP_SCHEDULE).gap(T)
     mean = gaps.mean(axis=0)
     se = gaps.std(axis=0, ddof=1) / math.sqrt(n_seeds)
     within = np.abs(mean) <= 3.0 * se + 1e-15
@@ -393,31 +376,15 @@ def check_gap_norm_bound(
     every logged round."""
     start = time.monotonic()
     sigma_l, clip = 0.5, 2.0
-    B, B_plus, T_l = 2, 4, 4
-    eta_g, eta_l, eta_a = 1.0, 0.05, 1.0
-    beta = B / B_plus
     quad = make_quad_set(8, 64, sigma_l=sigma_l, grad_clip=clip, seed=base_seed)
     sq_gaps = np.empty((n_seeds, T))
     for s in range(n_seeds):
-        trace = run_gap_trace(
-            quad,
-            T=T,
-            B=B,
-            B_plus=B_plus,
-            T_l=T_l,
-            eta_g=eta_g,
-            eta_l=eta_l,
-            eta_a=eta_a,
-            beta=beta,
-            seed=base_seed + 1 + s,
-        )
+        trace = run_gap_trace(quad, T=T, seed=base_seed + 1 + s, **_GAP_SCHEDULE)
         for t in range(1, T + 1):
             gap = trace.gap(t)
             sq_gaps[s, t - 1] = float(gap @ gap)
-    bound = gap_norm_bound(
-        eta_g=eta_g, eta_l=eta_l, T_l=T_l, beta=beta, B=B, B_plus=B_plus,
-        sigma_l=sigma_l, G=clip,
-    )
+    schedule = {k: v for k, v in _GAP_SCHEDULE.items() if k != "eta_a"}
+    bound = gap_norm_bound(sigma_l=sigma_l, G=clip, **schedule)
     mean_t = sq_gaps.mean(axis=0)
     se_t = sq_gaps.std(axis=0, ddof=1) / math.sqrt(n_seeds)
     upper = mean_t + 3.0 * se_t
@@ -427,7 +394,7 @@ def check_gap_norm_bound(
         passed=bool((upper <= bound).all()),
         measured={"worst_mean_plus_3se": worst, "max_mean": float(mean_t.max())},
         bound={"gap_sq_bound": bound},
-        detail=f"{n_seeds} seeds x {T} rounds, beta=B/B_plus={beta}",
+        detail=f"{n_seeds} seeds x {T} rounds, beta=B/B_plus={_GAP_SCHEDULE['beta']}",
         elapsed_s=time.monotonic() - start,
     )
 

@@ -472,6 +472,38 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "namee" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("base_seed", -1), ("data_seed", -3)])
+def test_negative_seeds_in_a_config_exit_2(tmp_path, capsys, field, value):
+    config_path = _write_config(tmp_path, _payload(**{field: value}))
+    assert cli.main(["simulate", "--config", str(config_path), "--out",
+                     str(tmp_path / "o")]) == 2
+    assert f"config.json: {field} must be >= 0, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("simulate", "--seed", "-1"),
+        ("simulate", "--trials", "0"),
+        ("verify", "--seed", "-1"),
+        ("latency-report", "--seed", "-1"),
+        ("latency-report", "--draws", "0"),
+    ],
+)
+def test_negative_seed_and_non_positive_count_flags_exit_2(
+    tmp_path, capsys, command, flag, value
+):
+    argv = [command, flag, value]
+    if command != "verify":
+        config_path = _write_config(tmp_path, _payload())
+        argv += ["--config", str(config_path), "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_single_check_passes(tmp_path, capsys):
     out = tmp_path / "verify.json"
     rc = cli.main(["verify", "--suite", "gap_recursion", "--out", str(out)])

@@ -240,6 +240,30 @@ def test_sample_cohort_matches_the_id_sorted_scan(reuse):
             sim.sample_cohort(1)
 
 
+def test_client_streams_and_idle_pool_skip_nothing_but_dropped_shards():
+    # Every client's latency and shuffle streams start where rng.stream
+    # starts them; an id whose shard was dropped is never in the idle pool.
+    dataset = dataclasses.replace(SMALL_DATA, median_shard_size=2.0, n_straggler_clients=6)
+    algo = AlgoConfig("fedbuff", buffer_size=3, max_concurrency=5, eta_l=0.05, batch_size=4)
+    config = _config(algo, dataset=dataset, budget=60)
+    sim = Simulation(config, trial_seed=11, trace=True)
+    dropped = set(sim.dataset.dropped_clients)
+    shard_ids = [shard.client_id for shard in sim.dataset.shards]
+    assert dropped and len(shard_ids) + len(dropped) == dataset.m_clients
+    for client_id in shard_ids:
+        for purpose in (rng.LATENCY, rng.SHUFFLE):
+            gen = copy.deepcopy(sim._client_gen(purpose, client_id))
+            reference = rng.stream(11, purpose, client_id)
+            assert repr(gen.bit_generator.state) == repr(reference.bit_generator.state)
+            np.testing.assert_array_equal(gen.standard_normal(3), reference.standard_normal(3))
+    assert sorted(sim.sample_cohort(len(shard_ids))) == shard_ids
+    with pytest.raises(RuntimeError, match=f"only {len(shard_ids)} clients are idle"):
+        sim.sample_cohort(len(shard_ids) + 1)
+    sim.run()
+    dispatched = {cid for e in sim.events if e.kind == "dispatch" for _, cid in e.members}
+    assert dispatched and not dispatched & dropped
+
+
 def test_run_is_deterministic_in_the_trial_seed():
     algo = AlgoConfig("fedavg", cohort_size=5, over_selection=True, eta_l=0.05, batch_size=4)
     config = _config(algo, budget=30, eval_every=2)

@@ -1,5 +1,8 @@
 """Tests for the named random-stream layout."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -74,3 +77,51 @@ def test_extra_ids_extend_the_key():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         rng.stream(-1, rng.INIT)
+
+
+# Seeds of one to five uint32 words, so the padded seed fills or overflows the
+# SeedSequence pool; prefixes of one to three words; ids across 32 bits.
+_KEY_SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 1)
+_KEY_PREFIXES = ((rng.LATENCY,), (rng.SHUFFLE,), (rng.DATA, 3), (rng.VERIFY, 2, 9))
+_KEY_IDS = (0, 1, 2, 3, 17, 999, 12345, 2**31, 2**32 - 1)
+
+
+@pytest.mark.parametrize("prefix", _KEY_PREFIXES, ids=str)
+@pytest.mark.parametrize("seed", _KEY_SEEDS)
+def test_key_table_rows_are_the_keys_and_draws_of_stream(seed, prefix):
+    keys = rng.stream_keys(seed, *prefix, ids=_KEY_IDS)
+    assert keys.shape == (len(_KEY_IDS), 2)
+    assert keys.dtype == np.uint64
+    for row, client_id in zip(keys, _KEY_IDS):
+        reference = rng.stream(seed, *prefix, client_id)
+        np.testing.assert_array_equal(row, reference.bit_generator.state["state"]["key"])
+        gen = rng.stream_from_key(row)
+        np.testing.assert_array_equal(gen.standard_normal(5), reference.standard_normal(5))
+        np.testing.assert_array_equal(gen.permutation(11), reference.permutation(11))
+        np.testing.assert_array_equal(
+            gen.integers(1000, size=6), reference.integers(1000, size=6)
+        )
+
+
+def test_key_table_of_no_ids_is_empty():
+    assert rng.stream_keys(3, rng.LATENCY, ids=[]).shape == (0, 2)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**32])
+def test_key_table_rejects_ids_outside_32_bits(bad):
+    with pytest.raises(ValueError, match="ids must be in"):
+        rng.stream_keys(0, rng.LATENCY, ids=[0, bad])
+
+
+def test_key_table_rejects_negative_seed():
+    with pytest.raises(ValueError):
+        rng.stream_keys(-1, rng.LATENCY, ids=[0])
+
+
+def test_keyed_stream_copies_and_pickles_mid_stream():
+    gen = rng.stream_from_key(rng.stream_keys(4, rng.SHUFFLE, ids=[6])[0])
+    gen.standard_normal(3)
+    copied, unpickled = copy.deepcopy(gen), pickle.loads(pickle.dumps(gen))
+    expected = gen.standard_normal(4)
+    np.testing.assert_array_equal(copied.standard_normal(4), expected)
+    np.testing.assert_array_equal(unpickled.standard_normal(4), expected)

@@ -22,6 +22,22 @@ def test_no_assert_statements_in_package_source():
     assert not found, f"assert statements in package source: {found}"
 
 
+def test_no_stream_is_made_per_id_in_a_loop():
+    # A SeedSequence costs about 20 us; a family of per-id streams comes from
+    # one key table (rng.stream_keys), so rng.stream is never called in a loop.
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = set()
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found |= {
+            f"{path.name}:{node.lineno}"
+            for loop in ast.walk(tree) if isinstance(loop, loops)
+            for node in ast.walk(loop)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "rng.stream"
+        }
+    assert not found, f"rng.stream called in a loop: {sorted(found)}"
+
+
 def test_every_name_the_benchmark_tracer_patches_exists():
     # The tracer patches owner.__dict__[attr] from outside the package, so a
     # renamed or deleted target would only break a traced benchmark run.
