@@ -87,6 +87,14 @@ def _variants():
             eval_every=5,
             eval_cap=3000,
         ),
+        # full-size evaluation after every server step, MLP and linear
+        "fare_dust_mlp64_eval_every_1": _acceptance(
+            "fare_dust",
+            model=dataclasses.replace(fare.model, hidden=64),
+            eval_every=1,
+            eval_cap=16000,
+        ),
+        "fedavg_full_eval_every_1": _acceptance("fedavg_full", eval_every=1),
     }
 
 
