@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed verification, 2 bad input (missing file,
 malformed or unknown config keys, wrong-typed values, negative seeds, a count
-flag below 1, cohorts larger than the dataset), 3 a trial failed at run time
-(RuntimeError or FloatingPointError).
+flag or STRAGGLERSIM_JOBS below 1, cohorts larger than the dataset), 3 a trial
+failed at run time (RuntimeError or FloatingPointError).
 
 Trial seeds are base_seed + trial_index. --jobs (or STRAGGLERSIM_JOBS) runs
 trials in separate processes; each trial writes its own file, so outputs are
@@ -60,14 +60,14 @@ def _int_at_least(low: int):
 
 def _resolve_jobs(arg_jobs: int | None) -> int:
     if arg_jobs is not None:
-        return max(1, arg_jobs)
+        return arg_jobs
     env = os.environ.get("STRAGGLERSIM_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"STRAGGLERSIM_JOBS={env!r} is not an integer") from exc
-    return 1
+    if not env:
+        return 1
+    try:
+        return _int_at_least(1)(env)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(f"STRAGGLERSIM_JOBS={env!r} is not an integer >= 1") from exc
 
 
 def _run_trial_to_file(config: ExperimentConfig, seed: int, out_path: str) -> str:
@@ -349,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=_int_at_least(0), default=None, help="override base seed")
     p.add_argument("--trials", type=_int_at_least(1), default=None, help="override trial count")
-    p.add_argument("--jobs", type=int, default=None, help="parallel worker processes")
+    p.add_argument("--jobs", type=_int_at_least(1), default=None, help="parallel worker processes")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="grid-sweep parameters over a base config")
     p.add_argument("--config", required=True, help="sweep config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=None, help="parallel worker processes")
+    p.add_argument("--jobs", type=_int_at_least(1), default=None, help="parallel worker processes")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="numerical verification suite")

@@ -16,6 +16,8 @@ Training has one loop, local_sgd_cohort: the clients of one model version
 start from the same weights and train as one stacked computation over a
 private gradient kernel without checks or loss values; local_sgd is its
 one-client form. The weights are checked for finiteness once, at the end.
+Forward and backward passes write only into arrays they allocate, in place
+after each matmul, never into the weights, features or teachers passed in.
 """
 
 from __future__ import annotations
@@ -96,13 +98,22 @@ def _unpack_mlp(w: np.ndarray, layout: ModelLayout):
 
 def _forward(w: np.ndarray, layout: ModelLayout, x: np.ndarray):
     """Returns (logits, hidden_activations_or_None) for a batch x (n, d_in)
-    under w (P,), or for stacked batches x (B, n, d_in) under w (B, P)."""
+    under w (P,), or for stacked batches x (B, n, d_in) under w (B, P).
+
+    Each step after a matmul works in place on the array that matmul made,
+    never on w or x, so a pass holds one (n, hidden) and one (n, c) array."""
     if layout.hidden == 0:
         weight, bias = _unpack_linear(w, layout)
-        return x @ weight + bias, None
+        logits = x @ weight
+        logits += bias
+        return logits, None
     w1, b1, w2, b2 = _unpack_mlp(w, layout)
-    hidden = np.tanh(x @ w1 + b1)
-    return hidden @ w2 + b2, hidden
+    hidden = x @ w1
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ w2
+    logits += b2
+    return logits, hidden
 
 
 def forward_logits(w: np.ndarray, layout: ModelLayout, x: np.ndarray) -> np.ndarray:
@@ -133,7 +144,7 @@ def _backward(
     w: np.ndarray, layout: ModelLayout, x: np.ndarray, hidden, dlogits: np.ndarray
 ) -> np.ndarray:
     """Gradient of a scalar loss wrt w given d(loss)/d(logits); the leading
-    axes broadcast as in _forward."""
+    axes broadcast as in _forward. Writes only into arrays it allocates."""
     grad = np.empty_like(w)
     lead = w.shape[:-1]
     x_t = x.swapaxes(-1, -2)
@@ -145,7 +156,9 @@ def _backward(
     w1, b1, w2, b2 = _unpack_mlp(w, layout)
     d, h, c = layout.d_in, layout.hidden, layout.n_classes
     dhidden = dlogits @ w2.swapaxes(-1, -2)
-    dpre = dhidden * (1.0 - hidden * hidden)
+    dpre = hidden * hidden
+    np.subtract(1.0, dpre, out=dpre)
+    dpre *= dhidden
     i = 0
     grad[..., i : i + d * h] = (x_t @ dpre).reshape(lead + (d * h,))
     i += d * h
@@ -296,7 +309,7 @@ def _sgd_grad(
     rows[np.arange(len(rows)), y.ravel()] -= 1.0
     dlogits = probs / n
     if rho > 0:
-        dlogits = dlogits + pull
+        dlogits += pull
     grad = _backward(w, layout, x, hidden, dlogits)
     if nu > 0:
         grad += nu * (w - anchor)

@@ -485,6 +485,9 @@ def test_negative_seeds_in_a_config_exit_2(tmp_path, capsys, field, value):
     [
         ("simulate", "--seed", "-1"),
         ("simulate", "--trials", "0"),
+        ("simulate", "--jobs", "0"),
+        ("simulate", "--jobs", "-3"),
+        ("sweep", "--jobs", "0"),
         ("verify", "--seed", "-1"),
         ("latency-report", "--seed", "-1"),
         ("latency-report", "--draws", "0"),
@@ -502,6 +505,16 @@ def test_negative_seed_and_non_positive_count_flags_exit_2(
     assert excinfo.value.code == 2
     assert f"argument {flag}: must be >= " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_jobs_environment_exits_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("STRAGGLERSIM_JOBS", value)
+    config_path = _write_config(tmp_path, _payload())
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"STRAGGLERSIM_JOBS={value!r} is not an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_single_check_passes(tmp_path, capsys):

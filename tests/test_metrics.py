@@ -1,6 +1,7 @@
 """Tests for accuracy evaluation, trial summaries, and run logs."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from stragglersim.metrics import (
     write_csv,
     write_run_jsonl,
 )
-from stragglersim.model import ModelLayout, accuracy
+from stragglersim.model import ModelLayout, accuracy, init_params
 
 DATA = DatasetConfig(
     n_classes=4,
@@ -145,6 +146,27 @@ def test_straggler_split_isolates_straggler_behavior():
         (preds[clean_mask] == dataset.eval_total.labels[clean_mask]).mean()
     )
     assert total_b * n_total == pytest.approx(clean_acc * (n_total - n_strag), abs=1e-9)
+
+
+def test_evaluation_holds_one_hidden_and_one_logits_array():
+    # A full-size MLP evaluation allocates the (n, hidden) activations and
+    # the (n, n_classes) logits once each and nothing else of that size.
+    config = DatasetConfig(n_classes=10, d_in=32, m_clients=10, median_shard_size=10.0,
+                           straggler_classes=(0, 1, 2, 3, 4), n_straggler_clients=3,
+                           eval_size=16000)
+    dataset = build_dataset(config, seed=0)
+    layout = ModelLayout(d_in=32, hidden=64, n_classes=10)
+    w = init_params(layout, np.random.Generator(np.random.Philox(0)), scale=0.3)
+    n = len(dataset.eval_total)
+    assert n == 16000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evaluate_accuracy(w, layout, dataset)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * n * (layout.hidden + layout.n_classes) * 8, peak
 
 
 def test_run_jsonl_round_trip(tmp_path):

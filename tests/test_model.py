@@ -7,6 +7,10 @@ from stragglersim import rng
 from stragglersim.model import (
     ModelLayout,
     TrainingDiverged,
+    _forward,
+    _sgd_grad,
+    _unpack_linear,
+    _unpack_mlp,
     accuracy,
     forward_logits,
     init_params,
@@ -369,6 +373,62 @@ def test_divergence_names_the_cohort_member():
     with pytest.raises(FloatingPointError):
         local_sgd(w0, layout, xs[2], ys[2], gen=rng.stream(0, rng.SHUFFLE, 2), **kwargs)
     local_sgd(w0, layout, xs[1], ys[1], gen=rng.stream(0, rng.SHUFFLE, 1), **kwargs)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@pytest.mark.parametrize("hidden", [0, 5], ids=["linear", "mlp"])
+def test_passes_never_write_into_their_inputs(hidden):
+    # Forward and backward passes work in place on arrays they allocate;
+    # any write into w, x, a teacher or the anchor raises here.
+    gen = rng.stream(18, rng.VERIFY, hidden)
+    layout = ModelLayout(d_in=3, hidden=hidden, n_classes=4)
+    w, anchor = gen.standard_normal((2, layout.n_params)) * 0.3
+    x = gen.standard_normal((9, 3))
+    y = gen.integers(4, size=9)
+    teachers = w + 0.2 * gen.standard_normal((3, layout.n_params))
+    t_logits = forward_logits(teachers[0], layout, x)
+    stacked_x, stacked_y = np.stack([x, x[::-1], x]), np.stack([y, y[::-1], y])
+    _read_only(w, anchor, x, y, teachers, t_logits, stacked_x, stacked_y)
+
+    forward_logits(w, layout, x)
+    forward_logits(w, layout, x[4])
+    predict(w, layout, x)
+    _forward(teachers, layout, stacked_x)
+    for distill_loss in ("soft_ce", "logit_mse"):
+        loss_and_grad(w, layout, x, y, rho=0.3, nu=0.2, teacher_logits=t_logits, anchor=anchor,
+                      distill_loss=distill_loss)
+        local_sgd_cohort(
+            w, layout, [x, x[:5], x[2:]], [y, y[:5], y[2:]], eta_l=0.1, batch_size=4, epochs=2,
+            gens=[rng.stream(7, rng.SHUFFLE, i) for i in range(3)], rho=0.3, nu=0.2,
+            teacher_ws=list(teachers), anchor=anchor, distill_loss=distill_loss,
+        )
+        # the stacked kernel local_sgd_cohort runs on its own copies
+        _sgd_grad(teachers, layout, stacked_x, stacked_y, 9, rho=0.3, nu=0.2, teacher_w=teachers,
+                  anchor=anchor, distill_loss=distill_loss, distill_temperature=2.0)
+
+
+def _out_of_place_logits(w, layout, x):
+    if layout.hidden == 0:
+        weight, bias = _unpack_linear(w, layout)
+        return x @ weight + bias
+    w1, b1, w2, b2 = _unpack_mlp(w, layout)
+    return np.tanh(x @ w1 + b1) @ w2 + b2
+
+
+@pytest.mark.parametrize("n", [1, 7, 3000, 16000])
+@pytest.mark.parametrize("hidden", [0, 64], ids=["linear", "mlp64"])
+def test_logits_equal_the_out_of_place_expressions(hidden, n):
+    gen = rng.stream(19, rng.VERIFY, n)
+    layout = ModelLayout(d_in=32, hidden=hidden, n_classes=10)
+    w = gen.standard_normal((2, layout.n_params)) * 0.3
+    x = gen.standard_normal((2, n, 32))
+    single = forward_logits(w[0], layout, x[0])
+    assert np.array_equal(single, _out_of_place_logits(w[0], layout, x[0]))
+    assert np.array_equal(_forward(w, layout, x)[0], _out_of_place_logits(w, layout, x))
 
 
 def test_layout_param_counts():
