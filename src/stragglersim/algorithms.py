@@ -308,9 +308,6 @@ class DeltaHistory:
         keys = sorted(self._entries)
         return self._entries[keys[int(gen.integers(len(keys)))]]
 
-    def rounds(self) -> list[int]:
-        return sorted(self._entries)
-
 
 def teacher_from_history(
     w: np.ndarray, entry: DeltaHistoryEntry, eta_g: float
@@ -326,6 +323,8 @@ class SimContext(Protocol):
     now: float
     counters: dict[str, int]
     state: ServerState
+    teacher_gen: np.random.Generator
+    teacher_comm_scale: float
 
     def sample_cohort(self, k: int) -> list[int]: ...
 
@@ -340,10 +339,6 @@ class SimContext(Protocol):
     def schedule(self, fire_at: float, handler: Callable[..., None], *args) -> None: ...
 
     def budget_reached(self) -> bool: ...
-
-    def teacher_gen(self) -> np.random.Generator: ...
-
-    def teacher_comm_scale(self) -> float: ...
 
 
 # ---- Synchronous rounds ---- #
@@ -449,7 +444,7 @@ class HistoryDistillationDriver(SyncRoundDriver):
     def _teacher_for_dispatch(self) -> tuple[np.ndarray | None, float]:
         if self.config.rho <= 0:
             return None, 1.0
-        entry = self.history.sample(self.sim.teacher_gen())
+        entry = self.history.sample(self.sim.teacher_gen)
         if entry is None:
             if self.config.skip_distill_when_no_history:
                 return None, 1.0
@@ -457,7 +452,7 @@ class HistoryDistillationDriver(SyncRoundDriver):
             # which the client already downloads.
             return self.sim.state.w.copy(), 1.0
         teacher = teacher_from_history(self.sim.state.w, entry, self.config.eta_g)
-        return teacher, self.sim.teacher_comm_scale()
+        return teacher, self.sim.teacher_comm_scale
 
     def _after_advance(self, rnd: SyncRound, summed: np.ndarray, w_before: np.ndarray) -> None:
         self.history.push(rnd.round_id, summed, self.cohort_size)

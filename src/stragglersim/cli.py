@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed verification, 2 bad input (missing file,
 malformed or unknown config keys, wrong-typed values, negative seeds, a count
-flag or STRAGGLERSIM_JOBS below 1, cohorts larger than the dataset), 3 a trial
-failed at run time (RuntimeError or FloatingPointError).
+flag or STRAGGLERSIM_JOBS below 1, cohorts larger than the dataset, a dataset
+the generator cannot satisfy, a malformed trial log), 3 a trial failed at run
+time (RuntimeError or FloatingPointError).
 
 Trial seeds are base_seed + trial_index. --jobs (or STRAGGLERSIM_JOBS) runs
 trials in separate processes; each trial writes its own file, so outputs are
@@ -40,7 +41,7 @@ from .config import (
     load_sweep,
     sweep_points,
 )
-from .data import build_dataset, class_report_rows, shard_report_rows, total_examples
+from .data import class_report_rows, shard_report_rows, total_examples
 from .engine import Simulation
 from .latency import latency_percentiles
 from .verify import CHECKS, run_suite
@@ -124,13 +125,7 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, files: list[Path]) 
 
 
 def _final_records(files: list[Path]) -> list[dict]:
-    finals = []
-    for path in files:
-        _, records, _ = metrics.read_run_jsonl(path)
-        if not records:
-            raise ValueError(f"{path}: no records")
-        finals.append(records[-1])
-    return finals
+    return [metrics.read_run_jsonl(path)[1][-1] for path in files]
 
 
 def _band_columns(
@@ -247,7 +242,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     by_hash: dict[str, dict] = {}
     for path in files:
-        header, records, summary = metrics.read_run_jsonl(path)
+        try:
+            header, records, _ = metrics.read_run_jsonl(path)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         chash = header.get("config_hash", "")
         group = by_hash.setdefault(
             chash,
@@ -294,7 +292,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_latency_report(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    dataset = build_dataset(config.dataset, config.effective_data_seed())
+    dataset = config.build_dataset()
     gen = rng.stream(args.seed, rng.LATENCY)
     n_groups = max(1, len(dataset.shards))
     epochs = max(1, round(args.draws / n_groups))
@@ -316,7 +314,7 @@ def cmd_latency_report(args: argparse.Namespace) -> int:
 
 def cmd_data_report(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    dataset = build_dataset(config.dataset, config.effective_data_seed())
+    dataset = config.build_dataset()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     clients_csv = out_dir / "clients.csv"
@@ -331,7 +329,8 @@ def cmd_data_report(args: argparse.Namespace) -> int:
         f"{dataset.n_clients - n_straggler} standard), {total_examples(dataset.shards)} examples, "
         f"{len(dataset.dropped_clients)} shard(s) dropped"
     )
-    print(f"eval: {len(dataset.eval_total)} total, {len(dataset.eval_straggler)} straggler-class")
+    n_eval = len(dataset.eval_total)
+    print(f"eval: {n_eval} total, {len(dataset.eval_straggler_rows)} straggler-class")
     print(f"wrote {clients_csv} and {classes_csv}")
     return 0
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from . import data
 from .algorithms import AlgoConfig
 from .data import DatasetConfig
 from .latency import (
@@ -101,6 +102,13 @@ class ExperimentConfig:
 
     def effective_data_seed(self) -> int:
         return self.base_seed if self.data_seed is None else self.data_seed
+
+    def build_dataset(self) -> data.FederatedDataset:
+        """The trials' dataset; a section the generator cannot satisfy is a ConfigError."""
+        try:
+            return data.build_dataset(self.dataset, self.effective_data_seed())
+        except ValueError as exc:
+            raise ConfigError(f"dataset: {exc}") from None
 
 
 # ---- dict <-> config ---- #

@@ -6,9 +6,9 @@ population non-IID in a controllable way. A straggler partition then ranks
 clients by how many examples they hold from the designated straggler classes,
 flags the top n as straggler clients, and removes all straggler-class
 examples from everyone else, so those classes live exclusively on straggler
-clients. Held-out evaluation splits come from the same class clusters via a
-disjoint stream; the straggler split is the straggler-class filter of the
-total split.
+clients. The held-out evaluation split comes from the same class clusters
+via a disjoint stream. The straggler split is not a second copy: the dataset
+stores the indices of the total split's straggler-class rows, computed once.
 """
 
 from __future__ import annotations
@@ -106,12 +106,11 @@ class EvalSplit:
 
 @dataclass
 class FederatedDataset:
-    """Partitioned client shards plus evaluation splits."""
+    """Partitioned client shards, the eval split and its straggler-class row indices."""
 
     shards: list[ClientShard]
     eval_total: EvalSplit
-    eval_straggler: EvalSplit
-    straggler_classes: frozenset[int]
+    eval_straggler_rows: np.ndarray
     generator_config: dict
     dropped_clients: tuple[int, ...] = ()
     _by_id: dict[int, ClientShard] = field(default_factory=dict, repr=False)
@@ -220,11 +219,11 @@ def apply_straggler_partition(
     return out, tuple(dropped)
 
 
-def make_eval_splits(config: DatasetConfig, seed: int) -> tuple[EvalSplit, EvalSplit]:
-    """Held-out splits drawn from the same class clusters as training.
+def make_eval_splits(config: DatasetConfig, seed: int) -> tuple[EvalSplit, np.ndarray]:
+    """The held-out split, drawn from the same class clusters as training,
+    and the ascending indices of its rows whose labels are straggler classes.
 
-    Uses an rng stream disjoint from shard generation. The straggler split is
-    the subset of the total split whose labels are straggler classes.
+    Uses an rng stream disjoint from shard generation.
     """
     centers = class_centers(config, seed)
     gen = rng.stream(seed, rng.EVAL)
@@ -232,10 +231,8 @@ def make_eval_splits(config: DatasetConfig, seed: int) -> tuple[EvalSplit, EvalS
     features = centers[labels] + config.cluster_spread * gen.standard_normal(
         (config.eval_size, config.d_in)
     )
-    eval_total = EvalSplit(features=features, labels=labels)
-    mask = np.isin(labels, sorted(config.straggler_classes))
-    eval_straggler = EvalSplit(features=features[mask], labels=labels[mask])
-    return eval_total, eval_straggler
+    straggler_rows = np.flatnonzero(np.isin(labels, sorted(config.straggler_classes)))
+    return EvalSplit(features=features, labels=labels), straggler_rows
 
 
 def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
@@ -244,7 +241,7 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
     shards, dropped = apply_straggler_partition(
         raw, frozenset(config.straggler_classes), config.n_straggler_clients
     )
-    eval_total, eval_straggler = make_eval_splits(config, seed)
+    eval_total, eval_straggler_rows = make_eval_splits(config, seed)
 
     present: set[int] = set()
     for shard in shards:
@@ -256,12 +253,16 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
             f"straggler classes {sorted(missing)} appear in no straggler shard; "
             "increase shard sizes or straggler client count"
         )
+    if len(eval_straggler_rows) == 0:
+        raise ValueError(
+            f"the {config.eval_size}-example eval split holds no straggler-class example; "
+            "increase eval_size"
+        )
 
     return FederatedDataset(
         shards=shards,
         eval_total=eval_total,
-        eval_straggler=eval_straggler,
-        straggler_classes=frozenset(config.straggler_classes),
+        eval_straggler_rows=eval_straggler_rows,
         generator_config={"seed": seed, **asdict(config)},
         dropped_clients=dropped,
     )

@@ -49,7 +49,7 @@ import numpy as np
 from . import algorithms, latency, metrics, model, rng
 from .algorithms import ClientUpdate, EmaAccumulator, ServerState, make_driver
 from .config import ConfigError, ExperimentConfig
-from .data import FederatedDataset, build_dataset
+from .data import FederatedDataset
 from .metrics import MetricsRecord
 
 
@@ -150,9 +150,7 @@ class Simulation:
         self.algo = config.algo
         self.trial_seed = trial_seed
         self.trace = trace
-        self.dataset = dataset if dataset is not None else build_dataset(
-            config.dataset, config.effective_data_seed()
-        )
+        self.dataset = dataset if dataset is not None else config.build_dataset()
         self.layout = config.layout()
         self.scenario = config.latency
 
@@ -198,7 +196,8 @@ class Simulation:
                 f"{len(self._client_ids)} clients"
             )
         self._cohort_gen = rng.stream(trial_seed, rng.COHORT)
-        self._teacher_gen = rng.stream(trial_seed, rng.TEACHER)
+        self.teacher_gen = rng.stream(trial_seed, rng.TEACHER)
+        self.teacher_comm_scale = self.scenario.teacher_download_factor
         # (purpose, client id) -> that client's stream, made on first use from its key row
         purposes = (rng.LATENCY, rng.SHUFFLE)
         self._client_keys = {p: rng.stream_keys(trial_seed, p, ids=all_ids) for p in purposes}
@@ -324,12 +323,6 @@ class Simulation:
 
     def note_model_event(self) -> None:
         self.last_model_event = self.now
-
-    def teacher_gen(self) -> np.random.Generator:
-        return self._teacher_gen
-
-    def teacher_comm_scale(self) -> float:
-        return self.scenario.teacher_download_factor
 
     # -- internals -- #
 

@@ -46,19 +46,15 @@ def evaluate_accuracy(
     """Accuracy on the total and straggler-class eval splits, capped to
     the first `cap` examples of each split.
 
-    The straggler split is the rows of the total split whose labels are
-    straggler classes (data.make_eval_splits), so one forward pass over the
-    total rows up to the last one either split uses scores both.
+    The straggler split is the stored straggler-class rows of the total
+    split (dataset.eval_straggler_rows, never empty), so one forward pass
+    over the total rows up to the last one either split uses scores both.
     """
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     total = dataset.eval_total
     n_total = len(total) if cap is None else min(cap, len(total))
-    straggler_rows = np.flatnonzero(
-        np.isin(total.labels, sorted(dataset.straggler_classes))
-    )[:cap]
-    if n_total == 0 or len(straggler_rows) == 0:
-        raise ValueError("cannot score an empty split")
+    straggler_rows = dataset.eval_straggler_rows[:cap]
     end = max(n_total, straggler_rows[-1] + 1)
     correct = model.predict(w, layout, total.features[:end]) == total.labels[:end]
     return float(correct[:n_total].mean()), float(correct[straggler_rows].mean())
@@ -110,7 +106,8 @@ def write_run_jsonl(
 
 
 def read_run_jsonl(path: str | Path) -> tuple[dict, list[dict], dict]:
-    """Read a run log back into (header, records, summary)."""
+    """Read a run log back into (header, records, summary); a malformed or
+    incomplete log raises a ValueError naming the file."""
     header: dict | None = None
     summary: dict | None = None
     records: list[dict] = []
@@ -119,7 +116,10 @@ def read_run_jsonl(path: str | Path) -> tuple[dict, list[dict], dict]:
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{line_no}: not JSON ({exc.msg})") from None
             kind = row.pop("type", None)
             if kind == "header":
                 header = row
@@ -131,6 +131,8 @@ def read_run_jsonl(path: str | Path) -> tuple[dict, list[dict], dict]:
                 raise ValueError(f"{path}:{line_no}: unknown row type {kind!r}")
     if header is None or summary is None:
         raise ValueError(f"{path}: missing header or summary line")
+    if not records:
+        raise ValueError(f"{path}: no records")
     return header, records, summary
 
 

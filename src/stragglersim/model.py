@@ -14,8 +14,10 @@ distance to an anchor vector. All gradients are exact analytic expressions.
 loss_and_grad is the validated reference that also returns the loss terms.
 Training has one loop, local_sgd_cohort: the clients of one model version
 start from the same weights and train as one stacked computation over a
-private gradient kernel without checks or loss values; local_sgd is its
-one-client form. The weights are checked for finiteness once, at the end.
+private gradient kernel without checks or loss values. Each client runs a
+given number of steps; E epochs of an n-example shard are E * ceil(n / b)
+steps. local_sgd is the one-client form, kept as the name the benchmark
+tracer wraps. The weights are checked for finiteness once, at the end.
 Forward and backward passes write only into arrays they allocate, in place
 after each matmul, never into the weights, features or teachers passed in.
 """
@@ -254,13 +256,9 @@ class TrainingDiverged(FloatingPointError):
 
 
 def _check_training_args(
-    n_min, eta_l, batch_size, epochs, steps_min, rho, nu, teacher, anchor, distill_loss
+    n_min, eta_l, batch_size, steps_min, rho, nu, teacher, anchor, distill_loss
 ) -> None:
-    if (epochs is None) == (steps_min is None):
-        raise ValueError("pass exactly one of epochs or steps")
-    if epochs is not None and epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if steps_min is not None and steps_min < 1:
+    if steps_min < 1:
         raise ValueError(f"steps must be >= 1, got {steps_min}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -324,8 +322,7 @@ def local_sgd(
     *,
     eta_l: float,
     batch_size: int,
-    epochs: int | None = None,
-    steps: int | None = None,
+    steps: int,
     gen: np.random.Generator,
     rho: float = 0.0,
     nu: float = 0.0,
@@ -336,10 +333,9 @@ def local_sgd(
 ) -> tuple[np.ndarray, int, int]:
     """Mini-batch SGD over one shard: local_sgd_cohort with one member.
 
-    Exactly one of epochs/steps bounds it. Each epoch reshuffles with
-    gen.permutation and walks contiguous chunks (last chunk may be short).
-    In steps mode, epochs are consumed lazily until the step budget runs
-    out. Teacher logits come from the fixed teacher_w. Returns (w_final,
+    Each epoch reshuffles with gen.permutation and walks contiguous chunks
+    (the last chunk may be short); the last epoch stops after steps steps.
+    Teacher logits come from the fixed teacher_w. Returns (w_final,
     steps_done, examples_processed). Raises TrainingDiverged, a
     FloatingPointError, if w_final is not finite.
     """
@@ -350,8 +346,7 @@ def local_sgd(
         [labels],
         eta_l=eta_l,
         batch_size=batch_size,
-        epochs=epochs,
-        steps=None if steps is None else [steps],
+        steps=[steps],
         gens=[gen],
         rho=rho,
         nu=nu,
@@ -363,11 +358,12 @@ def local_sgd(
     return w_final[0], steps_done[0], examples[0]
 
 
-def _cohort_plan(sizes, batch_size: int, epochs: int | None, steps, gens):
+def _cohort_plan(sizes, batch_size: int, steps, gens):
     """Every member's batches, stacked by step.
 
-    Each member draws one permutation per epoch from its gen and walks it
-    in batch_size chunks. Members draw in member order, so a client listed
+    Member i takes steps[i] batches: it draws one permutation per epoch it
+    starts from its gen and walks it in batch_size chunks, so its last
+    epoch may stop early. Members draw in member order, so a client listed
     twice (sharing one gen) draws its batches in the order it was listed.
     Returns (order, index, lengths). order sorts the members by descending
     step count, so the members with an s-th batch are a prefix of it.
@@ -377,12 +373,8 @@ def _cohort_plan(sizes, batch_size: int, epochs: int | None, steps, gens):
     """
     sizes = np.asarray(sizes)
     per_epoch = -(-sizes // batch_size)
-    if steps is None:
-        n_steps = epochs * per_epoch
-        n_epochs = np.full(len(sizes), epochs)
-    else:
-        n_steps = np.asarray(steps)
-        n_epochs = -(-n_steps // per_epoch)
+    n_steps = np.asarray(steps)
+    n_epochs = -(-n_steps // per_epoch)
     perms = [[gen.permutation(n) for _ in range(e)] for gen, n, e in zip(gens, sizes, n_epochs)]
     order = np.argsort(-n_steps, kind="stable")
     sizes, per_epoch, n_epochs, n_steps = (a[order] for a in (sizes, per_epoch, n_epochs, n_steps))
@@ -393,7 +385,7 @@ def _cohort_plan(sizes, batch_size: int, epochs: int | None, steps, gens):
     run_start = np.repeat(np.cumsum(counts) - counts, counts)
     epoch, pos = np.divmod(np.arange(len(local)) - run_start, sizes[client])
     step = epoch * per_epoch[client] + pos // batch_size
-    keep = step < n_steps[client]  # steps mode may stop inside an epoch
+    keep = step < n_steps[client]  # the last epoch may stop early
     client, step, col = client[keep], step[keep], pos[keep] % batch_size
     shard_start = np.cumsum(sizes) - sizes
     index = np.zeros((n_steps[0], len(sizes), batch_size), dtype=np.intp)
@@ -411,8 +403,7 @@ def local_sgd_cohort(
     *,
     eta_l: float,
     batch_size: int,
-    epochs: int | None = None,
-    steps: list[int] | None = None,
+    steps: list[int],
     gens: list[np.random.Generator],
     rho: float = 0.0,
     nu: float = 0.0,
@@ -424,21 +415,20 @@ def local_sgd_cohort(
     """Local SGD of B members from one w0, trained as one stacked loop.
 
     Member i trains on features[i] and labels[i], shuffled by gens[i], for
-    epochs or for steps[i] steps, distilling against teacher_ws[i]. It
-    draws the same batches and takes the same steps as B one-member calls
-    made in member order, and ends at the same weights up to float
-    summation order. Step s trains every member that has an s-th batch as
-    one stacked batch; short chunks are padded to batch_size with rows that
-    add nothing. Returns (w_final (B, P), steps_done, examples_processed),
-    in member order. Raises TrainingDiverged naming the first member whose
-    weights are not finite.
+    steps[i] steps, distilling against teacher_ws[i]. It draws the same
+    batches and takes the same steps as B one-member calls made in member
+    order, and ends at the same weights up to float summation order. Step s
+    trains every member that has an s-th batch as one stacked batch; short
+    chunks are padded to batch_size with rows that add nothing. Returns
+    (w_final (B, P), steps_done, examples_processed), in member order.
+    Raises TrainingDiverged naming the first member whose weights are not
+    finite.
     """
     sizes = [len(y) for y in labels]
-    steps_min = None if steps is None else min(steps)
     _check_training_args(
-        min(sizes), eta_l, batch_size, epochs, steps_min, rho, nu, teacher_ws, anchor, distill_loss
+        min(sizes), eta_l, batch_size, min(steps), rho, nu, teacher_ws, anchor, distill_loss
     )
-    order, index, lengths = _cohort_plan(sizes, batch_size, epochs, steps, gens)
+    order, index, lengths = _cohort_plan(sizes, batch_size, steps, gens)
     x_all = np.concatenate([features[i] for i in order])
     y_all = np.concatenate([labels[i] for i in order])
     n_active = (lengths > 0).sum(axis=1)
@@ -474,10 +464,3 @@ def predict(w: np.ndarray, layout: ModelLayout, x: np.ndarray) -> np.ndarray:
     """Predicted class indices; argmax ties resolve to the lowest index."""
     logits = forward_logits(w, layout, x)
     return np.argmax(logits, axis=1)
-
-
-def accuracy(w: np.ndarray, layout: ModelLayout, x: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of correct argmax predictions; raises on an empty split."""
-    if len(y) == 0:
-        raise ValueError("cannot score an empty split")
-    return float((predict(w, layout, x) == y).mean())

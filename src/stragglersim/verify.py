@@ -232,8 +232,9 @@ class CheckReport:
         }
 
 
-# The round schedule the gap checks share: 2 of 4 dispatched clients are fast,
-# 4 local steps each, beta = B / B_plus.
+# The round schedule of the gap and stationarity checks: 2 of 4 dispatched
+# clients are fast, 4 local steps each, beta = B / B_plus. The stationarity
+# check sets its own eta_l for each horizon.
 _GAP_SCHEDULE = dict(B=2, B_plus=4, T_l=4, eta_g=1.0, eta_l=0.05, eta_a=1.0, beta=0.5)
 
 
@@ -418,9 +419,7 @@ def check_stationarity_schedule(
     and stay below the rate bound with measured constants."""
     start = time.monotonic()
     sigma_l = 0.1
-    B, B_plus, T_l = 2, 4, 4
-    eta_g = 1.0
-    beta = B / B_plus
+    eta_g, T_l, beta = (_GAP_SCHEDULE[k] for k in ("eta_g", "T_l", "beta"))
     quad = make_quad_set(8, 16, sigma_l=sigma_l, grad_clip=None, seed=base_seed)
     f_gap = quad.f(np.zeros(quad.d)) - quad.f_star()
     measured: dict[str, float] = {}
@@ -428,18 +427,7 @@ def check_stationarity_schedule(
     ok_bound = True
     for T in horizons:
         eta_l = 2.0 / (eta_g * T_l * math.sqrt(T))
-        trace = run_gap_trace(
-            quad,
-            T=T,
-            B=B,
-            B_plus=B_plus,
-            T_l=T_l,
-            eta_g=eta_g,
-            eta_l=eta_l,
-            eta_a=eta_g,
-            beta=beta,
-            seed=base_seed + 1,
-        )
+        trace = run_gap_trace(quad, T=T, seed=base_seed + 1, **{**_GAP_SCHEDULE, "eta_l": eta_l})
         sq = [float(np.linalg.norm(quad.grad_f(trace.a[t])) ** 2) for t in range(1, T + 1)]
         m_t = float(np.mean(sq))
         rhs = stationarity_rhs(

@@ -44,8 +44,8 @@ class _StubSim:
         self.trace = False
         self.now = 0.0
         self.model_events = 0
-        self.teacher_calls = 0
-        self._teacher_gen = rng.stream(teacher_seed, rng.TEACHER)
+        self.teacher_gen = rng.stream(teacher_seed, rng.TEACHER)
+        self.teacher_comm_scale = 1.5
 
     # The engine's own bookkeeping, run against this stub's state.
     publish_aux = Simulation.publish_aux
@@ -53,12 +53,11 @@ class _StubSim:
     def note_model_event(self):
         self.model_events += 1
 
-    def teacher_gen(self):
-        self.teacher_calls += 1
-        return self._teacher_gen
 
-    def teacher_comm_scale(self):
-        return 1.5
+def _assert_teacher_stream_unmoved(sim, seed=0):
+    np.testing.assert_equal(
+        sim.teacher_gen.bit_generator.state, rng.stream(seed, rng.TEACHER).bit_generator.state
+    )
 
 
 # ---- server optimizers ---- #
@@ -183,7 +182,7 @@ def test_history_evicts_oldest_beyond_k():
     for r in range(5):
         hist.push(r, np.array([float(r)]), count=1)
     assert len(hist) == 3
-    assert hist.rounds() == [2, 3, 4]
+    assert sorted(hist._entries) == [2, 3, 4]
 
 
 def test_history_fold_semantics():
@@ -293,7 +292,7 @@ def test_empty_history_teacher_is_current_model():
     np.testing.assert_array_equal(teacher, [1.0, 2.0])
     assert teacher is not sim.state.w
     assert scale == 1.0
-    assert sim.teacher_calls == 1  # draw consumed even when history is empty
+    _assert_teacher_stream_unmoved(sim)  # an empty history draws nothing
 
 
 def test_empty_history_can_skip_distillation():
@@ -309,11 +308,13 @@ def test_empty_history_can_skip_distillation():
 def test_zero_rho_never_consumes_teacher_stream():
     sim = _StubSim(w=[1.0])
     driver = HistoryDistillationDriver(sim, AlgoConfig("fare_dust", rho=0.0))
+    # two entries, since a draw over one entry leaves the stream unmoved
     driver.history.push(0, np.array([1.0]), count=1)
+    driver.history.push(1, np.array([2.0]), count=1)
     teacher, scale = driver._teacher_for_dispatch()
     assert teacher is None
     assert scale == 1.0
-    assert sim.teacher_calls == 0
+    _assert_teacher_stream_unmoved(sim)
 
 
 def test_history_teacher_applies_sampled_delta():
@@ -379,7 +380,7 @@ def test_round_delta_descends_when_applied():
     x = gen.standard_normal((40, 4))
     y = gen.integers(3, size=40)
     w_local, _, _ = local_sgd(
-        w0, layout, x, y, eta_l=0.05, batch_size=40, epochs=1, gen=rng.stream(0, rng.SHUFFLE, 0)
+        w0, layout, x, y, eta_l=0.05, batch_size=40, steps=1, gen=rng.stream(0, rng.SHUFFLE, 0)
     )
     delta = w0 - w_local
     state = ServerState(w=w0.copy(), eta_g=1.0)

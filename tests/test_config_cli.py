@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from stragglersim.data import build_dataset
 from stragglersim.engine import Simulation
 from stragglersim.verify import CheckReport
 
+FEDAVG_FULL = Path(__file__).resolve().parent.parent / "configs" / "acceptance" / "fedavg_full.json"
 BASE_PAYLOAD = {
     "algo": {"name": "fedavg", "cohort_size": 2, "eta_l": 0.05, "batch_size": 4},
     "dataset": {
@@ -273,6 +275,37 @@ def test_cohorts_larger_than_the_dataset_exit_2_before_the_first_event(tmp_path,
     # a synchronous round still needs dispatch_size distinct clients
     with pytest.raises(ConfigError, match=rf"algo\.cohort_size: {n + 1} clients"):
         Simulation(config_from_dict(_payload(algo={**cases[0][0], "allow_busy_reuse": True})), 0)
+
+
+@pytest.mark.parametrize(
+    "dataset, message",
+    [
+        ({"eval_size": 1}, "eval split holds no straggler-class example"),
+        ({"n_straggler_clients": 1, "median_shard_size": 2, "size_sigma": 0},
+         "appear in no straggler shard"),
+    ],
+    ids=["no_straggler_eval_rows", "straggler_classes_missing"],
+)
+def test_datasets_the_generator_cannot_satisfy_exit_2_before_the_first_event(
+    tmp_path, capsys, dataset, message
+):
+    payload = json.loads(FEDAVG_FULL.read_text())
+    payload.update(budget=50, trials=1)
+    payload["dataset"].update(dataset)
+    config_path = _write_config(tmp_path, payload)
+    load_config(config_path)  # the config itself is valid
+    out = tmp_path / "run"
+    commands = [
+        ["simulate", "--out", str(out)],
+        ["data-report", "--out", str(tmp_path / "data")],
+        ["latency-report", "--out", str(tmp_path / "latency.csv"), "--draws", "1000"],
+    ]
+    for command in commands:
+        assert cli.main([*command, "--config", str(config_path)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset: ") and message in err, err
+    assert not list(out.glob("*.jsonl"))
+    assert not (tmp_path / "latency.csv").exists()
 
 
 def test_pe_mode_rejects_straggler_profile():
@@ -622,6 +655,34 @@ def test_report_refuses_mixed_configs_without_flag(tmp_path, capsys):
     assert rc == 0
     with out_csv.open() as fh:
         assert len(list(csv.DictReader(fh))) == 2
+
+
+def _broken_logs(tmp_path):
+    """Copies of one good trial log: not JSON, without records, without a header."""
+    run_dir = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(_write_config(tmp_path, _payload(trials=1))),
+                     "--out", str(run_dir)]) == 0
+    header, *records, summary = (run_dir / "trial_000.jsonl").read_text().splitlines()
+    assert records
+    return {
+        "not_json": [header, records[0][:-1], *records[1:], summary],
+        "no_records": [header, summary],
+        "no_header": [*records, summary],
+    }
+
+
+@pytest.mark.parametrize("defect", ["not_json", "no_records", "no_header"])
+def test_report_on_a_malformed_log_exits_2_and_names_it(tmp_path, capsys, defect):
+    log = tmp_path / "broken.jsonl"
+    log.write_text("\n".join(_broken_logs(tmp_path)[defect]) + "\n")
+    capsys.readouterr()
+    out_csv = tmp_path / "summary.csv"
+    assert cli.main(["report", "--in", str(log), "--out", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}") and err.count("\n") == 1, err
+    if defect == "not_json":
+        assert err.startswith(f"error: {log}:2: not JSON")
+    assert not out_csv.exists()
 
 
 def test_sweep_command_orders_points_by_objective(tmp_path):

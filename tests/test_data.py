@@ -171,14 +171,10 @@ def test_determinism_and_seed_sensitivity():
 def test_eval_straggler_is_filtered_view_of_total():
     dataset = build_dataset(SMALL, seed=0)
     mask = np.isin(dataset.eval_total.labels, [0, 1])
-    np.testing.assert_array_equal(
-        dataset.eval_straggler.features, dataset.eval_total.features[mask]
-    )
-    np.testing.assert_array_equal(
-        dataset.eval_straggler.labels, dataset.eval_total.labels[mask]
-    )
-    assert set(np.unique(dataset.eval_straggler.labels)) <= {0, 1}
-    assert len(dataset.eval_straggler) > 0
+    rows = dataset.eval_straggler_rows
+    np.testing.assert_array_equal(rows, np.flatnonzero(mask))
+    assert set(np.unique(dataset.eval_total.labels[rows])) <= {0, 1}
+    assert len(rows) > 0
 
 
 def test_eval_split_shares_training_centers():

@@ -677,9 +677,9 @@ def test_teacher_download_scales_comm_factor_only():
     cid = base.dataset.shards[0].client_id
     profile = DET_PDPE.profile_for(base.dataset.shard(cid).is_straggler)
     plain = base.dispatch(cid)
-    doubled = scaled.dispatch(cid, comm_scale=scaled.teacher_comm_scale())
+    doubled = scaled.dispatch(cid, comm_scale=scaled.teacher_comm_scale)
     comm = math.exp(profile.comm.mu)
-    assert scaled.teacher_comm_scale() == 2.0
+    assert scaled.teacher_comm_scale == 2.0
     assert doubled.completed_at - plain.completed_at == pytest.approx(comm, abs=1e-12)
     assert doubled.examples_processed == plain.examples_processed
 

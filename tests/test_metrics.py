@@ -16,7 +16,7 @@ from stragglersim.metrics import (
     write_csv,
     write_run_jsonl,
 )
-from stragglersim.model import ModelLayout, accuracy, init_params
+from stragglersim.model import ModelLayout, init_params, predict
 
 DATA = DatasetConfig(
     n_classes=4,
@@ -75,7 +75,7 @@ def test_evaluate_accuracy_on_crafted_model():
     w[-4:] = [0.0, 10.0, 0.0, 0.0]  # always predict class 1
     total_acc, straggler_acc = evaluate_accuracy(w, layout, dataset, cap=None)
     total_freq = float((dataset.eval_total.labels == 1).mean())
-    strag_freq = float((dataset.eval_straggler.labels == 1).mean())
+    strag_freq = float((dataset.eval_total.labels[dataset.eval_straggler_rows] == 1).mean())
     assert total_acc == total_freq
     assert straggler_acc == strag_freq
     assert straggler_acc > total_acc  # class 1 is one of two straggler classes
@@ -88,7 +88,7 @@ def test_evaluate_accuracy_cap_limits_both_splits():
     w[-4:] = [10.0, 0.0, 0.0, 0.0]
     capped_total, capped_strag = evaluate_accuracy(w, layout, dataset, cap=50)
     manual_total = float((dataset.eval_total.labels[:50] == 0).mean())
-    manual_strag = float((dataset.eval_straggler.labels[:50] == 0).mean())
+    manual_strag = float((dataset.eval_total.labels[dataset.eval_straggler_rows[:50]] == 0).mean())
     assert capped_total == manual_total
     assert capped_strag == manual_strag
     with pytest.raises(ValueError):
@@ -104,14 +104,19 @@ def test_capped_straggler_rows_may_lie_beyond_the_capped_total_rows():
     cap = 50
     straggler_rows = np.flatnonzero(np.isin(dataset.eval_total.labels, [0, 1]))
     assert straggler_rows[cap - 1] >= cap
-    total, straggler = dataset.eval_total, dataset.eval_straggler
+    total = dataset.eval_total
+    straggler_x, straggler_y = total.features[straggler_rows], total.labels[straggler_rows]
+
+    def accuracy(x, y):
+        return float((predict(w, layout, x) == y).mean())
+
     assert evaluate_accuracy(w, layout, dataset, cap=cap) == (
-        accuracy(w, layout, total.features[:cap], total.labels[:cap]),
-        accuracy(w, layout, straggler.features[:cap], straggler.labels[:cap]),
+        accuracy(total.features[:cap], total.labels[:cap]),
+        accuracy(straggler_x[:cap], straggler_y[:cap]),
     )
     assert evaluate_accuracy(w, layout, dataset) == (
-        accuracy(w, layout, total.features, total.labels),
-        accuracy(w, layout, straggler.features, straggler.labels),
+        accuracy(total.features, total.labels),
+        accuracy(straggler_x, straggler_y),
     )
 
 
@@ -140,7 +145,7 @@ def test_straggler_split_isolates_straggler_behavior():
     manual_total = float((preds == dataset.eval_total.labels).mean())
     assert total_b == manual_total
     n_total = len(dataset.eval_total)
-    n_strag = len(dataset.eval_straggler)
+    n_strag = len(dataset.eval_straggler_rows)
     clean_mask = ~np.isin(dataset.eval_total.labels, [0, 1])
     clean_acc = float(
         (preds[clean_mask] == dataset.eval_total.labels[clean_mask]).mean()

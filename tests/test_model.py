@@ -11,7 +11,6 @@ from stragglersim.model import (
     _sgd_grad,
     _unpack_linear,
     _unpack_mlp,
-    accuracy,
     forward_logits,
     init_params,
     local_sgd,
@@ -150,9 +149,7 @@ def test_predict_and_accuracy():
     x = np.zeros((4, 2))
     y = np.array([1, 1, 1, 0])
     np.testing.assert_array_equal(predict(w, layout, x), [1, 1, 1, 1])
-    assert accuracy(w, layout, x, y) == 0.75
-    with pytest.raises(ValueError):
-        accuracy(w, layout, np.zeros((0, 2)), np.array([], dtype=int))
+    assert (predict(w, layout, x) == y).mean() == 0.75
 
 
 def test_local_sgd_matches_scalar_reference():
@@ -165,7 +162,7 @@ def test_local_sgd_matches_scalar_reference():
     y = gen.integers(3, size=7)
 
     got, steps, examples = local_sgd(
-        w0, layout, x, y, eta_l=0.05, batch_size=3, epochs=2, gen=rng.stream(1, rng.SHUFFLE, 0)
+        w0, layout, x, y, eta_l=0.05, batch_size=3, steps=6, gen=rng.stream(1, rng.SHUFFLE, 0)
     )
 
     ref_gen = rng.stream(1, rng.SHUFFLE, 0)
@@ -211,7 +208,7 @@ def test_local_sgd_zero_learning_rate_is_identity():
     x = gen.standard_normal((5, 3))
     y = gen.integers(3, size=5)
     w, steps, examples = local_sgd(
-        w0, layout, x, y, eta_l=0.0, batch_size=2, epochs=1, gen=rng.stream(2, rng.SHUFFLE, 0)
+        w0, layout, x, y, eta_l=0.0, batch_size=2, steps=3, gen=rng.stream(2, rng.SHUFFLE, 0)
     )
     assert steps == 3
     assert examples == 5
@@ -227,7 +224,7 @@ def test_local_sgd_descends_on_full_batch():
     y = gen.integers(3, size=30)
     before, _ = loss_and_grad(w0, layout, x, y)
     w, _, _ = local_sgd(
-        w0, layout, x, y, eta_l=0.05, batch_size=30, epochs=1, gen=rng.stream(3, rng.SHUFFLE, 0)
+        w0, layout, x, y, eta_l=0.05, batch_size=30, steps=1, gen=rng.stream(3, rng.SHUFFLE, 0)
     )
     after, _ = loss_and_grad(w, layout, x, y)
     assert after.total < before.total
@@ -248,7 +245,7 @@ def test_local_sgd_distill_uses_fixed_teacher():
         y,
         eta_l=0.1,
         batch_size=6,
-        epochs=1,
+        steps=1,
         gen=rng.stream(4, rng.SHUFFLE, 0),
         rho=0.5,
         teacher_w=teacher,
@@ -314,10 +311,10 @@ def test_local_sgd_cohort_matches_per_client_local_sgd(hidden, bound, rho, nu, d
         return {"epochs": 2} if bound == "epochs" else {"steps": steps[i]}
 
     gens = [rng.stream(5, rng.SHUFFLE, i) for i in range(len(xs))]
+    two_epochs = [2 * -(-n // 4) for n in _COHORT_SIZES]
     got, got_steps, got_examples = local_sgd_cohort(
         w0, layout, xs, ys, gens=gens, teacher_ws=teachers if rho > 0 else None,
-        epochs=2 if bound == "epochs" else None, steps=steps if bound == "steps" else None,
-        **common,
+        steps=two_epochs if bound == "epochs" else steps, **common,
     )
     assert got.shape == (len(xs), layout.n_params)
     for i in range(len(xs)):
@@ -364,15 +361,19 @@ def test_divergence_names_the_cohort_member():
     xs = [gen.standard_normal((n, 3)) for n in (9, 12, 5, 3)]
     xs[2] = xs[2] * 1e200
     ys = [gen.integers(3, size=len(x)) for x in xs]
-    kwargs = dict(eta_l=1.0, batch_size=2, epochs=2)
+    kwargs = dict(eta_l=1.0, batch_size=2)
+    steps = [2 * -(-len(x) // 2) for x in xs]  # two epochs
     with pytest.raises(TrainingDiverged) as excinfo:
         local_sgd_cohort(
-            w0, layout, xs, ys, gens=[rng.stream(0, rng.SHUFFLE, i) for i in range(4)], **kwargs
+            w0, layout, xs, ys, steps=steps,
+            gens=[rng.stream(0, rng.SHUFFLE, i) for i in range(4)], **kwargs
         )
     assert excinfo.value.member == 2
     with pytest.raises(FloatingPointError):
-        local_sgd(w0, layout, xs[2], ys[2], gen=rng.stream(0, rng.SHUFFLE, 2), **kwargs)
-    local_sgd(w0, layout, xs[1], ys[1], gen=rng.stream(0, rng.SHUFFLE, 1), **kwargs)
+        local_sgd(w0, layout, xs[2], ys[2], steps=steps[2], gen=rng.stream(0, rng.SHUFFLE, 2),
+                  **kwargs)
+    local_sgd(w0, layout, xs[1], ys[1], steps=steps[1], gen=rng.stream(0, rng.SHUFFLE, 1),
+              **kwargs)
 
 
 def _read_only(*arrays):
@@ -402,7 +403,8 @@ def test_passes_never_write_into_their_inputs(hidden):
         loss_and_grad(w, layout, x, y, rho=0.3, nu=0.2, teacher_logits=t_logits, anchor=anchor,
                       distill_loss=distill_loss)
         local_sgd_cohort(
-            w, layout, [x, x[:5], x[2:]], [y, y[:5], y[2:]], eta_l=0.1, batch_size=4, epochs=2,
+            w, layout, [x, x[:5], x[2:]], [y, y[:5], y[2:]], eta_l=0.1, batch_size=4,
+            steps=[6, 4, 4],  # two epochs
             gens=[rng.stream(7, rng.SHUFFLE, i) for i in range(3)], rho=0.3, nu=0.2,
             teacher_ws=list(teachers), anchor=anchor, distill_loss=distill_loss,
         )
@@ -467,10 +469,8 @@ def test_argument_contracts():
     with pytest.raises(ValueError):
         loss_and_grad(w, layout, np.zeros((0, 2)), np.array([], dtype=int))
     with pytest.raises(ValueError):
-        local_sgd(w, layout, x, y, eta_l=0.1, batch_size=1, gen=gen)  # neither bound
+        local_sgd(w, layout, x, y, eta_l=0.1, batch_size=1, steps=0, gen=gen)
     with pytest.raises(ValueError):
-        local_sgd(w, layout, x, y, eta_l=0.1, batch_size=1, epochs=1, steps=1, gen=gen)
+        local_sgd(w, layout, x, y, eta_l=-0.1, batch_size=1, steps=1, gen=gen)
     with pytest.raises(ValueError):
-        local_sgd(w, layout, x, y, eta_l=-0.1, batch_size=1, epochs=1, gen=gen)
-    with pytest.raises(ValueError):
-        local_sgd(w, layout, x, y, eta_l=0.1, batch_size=1, epochs=1, gen=gen, rho=0.5)
+        local_sgd(w, layout, x, y, eta_l=0.1, batch_size=1, steps=1, gen=gen, rho=0.5)
