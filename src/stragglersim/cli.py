@@ -15,8 +15,10 @@ flag or STRAGGLERSIM_JOBS below 1, cohorts larger than the dataset, a dataset
 the generator cannot satisfy, a malformed trial log), 3 a trial failed at run
 time (RuntimeError or FloatingPointError).
 
-Trial seeds are base_seed + trial_index. --jobs (or STRAGGLERSIM_JOBS) runs
-trials in separate processes; each trial writes its own file, so outputs are
+Trial seeds are base_seed + trial_index. simulate is a sweep of one point:
+both run all their trials in one pool (--jobs or STRAGGLERSIM_JOBS processes)
+and print one summary line per config, as report does. Each trial writes its
+own file, and creates its directory once it has run, so outputs are
 byte-identical regardless of parallelism.
 """
 
@@ -71,7 +73,7 @@ def _resolve_jobs(arg_jobs: int | None) -> int:
         raise ConfigError(f"STRAGGLERSIM_JOBS={env!r} is not an integer >= 1") from exc
 
 
-def _run_trial_to_file(config: ExperimentConfig, seed: int, out_path: str) -> str:
+def _run_trial_to_file(config: ExperimentConfig, seed: int, out_path: Path) -> None:
     """Worker: run one trial and write its JSONL log (used across processes)."""
     result = Simulation(config, seed).run()
     header = {
@@ -81,51 +83,49 @@ def _run_trial_to_file(config: ExperimentConfig, seed: int, out_path: str) -> st
         "algo": config.algo.name,
         "seed": seed,
     }
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     metrics.write_run_jsonl(
         out_path,
         header=header,
         records=result.records,
         summary={"seed": seed, **result.summary_dict()},
     )
-    return out_path
 
 
-def _run_trials(
-    config: ExperimentConfig, out_dir: Path, jobs: int, file_prefix: str = "trial"
-) -> list[Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _run(runs: list[tuple[ExperimentConfig, Path]], jobs: int) -> list[list[dict]]:
+    """Run every trial of every (config, out_dir) pair, all in one pool when
+    jobs > 1; then write each directory's manifest and return its final
+    records. A failing trial cancels the trials that have not started."""
+    files = [[d / f"trial_{i:03d}.jsonl" for i in range(c.trials)] for c, d in runs]
     tasks = [
-        (config, config.base_seed + i, str(out_dir / f"{file_prefix}_{i:03d}.jsonl"))
-        for i in range(config.trials)
+        (config, config.base_seed + i, path)
+        for (config, _), paths in zip(runs, files)
+        for i, path in enumerate(paths)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_trial_to_file, *task) for task in tasks]
-            for fut in futures:
-                fut.result()
-    else:
+    if jobs == 1:
         for task in tasks:
             _run_trial_to_file(*task)
-    return [Path(task[2]) for task in tasks]
-
-
-def _write_manifest(out_dir: Path, config: ExperimentConfig, files: list[Path]) -> Path:
-    manifest = {
-        "tool_version": __version__,
-        "config_hash": config_hash(config),
-        "base_seed": config.base_seed,
-        "trials": config.trials,
-        "data_seed": config.effective_data_seed(),
-        "files": sorted(f.name for f in files),
-        "config": config_to_dict(config),
-    }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
-
-
-def _final_records(files: list[Path]) -> list[dict]:
-    return [metrics.read_run_jsonl(path)[1][-1] for path in files]
+    else:
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        try:
+            for fut in [pool.submit(_run_trial_to_file, *task) for task in tasks]:
+                fut.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+    for (config, out_dir), paths in zip(runs, files):
+        manifest = {
+            "tool_version": __version__,
+            "config_hash": config_hash(config),
+            "base_seed": config.base_seed,
+            "trials": config.trials,
+            "data_seed": config.effective_data_seed(),
+            "files": sorted(path.name for path in paths),
+            "config": config_to_dict(config),
+        }
+        (out_dir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    return [[metrics.read_run_jsonl(path)[1][-1] for path in paths] for paths in files]
 
 
 def _band_columns(
@@ -135,6 +135,19 @@ def _band_columns(
     return {f"{prefix}_{part}": round(getattr(band, part), digits) for part in parts}
 
 
+def _summarize(label: str, finals: list[dict]) -> dict[str, metrics.MetricSummary]:
+    """Print the one summary line of a set of trials and return its bands."""
+    bands = metrics.summarize_trials(finals)
+    total, straggler = bands["total_acc"], bands["straggler_acc"]
+    print(
+        f"{label}: n={len(finals)} "
+        f"total_acc={total.median:.4f} [{total.lo:.4f}, {total.hi:.4f}] "
+        f"straggler_acc={straggler.median:.4f} [{straggler.lo:.4f}, {straggler.hi:.4f}] "
+        f"time_s={bands['virtual_time_s'].median:.2f}"
+    )
+    return bands
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.trials is not None:
@@ -142,69 +155,38 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed)
     out_dir = Path(args.out)
-    files = _run_trials(config, out_dir, _resolve_jobs(args.jobs))
-    _write_manifest(out_dir, config, files)
-    finals = _final_records(files)
-    for i, (path, final) in enumerate(zip(files, finals)):
-        print(
-            f"trial {i} seed={config.base_seed + i} "
-            f"total_acc={final['total_acc']:.4f} "
-            f"straggler_acc={final['straggler_acc']:.4f} "
-            f"time_s={final['virtual_time_s']:.1f} -> {path.name}"
-        )
-    summary = metrics.summarize_trials(finals)
-    print(
-        f"median total_acc={summary['total_acc'].median:.4f} "
-        f"straggler_acc={summary['straggler_acc'].median:.4f} "
-        f"[{summary['straggler_acc'].lo:.4f}, {summary['straggler_acc'].hi:.4f}] "
-        f"time_s={summary['virtual_time_s'].median:.1f}"
-    )
-    print(f"wrote {len(files)} trial logs and manifest.json to {out_dir}")
+    [finals] = _run([(config, out_dir)], _resolve_jobs(args.jobs))
+    _summarize(config.name or config.algo.name, finals)
+    print(f"wrote {config.trials} trial logs and manifest.json to {out_dir}")
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = load_sweep(args.config)
     points = sweep_points(sweep)
-    jobs = _resolve_jobs(args.jobs)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    runs = [(config, out_dir / f"point_{idx:03d}") for idx, (_, config) in enumerate(points)]
+    point_finals = _run(runs, _resolve_jobs(args.jobs))
 
     rows = []
-    param_names = sorted(sweep.parameters)
-    for idx, (assignment, config) in enumerate(points):
-        point_dir = out_dir / f"point_{idx:03d}"
-        files = _run_trials(config, point_dir, jobs)
-        _write_manifest(point_dir, config, files)
-        finals = _final_records(files)
-        summary = metrics.summarize_trials(finals)
-        objective = summary[sweep.objective]
-        row = {"point": idx}
-        for name in param_names:
-            row[name] = assignment[name]
-        row.update(
-            **_band_columns(objective, "objective", ("lo", "median", "hi")),
-            **_band_columns(summary["total_acc"], "total_acc", ("median",)),
-            **_band_columns(summary["straggler_acc"], "straggler_acc", ("median",)),
-            **_band_columns(summary["virtual_time_s"], "time_s", ("median",), digits=2),
-            best=0,
-        )
-        rows.append(row)
-        print(
-            f"point {idx} {assignment} -> {sweep.objective} "
-            f"median={objective.median:.4f} [{objective.lo:.4f}, {objective.hi:.4f}]"
-        )
+    for idx, ((assignment, _), finals) in enumerate(zip(points, point_finals)):
+        bands = _summarize(f"point {idx} {assignment}", finals)
+        rows.append({
+            "point": idx,
+            **assignment,
+            **_band_columns(bands[sweep.objective], "objective", ("lo", "median", "hi")),
+            **_band_columns(bands["total_acc"], "total_acc", ("median",)),
+            **_band_columns(bands["straggler_acc"], "straggler_acc", ("median",)),
+            **_band_columns(bands["virtual_time_s"], "time_s", ("median",), digits=2),
+            "best": 0,
+        })
 
     rows.sort(key=lambda r: (-r["objective_median"], r["point"]))
-    if rows:
-        rows[0]["best"] = 1
-    fieldnames = ["point", *param_names, "objective_lo", "objective_median", "objective_hi",
-                  "total_acc_median", "straggler_acc_median", "time_s_median", "best"]
+    rows[0]["best"] = 1
     csv_path = out_dir / "sweep.csv"
-    metrics.write_csv(csv_path, rows, fieldnames)
-    if rows:
-        best = rows[0]
-        print(f"best point {best['point']}: {sweep.objective} median={best['objective_median']}")
+    metrics.write_csv(csv_path, rows, list(rows[0]))  # assignment keys come sorted
+    print(f"best point {rows[0]['point']}: {sweep.objective} "
+          f"median={rows[0]['objective_median']}")
     print(f"wrote {csv_path}")
     return 0
 
@@ -250,10 +232,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         group = by_hash.setdefault(
             chash,
             {"experiment": header.get("experiment", ""), "algo": header.get("algo", ""),
-             "finals": [], "seeds": []},
+             "finals": []},
         )
         group["finals"].append(records[-1])
-        group["seeds"].append(header.get("seed"))
     if len(by_hash) > 1 and not args.force_mixed:
         hashes = ", ".join(h[:12] for h in sorted(by_hash))
         raise ConfigError(
@@ -264,28 +245,19 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows = []
     for chash in sorted(by_hash):
         group = by_hash[chash]
-        summary = metrics.summarize_trials(group["finals"])
+        bands = _summarize(group["experiment"] or group["algo"], group["finals"])
         rows.append(
             {
                 "experiment": group["experiment"],
                 "algo": group["algo"],
                 "config_hash": chash[:12],
                 "n_trials": len(group["finals"]),
-                **_band_columns(summary["total_acc"], "total_acc"),
-                **_band_columns(summary["straggler_acc"], "straggler_acc"),
-                **_band_columns(summary["virtual_time_s"], "time_s", ("median",), digits=2),
+                **_band_columns(bands["total_acc"], "total_acc"),
+                **_band_columns(bands["straggler_acc"], "straggler_acc"),
+                **_band_columns(bands["virtual_time_s"], "time_s", ("median",), digits=2),
             }
         )
-    fieldnames = list(rows[0].keys())
-    metrics.write_csv(args.out, rows, fieldnames)
-    for row in rows:
-        print(
-            f"{row['experiment'] or row['algo']}: n={row['n_trials']} "
-            f"total={row['total_acc_median']:.4f} "
-            f"straggler={row['straggler_acc_median']:.4f} "
-            f"[{row['straggler_acc_lo']:.4f}, {row['straggler_acc_hi']:.4f}] "
-            f"time_s={row['time_s_median']}"
-        )
+    metrics.write_csv(args.out, rows, list(rows[0]))
     print(f"wrote {args.out}")
     return 0
 
@@ -294,8 +266,7 @@ def cmd_latency_report(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     dataset = config.build_dataset()
     gen = rng.stream(args.seed, rng.LATENCY)
-    n_groups = max(1, len(dataset.shards))
-    epochs = max(1, round(args.draws / n_groups))
+    epochs = max(1, round(args.draws / dataset.n_clients))
     table = latency_percentiles(config.latency, dataset, gen, epochs)
     rows = [
         {"group": group, "percentile": pct, "seconds": round(seconds, 4)}

@@ -243,6 +243,11 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
     )
     eval_total, eval_straggler_rows = make_eval_splits(config, seed)
 
+    if not shards:
+        raise ValueError(
+            "removing the straggler classes leaves no client shard; "
+            "add straggler clients or keep some classes out of straggler_classes"
+        )
     present: set[int] = set()
     for shard in shards:
         if shard.is_straggler:

@@ -77,11 +77,11 @@ def percentile_band(values: list[float] | np.ndarray) -> MetricSummary:
 
 
 def summarize_trials(final_records: list[dict]) -> dict[str, MetricSummary]:
-    """Summarize the final records of several trials, metric by metric."""
+    """Bands of total_acc, straggler_acc and virtual_time_s over trials' final records."""
     if not final_records:
         raise ValueError("no trial records to summarize")
     out: dict[str, MetricSummary] = {}
-    for key in ("total_acc", "straggler_acc", "virtual_time_s", "aggregated_updates"):
+    for key in ("total_acc", "straggler_acc", "virtual_time_s"):
         out[key] = percentile_band([float(r[key]) for r in final_records])
     return out
 

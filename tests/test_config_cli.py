@@ -2,6 +2,9 @@
 
 import csv
 import json
+import re
+import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -308,6 +311,36 @@ def test_datasets_the_generator_cannot_satisfy_exit_2_before_the_first_event(
     assert not (tmp_path / "latency.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "latency-report", "data-report"])
+def test_a_dataset_that_keeps_no_shard_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    # with every class a straggler class and no straggler client, removal empties all shards
+    payload = json.loads(FEDAVG_FULL.read_text())
+    payload.update(budget=50, trials=1)
+    payload["dataset"].update(straggler_classes=list(range(10)), n_straggler_clients=0)
+    config_path = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset: ") and "leaves no client shard" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_run_failing_before_its_first_event_leaves_no_out_directory(
+    tmp_path, capsys, command
+):
+    payload = json.loads(FEDAVG_FULL.read_text())
+    payload.update(budget=50, trials=1)
+    payload["dataset"]["eval_size"] = 1
+    if command == "sweep":
+        payload = {"base": payload, "parameters": {"algo.eta_l": [0.05, 0.1]}}
+    config_path = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: dataset: ")
+    assert not out.exists()
+
+
 def test_pe_mode_rejects_straggler_profile():
     payload = _payload(latency={"mode": "pe", "straggler": {"comm": [1.0, 0.5]}})
     with pytest.raises(ConfigError, match=r"config\.latency\.straggler.*single shared"):
@@ -450,7 +483,11 @@ def test_simulate_writes_trials_and_manifest(tmp_path, capsys):
     assert manifest["files"] == ["trial_000.jsonl", "trial_001.jsonl"]
     assert manifest["config_hash"] == config_hash(load_config(config_path))
     lines = capsys.readouterr().out.strip().splitlines()
-    assert any(line.startswith("median total_acc=") for line in lines)
+    assert re.fullmatch(
+        r"unit: n=2 total_acc=[\d.]+ \[[\d.]+, [\d.]+\] "
+        r"straggler_acc=[\d.]+ \[[\d.]+, [\d.]+\] time_s=[\d.]+",
+        lines[0],
+    ), lines
 
 
 def test_simulate_is_byte_identical_across_reruns_and_jobs(tmp_path):
@@ -639,6 +676,17 @@ def test_report_aggregates_single_config(tmp_path, capsys):
     assert 0.0 <= float(rows[0]["total_acc_median"]) <= 1.0
 
 
+def test_simulate_and_report_print_the_same_summary_line(tmp_path, capsys):
+    config_path = _write_config(tmp_path, _payload())
+    run_dir = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(run_dir)]) == 0
+    simulated = capsys.readouterr().out.splitlines()
+    assert cli.main(["report", "--in", str(run_dir), "--out", str(tmp_path / "s.csv")]) == 0
+    reported = capsys.readouterr().out.splitlines()
+    assert simulated[0].startswith("unit: n=2 total_acc=")
+    assert reported[0] == simulated[0]
+
+
 def test_report_refuses_mixed_configs_without_flag(tmp_path, capsys):
     a_path = _write_config(tmp_path, _payload(), "a.json")
     b_path = _write_config(tmp_path, _payload(budget=10, name="other"), "b.json")
@@ -703,6 +751,55 @@ def test_sweep_command_orders_points_by_objective(tmp_path):
         "point", "algo.cohort_size", "algo.eta_l", "objective_lo", "objective_median",
         "objective_hi", "total_acc_median", "straggler_acc_median", "time_s_median", "best",
     }
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_sweep_runs_all_its_trials_in_one_pool_with_byte_identical_output(
+    tmp_path, monkeypatch
+):
+    sweep_path = _write_config(tmp_path, _sweep_payload(), "sweep.json")
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert cli.main(["sweep", "--config", str(sweep_path), "--out", str(serial)]) == 0
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    assert cli.main(
+        ["sweep", "--config", str(sweep_path), "--out", str(pooled), "--jobs", "2"]
+    ) == 0
+    assert len(pools) == 1
+    tree = _tree(serial)
+    assert len(tree) == 1 + 4 * 3  # sweep.csv, and per point a manifest and two logs
+    assert "point_003/trial_001.jsonl" in tree
+    assert _tree(pooled) == tree
+
+
+def test_a_failing_sweep_point_cancels_the_trials_not_started(tmp_path, monkeypatch, capsys):
+    run = Simulation.run
+
+    def fail_first_point(self):
+        if self.config.algo.eta_l == 1.0:
+            raise RuntimeError("point 0 failed")
+        time.sleep(0.2)
+        return run(self)
+
+    monkeypatch.setattr(Simulation, "run", fail_first_point)
+    payload = _sweep_payload(parameters={"algo.eta_l": [1.0, 0.05, 0.1, 0.2]})
+    payload["base"]["trials"] = 4
+    sweep_path = _write_config(tmp_path, payload, "sweep.json")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(sweep_path), "--out", str(out), "--jobs", "2"]) == 3
+    assert capsys.readouterr().err == "error: point 0 failed\n"
+    # the trials still queued when point 0 fails never start: few of the other twelve run
+    assert len(list(out.rglob("*.jsonl"))) < 12
+    assert not (out / "sweep.csv").exists()
 
 
 def test_latency_report_writes_percentiles(tmp_path, capsys):

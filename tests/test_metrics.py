@@ -53,14 +53,12 @@ def test_summarize_trials_covers_all_metrics():
             "total_acc": 0.5 + 0.01 * k,
             "straggler_acc": 0.2 + 0.01 * k,
             "virtual_time_s": 100.0 * (k + 1),
-            "aggregated_updates": 50,
         }
         for k in range(10)
     ]
     summary = summarize_trials(finals)
-    assert set(summary) == {"total_acc", "straggler_acc", "virtual_time_s", "aggregated_updates"}
+    assert set(summary) == {"total_acc", "straggler_acc", "virtual_time_s"}
     assert summary["total_acc"].median == pytest.approx(0.545)
-    assert summary["aggregated_updates"].lo == 50
     assert summary["virtual_time_s"].lo <= summary["virtual_time_s"].median
     with pytest.raises(ValueError):
         summarize_trials([])
