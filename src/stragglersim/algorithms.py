@@ -4,14 +4,14 @@ A driver owns only the round semantics of one algorithm family: which
 clients are dispatched, which arrivals count, and where late straggler
 updates go. It talks to the simulation through a narrow context interface
 (SimContext): dispatch a client with its teacher and communication scale,
-hand over the updates of one server step, publish an auxiliary model, and
-schedule one of its own hooks. The engine binds every dispatch to the open
-model version (start and anchor state.w, round id state.t), records the
-work, and trains every dispatch of a version together when that version
-closes, at its server step. The engine also sums and applies the updates,
-decides which model is served, and keeps the trace. Its update budget ends
-every run: a driver reads Simulation.budget_reached() and keeps no finished
-flag of its own.
+hand over the updates of one server step, publish an auxiliary model,
+learn when k clients will be idle, and schedule one of its own hooks. The
+engine binds every dispatch to the open model version (start and anchor
+state.w, round id state.t), records the work, and trains every dispatch of
+a version together when that version closes, at its server step. The
+engine also sums and applies the updates, decides which model is served,
+and keeps the trace. Its update budget ends every run: a driver reads
+Simulation.budget_reached() and keeps no finished flag of its own.
 Conventions shared by every driver:
 
 * A client update carries delta = w_dispatched - w_final, so the server
@@ -178,42 +178,23 @@ class ClientUpdate:
 
 
 @dataclass
-class EmaAccumulator:
-    """Exponential moving average, initialized to the first vector seen."""
-
-    beta: float
-    value: np.ndarray | None = None
-
-    def update(self, w: np.ndarray) -> None:
-        if self.value is None:
-            self.value = w.copy()
-        else:
-            self.value = self.beta * self.value + (1.0 - self.beta) * w
-
-
-@dataclass
 class ServerState:
-    """Global model plus optimizer slots; t counts applied updates.
+    """Global model plus the server optimizer and EMA that algo asks for.
 
-    aux is the auxiliary model of algorithms that keep one (feast).
+    t counts server steps; the Adam moments exist only for an Adam server.
+    ema is None before the first step and without EMA; aux is feast's model.
     """
 
     w: np.ndarray
-    eta_g: float
-    opt_kind: str = "sgd"
+    algo: AlgoConfig
     t: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.99
-    adam_eps: float = 1e-4
     adam_m: np.ndarray | None = None
     adam_v: np.ndarray | None = None
-    ema: EmaAccumulator | None = None
+    ema: np.ndarray | None = None
     aux: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.opt_kind not in ("sgd", "adam"):
-            raise ValueError(f"opt_kind must be sgd or adam, got {self.opt_kind!r}")
-        if self.opt_kind == "adam" and self.adam_m is None:
+        if self.algo.resolved_server_opt() == "adam":
             self.adam_m = np.zeros_like(self.w)
             self.adam_v = np.zeros_like(self.w)
 
@@ -221,33 +202,39 @@ class ServerState:
         """The model that is evaluated and returned: aux, else EMA, else w."""
         if self.aux is not None:
             return "aux", self.aux
-        if self.ema is not None and self.ema.value is not None:
-            return "ema", self.ema.value
+        if self.ema is not None:
+            return "ema", self.ema
         return "global", self.w
 
 
 def server_apply(state: ServerState, summed_delta: np.ndarray, count: int) -> ServerState:
     """Apply one aggregated update: the averaged delta acts as a pseudo-gradient.
 
+    Every constant comes from state.algo.
     SGD:  w <- w - eta_g * (summed_delta / count)
     Adam: moment updates without bias correction, then
           w <- w - eta_g * m / (sqrt(v) + eps)
+    EMA:  ema <- w after the first step, then beta * ema + (1 - beta) * w
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if summed_delta.shape != state.w.shape:
         raise ValueError("summed_delta shape mismatch")
+    algo = state.algo
     g = summed_delta / count
-    if state.opt_kind == "sgd":
-        state.w = state.w - state.eta_g * g
+    if algo.resolved_server_opt() == "sgd":
+        state.w = state.w - algo.eta_g * g
     else:
-        b1, b2 = state.adam_beta1, state.adam_beta2
+        b1, b2 = algo.adam_beta1, algo.adam_beta2
         state.adam_m = b1 * state.adam_m + (1.0 - b1) * g
         state.adam_v = b2 * state.adam_v + (1.0 - b2) * (g * g)
-        state.w = state.w - state.eta_g * state.adam_m / (np.sqrt(state.adam_v) + state.adam_eps)
+        state.w = state.w - algo.eta_g * state.adam_m / (np.sqrt(state.adam_v) + algo.adam_eps)
     state.t += 1
-    if state.ema is not None:
-        state.ema.update(state.w)
+    if algo.resolved_ema_enabled():
+        if state.ema is None:
+            state.ema = state.w.copy()
+        else:
+            state.ema = algo.ema_beta * state.ema + (1.0 - algo.ema_beta) * state.w
     return state
 
 
@@ -326,6 +313,8 @@ class SimContext(Protocol):
     teacher_gen: np.random.Generator
     teacher_comm_scale: float
 
+    def idle_at(self, k: int) -> float: ...
+
     def sample_cohort(self, k: int) -> list[int]: ...
 
     def dispatch(
@@ -376,9 +365,6 @@ class SyncRoundDriver:
     def _handle_late(self, update: ClientUpdate) -> None:
         self.sim.counters["discarded_updates"] += 1
 
-    def _blocks_next_round(self) -> bool:
-        return False
-
     # -- driver interface -- #
 
     def start(self) -> None:
@@ -406,6 +392,11 @@ class SyncRoundDriver:
     # -- internals -- #
 
     def _start_round(self) -> None:
+        # Late clients of earlier rounds may still be busy: wait for a full cohort.
+        start_at = self.sim.idle_at(self.dispatch_size)
+        if start_at > self.sim.now:
+            self.sim.schedule(start_at, self._start_round)
+            return
         self.sim.counters["rounds_started"] += 1
         cohort = self.sim.sample_cohort(self.dispatch_size)
         # Teachers are drawn in cohort order before any dispatch.
@@ -430,7 +421,7 @@ class SyncRoundDriver:
         for update in rnd.pending_late:
             self._handle_late(update)
         rnd.pending_late.clear()
-        if not self.sim.budget_reached() and not self._blocks_next_round():
+        if not self.sim.budget_reached() and not self.config.strict_sequential:
             self._start_round()
 
 
@@ -509,9 +500,6 @@ class AuxTrackDriver(SyncRoundDriver):
     def is_finished(self) -> bool:
         return self.sim.budget_reached() and not self.pending
 
-    def _blocks_next_round(self) -> bool:
-        return self.config.strict_sequential
-
     def _after_advance(self, rnd: SyncRound, summed: np.ndarray, w_before: np.ndarray) -> None:
         rec = PendingAuxRound(rnd.round_id, w_before, summed, self.cohort_size)
         self.pending[rnd.round_id] = rec
@@ -562,7 +550,7 @@ class AuxTrackDriver(SyncRoundDriver):
                 f"expected {self.next_aux_round}"
             )
         g = rec.delta_plus / rec.count_plus
-        w_plus = rec.w_snapshot - self.sim.state.eta_g * g
+        w_plus = rec.w_snapshot - self.config.eta_g * g
         aux = self.sim.state.aux
         self.sim.publish_aux(self.beta * (aux - self.eta_a * g) + (1.0 - self.beta) * w_plus)
 

@@ -245,7 +245,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows = []
     for chash in sorted(by_hash):
         group = by_hash[chash]
-        bands = _summarize(group["experiment"] or group["algo"], group["finals"])
+        label = group["experiment"] or group["algo"]
+        if len(by_hash) > 1:
+            label = f"{label} {chash[:12]}"
+        bands = _summarize(label, group["finals"])
         rows.append(
             {
                 "experiment": group["experiment"],
@@ -293,7 +296,8 @@ def cmd_data_report(args: argparse.Namespace) -> int:
     metrics.write_csv(
         clients_csv, shard_report_rows(dataset), ["client_id", "group", "n_examples"]
     )
-    metrics.write_csv(classes_csv, class_report_rows(dataset), ["group", "class", "n_examples"])
+    class_rows = class_report_rows(dataset, config.dataset.n_classes)
+    metrics.write_csv(classes_csv, class_rows, ["group", "class", "n_examples"])
     n_straggler = len(dataset.straggler_client_ids)
     print(
         f"{dataset.n_clients} clients ({n_straggler} straggler, "
@@ -329,9 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="numerical verification suite")
-    p.add_argument("--suite", default="all",
-                   help="all, gap_recursion, gap_zero_mean, local_grad_norm, "
-                        "gap_norm_bound, or stationarity_schedule")
+    p.add_argument("--suite", default="all", help=f"all, or one of: {', '.join(CHECKS)}")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_verify)

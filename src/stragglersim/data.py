@@ -14,7 +14,7 @@ stores the indices of the total split's straggler-class rows, computed once.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,7 +111,6 @@ class FederatedDataset:
     shards: list[ClientShard]
     eval_total: EvalSplit
     eval_straggler_rows: np.ndarray
-    generator_config: dict
     dropped_clients: tuple[int, ...] = ()
     _by_id: dict[int, ClientShard] = field(default_factory=dict, repr=False)
 
@@ -268,7 +267,6 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
         shards=shards,
         eval_total=eval_total,
         eval_straggler_rows=eval_straggler_rows,
-        generator_config={"seed": seed, **asdict(config)},
         dropped_clients=dropped,
     )
 
@@ -292,9 +290,8 @@ def shard_report_rows(dataset: FederatedDataset) -> list[dict]:
     ]
 
 
-def class_report_rows(dataset: FederatedDataset) -> list[dict]:
+def class_report_rows(dataset: FederatedDataset, n_classes: int) -> list[dict]:
     """One row per (group, class): total example count."""
-    n_classes = dataset.generator_config["n_classes"]
     counts = {"standard": np.zeros(n_classes, dtype=int), "straggler": np.zeros(n_classes, dtype=int)}
     for s in dataset.shards:
         group = "straggler" if s.is_straggler else "standard"

@@ -8,10 +8,10 @@ the driver's on_client_completed(update), drivers schedule their own hooks
 (Simulation.schedule), and every eval_every-th server step an evaluation.
 
 The engine owns the wall-clock-free mechanics: client busy bookkeeping,
-latency sampling, local training, aggregation and the server optimizer
-step, the served model (ServerState.served), the update budget, evaluation
-cadence, and the trace. Round semantics live in the drivers (see
-algorithms).
+latency sampling, local training, aggregation and the server step (the
+server state builds its optimizer and EMA from the AlgoConfig), the served
+model (ServerState.served), the update budget, evaluation cadence, and the
+trace. Round semantics live in the drivers (see algorithms).
 
 A driver decides only a dispatch's client, teacher and communication scale;
 the engine binds it to the open model version: start and anchor (nu > 0)
@@ -26,14 +26,15 @@ client whose local SGD leaves non-finite weights raises FloatingPointError
 naming the client, the round and the virtual time of its dispatch.
 
 A client is busy until its completion fires and is excluded from cohort
-sampling in the meantime (allow_busy_reuse lifts this). The busy-until table
-spans all m_clients ids and a dropped shard's id is busy forever, so the idle
-pool is one comparison. Client streams come from key tables (rng.stream_keys).
-The run ends at the server step that brings the aggregated client updates to
-the budget, except that feast first applies its open auxiliary rounds; the
-total virtual time is the time of the last event that affected the output
-model. The driver and the queued evaluations hold the engine only weakly, so
-reference counting frees a finished run.
+sampling in the meantime (allow_busy_reuse lifts this); a synchronous round
+whose cohort is not idle yet starts at Simulation.idle_at. The busy-until
+table spans all m_clients ids and a dropped shard's id is busy forever, so
+the idle pool is one comparison. Client streams come from key tables
+(rng.stream_keys). The run ends at the server step that brings the
+aggregated client updates to the budget, except that feast first applies its
+open auxiliary rounds; the total virtual time is the time of the last event
+that affected the output model. The driver and the queued evaluations hold
+the engine only weakly, so reference counting frees a finished run.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algorithms, latency, metrics, model, rng
-from .algorithms import ClientUpdate, EmaAccumulator, ServerState, make_driver
+from .algorithms import ClientUpdate, ServerState, make_driver
 from .config import ConfigError, ExperimentConfig
 from .data import FederatedDataset
 from .metrics import MetricsRecord
@@ -157,20 +158,7 @@ class Simulation:
         w0 = model.init_params(
             self.layout, rng.stream(trial_seed, rng.INIT), scale=config.model.init_scale
         )
-        ema = (
-            EmaAccumulator(self.algo.ema_beta)
-            if self.algo.resolved_ema_enabled()
-            else None
-        )
-        self.state = ServerState(
-            w=w0,
-            eta_g=self.algo.eta_g,
-            opt_kind=self.algo.resolved_server_opt(),
-            adam_beta1=self.algo.adam_beta1,
-            adam_beta2=self.algo.adam_beta2,
-            adam_eps=self.algo.adam_eps,
-            ema=ema,
-        )
+        self.state = ServerState(w=w0, algo=self.algo)
 
         self.now = 0.0
         self.queue = EventQueue()
@@ -212,14 +200,6 @@ class Simulation:
                 if self.algo.time_limit_s is not None
                 else self._monte_carlo_time_limit()
             )
-        # local SGD arguments that every dispatch of the run shares
-        self._sgd_args = dict(
-            eta_l=self.algo.eta_l,
-            batch_size=self.algo.batch_size,
-            distill_loss=config.model.distill_loss,
-            distill_temperature=config.model.distill_temperature,
-        )
-
         self.driver = make_driver(weakref.proxy(self), self.algo)
 
     # -- context interface used by drivers -- #
@@ -238,6 +218,13 @@ class Simulation:
             return [int(pool[self._cohort_gen.integers(len(pool))])]
         pool = pool.tolist()
         return [pool.pop(int(self._cohort_gen.integers(len(pool)))) for _ in range(k)]
+
+    def idle_at(self, k: int) -> float:
+        """The earliest virtual time, not before now, at which k clients are
+        idle: now under allow_busy_reuse, else the k-th smallest busy-until."""
+        if self.algo.allow_busy_reuse:
+            return self.now
+        return max(self.now, float(np.partition(self._busy_until, k - 1)[k - 1]))
 
     def dispatch(
         self, client_id: int, *, teacher_w: np.ndarray | None = None, comm_scale: float = 1.0
@@ -354,7 +341,10 @@ class Simulation:
                 nu=self.algo.nu,
                 teacher_ws=teachers if distill else None,
                 anchor=w if self.algo.nu > 0 else None,
-                **self._sgd_args,
+                eta_l=self.algo.eta_l,
+                batch_size=self.algo.batch_size,
+                distill_loss=self.config.model.distill_loss,
+                distill_temperature=self.config.model.distill_temperature,
             )
         except model.TrainingDiverged as exc:
             u = updates[exc.member]

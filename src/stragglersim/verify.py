@@ -121,10 +121,7 @@ class GapTrace:
     B: int
     B_plus: int
     eta_g: float
-    eta_l: float
-    eta_a: float
     beta: float
-    T_l: int
     w: list[np.ndarray] = field(default_factory=list)
     a: list[np.ndarray] = field(default_factory=list)
     delta_fast: list[np.ndarray] = field(default_factory=list)
@@ -168,7 +165,7 @@ def run_gap_trace(
     gen = rng.stream(seed, rng.VERIFY, 1)
     w = np.zeros(quad.d) if w0 is None else w0.astype(np.float64).copy()
     a = w.copy()
-    trace = GapTrace(B=B, B_plus=B_plus, eta_g=eta_g, eta_l=eta_l, eta_a=eta_a, beta=beta, T_l=T_l)
+    trace = GapTrace(B=B, B_plus=B_plus, eta_g=eta_g, beta=beta)
     trace.w.append(w.copy())
     trace.a.append(a.copy())
 

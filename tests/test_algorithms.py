@@ -11,7 +11,6 @@ from stragglersim.algorithms import (
     AuxTrackDriver,
     ClientUpdate,
     DeltaHistory,
-    EmaAccumulator,
     HistoryDistillationDriver,
     PendingAuxRound,
     ServerState,
@@ -39,7 +38,9 @@ class _StubSim:
     """Minimal SimContext stand-in for driver unit tests."""
 
     def __init__(self, w, eta_g=1.0, teacher_seed=0):
-        self.state = ServerState(w=np.asarray(w, dtype=np.float64), eta_g=eta_g)
+        self.state = ServerState(
+            w=np.asarray(w, dtype=np.float64), algo=AlgoConfig("fedavg", eta_g=eta_g)
+        )
         self.counters = collections.defaultdict(int)
         self.trace = False
         self.now = 0.0
@@ -64,7 +65,7 @@ def _assert_teacher_stream_unmoved(sim, seed=0):
 
 
 def test_sgd_server_step_is_exact():
-    state = ServerState(w=np.array([1.0, -2.0]), eta_g=0.5)
+    state = ServerState(w=np.array([1.0, -2.0]), algo=AlgoConfig("fedavg", eta_g=0.5))
     server_apply(state, np.array([4.0, 8.0]), count=4)
     np.testing.assert_array_equal(state.w, [1.0 - 0.5 * 1.0, -2.0 - 0.5 * 2.0])
     assert state.t == 1
@@ -74,11 +75,7 @@ def test_adam_matches_scalar_reference():
     gen = rng.stream(0, rng.VERIFY, 3)
     state = ServerState(
         w=gen.standard_normal(3),
-        eta_g=0.01,
-        opt_kind="adam",
-        adam_beta1=0.9,
-        adam_beta2=0.99,
-        adam_eps=1e-4,
+        algo=AlgoConfig("fedadam", eta_g=0.01, adam_beta1=0.9, adam_beta2=0.99, adam_eps=1e-4),
     )
     w = state.w.copy()
     m = np.zeros(3)
@@ -99,7 +96,7 @@ def test_adam_matches_scalar_reference():
 def test_adam_first_step_closed_form_without_bias_correction():
     # beta2 = 0.999 so the uncorrected scale (1-b1)/sqrt(1-b2) is ~3.16,
     # far from the ~1.0 a bias-corrected step would produce.
-    state = ServerState(w=np.zeros(1), eta_g=1.0, opt_kind="adam", adam_beta2=0.999)
+    state = ServerState(w=np.zeros(1), algo=AlgoConfig("fedadam", eta_g=1.0, adam_beta2=0.999))
     g = 2.0
     server_apply(state, np.array([g]), count=1)
     expected = -1.0 * ((1.0 - 0.9) * g) / (np.sqrt((1.0 - 0.999) * g * g) + 1e-4)
@@ -109,33 +106,40 @@ def test_adam_first_step_closed_form_without_bias_correction():
 
 
 def test_server_apply_validates_inputs():
-    state = ServerState(w=np.zeros(2), eta_g=1.0)
+    state = ServerState(w=np.zeros(2), algo=AlgoConfig("fedavg", eta_g=1.0))
     with pytest.raises(ValueError):
         server_apply(state, np.zeros(2), count=0)
     with pytest.raises(ValueError):
         server_apply(state, np.zeros(3), count=1)
     with pytest.raises(ValueError):
-        ServerState(w=np.zeros(1), eta_g=1.0, opt_kind="momentum")
+        AlgoConfig("fedavg", server_opt="momentum")
 
 
 def test_ema_initializes_to_first_value_then_unrolls():
-    ema = EmaAccumulator(beta=0.5)
-    ema.update(np.array([4.0]))
-    np.testing.assert_array_equal(ema.value, [4.0])
-    ema.update(np.array([8.0]))
-    np.testing.assert_array_equal(ema.value, [6.0])
-    ema.update(np.array([0.0]))
+    state = ServerState(
+        w=np.zeros(1), algo=AlgoConfig("fedbuff", ema_enabled=True, ema_beta=0.5)
+    )
+    assert state.served()[0] == "global"
+    # eta_g = 1 and count = 1, so the delta w - w_next steps w to 4, 8, 0
+    server_apply(state, np.array([-4.0]), count=1)
+    np.testing.assert_array_equal(state.ema, [4.0])
+    server_apply(state, np.array([-4.0]), count=1)
+    np.testing.assert_array_equal(state.ema, [6.0])
+    server_apply(state, np.array([8.0]), count=1)
+    np.testing.assert_array_equal(state.w, [0.0])
     # weights after three updates: 0.25, 0.25, 0.5
-    np.testing.assert_array_equal(ema.value, [0.25 * 4.0 + 0.25 * 8.0 + 0.5 * 0.0])
+    np.testing.assert_array_equal(state.ema, [0.25 * 4.0 + 0.25 * 8.0 + 0.5 * 0.0])
 
 
 def test_server_apply_feeds_ema():
-    state = ServerState(w=np.array([1.0]), eta_g=1.0, ema=EmaAccumulator(beta=0.9))
+    state = ServerState(
+        w=np.array([1.0]), algo=AlgoConfig("fedbuff", eta_g=1.0, ema_enabled=True, ema_beta=0.9)
+    )
     server_apply(state, np.array([0.5]), count=1)
-    np.testing.assert_array_equal(state.ema.value, state.w)
+    np.testing.assert_array_equal(state.ema, state.w)
     w_first = state.w.copy()
     server_apply(state, np.array([0.5]), count=1)
-    np.testing.assert_allclose(state.ema.value, 0.9 * w_first + 0.1 * state.w, atol=1e-15)
+    np.testing.assert_allclose(state.ema, 0.9 * w_first + 0.1 * state.w, atol=1e-15)
 
 
 # ---- canonical aggregation ---- #
@@ -383,7 +387,7 @@ def test_round_delta_descends_when_applied():
         w0, layout, x, y, eta_l=0.05, batch_size=40, steps=1, gen=rng.stream(0, rng.SHUFFLE, 0)
     )
     delta = w0 - w_local
-    state = ServerState(w=w0.copy(), eta_g=1.0)
+    state = ServerState(w=w0.copy(), algo=AlgoConfig("fedavg", eta_g=1.0))
     server_apply(state, delta, count=1)
     before, _ = loss_and_grad(w0, layout, x, y)
     after, _ = loss_and_grad(state.w, layout, x, y)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stragglersim import cli, model, verify
+from stragglersim import cli, metrics, model, verify
 from stragglersim.config import (
     ConfigError,
     ExperimentConfig,
@@ -339,6 +339,20 @@ def test_a_run_failing_before_its_first_event_leaves_no_out_directory(
     assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: dataset: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["fedavg_oversel", "feast"])
+def test_a_round_whose_cohort_is_still_busy_waits_for_it(tmp_path, capsys, name):
+    # 68 kept clients and a 60-client cohort: late clients of one round leave
+    # too few idle ones for the next, which starts once enough have completed
+    payload = json.loads((FEDAVG_FULL.parent / f"{name}.json").read_text())
+    payload.update(budget=300, trials=1)
+    payload["dataset"].update(m_clients=70, n_straggler_clients=20)
+    config_path = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    _, _, summary = metrics.read_run_jsonl(out / "trial_000.jsonl")
+    assert summary["aggregated_updates"] >= 300
 
 
 def test_pe_mode_rejects_straggler_profile():
@@ -705,6 +719,22 @@ def test_report_refuses_mixed_configs_without_flag(tmp_path, capsys):
         assert len(list(csv.DictReader(fh))) == 2
 
 
+def test_a_mixed_report_labels_each_group_with_its_config_hash(tmp_path, capsys):
+    dirs = []
+    for budget in (8, 10):  # one name, two hashes
+        config_path = _write_config(tmp_path, _payload(budget=budget), f"b{budget}.json")
+        dirs.append(str(tmp_path / f"b{budget}"))
+        assert cli.main(["simulate", "--config", str(config_path), "--out", dirs[-1]]) == 0
+    capsys.readouterr()
+    out_csv = tmp_path / "mixed.csv"
+    assert cli.main(["report", "--in", *dirs, "--out", str(out_csv), "--force-mixed"]) == 0
+    labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:2]]
+    with out_csv.open() as fh:
+        hashes = [row["config_hash"] for row in csv.DictReader(fh)]
+    assert len(set(hashes)) == 2
+    assert labels == [f"unit {h}" for h in hashes]
+
+
 def _broken_logs(tmp_path):
     """Copies of one good trial log: not JSON, without records, without a header."""
     run_dir = tmp_path / "run"
@@ -829,6 +859,7 @@ def test_data_report_writes_composition_tables(tmp_path, capsys):
         classes = list(csv.DictReader(fh))
     assert sum(1 for r in clients if r["group"] == "straggler") == 3
     assert {r["group"] for r in classes} == {"standard", "straggler"}
+    assert len(classes) == 2 * BASE_PAYLOAD["dataset"]["n_classes"]
     # standard clients hold no straggler-class examples
     for row in classes:
         if row["group"] == "standard" and int(row["class"]) in (0, 1):

@@ -172,9 +172,10 @@ def test_clients_are_never_double_booked():
             assert s1 >= e0, f"client {cid} re-dispatched while busy"
 
 
-def test_pool_exhaustion_raises_without_busy_reuse():
+def test_a_round_waits_for_busy_clients_without_busy_reuse():
     # One straggler, so the advance instant can never coincide with the
-    # last busy client's completion: the next cohort is short one client.
+    # last busy client's completion: the next cohort is short one client
+    # until that client completes, and the round starts only then.
     dataset = DatasetConfig(
         n_classes=4,
         d_in=4,
@@ -187,8 +188,18 @@ def test_pool_exhaustion_raises_without_busy_reuse():
     algo = AlgoConfig("fedavg", cohort_size=5, over_selection=True, eta_l=0.05, batch_size=4)
     config = _config(algo, dataset=dataset, budget=20)
     assert config.algo.resolved_dispatch_size() == 6
-    with pytest.raises(RuntimeError, match="idle"):
-        _run(config)
+    sim, result = _run(config)
+    assert result.aggregated_updates >= 20
+    spans = {}
+    for event in sim.events:
+        if event.kind == "dispatch":
+            ((_, cid),) = event.members
+            spans.setdefault(cid, []).append((event.at, event.completed_at))
+    for runs in spans.values():
+        assert all(end <= start for (_, end), (start, _) in zip(runs, runs[1:]))
+    views = round_views(sim.events)
+    assert sim.counters["rounds_started"] == len(views)
+    assert any(nxt.started_at > prev.advanced_at for prev, nxt in zip(views, views[1:]))
 
     relaxed = AlgoConfig(
         "fedavg",
