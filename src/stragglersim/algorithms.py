@@ -350,7 +350,6 @@ class SyncRoundDriver:
     def __init__(self, sim: SimContext, config: AlgoConfig) -> None:
         self.sim = sim
         self.config = config
-        self.cohort_size = config.cohort_size
         self.dispatch_size = config.resolved_dispatch_size()
         self.rounds: dict[int, SyncRound] = {}
 
@@ -378,7 +377,7 @@ class SyncRoundDriver:
         rnd.n_arrived += 1
         if update.client_id in rnd.fast_ids:
             rnd.fast_updates.append(update)
-            if len(rnd.fast_updates) == self.cohort_size:
+            if len(rnd.fast_updates) == self.config.cohort_size:
                 self._advance(rnd)
         elif rnd.advanced:
             self._handle_late(update)
@@ -406,7 +405,7 @@ class SyncRoundDriver:
             for cid, (teacher, scale) in zip(cohort, teachers)
         ]
         by_finish = sorted(updates, key=lambda u: (u.completed_at, u.client_id))
-        fast_ids = frozenset(u.client_id for u in by_finish[: self.cohort_size])
+        fast_ids = frozenset(u.client_id for u in by_finish[: self.config.cohort_size])
         rid = self.sim.state.t
         self.rounds[rid] = SyncRound(round_id=rid, started_at=self.sim.now, fast_ids=fast_ids)
 
@@ -446,7 +445,7 @@ class HistoryDistillationDriver(SyncRoundDriver):
         return teacher, self.sim.teacher_comm_scale
 
     def _after_advance(self, rnd: SyncRound, summed: np.ndarray, w_before: np.ndarray) -> None:
-        self.history.push(rnd.round_id, summed, self.cohort_size)
+        self.history.push(rnd.round_id, summed, self.config.cohort_size)
 
     def _handle_late(self, update: ClientUpdate) -> None:
         if self.history.fold(update.round_id, update.delta):
@@ -488,8 +487,6 @@ class AuxTrackDriver(SyncRoundDriver):
 
     def __init__(self, sim: SimContext, config: AlgoConfig) -> None:
         super().__init__(sim, config)
-        self.beta = config.feast_beta
-        self.eta_a = config.resolved_eta_a()
         self.pending: dict[int, PendingAuxRound] = {}
         self.next_aux_round = 0
 
@@ -501,7 +498,7 @@ class AuxTrackDriver(SyncRoundDriver):
         return self.sim.budget_reached() and not self.pending
 
     def _after_advance(self, rnd: SyncRound, summed: np.ndarray, w_before: np.ndarray) -> None:
-        rec = PendingAuxRound(rnd.round_id, w_before, summed, self.cohort_size)
+        rec = PendingAuxRound(rnd.round_id, w_before, summed, self.config.cohort_size)
         self.pending[rnd.round_id] = rec
         if self._all_reported(rec):
             self._mark_ready(rec)
@@ -551,8 +548,9 @@ class AuxTrackDriver(SyncRoundDriver):
             )
         g = rec.delta_plus / rec.count_plus
         w_plus = rec.w_snapshot - self.config.eta_g * g
+        beta, eta_a = self.config.feast_beta, self.config.resolved_eta_a()
         aux = self.sim.state.aux
-        self.sim.publish_aux(self.beta * (aux - self.eta_a * g) + (1.0 - self.beta) * w_plus)
+        self.sim.publish_aux(beta * (aux - eta_a * g) + (1.0 - beta) * w_plus)
 
 
 # ---- Buffered asynchronous aggregation ---- #

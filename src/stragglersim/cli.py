@@ -10,10 +10,11 @@ Subcommands:
   data-report     per-client and per-class tables of the generated dataset
 
 Exit codes: 0 success, 1 failed verification, 2 bad input (missing file,
-malformed or unknown config keys, wrong-typed values, negative seeds, a count
-flag or STRAGGLERSIM_JOBS below 1, cohorts larger than the dataset, a dataset
-the generator cannot satisfy, a malformed trial log), 3 a trial failed at run
-time (RuntimeError or FloatingPointError).
+malformed or unknown config or sweep-file keys, wrong-typed values, negative
+seeds, a count flag or STRAGGLERSIM_JOBS below 1, cohorts larger than the
+dataset, a dataset the generator cannot satisfy, a malformed trial log or a
+record line missing a field, an --out path that cannot be written), 3 a trial
+failed at run time (RuntimeError or FloatingPointError).
 
 Trial seeds are base_seed + trial_index. simulate is a sweep of one point:
 both run all their trials in one pool (--jobs or STRAGGLERSIM_JOBS processes)
@@ -224,10 +225,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     by_hash: dict[str, dict] = {}
     for path in files:
-        try:
-            header, records, _ = metrics.read_run_jsonl(path)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        header, records, _ = metrics.read_run_jsonl(path)
         chash = header.get("config_hash", "")
         group = by_hash.setdefault(
             chash,
@@ -366,9 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        missing = exc.filename if exc.filename else str(exc)
-        print(f"error: file not found: {missing}", file=sys.stderr)
+    except OSError as exc:
+        what = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"error: {what}: {exc.filename or exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

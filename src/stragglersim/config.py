@@ -2,9 +2,12 @@
 
 Unknown keys and wrong-typed values are rejected with a path-qualified
 message, so a typo like "algo.eta_gl" or a budget of true fails loudly
-instead of silently running something else. The config hash is the sha256
-of the canonical JSON form of the fully resolved config and is stamped into
-every output so reports can refuse to mix runs of different configurations.
+instead of silently running something else. One builder, _build_dataclass,
+checks every input file this way: experiment configs, sweep files
+(SweepConfig) and the record lines of trial logs (metrics.MetricsRecord).
+The config hash is the sha256 of the canonical JSON form of the fully
+resolved config and is stamped into every output so reports can refuse to
+mix runs of different configurations.
 """
 
 from __future__ import annotations
@@ -124,13 +127,16 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-_SCALARS = {"int": int, "float": (int, float), "bool": bool, "str": str, "None": type(None)}
+_SCALARS = {
+    "int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict, "None": type(None)
+}
 
 
 def _check_number(value: Any, annotation: str, path: str) -> None:
     """Reject a value of the wrong type for a scalar field (a bool for a number,
-    a float for an int, a string for a number, a non-string for a string) and
-    non-finite floats; annotation is the field's annotation string."""
+    a float for an int, a string for a number, a non-string for a string, a
+    non-object for a dict) and non-finite floats; annotation is the field's
+    annotation string."""
     kinds = [part.strip() for part in annotation.split("|")]
     if not all(kind in _SCALARS for kind in kinds):
         return
@@ -141,15 +147,20 @@ def _check_number(value: Any, annotation: str, path: str) -> None:
         raise ConfigError(f"{path}: must be finite, got {value}")
 
 
+def _check_keys(payload: Any, known, path: str) -> None:
+    """Reject a payload that is not a JSON object or has a key outside known."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(payload).__name__}")
+    unknown = sorted(set(payload) - set(known))
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s) {unknown}; known keys: {sorted(known)}")
+
+
 def _build_dataclass(cls: type, payload: Any, path: str, sections: dict | None = None):
     """Build cls from a JSON object; sections maps a key to the parser of its
     nested value, every other value is checked against its field annotation."""
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(payload).__name__}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - set(fields))
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {unknown}; known keys: {sorted(fields)}")
+    _check_keys(payload, fields, path)
     for name, f in fields.items():
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         if required and name not in payload:
@@ -183,23 +194,14 @@ def _parse_lognormal(payload: Any, path: str) -> LognormalParams:
 
 
 def _parse_profile(payload: Any, path: str, default: LatencyProfile) -> LatencyProfile:
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = sorted(set(payload) - {"comm", "per_example", "overhead"})
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {unknown}")
+    _check_keys(payload, ("comm", "per_example", "overhead"), path)
     return dataclasses.replace(
         default, **{key: _parse_lognormal(value, f"{path}.{key}") for key, value in payload.items()}
     )
 
 
 def _parse_latency(payload: Any, path: str) -> LatencyScenario:
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: expected an object")
-    known = {"mode", "standard", "straggler", "teacher_download_factor"}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {unknown}; known keys: {sorted(known)}")
+    _check_keys(payload, ("mode", "standard", "straggler", "teacher_download_factor"), path)
     mode = payload.get("mode")
     if mode not in ("pe", "pdpe"):
         raise ConfigError(f"{path}.mode: must be 'pe' or 'pdpe', got {mode!r}")
@@ -293,15 +295,17 @@ def config_from_dict(payload: dict, path: str = "config") -> ExperimentConfig:
     return _build_dataclass(ExperimentConfig, payload, path, _SECTIONS)
 
 
+def _read_json(path: str | Path) -> Any:
+    """Parse a JSON file; a syntax error is a ConfigError naming file:line:col."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load and validate an experiment config from a JSON file."""
-    file_path = Path(path)
-    text = file_path.read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{file_path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return config_from_dict(payload, path=str(file_path))
+    return config_from_dict(_read_json(path), path=str(path))
 
 
 # ---- sweeps ---- #
@@ -309,11 +313,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid sweep: a base experiment plus per-parameter value lists."""
+    """Grid sweep: a base experiment payload plus per-parameter value lists."""
 
-    base: ExperimentConfig
-    base_dict: dict
-    parameters: dict[str, list]
+    base: dict
+    parameters: dict
     objective: str = "straggler_acc"
     max_points: int = 64
 
@@ -355,7 +358,7 @@ def sweep_points(sweep: SweepConfig) -> list[tuple[dict[str, Any], ExperimentCon
         )
     out = []
     for combo in combos:
-        payload = json.loads(json.dumps(sweep.base_dict))
+        payload = json.loads(json.dumps(sweep.base))
         for dotted, value in combo.items():
             _set_path(payload, dotted, value, "sweep")
         out.append((combo, config_from_dict(payload, path="sweep.base")))
@@ -363,29 +366,8 @@ def sweep_points(sweep: SweepConfig) -> list[tuple[dict[str, Any], ExperimentCon
 
 
 def load_sweep(path: str | Path) -> SweepConfig:
-    """Load a sweep file: {"base": {...}, "parameters": {...}, ...}."""
-    file_path = Path(path)
-    text = file_path.read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{file_path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{file_path}: expected a JSON object")
-    known = {"base", "parameters", "objective", "max_points"}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ConfigError(f"{file_path}: unknown key(s) {unknown}; known keys: {sorted(known)}")
-    if "base" not in payload or "parameters" not in payload:
-        raise ConfigError(f"{file_path}: sweep file needs 'base' and 'parameters'")
-    base = config_from_dict(payload["base"], path=f"{file_path}:base")
-    try:
-        return SweepConfig(
-            base=base,
-            base_dict=payload["base"],
-            parameters=payload["parameters"],
-            objective=payload.get("objective", "straggler_acc"),
-            max_points=payload.get("max_points", 64),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{file_path}: {exc}") from exc
+    """Load a sweep file: {"base": {...}, "parameters": {...}, ...}; the base
+    must itself be a valid experiment config."""
+    sweep = _build_dataclass(SweepConfig, _read_json(path), str(path))
+    config_from_dict(sweep.base, path=f"{path}.base")
+    return sweep

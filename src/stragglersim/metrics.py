@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model
+from .config import ConfigError, _build_dataclass
 from .data import FederatedDataset
 from .model import ModelLayout
 
@@ -106,8 +107,10 @@ def write_run_jsonl(
 
 
 def read_run_jsonl(path: str | Path) -> tuple[dict, list[dict], dict]:
-    """Read a run log back into (header, records, summary); a malformed or
-    incomplete log raises a ValueError naming the file."""
+    """Read a run log back into (header, records, summary). A line that is
+    not a JSON object, a record line that does not match MetricsRecord's
+    fields and types, and a log without a header, summary or record raise a
+    ConfigError naming path:line (or the path)."""
     header: dict | None = None
     summary: dict | None = None
     records: list[dict] = []
@@ -119,20 +122,23 @@ def read_run_jsonl(path: str | Path) -> tuple[dict, list[dict], dict]:
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: not JSON ({exc.msg})") from None
+                raise ConfigError(f"{path}:{line_no}: not JSON ({exc.msg})") from None
+            if not isinstance(row, dict):
+                raise ConfigError(f"{path}:{line_no}: expected an object, got {type(row).__name__}")
             kind = row.pop("type", None)
             if kind == "header":
                 header = row
             elif kind == "record":
+                _build_dataclass(MetricsRecord, row, f"{path}:{line_no}")
                 records.append(row)
             elif kind == "summary":
                 summary = row
             else:
-                raise ValueError(f"{path}:{line_no}: unknown row type {kind!r}")
+                raise ConfigError(f"{path}:{line_no}: unknown row type {kind!r}")
     if header is None or summary is None:
-        raise ValueError(f"{path}: missing header or summary line")
+        raise ConfigError(f"{path}: missing header or summary line")
     if not records:
-        raise ValueError(f"{path}: no records")
+        raise ConfigError(f"{path}: no records")
     return header, records, summary
 
 

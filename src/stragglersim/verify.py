@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -217,16 +217,6 @@ class CheckReport:
     bound: dict[str, float]
     detail: str
     elapsed_s: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "measured": self.measured,
-            "bound": self.bound,
-            "detail": self.detail,
-            "elapsed_s": self.elapsed_s,
-        }
 
 
 # The round schedule of the gap and stationarity checks: 2 of 4 dispatched
@@ -469,5 +459,5 @@ def run_suite(which: str = "all", *, base_seed: int = 0) -> dict:
         "suite": which,
         "base_seed": base_seed,
         "passed": all(r.passed for r in reports),
-        "checks": [r.to_dict() for r in reports],
+        "checks": [asdict(r) for r in reports],
     }

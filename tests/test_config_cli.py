@@ -464,10 +464,10 @@ def test_sweep_points_outer_product_order(tmp_path):
         assert config.algo.eta_l == assignment["algo.eta_l"]
         assert config.algo.cohort_size == assignment["algo.cohort_size"]
     # the base payload itself is never mutated
-    assert sweep.base.algo.eta_l == 0.05
+    assert sweep.base["algo"]["eta_l"] == 0.05
 
 
-def test_sweep_cap_and_validation(tmp_path):
+def test_sweep_cap_and_validation(tmp_path, capsys):
     with pytest.raises(ConfigError, match="max_points"):
         sweep_points(load_sweep(_write_config(tmp_path, _sweep_payload(max_points=3), "a.json")))
     with pytest.raises(ConfigError, match="objective"):
@@ -480,6 +480,20 @@ def test_sweep_cap_and_validation(tmp_path):
     del nobase["base"]
     with pytest.raises(ConfigError, match="base"):
         load_sweep(_write_config(tmp_path, nobase, "d.json"))
+    # a wrong-typed key exits 2 with one line naming file and key, and writes nothing
+    for name, key, value, kind in [
+        ("e.json", "max_points", "5", "int"),
+        ("f.json", "max_points", True, "int"),
+        ("g.json", "max_points", 2.5, "int"),
+        ("h.json", "parameters", "ab", "dict"),
+        ("i.json", "base", [1], "dict"),
+    ]:
+        path = _write_config(tmp_path, _sweep_payload(**{key: value}), name)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 2, name
+        err = capsys.readouterr().err
+        assert err == f"error: {path}.{key}: expected {kind}, got {value!r}\n", err
+        assert not out.exists()
 
 
 # ---- command line ---- #
@@ -613,6 +627,37 @@ def test_verify_single_check_passes(tmp_path, capsys):
     assert "suite passed" in stdout
 
 
+@pytest.mark.parametrize(
+    "command, out_kind",
+    [("data-report", "file"), ("latency-report", "dir"), ("verify", "dir"), ("report", "dir"),
+     ("simulate", "file")],
+)
+def test_an_unwritable_out_exits_2_and_names_it(tmp_path, capsys, command, out_kind):
+    out = tmp_path / "taken"
+    if out_kind == "file":
+        out.write_text("keep\n")
+    else:
+        out.mkdir()
+    config_path = _write_config(tmp_path, _payload(trials=1))
+    argv = {
+        "data-report": ["--config", str(config_path)],
+        "latency-report": ["--config", str(config_path), "--draws", "100"],
+        "verify": ["--suite", "gap_recursion"],
+        "report": ["--in", str(tmp_path / "run")],
+        "simulate": ["--config", str(config_path)],
+    }[command]
+    if command == "report":
+        assert cli.main(["simulate", "--config", str(config_path), "--out", argv[1]]) == 0
+    capsys.readouterr()
+    assert cli.main([command, *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1, err
+    if out_kind == "file":
+        assert out.read_text() == "keep\n"
+    else:
+        assert not any(out.iterdir())
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     assert cli.main(["verify", "--suite", "everything"]) == 2
     assert "unknown suite" in capsys.readouterr().err
@@ -742,14 +787,29 @@ def _broken_logs(tmp_path):
                      "--out", str(run_dir)]) == 0
     header, *records, summary = (run_dir / "trial_000.jsonl").read_text().splitlines()
     assert records
+    record = json.loads(records[0])
     return {
         "not_json": [header, records[0][:-1], *records[1:], summary],
         "no_records": [header, summary],
         "no_header": [*records, summary],
+        "list_line": [header, "[1, 2]", *records, summary],
+        "no_total_acc": [header, json.dumps({k: v for k, v in record.items() if k != "total_acc"}),
+                         *records[1:], summary],
+        "str_total_acc": [header, json.dumps({**record, "total_acc": "x"}), *records[1:], summary],
     }
 
 
-@pytest.mark.parametrize("defect", ["not_json", "no_records", "no_header"])
+_DEFECT_WHERE = {
+    "not_json": ":2: not JSON",
+    "no_records": ": no records",
+    "no_header": ": missing header",
+    "list_line": ":2: expected an object, got list",
+    "no_total_acc": ":2.total_acc: required key is missing",
+    "str_total_acc": ":2.total_acc: expected float, got 'x'",
+}
+
+
+@pytest.mark.parametrize("defect", list(_DEFECT_WHERE))
 def test_report_on_a_malformed_log_exits_2_and_names_it(tmp_path, capsys, defect):
     log = tmp_path / "broken.jsonl"
     log.write_text("\n".join(_broken_logs(tmp_path)[defect]) + "\n")
@@ -757,9 +817,7 @@ def test_report_on_a_malformed_log_exits_2_and_names_it(tmp_path, capsys, defect
     out_csv = tmp_path / "summary.csv"
     assert cli.main(["report", "--in", str(log), "--out", str(out_csv)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {log}") and err.count("\n") == 1, err
-    if defect == "not_json":
-        assert err.startswith(f"error: {log}:2: not JSON")
+    assert err.startswith(f"error: {log}{_DEFECT_WHERE[defect]}") and err.count("\n") == 1, err
     assert not out_csv.exists()
 
 

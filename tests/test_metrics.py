@@ -1,11 +1,14 @@
 """Tests for accuracy evaluation, trial summaries, and run logs."""
 
 import csv
+import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from stragglersim.config import ConfigError
 from stragglersim.data import DatasetConfig, build_dataset
 from stragglersim.metrics import (
     MetricsRecord,
@@ -210,6 +213,27 @@ def test_run_jsonl_unknown_row_type_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"type": "header"}\n{"type": "banana"}\n{"type": "summary"}\n')
     with pytest.raises(ValueError, match="banana"):
+        read_run_jsonl(path)
+
+
+_RECORD = {"type": "record", "virtual_time_s": 1.0, "server_step": 1, "aggregated_updates": 2,
+           "total_acc": 0.5, "straggler_acc": 0.5, "which_model": "global"}
+
+
+@pytest.mark.parametrize(
+    "line, where",
+    [
+        ([1, 2], ":2: expected an object, got list"),
+        ({k: v for k, v in _RECORD.items() if k != "total_acc"},
+         ":2.total_acc: required key is missing"),
+        ({**_RECORD, "total_acc": "x"}, ":2.total_acc: expected float, got 'x'"),
+    ],
+    ids=["list_line", "no_total_acc", "str_total_acc"],
+)
+def test_run_jsonl_malformed_line_rejected(tmp_path, line, where):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f'{{"type": "header"}}\n{json.dumps(line)}\n{{"type": "summary"}}\n')
+    with pytest.raises(ConfigError, match=re.escape(f"{path}{where}")):
         read_run_jsonl(path)
 
 
