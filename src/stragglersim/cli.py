@@ -164,7 +164,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = load_sweep(args.config)
-    points = sweep_points(sweep)
+    points = sweep_points(sweep, args.config)
     out_dir = Path(args.out)
     runs = [(config, out_dir / f"point_{idx:03d}") for idx, (_, config) in enumerate(points)]
     point_finals = _run(runs, _resolve_jobs(args.jobs))
@@ -197,6 +197,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"unknown suite {args.suite!r}; options: all, {', '.join(CHECKS)}"
         )
+    if args.out:
+        # checked before the suite runs, which takes seconds
+        out = Path(args.out)
+        if out.is_dir():
+            raise ConfigError(f"--out {out}: is a directory")
+        if not out.parent.is_dir():
+            raise ConfigError(f"--out {out}: directory {out.parent} does not exist")
     report = run_suite(args.suite, base_seed=args.seed)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"

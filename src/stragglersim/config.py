@@ -107,11 +107,27 @@ class ExperimentConfig:
         return self.base_seed if self.data_seed is None else self.data_seed
 
     def build_dataset(self) -> data.FederatedDataset:
-        """The trials' dataset; a section the generator cannot satisfy is a ConfigError."""
+        """The trials' dataset; a section the generator cannot satisfy is a ConfigError.
+
+        A process builds each (dataset section, data seed) once and hands every
+        later caller the same read-only dataset; it keeps the last
+        DATASETS_KEPT of them.
+        """
         try:
-            return data.build_dataset(self.dataset, self.effective_data_seed())
+            return _shared_dataset(self.dataset, self.effective_data_seed())
         except ValueError as exc:
             raise ConfigError(f"dataset: {exc}") from None
+
+
+# The trials of a simulate run, and all four acceptance configs, share one
+# dataset, and a sweep runs its points in order, so two kept datasets serve
+# them while a process holds at most two.
+DATASETS_KEPT = 2
+
+
+@functools.lru_cache(maxsize=DATASETS_KEPT)
+def _shared_dataset(dataset: DatasetConfig, seed: int) -> data.FederatedDataset:
+    return data.build_dataset(dataset, seed)
 
 
 # ---- dict <-> config ---- #
@@ -339,29 +355,33 @@ def _set_path(payload: dict, dotted: str, value: Any, path: str) -> None:
     node[parts[-1]] = value
 
 
-def sweep_points(sweep: SweepConfig) -> list[tuple[dict[str, Any], ExperimentConfig]]:
+def sweep_points(
+    sweep: SweepConfig, path: str | Path
+) -> list[tuple[dict[str, Any], ExperimentConfig]]:
     """Expand the grid (outer product, capped) into concrete configs.
 
     Returns (assignment, config) pairs in deterministic order: parameter
-    names sorted, values in listed order, rightmost parameter fastest.
+    names sorted, values in listed order, rightmost parameter fastest. An
+    error names the sweep file at path and, for a bad point, its assignment.
     """
     names = sorted(sweep.parameters)
     combos: list[dict[str, Any]] = [{}]
     for name in names:
         values = sweep.parameters[name]
         if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep.parameters.{name}: expected a nonempty list")
+            raise ConfigError(f"{path}.parameters.{name}: expected a nonempty list")
         combos = [{**combo, name: v} for combo in combos for v in values]
     if len(combos) > sweep.max_points:
         raise ConfigError(
-            f"sweep grid has {len(combos)} points, above max_points={sweep.max_points}"
+            f"{path}: sweep grid has {len(combos)} points, above max_points={sweep.max_points}"
         )
     out = []
-    for combo in combos:
+    for idx, combo in enumerate(combos):
+        point = f"{path}: point {idx} {combo}"
         payload = json.loads(json.dumps(sweep.base))
         for dotted, value in combo.items():
-            _set_path(payload, dotted, value, "sweep")
-        out.append((combo, config_from_dict(payload, path="sweep.base")))
+            _set_path(payload, dotted, value, point)
+        out.append((combo, config_from_dict(payload, path=f"{point}: base")))
     return out
 
 

@@ -9,6 +9,12 @@ examples from everyone else, so those classes live exclusively on straggler
 clients. The held-out evaluation split comes from the same class clusters
 via a disjoint stream. The straggler split is not a second copy: the dataset
 stores the indices of the total split's straggler-class rows, computed once.
+
+The build runs as array operations over the whole population: the raw
+examples sit in one features array and one labels array, client by client,
+and the partition keeps rows through one boolean mask and one gather. Every
+shard is a read-only view of the kept arrays and the eval arrays are
+read-only too, so one dataset can serve many trials without a copy.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ import numpy as np
 from . import rng
 
 logger = logging.getLogger(__name__)
+
+# Rows per block when class centers are added to noise in place.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -140,8 +149,16 @@ def generate_synthetic(config: DatasetConfig, seed: int) -> list[ClientShard]:
 
     Shard sizes are lognormal around the configured median (rounded, min 1);
     each client's class mixture is Dirichlet(concentration * global mixture),
-    so larger concentrations approach the global mixture.
+    so larger concentrations approach the global mixture. The shards are
+    consecutive views of one features array and one labels array.
     """
+    features, labels, sizes = _generate(config, seed)
+    ids = np.arange(config.m_clients)
+    return _split(features, labels, sizes, ids, np.zeros(config.m_clients, dtype=bool))
+
+
+def _generate(config: DatasetConfig, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw population as (features, labels, sizes): rows client by client."""
     centers = class_centers(config, seed)
     mixture = config.mixture()
 
@@ -153,16 +170,54 @@ def generate_synthetic(config: DatasetConfig, seed: int) -> list[ClientShard]:
     mix_gen = rng.stream(seed, rng.DATA, 2)
     alphas = config.concentration * mixture
     client_mixtures = mix_gen.dirichlet(alphas, size=config.m_clients)
+    # A client's labels are what ex_gen.choice(n_classes, size, p=its mixture)
+    # draws: choice searches cdf = p.cumsum() / its last entry for
+    # random(size), side "right". Here the cdf is built for all clients at once.
+    cdf = np.cumsum(client_mixtures, axis=1)
+    cdf /= cdf[:, -1:]
 
     keys = rng.stream_keys(seed, rng.DATA, 3, ids=range(config.m_clients))
-    shards = []
-    for client_id in range(config.m_clients):
+    ends = np.cumsum(sizes).tolist()
+    labels = np.empty(ends[-1], dtype=np.int64)
+    features = np.empty((ends[-1], config.d_in))
+    for client_id, (a, b) in enumerate(zip([0, *ends], ends)):
         ex_gen = rng.stream_from_key(keys[client_id])
-        labels = ex_gen.choice(config.n_classes, size=sizes[client_id], p=client_mixtures[client_id])
-        noise = ex_gen.standard_normal((sizes[client_id], config.d_in))
-        features = centers[labels] + config.cluster_spread * noise
-        shards.append(ClientShard(client_id=client_id, features=features, labels=labels))
-    return shards
+        labels[a:b] = cdf[client_id].searchsorted(ex_gen.random(b - a), side="right")
+        ex_gen.standard_normal(out=features[a:b])
+    # centers[labels] + cluster_spread * noise, bit for bit, computed in place
+    features *= config.cluster_spread
+    _add_centers(features, centers, labels)
+    return features, labels, sizes
+
+
+def _add_centers(features: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> None:
+    """features += centers[labels], a block of rows at a time, so that the
+    gathered centers never take a second array the size of features."""
+    for start in range(0, len(labels), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        features[block] += centers[labels[block]]
+
+
+def _split(
+    features: np.ndarray,
+    labels: np.ndarray,
+    sizes: np.ndarray,
+    ids: np.ndarray,
+    flagged: np.ndarray,
+) -> list[ClientShard]:
+    """One shard per id: consecutive views of sizes[i] rows for client ids[i]."""
+    ends = np.cumsum(sizes).tolist()
+    return [
+        ClientShard(client_id, features[a:b], labels[a:b], is_straggler)
+        for client_id, a, b, is_straggler in zip(ids.tolist(), [0, *ends], ends, flagged.tolist())
+    ]
+
+
+def _class_table(straggler_classes, n_classes: int) -> np.ndarray:
+    """bool[n_classes]: True at the straggler classes."""
+    table = np.zeros(n_classes, dtype=bool)
+    table[list(straggler_classes)] = True
+    return table
 
 
 def apply_straggler_partition(
@@ -176,7 +231,7 @@ def apply_straggler_partition(
     ascending client_id); the top n keep all their examples and are flagged
     straggler. Straggler-class examples are removed from the remaining
     standard clients; shards emptied by the removal are dropped with a
-    warning.
+    warning. The kept shards are read-only views of one gathered array.
 
     Returns:
         (partitioned shards in client_id order, ids of dropped shards)
@@ -187,58 +242,83 @@ def apply_straggler_partition(
         raise ValueError(
             f"n_straggler_clients={n_straggler_clients} exceeds client count {len(shards)}"
         )
+    shards = sorted(shards, key=lambda s: s.client_id)
+    labels = np.concatenate([s.labels for s in shards])
+    table = _class_table(straggler_classes, max(*straggler_classes, labels.max(initial=0)) + 1)
+    return _partition(
+        np.concatenate([s.features for s in shards]),
+        labels,
+        np.array([s.n_examples for s in shards]),
+        np.array([s.client_id for s in shards]),
+        table,
+        n_straggler_clients,
+    )
 
-    class_list = sorted(straggler_classes)
-    counts = {s.client_id: int(np.isin(s.labels, class_list).sum()) for s in shards}
-    ranked = sorted(shards, key=lambda s: (-counts[s.client_id], s.client_id))
-    straggler_ids = {s.client_id for s in ranked[:n_straggler_clients]}
 
-    out: list[ClientShard] = []
-    dropped: list[int] = []
-    for shard in sorted(shards, key=lambda s: s.client_id):
-        if shard.client_id in straggler_ids:
-            out.append(
-                ClientShard(shard.client_id, shard.features, shard.labels, is_straggler=True)
-            )
-            continue
-        keep = ~np.isin(shard.labels, class_list)
-        if not keep.any():
-            dropped.append(shard.client_id)
-            continue
-        out.append(
-            ClientShard(
-                shard.client_id, shard.features[keep], shard.labels[keep], is_straggler=False
-            )
-        )
+def _partition(
+    features: np.ndarray,
+    labels: np.ndarray,
+    sizes: np.ndarray,
+    ids: np.ndarray,
+    table: np.ndarray,
+    n_straggler_clients: int,
+) -> tuple[list[ClientShard], tuple[int, ...]]:
+    """apply_straggler_partition over a population stored client by client,
+    sizes[i] rows for client ids[i], in ascending id order."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    in_class = table[labels]
+    counts = np.bincount(owner[in_class], minlength=len(sizes))
+    flagged = np.zeros(len(sizes), dtype=bool)
+    flagged[np.lexsort((ids, -counts))[:n_straggler_clients]] = True
+
+    keep = flagged[owner]
+    keep |= ~in_class
+    kept = np.bincount(owner[keep], minlength=len(sizes))
+    listed = flagged | (kept > 0)
+    dropped = ids[~listed].tolist()
+    features, labels = features[keep], labels[keep]
+    _read_only(features, labels)
     if dropped:
         logger.warning(
             "dropped %d standard shard(s) emptied by straggler-class removal", len(dropped)
         )
         logger.debug("dropped shard ids: %s", dropped)
-    return out, tuple(dropped)
+    return _split(features, labels, kept[listed], ids[listed], flagged[listed]), tuple(dropped)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
 
 
 def make_eval_splits(config: DatasetConfig, seed: int) -> tuple[EvalSplit, np.ndarray]:
     """The held-out split, drawn from the same class clusters as training,
     and the ascending indices of its rows whose labels are straggler classes.
+    All three arrays are read-only.
 
     Uses an rng stream disjoint from shard generation.
     """
     centers = class_centers(config, seed)
     gen = rng.stream(seed, rng.EVAL)
     labels = gen.choice(config.n_classes, size=config.eval_size, p=config.mixture())
-    features = centers[labels] + config.cluster_spread * gen.standard_normal(
-        (config.eval_size, config.d_in)
-    )
-    straggler_rows = np.flatnonzero(np.isin(labels, sorted(config.straggler_classes)))
+    features = gen.standard_normal((config.eval_size, config.d_in))
+    features *= config.cluster_spread
+    _add_centers(features, centers, labels)
+    table = _class_table(config.straggler_classes, config.n_classes)
+    straggler_rows = np.flatnonzero(table[labels])
+    _read_only(features, labels, straggler_rows)
     return EvalSplit(features=features, labels=labels), straggler_rows
 
 
 def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
-    """Generate, partition, and attach eval splits; validates invariants."""
-    raw = generate_synthetic(config, seed)
-    shards, dropped = apply_straggler_partition(
-        raw, frozenset(config.straggler_classes), config.n_straggler_clients
+    """Generate, partition, and attach eval splits; validates invariants.
+
+    Each step runs as array operations over the whole population, and every
+    array of the result is read-only, so one dataset can serve many trials.
+    """
+    table = _class_table(config.straggler_classes, config.n_classes)
+    shards, dropped = _partition(
+        *_generate(config, seed), np.arange(config.m_clients), table, config.n_straggler_clients
     )
     eval_total, eval_straggler_rows = make_eval_splits(config, seed)
 
@@ -247,16 +327,16 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
             "removing the straggler classes leaves no client shard; "
             "add straggler clients or keep some classes out of straggler_classes"
         )
-    present: set[int] = set()
-    for shard in shards:
-        if shard.is_straggler:
-            present.update(np.unique(shard.labels).tolist())
-    missing = set(config.straggler_classes) - present
-    if config.n_straggler_clients > 0 and missing:
-        raise ValueError(
-            f"straggler classes {sorted(missing)} appear in no straggler shard; "
-            "increase shard sizes or straggler client count"
+    if config.n_straggler_clients > 0:
+        held = np.bincount(
+            np.concatenate([s.labels for s in shards if s.is_straggler]), minlength=config.n_classes
         )
+        missing = np.flatnonzero(table & (held == 0)).tolist()
+        if missing:
+            raise ValueError(
+                f"straggler classes {missing} appear in no straggler shard; "
+                "increase shard sizes or straggler client count"
+            )
     if len(eval_straggler_rows) == 0:
         raise ValueError(
             f"the {config.eval_size}-example eval split holds no straggler-class example; "

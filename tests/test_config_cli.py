@@ -449,8 +449,9 @@ def _sweep_payload(**kwargs):
 
 
 def test_sweep_points_outer_product_order(tmp_path):
-    sweep = load_sweep(_write_config(tmp_path, _sweep_payload(), "sweep.json"))
-    points = sweep_points(sweep)
+    path = _write_config(tmp_path, _sweep_payload(), "sweep.json")
+    sweep = load_sweep(path)
+    points = sweep_points(sweep, path)
     assert len(points) == 4
     # names sorted: algo.cohort_size varies slowest, algo.eta_l fastest
     assignments = [a for a, _ in points]
@@ -468,14 +469,16 @@ def test_sweep_points_outer_product_order(tmp_path):
 
 
 def test_sweep_cap_and_validation(tmp_path, capsys):
+    path = _write_config(tmp_path, _sweep_payload(max_points=3), "a.json")
     with pytest.raises(ConfigError, match="max_points"):
-        sweep_points(load_sweep(_write_config(tmp_path, _sweep_payload(max_points=3), "a.json")))
+        sweep_points(load_sweep(path), path)
     with pytest.raises(ConfigError, match="objective"):
         load_sweep(_write_config(tmp_path, _sweep_payload(objective="loss"), "b.json"))
     bad = _sweep_payload()
     bad["parameters"] = {"algo.eta_l": []}
+    path = _write_config(tmp_path, bad, "c.json")
     with pytest.raises(ConfigError, match=r"algo\.eta_l"):
-        sweep_points(load_sweep(_write_config(tmp_path, bad, "c.json")))
+        sweep_points(load_sweep(path), path)
     nobase = _sweep_payload()
     del nobase["base"]
     with pytest.raises(ConfigError, match="base"):
@@ -494,6 +497,35 @@ def test_sweep_cap_and_validation(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"error: {path}.{key}: expected {kind}, got {value!r}\n", err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "parameters, message",
+    [
+        (
+            {"algo.eta_lx": [0.1]},
+            "point 0 {'algo.eta_lx': 0.1}: base.algo: unknown key(s) ['eta_lx']",
+        ),
+        (
+            {"algo.eta_l": [0.1, "x"]},
+            "point 1 {'algo.eta_l': 'x'}: base.algo.eta_l: expected float, got 'x'",
+        ),
+    ],
+    ids=["unknown-key", "wrong-type"],
+)
+def test_a_bad_sweep_point_names_the_file_and_the_point_before_any_trial(
+    tmp_path, capsys, monkeypatch, parameters, message
+):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_run_trial_to_file", no_trial)
+    path = _write_config(tmp_path, _sweep_payload(parameters=parameters), "sweep.json")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 # ---- command line ---- #
@@ -625,6 +657,22 @@ def test_verify_single_check_passes(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "PASS gap_recursion" in stdout
     assert "suite passed" in stdout
+
+
+@pytest.mark.parametrize("out_kind", ["dir", "missing-parent"])
+def test_verify_checks_out_before_the_first_check(tmp_path, capsys, monkeypatch, out_kind):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    out = tmp_path / "taken" if out_kind == "dir" else tmp_path / "missing" / "verify.json"
+    if out_kind == "dir":
+        out.mkdir()
+    assert cli.main(["verify", "--suite", "gap_recursion", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(

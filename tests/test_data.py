@@ -1,10 +1,11 @@
 """Tests for synthetic data generation and the straggler partition."""
 
+import hashlib
 import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stragglersim import rng
@@ -311,3 +312,145 @@ def test_config_validation():
         DatasetConfig(n_classes=10, class_mixture=(0.5, 0.5))
     with pytest.raises(ValueError):
         apply_straggler_partition([_shard_with_labels(0, [0])], {0}, 2)
+
+
+# ---- the built dataset, bit for bit ---- #
+
+
+def _digest(dataset) -> str:
+    """sha256 over every shard's id, group, labels and features with their
+    dtypes, the eval arrays, the eval straggler rows and the dropped ids."""
+    h = hashlib.sha256()
+    for s in dataset.shards:
+        h.update(f"{s.client_id}:{s.is_straggler}:{s.labels.dtype}:{s.features.dtype}".encode())
+        h.update(np.ascontiguousarray(s.labels).tobytes())
+        h.update(np.ascontiguousarray(s.features).tobytes())
+    for a in (dataset.eval_total.features, dataset.eval_total.labels, dataset.eval_straggler_rows):
+        h.update(str(a.dtype).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr(dataset.dropped_clients).encode())
+    return h.hexdigest()
+
+
+# The dataset section of configs/acceptance/*.json; benchmarks/configs/mlp_eval.json
+# has the same section, so it is checked here at a second data seed.
+_ACCEPTANCE = dict(
+    n_classes=10,
+    d_in=32,
+    m_clients=400,
+    median_shard_size=34.0,
+    size_sigma=0.5,
+    concentration=1.0,
+    cluster_spread=3.0,
+    center_scale=1.0,
+    eval_size=16000,
+    straggler_classes=(0, 1, 2, 3, 4),
+    n_straggler_clients=60,
+)
+# benchmarks/configs/fedbuff_crowd.json
+_FEDBUFF_CROWD = dict(_ACCEPTANCE, m_clients=2000, median_shard_size=8.0, n_straggler_clients=300)
+
+
+# Digests recorded with the per-client build this one replaced (one choice and
+# one np.isin per client); a change here means the data moved.
+@pytest.mark.parametrize(
+    "config, seed, want",
+    [
+        (
+            DatasetConfig(**_ACCEPTANCE),
+            0,
+            "5f95bd3d31addcb535cfd2b2a81b45b9d899d1a6a3a88280ac73b6560201cc28",
+        ),
+        (
+            DatasetConfig(**_ACCEPTANCE),
+            1,
+            "e7051363598b9de5ea192c983e8bb1c5d477bf32faf01944b8aed3eeb163979e",
+        ),
+        (
+            DatasetConfig(**_FEDBUFF_CROWD),
+            0,
+            "c08b53d3bce67c14e6667d3d7125690fabdf0e28d8bc6baf97df880cfada9488",
+        ),
+        (
+            DatasetConfig(
+                n_classes=6, d_in=5, m_clients=60, n_straggler_clients=0,
+                straggler_classes=(1, 4), eval_size=300,
+            ),
+            2,
+            "5843c982ef7cdd458b3065a203ea981a8efd076aa80c884d85cc1ac6ac23f5b7",
+        ),
+        (
+            DatasetConfig(
+                n_classes=4, d_in=3, m_clients=50, class_mixture=(0.4, 0.3, 0.2, 0.1),
+                straggler_classes=(3,), n_straggler_clients=8, eval_size=200,
+            ),
+            1,
+            "6a004a83f4f49da796ebb49a58190aabdd4b6bb6fe156734b6114c4e24859cb4",
+        ),
+        (
+            DatasetConfig(
+                n_classes=10, d_in=4, m_clients=120, median_shard_size=6.0,
+                concentration=0.1, n_straggler_clients=20, eval_size=500,
+            ),
+            0,
+            "33b3e008150bb527d3870f9bb3d7d635b5e762e552be5cf669f45a50a539264f",
+        ),
+    ],
+    ids=["acceptance", "mlp_eval", "fedbuff_crowd", "no_stragglers", "class_mixture", "drops"],
+)
+def test_built_datasets_match_their_recorded_digests(config, seed, want):
+    assert _digest(build_dataset(config, seed)) == want
+
+
+@st.composite
+def _small_configs(draw):
+    n_classes = draw(st.integers(2, 6))
+    m_clients = draw(st.integers(1, 30))
+    mixture = draw(
+        st.none() | st.lists(st.sampled_from([0.0, 0.2, 1.0, 3.0]), min_size=n_classes,
+                             max_size=n_classes).map(tuple)
+    )
+    assume(mixture is None or sum(mixture) > 0)
+    return DatasetConfig(
+        n_classes=n_classes,
+        d_in=draw(st.integers(1, 4)),
+        m_clients=m_clients,
+        median_shard_size=draw(st.floats(0.5, 20.0)),
+        size_sigma=draw(st.floats(0.0, 1.5)),
+        concentration=draw(st.sampled_from([0.05, 0.5, 1.0, 10.0])),
+        cluster_spread=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        class_mixture=mixture,
+        eval_size=draw(st.integers(1, 100)),
+        straggler_classes=tuple(
+            draw(st.sets(st.integers(0, n_classes - 1), min_size=1, max_size=n_classes))
+        ),
+        n_straggler_clients=draw(st.integers(0, m_clients)),
+    )
+
+
+@given(config=_small_configs(), seed=st.integers(0, 50))
+@settings(max_examples=80, deadline=None)
+def test_a_built_dataset_keeps_the_partition_invariants(config, seed):
+    try:
+        dataset = build_dataset(config, seed)
+    except ValueError:
+        return
+    shards = dataset.shards
+    straggler = [s.client_id for s in shards if s.is_straggler]
+    assert len(straggler) == config.n_straggler_clients
+    table = np.isin(np.arange(config.n_classes), config.straggler_classes)
+    for shard in shards:
+        assert shard.n_examples > 0
+        assert shard.is_straggler or not table[shard.labels].any()
+    ids = [s.client_id for s in shards]
+    assert ids == sorted(set(ids))
+    raw = generate_synthetic(config, seed)
+    assert dataset.dropped_clients == tuple(
+        s.client_id for s in raw if s.client_id not in straggler and table[s.labels].all()
+    )
+    arrays = [a for s in shards for a in (s.features, s.labels)] + [
+        dataset.eval_total.features,
+        dataset.eval_total.labels,
+        dataset.eval_straggler_rows,
+    ]
+    assert not any(a.flags.writeable for a in arrays)

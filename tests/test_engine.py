@@ -14,7 +14,7 @@ from conftest import round_views
 
 from stragglersim import model, rng
 from stragglersim.algorithms import AlgoConfig
-from stragglersim.config import ExperimentConfig, ModelConfig, load_config
+from stragglersim.config import DATASETS_KEPT, ExperimentConfig, ModelConfig, load_config
 from stragglersim.data import DatasetConfig, build_dataset
 from stragglersim.engine import EventQueue, Simulation
 from stragglersim.latency import LatencyProfile, LatencyScenario, LognormalParams
@@ -411,6 +411,44 @@ def test_a_finished_trial_is_freed_without_the_cycle_collector(algo, eval_every)
     finally:
         if enabled:
             gc.enable()
+
+
+# ---- one dataset per process ---- #
+
+
+def test_trials_with_one_dataset_section_and_data_seed_share_one_dataset():
+    fedavg = _config(AlgoConfig("fedavg", cohort_size=4, eta_l=0.05, batch_size=4))
+    fedbuff = _config(
+        AlgoConfig("fedbuff", buffer_size=3, max_concurrency=6, eta_l=0.05, batch_size=4)
+    )
+    shared = Simulation(fedavg, trial_seed=0).dataset
+    assert Simulation(fedbuff, trial_seed=7).dataset is shared
+    other = Simulation(dataclasses.replace(fedavg, data_seed=5), trial_seed=0).dataset
+    assert other is not shared
+    assert other.shards[0].n_examples != shared.shards[0].n_examples
+
+
+def test_a_shared_dataset_cannot_be_written():
+    dataset = _config(AlgoConfig("fedavg", cohort_size=4)).build_dataset()
+    arrays = [a for s in dataset.shards for a in (s.features, s.labels)] + [
+        dataset.eval_total.features,
+        dataset.eval_total.labels,
+        dataset.eval_straggler_rows,
+    ]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_a_process_keeps_at_most_datasets_kept_datasets():
+    algo = AlgoConfig("fedavg", cohort_size=4)
+    configs = [_config(algo, seed=100 + k) for k in range(DATASETS_KEPT + 1)]
+    first = configs[0].build_dataset()
+    for config in configs[1:]:
+        config.build_dataset()
+    rebuilt = configs[0].build_dataset()
+    assert rebuilt is not first and rebuilt.shards[0].n_examples == first.shards[0].n_examples
+    assert configs[-1].build_dataset() is configs[-1].build_dataset()
 
 
 # ---- lockstep equivalence of buffered and synchronous aggregation ---- #

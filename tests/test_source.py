@@ -22,9 +22,8 @@ def test_no_assert_statements_in_package_source():
     assert not found, f"assert statements in package source: {found}"
 
 
-def test_no_stream_is_made_per_id_in_a_loop():
-    # A SeedSequence costs about 20 us; a family of per-id streams comes from
-    # one key table (rng.stream_keys), so rng.stream is never called in a loop.
+def _calls_in_loops(names: set[str]) -> list[str]:
+    """file:line of every call to one of names inside a loop of the package source."""
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     found = set()
     for path in sorted(SOURCE_DIR.glob("*.py")):
@@ -33,9 +32,24 @@ def test_no_stream_is_made_per_id_in_a_loop():
             f"{path.name}:{node.lineno}"
             for loop in ast.walk(tree) if isinstance(loop, loops)
             for node in ast.walk(loop)
-            if isinstance(node, ast.Call) and ast.unparse(node.func) == "rng.stream"
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in names
         }
-    assert not found, f"rng.stream called in a loop: {sorted(found)}"
+    return sorted(found)
+
+
+def test_no_stream_is_made_per_id_in_a_loop():
+    # A SeedSequence costs about 20 us; a family of per-id streams comes from
+    # one key table (rng.stream_keys), so rng.stream is never called in a loop.
+    found = _calls_in_loops({"rng.stream"})
+    assert not found, f"rng.stream called in a loop: {found}"
+
+
+def test_no_set_operation_runs_per_shard_in_a_loop():
+    # Class membership is one lookup in a bool[n_classes] table over a whole
+    # array; np.isin and np.unique sort their input on every call, and one call
+    # per shard was most of the cost of building a 2,000-client dataset.
+    found = _calls_in_loops({"np.isin", "np.unique"})
+    assert not found, f"np.isin or np.unique called in a loop: {found}"
 
 
 def test_every_name_the_benchmark_tracer_patches_exists():
