@@ -4,7 +4,10 @@ Each variant runs at a small budget for seeds 0 and 1. Counters, server
 steps, virtual time, the time limit and every record must match
 `golden.json` exactly; the output model must match to 1e-12. The
 `simulate --trials 2` logs and manifests of the four acceptance configs, at
-the same budget, must match by sha256.
+the same budget, must match by sha256, and so must the reports: the
+`verify --out` JSON of two checks (without the wall-clock `elapsed_s`), and
+the files and stdout of `data-report` and `latency-report --draws 20000` on
+`fedavg_full`.
 
 A change that means to move outputs re-records the file and names every
 field that moved:
@@ -12,8 +15,10 @@ field that moved:
     PYTHONPATH=src python tests/test_golden.py --record
 """
 
+import contextlib
 import dataclasses
 import functools
+import io
 import hashlib
 import json
 import sys
@@ -135,6 +140,50 @@ def _log_digests(tmp_dir: Path) -> dict[str, str]:
     return digests
 
 
+# verify checks quick enough for tier-1 (about 0.6 s together)
+VERIFY_SUITES = ("gap_recursion", "stationarity_schedule")
+REPORT_DRAWS = 20000
+
+
+def _run_cli(argv: list[str], out: Path) -> str:
+    """Run one command; return its stdout with the output path replaced by <out>."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"{' '.join(argv[:1])} exited {code}")
+    return stdout.getvalue().replace(str(out), "<out>")
+
+
+def _sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _report_digests(tmp_dir: Path) -> dict[str, str]:
+    """sha256 of the verify JSON (without elapsed_s, in the order written)
+    and of every file and the stdout of data-report and latency-report."""
+    digests = {}
+    for suite in VERIFY_SUITES:
+        out = tmp_dir / f"{suite}.json"
+        _run_cli(["verify", "--suite", suite, "--out", str(out)], out)
+        report = json.loads(out.read_text(encoding="utf-8"))
+        for check in report["checks"]:
+            del check["elapsed_s"]
+        digests[f"verify/{suite}.json"] = _sha256(json.dumps(report, indent=2))
+    config = str(ACCEPTANCE_DIR / "fedavg_full.json")
+    out = tmp_dir / "data"
+    stdout = _run_cli(["data-report", "--config", config, "--out", str(out)], out)
+    digests["data-report/stdout"] = _sha256(stdout)
+    for name in ("clients.csv", "classes.csv"):
+        digests[f"data-report/{name}"] = _sha256((out / name).read_bytes())
+    out = tmp_dir / "latency.csv"
+    stdout = _run_cli(["latency-report", "--config", config, "--draws", str(REPORT_DRAWS),
+                       "--out", str(out)], out)
+    digests["latency-report/stdout"] = _sha256(stdout)
+    digests["latency-report/latency.csv"] = _sha256(out.read_bytes())
+    return digests
+
+
 @functools.cache
 def _golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -156,6 +205,10 @@ def test_acceptance_simulate_logs_match_the_golden_digests(tmp_path):
     assert _log_digests(tmp_path) == _golden()["simulate_sha256"]
 
 
+def test_report_outputs_match_the_golden_digests(tmp_path):
+    assert _report_digests(tmp_path) == _golden()["report_sha256"]
+
+
 def record(path: Path = GOLDEN) -> None:
     variants = {
         name: {str(seed): _outcome(config, seed) for seed in SEEDS}
@@ -163,7 +216,10 @@ def record(path: Path = GOLDEN) -> None:
     }
     with tempfile.TemporaryDirectory() as tmp:
         digests = _log_digests(Path(tmp))
-    golden = {"budget": BUDGET, "variants": variants, "simulate_sha256": digests}
+    with tempfile.TemporaryDirectory() as tmp:
+        reports = _report_digests(Path(tmp))
+    golden = {"budget": BUDGET, "variants": variants, "simulate_sha256": digests,
+              "report_sha256": reports}
     path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {path}")
 
