@@ -238,6 +238,17 @@ def server_apply(state: ServerState, summed_delta: np.ndarray, count: int) -> Se
     return state
 
 
+def aux_step(
+    aux: np.ndarray, w_snapshot: np.ndarray, delta_plus: np.ndarray, count: int, algo: AlgoConfig
+) -> np.ndarray:
+    """FeAST's auxiliary update: the auxiliary model after aux takes the
+    summed delta delta_plus of count clients that trained from w_snapshot."""
+    g = delta_plus / count
+    w_plus = w_snapshot - algo.eta_g * g
+    beta, eta_a = algo.feast_beta, algo.resolved_eta_a()
+    return beta * (aux - eta_a * g) + (1.0 - beta) * w_plus
+
+
 def canonical_delta_sum(updates: list[ClientUpdate]) -> np.ndarray:
     """Sum deltas in (round_id, client_id) order, independent of arrival."""
     if not updates:
@@ -476,13 +487,9 @@ class AuxTrackDriver(SyncRoundDriver):
     The global model advances on the B fastest updates as usual. Stragglers
     from round t keep folding into an augmented delta until min(round start +
     tau_max, all dispatched clients reported); the auxiliary model then takes
-
-        w_plus = w_t - eta_g * (delta_plus / count_plus)
-        a      = beta * (a - eta_a * (delta_plus / count_plus)) + (1 - beta) * w_plus
-
-    strictly in round order. With strict_sequential the next round only
-    starts after the previous round's auxiliary update, reproducing a
-    blocking wait of tau_max per round.
+    the aux_step of each round's augmented delta, strictly in round order.
+    With strict_sequential the next round only starts after the previous
+    round's auxiliary update, reproducing a blocking wait of tau_max per round.
     """
 
     def __init__(self, sim: SimContext, config: AlgoConfig) -> None:
@@ -546,11 +553,10 @@ class AuxTrackDriver(SyncRoundDriver):
                 f"auxiliary update for round {rec.round_id} out of order; "
                 f"expected {self.next_aux_round}"
             )
-        g = rec.delta_plus / rec.count_plus
-        w_plus = rec.w_snapshot - self.config.eta_g * g
-        beta, eta_a = self.config.feast_beta, self.config.resolved_eta_a()
         aux = self.sim.state.aux
-        self.sim.publish_aux(beta * (aux - eta_a * g) + (1.0 - beta) * w_plus)
+        self.sim.publish_aux(
+            aux_step(aux, rec.w_snapshot, rec.delta_plus, rec.count_plus, self.config)
+        )
 
 
 # ---- Buffered asynchronous aggregation ---- #

@@ -10,11 +10,12 @@ clients. The held-out evaluation split comes from the same class clusters
 via a disjoint stream. The straggler split is not a second copy: the dataset
 stores the indices of the total split's straggler-class rows, computed once.
 
-The build runs as array operations over the whole population: the raw
-examples sit in one features array and one labels array, client by client,
-and the partition keeps rows through one boolean mask and one gather. Every
-shard is a read-only view of the kept arrays and the eval arrays are
-read-only too, so one dataset can serve many trials without a copy.
+build_dataset is the one way to make a dataset. It runs as array operations
+over the whole population: _generate draws the raw examples into one
+features array and one labels array, client by client, and _partition keeps
+rows through one boolean mask and one gather. Every shard is a read-only
+view of the kept arrays and the eval arrays are read-only too, so one
+dataset can serve many trials without a copy.
 """
 
 from __future__ import annotations
@@ -144,21 +145,12 @@ def class_centers(config: DatasetConfig, seed: int) -> np.ndarray:
     return gen.standard_normal((config.n_classes, config.d_in)) * config.center_scale
 
 
-def generate_synthetic(config: DatasetConfig, seed: int) -> list[ClientShard]:
-    """Generate raw (unpartitioned) client shards, deterministic in seed.
+def _generate(config: DatasetConfig, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw population as (features, labels, sizes): rows client by client.
 
     Shard sizes are lognormal around the configured median (rounded, min 1);
-    each client's class mixture is Dirichlet(concentration * global mixture),
-    so larger concentrations approach the global mixture. The shards are
-    consecutive views of one features array and one labels array.
+    a client's class mixture is Dirichlet(concentration * global mixture).
     """
-    features, labels, sizes = _generate(config, seed)
-    ids = np.arange(config.m_clients)
-    return _split(features, labels, sizes, ids, np.zeros(config.m_clients, dtype=bool))
-
-
-def _generate(config: DatasetConfig, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The raw population as (features, labels, sizes): rows client by client."""
     centers = class_centers(config, seed)
     mixture = config.mixture()
 
@@ -198,21 +190,6 @@ def _add_centers(features: np.ndarray, centers: np.ndarray, labels: np.ndarray) 
         features[block] += centers[labels[block]]
 
 
-def _split(
-    features: np.ndarray,
-    labels: np.ndarray,
-    sizes: np.ndarray,
-    ids: np.ndarray,
-    flagged: np.ndarray,
-) -> list[ClientShard]:
-    """One shard per id: consecutive views of sizes[i] rows for client ids[i]."""
-    ends = np.cumsum(sizes).tolist()
-    return [
-        ClientShard(client_id, features[a:b], labels[a:b], is_straggler)
-        for client_id, a, b, is_straggler in zip(ids.tolist(), [0, *ends], ends, flagged.tolist())
-    ]
-
-
 def _class_table(straggler_classes, n_classes: int) -> np.ndarray:
     """bool[n_classes]: True at the straggler classes."""
     table = np.zeros(n_classes, dtype=bool)
@@ -220,62 +197,34 @@ def _class_table(straggler_classes, n_classes: int) -> np.ndarray:
     return table
 
 
-def apply_straggler_partition(
-    shards: list[ClientShard],
-    straggler_classes: frozenset[int] | set[int],
-    n_straggler_clients: int,
-) -> tuple[list[ClientShard], tuple[int, ...]]:
-    """Flag the top-n straggler-class holders and purge those classes elsewhere.
-
-    Clients are ranked by straggler-class example count (ties broken by
-    ascending client_id); the top n keep all their examples and are flagged
-    straggler. Straggler-class examples are removed from the remaining
-    standard clients; shards emptied by the removal are dropped with a
-    warning. The kept shards are read-only views of one gathered array.
-
-    Returns:
-        (partitioned shards in client_id order, ids of dropped shards)
-    """
-    if not straggler_classes:
-        raise ValueError("straggler_classes must be nonempty")
-    if n_straggler_clients > len(shards):
-        raise ValueError(
-            f"n_straggler_clients={n_straggler_clients} exceeds client count {len(shards)}"
-        )
-    shards = sorted(shards, key=lambda s: s.client_id)
-    labels = np.concatenate([s.labels for s in shards])
-    table = _class_table(straggler_classes, max(*straggler_classes, labels.max(initial=0)) + 1)
-    return _partition(
-        np.concatenate([s.features for s in shards]),
-        labels,
-        np.array([s.n_examples for s in shards]),
-        np.array([s.client_id for s in shards]),
-        table,
-        n_straggler_clients,
-    )
-
-
 def _partition(
     features: np.ndarray,
     labels: np.ndarray,
     sizes: np.ndarray,
-    ids: np.ndarray,
     table: np.ndarray,
     n_straggler_clients: int,
 ) -> tuple[list[ClientShard], tuple[int, ...]]:
-    """apply_straggler_partition over a population stored client by client,
-    sizes[i] rows for client ids[i], in ascending id order."""
+    """Flag the top-n straggler-class holders and purge those classes elsewhere.
+
+    Takes a population stored client by client, sizes[i] rows for client i;
+    table is True at the straggler classes. Clients rank by straggler-class
+    example count, ties by ascending id; the top n keep all their examples
+    and are flagged straggler. The others lose their straggler-class
+    examples; a shard left empty is dropped, with one warning giving the
+    count and a debug line giving the ids. Returns (shards in id order, each
+    a read-only view of one gathered array, and the dropped ids).
+    """
     owner = np.repeat(np.arange(len(sizes)), sizes)
     in_class = table[labels]
     counts = np.bincount(owner[in_class], minlength=len(sizes))
     flagged = np.zeros(len(sizes), dtype=bool)
-    flagged[np.lexsort((ids, -counts))[:n_straggler_clients]] = True
+    flagged[np.argsort(-counts, kind="stable")[:n_straggler_clients]] = True
 
     keep = flagged[owner]
     keep |= ~in_class
     kept = np.bincount(owner[keep], minlength=len(sizes))
     listed = flagged | (kept > 0)
-    dropped = ids[~listed].tolist()
+    dropped = np.flatnonzero(~listed).tolist()
     features, labels = features[keep], labels[keep]
     _read_only(features, labels)
     if dropped:
@@ -283,7 +232,13 @@ def _partition(
             "dropped %d standard shard(s) emptied by straggler-class removal", len(dropped)
         )
         logger.debug("dropped shard ids: %s", dropped)
-    return _split(features, labels, kept[listed], ids[listed], flagged[listed]), tuple(dropped)
+    ends = np.cumsum(kept[listed]).tolist()
+    ids = np.flatnonzero(listed).tolist()
+    shards = [
+        ClientShard(client_id, features[a:b], labels[a:b], is_straggler)
+        for client_id, a, b, is_straggler in zip(ids, [0, *ends], ends, flagged[listed].tolist())
+    ]
+    return shards, tuple(dropped)
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -317,9 +272,7 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
     array of the result is read-only, so one dataset can serve many trials.
     """
     table = _class_table(config.straggler_classes, config.n_classes)
-    shards, dropped = _partition(
-        *_generate(config, seed), np.arange(config.m_clients), table, config.n_straggler_clients
-    )
+    shards, dropped = _partition(*_generate(config, seed), table, config.n_straggler_clients)
     eval_total, eval_straggler_rows = make_eval_splits(config, seed)
 
     if not shards:

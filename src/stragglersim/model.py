@@ -11,13 +11,15 @@ logits against fixed teacher logits (soft cross-entropy by default, logit
 mean-squared-error as an alternative), and proximal is half the squared
 distance to an anchor vector. All gradients are exact analytic expressions.
 
-loss_and_grad is the validated reference that also returns the loss terms.
-Training has one loop, local_sgd_cohort: the clients of one model version
-start from the same weights and train as one stacked computation over a
-private gradient kernel without checks or loss values. Each client runs a
-given number of steps; E epochs of an n-example shard are E * ceil(n / b)
-steps. local_sgd is the one-client form, kept as the name the benchmark
-tracer wraps. The weights are checked for finiteness once, at the end.
+The gradient has one implementation, _grad. loss_and_grad, the validated
+reference, adds argument checks and the loss terms; training reaches _grad
+through _sgd_grad, which adds neither. So the finite-difference check of
+loss_and_grad covers the arithmetic training runs. Training has one loop,
+local_sgd_cohort: the clients of one model version start from the same
+weights and train as one stacked computation. Each client runs a given
+number of steps; E epochs of an n-example shard are E * ceil(n / b) steps.
+local_sgd is the one-client form, kept as the name the benchmark tracer
+wraps. The weights are checked for finiteness once, at the end.
 Forward and backward passes write only into arrays they allocate, in place
 after each matmul, never into the weights, features or teachers passed in.
 """
@@ -204,12 +206,7 @@ def loss_and_grad(
     n = len(y)
     logits, hidden = _forward(w, layout, x)
     log_p = _log_softmax(logits)
-    probs = np.exp(log_p)
-
     supervised = float(-log_p[np.arange(n), y].mean())
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), y] = 1.0
-    dlogits = (probs - onehot) / n
 
     distill = 0.0
     if rho > 0:
@@ -218,16 +215,11 @@ def loss_and_grad(
                 f"teacher_logits shape {teacher_logits.shape} != logits shape {logits.shape}"
             )
         if distill_loss == "soft_ce":
-            temp = distill_temperature
-            q = softmax(teacher_logits / temp)
+            q = softmax(teacher_logits / distill_temperature)
             distill = float(-(q * log_p).sum(axis=1).mean())
-            dlogits = dlogits + rho * (probs - q) / n
         else:
             diff = logits - teacher_logits
             distill = float(0.5 * (diff * diff).sum(axis=1).mean())
-            dlogits = dlogits + rho * diff / n
-
-    grad = _backward(w, layout, x, hidden, dlogits)
 
     proximal = 0.0
     if nu > 0:
@@ -235,8 +227,11 @@ def loss_and_grad(
             raise ValueError(f"anchor shape {anchor.shape} != parameter shape {w.shape}")
         diff_w = w - anchor
         proximal = float(0.5 * diff_w @ diff_w)
-        grad += nu * diff_w
 
+    grad = _grad(
+        w, layout, x, y, n, logits, hidden, teacher_logits, rho=rho, nu=nu, anchor=anchor,
+        distill_loss=distill_loss, distill_temperature=distill_temperature,
+    )
     total = supervised + rho * distill + nu * proximal
     if not np.isfinite(total) or not np.isfinite(grad).all():
         raise FloatingPointError(
@@ -283,21 +278,20 @@ def _check_finite(w_final: np.ndarray) -> None:
         raise TrainingDiverged(int(np.argmin(np.isfinite(w_final).all(axis=-1))))
 
 
-def _sgd_grad(
-    w, layout, x, y, n, *, rho, nu, teacher_w, anchor, distill_loss, distill_temperature
+def _grad(
+    w, layout, x, y, n, logits, hidden, t_logits, *, rho, nu, anchor, distill_loss,
+    distill_temperature,
 ) -> np.ndarray:
-    """loss_and_grad's gradient without its checks and loss values.
+    """The gradient loss_and_grad and training share, given the forward pass
+    (logits, hidden) of x under w and, when rho > 0, the teacher's t_logits.
 
-    Takes one batch x (n, d_in) under w (P,), or stacked batches x (B, n,
-    d_in) under w (B, P) and teacher_w (B, P). n divides every example's
-    term: the batch length, or an array broadcasting against (B, n, 1) that
-    holds each batch's length on its real rows and inf on padding rows,
-    which then add nothing.
+    x is one batch (n, d_in) under w (P,), or stacked batches (B, n, d_in)
+    under w (B, P). n divides every example's term: the batch length, or an
+    array broadcasting against (B, n, 1) that holds each batch's length on
+    its real rows and inf on padding rows, which then add nothing.
     """
-    logits, hidden = _forward(w, layout, x)
     probs = np.exp(_log_softmax(logits))
     if rho > 0:
-        t_logits, _ = _forward(teacher_w, layout, x)
         if distill_loss == "soft_ce":
             pull = rho * (probs - softmax(t_logits / distill_temperature)) / n
         else:
@@ -312,6 +306,19 @@ def _sgd_grad(
     if nu > 0:
         grad += nu * (w - anchor)
     return grad
+
+
+def _sgd_grad(
+    w, layout, x, y, n, *, rho, nu, teacher_w, anchor, distill_loss, distill_temperature
+) -> np.ndarray:
+    """Training's gradient: _grad after the forward passes of x under w and,
+    when rho > 0, under teacher_w (shaped like w); no checks or loss values."""
+    logits, hidden = _forward(w, layout, x)
+    t_logits = _forward(teacher_w, layout, x)[0] if rho > 0 else None
+    return _grad(
+        w, layout, x, y, n, logits, hidden, t_logits, rho=rho, nu=nu, anchor=anchor,
+        distill_loss=distill_loss, distill_temperature=distill_temperature,
+    )
 
 
 def local_sgd(

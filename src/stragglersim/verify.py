@@ -22,10 +22,12 @@ the global optimum, the Lipschitz constant, exact full gradients, and a
 stochastic gradient oracle (radial clip to G plus isotropic noise with
 E||noise||^2 = sigma_l^2 exactly).
 
-The trace runner here intentionally bypasses the event engine: the claims
-assume uniformly sampled cohorts and a uniformly chosen fast subset of every
-cohort, with every dispatched client reporting, which matches an infinite
-straggler-folding deadline rather than latency-ordered completion.
+The trace runner samples its own cohorts and bypasses the event engine:
+the claims assume uniformly sampled cohorts and a uniformly chosen fast
+subset of every cohort, with every dispatched client reporting, which
+matches an infinite straggler-folding deadline rather than latency-ordered
+completion. But w and a take the engine's own steps (algorithms.server_apply
+and algorithms.aux_step), so the checks hold FeAST's code to the analysis.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import rng
+from . import algorithms, rng
 
 
 @dataclass(frozen=True)
@@ -155,6 +157,9 @@ def run_gap_trace(
     a uniformly chosen fast subset of B, fold everyone into the auxiliary
     update (all dispatched clients report).
 
+    w and a step through server_apply and aux_step under feast's AlgoConfig
+    (an SGD server, no EMA), which rejects invalid eta_g, eta_a and beta.
+
     fast_selector(t, gen) -> index array is a test seam for enumerating fast
     subsets; the default is a uniform draw.
     """
@@ -162,14 +167,17 @@ def run_gap_trace(
         raise ValueError(f"need 1 <= B <= B_plus <= m, got {B}, {B_plus}, {quad.m}")
     if T < 1 or T_l < 1:
         raise ValueError("T and T_l must be >= 1")
+    algo = algorithms.AlgoConfig("feast", eta_g=eta_g, eta_a=eta_a, feast_beta=beta)
     gen = rng.stream(seed, rng.VERIFY, 1)
     w = np.zeros(quad.d) if w0 is None else w0.astype(np.float64).copy()
+    state = algorithms.ServerState(w, algo)
     a = w.copy()
     trace = GapTrace(B=B, B_plus=B_plus, eta_g=eta_g, beta=beta)
     trace.w.append(w.copy())
     trace.a.append(a.copy())
 
     for t in range(T):
+        w = state.w
         cohort = gen.choice(quad.m, size=B_plus, replace=False)
         deltas = []
         for c in cohort:
@@ -193,14 +201,11 @@ def run_gap_trace(
                 delta_fast += deltas[pos]
             else:
                 delta_slow += deltas[pos]
-        delta_plus = delta_fast + delta_slow
 
-        w_next = w - eta_g * (delta_fast / B)
-        g_plus = delta_plus / B_plus
-        a = beta * (a - eta_a * g_plus) + (1.0 - beta) * (w - eta_g * g_plus)
-        w = w_next
+        a = algorithms.aux_step(a, w, delta_fast + delta_slow, B_plus, algo)
+        algorithms.server_apply(state, delta_fast, B)
 
-        trace.w.append(w.copy())
+        trace.w.append(state.w.copy())
         trace.a.append(a.copy())
         trace.delta_fast.append(delta_fast)
         trace.delta_slow.append(delta_slow)

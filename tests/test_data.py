@@ -12,10 +12,11 @@ from stragglersim import rng
 from stragglersim.data import (
     ClientShard,
     DatasetConfig,
-    apply_straggler_partition,
+    _class_table,
+    _generate,
+    _partition,
     build_dataset,
     class_centers,
-    generate_synthetic,
     total_examples,
 )
 
@@ -35,31 +36,35 @@ def _shard_with_labels(client_id, labels, d_in=2):
     return ClientShard(client_id, np.zeros((len(labels), d_in)), labels)
 
 
+def _partition_labels(label_lists, straggler_classes, n_straggler_clients, n_classes=4):
+    """_partition over clients 0, 1, ... holding label_lists; every row's
+    features are (row, row) so the kept rows can be traced."""
+    labels = np.concatenate([np.asarray(y, dtype=np.int64) for y in label_lists])
+    features = np.repeat(np.arange(len(labels), dtype=np.float64)[:, None], 2, axis=1)
+    sizes = np.array([len(y) for y in label_lists])
+    table = _class_table(straggler_classes, n_classes)
+    return _partition(features, labels, sizes, table, n_straggler_clients)
+
+
+def _raw_shards(config, seed):
+    """The raw population of _generate as one (labels, features) pair per client."""
+    features, labels, sizes = _generate(config, seed)
+    ends = np.cumsum(sizes)[:-1]
+    return list(zip(np.split(labels, ends), np.split(features, ends)))
+
+
 def test_ranking_prefers_high_counts_then_low_ids():
     # Straggler-class counts by client: 9, 3, 7, 0, 7. The top two are
     # client 0 and then client 2, which wins the 7-count tie over client 4
     # by lower id.
-    shards = [
-        _shard_with_labels(0, [0] * 9 + [2] * 1),
-        _shard_with_labels(1, [0] * 3 + [2] * 5),
-        _shard_with_labels(2, [1] * 7 + [3] * 2),
-        _shard_with_labels(3, [2] * 4),
-        _shard_with_labels(4, [0] * 7 + [3] * 3),
-    ]
-    out, dropped = apply_straggler_partition(shards, {0, 1}, 2)
+    out, dropped = _partition_labels(
+        [[0] * 9 + [2] * 1, [0] * 3 + [2] * 5, [1] * 7 + [3] * 2, [2] * 4, [0] * 7 + [3] * 3],
+        {0, 1},
+        2,
+    )
     flagged = [s.client_id for s in out if s.is_straggler]
     assert flagged == [0, 2]
     assert dropped == ()
-
-
-def test_partition_output_is_sorted_by_client_id():
-    shards = [
-        _shard_with_labels(3, [1, 2]),
-        _shard_with_labels(0, [0, 2]),
-        _shard_with_labels(2, [2, 2]),
-    ]
-    out, _ = apply_straggler_partition(shards, {0, 1}, 1)
-    assert [s.client_id for s in out] == [0, 2, 3]
 
 
 def test_standard_shards_lose_straggler_classes():
@@ -71,47 +76,50 @@ def test_standard_shards_lose_straggler_classes():
 
 
 def test_straggler_shards_keep_everything_and_counts_are_conserved():
-    raw = generate_synthetic(SMALL, seed=0)
-    out, dropped = apply_straggler_partition(raw, {0, 1}, SMALL.n_straggler_clients)
-    raw_by_id = {s.client_id: s for s in raw}
+    features, labels, sizes = _generate(SMALL, seed=0)
+    table = _class_table((0, 1), SMALL.n_classes)
+    out, dropped = _partition(features, labels, sizes, table, SMALL.n_straggler_clients)
+    raw = _raw_shards(SMALL, seed=0)
 
-    non_straggler_before = sum(int((~np.isin(s.labels, [0, 1])).sum()) for s in raw)
-    non_straggler_after = sum(int((~np.isin(s.labels, [0, 1])).sum()) for s in out)
+    non_straggler_before = int((~table[labels]).sum())
+    non_straggler_after = sum(int((~table[s.labels]).sum()) for s in out)
     assert non_straggler_after == non_straggler_before
 
     for shard in out:
+        raw_labels, raw_features = raw[shard.client_id]
         if shard.is_straggler:
-            before = raw_by_id[shard.client_id]
-            np.testing.assert_array_equal(shard.labels, before.labels)
-            np.testing.assert_array_equal(shard.features, before.features)
+            np.testing.assert_array_equal(shard.labels, raw_labels)
+            np.testing.assert_array_equal(shard.features, raw_features)
         else:
-            keep = ~np.isin(raw_by_id[shard.client_id].labels, [0, 1])
-            np.testing.assert_array_equal(
-                shard.features, raw_by_id[shard.client_id].features[keep]
-            )
+            keep = ~table[raw_labels]
+            np.testing.assert_array_equal(shard.labels, raw_labels[keep])
+            np.testing.assert_array_equal(shard.features, raw_features[keep])
 
 
 def test_emptied_standard_shard_is_dropped_with_warning(caplog):
-    shards = [
-        _shard_with_labels(0, [0] * 5),  # pure straggler classes, ranked top
-        _shard_with_labels(1, [0, 0, 1]),  # pure straggler classes, not flagged
-        _shard_with_labels(2, [2, 3]),
-    ]
     with caplog.at_level(logging.WARNING):
-        out, dropped = apply_straggler_partition(shards, {0, 1}, 1)
+        out, dropped = _partition_labels(
+            [
+                [0] * 5,  # pure straggler classes, ranked top
+                [0, 0, 1],  # pure straggler classes, not flagged
+                [2, 3],
+            ],
+            {0, 1},
+            1,
+        )
     assert dropped == (1,)
     assert [s.client_id for s in out] == [0, 2]
-    assert any("dropped" in rec.message for rec in caplog.records)
+    # the kept shards hold exactly their own rows
+    assert out[1].features[:, 0].tolist() == [8.0, 9.0]
+    assert sum(1 for rec in caplog.records if "dropped" in rec.message) == 1
 
 
 def test_drop_warning_gives_the_count_and_debug_gives_the_ids(caplog):
     # A large population drops hundreds of shards; the ids stay out of WARNING.
-    shards = [_shard_with_labels(cid, [0, 1]) for cid in range(40)] + [
-        _shard_with_labels(40, [0] * 5)
-    ]
     with caplog.at_level(logging.DEBUG, logger="stragglersim.data"):
-        _, dropped = apply_straggler_partition(shards, {0, 1}, 1)
+        _, dropped = _partition_labels([[0, 1]] * 40 + [[0] * 5], {0, 1}, 1)
     assert dropped == tuple(range(40))
+    assert [rec.levelno for rec in caplog.records] == [logging.WARNING, logging.DEBUG]
     by_level = {rec.levelno: rec.getMessage() for rec in caplog.records}
     assert "dropped 40 standard shard(s)" in by_level[logging.WARNING]
     assert "39" not in by_level[logging.WARNING]
@@ -134,10 +142,10 @@ def test_shard_sizes_follow_lognormal_formula():
     config = DatasetConfig(
         m_clients=50, median_shard_size=12.0, size_sigma=0.7, n_straggler_clients=12
     )
-    raw = generate_synthetic(config, seed=3)
+    _, _, sizes = _generate(config, seed=3)
     z = rng.stream(3, rng.DATA, 1).standard_normal(50)
     expected = np.maximum(1, np.rint(np.exp(np.log(12.0) + 0.7 * z)).astype(int))
-    assert [s.n_examples for s in raw] == expected.tolist()
+    assert sizes.tolist() == expected.tolist()
 
 
 def test_zero_size_sigma_gives_exact_median():
@@ -213,11 +221,10 @@ def test_high_concentration_approaches_global_mixture():
         straggler_classes=(0,),
         eval_size=10,
     )
-    raw = generate_synthetic(config, seed=0)
     stats = []
-    for shard in raw:
-        obs = np.bincount(shard.labels, minlength=10)
-        expected = len(shard.labels) / 10.0
+    for labels, _ in _raw_shards(config, seed=0):
+        obs = np.bincount(labels, minlength=10)
+        expected = len(labels) / 10.0
         stats.append(float(((obs - expected) ** 2 / expected).sum()))
     df = 9.0
     assert np.mean(stats) < 2.0 * df
@@ -235,32 +242,12 @@ def test_low_concentration_skews_mixtures():
         straggler_classes=(0,),
         eval_size=10,
     )
-    raw = generate_synthetic(config, seed=0)
     stats = []
-    for shard in raw:
-        obs = np.bincount(shard.labels, minlength=10)
-        expected = len(shard.labels) / 10.0
+    for labels, _ in _raw_shards(config, seed=0):
+        obs = np.bincount(labels, minlength=10)
+        expected = len(labels) / 10.0
         stats.append(float(((obs - expected) ** 2 / expected).sum()))
     assert np.mean(stats) > 20.0 * 9.0
-
-
-@given(
-    counts=st.lists(st.integers(min_value=0, max_value=9), min_size=3, max_size=8),
-    n_straggler=st.integers(min_value=1, max_value=3),
-    order_seed=st.integers(min_value=0, max_value=1000),
-)
-@settings(max_examples=100, deadline=None)
-def test_ranking_invariant_to_shard_order(counts, n_straggler, order_seed):
-    n_straggler = min(n_straggler, len(counts))
-    shards = [
-        _shard_with_labels(i, [0] * c + [1] * (10 - c)) for i, c in enumerate(counts)
-    ]
-    out_a, _ = apply_straggler_partition(list(shards), {0}, n_straggler)
-    perm = np.random.Generator(np.random.Philox(order_seed)).permutation(len(shards))
-    out_b, _ = apply_straggler_partition([shards[i] for i in perm], {0}, n_straggler)
-    ids_a = [s.client_id for s in out_a if s.is_straggler]
-    ids_b = [s.client_id for s in out_b if s.is_straggler]
-    assert ids_a == ids_b
 
 
 def test_missing_straggler_class_in_straggler_shards_rejected():
@@ -310,8 +297,6 @@ def test_config_validation():
         DatasetConfig(concentration=0.0)
     with pytest.raises(ValueError):
         DatasetConfig(n_classes=10, class_mixture=(0.5, 0.5))
-    with pytest.raises(ValueError):
-        apply_straggler_partition([_shard_with_labels(0, [0])], {0}, 2)
 
 
 # ---- the built dataset, bit for bit ---- #
@@ -444,9 +429,9 @@ def test_a_built_dataset_keeps_the_partition_invariants(config, seed):
         assert shard.is_straggler or not table[shard.labels].any()
     ids = [s.client_id for s in shards]
     assert ids == sorted(set(ids))
-    raw = generate_synthetic(config, seed)
     assert dataset.dropped_clients == tuple(
-        s.client_id for s in raw if s.client_id not in straggler and table[s.labels].all()
+        cid for cid, (labels, _) in enumerate(_raw_shards(config, seed))
+        if cid not in straggler and table[labels].all()
     )
     arrays = [a for s in shards for a in (s.features, s.labels)] + [
         dataset.eval_total.features,

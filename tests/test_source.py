@@ -1,15 +1,20 @@
 """Rules the package source itself must keep."""
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import stragglersim
-from stragglersim import algorithms, engine, model
+from stragglersim import algorithms, engine, model, rng, verify
+from stragglersim.config import load_config
 
 SOURCE_DIR = Path(stragglersim.__file__).parent
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+FEAST = Path(__file__).resolve().parent.parent / "configs" / "acceptance" / "feast.json"
 
 
 def test_no_assert_statements_in_package_source():
@@ -114,3 +119,44 @@ def test_drivers_use_only_the_declared_simulation_context():
     for name in sorted(methods):
         declared = inspect.signature(getattr(algorithms.SimContext, name))
         assert inspect.signature(getattr(engine.Simulation, name)) == declared, name
+
+
+def _spy(monkeypatch, owner, name: str) -> list:
+    """Count the calls that reach owner.name from here on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_the_checks_and_the_engine_run_one_copy_of_each_update(monkeypatch):
+    # The convergence checks step the gap trace, and criterion 1 checks the
+    # gradient, through the same functions a simulation runs. A restated copy
+    # in verify or in training would leave one of these counts at zero.
+    aux = _spy(monkeypatch, algorithms, "aux_step")
+    server = _spy(monkeypatch, algorithms, "server_apply")
+    grad = _spy(monkeypatch, model, "_grad")
+
+    config = dataclasses.replace(load_config(FEAST), budget=100)
+    result = engine.Simulation(config, 0).run()
+    assert len(aux) == result.counters["aux_rounds"] > 0
+    assert len(server) == result.server_steps > 0
+    assert len(grad) > 0
+
+    for calls in (aux, server, grad):
+        calls.clear()
+    quad = verify.make_quad_set(4, 3, seed=0)
+    verify.run_gap_trace(quad, T=3, B=1, B_plus=2, T_l=1, eta_g=1.0, eta_l=0.1,
+                         eta_a=1.0, beta=0.5, seed=0)
+    assert len(aux) == len(server) == 3
+
+    layout = model.ModelLayout(d_in=2, hidden=0, n_classes=3)
+    gen = rng.stream(0, rng.VERIFY, 0)
+    model.loss_and_grad(model.init_params(layout, gen), layout, gen.standard_normal((4, 2)),
+                        np.array([0, 1, 2, 0]))
+    assert len(grad) == 1

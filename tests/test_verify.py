@@ -131,6 +131,13 @@ def test_run_gap_trace_validation():
     with pytest.raises(ValueError):
         run_gap_trace(quad, T=1, B=2, B_plus=4, T_l=0, eta_g=1.0, eta_l=0.1,
                       eta_a=1.0, beta=0.5, seed=0)
+    # the step sizes go through feast's AlgoConfig
+    with pytest.raises(ValueError, match="feast_beta"):
+        run_gap_trace(quad, T=1, B=2, B_plus=4, T_l=1, eta_g=1.0, eta_l=0.1,
+                      eta_a=1.0, beta=1.0, seed=0)
+    with pytest.raises(ValueError, match="eta_g > 0"):
+        run_gap_trace(quad, T=1, B=2, B_plus=4, T_l=1, eta_g=0.0, eta_l=0.1,
+                      eta_a=1.0, beta=0.5, seed=0)
 
 
 def test_trace_is_deterministic_in_seed():
