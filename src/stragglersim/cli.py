@@ -47,7 +47,7 @@ from .config import (
 from .data import class_report_rows, shard_report_rows, total_examples
 from .engine import Simulation
 from .latency import latency_percentiles
-from .verify import CHECKS, run_suite
+from .verify import CHECKS, run_suite, suite_checks
 
 
 def _int_at_least(low: int):
@@ -193,10 +193,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite != "all" and args.suite not in CHECKS:
-        raise ConfigError(
-            f"unknown suite {args.suite!r}; options: all, {', '.join(CHECKS)}"
-        )
+    suite_checks(args.suite)  # an unknown name fails before --out is checked
     if args.out:
         # checked before the suite runs, which takes seconds
         out = Path(args.out)

@@ -13,9 +13,11 @@ stores the indices of the total split's straggler-class rows, computed once.
 build_dataset is the one way to make a dataset. It runs as array operations
 over the whole population: _generate draws the raw examples into one
 features array and one labels array, client by client, and _partition keeps
-rows through one boolean mask and one gather. Every shard is a read-only
-view of the kept arrays and the eval arrays are read-only too, so one
-dataset can serve many trials without a copy.
+rows through one boolean mask and one gather. The dataset holds the kept
+arrays, and every shard is a read-only view of its rows that records its
+start row, so training gathers batches from the kept arrays without copying
+shards. The eval arrays are read-only too, so one dataset can serve many
+trials without a copy.
 """
 
 from __future__ import annotations
@@ -91,12 +93,13 @@ class DatasetConfig:
 
 @dataclass
 class ClientShard:
-    """One client's local examples."""
+    """One client's local examples: in a built dataset, rows from start on."""
 
     client_id: int
     features: np.ndarray
     labels: np.ndarray
     is_straggler: bool = False
+    start: int = 0
 
     @property
     def n_examples(self) -> int:
@@ -116,9 +119,11 @@ class EvalSplit:
 
 @dataclass
 class FederatedDataset:
-    """Partitioned client shards, the eval split and its straggler-class row indices."""
+    """Client shards, the kept rows they view, the eval split and its straggler rows."""
 
     shards: list[ClientShard]
+    features: np.ndarray
+    labels: np.ndarray
     eval_total: EvalSplit
     eval_straggler_rows: np.ndarray
     dropped_clients: tuple[int, ...] = ()
@@ -203,7 +208,7 @@ def _partition(
     sizes: np.ndarray,
     table: np.ndarray,
     n_straggler_clients: int,
-) -> tuple[list[ClientShard], tuple[int, ...]]:
+) -> tuple[np.ndarray, np.ndarray, list[ClientShard], tuple[int, ...]]:
     """Flag the top-n straggler-class holders and purge those classes elsewhere.
 
     Takes a population stored client by client, sizes[i] rows for client i;
@@ -211,8 +216,9 @@ def _partition(
     example count, ties by ascending id; the top n keep all their examples
     and are flagged straggler. The others lose their straggler-class
     examples; a shard left empty is dropped, with one warning giving the
-    count and a debug line giving the ids. Returns (shards in id order, each
-    a read-only view of one gathered array, and the dropped ids).
+    count and a debug line giving the ids. Returns (the kept features and
+    labels, read-only and client by client, the shards in id order, each
+    viewing its rows of them from its start, and the dropped ids).
     """
     owner = np.repeat(np.arange(len(sizes)), sizes)
     in_class = table[labels]
@@ -235,10 +241,10 @@ def _partition(
     ends = np.cumsum(kept[listed]).tolist()
     ids = np.flatnonzero(listed).tolist()
     shards = [
-        ClientShard(client_id, features[a:b], labels[a:b], is_straggler)
+        ClientShard(client_id, features[a:b], labels[a:b], is_straggler, start=a)
         for client_id, a, b, is_straggler in zip(ids, [0, *ends], ends, flagged[listed].tolist())
     ]
-    return shards, tuple(dropped)
+    return features, labels, shards, tuple(dropped)
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -272,7 +278,9 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
     array of the result is read-only, so one dataset can serve many trials.
     """
     table = _class_table(config.straggler_classes, config.n_classes)
-    shards, dropped = _partition(*_generate(config, seed), table, config.n_straggler_clients)
+    features, labels, shards, dropped = _partition(
+        *_generate(config, seed), table, config.n_straggler_clients
+    )
     eval_total, eval_straggler_rows = make_eval_splits(config, seed)
 
     if not shards:
@@ -298,6 +306,8 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
 
     return FederatedDataset(
         shards=shards,
+        features=features,
+        labels=labels,
         eval_total=eval_total,
         eval_straggler_rows=eval_straggler_rows,
         dropped_clients=dropped,

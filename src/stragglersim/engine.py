@@ -29,12 +29,15 @@ A client is busy until its completion fires and is excluded from cohort
 sampling in the meantime (allow_busy_reuse lifts this); a synchronous round
 whose cohort is not idle yet starts at Simulation.idle_at. The busy-until
 table spans all m_clients ids and a dropped shard's id is busy forever, so
-the idle pool is one comparison. Client streams come from key tables
-(rng.stream_keys). The run ends at the server step that brings the
-aggregated client updates to the budget, except that feast first applies its
-open auxiliary rounds; the total virtual time is the time of the last event
-that affected the output model. The driver and the queued evaluations hold
-the engine only weakly, so reference counting frees a finished run.
+the idle pool is one comparison; one call draws a cohort's k pool indices.
+Client streams come from key tables (rng.stream_keys). A dispatch reads its
+client's profile and shard size from a table built at set-up, and a version
+trains on the dataset's kept arrays, by shard start row, without copies.
+The run ends at the server step that brings the aggregated client updates
+to the budget, except that feast first applies its open auxiliary rounds;
+the total virtual time is the time of the last event that affected the
+output model. The driver and the queued evaluations hold the engine only
+weakly, so reference counting frees a finished run.
 """
 
 from __future__ import annotations
@@ -184,6 +187,14 @@ class Simulation:
                 f"{len(self._client_ids)} clients"
             )
         self._cohort_gen = rng.stream(trial_seed, rng.COHORT)
+        # client id -> (latency profile, n_examples, batches per epoch), in shard order
+        b = self.algo.batch_size
+        self._dispatch_table = {
+            s.client_id: (
+                self.scenario.profile_for(s.is_straggler), s.n_examples, -(-s.n_examples // b)
+            )
+            for s in self.dataset.shards
+        }
         self.teacher_gen = rng.stream(trial_seed, rng.TEACHER)
         self.teacher_comm_scale = self.scenario.teacher_download_factor
         # (purpose, client id) -> that client's stream, made on first use from its key row
@@ -206,7 +217,8 @@ class Simulation:
 
     def sample_cohort(self, k: int) -> list[int]:
         """k sequential uniform picks without replacement from the id-sorted
-        idle pool; one index draw per slot."""
+        idle pool: slot i pops index integers(len(pool) - i), the k indices
+        drawn in one call."""
         reuse = self.algo.allow_busy_reuse
         pool = self._client_ids if reuse else np.flatnonzero(self._busy_until <= self.now)
         if k > len(pool):
@@ -216,8 +228,9 @@ class Simulation:
             )
         if k == 1:  # a buffered refill: skip the list conversion
             return [int(pool[self._cohort_gen.integers(len(pool))])]
+        picks = self._cohort_gen.integers(np.arange(len(pool), len(pool) - k, -1)).tolist()
         pool = pool.tolist()
-        return [pool.pop(int(self._cohort_gen.integers(len(pool)))) for _ in range(k)]
+        return [pool.pop(i) for i in picks]
 
     def idle_at(self, k: int) -> float:
         """The earliest virtual time, not before now, at which k clients are
@@ -240,15 +253,12 @@ class Simulation:
         """
         if not self.algo.allow_busy_reuse and self._busy_until[client_id] > self.now:
             raise RuntimeError(f"client {client_id} dispatched while busy")
-        shard = self.dataset.shard(client_id)
-        factors = latency.sample_client_latency(
-            self.scenario.profile_for(shard.is_straggler), self._client_gen(rng.LATENCY, client_id)
-        )
-        n, b = shard.n_examples, self.algo.batch_size
-        per_epoch = -(-n // b)
+        profile, n, per_epoch = self._dispatch_table[client_id]
+        factors = latency.sample_client_latency(profile, self._client_gen(rng.LATENCY, client_id))
         if self.tau_limit is None:
             steps, examples = self.algo.epochs * per_epoch, self.algo.epochs * n
         else:
+            b = self.algo.batch_size
             steps = max(
                 1, math.floor((self.tau_limit - factors.overhead_s) / (factors.per_example_s * b))
             )
@@ -285,7 +295,7 @@ class Simulation:
         summed = algorithms.canonical_delta_sum(updates)
         algorithms.server_apply(self.state, summed, len(updates))
         self.counters["aggregated_updates"] += len(updates)
-        self.note_model_event()
+        self.last_model_event = self.now
         if self.trace:
             members = tuple(sorted((u.round_id, u.client_id) for u in updates))
             self.events.append(TraceEvent("aggregate", self.now, members, w=self.state.w.copy()))
@@ -297,7 +307,7 @@ class Simulation:
         """Serve a new auxiliary model; counts one auxiliary round."""
         self.state.aux = aux
         self.counters["aux_rounds"] += 1
-        self.note_model_event()
+        self.last_model_event = self.now
         if self.trace:
             self.events.append(TraceEvent("aux", self.now, (), w=aux.copy()))
 
@@ -307,9 +317,6 @@ class Simulation:
 
     def budget_reached(self) -> bool:
         return self.counters["aggregated_updates"] >= self.config.budget
-
-    def note_model_event(self) -> None:
-        self.last_model_event = self.now
 
     # -- internals -- #
 
@@ -333,8 +340,10 @@ class Simulation:
             w_final, _, _ = model.local_sgd_cohort(
                 w,
                 self.layout,
-                [shard.features for shard in shards],
-                [shard.labels for shard in shards],
+                self.dataset.features,
+                self.dataset.labels,
+                starts=[shard.start for shard in shards],
+                sizes=[shard.n_examples for shard in shards],
                 steps=[u.steps_done for u in updates],
                 gens=[self._client_gen(rng.SHUFFLE, u.client_id) for u in updates],
                 rho=self.algo.rho if distill else 0.0,
@@ -373,15 +382,14 @@ class Simulation:
         come first, then every shard's overhead draws.
         """
         gen = rng.stream(self.config.effective_data_seed(), rng.TIME_LIMIT)
-        profiles = [self.scenario.profile_for(s.is_straggler) for s in self.dataset.shards]
+        profiles, sizes, _ = zip(*self._dispatch_table.values())  # in shard order
         per_example = [
             latency.sample_lognormal_batch(p.per_example, gen, draws_per_client) for p in profiles
         ]
         overhead = [
             latency.sample_lognormal_batch(p.overhead, gen, draws_per_client) for p in profiles
         ]
-        sizes = np.array([s.n_examples for s in self.dataset.shards], dtype=float)
-        totals = np.array(overhead) + np.array(per_example) * sizes[:, None]
+        totals = np.array(overhead) + np.array(per_example) * np.array(sizes, dtype=float)[:, None]
         return latency.nearest_rank_percentile(
             totals.ravel(), self.algo.time_limit_percentile
         )

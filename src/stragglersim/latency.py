@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -82,9 +82,9 @@ class LatencyScenario:
         return self.straggler_profile if is_straggler else self.standard_profile
 
 
-@dataclass(frozen=True)
-class LatencySample:
-    """One participation's sampled latency factors, in seconds."""
+class LatencySample(NamedTuple):
+    """One participation's sampled latency factors, in seconds; a tuple, so
+    a draw pays no dataclass construction."""
 
     comm_s: float
     per_example_s: float

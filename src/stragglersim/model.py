@@ -18,8 +18,11 @@ loss_and_grad covers the arithmetic training runs. Training has one loop,
 local_sgd_cohort: the clients of one model version start from the same
 weights and train as one stacked computation. Each client runs a given
 number of steps; E epochs of an n-example shard are E * ceil(n / b) steps.
-local_sgd is the one-client form, kept as the name the benchmark tracer
-wraps. The weights are checked for finiteness once, at the end.
+A client's rows are a start row and a size in one features/labels pair
+(the dataset's own, in a simulation), so no shard is copied per call.
+local_sgd is the one-client form over its own arrays (start 0), kept as the
+name the benchmark tracer wraps. The weights are checked for finiteness
+once, at the end.
 Forward and backward passes write only into arrays they allocate, in place
 after each matmul, never into the weights, features or teachers passed in.
 """
@@ -349,8 +352,10 @@ def local_sgd(
     w_final, steps_done, examples = local_sgd_cohort(
         w0,
         layout,
-        [features],
-        [labels],
+        features,
+        labels,
+        starts=[0],
+        sizes=[len(labels)],
         eta_l=eta_l,
         batch_size=batch_size,
         steps=[steps],
@@ -365,49 +370,54 @@ def local_sgd(
     return w_final[0], steps_done[0], examples[0]
 
 
-def _cohort_plan(sizes, batch_size: int, steps, gens):
+def _cohort_plan(starts, sizes, batch_size: int, steps, gens):
     """Every member's batches, stacked by step.
 
-    Member i takes steps[i] batches: it draws one permutation per epoch it
-    starts from its gen and walks it in batch_size chunks, so its last
+    Member i takes steps[i] batches of its sizes[i] rows from starts[i] on:
+    per epoch it starts, its gen shuffles an arange(n) in place (the draws
+    gen.permutation(n) makes), walked in batch_size chunks, so its last
     epoch may stop early. Members draw in member order, so a client listed
     twice (sharing one gen) draws its batches in the order it was listed.
     Returns (order, index, lengths). order sorts the members by descending
     step count, so the members with an s-th batch are a prefix of it.
-    index (n_steps, B, batch_size) holds rows of the shards concatenated in
-    that order; a short chunk is padded with row 0. lengths (n_steps, B) is
-    the number of real rows, 0 once a member has finished.
+    index (n_steps, B, batch_size) holds rows of the array the starts point
+    into; a short chunk is padded with row 0. lengths (n_steps, B) is the
+    number of real rows, 0 once a member has finished.
     """
-    sizes = np.asarray(sizes)
+    order = np.argsort(-np.asarray(steps), kind="stable")
+    starts, sizes, n_steps = (np.asarray(a)[order] for a in (starts, sizes, steps))
     per_epoch = -(-sizes // batch_size)
-    n_steps = np.asarray(steps)
     n_epochs = -(-n_steps // per_epoch)
-    perms = [[gen.permutation(n) for _ in range(e)] for gen, n, e in zip(gens, sizes, n_epochs)]
-    order = np.argsort(-n_steps, kind="stable")
-    sizes, per_epoch, n_epochs, n_steps = (a[order] for a in (sizes, per_epoch, n_epochs, n_steps))
-    local = np.concatenate([p for i in order for p in perms[i]])
-    # Client, epoch and position of every drawn index.
+    # Plan position, epoch and place in the epoch of every entry of a buffer
+    # holding, in plan order, one arange(n) per epoch each member starts.
     counts = sizes * n_epochs
-    client = np.repeat(np.arange(len(sizes)), counts)
-    run_start = np.repeat(np.cumsum(counts) - counts, counts)
-    epoch, pos = np.divmod(np.arange(len(local)) - run_start, sizes[client])
-    step = epoch * per_epoch[client] + pos // batch_size
-    keep = step < n_steps[client]  # the last epoch may stop early
-    client, step, col = client[keep], step[keep], pos[keep] % batch_size
-    shard_start = np.cumsum(sizes) - sizes
+    member = np.repeat(np.arange(len(sizes)), counts)
+    block_start = np.cumsum(counts) - counts
+    epoch, pos = np.divmod(np.arange(len(member)) - block_start[member], sizes[member])
+    local = pos.copy()
+    blocks = list(zip(block_start.tolist(), counts.tolist(), sizes.tolist()))
+    for gen, p in zip(gens, np.argsort(order).tolist()):  # member order
+        first, count, n = blocks[p]
+        for a in range(first, first + count, n):
+            gen.shuffle(local[a : a + n])
+    step = epoch * per_epoch[member] + pos // batch_size
+    keep = step < n_steps[member]  # the last epoch may stop early
+    if not keep.all():
+        member, step, pos, local = member[keep], step[keep], pos[keep], local[keep]
     index = np.zeros((n_steps[0], len(sizes), batch_size), dtype=np.intp)
-    index[step, client, col] = local[keep] + shard_start[client]
-    lengths = np.zeros((n_steps[0], len(sizes)), dtype=np.intp)
-    np.add.at(lengths, (step, client), 1)
-    return order, index, lengths
+    index[step, member, pos % batch_size] = local + starts[member]
+    lengths = np.bincount(step * len(sizes) + member, minlength=index.shape[0] * len(sizes))
+    return order, index, lengths.reshape(index.shape[:2])
 
 
 def local_sgd_cohort(
     w0: np.ndarray,
     layout: ModelLayout,
-    features: list[np.ndarray],
-    labels: list[np.ndarray],
+    features: np.ndarray,
+    labels: np.ndarray,
     *,
+    starts: list[int],
+    sizes: list[int],
     eta_l: float,
     batch_size: int,
     steps: list[int],
@@ -421,23 +431,20 @@ def local_sgd_cohort(
 ) -> tuple[np.ndarray, list[int], list[int]]:
     """Local SGD of B members from one w0, trained as one stacked loop.
 
-    Member i trains on features[i] and labels[i], shuffled by gens[i], for
-    steps[i] steps, distilling against teacher_ws[i]. It draws the same
-    batches and takes the same steps as B one-member calls made in member
-    order, and ends at the same weights up to float summation order. Step s
-    trains every member that has an s-th batch as one stacked batch; short
-    chunks are padded to batch_size with rows that add nothing. Returns
-    (w_final (B, P), steps_done, examples_processed), in member order.
-    Raises TrainingDiverged naming the first member whose weights are not
-    finite.
+    Member i trains on the sizes[i] rows of features and labels from row
+    starts[i] on, shuffled by gens[i], for steps[i] steps, distilling against
+    teacher_ws[i]; members may share rows. It draws the same batches and
+    takes the same steps as B one-member calls made in member order, and
+    ends at the same weights up to float summation order. Step s trains
+    every member that has an s-th batch as one stacked batch; short chunks
+    are padded to batch_size with rows that add nothing. Returns (w_final
+    (B, P), steps_done, examples_processed), in member order. Raises
+    TrainingDiverged naming the first member whose weights are not finite.
     """
-    sizes = [len(y) for y in labels]
     _check_training_args(
         min(sizes), eta_l, batch_size, min(steps), rho, nu, teacher_ws, anchor, distill_loss
     )
-    order, index, lengths = _cohort_plan(sizes, batch_size, steps, gens)
-    x_all = np.concatenate([features[i] for i in order])
-    y_all = np.concatenate([labels[i] for i in order])
+    order, index, lengths = _cohort_plan(starts, sizes, batch_size, steps, gens)
     n_active = (lengths > 0).sum(axis=1)
     real = np.arange(batch_size) < lengths[..., None]
     divisor = np.where(real, lengths[..., None], np.inf)[..., None]
@@ -450,8 +457,8 @@ def local_sgd_cohort(
             w[:a] -= eta_l * _sgd_grad(
                 w[:a],
                 layout,
-                x_all[idx],
-                y_all[idx],
+                features[idx],
+                labels[idx],
                 divisor[s, :a],
                 rho=rho,
                 nu=nu,

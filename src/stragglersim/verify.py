@@ -39,6 +39,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import algorithms, rng
+from .config import ConfigError
 
 
 @dataclass(frozen=True)
@@ -347,7 +348,9 @@ def gap_norm_bound(
     *, eta_g: float, eta_l: float, T_l: int, beta: float, B: int, B_plus: int,
     sigma_l: float, G: float,
 ) -> float:
-    """Worst-case bound on E||a_t - w_t||^2."""
+    """Worst-case bound on E||a_t - w_t||^2, for a mixing weight beta < 1."""
+    if not beta < 1.0:
+        raise ValueError(f"beta must be < 1, got {beta}")
     return (
         4.0
         * eta_g**2
@@ -451,15 +454,18 @@ CHECKS = {
 }
 
 
+def suite_checks(which: str) -> list[str]:
+    """The checks suite which runs ("all" or one name); ConfigError otherwise."""
+    if which == "all":
+        return list(CHECKS)
+    if which not in CHECKS:
+        raise ConfigError(f"unknown suite {which!r}; options: all, {', '.join(CHECKS)}")
+    return [which]
+
+
 def run_suite(which: str = "all", *, base_seed: int = 0) -> dict:
     """Run one named check or all of them; returns a JSON-ready report."""
-    if which == "all":
-        names = list(CHECKS)
-    elif which in CHECKS:
-        names = [which]
-    else:
-        raise ValueError(f"unknown suite {which!r}; options: all, {', '.join(CHECKS)}")
-    reports = [CHECKS[name](base_seed=base_seed) for name in names]
+    reports = [CHECKS[name](base_seed=base_seed) for name in suite_checks(which)]
     return {
         "suite": which,
         "base_seed": base_seed,

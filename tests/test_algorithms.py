@@ -44,15 +44,12 @@ class _StubSim:
         self.counters = collections.defaultdict(int)
         self.trace = False
         self.now = 0.0
-        self.model_events = 0
+        self.last_model_event = 0.0
         self.teacher_gen = rng.stream(teacher_seed, rng.TEACHER)
         self.teacher_comm_scale = 1.5
 
     # The engine's own bookkeeping, run against this stub's state.
     publish_aux = Simulation.publish_aux
-
-    def note_model_event(self):
-        self.model_events += 1
 
 
 def _assert_teacher_stream_unmoved(sim, seed=0):
@@ -349,6 +346,7 @@ def test_aux_update_matches_hand_computation():
     config = AlgoConfig("feast", feast_beta=0.5, eta_a=1.0)
     driver = AuxTrackDriver(sim, config)
     sim.state.aux = np.array([1.0, 1.0])
+    sim.now = 2.5
     rec = PendingAuxRound(
         round_id=0,
         w_snapshot=np.array([0.5, 2.0]),
@@ -358,7 +356,7 @@ def test_aux_update_matches_hand_computation():
     driver._apply_aux(rec)
     np.testing.assert_allclose(sim.state.aux, [-0.25, -0.5], atol=1e-15)
     assert sim.counters["aux_rounds"] == 1
-    assert sim.model_events == 1
+    assert sim.last_model_event == 2.5
 
 
 def test_aux_updates_must_arrive_in_round_order():

@@ -706,9 +706,18 @@ def test_an_unwritable_out_exits_2_and_names_it(tmp_path, capsys, command, out_k
         assert not any(out.iterdir())
 
 
-def test_verify_unknown_suite_exits_2(capsys):
-    assert cli.main(["verify", "--suite", "everything"]) == 2
-    assert "unknown suite" in capsys.readouterr().err
+def test_verify_unknown_suite_exits_2(tmp_path, monkeypatch, capsys):
+    # The name is checked before --out (here in a missing directory) and before any check.
+    ran = []
+    for name in verify.CHECKS:
+        monkeypatch.setitem(verify.CHECKS, name, lambda *, base_seed=0: ran.append(base_seed))
+    out = tmp_path / "missing" / "report.json"
+    assert cli.main(["verify", "--suite", "nope", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown suite 'nope'; options: all, gap_recursion, gap_zero_mean, "
+        "local_grad_norm, gap_norm_bound, stationarity_schedule\n"
+    )
+    assert ran == []
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):

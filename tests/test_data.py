@@ -43,7 +43,8 @@ def _partition_labels(label_lists, straggler_classes, n_straggler_clients, n_cla
     features = np.repeat(np.arange(len(labels), dtype=np.float64)[:, None], 2, axis=1)
     sizes = np.array([len(y) for y in label_lists])
     table = _class_table(straggler_classes, n_classes)
-    return _partition(features, labels, sizes, table, n_straggler_clients)
+    _, _, shards, dropped = _partition(features, labels, sizes, table, n_straggler_clients)
+    return shards, dropped
 
 
 def _raw_shards(config, seed):
@@ -78,7 +79,9 @@ def test_standard_shards_lose_straggler_classes():
 def test_straggler_shards_keep_everything_and_counts_are_conserved():
     features, labels, sizes = _generate(SMALL, seed=0)
     table = _class_table((0, 1), SMALL.n_classes)
-    out, dropped = _partition(features, labels, sizes, table, SMALL.n_straggler_clients)
+    kept_x, kept_y, out, dropped = _partition(
+        features, labels, sizes, table, SMALL.n_straggler_clients
+    )
     raw = _raw_shards(SMALL, seed=0)
 
     non_straggler_before = int((~table[labels]).sum())
@@ -86,6 +89,9 @@ def test_straggler_shards_keep_everything_and_counts_are_conserved():
     assert non_straggler_after == non_straggler_before
 
     for shard in out:
+        rows = slice(shard.start, shard.start + shard.n_examples)
+        np.testing.assert_array_equal(shard.labels, kept_y[rows])
+        np.testing.assert_array_equal(shard.features, kept_x[rows])
         raw_labels, raw_features = raw[shard.client_id]
         if shard.is_straggler:
             np.testing.assert_array_equal(shard.labels, raw_labels)

@@ -1,5 +1,7 @@
 """Tests for the flat-parameter model and local training loop."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from stragglersim import rng
 from stragglersim.model import (
     ModelLayout,
     TrainingDiverged,
+    _cohort_plan,
     _forward,
     _sgd_grad,
     _unpack_linear,
@@ -287,6 +290,14 @@ def _reference_sgd(
 _COHORT_SIZES = (1, 7, 4, 13, 6, 9)
 
 
+def _rows(xs, ys):
+    """The members' shards as local_sgd_cohort takes them: one features and
+    one labels array, and each member's start row and size in them."""
+    sizes = [len(y) for y in ys]
+    starts = np.cumsum([0, *sizes[:-1]]).tolist()
+    return np.concatenate(xs), np.concatenate(ys), {"starts": starts, "sizes": sizes}
+
+
 @pytest.mark.parametrize("hidden", [0, 5], ids=["linear", "mlp"])
 @pytest.mark.parametrize("bound", ["epochs", "steps"])
 @pytest.mark.parametrize(
@@ -312,8 +323,9 @@ def test_local_sgd_cohort_matches_per_client_local_sgd(hidden, bound, rho, nu, d
 
     gens = [rng.stream(5, rng.SHUFFLE, i) for i in range(len(xs))]
     two_epochs = [2 * -(-n // 4) for n in _COHORT_SIZES]
+    x, y, rows = _rows(xs, ys)
     got, got_steps, got_examples = local_sgd_cohort(
-        w0, layout, xs, ys, gens=gens, teacher_ws=teachers if rho > 0 else None,
+        w0, layout, x, y, **rows, gens=gens, teacher_ws=teachers if rho > 0 else None,
         steps=two_epochs if bound == "epochs" else steps, **common,
     )
     assert got.shape == (len(xs), layout.n_params)
@@ -329,6 +341,41 @@ def test_local_sgd_cohort_matches_per_client_local_sgd(hidden, bound, rho, nu, d
         assert gens[i].random() == ref_gen.random()
 
 
+@pytest.mark.parametrize(
+    "starts,sizes,batch_size,steps,shared",
+    [
+        ([4], [7], 1, [7], False),  # B = 1, one row per batch
+        ([0, 7, 11, 20], [7, 4, 9, 1], 3, [4, 1, 5, 2], False),  # partial last epochs
+        ([3, 0, 30], [5, 8, 3], 2, [9, 12, 6], False),  # three whole epochs each
+        ([10, 10, 0], [7, 7, 4], 3, [2, 5, 2], True),  # member 1 is member 0's client again
+    ],
+    ids=["one_member_b1", "partial_epochs", "several_epochs", "client_listed_twice"],
+)
+def test_cohort_plan_matches_per_member_permutations(starts, sizes, batch_size, steps, shared):
+    gens = [rng.stream(8, rng.SHUFFLE, i) for i in range(len(sizes))]
+    if shared:
+        gens[1] = gens[0]
+    ref_gens = copy.deepcopy(gens)  # keeps the sharing
+    order, index, lengths = _cohort_plan(starts, sizes, batch_size, steps, gens)
+
+    assert order.tolist() == sorted(range(len(sizes)), key=lambda i: -steps[i])
+    assert lengths.shape == (max(steps), len(sizes))
+    assert index.shape == (max(steps), len(sizes), batch_size)
+    for i, gen in enumerate(ref_gens):  # member order, as the plan draws
+        batches = []
+        while len(batches) < steps[i]:
+            perm = gen.permutation(sizes[i])
+            batches += [perm[a : a + batch_size] for a in range(0, sizes[i], batch_size)]
+        p = order.tolist().index(i)
+        for s in range(max(steps)):
+            want = starts[i] + batches[s] if s < steps[i] else np.array([], dtype=int)
+            assert lengths[s, p] == len(want)
+            assert index[s, p, : len(want)].tolist() == want.tolist()
+            assert not index[s, p, len(want) :].any()  # padding is row 0
+    for gen, ref_gen in zip(gens, ref_gens):
+        assert gen.random() == ref_gen.random()
+
+
 def test_a_client_listed_twice_trains_as_two_sequential_calls():
     # A version group can hold one client twice (a buffered client that
     # completes and is sampled again before the flush). With a time limit
@@ -341,7 +388,8 @@ def test_a_client_listed_twice_trains_as_two_sequential_calls():
     y = gen.integers(3, size=7)
     shared = rng.stream(6, rng.SHUFFLE, 0)
     got, got_steps, got_examples = local_sgd_cohort(
-        w0, layout, [x, x], [y, y], eta_l=0.2, batch_size=3, steps=[2, 5], gens=[shared, shared]
+        w0, layout, x, y, starts=[0, 0], sizes=[7, 7], eta_l=0.2, batch_size=3, steps=[2, 5],
+        gens=[shared, shared],
     )
     ref_gen = rng.stream(6, rng.SHUFFLE, 0)
     for i, steps in enumerate((2, 5)):
@@ -363,9 +411,10 @@ def test_divergence_names_the_cohort_member():
     ys = [gen.integers(3, size=len(x)) for x in xs]
     kwargs = dict(eta_l=1.0, batch_size=2)
     steps = [2 * -(-len(x) // 2) for x in xs]  # two epochs
+    x, y, rows = _rows(xs, ys)
     with pytest.raises(TrainingDiverged) as excinfo:
         local_sgd_cohort(
-            w0, layout, xs, ys, steps=steps,
+            w0, layout, x, y, **rows, steps=steps,
             gens=[rng.stream(0, rng.SHUFFLE, i) for i in range(4)], **kwargs
         )
     assert excinfo.value.member == 2
@@ -403,7 +452,7 @@ def test_passes_never_write_into_their_inputs(hidden):
         loss_and_grad(w, layout, x, y, rho=0.3, nu=0.2, teacher_logits=t_logits, anchor=anchor,
                       distill_loss=distill_loss)
         local_sgd_cohort(
-            w, layout, [x, x[:5], x[2:]], [y, y[:5], y[2:]], eta_l=0.1, batch_size=4,
+            w, layout, x, y, starts=[0, 0, 2], sizes=[9, 5, 7], eta_l=0.1, batch_size=4,
             steps=[6, 4, 4],  # two epochs
             gens=[rng.stream(7, rng.SHUFFLE, i) for i in range(3)], rho=0.3, nu=0.2,
             teacher_ws=list(teachers), anchor=anchor, distill_loss=distill_loss,

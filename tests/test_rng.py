@@ -125,3 +125,17 @@ def test_keyed_stream_copies_and_pickles_mid_stream():
     expected = gen.standard_normal(4)
     np.testing.assert_array_equal(copied.standard_normal(4), expected)
     np.testing.assert_array_equal(unpickled.standard_normal(4), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 374, 2000, 2**31])
+def test_one_call_bounded_draws_equal_sequential_scalar_draws(n):
+    # Simulation.sample_cohort draws a k-member cohort's pool indices as
+    # integers(arange(n, n - k, -1)) in one call. That must be the k scalar
+    # integers(n - i) draws of sequential picks, leaving the stream where
+    # they leave it.
+    for k in sorted({1, min(n, 2), min(n, 60)}):
+        for seed in range(5):
+            one, each = rng.stream(seed, rng.COHORT), rng.stream(seed, rng.COHORT)
+            got = one.integers(np.arange(n, n - k, -1))
+            assert got.tolist() == [int(each.integers(n - i)) for i in range(k)]
+            np.testing.assert_equal(one.bit_generator.state, each.bit_generator.state)

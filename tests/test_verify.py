@@ -233,6 +233,13 @@ def test_gap_norm_bound_arithmetic():
     assert val == pytest.approx(4 * 0.01 * 4 * 0.25 * 4.25 / 0.25, rel=1e-12)
 
 
+def test_gap_norm_bound_rejects_beta_of_one():
+    # (1 - beta)^2 divides the bound; beta = 1 is a named error, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="beta must be < 1, got 1.0"):
+        gap_norm_bound(eta_g=1.0, eta_l=0.1, T_l=2, beta=1.0, B=1, B_plus=2,
+                       sigma_l=0.5, G=2.0)
+
+
 def test_stationarity_rhs_arithmetic():
     val = stationarity_rhs(f_gap=2.0, T=100, lipschitz=1.0, sigma_l=0.5, G=2.0)
     expected = 2.0 / 10.0 + (10.0 / 10.0 + 2.5 / 100.0) * (0.25 + 4.0)
