@@ -3,11 +3,12 @@
 Each variant runs at a small budget for seeds 0 and 1. Counters, server
 steps, virtual time, the time limit and every record must match
 `golden.json` exactly; the output model must match to 1e-12. The
-`simulate --trials 2` logs and manifests of the four acceptance configs, at
-the same budget, must match by sha256, and so must the reports: the
-`verify --out` JSON of two checks (without the wall-clock `elapsed_s`), and
-the files and stdout of `data-report` and `latency-report --draws 20000` on
-`fedavg_full`.
+`simulate --trials 2` logs, manifests and summary lines of the four
+acceptance configs, at the same budget, must match by sha256, and so must the
+reports: the `verify --out` JSON of two checks (without the wall-clock
+`elapsed_s`), the files and stdout of `data-report` and `latency-report
+--draws 20000` on `fedavg_full`, a two-point `sweep` (its tree and stdout),
+and `report` over one of its points and, with `--force-mixed`, over both.
 
 A change that means to move outputs re-records the file and names every
 field that moved:
@@ -18,8 +19,8 @@ field that moved:
 import contextlib
 import dataclasses
 import functools
-import io
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -33,6 +34,7 @@ from stragglersim.algorithms import AlgoConfig
 from stragglersim.config import load_config
 from stragglersim.data import build_dataset
 from stragglersim.engine import Simulation
+from stragglersim.latency import LognormalParams
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
@@ -45,6 +47,21 @@ _CROWD = dict(eta_l=0.1, batch_size=20, buffer_size=10, max_concurrency=100)
 def _acceptance(name, **changes):
     config = load_config(ACCEPTANCE_DIR / f"{name}.json")
     return dataclasses.replace(config, budget=BUDGET, **changes)
+
+
+def _zero_sigma(name):
+    """An acceptance config whose latency factors are all fixed (sigma 0), so
+    clients of one group and shard size complete at the same time."""
+    config = _acceptance(name)
+    fixed = {
+        group: dataclasses.replace(profile, **{
+            factor: LognormalParams(getattr(profile, factor).mu, 0.0)
+            for factor in ("comm", "per_example", "overhead")
+        })
+        for group, profile in (("standard_profile", config.latency.standard_profile),
+                               ("straggler_profile", config.latency.straggler_profile))
+    }
+    return dataclasses.replace(config, latency=dataclasses.replace(config.latency, **fixed))
 
 
 def _variants():
@@ -100,6 +117,9 @@ def _variants():
             eval_cap=16000,
         ),
         "fedavg_full_eval_every_1": _acceptance("fedavg_full", eval_every=1),
+        # tied completion times: which late updates wait for the round's close
+        **{f"{name}_zero_sigma": _zero_sigma(name)
+           for name in ("fedavg_oversel", "fare_dust", "feast")},
     }
 
 
@@ -121,30 +141,6 @@ def _outcome(config, seed) -> dict:
     }
 
 
-def _log_digests(tmp_dir: Path) -> dict[str, str]:
-    """sha256 of every file `simulate --trials 2` writes for the acceptance
-    configs, run at the golden budget."""
-    digests = {}
-    for name in ACCEPTANCE:
-        payload = json.loads((ACCEPTANCE_DIR / f"{name}.json").read_text(encoding="utf-8"))
-        payload["budget"] = BUDGET
-        config_path = tmp_dir / f"{name}.json"
-        config_path.write_text(json.dumps(payload), encoding="utf-8")
-        out = tmp_dir / name
-        code = cli.main(["simulate", "--config", str(config_path), "--trials", "2",
-                         "--out", str(out)])
-        if code != 0:
-            raise RuntimeError(f"simulate {name} exited {code}")
-        for path in sorted(out.iterdir()):
-            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digests
-
-
-# verify checks quick enough for tier-1 (about 0.6 s together)
-VERIFY_SUITES = ("gap_recursion", "stationarity_schedule")
-REPORT_DRAWS = 20000
-
-
 def _run_cli(argv: list[str], out: Path) -> str:
     """Run one command; return its stdout with the output path replaced by <out>."""
     stdout = io.StringIO()
@@ -157,6 +153,36 @@ def _run_cli(argv: list[str], out: Path) -> str:
 
 def _sha256(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _acceptance_payload(name: str, budget: int = BUDGET) -> dict:
+    payload = json.loads((ACCEPTANCE_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    payload["budget"] = budget
+    return payload
+
+
+def _log_digests(tmp_dir: Path) -> dict[str, str]:
+    """sha256 of every file `simulate --trials 2` writes for the acceptance
+    configs, run at the golden budget, and of its stdout."""
+    digests = {}
+    for name in ACCEPTANCE:
+        config_path = tmp_dir / f"{name}.json"
+        config_path.write_text(json.dumps(_acceptance_payload(name)), encoding="utf-8")
+        out = tmp_dir / name
+        stdout = _run_cli(["simulate", "--config", str(config_path), "--trials", "2",
+                           "--out", str(out)], out)
+        digests[f"{name}/stdout"] = _sha256(stdout)
+        for path in sorted(out.iterdir()):
+            digests[f"{name}/{path.name}"] = _sha256(path.read_bytes())
+    return digests
+
+
+# verify checks quick enough for tier-1 (about 0.6 s together)
+VERIFY_SUITES = ("gap_recursion", "stationarity_schedule")
+REPORT_DRAWS = 20000
+# two fare_dust points, two trials each, at a small budget
+SWEEP = {"parameters": {"algo.rho": [0.0, 0.1]}, "objective": "straggler_acc"}
+SWEEP_BUDGET = 150
 
 
 def _report_digests(tmp_dir: Path) -> dict[str, str]:
@@ -181,6 +207,22 @@ def _report_digests(tmp_dir: Path) -> dict[str, str]:
                        "--out", str(out)], out)
     digests["latency-report/stdout"] = _sha256(stdout)
     digests["latency-report/latency.csv"] = _sha256(out.read_bytes())
+
+    sweep_path = tmp_dir / "sweep.json"
+    base = {**_acceptance_payload("fare_dust", SWEEP_BUDGET), "trials": 2}
+    sweep_path.write_text(json.dumps({"base": base, **SWEEP}), encoding="utf-8")
+    out = tmp_dir / "sweep"
+    digests["sweep/stdout"] = _sha256(_run_cli(["sweep", "--config", str(sweep_path),
+                                                "--out", str(out)], out))
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digests[f"sweep/{path.relative_to(out).as_posix()}"] = _sha256(path.read_bytes())
+    for key, inputs, flags in (("report", out / "point_000", []),
+                               ("report-mixed", out, ["--force-mixed"])):
+        csv_path = tmp_dir / f"{key}.csv"
+        stdout = _run_cli(["report", "--in", str(inputs), "--out", str(csv_path), *flags],
+                          csv_path)
+        digests[f"{key}/stdout"] = _sha256(stdout)
+        digests[f"{key}/summary.csv"] = _sha256(csv_path.read_bytes())
     return digests
 
 
