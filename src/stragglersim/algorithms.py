@@ -5,13 +5,17 @@ clients are dispatched, which arrivals count, and where late straggler
 updates go. It talks to the simulation through a narrow context interface
 (SimContext): dispatch a client with its teacher and communication scale,
 hand over the updates of one server step, publish an auxiliary model,
-learn when k clients will be idle, and schedule one of its own hooks. The
-engine binds every dispatch to the open model version (start and anchor
-state.w, round id state.t), records the work, and trains every dispatch of
-a version together when that version closes, at its server step. The
-engine also sums and applies the updates, decides which model is served,
-and keeps the trace. Its update budget ends every run: a driver reads
-Simulation.budget_reached() and keeps no finished flag of its own.
+learn when k clients will be idle, and schedule one of its own hooks. A
+dispatch returns the update with its completion time, drawn at dispatch;
+the driver schedules what the completion triggers: a synchronous round its
+close at the B-th completion and one event per late update, the buffered
+driver one event per completion. The engine binds every dispatch to the
+open model version (start and anchor state.w, round id state.t), records
+the work, and trains every dispatch of a version together when that
+version closes, at its server step. The engine also sums and applies the
+updates, decides which model is served, and keeps the trace. Its update
+budget ends every run: a driver reads Simulation.budget_reached() and keeps
+no finished flag of its own.
 Conventions shared by every driver:
 
 * A client update carries delta = w_dispatched - w_final, so the server
@@ -47,7 +51,7 @@ Drivers:
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -159,7 +163,7 @@ class AlgoConfig:
 
 @dataclass
 class ClientUpdate:
-    """Result of one client computation, delivered via a completion event.
+    """Result of one client computation; completed_at is fixed at dispatch.
 
     delta is None until the engine trains the update's model version, which
     it does before the version's first server step reads any delta.
@@ -344,35 +348,28 @@ class SimContext(Protocol):
 # ---- Synchronous rounds ---- #
 
 
-@dataclass
-class SyncRound:
-    round_id: int
-    started_at: float
-    fast_ids: frozenset[int]
-    fast_updates: list[ClientUpdate] = field(default_factory=list)
-    pending_late: list[ClientUpdate] = field(default_factory=list)
-    advanced: bool = False
-    n_arrived: int = 0
-
-
 class SyncRoundDriver:
-    """Synchronous rounds: dispatch B_t, aggregate the B fastest."""
+    """Synchronous rounds: dispatch B_t, aggregate the B fastest. A round
+    knows at its start which B are fast, by (completed_at, client_id), so it
+    schedules its close then, and then each late update in dispatch order."""
 
     def __init__(self, sim: SimContext, config: AlgoConfig) -> None:
         self.sim = sim
         self.config = config
         self.dispatch_size = config.resolved_dispatch_size()
-        self.rounds: dict[int, SyncRound] = {}
 
     # -- hooks overridden by subclasses -- #
 
     def _teacher_for_dispatch(self) -> tuple[np.ndarray | None, float]:
         return None, 1.0
 
-    def _after_advance(self, rnd: SyncRound, summed: np.ndarray, w_before: np.ndarray) -> None:
+    def _after_advance(
+        self, round_id: int, started_at: float, summed: np.ndarray, w_before: np.ndarray
+    ) -> None:
         pass
 
-    def _handle_late(self, update: ClientUpdate) -> None:
+    def on_client_completed(self, update: ClientUpdate) -> None:
+        """A late update arrives after its round closed."""
         self.sim.counters["discarded_updates"] += 1
 
     # -- driver interface -- #
@@ -382,22 +379,6 @@ class SyncRoundDriver:
 
     def is_finished(self) -> bool:
         return self.sim.budget_reached()
-
-    def on_client_completed(self, update: ClientUpdate) -> None:
-        rnd = self.rounds[update.round_id]
-        rnd.n_arrived += 1
-        if update.client_id in rnd.fast_ids:
-            rnd.fast_updates.append(update)
-            if len(rnd.fast_updates) == self.config.cohort_size:
-                self._advance(rnd)
-        elif rnd.advanced:
-            self._handle_late(update)
-        else:
-            # Tied completion times can deliver a non-fast update before the
-            # last fast one; hold it until the round advances.
-            rnd.pending_late.append(update)
-        if rnd.advanced and rnd.n_arrived == self.dispatch_size:
-            del self.rounds[update.round_id]
 
     # -- internals -- #
 
@@ -415,22 +396,39 @@ class SyncRoundDriver:
             self.sim.dispatch(cid, teacher_w=teacher, comm_scale=scale)
             for cid, (teacher, scale) in zip(cohort, teachers)
         ]
-        by_finish = sorted(updates, key=lambda u: (u.completed_at, u.client_id))
-        fast_ids = frozenset(u.client_id for u in by_finish[: self.config.cohort_size])
-        rid = self.sim.state.t
-        self.rounds[rid] = SyncRound(round_id=rid, started_at=self.sim.now, fast_ids=fast_ids)
+        b = self.config.cohort_size
+        by_finish = sorted(
+            range(len(updates)), key=lambda i: (updates[i].completed_at, updates[i].client_id)
+        )
+        fast = set(by_finish[:b])
+        close_at = updates[by_finish[b - 1]].completed_at
+        # Updates due at one time arrive in dispatch order, so the round closes
+        # on the last-dispatched fast update due at close_at. A late update due
+        # then but dispatched before that one is held: the close hands it on
+        # after the server step and before the next round starts.
+        last = max(i for i in fast if updates[i].completed_at == close_at)
+        held, late = [], []
+        for i, u in enumerate(updates):
+            if i not in fast:
+                (held if i < last and u.completed_at == close_at else late).append(u)
+        # The close is scheduled first, so it runs before same-time late events.
+        self.sim.schedule(
+            close_at, self._close_round, self.sim.state.t, self.sim.now,
+            [updates[i] for i in by_finish[:b]], held,
+        )
+        for u in late:
+            self.sim.schedule(u.completed_at, self.on_client_completed, u)
 
-    def _advance(self, rnd: SyncRound) -> None:
-        rnd.advanced = True
+    def _close_round(
+        self, round_id: int, started_at: float, fast: list[ClientUpdate], held: list[ClientUpdate]
+    ) -> None:
         # The server step rebinds state.w, so this reference keeps the
         # pre-step model.
         w_before = self.sim.state.w
-        summed = self.sim.apply_server_update(rnd.fast_updates)
-        rnd.fast_updates.clear()
-        self._after_advance(rnd, summed, w_before)
-        for update in rnd.pending_late:
-            self._handle_late(update)
-        rnd.pending_late.clear()
+        summed = self.sim.apply_server_update(fast)
+        self._after_advance(round_id, started_at, summed, w_before)
+        for update in held:
+            self.on_client_completed(update)
         if not self.sim.budget_reached() and not self.config.strict_sequential:
             self._start_round()
 
@@ -455,10 +453,12 @@ class HistoryDistillationDriver(SyncRoundDriver):
         teacher = teacher_from_history(self.sim.state.w, entry, self.config.eta_g)
         return teacher, self.sim.teacher_comm_scale
 
-    def _after_advance(self, rnd: SyncRound, summed: np.ndarray, w_before: np.ndarray) -> None:
-        self.history.push(rnd.round_id, summed, self.config.cohort_size)
+    def _after_advance(
+        self, round_id: int, started_at: float, summed: np.ndarray, w_before: np.ndarray
+    ) -> None:
+        self.history.push(round_id, summed, self.config.cohort_size)
 
-    def _handle_late(self, update: ClientUpdate) -> None:
+    def on_client_completed(self, update: ClientUpdate) -> None:
         if self.history.fold(update.round_id, update.delta):
             self.sim.counters["late_folded"] += 1
         else:
@@ -504,18 +504,21 @@ class AuxTrackDriver(SyncRoundDriver):
     def is_finished(self) -> bool:
         return self.sim.budget_reached() and not self.pending
 
-    def _after_advance(self, rnd: SyncRound, summed: np.ndarray, w_before: np.ndarray) -> None:
-        rec = PendingAuxRound(rnd.round_id, w_before, summed, self.config.cohort_size)
-        self.pending[rnd.round_id] = rec
+    def _after_advance(
+        self, round_id: int, started_at: float, summed: np.ndarray, w_before: np.ndarray
+    ) -> None:
+        rec = PendingAuxRound(round_id, w_before, summed, self.config.cohort_size)
+        self.pending[round_id] = rec
         if self._all_reported(rec):
             self._mark_ready(rec)
         else:
-            # A deadline in the past still fires "now"; queued same-time
-            # completions hold earlier sequence numbers, so they fold first.
-            deadline = max(rnd.started_at + self.config.tau_max, self.sim.now)
-            self.sim.schedule(deadline, self.on_aux_deadline, rnd.round_id)
+            # A deadline in the past still fires "now". The round scheduled its
+            # late updates when it started, so those due at the deadline's
+            # time hold earlier sequence numbers and fold first.
+            deadline = max(started_at + self.config.tau_max, self.sim.now)
+            self.sim.schedule(deadline, self.on_aux_deadline, round_id)
 
-    def _handle_late(self, update: ClientUpdate) -> None:
+    def on_client_completed(self, update: ClientUpdate) -> None:
         rec = self.pending.get(update.round_id)
         if rec is None or rec.ready:
             self.sim.counters["dropped_after_deadline"] += 1
@@ -565,9 +568,10 @@ class AuxTrackDriver(SyncRoundDriver):
 class BufferedDriver:
     """Asynchronous buffered aggregation with a fixed concurrency target.
 
-    max_concurrency clients run at all times; each completion lands its
-    delta (unscaled) in the buffer, and every buffer_size-th landing flushes
-    the canonical sum into the server optimizer. Refills are dispatched via
+    max_concurrency clients run at all times; each dispatch schedules its
+    completion, which lands the delta (unscaled) in the buffer, and every
+    buffer_size-th landing flushes the canonical sum into the server
+    optimizer. Refills are dispatched via
     queue events scheduled at the completion timestamp so that all tied
     completions are processed before any refill samples a client or reads
     the (possibly just-updated) global model.
@@ -597,7 +601,10 @@ class BufferedDriver:
 
     def on_dispatch(self) -> None:
         cid = self.sim.sample_cohort(1)[0]
-        self.sim.dispatch(cid, teacher_w=self.sim.state.w if self.config.rho > 0 else None)
+        update = self.sim.dispatch(
+            cid, teacher_w=self.sim.state.w if self.config.rho > 0 else None
+        )
+        self.sim.schedule(update.completed_at, self.on_client_completed, update)
 
 
 def make_driver(sim: SimContext, config: AlgoConfig):

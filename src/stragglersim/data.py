@@ -23,7 +23,7 @@ trials without a copy.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,13 +127,6 @@ class FederatedDataset:
     eval_total: EvalSplit
     eval_straggler_rows: np.ndarray
     dropped_clients: tuple[int, ...] = ()
-    _by_id: dict[int, ClientShard] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        self._by_id = {s.client_id: s for s in self.shards}
-
-    def shard(self, client_id: int) -> ClientShard:
-        return self._by_id[client_id]
 
     @property
     def n_clients(self) -> int:

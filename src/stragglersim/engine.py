@@ -3,9 +3,11 @@
 Virtual time advances through a min-heap of events ordered by (fire_at,
 sequence number), so ties resolve in scheduling order and runs with the same
 config and seed replay identically. An event carries its handler and
-arguments, and the loop calls handler(*args) at fire_at: a dispatch schedules
-the driver's on_client_completed(update), drivers schedule their own hooks
-(Simulation.schedule), and every eval_every-th server step an evaluation.
+arguments, and the loop calls handler(*args) at fire_at. Every
+eval_every-th server step schedules an evaluation; drivers schedule the rest
+(Simulation.schedule): a synchronous round its close and its late arrivals,
+the buffered driver each completion. The engine only starts the driver and
+asks it whether the run is finished.
 
 The engine owns the wall-clock-free mechanics: client busy bookkeeping,
 latency sampling, local training, aggregation and the server step (the
@@ -18,14 +20,14 @@ the engine binds it to the open model version: start and anchor (nu > 0)
 state.w, round id state.t. A dispatch records its work and does not train.
 Its completion time and counts never depend on the trained weights: the
 latency factors are drawn first (the per-round time limit needs them), the
-steps and examples follow by arithmetic, and the completion fires at now
+steps and examples follow by arithmetic, and the update completes at now
 plus the factors' total for those examples (latency.LatencySample.total_s).
 So the version trains as one stacked call (model.local_sgd_cohort) when it
 closes, at the next server step, before any of its deltas is read. A
 client whose local SGD leaves non-finite weights raises FloatingPointError
 naming the client, the round and the virtual time of its dispatch.
 
-A client is busy until its completion fires and is excluded from cohort
+A client is busy until its update completes and is excluded from cohort
 sampling in the meantime (allow_busy_reuse lifts this); a synchronous round
 whose cohort is not idle yet starts at Simulation.idle_at. The busy-until
 table spans all m_clients ids and a dropped shard's id is busy forever, so
@@ -152,11 +154,10 @@ class Simulation:
     ) -> None:
         self.config = config
         self.algo = config.algo
-        self.trial_seed = trial_seed
         self.trace = trace
         self.dataset = dataset if dataset is not None else config.build_dataset()
         self.layout = config.layout()
-        self.scenario = config.latency
+        scenario = config.latency
 
         w0 = model.init_params(
             self.layout, rng.stream(trial_seed, rng.INIT), scale=config.model.init_scale
@@ -187,16 +188,17 @@ class Simulation:
                 f"{len(self._client_ids)} clients"
             )
         self._cohort_gen = rng.stream(trial_seed, rng.COHORT)
-        # client id -> (latency profile, n_examples, batches per epoch), in shard order
+        # client id -> (latency profile, n_examples, batches per epoch, start
+        # row in the dataset's kept arrays), in shard order
         b = self.algo.batch_size
         self._dispatch_table = {
             s.client_id: (
-                self.scenario.profile_for(s.is_straggler), s.n_examples, -(-s.n_examples // b)
+                scenario.profile_for(s.is_straggler), s.n_examples, -(-s.n_examples // b), s.start
             )
             for s in self.dataset.shards
         }
         self.teacher_gen = rng.stream(trial_seed, rng.TEACHER)
-        self.teacher_comm_scale = self.scenario.teacher_download_factor
+        self.teacher_comm_scale = scenario.teacher_download_factor
         # (purpose, client id) -> that client's stream, made on first use from its key row
         purposes = (rng.LATENCY, rng.SHUFFLE)
         self._client_keys = {p: rng.stream_keys(trial_seed, p, ids=all_ids) for p in purposes}
@@ -242,8 +244,8 @@ class Simulation:
     def dispatch(
         self, client_id: int, *, teacher_w: np.ndarray | None = None, comm_scale: float = 1.0
     ) -> ClientUpdate:
-        """Record one client's local computation on the open model version
-        and schedule its completion.
+        """Record one client's local computation on the open model version;
+        the driver schedules what its completion triggers.
 
         Without a time limit a client runs epochs * ceil(n / b) steps over
         epochs * n examples; with one, the latency draw fixes the steps and
@@ -253,7 +255,7 @@ class Simulation:
         """
         if not self.algo.allow_busy_reuse and self._busy_until[client_id] > self.now:
             raise RuntimeError(f"client {client_id} dispatched while busy")
-        profile, n, per_epoch = self._dispatch_table[client_id]
+        profile, n, per_epoch, _ = self._dispatch_table[client_id]
         factors = latency.sample_client_latency(profile, self._client_gen(rng.LATENCY, client_id))
         if self.tau_limit is None:
             steps, examples = self.algo.epochs * per_epoch, self.algo.epochs * n
@@ -275,9 +277,6 @@ class Simulation:
             steps_done=steps,
         )
         self._busy_until[client_id] = update.completed_at
-        self.queue.schedule(
-            update.completed_at, self.driver.on_client_completed, update, now=self.now
-        )
         self.counters["dispatches"] += 1
         if self.trace:
             members = ((update.round_id, client_id),)
@@ -327,7 +326,7 @@ class Simulation:
         charged. The server step that closes the version rebinds state.w only
         after this, so state.w is the version's start."""
         updates, teachers = zip(*group)
-        shards = [self.dataset.shard(u.client_id) for u in updates]
+        _, sizes, _, starts = zip(*(self._dispatch_table[u.client_id] for u in updates))
         distill = teachers[0] is not None
         for u, teacher in zip(updates, teachers):
             if (teacher is not None) != distill:
@@ -342,8 +341,8 @@ class Simulation:
                 self.layout,
                 self.dataset.features,
                 self.dataset.labels,
-                starts=[shard.start for shard in shards],
-                sizes=[shard.n_examples for shard in shards],
+                starts=starts,
+                sizes=sizes,
                 steps=[u.steps_done for u in updates],
                 gens=[self._client_gen(rng.SHUFFLE, u.client_id) for u in updates],
                 rho=self.algo.rho if distill else 0.0,
@@ -382,7 +381,7 @@ class Simulation:
         come first, then every shard's overhead draws.
         """
         gen = rng.stream(self.config.effective_data_seed(), rng.TIME_LIMIT)
-        profiles, sizes, _ = zip(*self._dispatch_table.values())  # in shard order
+        profiles, sizes, _, _ = zip(*self._dispatch_table.values())  # in shard order
         per_example = [
             latency.sample_lognormal_batch(p.per_example, gen, draws_per_client) for p in profiles
         ]

@@ -331,10 +331,10 @@ def test_late_updates_fold_into_history_or_count_as_discarded():
     sim = _StubSim(w=[0.0])
     driver = HistoryDistillationDriver(sim, AlgoConfig("fare_dust", history_k=1))
     driver.history.push(0, np.array([1.0]), count=1)
-    driver._handle_late(_update(9, [0.5], round_id=0))
+    driver.on_client_completed(_update(9, [0.5], round_id=0))
     assert sim.counters["late_folded"] == 1
     driver.history.push(1, np.array([0.0]), count=1)  # evicts round 0
-    driver._handle_late(_update(9, [0.5], round_id=0))
+    driver.on_client_completed(_update(9, [0.5], round_id=0))
     assert sim.counters["late_discarded"] == 1
 
 

@@ -122,9 +122,10 @@ def test_deterministic_latency_matches_formula():
     algo = AlgoConfig("fedavg", cohort_size=4, over_selection=True, eta_l=0.05, batch_size=4)
     config = _config(algo, budget=16)
     sim, result = _run(config)
+    shards = {s.client_id: s for s in sim.dataset.shards}
     for entry in round_views(sim.events):
         for cid, completed in entry.completed_at.items():
-            shard = sim.dataset.shard(cid)
+            shard = shards[cid]
             profile = DET_PDPE.profile_for(shard.is_straggler)
             expected = (
                 math.exp(profile.comm.mu) * 1.0
@@ -577,7 +578,8 @@ def test_dispatch_charges_the_work_training_does(monkeypatch, time_limit):
         ([u.steps_done for u in updates], [u.examples_processed for u in updates])
     ]
     if time_limit:  # the step budgets differ and some stop inside an epoch
-        per_epoch = [-(-sim.dataset.shard(u.client_id).n_examples // 3) for u in updates]
+        sizes = {s.client_id: s.n_examples for s in sim.dataset.shards}
+        per_epoch = [-(-sizes[u.client_id] // 3) for u in updates]
         assert len({u.steps_done for u in updates}) > 1
         assert any(u.steps_done % p for u, p in zip(updates, per_epoch))
 
@@ -688,8 +690,9 @@ def test_time_limit_step_budget_formula():
     config = _config(algo, budget=8)
     sim = Simulation(config, trial_seed=0, trace=True)
     assert sim.tau_limit == 3.0
-    cid = sim.dataset.shards[0].client_id
-    profile = DET_PDPE.profile_for(sim.dataset.shard(cid).is_straggler)
+    shard = sim.dataset.shards[0]
+    cid = shard.client_id
+    profile = DET_PDPE.profile_for(shard.is_straggler)
     update = sim.dispatch(cid)
     pe = math.exp(profile.per_example.mu)
     ov = math.exp(profile.overhead.mu)
@@ -723,8 +726,9 @@ def test_teacher_download_scales_comm_factor_only():
     algo = AlgoConfig("fedavg", cohort_size=2, eta_l=0.05, batch_size=4)
     base = Simulation(_config(algo, budget=4), trial_seed=0)
     scaled = Simulation(_config(algo, scenario=scenario, budget=4), trial_seed=0)
-    cid = base.dataset.shards[0].client_id
-    profile = DET_PDPE.profile_for(base.dataset.shard(cid).is_straggler)
+    shard = base.dataset.shards[0]
+    cid = shard.client_id
+    profile = DET_PDPE.profile_for(shard.is_straggler)
     plain = base.dispatch(cid)
     doubled = scaled.dispatch(cid, comm_scale=scaled.teacher_comm_scale)
     comm = math.exp(profile.comm.mu)

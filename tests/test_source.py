@@ -121,6 +121,14 @@ def test_drivers_use_only_the_declared_simulation_context():
         assert inspect.signature(getattr(engine.Simulation, name)) == declared, name
 
 
+def test_the_engine_only_starts_the_driver_and_asks_if_it_is_finished():
+    # Drivers schedule their own events: a synchronous round its close and
+    # its late arrivals, the buffered driver each completion. The engine
+    # calls nothing else on its driver.
+    used = _attributes_of(ast.parse((SOURCE_DIR / "engine.py").read_text()), "self.driver")
+    assert used <= {"start", "is_finished"}, f"engine uses driver.{sorted(used)}"
+
+
 def _spy(monkeypatch, owner, name: str) -> list:
     """Count the calls that reach owner.name from here on."""
     calls = []
