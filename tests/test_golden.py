@@ -34,7 +34,6 @@ from stragglersim.algorithms import AlgoConfig
 from stragglersim.config import load_config
 from stragglersim.data import build_dataset
 from stragglersim.engine import Simulation
-from stragglersim.latency import LognormalParams
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
@@ -55,7 +54,7 @@ def _zero_sigma(name):
     config = _acceptance(name)
     fixed = {
         group: dataclasses.replace(profile, **{
-            factor: LognormalParams(getattr(profile, factor).mu, 0.0)
+            factor: dataclasses.replace(getattr(profile, factor), sigma=0.0)
             for factor in ("comm", "per_example", "overhead")
         })
         for group, profile in (("standard_profile", config.latency.standard_profile),
@@ -187,7 +186,8 @@ SWEEP_BUDGET = 150
 
 def _report_digests(tmp_dir: Path) -> dict[str, str]:
     """sha256 of the verify JSON (without elapsed_s, in the order written)
-    and of every file and the stdout of data-report and latency-report."""
+    and of every file and the stdout of data-report, latency-report, sweep
+    and report."""
     digests = {}
     for suite in VERIFY_SUITES:
         out = tmp_dir / f"{suite}.json"
