@@ -67,6 +67,7 @@ def _variants():
     fare = load_config(ACCEPTANCE_DIR / "fare_dust.json")
     feast = load_config(ACCEPTANCE_DIR / "feast.json")
     oversel = load_config(ACCEPTANCE_DIR / "fedavg_oversel.json")
+    full = load_config(ACCEPTANCE_DIR / "fedavg_full.json")
     return {
         **{name: _acceptance(name) for name in ACCEPTANCE},
         "fedadam": _acceptance(
@@ -89,6 +90,16 @@ def _variants():
         "fedbuff_ema_rho_nu": _acceptance(
             "fedavg_full",
             algo=AlgoConfig("fedbuff", ema_enabled=True, rho=0.2, nu=0.05, **_CROWD),
+        ),
+        # history teachers pay the download factor, the empty-history round
+        # (the current model) and fedbuff's global-model teacher do not
+        "fare_dust_teacher_download_2": _acceptance(
+            "fare_dust", latency=dataclasses.replace(fare.latency, teacher_download_factor=2.0)
+        ),
+        "fedbuff_rho_teacher_download_2": _acceptance(
+            "fedavg_full",
+            algo=AlgoConfig("fedbuff", rho=0.2, **_CROWD),
+            latency=dataclasses.replace(full.latency, teacher_download_factor=2.0),
         ),
         "fedbuff_busy_reuse_time_limit": _acceptance(
             "fedavg_full",
