@@ -3,27 +3,28 @@
 A driver owns only the round semantics of one algorithm family: which
 clients are dispatched, which arrivals count, and where late straggler
 updates go. It talks to the simulation through a narrow context interface
-(SimContext): dispatch a client with its teacher and communication scale,
-hand over the updates of one server step, publish an auxiliary model,
-learn when k clients will be idle, and schedule one of its own hooks. A
-dispatch returns the update with its completion time, drawn at dispatch;
-the driver schedules what the completion triggers: a synchronous round its
-close at the B-th completion and one event per late update, the buffered
-driver one event per completion. The engine binds every dispatch to the
-open model version (start and anchor state.w, round id state.t), records
-the work, and trains every dispatch of a version together when that
+(SimContext): dispatch a client with its teacher only, hand over the updates
+of one server step or the summed delta of one auxiliary step, learn when k
+clients will be idle, and schedule one of its own hooks. A dispatch returns
+the update with its completion time, drawn at dispatch; the driver schedules
+what the completion triggers: a synchronous round its close at the B-th
+completion and one event per late update, the buffered driver one event per
+completion. The engine binds every dispatch to the open model version (start
+and anchor state.w, round id state.t), prices its teacher's download,
+records the work, and trains every dispatch of a version together when that
 version closes, at its server step. The engine also sums and applies the
-updates, decides which model is served, and keeps the trace. Its update
-budget ends every run: a driver reads Simulation.budget_reached() and keeps
-no finished flag of its own.
+updates, takes FeAST's auxiliary step, decides which model is served, and
+keeps the trace. Its update budget ends every run: a driver reads
+Simulation.budget_reached() and keeps no finished flag of its own.
 Conventions shared by every driver:
 
 * A client update carries delta = w_dispatched - w_final, so the server
   subtracts: SGD does w <- w - (eta_g / count) * summed_delta.
 * An update's round_id is the model version it started from; a synchronous
   round is named by the version its cohort trains from.
-* Delta sums are always accumulated in (round_id, client_id) order so
-  aggregation is independent of event arrival order.
+* A server step sums its deltas in (round_id, client_id) order, whatever
+  the arrival order. History folds and FeAST's augmented deltas add late
+  deltas in arrival order: deterministic, but their sums depend on it.
 * Synchronous cohorts are sampled sequentially without replacement from the
   id-sorted idle pool, one uniform index draw per slot; the buffered driver
   draws from the same stream one client at a time, which makes the two
@@ -183,10 +184,10 @@ class ClientUpdate:
 
 @dataclass
 class ServerState:
-    """Global model plus the server optimizer and EMA that algo asks for.
+    """Global model plus the server optimizer, EMA and aux model that algo asks for.
 
     t counts server steps; the Adam moments exist only for an Adam server.
-    ema is None before the first step and without EMA; aux is feast's model.
+    ema is None before the first step and without EMA; feast's aux starts at w.
     """
 
     w: np.ndarray
@@ -201,6 +202,8 @@ class ServerState:
         if self.algo.resolved_server_opt() == "adam":
             self.adam_m = np.zeros_like(self.w)
             self.adam_v = np.zeros_like(self.w)
+        if self.algo.name == "feast":
+            self.aux = self.w.copy()
 
     def served(self) -> tuple[str, np.ndarray]:
         """The model that is evaluated and returned: aux, else EMA, else w."""
@@ -326,19 +329,18 @@ class SimContext(Protocol):
     counters: dict[str, int]
     state: ServerState
     teacher_gen: np.random.Generator
-    teacher_comm_scale: float
 
     def idle_at(self, k: int) -> float: ...
 
     def sample_cohort(self, k: int) -> list[int]: ...
 
-    def dispatch(
-        self, client_id: int, *, teacher_w: np.ndarray | None = None, comm_scale: float = 1.0
-    ) -> ClientUpdate: ...
+    def dispatch(self, client_id: int, *, teacher_w: np.ndarray | None = None) -> ClientUpdate: ...
 
     def apply_server_update(self, updates: list[ClientUpdate]) -> np.ndarray: ...
 
-    def publish_aux(self, aux: np.ndarray) -> None: ...
+    def apply_aux_update(
+        self, w_snapshot: np.ndarray, delta_plus: np.ndarray, count: int
+    ) -> None: ...
 
     def schedule(self, fire_at: float, handler: Callable[..., None], *args) -> None: ...
 
@@ -360,8 +362,8 @@ class SyncRoundDriver:
 
     # -- hooks overridden by subclasses -- #
 
-    def _teacher_for_dispatch(self) -> tuple[np.ndarray | None, float]:
-        return None, 1.0
+    def _teacher_for_dispatch(self) -> np.ndarray | None:
+        return None
 
     def _after_advance(
         self, round_id: int, started_at: float, summed: np.ndarray, w_before: np.ndarray
@@ -390,12 +392,7 @@ class SyncRoundDriver:
             return
         self.sim.counters["rounds_started"] += 1
         cohort = self.sim.sample_cohort(self.dispatch_size)
-        # Teachers are drawn in cohort order before any dispatch.
-        teachers = [self._teacher_for_dispatch() for _ in cohort]
-        updates = [
-            self.sim.dispatch(cid, teacher_w=teacher, comm_scale=scale)
-            for cid, (teacher, scale) in zip(cohort, teachers)
-        ]
+        updates = [self.sim.dispatch(cid, teacher_w=self._teacher_for_dispatch()) for cid in cohort]
         b = self.config.cohort_size
         by_finish = sorted(
             range(len(updates)), key=lambda i: (updates[i].completed_at, updates[i].client_id)
@@ -429,7 +426,7 @@ class SyncRoundDriver:
         self._after_advance(round_id, started_at, summed, w_before)
         for update in held:
             self.on_client_completed(update)
-        if not self.sim.budget_reached() and not self.config.strict_sequential:
+        if not self.sim.budget_reached():
             self._start_round()
 
 
@@ -440,18 +437,17 @@ class HistoryDistillationDriver(SyncRoundDriver):
         super().__init__(sim, config)
         self.history = DeltaHistory(config.history_k)
 
-    def _teacher_for_dispatch(self) -> tuple[np.ndarray | None, float]:
+    def _teacher_for_dispatch(self) -> np.ndarray | None:
         if self.config.rho <= 0:
-            return None, 1.0
+            return None
         entry = self.history.sample(self.sim.teacher_gen)
         if entry is None:
             if self.config.skip_distill_when_no_history:
-                return None, 1.0
-            # No history yet: the current global model stands in as teacher,
-            # which the client already downloads.
-            return self.sim.state.w.copy(), 1.0
-        teacher = teacher_from_history(self.sim.state.w, entry, self.config.eta_g)
-        return teacher, self.sim.teacher_comm_scale
+                return None
+            # No history yet: the open model itself stands in as teacher; the
+            # client already downloads it, so the engine charges no extra comm.
+            return self.sim.state.w
+        return teacher_from_history(self.sim.state.w, entry, self.config.eta_g)
 
     def _after_advance(
         self, round_id: int, started_at: float, summed: np.ndarray, w_before: np.ndarray
@@ -497,9 +493,11 @@ class AuxTrackDriver(SyncRoundDriver):
         self.pending: dict[int, PendingAuxRound] = {}
         self.next_aux_round = 0
 
-    def start(self) -> None:
-        self.sim.state.aux = self.sim.state.w.copy()
-        super().start()
+    def _start_round(self) -> None:
+        # a strictly sequential run opens its next round only at the previous
+        # round's auxiliary update (_mark_ready)
+        if not (self.config.strict_sequential and self.pending):
+            super()._start_round()
 
     def is_finished(self) -> bool:
         return self.sim.budget_reached() and not self.pending
@@ -556,10 +554,7 @@ class AuxTrackDriver(SyncRoundDriver):
                 f"auxiliary update for round {rec.round_id} out of order; "
                 f"expected {self.next_aux_round}"
             )
-        aux = self.sim.state.aux
-        self.sim.publish_aux(
-            aux_step(aux, rec.w_snapshot, rec.delta_plus, rec.count_plus, self.config)
-        )
+        self.sim.apply_aux_update(rec.w_snapshot, rec.delta_plus, rec.count_plus)
 
 
 # ---- Buffered asynchronous aggregation ---- #

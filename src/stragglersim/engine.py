@@ -10,22 +10,22 @@ the buffered driver each completion. The engine only starts the driver and
 asks it whether the run is finished.
 
 The engine owns the wall-clock-free mechanics: client busy bookkeeping,
-latency sampling, local training, aggregation and the server step (the
-server state builds its optimizer and EMA from the AlgoConfig), the served
-model (ServerState.served), the update budget, evaluation cadence, and the
-trace. Round semantics live in the drivers (see algorithms).
+latency sampling with the teacher download cost, local training, the server
+and FeAST auxiliary steps (ServerState builds its slots from the AlgoConfig),
+the served model (ServerState.served), the update budget, evaluation
+cadence, and the trace. Round semantics live in the drivers (see algorithms).
 
-A driver decides only a dispatch's client, teacher and communication scale;
-the engine binds it to the open model version: start and anchor (nu > 0)
-state.w, round id state.t. A dispatch records its work and does not train.
-Its completion time and counts never depend on the trained weights: the
-latency factors are drawn first (the per-round time limit needs them), the
-steps and examples follow by arithmetic, and the update completes at now
-plus the factors' total for those examples (latency.LatencySample.total_s).
-So the version trains as one stacked call (model.local_sgd_cohort) when it
-closes, at the next server step, before any of its deltas is read. A
-client whose local SGD leaves non-finite weights raises FloatingPointError
-naming the client, the round and the virtual time of its dispatch.
+A driver decides only a dispatch's client and teacher; the engine binds it
+to the open model version: start and anchor (nu > 0) state.w, round id
+state.t. A dispatch records its work and does not train. Its completion
+time and counts never depend on the trained weights: the latency factors
+are drawn first (the per-round time limit needs them), the steps and
+examples follow by arithmetic, and the update completes at now plus the
+factors' total for those examples (latency.LatencySample.total_s). So the
+version trains as one stacked call (model.local_sgd_cohort) when it closes,
+at the next server step, before any of its deltas is read. A client whose
+local SGD leaves non-finite weights raises FloatingPointError naming the
+client, the round and the virtual time of its dispatch.
 
 A client is busy until its update completes and is excluded from cohort
 sampling in the meantime (allow_busy_reuse lifts this); a synchronous round
@@ -198,7 +198,7 @@ class Simulation:
             for s in self.dataset.shards
         }
         self.teacher_gen = rng.stream(trial_seed, rng.TEACHER)
-        self.teacher_comm_scale = scenario.teacher_download_factor
+        self._teacher_download_factor = scenario.teacher_download_factor
         # (purpose, client id) -> that client's stream, made on first use from its key row
         purposes = (rng.LATENCY, rng.SHUFFLE)
         self._client_keys = {p: rng.stream_keys(trial_seed, p, ids=all_ids) for p in purposes}
@@ -241,17 +241,16 @@ class Simulation:
             return self.now
         return max(self.now, float(np.partition(self._busy_until, k - 1)[k - 1]))
 
-    def dispatch(
-        self, client_id: int, *, teacher_w: np.ndarray | None = None, comm_scale: float = 1.0
-    ) -> ClientUpdate:
+    def dispatch(self, client_id: int, *, teacher_w: np.ndarray | None = None) -> ClientUpdate:
         """Record one client's local computation on the open model version;
         the driver schedules what its completion triggers.
 
         Without a time limit a client runs epochs * ceil(n / b) steps over
         epochs * n examples; with one, the latency draw fixes the steps and
-        the last epoch may stop early. The update's delta stays None until
-        its model version closes (apply_server_update). Every dispatch of one
-        version distills (passes teacher_w) or none does.
+        the last epoch may stop early. A teacher other than state.w itself is
+        an extra download, paying comm * teacher_download_factor. The update's
+        delta stays None until its model version closes (apply_server_update).
+        Every dispatch of one version distills (passes teacher_w) or none does.
         """
         if not self.algo.allow_busy_reuse and self._busy_until[client_id] > self.now:
             raise RuntimeError(f"client {client_id} dispatched while busy")
@@ -267,6 +266,8 @@ class Simulation:
             epochs, rest = divmod(steps, per_epoch)
             # rest < per_epoch, so the unfinished epoch walked only whole chunks
             examples = epochs * n + rest * b
+        extra_download = teacher_w is not None and teacher_w is not self.state.w
+        comm_scale = self._teacher_download_factor if extra_download else 1.0
         update = ClientUpdate(
             round_id=self.state.t,
             client_id=client_id,
@@ -302,13 +303,15 @@ class Simulation:
             self.schedule(self.now, Simulation._eval_record, weakref.proxy(self), self.now)
         return summed
 
-    def publish_aux(self, aux: np.ndarray) -> None:
-        """Serve a new auxiliary model; counts one auxiliary round."""
-        self.state.aux = aux
+    def apply_aux_update(self, w_snapshot: np.ndarray, delta_plus: np.ndarray, count: int) -> None:
+        """Step FeAST's auxiliary model by the summed delta delta_plus of count
+        clients that trained from w_snapshot; counts one auxiliary round."""
+        state = self.state
+        state.aux = algorithms.aux_step(state.aux, w_snapshot, delta_plus, count, state.algo)
         self.counters["aux_rounds"] += 1
         self.last_model_event = self.now
         if self.trace:
-            self.events.append(TraceEvent("aux", self.now, (), w=aux.copy()))
+            self.events.append(TraceEvent("aux", self.now, (), w=state.aux.copy()))
 
     def schedule(self, fire_at: float, handler: Callable[..., None], *args) -> None:
         """Call handler(*args) at virtual time fire_at (not before now)."""
@@ -413,6 +416,8 @@ class Simulation:
             and last.virtual_time_s == record.virtual_time_s
             and last.which_model == record.which_model
         ):
+            # the last evaluation at an instant wins: an aux step may follow the first
+            self.records[-1] = record
             return
         self.records.append(record)
         self.counters["evals"] += 1

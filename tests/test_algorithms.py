@@ -37,19 +37,17 @@ def _update(client_id, delta, round_id=0, completed=1.0):
 class _StubSim:
     """Minimal SimContext stand-in for driver unit tests."""
 
-    def __init__(self, w, eta_g=1.0, teacher_seed=0):
-        self.state = ServerState(
-            w=np.asarray(w, dtype=np.float64), algo=AlgoConfig("fedavg", eta_g=eta_g)
-        )
+    def __init__(self, w, eta_g=1.0, teacher_seed=0, algo=None):
+        algo = algo or AlgoConfig("fedavg", eta_g=eta_g)
+        self.state = ServerState(w=np.asarray(w, dtype=np.float64), algo=algo)
         self.counters = collections.defaultdict(int)
         self.trace = False
         self.now = 0.0
         self.last_model_event = 0.0
         self.teacher_gen = rng.stream(teacher_seed, rng.TEACHER)
-        self.teacher_comm_scale = 1.5
 
-    # The engine's own bookkeeping, run against this stub's state.
-    publish_aux = Simulation.publish_aux
+    # The engine's own auxiliary step, run against this stub's state.
+    apply_aux_update = Simulation.apply_aux_update
 
 
 def _assert_teacher_stream_unmoved(sim, seed=0):
@@ -289,10 +287,8 @@ def test_config_validation():
 def test_empty_history_teacher_is_current_model():
     sim = _StubSim(w=[1.0, 2.0])
     driver = HistoryDistillationDriver(sim, AlgoConfig("fare_dust", rho=0.1))
-    teacher, scale = driver._teacher_for_dispatch()
-    np.testing.assert_array_equal(teacher, [1.0, 2.0])
-    assert teacher is not sim.state.w
-    assert scale == 1.0
+    # the open model itself, which the engine does not charge as a download
+    assert driver._teacher_for_dispatch() is sim.state.w
     _assert_teacher_stream_unmoved(sim)  # an empty history draws nothing
 
 
@@ -301,9 +297,7 @@ def test_empty_history_can_skip_distillation():
     driver = HistoryDistillationDriver(
         sim, AlgoConfig("fare_dust", rho=0.1, skip_distill_when_no_history=True)
     )
-    teacher, scale = driver._teacher_for_dispatch()
-    assert teacher is None
-    assert scale == 1.0
+    assert driver._teacher_for_dispatch() is None
 
 
 def test_zero_rho_never_consumes_teacher_stream():
@@ -312,9 +306,7 @@ def test_zero_rho_never_consumes_teacher_stream():
     # two entries, since a draw over one entry leaves the stream unmoved
     driver.history.push(0, np.array([1.0]), count=1)
     driver.history.push(1, np.array([2.0]), count=1)
-    teacher, scale = driver._teacher_for_dispatch()
-    assert teacher is None
-    assert scale == 1.0
+    assert driver._teacher_for_dispatch() is None
     _assert_teacher_stream_unmoved(sim)
 
 
@@ -322,9 +314,9 @@ def test_history_teacher_applies_sampled_delta():
     sim = _StubSim(w=[2.0], eta_g=0.5)
     driver = HistoryDistillationDriver(sim, AlgoConfig("fare_dust", rho=0.1, eta_g=0.5))
     driver.history.push(4, np.array([4.0]), count=2)
-    teacher, scale = driver._teacher_for_dispatch()
+    teacher = driver._teacher_for_dispatch()
     np.testing.assert_array_equal(teacher, [2.0 - 0.5 * 2.0])
-    assert scale == 1.5  # stub's teacher download scaling
+    assert teacher is not sim.state.w  # a fresh array: the engine charges its download
 
 
 def test_late_updates_fold_into_history_or_count_as_discarded():
@@ -342,27 +334,19 @@ def test_aux_update_matches_hand_computation():
     # beta = 0.5, eta_g = eta_a = 1, two contributors:
     #   g = [1, 2], w_plus = [-0.5, 0]
     #   a1 = 0.5 * (a0 - g) + 0.5 * w_plus = [-0.25, -0.5]
-    sim = _StubSim(w=[0.0, 0.0], eta_g=1.0)
-    config = AlgoConfig("feast", feast_beta=0.5, eta_a=1.0)
-    driver = AuxTrackDriver(sim, config)
+    sim = _StubSim(w=[0.0, 0.0], algo=AlgoConfig("feast", feast_beta=0.5, eta_a=1.0))
+    np.testing.assert_array_equal(sim.state.aux, [0.0, 0.0])  # feast's aux starts at w
     sim.state.aux = np.array([1.0, 1.0])
     sim.now = 2.5
-    rec = PendingAuxRound(
-        round_id=0,
-        w_snapshot=np.array([0.5, 2.0]),
-        delta_plus=np.array([2.0, 4.0]),
-        count_plus=2,
-    )
-    driver._apply_aux(rec)
+    sim.apply_aux_update(np.array([0.5, 2.0]), np.array([2.0, 4.0]), 2)
     np.testing.assert_allclose(sim.state.aux, [-0.25, -0.5], atol=1e-15)
     assert sim.counters["aux_rounds"] == 1
     assert sim.last_model_event == 2.5
 
 
 def test_aux_updates_must_arrive_in_round_order():
-    sim = _StubSim(w=[0.0])
+    sim = _StubSim(w=[0.0], algo=AlgoConfig("feast"))
     driver = AuxTrackDriver(sim, AlgoConfig("feast"))
-    sim.state.aux = np.zeros(1)
     rec = PendingAuxRound(
         round_id=3,
         w_snapshot=np.zeros(1),
@@ -371,6 +355,10 @@ def test_aux_updates_must_arrive_in_round_order():
     )
     with pytest.raises(RuntimeError, match="out of order"):
         driver._apply_aux(rec)
+    assert sim.counters["aux_rounds"] == 0
+    rec.round_id = 0
+    driver._apply_aux(rec)  # the expected round steps the engine's aux model
+    assert sim.counters["aux_rounds"] == 1
 
 
 def test_round_delta_descends_when_applied():

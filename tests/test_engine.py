@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import round_views
 
-from stragglersim import model, rng
+from stragglersim import metrics, model, rng
 from stragglersim.algorithms import AlgoConfig
 from stragglersim.config import DATASETS_KEPT, ExperimentConfig, ModelConfig, load_config
 from stragglersim.data import DatasetConfig, build_dataset
@@ -309,6 +309,26 @@ def test_eval_cadence_and_final_record():
     assert result.final_record.aggregated_updates == 12
     times = [r.virtual_time_s for r in result.records]
     assert times == sorted(times)
+
+
+def test_final_record_evaluates_the_output_model():
+    # tau_max = 0 finalizes each auxiliary round at its server step, after
+    # that step's evaluation, so the final evaluation at the same instant
+    # must describe the stepped auxiliary model
+    config = _acceptance("feast")
+    config = dataclasses.replace(
+        config, budget=300, eval_every=1, algo=dataclasses.replace(config.algo, tau_max=0.0)
+    )
+    for seed in (0, 1):
+        sim = Simulation(config, seed)
+        result = sim.run()
+        assert result.which_model == result.final_record.which_model == "aux"
+        accuracies = metrics.evaluate_accuracy(
+            result.output_w, sim.layout, sim.dataset, config.eval_cap
+        )
+        final = result.final_record
+        assert (final.total_acc, final.straggler_acc) == accuracies
+        assert len(result.records) == result.counters["evals"] == result.server_steps
 
 
 def test_every_step_eval_has_no_duplicate_final():
@@ -723,18 +743,21 @@ def test_teacher_download_scales_comm_factor_only():
         DET_PDPE.straggler_profile,
         teacher_download_factor=2.0,
     )
-    algo = AlgoConfig("fedavg", cohort_size=2, eta_l=0.05, batch_size=4)
+    algo = AlgoConfig("fedbuff", buffer_size=2, max_concurrency=3, eta_l=0.05, batch_size=4,
+                      rho=0.2)
     base = Simulation(_config(algo, budget=4), trial_seed=0)
-    scaled = Simulation(_config(algo, scenario=scenario, budget=4), trial_seed=0)
     shard = base.dataset.shards[0]
     cid = shard.client_id
     profile = DET_PDPE.profile_for(shard.is_straggler)
     plain = base.dispatch(cid)
-    doubled = scaled.dispatch(cid, comm_scale=scaled.teacher_comm_scale)
     comm = math.exp(profile.comm.mu)
-    assert scaled.teacher_comm_scale == 2.0
-    assert doubled.completed_at - plain.completed_at == pytest.approx(comm, abs=1e-12)
-    assert doubled.examples_processed == plain.examples_processed
+    # a fresh teacher array is an extra download, the open model itself is not
+    for copied, extra in ((True, comm), (False, 0.0)):
+        scaled = Simulation(_config(algo, scenario=scenario, budget=4), trial_seed=0)
+        teacher = scaled.state.w.copy() if copied else scaled.state.w
+        update = scaled.dispatch(cid, teacher_w=teacher)
+        assert update.completed_at - plain.completed_at == pytest.approx(extra, abs=1e-12)
+        assert update.examples_processed == plain.examples_processed
 
 
 # ---- auxiliary-track scheduling ---- #
@@ -758,6 +781,27 @@ def test_strict_sequential_blocks_a_full_deadline_per_round():
     assert result.total_time_s == rounds * 512.0
     assert sim.counters["aux_rounds"] == rounds
     assert result.which_model == "aux"
+
+
+@pytest.mark.parametrize("name", ["fedavg", "fedadam", "fare_dust"])
+def test_strict_sequential_changes_nothing_outside_feast(name):
+    # The flag is FeAST's; the other synchronous drivers ignore it, like
+    # every other FeAST-only knob set directly on an AlgoConfig.
+    base = _acceptance("fare_dust" if name == "fare_dust" else "fedavg_full")
+    algo = dataclasses.replace(base.algo, name=name)
+    outcomes = []
+    for strict in (False, True):
+        config = dataclasses.replace(
+            base, budget=300, algo=dataclasses.replace(algo, strict_sequential=strict)
+        )
+        result = Simulation(config, 0).run()
+        assert result.aggregated_updates >= 300
+        outcomes.append(result)
+    off, on = outcomes
+    assert on.counters == off.counters
+    assert on.total_time_s == off.total_time_s
+    assert on.records == off.records
+    np.testing.assert_array_equal(on.output_w, off.output_w)
 
 
 def test_overlapped_aux_rounds_apply_in_order_despite_readiness_inversions():

@@ -121,6 +121,28 @@ def test_drivers_use_only_the_declared_simulation_context():
         assert inspect.signature(getattr(engine.Simulation, name)) == declared, name
 
 
+def test_drivers_decide_only_round_semantics():
+    # The teacher download cost and FeAST's auxiliary model belong to the
+    # engine, and strict_sequential is FeAST's: only AuxTrackDriver reads it.
+    tree = ast.parse((SOURCE_DIR / "algorithms.py").read_text())
+    drivers = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name.endswith("Driver")]
+
+    def strict_reads(node) -> set[int]:
+        return {n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and n.attr == "strict_sequential"}
+
+    (aux_driver,) = [cls for cls in drivers if cls.name == "AuxTrackDriver"]
+    outside = strict_reads(tree) - strict_reads(aux_driver)
+    assert not outside, f"strict_sequential read outside AuxTrackDriver: {sorted(outside)}"
+    found = sorted(
+        f"{cls.name}:{node.lineno}" for cls in drivers for node in ast.walk(cls)
+        if (isinstance(node, ast.Attribute) and ast.unparse(node).endswith("state.aux"))
+        or any("comm_scale" in (getattr(node, field, None) or "")
+               for field in ("attr", "arg", "id"))
+    )
+    assert not found, f"drivers name state.aux or comm_scale: {found}"
+
+
 def test_the_engine_only_starts_the_driver_and_asks_if_it_is_finished():
     # Drivers schedule their own events: a synchronous round its close and
     # its late arrivals, the buffered driver each completion. The engine
