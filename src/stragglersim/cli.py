@@ -37,7 +37,6 @@ from . import __version__, metrics, rng
 from .config import (
     ConfigError,
     ExperimentConfig,
-    SweepConfig,
     config_hash,
     config_to_dict,
     load_config,

@@ -29,7 +29,6 @@ from .latency import (
     PDPE_STANDARD_PROFILE,
     PDPE_STRAGGLER_PROFILE,
     PE_PROFILE,
-    PE_SCENARIO,
     LatencyProfile,
     LatencyScenario,
     LognormalParams,

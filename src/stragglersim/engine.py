@@ -22,7 +22,7 @@ time and counts never depend on the trained weights: the latency factors
 are drawn first (the per-round time limit needs them), the steps and
 examples follow by arithmetic, and the update completes at now plus the
 factors' total for those examples (latency.LatencySample.total_s). So the
-version trains as one stacked call (model.local_sgd_cohort) when it closes,
+version trains as one stacked call (model.local_sgd) when it closes,
 at the next server step, before any of its deltas is read. A client whose
 local SGD leaves non-finite weights raises FloatingPointError naming the
 client, the round and the virtual time of its dispatch.
@@ -339,7 +339,7 @@ class Simulation:
                 )
         w = self.state.w
         try:
-            w_final, _, _ = model.local_sgd_cohort(
+            w_final, _, _ = model.local_sgd(
                 w,
                 self.layout,
                 self.dataset.features,

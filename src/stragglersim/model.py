@@ -14,15 +14,14 @@ distance to an anchor vector. All gradients are exact analytic expressions.
 The gradient has one implementation, _grad. loss_and_grad, the validated
 reference, adds argument checks and the loss terms; training reaches _grad
 through _sgd_grad, which adds neither. So the finite-difference check of
-loss_and_grad covers the arithmetic training runs. Training has one loop,
-local_sgd_cohort: the clients of one model version start from the same
-weights and train as one stacked computation. Each client runs a given
-number of steps; E epochs of an n-example shard are E * ceil(n / b) steps.
-A client's rows are a start row and a size in one features/labels pair
-(the dataset's own, in a simulation), so no shard is copied per call.
-local_sgd is the one-client form over its own arrays (start 0), kept as the
-name the benchmark tracer wraps. The weights are checked for finiteness
-once, at the end.
+loss_and_grad covers the arithmetic training runs. Training has one
+function, local_sgd: the clients of one model version start from the same
+weights and train as one stacked computation, and a lone client is a
+one-member call. Each client runs a given number of steps; E epochs of an
+n-example shard are E * ceil(n / b) steps. A client's rows are a start row
+and a size in one features/labels pair (the dataset's own, in a
+simulation), so no shard is copied per call. The weights are checked for
+finiteness once, at the end.
 Forward and backward passes write only into arrays they allocate, in place
 after each matmul, never into the weights, features or teachers passed in.
 """
@@ -246,7 +245,7 @@ def loss_and_grad(
 
 class TrainingDiverged(FloatingPointError):
     """Local SGD left non-finite weights. member is the client's position in
-    the stacked call (0 for local_sgd)."""
+    the stacked call."""
 
     def __init__(self, member: int) -> None:
         super().__init__(f"local SGD left non-finite weights (cohort member {member})")
@@ -267,18 +266,11 @@ def _check_training_args(
     if rho < 0 or nu < 0:
         raise ValueError(f"rho and nu must be >= 0, got rho={rho}, nu={nu}")
     if rho > 0 and teacher is None:
-        raise ValueError("teacher_w required when rho > 0")
+        raise ValueError("teacher_ws required when rho > 0")
     if (anchor is not None) != (nu > 0):
         raise ValueError("anchor must be passed exactly when nu > 0")
     if distill_loss not in ("soft_ce", "logit_mse"):
         raise ValueError(f"unknown distill_loss: {distill_loss!r}")
-
-
-def _check_finite(w_final: np.ndarray) -> None:
-    """Raise TrainingDiverged for the first non-finite row of w_final (B, P),
-    or for w_final (P,) itself."""
-    if not np.isfinite(w_final).all():
-        raise TrainingDiverged(int(np.argmin(np.isfinite(w_final).all(axis=-1))))
 
 
 def _grad(
@@ -324,52 +316,6 @@ def _sgd_grad(
     )
 
 
-def local_sgd(
-    w0: np.ndarray,
-    layout: ModelLayout,
-    features: np.ndarray,
-    labels: np.ndarray,
-    *,
-    eta_l: float,
-    batch_size: int,
-    steps: int,
-    gen: np.random.Generator,
-    rho: float = 0.0,
-    nu: float = 0.0,
-    teacher_w: np.ndarray | None = None,
-    anchor: np.ndarray | None = None,
-    distill_loss: str = "soft_ce",
-    distill_temperature: float = 1.0,
-) -> tuple[np.ndarray, int, int]:
-    """Mini-batch SGD over one shard: local_sgd_cohort with one member.
-
-    Each epoch reshuffles with gen.permutation and walks contiguous chunks
-    (the last chunk may be short); the last epoch stops after steps steps.
-    Teacher logits come from the fixed teacher_w. Returns (w_final,
-    steps_done, examples_processed). Raises TrainingDiverged, a
-    FloatingPointError, if w_final is not finite.
-    """
-    w_final, steps_done, examples = local_sgd_cohort(
-        w0,
-        layout,
-        features,
-        labels,
-        starts=[0],
-        sizes=[len(labels)],
-        eta_l=eta_l,
-        batch_size=batch_size,
-        steps=[steps],
-        gens=[gen],
-        rho=rho,
-        nu=nu,
-        teacher_ws=None if teacher_w is None else [teacher_w],
-        anchor=anchor,
-        distill_loss=distill_loss,
-        distill_temperature=distill_temperature,
-    )
-    return w_final[0], steps_done[0], examples[0]
-
-
 def _cohort_plan(starts, sizes, batch_size: int, steps, gens):
     """Every member's batches, stacked by step.
 
@@ -410,7 +356,7 @@ def _cohort_plan(starts, sizes, batch_size: int, steps, gens):
     return order, index, lengths.reshape(index.shape[:2])
 
 
-def local_sgd_cohort(
+def local_sgd(
     w0: np.ndarray,
     layout: ModelLayout,
     features: np.ndarray,
@@ -428,18 +374,21 @@ def local_sgd_cohort(
     anchor: np.ndarray | None = None,
     distill_loss: str = "soft_ce",
     distill_temperature: float = 1.0,
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """Local SGD of B members from one w0, trained as one stacked loop.
+) -> tuple[np.ndarray, int, int]:
+    """Mini-batch local SGD of B members from one w0, as one stacked loop.
 
     Member i trains on the sizes[i] rows of features and labels from row
-    starts[i] on, shuffled by gens[i], for steps[i] steps, distilling against
-    teacher_ws[i]; members may share rows. It draws the same batches and
-    takes the same steps as B one-member calls made in member order, and
-    ends at the same weights up to float summation order. Step s trains
-    every member that has an s-th batch as one stacked batch; short chunks
-    are padded to batch_size with rows that add nothing. Returns (w_final
-    (B, P), steps_done, examples_processed), in member order. Raises
-    TrainingDiverged naming the first member whose weights are not finite.
+    starts[i] on, for steps[i] steps, distilling against the fixed
+    teacher_ws[i]; members may share rows. Each epoch reshuffles with
+    gens[i] (the draws gen.permutation makes) and walks contiguous chunks,
+    the last of which may be short; the last epoch stops after steps[i]
+    steps. The batches and steps are those of B one-member calls made in
+    member order, and the weights the same up to float summation order.
+    Step s trains every member that has an s-th batch as one stacked batch;
+    short chunks are padded to batch_size with rows that add nothing.
+    Returns (w_final (B, P) in member order, steps, examples), the last two
+    the call's totals over its members. Raises TrainingDiverged naming the
+    first member whose weights are not finite.
     """
     _check_training_args(
         min(sizes), eta_l, batch_size, min(steps), rho, nu, teacher_ws, anchor, distill_loss
@@ -469,9 +418,9 @@ def local_sgd_cohort(
             )
     inverse = np.argsort(order)
     w_final = w[inverse]
-    _check_finite(w_final)
-    steps_done = (lengths > 0).sum(axis=0)[inverse]
-    return w_final, steps_done.tolist(), lengths.sum(axis=0)[inverse].tolist()
+    if not np.isfinite(w_final).all():
+        raise TrainingDiverged(int(np.argmin(np.isfinite(w_final).all(axis=1))))
+    return w_final, int(n_active.sum()), int(lengths.sum())
 
 
 def predict(w: np.ndarray, layout: ModelLayout, x: np.ndarray) -> np.ndarray:

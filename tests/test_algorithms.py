@@ -369,9 +369,11 @@ def test_round_delta_descends_when_applied():
     w0 = gen.standard_normal(layout.n_params) * 0.1
     x = gen.standard_normal((40, 4))
     y = gen.integers(3, size=40)
-    w_local, _, _ = local_sgd(
-        w0, layout, x, y, eta_l=0.05, batch_size=40, steps=1, gen=rng.stream(0, rng.SHUFFLE, 0)
+    w_final, _, _ = local_sgd(
+        w0, layout, x, y, starts=[0], sizes=[40], eta_l=0.05, batch_size=40, steps=[1],
+        gens=[rng.stream(0, rng.SHUFFLE, 0)],
     )
+    w_local = w_final[0]
     delta = w0 - w_local
     state = ServerState(w=w0.copy(), algo=AlgoConfig("fedavg", eta_g=1.0))
     server_apply(state, delta, count=1)

@@ -749,8 +749,8 @@ def test_runtime_failure_exits_3(tmp_path, monkeypatch, capsys, error):
 @pytest.mark.parametrize(
     "algo, trainer",
     [
-        ({"name": "fedavg", "cohort_size": 2}, "local_sgd_cohort"),
-        ({"name": "fedbuff", "buffer_size": 2, "max_concurrency": 3}, "local_sgd_cohort"),
+        ({"name": "fedavg", "cohort_size": 2}, "local_sgd"),
+        ({"name": "fedbuff", "buffer_size": 2, "max_concurrency": 3}, "local_sgd"),
     ],
     ids=["fedavg", "fedbuff"],
 )

@@ -584,19 +584,25 @@ def test_dispatch_charges_the_work_training_does(monkeypatch, time_limit):
     scenario = LatencyScenario("pdpe", _profile(1.0, -3.0, 0.5, 0.8), _profile(2.5, -2.0, 1.0, 0.8))
     sim = Simulation(_config(algo, scenario=scenario), trial_seed=0)
     trained = []
-    cohort = model.local_sgd_cohort
+    local_sgd = model.local_sgd
 
     def spy(*args, **kwargs):
-        result = cohort(*args, **kwargs)
-        trained.append(result[1:])
+        # Each member's rows per step, planned on copies of its streams.
+        plan_args = [kwargs[k] for k in ("starts", "sizes", "batch_size", "steps")]
+        order, _, lengths = model._cohort_plan(*plan_args, copy.deepcopy(kwargs["gens"]))
+        inverse = np.argsort(order)
+        result = local_sgd(*args, **kwargs)
+        trained.append((
+            (lengths > 0).sum(axis=0)[inverse].tolist(), lengths.sum(axis=0)[inverse].tolist(),
+            result[1:],
+        ))
         return result
 
-    monkeypatch.setattr(model, "local_sgd_cohort", spy)
+    monkeypatch.setattr(model, "local_sgd", spy)
     updates = [sim.dispatch(sim.sample_cohort(1)[0]) for _ in range(40)]
     sim.apply_server_update(updates[:2])
-    assert trained == [
-        ([u.steps_done for u in updates], [u.examples_processed for u in updates])
-    ]
+    steps, examples = [u.steps_done for u in updates], [u.examples_processed for u in updates]
+    assert trained == [(steps, examples, (sum(steps), sum(examples)))]
     if time_limit:  # the step budgets differ and some stop inside an epoch
         sizes = {s.client_id: s.n_examples for s in sim.dataset.shards}
         per_epoch = [-(-sizes[u.client_id] // 3) for u in updates]

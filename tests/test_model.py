@@ -17,7 +17,6 @@ from stragglersim.model import (
     forward_logits,
     init_params,
     local_sgd,
-    local_sgd_cohort,
     loss_and_grad,
     predict,
     softmax,
@@ -155,6 +154,16 @@ def test_predict_and_accuracy():
     assert (predict(w, layout, x) == y).mean() == 0.75
 
 
+def _one_member(w0, layout, x, y, *, steps, gen, teacher_w=None, **kwargs):
+    """A one-member local_sgd call training on all of x and y: (w, steps,
+    examples)."""
+    w_final, steps_done, examples = local_sgd(
+        w0, layout, x, y, starts=[0], sizes=[len(y)], steps=[steps], gens=[gen],
+        teacher_ws=None if teacher_w is None else [teacher_w], **kwargs,
+    )
+    return w_final[0], steps_done, examples
+
+
 def test_local_sgd_matches_scalar_reference():
     # Re-derive two epochs of minibatch SGD with an index-by-index loop,
     # consuming the same shuffle stream.
@@ -164,7 +173,7 @@ def test_local_sgd_matches_scalar_reference():
     x = gen.standard_normal((7, 3))
     y = gen.integers(3, size=7)
 
-    got, steps, examples = local_sgd(
+    got, steps, examples = _one_member(
         w0, layout, x, y, eta_l=0.05, batch_size=3, steps=6, gen=rng.stream(1, rng.SHUFFLE, 0)
     )
 
@@ -191,13 +200,13 @@ def test_local_sgd_steps_mode_counts_short_batches():
     x = gen.standard_normal((7, 2))
     y = gen.integers(2, size=7)
     # batches per epoch: 3, 3, 1; four steps roll into a second epoch
-    _, steps, examples = local_sgd(
+    _, steps, examples = _one_member(
         w0, layout, x, y, eta_l=0.1, batch_size=3, steps=4, gen=rng.stream(0, rng.SHUFFLE, 0)
     )
     assert steps == 4
     assert examples == 10
 
-    _, steps3, examples3 = local_sgd(
+    _, steps3, examples3 = _one_member(
         w0, layout, x, y, eta_l=0.1, batch_size=3, steps=3, gen=rng.stream(0, rng.SHUFFLE, 0)
     )
     assert steps3 == 3
@@ -210,7 +219,7 @@ def test_local_sgd_zero_learning_rate_is_identity():
     w0 = gen.standard_normal(layout.n_params)
     x = gen.standard_normal((5, 3))
     y = gen.integers(3, size=5)
-    w, steps, examples = local_sgd(
+    w, steps, examples = _one_member(
         w0, layout, x, y, eta_l=0.0, batch_size=2, steps=3, gen=rng.stream(2, rng.SHUFFLE, 0)
     )
     assert steps == 3
@@ -226,7 +235,7 @@ def test_local_sgd_descends_on_full_batch():
     x = gen.standard_normal((30, 4))
     y = gen.integers(3, size=30)
     before, _ = loss_and_grad(w0, layout, x, y)
-    w, _, _ = local_sgd(
+    w, _, _ = _one_member(
         w0, layout, x, y, eta_l=0.05, batch_size=30, steps=1, gen=rng.stream(3, rng.SHUFFLE, 0)
     )
     after, _ = loss_and_grad(w, layout, x, y)
@@ -241,7 +250,7 @@ def test_local_sgd_distill_uses_fixed_teacher():
     x = gen.standard_normal((6, 3))
     y = gen.integers(3, size=6)
 
-    got, _, _ = local_sgd(
+    got, _, _ = _one_member(
         w0,
         layout,
         x,
@@ -291,7 +300,7 @@ _COHORT_SIZES = (1, 7, 4, 13, 6, 9)
 
 
 def _rows(xs, ys):
-    """The members' shards as local_sgd_cohort takes them: one features and
+    """The members' shards as local_sgd takes them: one features and
     one labels array, and each member's start row and size in them."""
     sizes = [len(y) for y in ys]
     starts = np.cumsum([0, *sizes[:-1]]).tolist()
@@ -324,21 +333,31 @@ def test_local_sgd_cohort_matches_per_client_local_sgd(hidden, bound, rho, nu, d
     gens = [rng.stream(5, rng.SHUFFLE, i) for i in range(len(xs))]
     two_epochs = [2 * -(-n // 4) for n in _COHORT_SIZES]
     x, y, rows = _rows(xs, ys)
-    got, got_steps, got_examples = local_sgd_cohort(
+    member_steps = two_epochs if bound == "epochs" else steps
+    got, got_steps, got_examples = local_sgd(
         w0, layout, x, y, **rows, gens=gens, teacher_ws=teachers if rho > 0 else None,
-        steps=two_epochs if bound == "epochs" else steps, **common,
+        steps=member_steps, **common,
     )
     assert got.shape == (len(xs), layout.n_params)
+    total_steps = total_examples = 0
     for i in range(len(xs)):
+        teacher = teachers[i] if rho > 0 else None
         ref_gen = rng.stream(5, rng.SHUFFLE, i)
         want, want_steps, want_examples = _reference_sgd(
-            w0, layout, xs[i], ys[i], ref_gen, teacher_w=teachers[i] if rho > 0 else None,
-            **bounds(i), **common,
+            w0, layout, xs[i], ys[i], ref_gen, teacher_w=teacher, **bounds(i), **common,
         )
-        assert (got_steps[i], got_examples[i]) == (want_steps, want_examples)
-        np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
+        one, one_steps, one_examples = _one_member(
+            w0, layout, xs[i], ys[i], steps=member_steps[i], gen=rng.stream(5, rng.SHUFFLE, i),
+            teacher_w=teacher, **common,
+        )
+        assert (one_steps, one_examples) == (want_steps, want_examples)
+        np.testing.assert_allclose(one, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[i], one, rtol=0, atol=1e-12)
         # the shuffle stream is left where the reference leaves it
         assert gens[i].random() == ref_gen.random()
+        total_steps += want_steps
+        total_examples += want_examples
+    assert (got_steps, got_examples) == (total_steps, total_examples)
 
 
 @pytest.mark.parametrize(
@@ -387,17 +406,20 @@ def test_a_client_listed_twice_trains_as_two_sequential_calls():
     x = gen.standard_normal((7, 3))
     y = gen.integers(3, size=7)
     shared = rng.stream(6, rng.SHUFFLE, 0)
-    got, got_steps, got_examples = local_sgd_cohort(
+    got, got_steps, got_examples = local_sgd(
         w0, layout, x, y, starts=[0, 0], sizes=[7, 7], eta_l=0.2, batch_size=3, steps=[2, 5],
         gens=[shared, shared],
     )
     ref_gen = rng.stream(6, rng.SHUFFLE, 0)
+    total_steps = total_examples = 0
     for i, steps in enumerate((2, 5)):
-        want, want_steps, want_examples = local_sgd(
+        want, want_steps, want_examples = _one_member(
             w0, layout, x, y, eta_l=0.2, batch_size=3, steps=steps, gen=ref_gen
         )
-        assert (got_steps[i], got_examples[i]) == (want_steps, want_examples)
         np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
+        total_steps += want_steps
+        total_examples += want_examples
+    assert (got_steps, got_examples) == (total_steps, total_examples) == (7, 6 + 13)
     assert shared.random() == ref_gen.random()
 
 
@@ -413,16 +435,16 @@ def test_divergence_names_the_cohort_member():
     steps = [2 * -(-len(x) // 2) for x in xs]  # two epochs
     x, y, rows = _rows(xs, ys)
     with pytest.raises(TrainingDiverged) as excinfo:
-        local_sgd_cohort(
+        local_sgd(
             w0, layout, x, y, **rows, steps=steps,
             gens=[rng.stream(0, rng.SHUFFLE, i) for i in range(4)], **kwargs
         )
     assert excinfo.value.member == 2
     with pytest.raises(FloatingPointError):
-        local_sgd(w0, layout, xs[2], ys[2], steps=steps[2], gen=rng.stream(0, rng.SHUFFLE, 2),
-                  **kwargs)
-    local_sgd(w0, layout, xs[1], ys[1], steps=steps[1], gen=rng.stream(0, rng.SHUFFLE, 1),
-              **kwargs)
+        _one_member(w0, layout, xs[2], ys[2], steps=steps[2], gen=rng.stream(0, rng.SHUFFLE, 2),
+                    **kwargs)
+    _one_member(w0, layout, xs[1], ys[1], steps=steps[1], gen=rng.stream(0, rng.SHUFFLE, 1),
+                **kwargs)
 
 
 def _read_only(*arrays):
@@ -451,13 +473,13 @@ def test_passes_never_write_into_their_inputs(hidden):
     for distill_loss in ("soft_ce", "logit_mse"):
         loss_and_grad(w, layout, x, y, rho=0.3, nu=0.2, teacher_logits=t_logits, anchor=anchor,
                       distill_loss=distill_loss)
-        local_sgd_cohort(
+        local_sgd(
             w, layout, x, y, starts=[0, 0, 2], sizes=[9, 5, 7], eta_l=0.1, batch_size=4,
             steps=[6, 4, 4],  # two epochs
             gens=[rng.stream(7, rng.SHUFFLE, i) for i in range(3)], rho=0.3, nu=0.2,
             teacher_ws=list(teachers), anchor=anchor, distill_loss=distill_loss,
         )
-        # the stacked kernel local_sgd_cohort runs on its own copies
+        # the stacked kernel local_sgd runs on its own copies
         _sgd_grad(teachers, layout, stacked_x, stacked_y, 9, rho=0.3, nu=0.2, teacher_w=teachers,
                   anchor=anchor, distill_loss=distill_loss, distill_temperature=2.0)
 
@@ -518,8 +540,8 @@ def test_argument_contracts():
     with pytest.raises(ValueError):
         loss_and_grad(w, layout, np.zeros((0, 2)), np.array([], dtype=int))
     with pytest.raises(ValueError):
-        local_sgd(w, layout, x, y, eta_l=0.1, batch_size=1, steps=0, gen=gen)
+        _one_member(w, layout, x, y, eta_l=0.1, batch_size=1, steps=0, gen=gen)
     with pytest.raises(ValueError):
-        local_sgd(w, layout, x, y, eta_l=-0.1, batch_size=1, steps=1, gen=gen)
+        _one_member(w, layout, x, y, eta_l=-0.1, batch_size=1, steps=1, gen=gen)
     with pytest.raises(ValueError):
-        local_sgd(w, layout, x, y, eta_l=0.1, batch_size=1, steps=1, gen=gen, rho=0.5)
+        _one_member(w, layout, x, y, eta_l=0.1, batch_size=1, steps=1, gen=gen, rho=0.5)

@@ -14,7 +14,8 @@ from stragglersim.config import load_config
 
 SOURCE_DIR = Path(stragglersim.__file__).parent
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
-FEAST = Path(__file__).resolve().parent.parent / "configs" / "acceptance" / "feast.json"
+ACCEPTANCE = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
+FEAST = ACCEPTANCE / "feast.json"
 
 
 def test_no_assert_statements_in_package_source():
@@ -25,6 +26,39 @@ def test_no_assert_statements_in_package_source():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in package source: {found}"
+
+
+def _names_read(tree) -> set[str]:
+    """Every name tree reads, also inside string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is None:
+                continue
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    names |= _names_read(ast.parse(part.value, mode="eval"))
+    return names
+
+
+def test_every_import_in_the_package_is_used():
+    # A name counts as used when read in a string annotation: latency imports
+    # FederatedDataset under TYPE_CHECKING only for one.
+    unused = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = _names_read(tree)
+        unused += [
+            f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name).split(".")[0] not in read
+        ]
+    assert not unused, f"imported, never used: {unused}"
 
 
 def _calls_in_loops(names: set[str]) -> list[str]:
@@ -57,12 +91,17 @@ def test_no_set_operation_runs_per_shard_in_a_loop():
     assert not found, f"np.isin or np.unique called in a loop: {found}"
 
 
-def test_every_name_the_benchmark_tracer_patches_exists():
-    # The tracer patches owner.__dict__[attr] from outside the package, so a
-    # renamed or deleted target would only break a traced benchmark run.
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_name_the_benchmark_tracer_patches_exists():
+    # The tracer patches owner.__dict__[attr] from outside the package, so a
+    # renamed or deleted target would only break a traced benchmark run.
+    tracing = _load_tracing()
     targets = [(owner, attr) for owner, attr, _ in tracing._SPANS] + [
         (model, "loss_and_grad"),
         (model, "forward_logits"),
@@ -79,6 +118,40 @@ def test_every_name_the_benchmark_tracer_patches_exists():
     finally:
         tracer.uninstall()
     assert all(o.__dict__[a] is original for o, a, original in originals)
+
+
+def test_every_benchmark_tracer_target_is_on_a_run_path(monkeypatch):
+    # A target the engine no longer calls keeps its span at zero in every
+    # traced run without failing the test above. Counters stay out of this
+    # check; two still read 0, and mending them is a benchmark change:
+    # model.batches counts model.loss_and_grad calls, which training does
+    # not make (it runs model._sgd_grad), and model.teacher_forward_calls
+    # counts model.forward_logits calls inside model.local_sgd, whose
+    # teacher forwards run model._forward.
+    tracing = _load_tracing()
+    calls = {}
+    for owner, attr, _ in tracing._SPANS:
+        calls[owner, attr] = _spy(monkeypatch, owner, attr)
+    with tracing.Tracer() as tracer:
+        configs = {
+            path.stem: dataclasses.replace(stragglersim.config.load_config(path), budget=200)
+            for path in sorted(ACCEPTANCE.glob("*.json"))
+        }
+        feast = configs["feast"]
+        configs["feast_tau_max_120"] = dataclasses.replace(
+            feast, algo=dataclasses.replace(feast.algo, tau_max=120.0)
+        )
+        configs["fedbuff"] = dataclasses.replace(feast, algo=algorithms.AlgoConfig(
+            "fedbuff", buffer_size=10, max_concurrency=40, eta_l=0.1, batch_size=20
+        ))
+        for cfg in configs.values():
+            dataset = stragglersim.data.build_dataset(cfg.dataset, cfg.effective_data_seed())
+            engine.Simulation(cfg, 0, dataset).run()
+    unreached = [
+        f"{getattr(owner, '__name__', owner)}.{attr}" for (owner, attr), n in calls.items() if not n
+    ]
+    assert not unreached, f"tracer targets no run reaches: {unreached}"
+    assert tracer.counts["model.examples"] > 0 and tracer.counts["engine.events"] > 0
 
 
 def _class_body(path: Path, name: str) -> ast.ClassDef:
