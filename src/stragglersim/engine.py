@@ -40,6 +40,16 @@ to the budget, except that feast first applies its open auxiliary rounds;
 the total virtual time is the time of the last event that affected the
 output model. The driver and the queued evaluations hold the engine only
 weakly, so reference counting frees a finished run.
+
+Evaluation runs beside the event loop. A mid-run evaluation tick hands the
+served vector to one worker thread, started on the first tick, and keeps a
+future in its record; numpy releases the GIL in the forward pass, so the
+next model version trains meanwhile. The served vectors are rebound at each
+step, never written in place, so the worker reads a fixed model. run() shuts
+the worker down, evaluates the final record inline (the one evaluation on
+the main thread, reusing the worker's buffers) and completes the records in
+the order they were made. The worker calls nothing the benchmark tracer
+patches, so traced spans and counters stay on the main thread.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ import heapq
 import math
 import weakref
 from collections.abc import Callable
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +178,12 @@ class Simulation:
         self.now = 0.0
         self.queue = EventQueue()
         self.counters: dict[str, int] = {k: 0 for k in _COUNTER_KEYS}
-        self.records: list[MetricsRecord] = []
+        # (virtual time, server step, served model name, aggregated updates,
+        # accuracies): a Future of the evaluation thread, None for the final
+        # record until run() evaluates it
+        self._evals: list[tuple[float, int, str, int, Future | None]] = []
+        self._evaluator: ThreadPoolExecutor | None = None
+        self._eval_out: tuple[np.ndarray | None, np.ndarray] | None = None
         self.events: list[TraceEvent] = []
         self.last_model_event = 0.0
         all_ids = range(config.dataset.m_clients)
@@ -397,57 +413,78 @@ class Simulation:
         )
 
     def _eval_record(self, at_time: float) -> None:
+        """A mid-run evaluation tick: the served model is scored on the
+        evaluation thread while the run goes on."""
         which_model, vec = self.state.served()
-        total_acc, straggler_acc = metrics.evaluate_accuracy(
-            vec, self.layout, self.dataset, self.config.eval_cap
+        if self._evaluator is None:
+            self._evaluator = ThreadPoolExecutor(max_workers=1, thread_name_prefix="eval")
+        # metrics._accuracy, not evaluate_accuracy: nothing the benchmark
+        # tracer patches may run off the main thread
+        accuracies = self._evaluator.submit(
+            metrics._accuracy, vec, self.layout, self.dataset, self.config.eval_cap,
+            self._eval_buffers(),
         )
-        record = MetricsRecord(
-            virtual_time_s=at_time,
-            server_step=self.state.t,
-            aggregated_updates=self.counters["aggregated_updates"],
-            total_acc=total_acc,
-            straggler_acc=straggler_acc,
-            which_model=which_model,
-        )
-        last = self.records[-1] if self.records else None
-        if (
-            last is not None
-            and last.server_step == record.server_step
-            and last.virtual_time_s == record.virtual_time_s
-            and last.which_model == record.which_model
-        ):
-            # the last evaluation at an instant wins: an aux step may follow the first
-            self.records[-1] = record
+        self._add_record(at_time, which_model, accuracies)
+
+    def _add_record(self, at_time: float, which_model: str, accuracies: Future | None) -> None:
+        stamp = (at_time, self.state.t, which_model)
+        record = (*stamp, self.counters["aggregated_updates"], accuracies)
+        if self._evals and self._evals[-1][:3] == stamp:
+            # the last evaluation at an instant wins: an aux step may follow
+            # the first; only the final record replaces one, a mid-run one
+            self._evals[-1][4].cancel()
+            self._evals[-1] = record
             return
-        self.records.append(record)
+        self._evals.append(record)
         self.counters["evals"] += 1
 
-    def run(self) -> RunResult:
-        self.driver.start()
-        while not self.driver.is_finished():
-            item = self.queue.pop()
-            if item is None:
-                raise RuntimeError("event queue drained before the run terminated")
-            fire_at, handler, args = item
-            if fire_at < self.now:
-                raise RuntimeError(
-                    f"event queue produced a time regression: {fire_at} < {self.now}"
-                )
-            self.now = fire_at
-            handler(*args)
+    def _eval_buffers(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """The run's one pair of evaluation buffers, made on first use: held
+        from set-up, they would add to a run's training peak."""
+        if self._eval_out is None:
+            self._eval_out = metrics.eval_buffers(self.layout, self.dataset, self.config.eval_cap)
+        return self._eval_out
 
-        aggregated = self.counters["aggregated_updates"]
-        if aggregated < self.config.budget:
-            raise RuntimeError(
-                f"run finished with {aggregated} aggregated updates, "
-                f"below budget {self.config.budget}"
-            )
-        if self._pending:
-            raise RuntimeError(f"run finished with {len(self._pending)} dispatches never trained")
-        self._eval_record(self.last_model_event)
-        which_model, served = self.state.served()
+    def run(self) -> RunResult:
+        try:
+            self.driver.start()
+            while not self.driver.is_finished():
+                item = self.queue.pop()
+                if item is None:
+                    raise RuntimeError("event queue drained before the run terminated")
+                fire_at, handler, args = item
+                if fire_at < self.now:
+                    raise RuntimeError(
+                        f"event queue produced a time regression: {fire_at} < {self.now}"
+                    )
+                self.now = fire_at
+                handler(*args)
+
+            aggregated = self.counters["aggregated_updates"]
+            if aggregated < self.config.budget:
+                raise RuntimeError(
+                    f"run finished with {aggregated} aggregated updates, "
+                    f"below budget {self.config.budget}"
+                )
+            if self._pending:
+                raise RuntimeError(
+                    f"run finished with {len(self._pending)} dispatches never trained"
+                )
+            which_model, served = self.state.served()
+            # before the shutdown, so that a mid-run evaluation it replaces is cancelled
+            self._add_record(self.last_model_event, which_model, None)
+        finally:
+            if self._evaluator is not None:
+                self._evaluator.shutdown(wait=True)
+        final = metrics.evaluate_accuracy(
+            served, self.layout, self.dataset, self.config.eval_cap, self._eval_buffers()
+        )
+        records = [
+            MetricsRecord(at, step, n, *(final if acc is None else acc.result()), which)
+            for at, step, which, n, acc in self._evals
+        ]
         return RunResult(
-            records=self.records,
+            records=records,
             counters=dict(self.counters),
             total_time_s=self.last_model_event,
             server_steps=self.state.t,

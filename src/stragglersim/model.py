@@ -22,8 +22,9 @@ n-example shard are E * ceil(n / b) steps. A client's rows are a start row
 and a size in one features/labels pair (the dataset's own, in a
 simulation), so no shard is copied per call. The weights are checked for
 finiteness once, at the end.
-Forward and backward passes write only into arrays they allocate, in place
-after each matmul, never into the weights, features or teachers passed in.
+Forward and backward passes write only into arrays they allocate (or, for
+an evaluation's forward pass, buffers its caller passes), in place after
+each matmul, never into the weights, features or teachers passed in.
 """
 
 from __future__ import annotations
@@ -102,22 +103,25 @@ def _unpack_mlp(w: np.ndarray, layout: ModelLayout):
     return w1, b1, w2, b2
 
 
-def _forward(w: np.ndarray, layout: ModelLayout, x: np.ndarray):
+def _forward(w: np.ndarray, layout: ModelLayout, x: np.ndarray, out=None):
     """Returns (logits, hidden_activations_or_None) for a batch x (n, d_in)
     under w (P,), or for stacked batches x (B, n, d_in) under w (B, P).
 
     Each step after a matmul works in place on the array that matmul made,
-    never on w or x, so a pass holds one (n, hidden) and one (n, c) array."""
+    never on w or x, so a pass holds one (n, hidden) and one (n, c) array.
+    out, when given, is that pair, (n, hidden) or None for the linear model
+    and (n, c): the matmuls write into it instead of allocating."""
+    hidden_out, logits_out = (None, None) if out is None else out
     if layout.hidden == 0:
         weight, bias = _unpack_linear(w, layout)
-        logits = x @ weight
+        logits = np.matmul(x, weight, out=logits_out)
         logits += bias
         return logits, None
     w1, b1, w2, b2 = _unpack_mlp(w, layout)
-    hidden = x @ w1
+    hidden = np.matmul(x, w1, out=hidden_out)
     hidden += b1
     np.tanh(hidden, out=hidden)
-    logits = hidden @ w2
+    logits = np.matmul(hidden, w2, out=logits_out)
     logits += b2
     return logits, hidden
 
@@ -403,7 +407,7 @@ def local_sgd(
     with np.errstate(over="ignore", invalid="ignore"):
         for s, a in enumerate(n_active):
             idx = index[s, :a]
-            w[:a] -= eta_l * _sgd_grad(
+            g = _sgd_grad(
                 w[:a],
                 layout,
                 features[idx],
@@ -416,14 +420,10 @@ def local_sgd(
                 distill_loss=distill_loss,
                 distill_temperature=distill_temperature,
             )
+            g *= eta_l
+            w[:a] -= g
     inverse = np.argsort(order)
     w_final = w[inverse]
     if not np.isfinite(w_final).all():
         raise TrainingDiverged(int(np.argmin(np.isfinite(w_final).all(axis=1))))
     return w_final, int(n_active.sum()), int(lengths.sum())
-
-
-def predict(w: np.ndarray, layout: ModelLayout, x: np.ndarray) -> np.ndarray:
-    """Predicted class indices; argmax ties resolve to the lowest index."""
-    logits = forward_logits(w, layout, x)
-    return np.argmax(logits, axis=1)

@@ -5,6 +5,8 @@ import dataclasses
 import gc
 import itertools
 import math
+import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -343,6 +345,46 @@ def test_every_step_eval_has_no_duplicate_final():
 _SMALL_STEP = dict(eta_l=0.05, batch_size=4)
 
 
+def test_evaluation_thread_records_equal_synchronous_evaluation():
+    # Mid-run records are scored on the evaluation thread; each must equal
+    # an inline evaluation of the served (global) model after its step, also
+    # when the interpreter lock changes hands far more often than usual.
+    config = _acceptance("fedavg_full")
+    config = dataclasses.replace(
+        config, budget=300, eval_every=1, model=ModelConfig(hidden=16)
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sim, result = _run(config)
+    finally:
+        sys.setswitchinterval(interval)
+    aggregates = [e for e in sim.events if e.kind == "aggregate"]
+    assert result.which_model == "global"
+    assert [r.server_step for r in result.records] == list(range(1, len(aggregates) + 1))
+    for record, event in zip(result.records, aggregates):
+        accuracies = metrics.evaluate_accuracy(event.w, sim.layout, sim.dataset, config.eval_cap)
+        assert (record.total_acc, record.straggler_acc) == accuracies
+        assert record.virtual_time_s == event.at
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_no_evaluation_thread_outlives_its_run():
+    algo = AlgoConfig("fedavg", cohort_size=4, **_SMALL_STEP)
+    before = threading.active_count()
+    sim = Simulation(_config(algo, budget=40, eval_every=1), trial_seed=0)
+    sim.run()
+    assert sim._evaluator is not None and threading.active_count() == before
+    # A step near the float maximum overflows the global model at the first
+    # server step, after which the evaluation thread has started; training
+    # from it raises at the next.
+    diverging = dataclasses.replace(algo, eta_l=1e307, eta_g=10.0)
+    sim = Simulation(_config(diverging, budget=40, eval_every=1), trial_seed=0)
+    with pytest.raises(FloatingPointError, match="diverged in round 1"):
+        sim.run()
+    assert sim._evaluator is not None and threading.active_count() == before
+
+
 @pytest.mark.parametrize(
     "algo, served",
     [
@@ -574,6 +616,45 @@ def test_cohort_training_matches_per_client_dispatch(monkeypatch, config):
     assert stacked.total_time_s == each.total_time_s
     assert stacked.server_steps == each.server_steps
     np.testing.assert_allclose(stacked.output_w, each.output_w, rtol=0, atol=1e-12)
+
+
+def _schedule(result, sim):
+    """Everything about a run that must not depend on the trained weights."""
+    events = [
+        (e.kind, e.at, e.members, None if math.isnan(e.completed_at) else e.completed_at)
+        for e in sim.events
+    ]
+    return events, result.counters, result.total_time_s, result.server_steps
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        *(_acceptance(name) for name in ("fedavg_full", "fedavg_oversel", "fare_dust", "feast")),
+        _acceptance(
+            "fedavg_oversel",
+            dataclasses.replace(_acceptance("fedavg_oversel").algo, time_limit=True),
+        ),
+    ],
+    ids=["fedavg_full", "fedavg_oversel", "fare_dust", "feast", "fedavg_oversel_time_limit"],
+)
+def test_the_schedule_never_reads_the_weights(monkeypatch, config):
+    # Completion times and counts follow from the latency draws alone, so a
+    # run whose clients never move off their start weights keeps every
+    # event, time and count of the trained run.
+    config = dataclasses.replace(config, budget=300)
+    dataset = build_dataset(config.dataset, config.effective_data_seed())
+    trained = Simulation(config, 0, dataset, trace=True)
+    want = _schedule(trained.run(), trained)
+
+    def untrained(w0, *args, starts, **kwargs):
+        return np.repeat(w0[None, :], len(starts), axis=0), 0, 0  # the totals go unread
+
+    monkeypatch.setattr(model, "local_sgd", untrained)
+    stubbed = Simulation(config, 0, dataset, trace=True)
+    got = _schedule(stubbed.run(), stubbed)
+    assert not np.array_equal(trained.state.w, stubbed.state.w)
+    assert got == want
 
 
 @pytest.mark.parametrize("time_limit", [False, True], ids=["epochs", "time_limit"])

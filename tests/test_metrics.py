@@ -12,6 +12,7 @@ from stragglersim.config import ConfigError
 from stragglersim.data import DatasetConfig, build_dataset
 from stragglersim.metrics import (
     MetricsRecord,
+    eval_buffers,
     evaluate_accuracy,
     percentile_band,
     read_run_jsonl,
@@ -19,7 +20,7 @@ from stragglersim.metrics import (
     write_csv,
     write_run_jsonl,
 )
-from stragglersim.model import ModelLayout, init_params, predict
+from stragglersim.model import ModelLayout, forward_logits, init_params
 
 DATA = DatasetConfig(
     n_classes=4,
@@ -109,7 +110,7 @@ def test_capped_straggler_rows_may_lie_beyond_the_capped_total_rows():
     straggler_x, straggler_y = total.features[straggler_rows], total.labels[straggler_rows]
 
     def accuracy(x, y):
-        return float((predict(w, layout, x) == y).mean())
+        return float((forward_logits(w, layout, x).argmax(axis=1) == y).mean())
 
     assert evaluate_accuracy(w, layout, dataset, cap=cap) == (
         accuracy(total.features[:cap], total.labels[:cap]),
@@ -140,9 +141,7 @@ def test_straggler_split_isolates_straggler_behavior():
     assert strag_b == 0.0
     # The total split decomposes: with straggler classes never predicted,
     # the only correct predictions come from non-straggler examples.
-    from stragglersim.model import predict
-
-    preds = predict(w_bad, layout, dataset.eval_total.features)
+    preds = forward_logits(w_bad, layout, dataset.eval_total.features).argmax(axis=1)
     manual_total = float((preds == dataset.eval_total.labels).mean())
     assert total_b == manual_total
     n_total = len(dataset.eval_total)
@@ -165,14 +164,21 @@ def test_evaluation_holds_one_hidden_and_one_logits_array():
     w = init_params(layout, np.random.Generator(np.random.Philox(0)), scale=0.3)
     n = len(dataset.eval_total)
     assert n == 16000
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        evaluate_accuracy(w, layout, dataset)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.2 * n * (layout.hidden + layout.n_classes) * 8, peak
+    out = eval_buffers(layout, dataset)
+    assert [a.shape for a in out] == [(n, layout.hidden), (n, layout.n_classes)]
+    peaks = []
+    for buffers in (None, out):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            accuracies = evaluate_accuracy(w, layout, dataset, out=buffers)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert accuracies == evaluate_accuracy(w, layout, dataset)
+    assert peaks[0] <= 1.2 * n * (layout.hidden + layout.n_classes) * 8, peaks
+    # with a run's buffers, only the (n,) predictions and hit mask remain
+    assert peaks[1] <= 2 * n * 8, peaks
 
 
 def test_run_jsonl_round_trip(tmp_path):

@@ -18,7 +18,6 @@ from stragglersim.model import (
     init_params,
     local_sgd,
     loss_and_grad,
-    predict,
     softmax,
 )
 
@@ -150,8 +149,9 @@ def test_predict_and_accuracy():
     w[-3:] = [0.0, 1.0, 0.5]  # class 1 always wins
     x = np.zeros((4, 2))
     y = np.array([1, 1, 1, 0])
-    np.testing.assert_array_equal(predict(w, layout, x), [1, 1, 1, 1])
-    assert (predict(w, layout, x) == y).mean() == 0.75
+    predicted = forward_logits(w, layout, x).argmax(axis=1)
+    np.testing.assert_array_equal(predicted, [1, 1, 1, 1])
+    assert (predicted == y).mean() == 0.75
 
 
 def _one_member(w0, layout, x, y, *, steps, gen, teacher_w=None, **kwargs):
@@ -468,7 +468,7 @@ def test_passes_never_write_into_their_inputs(hidden):
 
     forward_logits(w, layout, x)
     forward_logits(w, layout, x[4])
-    predict(w, layout, x)
+    _forward(w, layout, x, out=(np.empty((9, hidden)) if hidden else None, np.empty((9, 4))))
     _forward(teachers, layout, stacked_x)
     for distill_loss in ("soft_ce", "logit_mse"):
         loss_and_grad(w, layout, x, y, rho=0.3, nu=0.2, teacher_logits=t_logits, anchor=anchor,
@@ -502,6 +502,10 @@ def test_logits_equal_the_out_of_place_expressions(hidden, n):
     single = forward_logits(w[0], layout, x[0])
     assert np.array_equal(single, _out_of_place_logits(w[0], layout, x[0]))
     assert np.array_equal(_forward(w, layout, x)[0], _out_of_place_logits(w, layout, x))
+    # an evaluation's forward pass fills buffers it is given, to the same bits
+    out = (np.empty((n, hidden)) if hidden else None, np.empty((n, 10)))
+    logits, _ = _forward(w[0], layout, x[0], out)
+    assert logits is out[1] and np.array_equal(logits, single)
 
 
 def test_layout_param_counts():

@@ -4,13 +4,14 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import threading
 from pathlib import Path
 
 import numpy as np
 
 import stragglersim
-from stragglersim import algorithms, engine, model, rng, verify
-from stragglersim.config import load_config
+from stragglersim import algorithms, engine, metrics, model, rng, verify
+from stragglersim.config import ModelConfig, load_config
 
 SOURCE_DIR = Path(stragglersim.__file__).parent
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
@@ -225,12 +226,12 @@ def test_the_engine_only_starts_the_driver_and_asks_if_it_is_finished():
 
 
 def _spy(monkeypatch, owner, name: str) -> list:
-    """Count the calls that reach owner.name from here on."""
+    """The thread of every call that reaches owner.name from here on."""
     calls = []
     original = getattr(owner, name)
 
     def spy(*args, **kwargs):
-        calls.append(name)
+        calls.append(threading.current_thread())
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, spy)
@@ -263,3 +264,32 @@ def test_the_checks_and_the_engine_run_one_copy_of_each_update(monkeypatch):
     model.loss_and_grad(model.init_params(layout, gen), layout, gen.standard_normal((4, 2)),
                         np.array([0, 1, 2, 0]))
     assert len(grad) == 1
+
+
+def test_nothing_the_benchmark_tracer_patches_runs_off_the_main_thread(monkeypatch):
+    # The tracer keeps one span stack for the process, and its forward_logits
+    # counter reads the top of it. Mid-run evaluations run on the engine's
+    # evaluation thread, which must reach no tracer target; only the final
+    # record is evaluated through metrics.evaluate_accuracy, inline.
+    tracing = _load_tracing()
+    targets = [(owner, attr) for owner, attr, _ in tracing._SPANS] + [
+        (model, "loss_and_grad"),
+        (model, "forward_logits"),
+        (engine.EventQueue, "pop"),
+        (engine.EventQueue, "schedule"),
+    ]
+    calls = {(owner, attr): _spy(monkeypatch, owner, attr) for owner, attr in targets}
+    forwards = _spy(monkeypatch, model, "_forward")
+    config = load_config(ACCEPTANCE / "fare_dust.json")
+    config = dataclasses.replace(config, budget=200, eval_every=1, model=ModelConfig(hidden=16))
+    engine.Simulation(config, 0).run()
+
+    main = threading.main_thread()
+    off_main = sorted(
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for (owner, attr), threads in calls.items() if any(t is not main for t in threads)
+    )
+    assert not off_main, f"tracer targets called off the main thread: {off_main}"
+    assert len(calls[metrics, "evaluate_accuracy"]) == 1
+    # the check is not empty: the mid-run evaluations ran on another thread
+    assert any(t is not main for t in forwards)
