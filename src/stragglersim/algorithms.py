@@ -278,7 +278,8 @@ class DeltaHistoryEntry:
 
 
 class DeltaHistory:
-    """Sliding window of the last k round deltas, with late-arrival folding."""
+    """Sliding window of the last k round deltas, with late-arrival folding.
+    Rounds are pushed in increasing order, so insertion order is round order."""
 
     def __init__(self, k: int) -> None:
         if k < 1:
@@ -290,12 +291,11 @@ class DeltaHistory:
         return len(self._entries)
 
     def push(self, origin_round: int, summed_delta: np.ndarray, count: int) -> None:
-        if origin_round in self._entries:
-            raise ValueError(f"round {origin_round} already in history")
+        if self._entries and origin_round <= next(reversed(self._entries)):
+            raise ValueError(f"round {origin_round} is not newer than the history's newest")
         self._entries[origin_round] = DeltaHistoryEntry(origin_round, summed_delta, count)
-        while len(self._entries) > self.k:
-            oldest = min(self._entries)
-            del self._entries[oldest]
+        if len(self._entries) > self.k:
+            del self._entries[next(iter(self._entries))]
 
     def fold(self, origin_round: int, delta: np.ndarray) -> bool:
         """Add a late straggler delta to its origin round; False if evicted."""
@@ -310,8 +310,7 @@ class DeltaHistory:
         """Uniform draw over stored entries (ordered by round); None if empty."""
         if not self._entries:
             return None
-        keys = sorted(self._entries)
-        return self._entries[keys[int(gen.integers(len(keys)))]]
+        return list(self._entries.values())[int(gen.integers(len(self._entries)))]
 
 
 def teacher_from_history(

@@ -299,7 +299,7 @@ def cmd_data_report(args: argparse.Namespace) -> int:
     )
     class_rows = class_report_rows(dataset, config.dataset.n_classes)
     metrics.write_csv(classes_csv, class_rows, ["group", "class", "n_examples"])
-    n_straggler = len(dataset.straggler_client_ids)
+    n_straggler = sum(s.is_straggler for s in dataset.shards)
     print(
         f"{dataset.n_clients} clients ({n_straggler} straggler, "
         f"{dataset.n_clients - n_straggler} standard), {total_examples(dataset.shards)} examples, "

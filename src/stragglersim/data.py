@@ -14,10 +14,10 @@ build_dataset is the one way to make a dataset. It runs as array operations
 over the whole population: _generate draws the raw examples into one
 features array and one labels array, client by client, and _partition keeps
 rows through one boolean mask and one gather. The dataset holds the kept
-arrays, and every shard is a read-only view of its rows that records its
-start row, so training gathers batches from the kept arrays without copying
-shards. The eval arrays are read-only too, so one dataset can serve many
-trials without a copy.
+arrays, client by client, and a shard is its start row and size in them, so
+training gathers batches from the kept arrays without copying shards and
+readers slice labels[start:start + n_examples]. The kept arrays and the eval
+arrays are read-only, so one dataset can serve many trials without a copy.
 """
 
 from __future__ import annotations
@@ -93,17 +93,13 @@ class DatasetConfig:
 
 @dataclass
 class ClientShard:
-    """One client's local examples: in a built dataset, rows from start on."""
+    """One client's local examples: the n_examples rows of the dataset's
+    kept arrays from start on."""
 
     client_id: int
-    features: np.ndarray
-    labels: np.ndarray
-    is_straggler: bool = False
-    start: int = 0
-
-    @property
-    def n_examples(self) -> int:
-        return len(self.labels)
+    start: int
+    n_examples: int
+    is_straggler: bool
 
 
 @dataclass
@@ -119,7 +115,7 @@ class EvalSplit:
 
 @dataclass
 class FederatedDataset:
-    """Client shards, the kept rows they view, the eval split and its straggler rows."""
+    """Client shards, the kept rows they index, the eval split and its straggler rows."""
 
     shards: list[ClientShard]
     features: np.ndarray
@@ -131,10 +127,6 @@ class FederatedDataset:
     @property
     def n_clients(self) -> int:
         return len(self.shards)
-
-    @property
-    def straggler_client_ids(self) -> list[int]:
-        return [s.client_id for s in self.shards if s.is_straggler]
 
 
 def class_centers(config: DatasetConfig, seed: int) -> np.ndarray:
@@ -211,7 +203,7 @@ def _partition(
     examples; a shard left empty is dropped, with one warning giving the
     count and a debug line giving the ids. Returns (the kept features and
     labels, read-only and client by client, the shards in id order, each
-    viewing its rows of them from its start, and the dropped ids).
+    its start row and size in them, and the dropped ids).
     """
     owner = np.repeat(np.arange(len(sizes)), sizes)
     in_class = table[labels]
@@ -234,7 +226,7 @@ def _partition(
     ends = np.cumsum(kept[listed]).tolist()
     ids = np.flatnonzero(listed).tolist()
     shards = [
-        ClientShard(client_id, features[a:b], labels[a:b], is_straggler, start=a)
+        ClientShard(client_id, a, b - a, is_straggler)
         for client_id, a, b, is_straggler in zip(ids, [0, *ends], ends, flagged[listed].tolist())
     ]
     return features, labels, shards, tuple(dropped)
@@ -282,9 +274,8 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
             "add straggler clients or keep some classes out of straggler_classes"
         )
     if config.n_straggler_clients > 0:
-        held = np.bincount(
-            np.concatenate([s.labels for s in shards if s.is_straggler]), minlength=config.n_classes
-        )
+        rows = [labels[s.start : s.start + s.n_examples] for s in shards if s.is_straggler]
+        held = np.bincount(np.concatenate(rows), minlength=config.n_classes)
         missing = np.flatnonzero(table & (held == 0)).tolist()
         if missing:
             raise ValueError(
@@ -331,7 +322,9 @@ def class_report_rows(dataset: FederatedDataset, n_classes: int) -> list[dict]:
     counts = {"standard": np.zeros(n_classes, dtype=int), "straggler": np.zeros(n_classes, dtype=int)}
     for s in dataset.shards:
         group = "straggler" if s.is_straggler else "standard"
-        counts[group] += np.bincount(s.labels, minlength=n_classes)
+        counts[group] += np.bincount(
+            dataset.labels[s.start : s.start + s.n_examples], minlength=n_classes
+        )
     rows = []
     for group in ("standard", "straggler"):
         for cls in range(n_classes):

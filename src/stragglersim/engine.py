@@ -47,7 +47,7 @@ future in its record; numpy releases the GIL in the forward pass, so the
 next model version trains meanwhile. The served vectors are rebound at each
 step, never written in place, so the worker reads a fixed model. run() shuts
 the worker down, evaluates the final record inline (the one evaluation on
-the main thread, reusing the worker's buffers) and completes the records in
+the main thread, in the worker's buffers if any) and completes the records in
 the order they were made. The worker calls nothing the benchmark tracer
 patches, so traced spans and counters stay on the main thread.
 """
@@ -417,12 +417,14 @@ class Simulation:
         evaluation thread while the run goes on."""
         which_model, vec = self.state.served()
         if self._evaluator is None:
+            # the worker's buffers, made with it: held from set-up, they
+            # would add to a run's training peak
             self._evaluator = ThreadPoolExecutor(max_workers=1, thread_name_prefix="eval")
+            self._eval_out = metrics.eval_buffers(self.layout, self.dataset, self.config.eval_cap)
         # metrics._accuracy, not evaluate_accuracy: nothing the benchmark
         # tracer patches may run off the main thread
         accuracies = self._evaluator.submit(
-            metrics._accuracy, vec, self.layout, self.dataset, self.config.eval_cap,
-            self._eval_buffers(),
+            metrics._accuracy, vec, self.layout, self.dataset, self.config.eval_cap, self._eval_out
         )
         self._add_record(at_time, which_model, accuracies)
 
@@ -437,13 +439,6 @@ class Simulation:
             return
         self._evals.append(record)
         self.counters["evals"] += 1
-
-    def _eval_buffers(self) -> tuple[np.ndarray | None, np.ndarray]:
-        """The run's one pair of evaluation buffers, made on first use: held
-        from set-up, they would add to a run's training peak."""
-        if self._eval_out is None:
-            self._eval_out = metrics.eval_buffers(self.layout, self.dataset, self.config.eval_cap)
-        return self._eval_out
 
     def run(self) -> RunResult:
         try:
@@ -477,7 +472,7 @@ class Simulation:
             if self._evaluator is not None:
                 self._evaluator.shutdown(wait=True)
         final = metrics.evaluate_accuracy(
-            served, self.layout, self.dataset, self.config.eval_cap, self._eval_buffers()
+            served, self.layout, self.dataset, self.config.eval_cap, self._eval_out
         )
         records = [
             MetricsRecord(at, step, n, *(final if acc is None else acc.result()), which)

@@ -2,7 +2,9 @@
 
 Parameters live in a single float64 vector so server optimizers and delta
 arithmetic stay plain array operations. The model is either a linear softmax
-classifier or a one-hidden-layer tanh network. The training loss is
+classifier or a one-hidden-layer tanh network. ModelLayout.dims lists its
+layers, _layers reads them from a vector, and no pass forks on the model
+kind. The training loss is
 
     total = supervised + rho * distill + nu * proximal
 
@@ -29,6 +31,7 @@ each matmul, never into the weights, features or teachers passed in.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,16 +56,16 @@ class ModelLayout:
         if self.activation != "tanh":
             raise ValueError(f"activation must be 'tanh', got {self.activation!r}")
 
+    @functools.cached_property
+    def dims(self) -> tuple[tuple[int, int], ...]:
+        """Each layer's (fan_in, fan_out), input to output; w holds weight, then bias."""
+        if self.hidden:
+            return ((self.d_in, self.hidden), (self.hidden, self.n_classes))
+        return ((self.d_in, self.n_classes),)
+
     @property
     def n_params(self) -> int:
-        if self.hidden == 0:
-            return self.d_in * self.n_classes + self.n_classes
-        return (
-            self.d_in * self.hidden
-            + self.hidden
-            + self.hidden * self.n_classes
-            + self.n_classes
-        )
+        return sum(fan_in * fan_out + fan_out for fan_in, fan_out in self.dims)
 
 
 @dataclass(frozen=True)
@@ -80,27 +83,17 @@ def init_params(layout: ModelLayout, gen: np.random.Generator, scale: float = 0.
     return gen.uniform(-scale, scale, layout.n_params)
 
 
-def _unpack_linear(w: np.ndarray, layout: ModelLayout):
-    """Views of w (P,) or of a stack (B, P): weight (..., d, c), bias (..., 1, c)."""
-    d, c = layout.d_in, layout.n_classes
+def _layers(w: np.ndarray, layout: ModelLayout) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's views of w (P,) or of a stack (B, P), input to output:
+    weight (..., fan_in, fan_out) and bias (..., 1, fan_out)."""
     lead = w.shape[:-1]
-    weight = w[..., : d * c].reshape(lead + (d, c))
-    bias = w[..., d * c : d * c + c].reshape(lead + (1, c))
-    return weight, bias
-
-
-def _unpack_mlp(w: np.ndarray, layout: ModelLayout):
-    d, h, c = layout.d_in, layout.hidden, layout.n_classes
-    lead = w.shape[:-1]
-    i = 0
-    w1 = w[..., i : i + d * h].reshape(lead + (d, h))
-    i += d * h
-    b1 = w[..., i : i + h].reshape(lead + (1, h))
-    i += h
-    w2 = w[..., i : i + h * c].reshape(lead + (h, c))
-    i += h * c
-    b2 = w[..., i : i + c].reshape(lead + (1, c))
-    return w1, b1, w2, b2
+    views, i = [], 0
+    for fan_in, fan_out in layout.dims:
+        j = i + fan_in * fan_out
+        weight = w[..., i:j].reshape(lead + (fan_in, fan_out))
+        views.append((weight, w[..., j : j + fan_out].reshape(lead + (1, fan_out))))
+        i = j + fan_out
+    return views
 
 
 def _forward(w: np.ndarray, layout: ModelLayout, x: np.ndarray, out=None):
@@ -112,17 +105,15 @@ def _forward(w: np.ndarray, layout: ModelLayout, x: np.ndarray, out=None):
     out, when given, is that pair, (n, hidden) or None for the linear model
     and (n, c): the matmuls write into it instead of allocating."""
     hidden_out, logits_out = (None, None) if out is None else out
-    if layout.hidden == 0:
-        weight, bias = _unpack_linear(w, layout)
-        logits = np.matmul(x, weight, out=logits_out)
-        logits += bias
-        return logits, None
-    w1, b1, w2, b2 = _unpack_mlp(w, layout)
-    hidden = np.matmul(x, w1, out=hidden_out)
-    hidden += b1
-    np.tanh(hidden, out=hidden)
-    logits = np.matmul(hidden, w2, out=logits_out)
-    logits += b2
+    *hidden_layers, (weight, bias) = _layers(w, layout)
+    hidden = None
+    for w1, b1 in hidden_layers:  # the tanh layer, when there is one
+        hidden = np.matmul(x, w1, out=hidden_out)
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+        x = hidden
+    logits = np.matmul(x, weight, out=logits_out)
+    logits += bias
     return logits, hidden
 
 
@@ -156,27 +147,17 @@ def _backward(
     """Gradient of a scalar loss wrt w given d(loss)/d(logits); the leading
     axes broadcast as in _forward. Writes only into arrays it allocates."""
     grad = np.empty_like(w)
-    lead = w.shape[:-1]
-    x_t = x.swapaxes(-1, -2)
-    if layout.hidden == 0:
-        d, c = layout.d_in, layout.n_classes
-        grad[..., : d * c] = (x_t @ dlogits).reshape(lead + (d * c,))
-        grad[..., d * c :] = dlogits.sum(axis=-2)
-        return grad
-    w1, b1, w2, b2 = _unpack_mlp(w, layout)
-    d, h, c = layout.d_in, layout.hidden, layout.n_classes
-    dhidden = dlogits @ w2.swapaxes(-1, -2)
-    dpre = hidden * hidden
-    np.subtract(1.0, dpre, out=dpre)
-    dpre *= dhidden
-    i = 0
-    grad[..., i : i + d * h] = (x_t @ dpre).reshape(lead + (d * h,))
-    i += d * h
-    grad[..., i : i + h] = dpre.sum(axis=-2)
-    i += h
-    grad[..., i : i + h * c] = (hidden.swapaxes(-1, -2) @ dlogits).reshape(lead + (h * c,))
-    i += h * c
-    grad[..., i : i + c] = dlogits.sum(axis=-2)
+    *hidden_grads, (grad_weight, grad_bias) = _layers(grad, layout)
+    inputs = x
+    for grad_w1, grad_b1 in hidden_grads:  # the tanh layer, when there is one
+        dpre = hidden * hidden
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= dlogits @ _layers(w, layout)[-1][0].swapaxes(-1, -2)
+        grad_w1[...] = x.swapaxes(-1, -2) @ dpre
+        grad_b1[...] = dpre.sum(axis=-2, keepdims=True)
+        inputs = hidden
+    grad_weight[...] = inputs.swapaxes(-1, -2) @ dlogits
+    grad_bias[...] = dlogits.sum(axis=-2, keepdims=True)
     return grad
 
 
@@ -200,14 +181,9 @@ def loss_and_grad(
     """
     if len(y) == 0:
         raise ValueError("empty batch")
-    if rho < 0 or nu < 0:
-        raise ValueError(f"rho and nu must be >= 0, got rho={rho}, nu={nu}")
+    _check_loss_terms(rho, nu, anchor, distill_loss)
     if (teacher_logits is not None) != (rho > 0):
         raise ValueError("teacher_logits must be passed exactly when rho > 0")
-    if (anchor is not None) != (nu > 0):
-        raise ValueError("anchor must be passed exactly when nu > 0")
-    if distill_loss not in ("soft_ce", "logit_mse"):
-        raise ValueError(f"unknown distill_loss: {distill_loss!r}")
 
     n = len(y)
     logits, hidden = _forward(w, layout, x)
@@ -256,6 +232,16 @@ class TrainingDiverged(FloatingPointError):
         self.member = member
 
 
+def _check_loss_terms(rho, nu, anchor, distill_loss) -> None:
+    """The loss-term rules of loss_and_grad and local_sgd; each checks its own teacher."""
+    if rho < 0 or nu < 0:
+        raise ValueError(f"rho and nu must be >= 0, got rho={rho}, nu={nu}")
+    if (anchor is not None) != (nu > 0):
+        raise ValueError("anchor must be passed exactly when nu > 0")
+    if distill_loss not in ("soft_ce", "logit_mse"):
+        raise ValueError(f"unknown distill_loss: {distill_loss!r}")
+
+
 def _check_training_args(
     n_min, eta_l, batch_size, steps_min, rho, nu, teacher, anchor, distill_loss
 ) -> None:
@@ -267,14 +253,9 @@ def _check_training_args(
         raise ValueError(f"eta_l must be >= 0, got {eta_l}")
     if n_min == 0:
         raise ValueError("empty shard")
-    if rho < 0 or nu < 0:
-        raise ValueError(f"rho and nu must be >= 0, got rho={rho}, nu={nu}")
+    _check_loss_terms(rho, nu, anchor, distill_loss)
     if rho > 0 and teacher is None:
         raise ValueError("teacher_ws required when rho > 0")
-    if (anchor is not None) != (nu > 0):
-        raise ValueError("anchor must be passed exactly when nu > 0")
-    if distill_loss not in ("soft_ce", "logit_mse"):
-        raise ValueError(f"unknown distill_loss: {distill_loss!r}")
 
 
 def _grad(

@@ -156,7 +156,6 @@ def run_gap_trace(
     eta_a: float,
     beta: float,
     seed: int,
-    w0: np.ndarray | None = None,
     fast_selector=None,
 ) -> GapTrace:
     """Run T rounds: sample B_plus clients, T_l local steps each, advance w on
@@ -175,7 +174,7 @@ def run_gap_trace(
         raise ValueError("T and T_l must be >= 1")
     algo = algorithms.AlgoConfig("feast", eta_g=eta_g, eta_a=eta_a, feast_beta=beta)
     gen = rng.stream(seed, rng.VERIFY, 1)
-    w = np.zeros(quad.d) if w0 is None else w0.astype(np.float64).copy()
+    w = np.zeros(quad.d)
     state = algorithms.ServerState(w, algo)
     a = w.copy()
     trace = GapTrace(B=B, B_plus=B_plus, eta_g=eta_g, beta=beta)
@@ -185,28 +184,22 @@ def run_gap_trace(
     for t in range(T):
         w = state.w
         cohort = gen.choice(quad.m, size=B_plus, replace=False)
-        deltas = []
-        for c in cohort:
+        deltas = np.empty((B_plus, quad.d))
+        for pos, c in enumerate(cohort):
             w_loc = w.copy()
             for _ in range(T_l):
                 g = quad.stoch_grad(int(c), w_loc, gen)
                 trace.max_grad_norm = max(trace.max_grad_norm, float(np.linalg.norm(g)))
                 w_loc -= eta_l * g
-            deltas.append(w - w_loc)
+            deltas[pos] = w - w_loc
         if fast_selector is None:
             fast_pos = gen.choice(B_plus, size=B, replace=False)
         else:
             fast_pos = np.asarray(fast_selector(t, gen))
         fast_mask = np.zeros(B_plus, dtype=bool)
         fast_mask[fast_pos] = True
-
-        delta_fast = np.zeros(quad.d)
-        delta_slow = np.zeros(quad.d)
-        for pos in range(B_plus):
-            if fast_mask[pos]:
-                delta_fast += deltas[pos]
-            else:
-                delta_slow += deltas[pos]
+        delta_fast = deltas[fast_mask].sum(axis=0)
+        delta_slow = deltas[~fast_mask].sum(axis=0)
 
         a = algorithms.aux_step(a, w, delta_fast + delta_slow, B_plus, algo)
         algorithms.server_apply(state, delta_fast, B)

@@ -230,7 +230,7 @@ def test_acceptance_8_round_durations_and_factor_medians():
         config = config_from_dict(cfg_payload)
         sim = Simulation(config, trial_seed=1, trace=True)
         sim.run()
-        sizes = {shard.client_id: len(shard.labels) for shard in sim.dataset.shards}
+        sizes = {shard.client_id: shard.n_examples for shard in sim.dataset.shards}
         flags = {shard.client_id: shard.is_straggler for shard in sim.dataset.shards}
         rounds = round_views(sim.events)
         assert len(rounds) == 10

@@ -200,6 +200,16 @@ def test_history_fold_semantics():
         DeltaHistory(k=0)
 
 
+def test_history_push_rejects_a_round_not_newer_than_the_newest():
+    hist = DeltaHistory(k=3)
+    hist.push(3, np.array([1.0]), count=1)
+    hist.push(5, np.array([2.0]), count=1)
+    for stale in (5, 4, 0):
+        with pytest.raises(ValueError, match="not newer"):
+            hist.push(stale, np.array([9.0]), count=1)
+    assert list(hist._entries) == [3, 5]
+
+
 def test_history_sample_covers_all_entries_uniformly():
     hist = DeltaHistory(k=4)
     for r in range(4):

@@ -31,20 +31,21 @@ SMALL = DatasetConfig(
 )
 
 
-def _shard_with_labels(client_id, labels, d_in=2):
-    labels = np.asarray(labels, dtype=np.int64)
-    return ClientShard(client_id, np.zeros((len(labels), d_in)), labels)
+def _rows(array, shard):
+    """The shard's rows of one of the kept arrays it indexes."""
+    return array[shard.start : shard.start + shard.n_examples]
 
 
 def _partition_labels(label_lists, straggler_classes, n_straggler_clients, n_classes=4):
     """_partition over clients 0, 1, ... holding label_lists; every row's
-    features are (row, row) so the kept rows can be traced."""
+    features are (row, row) so the kept rows can be traced. Returns the
+    shards, the dropped ids and the kept features."""
     labels = np.concatenate([np.asarray(y, dtype=np.int64) for y in label_lists])
     features = np.repeat(np.arange(len(labels), dtype=np.float64)[:, None], 2, axis=1)
     sizes = np.array([len(y) for y in label_lists])
     table = _class_table(straggler_classes, n_classes)
-    _, _, shards, dropped = _partition(features, labels, sizes, table, n_straggler_clients)
-    return shards, dropped
+    kept, _, shards, dropped = _partition(features, labels, sizes, table, n_straggler_clients)
+    return shards, dropped, kept
 
 
 def _raw_shards(config, seed):
@@ -58,7 +59,7 @@ def test_ranking_prefers_high_counts_then_low_ids():
     # Straggler-class counts by client: 9, 3, 7, 0, 7. The top two are
     # client 0 and then client 2, which wins the 7-count tie over client 4
     # by lower id.
-    out, dropped = _partition_labels(
+    out, dropped, _ = _partition_labels(
         [[0] * 9 + [2] * 1, [0] * 3 + [2] * 5, [1] * 7 + [3] * 2, [2] * 4, [0] * 7 + [3] * 3],
         {0, 1},
         2,
@@ -72,7 +73,7 @@ def test_standard_shards_lose_straggler_classes():
     dataset = build_dataset(SMALL, seed=0)
     for shard in dataset.shards:
         if not shard.is_straggler:
-            assert not np.isin(shard.labels, [0, 1]).any()
+            assert not np.isin(_rows(dataset.labels, shard), [0, 1]).any()
             assert shard.n_examples > 0
 
 
@@ -85,26 +86,24 @@ def test_straggler_shards_keep_everything_and_counts_are_conserved():
     raw = _raw_shards(SMALL, seed=0)
 
     non_straggler_before = int((~table[labels]).sum())
-    non_straggler_after = sum(int((~table[s.labels]).sum()) for s in out)
+    non_straggler_after = sum(int((~table[_rows(kept_y, s)]).sum()) for s in out)
     assert non_straggler_after == non_straggler_before
 
     for shard in out:
-        rows = slice(shard.start, shard.start + shard.n_examples)
-        np.testing.assert_array_equal(shard.labels, kept_y[rows])
-        np.testing.assert_array_equal(shard.features, kept_x[rows])
+        labels, features = _rows(kept_y, shard), _rows(kept_x, shard)
         raw_labels, raw_features = raw[shard.client_id]
         if shard.is_straggler:
-            np.testing.assert_array_equal(shard.labels, raw_labels)
-            np.testing.assert_array_equal(shard.features, raw_features)
+            np.testing.assert_array_equal(labels, raw_labels)
+            np.testing.assert_array_equal(features, raw_features)
         else:
             keep = ~table[raw_labels]
-            np.testing.assert_array_equal(shard.labels, raw_labels[keep])
-            np.testing.assert_array_equal(shard.features, raw_features[keep])
+            np.testing.assert_array_equal(labels, raw_labels[keep])
+            np.testing.assert_array_equal(features, raw_features[keep])
 
 
 def test_emptied_standard_shard_is_dropped_with_warning(caplog):
     with caplog.at_level(logging.WARNING):
-        out, dropped = _partition_labels(
+        out, dropped, kept = _partition_labels(
             [
                 [0] * 5,  # pure straggler classes, ranked top
                 [0, 0, 1],  # pure straggler classes, not flagged
@@ -116,14 +115,14 @@ def test_emptied_standard_shard_is_dropped_with_warning(caplog):
     assert dropped == (1,)
     assert [s.client_id for s in out] == [0, 2]
     # the kept shards hold exactly their own rows
-    assert out[1].features[:, 0].tolist() == [8.0, 9.0]
+    assert _rows(kept, out[1])[:, 0].tolist() == [8.0, 9.0]
     assert sum(1 for rec in caplog.records if "dropped" in rec.message) == 1
 
 
 def test_drop_warning_gives_the_count_and_debug_gives_the_ids(caplog):
     # A large population drops hundreds of shards; the ids stay out of WARNING.
     with caplog.at_level(logging.DEBUG, logger="stragglersim.data"):
-        _, dropped = _partition_labels([[0, 1]] * 40 + [[0] * 5], {0, 1}, 1)
+        _, dropped, _ = _partition_labels([[0, 1]] * 40 + [[0] * 5], {0, 1}, 1)
     assert dropped == tuple(range(40))
     assert [rec.levelno for rec in caplog.records] == [logging.WARNING, logging.DEBUG]
     by_level = {rec.levelno: rec.getMessage() for rec in caplog.records}
@@ -175,12 +174,11 @@ def test_determinism_and_seed_sensitivity():
     a = build_dataset(SMALL, seed=5)
     b = build_dataset(SMALL, seed=5)
     c = build_dataset(SMALL, seed=6)
-    for sa, sb in zip(a.shards, b.shards):
-        np.testing.assert_array_equal(sa.features, sb.features)
-        np.testing.assert_array_equal(sa.labels, sb.labels)
-        assert sa.is_straggler == sb.is_straggler
+    assert a.shards == b.shards
+    np.testing.assert_array_equal(a.features, b.features)
+    np.testing.assert_array_equal(a.labels, b.labels)
     np.testing.assert_array_equal(a.eval_total.features, b.eval_total.features)
-    assert not np.array_equal(a.shards[0].features, c.shards[0].features)
+    assert not np.array_equal(_rows(a.features, a.shards[0]), _rows(c.features, c.shards[0]))
 
 
 def test_eval_straggler_is_filtered_view_of_total():
@@ -284,7 +282,7 @@ def test_mixture_normalization():
 
 
 def test_total_examples_sums_shards():
-    shards = [_shard_with_labels(0, [0, 1]), _shard_with_labels(1, [1, 2, 3])]
+    shards = [ClientShard(0, 0, 2, False), ClientShard(1, 2, 3, True)]
     assert total_examples(shards) == 5
 
 
@@ -313,9 +311,10 @@ def _digest(dataset) -> str:
     dtypes, the eval arrays, the eval straggler rows and the dropped ids."""
     h = hashlib.sha256()
     for s in dataset.shards:
-        h.update(f"{s.client_id}:{s.is_straggler}:{s.labels.dtype}:{s.features.dtype}".encode())
-        h.update(np.ascontiguousarray(s.labels).tobytes())
-        h.update(np.ascontiguousarray(s.features).tobytes())
+        labels, features = _rows(dataset.labels, s), _rows(dataset.features, s)
+        h.update(f"{s.client_id}:{s.is_straggler}:{labels.dtype}:{features.dtype}".encode())
+        h.update(np.ascontiguousarray(labels).tobytes())
+        h.update(np.ascontiguousarray(features).tobytes())
     for a in (dataset.eval_total.features, dataset.eval_total.labels, dataset.eval_straggler_rows):
         h.update(str(a.dtype).encode())
         h.update(np.ascontiguousarray(a).tobytes())
@@ -432,14 +431,20 @@ def test_a_built_dataset_keeps_the_partition_invariants(config, seed):
     table = np.isin(np.arange(config.n_classes), config.straggler_classes)
     for shard in shards:
         assert shard.n_examples > 0
-        assert shard.is_straggler or not table[shard.labels].any()
+        assert shard.is_straggler or not table[_rows(dataset.labels, shard)].any()
     ids = [s.client_id for s in shards]
     assert ids == sorted(set(ids))
+    # the shards tile the kept arrays in id order
+    ends = np.cumsum([s.n_examples for s in shards]).tolist()
+    assert [s.start for s in shards] == [0, *ends[:-1]]
+    assert ends[-1] == len(dataset.labels) == len(dataset.features)
     assert dataset.dropped_clients == tuple(
         cid for cid, (labels, _) in enumerate(_raw_shards(config, seed))
         if cid not in straggler and table[labels].all()
     )
-    arrays = [a for s in shards for a in (s.features, s.labels)] + [
+    arrays = [
+        dataset.features,
+        dataset.labels,
         dataset.eval_total.features,
         dataset.eval_total.labels,
         dataset.eval_straggler_rows,

@@ -295,8 +295,8 @@ def test_trials_share_the_dataset_but_not_trajectories():
     config = _config(algo, budget=20)
     sim_a = Simulation(config, trial_seed=1)
     sim_b = Simulation(config, trial_seed=2)
-    for sa, sb in zip(sim_a.dataset.shards, sim_b.dataset.shards):
-        np.testing.assert_array_equal(sa.features, sb.features)
+    assert sim_a.dataset.shards == sim_b.dataset.shards
+    np.testing.assert_array_equal(sim_a.dataset.features, sim_b.dataset.features)
     a = sim_a.run()
     b = sim_b.run()
     assert not np.array_equal(a.output_w, b.output_w)
@@ -375,9 +375,10 @@ def test_no_evaluation_thread_outlives_its_run():
     sim = Simulation(_config(algo, budget=40, eval_every=1), trial_seed=0)
     sim.run()
     assert sim._evaluator is not None and threading.active_count() == before
-    # A step near the float maximum overflows the global model at the first
-    # server step, after which the evaluation thread has started; training
-    # from it raises at the next.
+    # A step near the float maximum leaves the global model finite after the
+    # first server step (|w| up to about 1.01e308), after which the evaluation
+    # thread has started; its evaluation overflows, and round 1's local SGD
+    # leaves non-finite weights, which raises.
     diverging = dataclasses.replace(algo, eta_l=1e307, eta_g=10.0)
     sim = Simulation(_config(diverging, budget=40, eval_every=1), trial_seed=0)
     with pytest.raises(FloatingPointError, match="diverged in round 1"):
@@ -493,7 +494,9 @@ def test_trials_with_one_dataset_section_and_data_seed_share_one_dataset():
 
 def test_a_shared_dataset_cannot_be_written():
     dataset = _config(AlgoConfig("fedavg", cohort_size=4)).build_dataset()
-    arrays = [a for s in dataset.shards for a in (s.features, s.labels)] + [
+    arrays = [
+        dataset.features,
+        dataset.labels,
         dataset.eval_total.features,
         dataset.eval_total.labels,
         dataset.eval_straggler_rows,

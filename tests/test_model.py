@@ -11,9 +11,8 @@ from stragglersim.model import (
     TrainingDiverged,
     _cohort_plan,
     _forward,
+    _layers,
     _sgd_grad,
-    _unpack_linear,
-    _unpack_mlp,
     forward_logits,
     init_params,
     local_sgd,
@@ -485,11 +484,10 @@ def test_passes_never_write_into_their_inputs(hidden):
 
 
 def _out_of_place_logits(w, layout, x):
-    if layout.hidden == 0:
-        weight, bias = _unpack_linear(w, layout)
-        return x @ weight + bias
-    w1, b1, w2, b2 = _unpack_mlp(w, layout)
-    return np.tanh(x @ w1 + b1) @ w2 + b2
+    *hidden_layers, (weight, bias) = _layers(w, layout)
+    for w1, b1 in hidden_layers:
+        x = np.tanh(x @ w1 + b1)
+    return x @ weight + bias
 
 
 @pytest.mark.parametrize("n", [1, 7, 3000, 16000])
@@ -511,10 +509,29 @@ def test_logits_equal_the_out_of_place_expressions(hidden, n):
 def test_layout_param_counts():
     assert ModelLayout(d_in=16, hidden=0, n_classes=10).n_params == 170
     assert ModelLayout(d_in=16, hidden=32, n_classes=10).n_params == 874
+    assert ModelLayout(d_in=16, hidden=0, n_classes=10).dims == ((16, 10),)
+    assert ModelLayout(d_in=16, hidden=32, n_classes=10).dims == ((16, 32), (32, 10))
     with pytest.raises(ValueError):
         ModelLayout(d_in=0, hidden=1, n_classes=2)
     with pytest.raises(ValueError):
         ModelLayout(d_in=2, hidden=1, n_classes=2, activation="relu")
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
+@pytest.mark.parametrize("hidden", [0, 5], ids=["linear", "mlp"])
+def test_layers_tile_the_parameter_vector(hidden, lead):
+    # Each layer's weight then bias, input to output, cover the vector once:
+    # writing arange(P) through the views in order gives arange(P) back.
+    layout = ModelLayout(d_in=4, hidden=hidden, n_classes=3)
+    w = np.full(lead + (layout.n_params,), -1.0)
+    views = [v for layer in _layers(w, layout) for v in layer]
+    shapes = [v.shape[len(lead):] for v in views]
+    assert shapes == [s for i, o in layout.dims for s in ((i, o), (1, o))]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    assert sum(sizes) == layout.n_params
+    for v, shape, start in zip(views, shapes, np.cumsum([0] + sizes)):
+        v[...] = np.arange(start, start + np.prod(shape)).reshape(shape)
+    assert np.array_equal(w, np.broadcast_to(np.arange(layout.n_params), w.shape))
 
 
 def test_init_params_shape_and_scale():

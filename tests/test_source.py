@@ -92,6 +92,19 @@ def test_no_set_operation_runs_per_shard_in_a_loop():
     assert not found, f"np.isin or np.unique called in a loop: {found}"
 
 
+def test_only_the_layout_reads_the_hidden_width_in_the_model():
+    # ModelLayout.dims is the one description of the parameter layout, so a
+    # pass that reads layout.hidden would fork on the model kind again.
+    tree = ast.parse((SOURCE_DIR / "model.py").read_text(encoding="utf-8"))
+    layout = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ModelLayout")
+    inside = {id(node) for node in ast.walk(layout)}
+    found = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "hidden" and id(node) not in inside
+    ]
+    assert not found, f"model.py reads .hidden outside ModelLayout at lines {found}"
+
+
 def _load_tracing():
     spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
