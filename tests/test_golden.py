@@ -5,7 +5,7 @@ steps, virtual time, the time limit and every record must match
 `golden.json` exactly; the output model must match to 1e-12. The
 `simulate --trials 2` logs, manifests and summary lines of the four
 acceptance configs, at the same budget, must match by sha256, and so must the
-reports: the `verify --out` JSON of two checks (without the wall-clock
+reports: the `verify --out` JSON of four checks (without the wall-clock
 `elapsed_s`), the files and stdout of `data-report` and `latency-report
 --draws 20000` on `fedavg_full`, a two-point `sweep` (its tree and stdout),
 and `report` over one of its points and, with `--force-mixed`, over both.
@@ -187,8 +187,8 @@ def _log_digests(tmp_dir: Path) -> dict[str, str]:
     return digests
 
 
-# verify checks quick enough for tier-1 (about 0.6 s together)
-VERIFY_SUITES = ("gap_recursion", "stationarity_schedule")
+# verify checks quick enough for tier-1 (about 2.2 s together)
+VERIFY_SUITES = ("gap_recursion", "stationarity_schedule", "gap_norm_bound", "local_grad_norm")
 REPORT_DRAWS = 20000
 # two fare_dust points, two trials each, at a small budget
 SWEEP = {"parameters": {"algo.rho": [0.0, 0.1]}, "objective": "straggler_acc"}
