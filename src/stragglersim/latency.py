@@ -116,7 +116,6 @@ PDPE_STRAGGLER_PROFILE = LatencyProfile(
     overhead=LognormalParams(mu=3.5, sigma=0.3),
 )
 
-PE_SCENARIO = LatencyScenario(PE_MODE, PE_PROFILE, PE_PROFILE)
 PDPE_SCENARIO = LatencyScenario(PDPE_MODE, PDPE_STANDARD_PROFILE, PDPE_STRAGGLER_PROFILE)
 
 
@@ -150,13 +149,13 @@ def sample_client_latency(profile: LatencyProfile, rng: np.random.Generator) -> 
 
 
 def nearest_rank_percentile(values: np.ndarray, pct: float) -> float:
-    """Nearest-rank percentile: the ceil(pct/100 * N)-th smallest value."""
+    """Nearest-rank percentile: the ceil(pct * N / 100)-th smallest value."""
     if len(values) == 0:
         raise ValueError("cannot take a percentile of an empty sample")
     if not 0.0 < pct <= 100.0:
         raise ValueError(f"pct must be in (0, 100], got {pct}")
     ordered = np.sort(np.asarray(values))
-    rank = math.ceil(pct / 100.0 * len(ordered))
+    rank = math.ceil(pct * len(ordered) / 100.0)  # exact for an integer pct
     return float(ordered[rank - 1])
 
 

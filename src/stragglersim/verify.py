@@ -20,14 +20,15 @@ These are checked on a synthetic population of quadratic clients
 because every quantity the claims mention is available in closed form:
 the global optimum, the Lipschitz constant, exact full gradients, and a
 stochastic gradient oracle (radial clip to G plus isotropic noise with
-E||noise||^2 = sigma_l^2 exactly).
+E||noise||^2 = sigma_l^2 exactly, from standard normals the caller draws).
 
 The trace runner samples its own cohorts and bypasses the event engine:
 the claims assume uniformly sampled cohorts and a uniformly chosen fast
 subset of every cohort, with every dispatched client reporting, which
 matches an infinite straggler-folding deadline rather than latency-ordered
-completion. But w and a take the engine's own steps (algorithms.server_apply
-and algorithms.aux_step), so the checks hold FeAST's code to the analysis.
+completion; it runs a check's seeds as one stack of (d,) rows. But w and a
+take the engine's own steps (algorithms.server_apply and algorithms.aux_step),
+so the checks hold FeAST's code to the analysis.
 """
 
 from __future__ import annotations
@@ -42,12 +43,16 @@ from . import algorithms, rng
 from .config import ConfigError
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(x, x))
+
+
 @dataclass(frozen=True)
 class QuadClientSet:
     """Population of quadratic objectives with a stochastic gradient oracle.
 
-    The oracle takes one client i and w (d,), or stacked clients i (n,) and
-    w (n, d).
+    The oracle takes one client i and w (d,), or stacked clients i (...) and
+    w (..., d), and draws nothing.
     """
 
     curvatures: np.ndarray  # (m, d) diagonal entries in (0, L]
@@ -73,16 +78,14 @@ class QuadClientSet:
     def clipped_grad(self, i: int | np.ndarray, w: np.ndarray) -> np.ndarray:
         g = self.grad(i, w)
         if self.grad_clip is not None:
-            norm = np.sqrt(np.vecdot(g, g))[..., None]
+            norm = _row_norms(g)[..., None]
             g = g * (self.grad_clip / np.maximum(norm, self.grad_clip))
         return g
 
-    def stoch_grad(
-        self, i: int | np.ndarray, w: np.ndarray, gen: np.random.Generator
-    ) -> np.ndarray:
-        """Clipped gradient plus isotropic noise with E||noise||^2 = sigma_l^2."""
-        noise = (self.sigma_l / math.sqrt(self.d)) * gen.standard_normal(w.shape)
-        return self.clipped_grad(i, w) + noise
+    def stoch_grad(self, i: int | np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Clipped gradient plus isotropic noise with E||noise||^2 = sigma_l^2,
+        scaled from the caller's standard normals z, shaped like w."""
+        return self.clipped_grad(i, w) + (self.sigma_l / math.sqrt(self.d)) * z
 
     def f(self, w: np.ndarray) -> float:
         diff = w - self.centers
@@ -124,17 +127,17 @@ def make_quad_set(
 
 @dataclass
 class GapTrace:
-    """Logged quantities from one two-timescale run on the quad testbed."""
+    """Logged (seeds, d) rows from two-timescale runs on the quad testbed."""
 
     B: int
     B_plus: int
     eta_g: float
     beta: float
+    max_grad_norm: np.ndarray  # (seeds,) largest local stochastic gradient norm
     w: list[np.ndarray] = field(default_factory=list)
     a: list[np.ndarray] = field(default_factory=list)
     delta_fast: list[np.ndarray] = field(default_factory=list)
     delta_slow: list[np.ndarray] = field(default_factory=list)
-    max_grad_norm: float = 0.0
 
     @property
     def T(self) -> int:
@@ -155,57 +158,59 @@ def run_gap_trace(
     eta_l: float,
     eta_a: float,
     beta: float,
-    seed: int,
+    seeds: list[int] | range,
     fast_selector=None,
 ) -> GapTrace:
-    """Run T rounds: sample B_plus clients, T_l local steps each, advance w on
-    a uniformly chosen fast subset of B, fold everyone into the auxiliary
-    update (all dispatched clients report).
+    """Run T rounds for each seed: sample B_plus clients, T_l local steps each,
+    advance w on a uniformly chosen fast subset of B, fold everyone into the
+    auxiliary update (all dispatched clients report). Row s of each logged
+    array is what seeds[s] gives alone, though every local step, server_apply
+    and aux_step runs once on the stacked rows, under feast's AlgoConfig (an
+    SGD server, no EMA), which rejects invalid eta_g, eta_a and beta.
 
-    w and a step through server_apply and aux_step under feast's AlgoConfig
-    (an SGD server, no EMA), which rejects invalid eta_g, eta_a and beta.
-
-    fast_selector(t, gen) -> index array is a test seam for enumerating fast
-    subsets; the default is a uniform draw.
+    fast_selector(t, gen) -> B positions is a test seam for enumerating fast
+    subsets, called with each seed's stream; the default is a uniform draw.
     """
     if not 1 <= B <= B_plus <= quad.m:
         raise ValueError(f"need 1 <= B <= B_plus <= m, got {B}, {B_plus}, {quad.m}")
-    if T < 1 or T_l < 1:
-        raise ValueError("T and T_l must be >= 1")
+    if T < 1 or T_l < 1 or len(seeds) < 1:
+        raise ValueError("need T >= 1, T_l >= 1 and at least one seed")
     algo = algorithms.AlgoConfig("feast", eta_g=eta_g, eta_a=eta_a, feast_beta=beta)
-    gen = rng.stream(seed, rng.VERIFY, 1)
-    w = np.zeros(quad.d)
-    state = algorithms.ServerState(w, algo)
-    a = w.copy()
-    trace = GapTrace(B=B, B_plus=B_plus, eta_g=eta_g, beta=beta)
-    trace.w.append(w.copy())
-    trace.a.append(a.copy())
+    n = len(seeds)
+    cohort = np.empty((n, B_plus), dtype=np.int64)
+    z = np.empty((n, B_plus, T_l, quad.d))
+    fast = np.empty((n, B_plus), dtype=bool)
+    pick = fast_selector or (lambda t, gen: gen.choice(B_plus, size=B, replace=False))
 
-    for t in range(T):
-        w = state.w
-        cohort = gen.choice(quad.m, size=B_plus, replace=False)
-        deltas = np.empty((B_plus, quad.d))
-        for pos, c in enumerate(cohort):
-            w_loc = w.copy()
-            for _ in range(T_l):
-                g = quad.stoch_grad(int(c), w_loc, gen)
-                trace.max_grad_norm = max(trace.max_grad_norm, float(np.linalg.norm(g)))
-                w_loc -= eta_l * g
-            deltas[pos] = w - w_loc
-        if fast_selector is None:
-            fast_pos = gen.choice(B_plus, size=B, replace=False)
-        else:
-            fast_pos = np.asarray(fast_selector(t, gen))
-        fast_mask = np.zeros(B_plus, dtype=bool)
-        fast_mask[fast_pos] = True
-        delta_fast = deltas[fast_mask].sum(axis=0)
-        delta_slow = deltas[~fast_mask].sum(axis=0)
+    def draw_rounds(s: int, seed: int):  # refill row s each round from the seed's stream
+        gen = rng.stream(seed, rng.VERIFY, 1)
+        for t in range(T):
+            cohort[s] = gen.choice(quad.m, size=B_plus, replace=False)
+            gen.standard_normal(out=z[s])
+            fast[s] = False
+            fast[s, pick(t, gen)] = True
+            yield
 
-        a = algorithms.aux_step(a, w, delta_fast + delta_slow, B_plus, algo)
+    state = algorithms.ServerState(np.zeros((n, quad.d)), algo)
+    trace = GapTrace(B=B, B_plus=B_plus, eta_g=eta_g, beta=beta, max_grad_norm=np.zeros(n),
+                     w=[state.w.copy()], a=[state.aux.copy()])
+    for _ in zip(*map(draw_rounds, range(n), seeds)):  # each pass draws every seed's round
+        w_loc = np.repeat(state.w[:, None], B_plus, axis=1)
+        for step in range(T_l):
+            g = quad.stoch_grad(cohort, w_loc, z[:, :, step])
+            trace.max_grad_norm = np.maximum(trace.max_grad_norm, _row_norms(g).max(axis=1))
+            w_loc -= eta_l * g
+        # fast members first, each group in cohort order, as a mask picks them
+        order = np.argsort(~fast, axis=1, kind="stable")
+        deltas = np.take_along_axis(state.w[:, None] - w_loc, order[:, :, None], axis=1)
+        delta_fast = deltas[:, :B].sum(axis=1)
+        delta_slow = deltas[:, B:].sum(axis=1)
+
+        state.aux = algorithms.aux_step(state.aux, state.w, delta_fast + delta_slow, B_plus, algo)
         algorithms.server_apply(state, delta_fast, B)
 
         trace.w.append(state.w.copy())
-        trace.a.append(a.copy())
+        trace.a.append(state.aux.copy())
         trace.delta_fast.append(delta_fast)
         trace.delta_slow.append(delta_slow)
     return trace
@@ -259,15 +264,14 @@ def check_gap_recursion(
     """The measured a_t - w_t must match the closed form every round."""
     start = time.monotonic()
     quad = make_quad_set(8, 32, sigma_l=0.2, grad_clip=5.0, seed=base_seed)
+    seeds = range(base_seed + 1, base_seed + 1 + n_seeds)
+    trace = run_gap_trace(quad, T=T, seeds=seeds, **{**_GAP_SCHEDULE, "B": B, "B_plus": B_plus})
     worst = 0.0
-    schedule = {**_GAP_SCHEDULE, "B": B, "B_plus": B_plus}
-    for s in range(n_seeds):
-        trace = run_gap_trace(quad, T=T, seed=base_seed + 1 + s, **schedule)
-        for t_next in range(1, T + 1):
-            lhs = trace.gap(t_next)
-            rhs = closed_form_gap(trace, t_next)
-            scale = max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)), 1e-15)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
+    for t_next in range(1, T + 1):
+        lhs = trace.gap(t_next)
+        rhs = closed_form_gap(trace, t_next)
+        scale = np.maximum(np.maximum(_row_norms(lhs), _row_norms(rhs)), 1e-15)
+        worst = max(worst, float((_row_norms(lhs - rhs) / scale).max()))
     return CheckReport(
         name="gap_recursion",
         passed=worst <= tol,
@@ -291,9 +295,8 @@ def check_gap_zero_mean(
     if n_seeds < 100:
         raise ValueError(f"zero-mean check needs >= 100 seeds, got {n_seeds}")
     quad = make_quad_set(8, d, sigma_l=0.2, grad_clip=5.0, seed=base_seed)
-    gaps = np.empty((n_seeds, d))
-    for s in range(n_seeds):
-        gaps[s] = run_gap_trace(quad, T=T, seed=base_seed + 1 + s, **_GAP_SCHEDULE).gap(T)
+    seeds = range(base_seed + 1, base_seed + 1 + n_seeds)
+    gaps = run_gap_trace(quad, T=T, seeds=seeds, **_GAP_SCHEDULE).gap(T)
     mean = gaps.mean(axis=0)
     se = gaps.std(axis=0, ddof=1) / math.sqrt(n_seeds)
     within = np.abs(mean) <= 3.0 * se + 1e-15
@@ -324,7 +327,7 @@ def check_local_grad_norm(
     # the bound strict while both oracle branches are exercised.
     w = gen.standard_normal((n_draws, quad.d)) * 0.5
     clipped = np.linalg.norm(quad.grad(idx, w), axis=1) > grad_clip
-    g = quad.stoch_grad(idx, w, gen)
+    g = quad.stoch_grad(idx, w, gen.standard_normal(w.shape))
     sq = (g * g).sum(axis=1)
     mean = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(n_draws))
@@ -368,12 +371,9 @@ def check_gap_norm_bound(
     start = time.monotonic()
     sigma_l, clip = 0.5, 2.0
     quad = make_quad_set(8, 64, sigma_l=sigma_l, grad_clip=clip, seed=base_seed)
-    sq_gaps = np.empty((n_seeds, T))
-    for s in range(n_seeds):
-        trace = run_gap_trace(quad, T=T, seed=base_seed + 1 + s, **_GAP_SCHEDULE)
-        for t in range(1, T + 1):
-            gap = trace.gap(t)
-            sq_gaps[s, t - 1] = float(gap @ gap)
+    seeds = range(base_seed + 1, base_seed + 1 + n_seeds)
+    trace = run_gap_trace(quad, T=T, seeds=seeds, **_GAP_SCHEDULE)
+    sq_gaps = np.stack([np.vecdot(gap, gap) for gap in map(trace.gap, range(1, T + 1))], axis=1)
     schedule = {k: v for k, v in _GAP_SCHEDULE.items() if k != "eta_a"}
     bound = gap_norm_bound(sigma_l=sigma_l, G=clip, **schedule)
     mean_t = sq_gaps.mean(axis=0)
@@ -416,13 +416,13 @@ def check_stationarity_schedule(
     ms: list[float] = []
     ok_bound = True
     for T in horizons:
-        eta_l = 2.0 / (eta_g * T_l * math.sqrt(T))
-        trace = run_gap_trace(quad, T=T, seed=base_seed + 1, **{**_GAP_SCHEDULE, "eta_l": eta_l})
-        sq = [float(np.linalg.norm(quad.grad_f(trace.a[t])) ** 2) for t in range(1, T + 1)]
+        schedule = {**_GAP_SCHEDULE, "eta_l": 2.0 / (eta_g * T_l * math.sqrt(T))}
+        trace = run_gap_trace(quad, T=T, seeds=[base_seed + 1], **schedule)
+        sq = [float(np.linalg.norm(quad.grad_f(trace.a[t][0])) ** 2) for t in range(1, T + 1)]
         m_t = float(np.mean(sq))
         rhs = stationarity_rhs(
             f_gap=f_gap, T=T, lipschitz=quad.lipschitz, sigma_l=sigma_l,
-            G=trace.max_grad_norm,
+            G=float(trace.max_grad_norm[0]),
         )
         measured[f"M_{T}"] = m_t
         measured[f"rhs_{T}"] = rhs

@@ -187,7 +187,7 @@ def _log_digests(tmp_dir: Path) -> dict[str, str]:
     return digests
 
 
-# verify checks quick enough for tier-1 (about 2.2 s together)
+# verify checks quick enough for tier-1 (about 1.2 s together)
 VERIFY_SUITES = ("gap_recursion", "stationarity_schedule", "gap_norm_bound", "local_grad_norm")
 REPORT_DRAWS = 20000
 # two fare_dust points, two trials each, at a small budget

@@ -13,8 +13,8 @@ from stragglersim.latency import (
     PDPE_SCENARIO,
     PDPE_STANDARD_PROFILE,
     PDPE_STRAGGLER_PROFILE,
+    PE_MODE,
     PE_PROFILE,
-    PE_SCENARIO,
     LatencyProfile,
     LatencyScenario,
     LognormalParams,
@@ -86,7 +86,7 @@ def test_zero_examples_drops_per_example_term():
 def test_group_profile_selection():
     assert PDPE_SCENARIO.profile_for(False) is PDPE_STANDARD_PROFILE
     assert PDPE_SCENARIO.profile_for(True) is PDPE_STRAGGLER_PROFILE
-    assert PE_SCENARIO.profile_for(True) is PE_PROFILE
+    assert LatencyScenario(PE_MODE, PE_PROFILE, PE_PROFILE).profile_for(True) is PE_PROFILE
 
 
 @pytest.mark.parametrize("name", sorted(ALL_PROFILES))
@@ -111,6 +111,18 @@ def test_nearest_rank_small_oracle():
     assert nearest_rank_percentile(values, 10.0) == 1.0
 
 
+def test_nearest_rank_is_exact_for_integer_percentiles():
+    # 7 / 100 * 100 is 7.000000000000001, whose ceiling is the next rank; the
+    # product pct * N is exact for an integer pct. At N = 18,700 (the acceptance
+    # datasets' 374 clients x 50 time-limit draws) pct / 100 * N misses for
+    # pct 7, 14, 17, 28, 34, 56, 68 and 81.
+    assert nearest_rank_percentile(np.arange(1.0, 101.0), 7.0) == 7.0
+    for n in (1, 3, 100, 3180, 18700):
+        values = np.arange(1.0, n + 1.0)
+        for pct in range(1, 101):
+            assert nearest_rank_percentile(values, float(pct)) == -(-pct * n // 100), (n, pct)
+
+
 def test_nearest_rank_ignores_input_order():
     values = np.array([9.0, 1.0, 5.0])
     assert nearest_rank_percentile(values, 50.0) == 5.0
@@ -132,7 +144,7 @@ def test_nearest_rank_matches_ceil_formula(values, pct):
     arr = np.array(values)
     got = nearest_rank_percentile(arr, pct)
     ordered = sorted(values)
-    rank = math.ceil(pct / 100.0 * len(values))
+    rank = math.ceil(pct * len(values) / 100.0)
     assert got == ordered[rank - 1]
     assert got in values
 

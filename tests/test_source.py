@@ -238,6 +238,31 @@ def test_the_engine_only_starts_the_driver_and_asks_if_it_is_finished():
     assert used <= {"start", "is_finished"}, f"engine uses driver.{sorted(used)}"
 
 
+def test_the_quadratic_oracle_draws_nothing():
+    # Each check draws the normals the oracle scales and passes them in, so
+    # its stream order is written where the check is. A draw inside the oracle
+    # would be reordered silently once the gap trace stacks seeds.
+    tree = ast.parse((SOURCE_DIR / "verify.py").read_text(encoding="utf-8"))
+    oracle = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "QuadClientSet")
+    draws = {"standard_normal", "choice", "integers", "random", "uniform"}
+    found = []
+    for method in (n for n in oracle.body if isinstance(n, ast.FunctionDef)):
+        args = method.args
+        found += [
+            f"{method.name} takes {arg.arg}"
+            for arg in args.posonlyargs + args.args + args.kwonlyargs
+            if arg.arg in {"gen", "rng", "generator"}
+            or (arg.annotation is not None and "Generator" in ast.unparse(arg.annotation))
+        ]
+        found += [
+            f"{method.name} calls {node.func.attr}"
+            for node in ast.walk(method)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in draws
+        ]
+    assert not found, f"QuadClientSet draws: {found}"
+
+
 def _spy(monkeypatch, owner, name: str) -> list:
     """The thread of every call that reaches owner.name from here on."""
     calls = []
@@ -269,7 +294,13 @@ def test_the_checks_and_the_engine_run_one_copy_of_each_update(monkeypatch):
         calls.clear()
     quad = verify.make_quad_set(4, 3, seed=0)
     verify.run_gap_trace(quad, T=3, B=1, B_plus=2, T_l=1, eta_g=1.0, eta_l=0.1,
-                         eta_a=1.0, beta=0.5, seed=0)
+                         eta_a=1.0, beta=0.5, seeds=[0])
+    assert len(aux) == len(server) == 3
+    # stacked seeds take each step once for all of them
+    aux.clear()
+    server.clear()
+    verify.run_gap_trace(quad, T=3, B=1, B_plus=2, T_l=1, eta_g=1.0, eta_l=0.1,
+                         eta_a=1.0, beta=0.5, seeds=[0, 1])
     assert len(aux) == len(server) == 3
 
     layout = model.ModelLayout(d_in=2, hidden=0, n_classes=3)

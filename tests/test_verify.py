@@ -1,5 +1,6 @@
 """Tests for the quadratic testbed and the convergence-claim checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -87,7 +88,7 @@ def test_stoch_grad_noise_second_moment():
     sq = np.empty(n)
     w = quad.centers[0]
     for k in range(n):
-        g = quad.stoch_grad(0, w, gen)
+        g = quad.stoch_grad(0, w, gen.standard_normal(quad.d))
         sq[k] = float(g @ g)
     mean = sq.mean()
     se = sq.std(ddof=1) / math.sqrt(n)
@@ -121,31 +122,120 @@ def test_run_gap_trace_validation():
     quad = make_quad_set(4, 4, seed=0)
     with pytest.raises(ValueError):
         run_gap_trace(quad, T=1, B=3, B_plus=2, T_l=1, eta_g=1.0, eta_l=0.1,
-                      eta_a=1.0, beta=0.5, seed=0)
+                      eta_a=1.0, beta=0.5, seeds=[0])
     with pytest.raises(ValueError):
         run_gap_trace(quad, T=1, B=2, B_plus=5, T_l=1, eta_g=1.0, eta_l=0.1,
-                      eta_a=1.0, beta=0.5, seed=0)
+                      eta_a=1.0, beta=0.5, seeds=[0])
     with pytest.raises(ValueError):
         run_gap_trace(quad, T=0, B=2, B_plus=4, T_l=1, eta_g=1.0, eta_l=0.1,
-                      eta_a=1.0, beta=0.5, seed=0)
+                      eta_a=1.0, beta=0.5, seeds=[0])
     with pytest.raises(ValueError):
         run_gap_trace(quad, T=1, B=2, B_plus=4, T_l=0, eta_g=1.0, eta_l=0.1,
-                      eta_a=1.0, beta=0.5, seed=0)
+                      eta_a=1.0, beta=0.5, seeds=[0])
     # the step sizes go through feast's AlgoConfig
     with pytest.raises(ValueError, match="feast_beta"):
         run_gap_trace(quad, T=1, B=2, B_plus=4, T_l=1, eta_g=1.0, eta_l=0.1,
-                      eta_a=1.0, beta=1.0, seed=0)
+                      eta_a=1.0, beta=1.0, seeds=[0])
     with pytest.raises(ValueError, match="eta_g > 0"):
         run_gap_trace(quad, T=1, B=2, B_plus=4, T_l=1, eta_g=0.0, eta_l=0.1,
-                      eta_a=1.0, beta=0.5, seed=0)
+                      eta_a=1.0, beta=0.5, seeds=[0])
+
+
+def test_run_gap_trace_needs_a_seed():
+    quad = make_quad_set(4, 4, seed=0)
+    with pytest.raises(ValueError, match="at least one seed"):
+        run_gap_trace(quad, T=1, B=1, B_plus=2, T_l=1, eta_g=1.0, eta_l=0.1,
+                      eta_a=1.0, beta=0.5, seeds=[])
+
+
+def _assert_row_is_the_run(stacked, row, alone):
+    """Row row of every array stacked logs is bit for bit alone's only row."""
+    for name in ("w", "a", "delta_fast", "delta_slow"):
+        for x, y in zip(getattr(stacked, name), getattr(alone, name), strict=True):
+            assert x[row].tobytes() == y[0].tobytes(), name
+    assert stacked.max_grad_norm[row] == alone.max_grad_norm[0]
+
+
+def _one_seed_loop(quad, seed, *, T, B, B_plus, T_l, eta_g, eta_l, eta_a, beta):
+    """The gap trace of one seed taken one client and one local step at a
+    time, with feast's SGD server step and auxiliary step written out."""
+    gen = rng.stream(seed, rng.VERIFY, 1)
+    w, a = np.zeros(quad.d), np.zeros(quad.d)
+    log = {"w": [w], "a": [a], "delta_fast": [], "delta_slow": []}
+    max_norm = 0.0
+    for _ in range(T):
+        cohort = gen.choice(quad.m, size=B_plus, replace=False)
+        deltas = np.empty((B_plus, quad.d))
+        for pos, c in enumerate(cohort):
+            w_loc = w.copy()
+            for _ in range(T_l):
+                g = quad.stoch_grad(int(c), w_loc, gen.standard_normal(quad.d))
+                max_norm = max(max_norm, float(np.linalg.norm(g)))
+                w_loc -= eta_l * g
+            deltas[pos] = w - w_loc
+        fast = np.zeros(B_plus, dtype=bool)
+        fast[gen.choice(B_plus, size=B, replace=False)] = True
+        delta_fast, delta_slow = deltas[fast].sum(axis=0), deltas[~fast].sum(axis=0)
+        g_plus = (delta_fast + delta_slow) / B_plus
+        a = beta * (a - eta_a * g_plus) + (1.0 - beta) * (w - eta_g * g_plus)
+        w = w - eta_g * (delta_fast / B)
+        for name, x in zip(log, (w, a, delta_fast, delta_slow)):
+            log[name].append(x)
+    return log, max_norm
+
+
+@pytest.mark.parametrize("B, B_plus", [(2, 4), (1, 3), (3, 3)])
+def test_stacked_seeds_reproduce_each_seed_alone(B, B_plus):
+    quad = make_quad_set(8, 8, sigma_l=0.3, grad_clip=1.0, seed=0)
+    kw = dict(T=6, B=B, B_plus=B_plus, T_l=3, eta_g=1.0, eta_l=0.05, eta_a=1.0, beta=0.5)
+    both = run_gap_trace(quad, seeds=[3, 5], **kw)
+    for row, seed in enumerate((3, 5)):
+        _assert_row_is_the_run(both, row, run_gap_trace(quad, seeds=[seed], **kw))
+        # and each row is the one-seed loop, bit for bit
+        log, max_norm = _one_seed_loop(quad, seed, **kw)
+        for name, rows in log.items():
+            for x, y in zip(getattr(both, name), rows, strict=True):
+                assert x[row].tobytes() == y.tobytes(), (name, seed)
+        assert both.max_grad_norm[row] == max_norm
+    assert not np.array_equal(both.w[-1][0], both.w[-1][1])
+
+
+def test_fast_selector_enumerates_fast_subsets_per_seed():
+    quad = make_quad_set(8, 8, sigma_l=0.3, grad_clip=2.0, seed=0)
+    kw = dict(T=4, B=2, B_plus=4, T_l=2, eta_g=1.0, eta_l=0.05, eta_a=1.0, beta=0.5)
+    # called once per round and seed, with that seed's stream: drawing what
+    # the default draws reproduces the default run
+    calls = []
+
+    def uniform(t, gen):
+        calls.append(t)
+        return gen.choice(4, size=2, replace=False)
+
+    drawn = run_gap_trace(quad, seeds=[3, 5], fast_selector=uniform, **kw)
+    assert calls == [0, 0, 1, 1, 2, 2, 3, 3]
+    for row, seed in enumerate((3, 5)):
+        _assert_row_is_the_run(drawn, row, run_gap_trace(quad, seeds=[seed], **kw))
+
+    # every fixed subset applies to each seed as it does alone; the first
+    # round's total delta does not depend on which members are fast
+    first_fast = []
+    for subset in itertools.combinations(range(4), 2):
+        trace = run_gap_trace(quad, seeds=[3, 5], fast_selector=lambda t, gen: subset, **kw)
+        for row, seed in enumerate((3, 5)):
+            alone = run_gap_trace(quad, seeds=[seed], fast_selector=lambda t, gen: subset, **kw)
+            _assert_row_is_the_run(trace, row, alone)
+        assert np.allclose(trace.delta_fast[0] + trace.delta_slow[0],
+                           drawn.delta_fast[0] + drawn.delta_slow[0], rtol=0, atol=1e-15)
+        first_fast.append(trace.delta_fast[0].tobytes())
+    assert len(set(first_fast)) == 6
 
 
 def test_trace_is_deterministic_in_seed():
     quad = make_quad_set(8, 8, sigma_l=0.3, grad_clip=2.0, seed=0)
     kw = dict(T=6, B=2, B_plus=4, T_l=3, eta_g=1.0, eta_l=0.05, eta_a=1.0, beta=0.5)
-    a = run_gap_trace(quad, seed=42, **kw)
-    b = run_gap_trace(quad, seed=42, **kw)
-    c = run_gap_trace(quad, seed=43, **kw)
+    a = run_gap_trace(quad, seeds=[42], **kw)
+    b = run_gap_trace(quad, seeds=[42], **kw)
+    c = run_gap_trace(quad, seeds=[43], **kw)
     assert all(np.array_equal(x, y) for x, y in zip(a.w, b.w))
     assert all(np.array_equal(x, y) for x, y in zip(a.a, b.a))
     assert any(not np.array_equal(x, y) for x, y in zip(a.w, c.w))
@@ -157,7 +247,7 @@ def test_no_overselection_means_zero_gap():
     quad = make_quad_set(8, 16, sigma_l=0.4, grad_clip=3.0, seed=2)
     trace = run_gap_trace(
         quad, T=30, B=4, B_plus=4, T_l=3, eta_g=0.7, eta_l=0.05, eta_a=0.7,
-        beta=0.9, seed=5,
+        beta=0.9, seeds=[5],
     )
     for t in range(trace.T + 1):
         assert np.linalg.norm(trace.a[t] - trace.w[t]) <= 1e-12
@@ -168,7 +258,7 @@ def test_closed_form_single_round():
     quad = make_quad_set(8, 8, sigma_l=0.2, grad_clip=2.0, seed=1)
     trace = run_gap_trace(
         quad, T=1, B=2, B_plus=4, T_l=2, eta_g=0.8, eta_l=0.05, eta_a=0.8,
-        beta=0.5, seed=9,
+        beta=0.5, seeds=[9],
     )
     expected = 0.8 * ((1 / 2 - 1 / 4) * trace.delta_fast[0] - (1 / 4) * trace.delta_slow[0])
     assert np.allclose(closed_form_gap(trace, 1), expected, atol=1e-15)
@@ -179,7 +269,7 @@ def test_closed_form_beta_zero_is_memoryless():
     quad = make_quad_set(8, 8, sigma_l=0.2, grad_clip=2.0, seed=1)
     trace = run_gap_trace(
         quad, T=8, B=2, B_plus=4, T_l=2, eta_g=1.0, eta_l=0.05, eta_a=1.0,
-        beta=0.0, seed=3,
+        beta=0.0, seeds=[3],
     )
     for t_next in range(1, 9):
         t = t_next - 1
@@ -191,7 +281,7 @@ def test_closed_form_beta_zero_is_memoryless():
 def test_closed_form_bounds_checked():
     quad = make_quad_set(4, 4, seed=0)
     trace = run_gap_trace(quad, T=3, B=1, B_plus=2, T_l=1, eta_g=1.0, eta_l=0.1,
-                          eta_a=1.0, beta=0.5, seed=0)
+                          eta_a=1.0, beta=0.5, seeds=[0])
     with pytest.raises(ValueError):
         closed_form_gap(trace, 0)
     with pytest.raises(ValueError):
@@ -204,7 +294,7 @@ def test_mirrored_fast_subsets_negate_the_gap():
     # fast one flips the sign of every gap.
     quad = _symmetric_pair()
     kw = dict(T=5, B=1, B_plus=2, T_l=1, eta_g=1.0, eta_l=0.1, eta_a=1.0,
-              beta=0.5, seed=17)
+              beta=0.5, seeds=[17])
     pick_first = run_gap_trace(quad, fast_selector=lambda t, gen: [0], **kw)
     pick_second = run_gap_trace(quad, fast_selector=lambda t, gen: [1], **kw)
     for t in range(1, 6):
@@ -218,9 +308,10 @@ def test_max_grad_norm_respects_clip_when_noiseless():
     quad = make_quad_set(8, 8, sigma_l=0.0, grad_clip=0.5, center_scale=10.0, seed=4)
     trace = run_gap_trace(
         quad, T=5, B=2, B_plus=4, T_l=3, eta_g=1.0, eta_l=0.05, eta_a=1.0,
-        beta=0.5, seed=6,
+        beta=0.5, seeds=[6],
     )
-    assert 0.0 < trace.max_grad_norm <= 0.5 * (1.0 + 1e-12)
+    assert trace.max_grad_norm.shape == (1,)
+    assert 0.0 < trace.max_grad_norm[0] <= 0.5 * (1.0 + 1e-12)
 
 
 # ---- bound formulas ---- #
