@@ -435,6 +435,14 @@ class HistoryDistillationDriver(SyncRoundDriver):
     def __init__(self, sim: SimContext, config: AlgoConfig) -> None:
         super().__init__(sim, config)
         self.history = DeltaHistory(config.history_k)
+        # this round's teachers by origin round: its dispatches that draw one
+        # entry share one array. Folds run only in event handlers, between
+        # rounds' dispatches, so no entry changes while the round dispatches.
+        self._teachers: dict[int, np.ndarray] = {}
+
+    def _start_round(self) -> None:
+        self._teachers.clear()
+        super()._start_round()
 
     def _teacher_for_dispatch(self) -> np.ndarray | None:
         if self.config.rho <= 0:
@@ -446,7 +454,11 @@ class HistoryDistillationDriver(SyncRoundDriver):
             # No history yet: the open model itself stands in as teacher; the
             # client already downloads it, so the engine charges no extra comm.
             return self.sim.state.w
-        return teacher_from_history(self.sim.state.w, entry, self.config.eta_g)
+        teacher = self._teachers.get(entry.origin_round)
+        if teacher is None:
+            teacher = teacher_from_history(self.sim.state.w, entry, self.config.eta_g)
+            self._teachers[entry.origin_round] = teacher
+        return teacher
 
     def _after_advance(
         self, round_id: int, started_at: float, summed: np.ndarray, w_before: np.ndarray

@@ -49,7 +49,10 @@ step, never written in place, so the worker reads a fixed model. run() shuts
 the worker down, evaluates the final record inline (the one evaluation on
 the main thread, in the worker's buffers if any) and completes the records in
 the order they were made. The worker calls nothing the benchmark tracer
-patches, so traced spans and counters stay on the main thread.
+patches, so traced spans and counters stay on the main thread. An evaluation
+scores the eval split in row blocks of 1 MiB per layer output (see metrics),
+sized for a core's cache and large enough that OpenBLAS keeps one kernel, so
+the scores are those of one pass; the worker's buffers hold one block.
 """
 
 from __future__ import annotations
@@ -417,8 +420,8 @@ class Simulation:
         evaluation thread while the run goes on."""
         which_model, vec = self.state.served()
         if self._evaluator is None:
-            # the worker's buffers, made with it: held from set-up, they
-            # would add to a run's training peak
+            # the worker's one-block buffers, made with it: held from set-up,
+            # they would add to a run's training peak
             self._evaluator = ThreadPoolExecutor(max_workers=1, thread_name_prefix="eval")
             self._eval_out = metrics.eval_buffers(self.layout, self.dataset, self.config.eval_cap)
         # metrics._accuracy, not evaluate_accuracy: nothing the benchmark

@@ -4,6 +4,13 @@ A run produces a sequence of records (one per evaluation tick plus a final
 one) and a summary line with run counters. Across trials, final records are
 summarized per metric by the median and a [5th, 95th] percentile band using
 linear interpolation.
+
+An evaluation scores the eval split in row blocks of 2**17 // max(hidden,
+n_classes) rows, 1 MiB of float64 per layer output, the last block taking
+the remainder. Two reasons fix that size: a block's activations fit in a
+core's cache, and no block is small enough for OpenBLAS to pick another
+kernel, so the scores are bitwise those of one pass over all rows. A run
+holds one block's buffers (eval_buffers).
 """
 
 from __future__ import annotations
@@ -49,11 +56,11 @@ def evaluate_accuracy(
     the first `cap` examples of each split.
 
     The straggler split is the stored straggler-class rows of the total
-    split (dataset.eval_straggler_rows, never empty), so one forward pass
-    over the total rows up to the last one either split uses scores both.
-    out, from eval_buffers, holds that pass's (rows, hidden) and
-    (rows, n_classes) arrays: a run that evaluates often fills one pair
-    instead of allocating about 10 MB per evaluation at 16,000 rows.
+    split (dataset.eval_straggler_rows, never empty), so one scoring of the
+    total rows up to the last one either split uses scores both. out, from
+    eval_buffers, holds one block's (rows, hidden) and (rows, n_classes)
+    arrays, which a run fills at every evaluation; without it, the call
+    makes its own pair.
     """
     return _accuracy(w, layout, dataset, cap, out)
 
@@ -62,19 +69,47 @@ def eval_buffers(
     layout: ModelLayout, dataset: FederatedDataset, cap: int | None = None
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Empty arrays for evaluate_accuracy's out at this layout, dataset and cap."""
-    rows = _scored_rows(dataset, cap)[2]
+    cuts = _block_cuts(_scored_rows(dataset, cap)[2], layout)
+    rows = cuts[-1] - cuts[-2]  # the last block is the largest
     hidden = np.empty((rows, layout.hidden)) if layout.hidden else None
     return hidden, np.empty((rows, layout.n_classes))
 
 
+def _block_rows(layout: ModelLayout) -> int:
+    """Rows per scoring block: 1 MiB of float64 in the widest layer output."""
+    return 2**17 // max(layout.hidden, layout.n_classes)
+
+
+def _block_cuts(end: int, layout: ModelLayout) -> list[int]:
+    """Block boundaries of rows [0, end): multiples of _block_rows, the last
+    block taking the remainder, so no block is shorter than _block_rows
+    unless end is. Below about 10**6 multiply-adds a product takes OpenBLAS's
+    small-matrix kernel, and 1,000-row blocks at hidden 64 move the logits'
+    last bits; blocks of this size score bitwise as one pass does.
+    """
+    block = _block_rows(layout)
+    n_blocks = max(end // block, 1)
+    return [k * block for k in range(n_blocks)] + [end]
+
+
 def _scored_rows(dataset: FederatedDataset, cap: int | None):
     """(n_total, straggler_rows, end): the capped total split's length, the
-    capped straggler split's rows of it, and how many rows one pass scores."""
+    capped straggler split's rows of it, and how many rows are scored."""
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     n_total = len(dataset.eval_total) if cap is None else min(cap, len(dataset.eval_total))
     straggler_rows = dataset.eval_straggler_rows[:cap]
     return n_total, straggler_rows, max(n_total, straggler_rows[-1] + 1)
+
+
+def _block_logits(w, layout, x, out):
+    """Yield (start, logits) for each block of x's rows (_block_cuts), its
+    forward pass written into the leading rows of out's buffers."""
+    hidden, logits = out
+    cuts = _block_cuts(len(x), layout)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        block_out = (None if hidden is None else hidden[: b - a], logits[: b - a])
+        yield a, model._forward(w, layout, x[a:b], block_out)[0]
 
 
 def _accuracy(w, layout, dataset, cap, out) -> tuple[float, float]:
@@ -83,8 +118,12 @@ def _accuracy(w, layout, dataset, cap, out) -> tuple[float, float]:
     can run on the engine's evaluation thread."""
     n_total, straggler_rows, end = _scored_rows(dataset, cap)
     total = dataset.eval_total
-    logits, _ = model._forward(w, layout, total.features[:end], out)
-    correct = logits.argmax(axis=1) == total.labels[:end]
+    if out is None:
+        out = eval_buffers(layout, dataset, cap)
+    predicted = np.empty(end, dtype=np.intp)
+    for start, logits in _block_logits(w, layout, total.features[:end], out):
+        logits.argmax(axis=1, out=predicted[start : start + len(logits)])
+    correct = predicted == total.labels[:end]
     return float(correct[:n_total].mean()), float(correct[straggler_rows].mean())
 
 

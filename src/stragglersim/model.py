@@ -145,7 +145,8 @@ def _backward(
     w: np.ndarray, layout: ModelLayout, x: np.ndarray, hidden, dlogits: np.ndarray
 ) -> np.ndarray:
     """Gradient of a scalar loss wrt w given d(loss)/d(logits); the leading
-    axes broadcast as in _forward. Writes only into arrays it allocates."""
+    axes broadcast as in _forward. Writes only into arrays it allocates; each
+    layer's products land straight in the gradient's views of that layer."""
     grad = np.empty_like(w)
     *hidden_grads, (grad_weight, grad_bias) = _layers(grad, layout)
     inputs = x
@@ -153,11 +154,11 @@ def _backward(
         dpre = hidden * hidden
         np.subtract(1.0, dpre, out=dpre)
         dpre *= dlogits @ _layers(w, layout)[-1][0].swapaxes(-1, -2)
-        grad_w1[...] = x.swapaxes(-1, -2) @ dpre
-        grad_b1[...] = dpre.sum(axis=-2, keepdims=True)
+        np.matmul(x.swapaxes(-1, -2), dpre, out=grad_w1)
+        np.sum(dpre, axis=-2, keepdims=True, out=grad_b1)
         inputs = hidden
-    grad_weight[...] = inputs.swapaxes(-1, -2) @ dlogits
-    grad_bias[...] = dlogits.sum(axis=-2, keepdims=True)
+    np.matmul(inputs.swapaxes(-1, -2), dlogits, out=grad_weight)
+    np.sum(dlogits, axis=-2, keepdims=True, out=grad_bias)
     return grad
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -52,7 +52,8 @@ class QuadClientSet:
     """Population of quadratic objectives with a stochastic gradient oracle.
 
     The oracle takes one client i and w (d,), or stacked clients i (...) and
-    w (..., d), and draws nothing.
+    w (..., d), and draws nothing. A set whose rows are already a cohort's,
+    curvatures and centers (..., d), takes i = ... for all of them.
     """
 
     curvatures: np.ndarray  # (m, d) diagonal entries in (0, L]
@@ -66,7 +67,7 @@ class QuadClientSet:
 
     @property
     def d(self) -> int:
-        return self.curvatures.shape[1]
+        return self.curvatures.shape[-1]
 
     @property
     def lipschitz(self) -> float:
@@ -196,8 +197,13 @@ def run_gap_trace(
                      w=[state.w.copy()], a=[state.aux.copy()])
     for _ in zip(*map(draw_rounds, range(n), seeds)):  # each pass draws every seed's round
         w_loc = np.repeat(state.w[:, None], B_plus, axis=1)
+        # the round's cohort, gathered once: its (seeds, B_plus, d) rows are
+        # the oracle's clients, all of them at every step
+        members = replace(
+            quad, curvatures=quad.curvatures[cohort], centers=quad.centers[cohort]
+        )
         for step in range(T_l):
-            g = quad.stoch_grad(cohort, w_loc, z[:, :, step])
+            g = members.stoch_grad(..., w_loc, z[:, :, step])
             trace.max_grad_norm = np.maximum(trace.max_grad_norm, _row_norms(g).max(axis=1))
             w_loc -= eta_l * g
         # fast members first, each group in cohort order, as a mask picks them

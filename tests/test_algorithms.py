@@ -14,6 +14,7 @@ from stragglersim.algorithms import (
     HistoryDistillationDriver,
     PendingAuxRound,
     ServerState,
+    SyncRoundDriver,
     canonical_delta_sum,
     server_apply,
     teacher_from_history,
@@ -327,6 +328,37 @@ def test_history_teacher_applies_sampled_delta():
     teacher = driver._teacher_for_dispatch()
     np.testing.assert_array_equal(teacher, [2.0 - 0.5 * 2.0])
     assert teacher is not sim.state.w  # a fresh array: the engine charges its download
+
+
+def test_dispatches_of_one_round_share_each_history_teacher(monkeypatch):
+    # A round's dispatches that draw one entry share one teacher array; each
+    # still draws its entry, in order. A fold between rounds leaves the teachers
+    # already handed out as they were, and the next round builds new ones.
+    monkeypatch.setattr(SyncRoundDriver, "_start_round", lambda self: None)
+    sim = _StubSim(w=[2.0], eta_g=0.5)
+    driver = HistoryDistillationDriver(sim, AlgoConfig("fare_dust", rho=0.1, eta_g=0.5))
+    driver.history.push(3, np.array([6.0]), count=1)
+    driver.history.push(4, np.array([4.0]), count=2)
+    gen = rng.stream(0, rng.TEACHER)
+
+    def one_round():
+        driver._start_round()
+        teachers = [driver._teacher_for_dispatch() for _ in range(8)]
+        drawn = [3 + int(gen.integers(2)) for _ in teachers]
+        assert set(drawn) == {3, 4}
+        by_entry = {}
+        for origin, teacher in zip(drawn, teachers):
+            assert by_entry.setdefault(origin, teacher) is teacher
+        return by_entry
+
+    first = one_round()
+    np.testing.assert_array_equal(first[3], [2.0 - 0.5 * 6.0])
+    np.testing.assert_array_equal(first[4], [2.0 - 0.5 * 2.0])
+    driver.on_client_completed(_update(9, [5.0], round_id=4))
+    second = one_round()
+    assert all(second[origin] is not first[origin] for origin in (3, 4))
+    np.testing.assert_array_equal(second[4], [2.0 - 0.5 * 3.0])
+    np.testing.assert_array_equal(first[4], [2.0 - 0.5 * 2.0])
 
 
 def test_late_updates_fold_into_history_or_count_as_discarded():

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stragglersim import metrics, model
 from stragglersim.config import ConfigError
 from stragglersim.data import DatasetConfig, build_dataset
 from stragglersim.metrics import (
@@ -154,8 +155,9 @@ def test_straggler_split_isolates_straggler_behavior():
 
 
 def test_evaluation_holds_one_hidden_and_one_logits_array():
-    # A full-size MLP evaluation allocates the (n, hidden) activations and
-    # the (n, n_classes) logits once each and nothing else of that size.
+    # A full-size MLP evaluation scores 2,048-row blocks into one
+    # (block, hidden) and one (block, n_classes) array, sized to the largest
+    # block, and allocates nothing else of that size.
     config = DatasetConfig(n_classes=10, d_in=32, m_clients=10, median_shard_size=10.0,
                            straggler_classes=(0, 1, 2, 3, 4), n_straggler_clients=3,
                            eval_size=16000)
@@ -164,8 +166,10 @@ def test_evaluation_holds_one_hidden_and_one_logits_array():
     w = init_params(layout, np.random.Generator(np.random.Philox(0)), scale=0.3)
     n = len(dataset.eval_total)
     assert n == 16000
+    block = 16000 - 6 * 2048  # six 2,048-row blocks, then the remainder
     out = eval_buffers(layout, dataset)
-    assert [a.shape for a in out] == [(n, layout.hidden), (n, layout.n_classes)]
+    assert [a.shape for a in out] == [(block, layout.hidden), (block, layout.n_classes)]
+    block_bytes = block * (layout.hidden + layout.n_classes) * 8
     peaks = []
     for buffers in (None, out):
         tracemalloc.start()
@@ -176,9 +180,64 @@ def test_evaluation_holds_one_hidden_and_one_logits_array():
         finally:
             tracemalloc.stop()
         assert accuracies == evaluate_accuracy(w, layout, dataset)
-    assert peaks[0] <= 1.2 * n * (layout.hidden + layout.n_classes) * 8, peaks
-    # with a run's buffers, only the (n,) predictions and hit mask remain
+    # without buffers, one block's pair plus the (n,) predictions and hit mask
+    assert peaks[0] <= 1.2 * block_bytes + 2 * n * 8, peaks
+    assert peaks[0] < n * (layout.hidden + layout.n_classes) * 8 / 3, peaks
+    # with a run's buffers, only the predictions and hit mask remain
     assert peaks[1] <= 2 * n * 8, peaks
+
+
+def _blocked_against_one_pass(w, layout, dataset, cap):
+    """(blocked logits, one-pass logits, evaluate_accuracy's accuracies, the
+    one pass's accuracies) over the rows an evaluation at cap scores."""
+    n_total, straggler_rows, end = metrics._scored_rows(dataset, cap)
+    total = dataset.eval_total
+    x = total.features[:end]
+    blocks = metrics._block_logits(w, layout, x, eval_buffers(layout, dataset, cap))
+    starts, parts = zip(*((start, logits.copy()) for start, logits in blocks))
+    assert list(starts) == metrics._block_cuts(end, layout)[:-1]
+    one_pass = model._forward(w, layout, x)[0]
+    correct = one_pass.argmax(axis=1) == total.labels[:end]
+    expected = (float(correct[:n_total].mean()), float(correct[straggler_rows].mean()))
+    return (np.concatenate(parts), one_pass,
+            evaluate_accuracy(w, layout, dataset, cap), expected)
+
+
+def _wide_dataset(n_classes, eval_size):
+    config = DatasetConfig(n_classes=n_classes, d_in=32, m_clients=20, median_shard_size=20.0,
+                           straggler_classes=(0, 1), n_straggler_clients=6,
+                           eval_size=eval_size)
+    return build_dataset(config, seed=0)
+
+
+@pytest.mark.parametrize("n_classes", [10, 62])
+@pytest.mark.parametrize("hidden", [0, 16, 64, 128])
+def test_blocked_scoring_is_bitwise_one_forward_pass(hidden, n_classes):
+    layout = ModelLayout(d_in=32, hidden=hidden, n_classes=n_classes)
+    w = init_params(layout, np.random.Generator(np.random.Philox(hidden)), scale=0.3)
+    block = metrics._block_rows(layout)
+    # below one block, an exact multiple of it, and a multiple plus a remainder
+    for eval_size, n_blocks in ((block // 2, 1), (2 * block, 2), (2 * block + block // 3, 2)):
+        dataset = _wide_dataset(n_classes, eval_size)
+        assert len(metrics._block_cuts(eval_size, layout)) - 1 == n_blocks
+        for cap in (None, eval_size // 2):
+            blocked, one_pass, accuracies, expected = _blocked_against_one_pass(
+                w, layout, dataset, cap
+            )
+            assert np.array_equal(blocked, one_pass), (eval_size, cap)
+            assert accuracies == expected, (eval_size, cap)
+
+
+def test_blocks_below_the_block_size_move_bits(monkeypatch):
+    # The bitwise check is not empty: 1,000-row blocks at hidden 64 take
+    # OpenBLAS's small-matrix kernel for the output layer.
+    layout = ModelLayout(d_in=32, hidden=64, n_classes=10)
+    w = init_params(layout, np.random.Generator(np.random.Philox(64)), scale=0.3)
+    dataset = _wide_dataset(10, 16000)
+    monkeypatch.setattr(metrics, "_block_rows", lambda layout: 1000)
+    blocked, one_pass, _, _ = _blocked_against_one_pass(w, layout, dataset, None)
+    assert blocked.shape == one_pass.shape
+    assert not np.array_equal(blocked, one_pass)
 
 
 def test_run_jsonl_round_trip(tmp_path):

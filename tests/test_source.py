@@ -325,8 +325,9 @@ def test_nothing_the_benchmark_tracer_patches_runs_off_the_main_thread(monkeypat
     calls = {(owner, attr): _spy(monkeypatch, owner, attr) for owner, attr in targets}
     forwards = _spy(monkeypatch, model, "_forward")
     config = load_config(ACCEPTANCE / "fare_dust.json")
-    config = dataclasses.replace(config, budget=200, eval_every=1, model=ModelConfig(hidden=16))
-    engine.Simulation(config, 0).run()
+    config = dataclasses.replace(config, budget=200, eval_every=1, model=ModelConfig(hidden=64))
+    sim = engine.Simulation(config, 0)
+    sim.run()
 
     main = threading.main_thread()
     off_main = sorted(
@@ -335,5 +336,9 @@ def test_nothing_the_benchmark_tracer_patches_runs_off_the_main_thread(monkeypat
     )
     assert not off_main, f"tracer targets called off the main thread: {off_main}"
     assert len(calls[metrics, "evaluate_accuracy"]) == 1
-    # the check is not empty: the mid-run evaluations ran on another thread
-    assert any(t is not main for t in forwards)
+    # the check is not empty: the mid-run evaluations ran on another thread,
+    # each in more than one row block
+    blocks = len(metrics._block_cuts(config.eval_cap, sim.layout)) - 1
+    off_main_forwards = sum(t is not main for t in forwards)
+    assert blocks > 1
+    assert off_main_forwards > 0 and off_main_forwards % blocks == 0
