@@ -10,9 +10,11 @@ the update with its completion time, drawn at dispatch; the driver schedules
 what the completion triggers: a synchronous round its close at the B-th
 completion and one event per late update, the buffered driver one event per
 completion. The engine binds every dispatch to the open model version (start
-and anchor state.w, round id state.t), prices its teacher's download,
-records the work, and trains every dispatch of a version together when that
-version closes, at its server step. The engine also sums and applies the
+and anchor state.w, round id state.t), prices its teacher's download and
+records the work. It trains an update only when something reads it: a
+server step trains the updates it aggregates and those the driver names as
+late, to be folded afterwards; an update the driver discards is never
+trained (SimContext). The engine also sums and applies the
 updates, takes FeAST's auxiliary step, decides which model is served, and
 keeps the trace. Its update budget ends every run: a driver reads
 Simulation.budget_reached() and keeps no finished flag of its own.
@@ -51,7 +53,7 @@ Drivers:
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -166,8 +168,10 @@ class AlgoConfig:
 class ClientUpdate:
     """Result of one client computation; completed_at is fixed at dispatch.
 
-    delta is None until the engine trains the update's model version, which
-    it does before the version's first server step reads any delta.
+    delta is None until the engine trains the update: at the server step
+    that aggregates it or that names it late, or at one that trains a later
+    update of its client. An update nobody reads keeps delta None, and
+    reading it raises RuntimeError (_read_delta).
     """
 
     round_id: int
@@ -177,6 +181,16 @@ class ClientUpdate:
     completed_at: float
     examples_processed: int
     steps_done: int
+
+
+def _read_delta(update: ClientUpdate) -> np.ndarray:
+    """update.delta; RuntimeError naming the client and round if it never trained."""
+    if update.delta is None:
+        raise RuntimeError(
+            f"the update of client {update.client_id} from round {update.round_id} "
+            "is read but was never trained"
+        )
+    return update.delta
 
 
 # ---- Server-side optimizers ---- #
@@ -261,9 +275,9 @@ def canonical_delta_sum(updates: list[ClientUpdate]) -> np.ndarray:
     if not updates:
         raise ValueError("no updates to sum")
     ordered = sorted(updates, key=lambda u: (u.round_id, u.client_id))
-    total = ordered[0].delta.copy()
+    total = _read_delta(ordered[0]).copy()
     for u in ordered[1:]:
-        total += u.delta
+        total += _read_delta(u)
     return total
 
 
@@ -297,12 +311,12 @@ class DeltaHistory:
         if len(self._entries) > self.k:
             del self._entries[next(iter(self._entries))]
 
-    def fold(self, origin_round: int, delta: np.ndarray) -> bool:
-        """Add a late straggler delta to its origin round; False if evicted."""
-        entry = self._entries.get(origin_round)
+    def fold(self, update: ClientUpdate) -> bool:
+        """Add a late straggler's delta to its origin round; False if evicted."""
+        entry = self._entries.get(update.round_id)
         if entry is None:
             return False
-        entry.summed_delta += delta
+        entry.summed_delta += _read_delta(update)
         entry.contributor_count += 1
         return True
 
@@ -324,6 +338,11 @@ def teacher_from_history(
 
 
 class SimContext(Protocol):
+    """What a driver may use of the engine. apply_server_update trains the
+    updates it aggregates and the late ones the driver will fold after the
+    step, so each is read trained; an update the driver never reads goes to
+    discard, and never trains."""
+
     now: float
     counters: dict[str, int]
     state: ServerState
@@ -335,7 +354,11 @@ class SimContext(Protocol):
 
     def dispatch(self, client_id: int, *, teacher_w: np.ndarray | None = None) -> ClientUpdate: ...
 
-    def apply_server_update(self, updates: list[ClientUpdate]) -> np.ndarray: ...
+    def apply_server_update(
+        self, updates: list[ClientUpdate], late: Sequence[ClientUpdate] = ()
+    ) -> np.ndarray: ...
+
+    def discard(self, update: ClientUpdate) -> None: ...
 
     def apply_aux_update(
         self, w_snapshot: np.ndarray, delta_plus: np.ndarray, count: int
@@ -352,7 +375,11 @@ class SimContext(Protocol):
 class SyncRoundDriver:
     """Synchronous rounds: dispatch B_t, aggregate the B fastest. A round
     knows at its start which B are fast, by (completed_at, client_id), so it
-    schedules its close then, and then each late update in dispatch order."""
+    schedules its close then, and then each late update in dispatch order.
+    Late updates are discarded unread unless folds_late: then the close's
+    server step trains them too."""
+
+    folds_late = False
 
     def __init__(self, sim: SimContext, config: AlgoConfig) -> None:
         self.sim = sim
@@ -372,6 +399,7 @@ class SyncRoundDriver:
     def on_client_completed(self, update: ClientUpdate) -> None:
         """A late update arrives after its round closed."""
         self.sim.counters["discarded_updates"] += 1
+        self.sim.discard(update)
 
     # -- driver interface -- #
 
@@ -410,18 +438,19 @@ class SyncRoundDriver:
         # The close is scheduled first, so it runs before same-time late events.
         self.sim.schedule(
             close_at, self._close_round, self.sim.state.t, self.sim.now,
-            [updates[i] for i in by_finish[:b]], held,
+            [updates[i] for i in by_finish[:b]], held, (held + late) if self.folds_late else [],
         )
         for u in late:
             self.sim.schedule(u.completed_at, self.on_client_completed, u)
 
     def _close_round(
-        self, round_id: int, started_at: float, fast: list[ClientUpdate], held: list[ClientUpdate]
+        self, round_id: int, started_at: float, fast: list[ClientUpdate],
+        held: list[ClientUpdate], late: list[ClientUpdate],
     ) -> None:
         # The server step rebinds state.w, so this reference keeps the
         # pre-step model.
         w_before = self.sim.state.w
-        summed = self.sim.apply_server_update(fast)
+        summed = self.sim.apply_server_update(fast, late)
         self._after_advance(round_id, started_at, summed, w_before)
         for update in held:
             self.on_client_completed(update)
@@ -431,6 +460,8 @@ class SyncRoundDriver:
 
 class HistoryDistillationDriver(SyncRoundDriver):
     """Over-selection rounds with straggler folding into a teacher history."""
+
+    folds_late = True
 
     def __init__(self, sim: SimContext, config: AlgoConfig) -> None:
         super().__init__(sim, config)
@@ -466,7 +497,7 @@ class HistoryDistillationDriver(SyncRoundDriver):
         self.history.push(round_id, summed, self.config.cohort_size)
 
     def on_client_completed(self, update: ClientUpdate) -> None:
-        if self.history.fold(update.round_id, update.delta):
+        if self.history.fold(update):
             self.sim.counters["late_folded"] += 1
         else:
             self.sim.counters["late_discarded"] += 1
@@ -498,6 +529,8 @@ class AuxTrackDriver(SyncRoundDriver):
     With strict_sequential the next round only starts after the previous
     round's auxiliary update, reproducing a blocking wait of tau_max per round.
     """
+
+    folds_late = True
 
     def __init__(self, sim: SimContext, config: AlgoConfig) -> None:
         super().__init__(sim, config)
@@ -532,7 +565,7 @@ class AuxTrackDriver(SyncRoundDriver):
         if rec is None or rec.ready:
             self.sim.counters["dropped_after_deadline"] += 1
             return
-        rec.delta_plus += update.delta
+        rec.delta_plus += _read_delta(update)
         rec.count_plus += 1
         self.sim.counters["late_folded"] += 1
         if self._all_reported(rec):

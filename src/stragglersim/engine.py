@@ -21,11 +21,17 @@ state.t. A dispatch records its work and does not train. Its completion
 time and counts never depend on the trained weights: the latency factors
 are drawn first (the per-round time limit needs them), the steps and
 examples follow by arithmetic, and the update completes at now plus the
-factors' total for those examples (latency.LatencySample.total_s). So the
-version trains as one stacked call (model.local_sgd) when it closes,
-at the next server step, before any of its deltas is read. A client whose
-local SGD leaves non-finite weights raises FloatingPointError naming the
-client, the round and the virtual time of its dispatch.
+factors' total for those examples (latency.LatencySample.total_s). So an
+update trains only when something reads it. A server step trains, in one
+stacked call (model.local_sgd), the updates it aggregates and the late ones
+its driver will fold after it, each from its own version's weights, with
+every earlier untrained dispatch of their clients, so that each client's
+shuffle stream draws in dispatch order. An update the driver discards
+(Simulation.discard) never trains: it only draws its batch plan, when its
+client next trains. Nor do the dispatches still in flight when the run
+ends. A client whose local SGD leaves non-finite weights raises
+FloatingPointError naming the client, the round and the virtual time of
+its dispatch.
 
 A client is busy until its update completes and is excluded from cohort
 sampling in the meantime (allow_busy_reuse lifts this); a synchronous round
@@ -33,8 +39,8 @@ whose cohort is not idle yet starts at Simulation.idle_at. The busy-until
 table spans all m_clients ids and a dropped shard's id is busy forever, so
 the idle pool is one comparison; one call draws a cohort's k pool indices.
 Client streams come from key tables (rng.stream_keys). A dispatch reads its
-client's profile and shard size from a table built at set-up, and a version
-trains on the dataset's kept arrays, by shard start row, without copies.
+client's profile and shard size from a table built at set-up, and training
+reads the dataset's kept arrays, by shard start row, without copies.
 The run ends at the server step that brings the aggregated client updates
 to the budget, except that feast first applies its open auxiliary rounds;
 the total virtual time is the time of the last event that affected the
@@ -60,7 +66,7 @@ from __future__ import annotations
 import heapq
 import math
 import weakref
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -222,8 +228,9 @@ class Simulation:
         purposes = (rng.LATENCY, rng.SHUFFLE)
         self._client_keys = {p: rng.stream_keys(trial_seed, p, ids=all_ids) for p in purposes}
         self._client_gens: dict[tuple[int, int], np.random.Generator] = {}
-        # dispatches of the open model version, trained when it closes
-        self._pending: list[tuple] = []
+        # untrained dispatches by client, in dispatch order: [dispatch number,
+        # update, teacher_w, start weights, discarded]
+        self._untrained: dict[int, list[list]] = {}
 
         self.tau_limit: float | None = None
         if self.algo.time_limit:
@@ -241,7 +248,7 @@ class Simulation:
         idle pool: slot i pops index integers(len(pool) - i), the k indices
         drawn in one call."""
         reuse = self.algo.allow_busy_reuse
-        pool = self._client_ids if reuse else np.flatnonzero(self._busy_until <= self.now)
+        pool = self._client_ids if reuse else (self._busy_until <= self.now).nonzero()[0]
         if k > len(pool):
             raise RuntimeError(
                 f"cohort of {k} requested at t={self.now:.3f} but only "
@@ -268,8 +275,9 @@ class Simulation:
         epochs * n examples; with one, the latency draw fixes the steps and
         the last epoch may stop early. A teacher other than state.w itself is
         an extra download, paying comm * teacher_download_factor. The update's
-        delta stays None until its model version closes (apply_server_update).
-        Every dispatch of one version distills (passes teacher_w) or none does.
+        delta stays None until a server step reads it (apply_server_update).
+        Every dispatch trained in one server step distills (passes teacher_w)
+        or none does.
         """
         if not self.algo.allow_busy_reuse and self._busy_until[client_id] > self.now:
             raise RuntimeError(f"client {client_id} dispatched while busy")
@@ -297,20 +305,22 @@ class Simulation:
             steps_done=steps,
         )
         self._busy_until[client_id] = update.completed_at
+        record = [self.counters["dispatches"], update, teacher_w, self.state.w, False]
+        self._untrained.setdefault(client_id, []).append(record)
         self.counters["dispatches"] += 1
         if self.trace:
             members = ((update.round_id, client_id),)
             self.events.append(TraceEvent("dispatch", self.now, members, update.completed_at))
-        self._pending.append((update, teacher_w))
         return update
 
-    def apply_server_update(self, updates: list[ClientUpdate]) -> np.ndarray:
-        """Close the current model version, training its dispatches, then
-        aggregate updates into one server step; returns their delta sum, a
-        fresh array the caller may keep."""
-        if self._pending:
-            self._train_group(self._pending)
-            self._pending = []
+    def apply_server_update(
+        self, updates: list[ClientUpdate], late: Sequence[ClientUpdate] = ()
+    ) -> np.ndarray:
+        """Aggregate updates into one server step; returns their delta sum, a
+        fresh array the caller may keep. First trains what is read without a
+        delta: updates, and late, the updates the driver folds after the step
+        (_train_reads)."""
+        self._train_reads([*updates, *late])
         summed = algorithms.canonical_delta_sum(updates)
         algorithms.server_apply(self.state, summed, len(updates))
         self.counters["aggregated_updates"] += len(updates)
@@ -321,6 +331,13 @@ class Simulation:
         if self.state.t % self.config.eval_every == 0:
             self.schedule(self.now, Simulation._eval_record, weakref.proxy(self), self.now)
         return summed
+
+    def discard(self, update: ClientUpdate) -> None:
+        """The driver never reads update: if untrained, it never trains, and
+        only draws its batch plan when its client next trains."""
+        for record in self._untrained.get(update.client_id, ()):
+            if record[1] is update:
+                record[4] = True
 
     def apply_aux_update(self, w_snapshot: np.ndarray, delta_plus: np.ndarray, count: int) -> None:
         """Step FeAST's auxiliary model by the summed delta delta_plus of count
@@ -341,25 +358,62 @@ class Simulation:
 
     # -- internals -- #
 
-    def _train_group(self, group: list[tuple]) -> None:
-        """Train the dispatches of the open model version in one stacked call
-        and set each update's delta. group holds dispatch's records:
-        (update, teacher_w); each update trains for the steps its dispatch
-        charged. The server step that closes the version rebinds state.w only
-        after this, so state.w is the version's start."""
-        updates, teachers = zip(*group)
+    def _train_reads(self, reads: list[ClientUpdate]) -> None:
+        """Train the updates of reads that have no delta, with every earlier
+        untrained dispatch of their clients, in one stacked call in dispatch
+        order, so each client's shuffle stream draws in dispatch order. A
+        discarded dispatch before its client's first trained one only draws
+        its batch plan (model.draw_batch_plans); one after it trains, unread."""
+        train, draw, trained = [], [], set()
+        for u in reads:
+            cid = u.client_id
+            queue = self._untrained.pop(cid, None)
+            if queue is None:
+                continue
+            if len(queue) == 1 and queue[0][1] is u and not queue[0][4]:
+                train.append(queue[0])  # the usual case: u is all its client owes
+                continue
+            # the records up to u's; none if u has left the queue
+            n = next((i for i, record in enumerate(queue, 1) if record[1] is u), 0)
+            for record in queue[:n]:
+                if record[4] and cid not in trained:
+                    draw.append(record)
+                else:
+                    train.append(record)
+                    trained.add(cid)
+            if len(queue) > n:
+                self._untrained[cid] = queue[n:]
+        if draw:
+            _, sizes, _, _ = zip(*(self._dispatch_table[r[1].client_id] for r in draw))
+            model.draw_batch_plans(
+                sizes,
+                [r[1].steps_done for r in draw],
+                self.algo.batch_size,
+                [self._client_gen(rng.SHUFFLE, r[1].client_id) for r in draw],
+            )
+        if train:
+            train.sort(key=lambda record: record[0])
+            self._train_group(train)
+
+    def _train_group(self, group: list[list]) -> None:
+        """Train dispatches in one stacked call and set each update's delta.
+        group holds dispatch's records in dispatch order; each update trains
+        for the steps its dispatch charged, from its own start weights, which
+        are also its anchor when nu > 0."""
+        _, updates, teachers, ws, _ = zip(*group)
         _, sizes, _, starts = zip(*(self._dispatch_table[u.client_id] for u in updates))
         distill = teachers[0] is not None
         for u, teacher in zip(updates, teachers):
             if (teacher is not None) != distill:
                 raise RuntimeError(
-                    f"client {u.client_id} of model version {u.round_id} does not share "
-                    "teacher use with the rest of its version"
+                    f"client {u.client_id} of round {u.round_id} does not share "
+                    "teacher use with the rest of its stacked call"
                 )
-        w = self.state.w
+        # one version's members share their start weights
+        w0 = ws[0] if all(w is ws[0] for w in ws) else np.array(ws)
         try:
             w_final, _, _ = model.local_sgd(
-                w,
+                w0,
                 self.layout,
                 self.dataset.features,
                 self.dataset.labels,
@@ -370,7 +424,7 @@ class Simulation:
                 rho=self.algo.rho if distill else 0.0,
                 nu=self.algo.nu,
                 teacher_ws=teachers if distill else None,
-                anchor=w if self.algo.nu > 0 else None,
+                anchor=w0 if self.algo.nu > 0 else None,
                 eta_l=self.algo.eta_l,
                 batch_size=self.algo.batch_size,
                 distill_loss=self.config.model.distill_loss,
@@ -384,7 +438,7 @@ class Simulation:
             ) from None
         # Each delta is its own array: a view into w_final would keep the
         # whole group's block alive while one late update is in flight.
-        for u, w_i in zip(updates, w_final):
+        for u, w, w_i in zip(updates, ws, w_final):
             u.delta = w - w_i
 
     def _client_gen(self, purpose: int, client_id: int) -> np.random.Generator:
@@ -463,10 +517,6 @@ class Simulation:
                 raise RuntimeError(
                     f"run finished with {aggregated} aggregated updates, "
                     f"below budget {self.config.budget}"
-                )
-            if self._pending:
-                raise RuntimeError(
-                    f"run finished with {len(self._pending)} dispatches never trained"
                 )
             which_model, served = self.state.served()
             # before the shutdown, so that a mid-run evaluation it replaces is cancelled

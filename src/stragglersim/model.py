@@ -17,13 +17,15 @@ The gradient has one implementation, _grad. loss_and_grad, the validated
 reference, adds argument checks and the loss terms; training reaches _grad
 through _sgd_grad, which adds neither. So the finite-difference check of
 loss_and_grad covers the arithmetic training runs. Training has one
-function, local_sgd: the clients of one model version start from the same
-weights and train as one stacked computation, and a lone client is a
-one-member call. Each client runs a given number of steps; E epochs of an
-n-example shard are E * ceil(n / b) steps. A client's rows are a start row
-and a size in one features/labels pair (the dataset's own, in a
-simulation), so no shard is copied per call. The weights are checked for
-finiteness once, at the end.
+function, local_sgd: clients train as one stacked computation, each from
+its own start weights (and proximal anchor), which may come from different
+model versions, and a lone client is a one-member call. Each client runs a
+given number of steps; E epochs of an n-example shard are E * ceil(n / b)
+steps. Its batch plan draws one shuffle per epoch (_shuffle_epochs), and
+draw_batch_plans makes those draws for an update that never trains. A
+client's rows are a start row and a size in one features/labels pair (the
+dataset's own, in a simulation), so no shard is copied per call. The
+weights are checked for finiteness once, at the end.
 Forward and backward passes write only into arrays they allocate (or, for
 an evaluation's forward pass, buffers its caller passes), in place after
 each matmul, never into the weights, features or teachers passed in.
@@ -302,6 +304,26 @@ def _sgd_grad(
     )
 
 
+def _shuffle_epochs(local: np.ndarray, blocks, gens) -> None:
+    """The batch-plan draws, the one copy of their rule: in member order,
+    gens[i] shuffles in place, one epoch at a time, the n-entry epochs of
+    its block (first, count, n) of local (the draws gen.permutation(n)
+    makes; they depend only on n)."""
+    for gen, (first, count, n) in zip(gens, blocks):
+        for a in range(first, first + count, n):
+            gen.shuffle(local[a : a + n])
+
+
+def draw_batch_plans(sizes, steps, batch_size: int, gens) -> None:
+    """Make the draws local_sgd would make for these members, in member
+    order, and train nothing: an update that is never read keeps its
+    client's shuffle stream in step. A shuffle's draws depend only on the
+    length it shuffles, so every member shuffles one scratch buffer."""
+    n_epochs = [-(-s // -(-n // batch_size)) for n, s in zip(sizes, steps)]
+    blocks = [(0, n * e, n) for n, e in zip(sizes, n_epochs)]
+    _shuffle_epochs(np.arange(max(c for _, c, _ in blocks)), blocks, gens)
+
+
 def _cohort_plan(starts, sizes, batch_size: int, steps, gens):
     """Every member's batches, stacked by step.
 
@@ -328,10 +350,7 @@ def _cohort_plan(starts, sizes, batch_size: int, steps, gens):
     epoch, pos = np.divmod(np.arange(len(member)) - block_start[member], sizes[member])
     local = pos.copy()
     blocks = list(zip(block_start.tolist(), counts.tolist(), sizes.tolist()))
-    for gen, p in zip(gens, np.argsort(order).tolist()):  # member order
-        first, count, n = blocks[p]
-        for a in range(first, first + count, n):
-            gen.shuffle(local[a : a + n])
+    _shuffle_epochs(local, [blocks[p] for p in np.argsort(order).tolist()], gens)
     step = epoch * per_epoch[member] + pos // batch_size
     keep = step < n_steps[member]  # the last epoch may stop early
     if not keep.all():
@@ -361,8 +380,10 @@ def local_sgd(
     distill_loss: str = "soft_ce",
     distill_temperature: float = 1.0,
 ) -> tuple[np.ndarray, int, int]:
-    """Mini-batch local SGD of B members from one w0, as one stacked loop.
+    """Mini-batch local SGD of B members as one stacked loop.
 
+    w0 holds the start weights, shared (P,) or one row per member (B, P),
+    and anchor (when nu > 0) the proximal anchors, shaped the same way.
     Member i trains on the sizes[i] rows of features and labels from row
     starts[i] on, for steps[i] steps, distilling against the fixed
     teacher_ws[i]; members may share rows. Each epoch reshuffles with
@@ -384,8 +405,9 @@ def local_sgd(
     real = np.arange(batch_size) < lengths[..., None]
     divisor = np.where(real, lengths[..., None], np.inf)[..., None]
     teachers = np.stack([teacher_ws[i] for i in order]) if rho > 0 else None
-
-    w = np.repeat(w0[None, :], len(sizes), axis=0)
+    # each member's start weights and anchor, in step order
+    w = w0[order] if w0.ndim == 2 else np.repeat(w0[None, :], len(sizes), axis=0)
+    anchors = None if anchor is None else np.broadcast_to(anchor, w.shape)[order]
     with np.errstate(over="ignore", invalid="ignore"):
         for s, a in enumerate(n_active):
             idx = index[s, :a]
@@ -398,7 +420,7 @@ def local_sgd(
                 rho=rho,
                 nu=nu,
                 teacher_w=None if teachers is None else teachers[:a],
-                anchor=anchor,
+                anchor=None if anchors is None else anchors[:a],
                 distill_loss=distill_loss,
                 distill_temperature=distill_temperature,
             )

@@ -189,12 +189,12 @@ def test_history_fold_semantics():
     hist = DeltaHistory(k=2)
     hist.push(0, np.array([1.0]), count=2)
     hist.push(1, np.array([5.0]), count=3)
-    assert hist.fold(0, np.array([2.0]))
+    assert hist.fold(_update(7, [2.0], round_id=0))
     entry = {e: hist._entries[e] for e in hist._entries}[0]
     np.testing.assert_array_equal(entry.summed_delta, [3.0])
     assert entry.contributor_count == 3
     hist.push(2, np.array([0.0]), count=1)  # evicts round 0
-    assert not hist.fold(0, np.array([9.0]))
+    assert not hist.fold(_update(7, [9.0], round_id=0))
     with pytest.raises(ValueError):
         hist.push(2, np.array([0.0]), count=1)
     with pytest.raises(ValueError):
@@ -359,6 +359,30 @@ def test_dispatches_of_one_round_share_each_history_teacher(monkeypatch):
     assert all(second[origin] is not first[origin] for origin in (3, 4))
     np.testing.assert_array_equal(second[4], [2.0 - 0.5 * 3.0])
     np.testing.assert_array_equal(first[4], [2.0 - 0.5 * 2.0])
+
+
+def test_reading_an_untrained_update_raises_naming_it():
+    # The engine trains an update only when something reads it, so a read
+    # of one it never trained is a driver error, raised where the delta is
+    # read, never a silent None.
+    def untrained(round_id):
+        update = _update(7, [0.0], round_id=round_id)
+        update.delta = None
+        return update
+
+    message = "client 7 from round 3 is read but was never trained"
+    with pytest.raises(RuntimeError, match=message):
+        canonical_delta_sum([_update(1, [1.0], round_id=3), untrained(3)])
+    hist = DeltaHistory(k=2)
+    hist.push(3, np.array([1.0]), count=1)
+    with pytest.raises(RuntimeError, match=message):
+        hist.fold(untrained(3))
+    sim = _StubSim(w=[0.0], algo=AlgoConfig("feast"))
+    driver = AuxTrackDriver(sim, AlgoConfig("feast"))
+    driver.pending[3] = PendingAuxRound(3, np.zeros(1), np.zeros(1), count_plus=1)
+    with pytest.raises(RuntimeError, match=message):
+        driver.on_client_completed(untrained(3))
+    assert sim.counters["late_folded"] == 0
 
 
 def test_late_updates_fold_into_history_or_count_as_discarded():

@@ -621,6 +621,67 @@ def test_cohort_training_matches_per_client_dispatch(monkeypatch, config):
     np.testing.assert_allclose(stacked.output_w, each.output_w, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        _acceptance("fedavg_full", AlgoConfig("fedbuff", **_CROWD)),
+        _acceptance("fedavg_oversel"),
+        _acceptance("fare_dust"),
+    ],
+    ids=["fedbuff", "fedavg_oversel", "fare_dust"],
+)
+def test_training_does_only_the_work_a_step_or_a_fold_reads(monkeypatch, config):
+    # FedBuff's dispatches in flight at the budget and over-selection's
+    # discarded late updates are never read, so they never train; fare_dust
+    # trains the late updates it may fold at their round's step.
+    read, trained = [], []
+    apply, local_sgd = Simulation.apply_server_update, model.local_sgd
+
+    def reading(sim, updates, late=()):
+        read.extend(u.examples_processed for u in (*updates, *late))
+        return apply(sim, updates, late)
+
+    def training(*args, **kwargs):
+        result = local_sgd(*args, **kwargs)
+        trained.append(result[2])
+        return result
+
+    monkeypatch.setattr(Simulation, "apply_server_update", reading)
+    monkeypatch.setattr(model, "local_sgd", training)
+    sim, result = _run(config, trace=False)
+    unread = sim.counters["dispatches"] - len(read)
+    assert unread > 0 if config.algo.name != "fare_dust" else unread == 0
+    assert sum(trained) == sum(read)
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["idle", "busy_reuse"])
+def test_a_discarded_update_draws_what_training_it_would(monkeypatch, reuse):
+    # Without discard, every late update trains when its client next trains,
+    # so each client's shuffle stream makes the draws of the old rule; with
+    # it, the outputs must not move. Busy reuse puts some discarded updates
+    # behind an untrained earlier dispatch of their client: they train, unread.
+    algo = AlgoConfig("fedavg", cohort_size=5, over_selection=True, over_selection_factor=2.0,
+                      eta_l=0.05, batch_size=4, allow_busy_reuse=reuse)
+    scenario = LatencyScenario("pdpe", _profile(1.0, -3.0, 0.5, 0.8), _profile(2.5, -2.0, 1.0, 0.8))
+    config = _config(algo, scenario=scenario, budget=400)
+    discarded, drawn = [], []
+    discard, draw = Simulation.discard, model.draw_batch_plans
+
+    def spy(sim, update):
+        discarded.append((update, update.delta is None))
+        discard(sim, update)
+
+    monkeypatch.setattr(Simulation, "discard", spy)
+    monkeypatch.setattr(model, "draw_batch_plans", lambda *a: drawn.append(a[0]) or draw(*a))
+    skipping = Simulation(config, 0).run()
+    trained_unread = sum(untrained and u.delta is not None for u, untrained in discarded)
+    assert drawn and (trained_unread > 0) == reuse
+    monkeypatch.setattr(Simulation, "discard", lambda sim, update: None)
+    training = Simulation(config, 0).run()
+    np.testing.assert_array_equal(skipping.output_w, training.output_w)
+    assert skipping.records == training.records
+
+
 def _schedule(result, sim):
     """Everything about a run that must not depend on the trained weights."""
     events = [
@@ -684,9 +745,20 @@ def test_dispatch_charges_the_work_training_does(monkeypatch, time_limit):
 
     monkeypatch.setattr(model, "local_sgd", spy)
     updates = [sim.dispatch(sim.sample_cohort(1)[0]) for _ in range(40)]
-    sim.apply_server_update(updates[:2])
-    steps, examples = [u.steps_done for u in updates], [u.examples_processed for u in updates]
-    assert trained == [(steps, examples, (sum(steps), sum(examples)))]
+    # the last two updates train with every earlier dispatch of their
+    # clients; the next step trains the rest
+    clients = {u.client_id for u in updates[-2:]}
+    groups = [[u for u in updates if u.client_id in clients],
+              [u for u in updates if u.client_id not in clients]]
+    assert len(groups[0]) > 2  # busy reuse dispatched one of the two clients before
+    sim.apply_server_update(updates[-2:])
+    assert [u.delta is None for u in updates] == [u.client_id not in clients for u in updates]
+    sim.apply_server_update(updates)
+    want = []
+    for group in groups:
+        steps, examples = [u.steps_done for u in group], [u.examples_processed for u in group]
+        want.append((steps, examples, (sum(steps), sum(examples))))
+    assert trained == want
     if time_limit:  # the step budgets differ and some stop inside an epoch
         sizes = {s.client_id: s.n_examples for s in sim.dataset.shards}
         per_epoch = [-(-sizes[u.client_id] // 3) for u in updates]
@@ -695,8 +767,8 @@ def test_dispatch_charges_the_work_training_does(monkeypatch, time_limit):
 
 
 def test_each_update_of_a_round_owns_its_delta():
-    # A delta viewing the version's stacked weights would keep the whole
-    # block alive for as long as one late update is in flight.
+    # A delta viewing a stacked call's weights would keep the whole block
+    # alive for as long as one late update is in flight.
     for algo in (
         AlgoConfig("fedavg", cohort_size=5, over_selection=True, eta_l=0.05, batch_size=4),
         AlgoConfig("fedbuff", buffer_size=2, max_concurrency=6, eta_l=0.05, batch_size=4,
@@ -707,9 +779,14 @@ def test_each_update_of_a_round_owns_its_delta():
         teacher = w if algo.rho > 0 else None
         updates = [sim.dispatch(cid, teacher_w=teacher) for cid in sim.sample_cohort(6)]
         assert all(u.delta is None for u in updates)
-        # a server step on two of them closes version 0: every dispatch of
-        # it trains, aggregated or still in flight
-        sim.apply_server_update(updates[:2])
+        # a server step trains the two it aggregates and the two named late
+        sim.apply_server_update(updates[:2], late=updates[2:4])
+        assert [u.delta is None for u in updates] == [False] * 4 + [True] * 2
+        # a later version's dispatch trains with version 0's rest in one call
+        # that stacks two start weights
+        teacher = sim.state.w if algo.rho > 0 else None
+        updates += [sim.dispatch(cid, teacher_w=teacher) for cid in sim.sample_cohort(1)]
+        sim.apply_server_update(updates[4:])
         for u in updates:
             assert u.delta.base is None and u.delta.flags.owndata
             assert u.delta.shape == w.shape
@@ -719,14 +796,19 @@ def test_each_update_of_a_round_owns_its_delta():
 
 
 def test_a_version_trains_with_one_teacher_use():
+    # One stacked call distills for every member or for none.
     algo = AlgoConfig("fedbuff", buffer_size=2, max_concurrency=6, eta_l=0.05, batch_size=4,
                       rho=0.2)
     sim = Simulation(_config(algo), trial_seed=0)
-    first, second = sim.sample_cohort(2)
+    first, second, third = sim.sample_cohort(3)
     update = sim.dispatch(first, teacher_w=sim.state.w)
-    sim.dispatch(second)
-    with pytest.raises(RuntimeError, match="does not share teacher use"):
-        sim.apply_server_update([update])
+    plain = sim.dispatch(second)
+    sim.apply_server_update([update])  # the dispatch without a teacher stays untrained
+    assert plain.delta is None
+    distilling = sim.dispatch(third, teacher_w=sim.state.w)
+    # the call's members in dispatch order: the first sets its teacher use
+    with pytest.raises(RuntimeError, match=f"client {third} of round 1 does not share teacher"):
+        sim.apply_server_update([distilling, plain])
 
 
 def test_a_dispatch_is_bound_to_the_open_model_version():
@@ -738,19 +820,29 @@ def test_a_dispatch_is_bound_to_the_open_model_version():
     assert [u.round_id for u in first] == [0, 0] and second.round_id == sim.state.t == 1
 
 
-def test_a_run_that_ends_with_an_untrained_dispatch_raises(monkeypatch):
+def test_a_run_may_end_with_dispatches_nobody_read(monkeypatch):
+    # FedBuff's dispatches still in flight at the budget, and a dispatch
+    # made after the last server step, are never read, so they never train.
     algo = AlgoConfig("fedavg", cohort_size=3, eta_l=0.05, batch_size=4)
     apply = Simulation.apply_server_update
+    after_last = []
 
-    def dispatch_after_the_last_step(sim, updates):
-        summed = apply(sim, updates)
+    def dispatch_after_the_last_step(sim, updates, late=()):
+        summed = apply(sim, updates, late)
         if sim.budget_reached():
-            sim.dispatch(sim.sample_cohort(1)[0])
+            after_last.append(sim.dispatch(sim.sample_cohort(1)[0]))
         return summed
 
     monkeypatch.setattr(Simulation, "apply_server_update", dispatch_after_the_last_step)
-    with pytest.raises(RuntimeError, match="1 dispatches never trained"):
-        Simulation(_config(algo, budget=6), trial_seed=0).run()
+    Simulation(_config(algo, budget=6), trial_seed=0).run()
+    assert len(after_last) == 1 and after_last[0].delta is None
+    monkeypatch.undo()
+
+    algo = AlgoConfig("fedbuff", buffer_size=2, max_concurrency=5, eta_l=0.05, batch_size=4)
+    sim, result = _run(_config(algo, budget=8))
+    untrained = [r[1] for queue in sim._untrained.values() for r in queue]
+    assert len(untrained) == sim.counters["dispatches"] - result.aggregated_updates > 0
+    assert all(u.delta is None for u in untrained)
 
 
 def test_buffered_budget_overshoot_is_bounded():
