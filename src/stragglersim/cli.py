@@ -94,8 +94,9 @@ def _run_trial_to_file(config: ExperimentConfig, seed: int, out_path: Path) -> N
 
 def _run(runs: list[tuple[ExperimentConfig, Path]], jobs: int) -> list[list[dict]]:
     """Run every trial of every (config, out_dir) pair, all in one pool when
-    jobs > 1; then write each directory's manifest and return its final
-    records. A failing trial cancels the trials that have not started."""
+    jobs > 1, of no more workers than trials or usable CPUs; then write each
+    directory's manifest and return its final records. A failing trial
+    cancels the trials that have not started."""
     files = [[d / f"trial_{i:03d}.jsonl" for i in range(c.trials)] for c, d in runs]
     tasks = [
         (config, config.base_seed + i, path)
@@ -106,7 +107,8 @@ def _run(runs: list[tuple[ExperimentConfig, Path]], jobs: int) -> list[list[dict
         for task in tasks:
             _run_trial_to_file(*task)
     else:
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
+        pool = ProcessPoolExecutor(max_workers=workers)
         try:
             for fut in [pool.submit(_run_trial_to_file, *task) for task in tasks]:
                 fut.result()

@@ -50,15 +50,22 @@ weakly, so reference counting frees a finished run.
 Evaluation runs beside the event loop. A mid-run evaluation tick hands the
 served vector to one worker thread, started on the first tick, and keeps a
 future in its record; numpy releases the GIL in the forward pass, so the
-next model version trains meanwhile. The served vectors are rebound at each
-step, never written in place, so the worker reads a fixed model. run() shuts
-the worker down, evaluates the final record inline (the one evaluation on
-the main thread, in the worker's buffers if any) and completes the records in
-the order they were made. The worker calls nothing the benchmark tracer
-patches, so traced spans and counters stay on the main thread. An evaluation
-scores the eval split in row blocks of 1 MiB per layer output (see metrics),
-sized for a core's cache and large enough that OpenBLAS keeps one kernel, so
-the scores are those of one pass; the worker's buffers hold one block.
+next model version trains meanwhile. When the worker already holds _SHARE_AT
+unfinished ticks, the main thread scores the tick itself instead. When the loop
+ends, the main thread scores the final record, then takes the queued ticks
+newest first (a tick the worker has started cannot be cancelled) while the
+worker finishes them oldest first; run() then shuts the worker down and
+completes the records in the order they were made. The served vectors are
+rebound at each step, never written in place, so either thread reads a fixed
+model, and a record is metrics._accuracy of its vector whichever thread
+scores it. Only the final record goes through evaluate_accuracy: nothing the
+benchmark tracer patches runs off the main thread. An evaluation scores the
+eval split in row blocks of 1 MiB per layer output (see metrics), sized for
+a core's cache and large enough that OpenBLAS keeps one kernel, so the
+scores are those of one pass. The worker and the main thread each hold one
+block's buffers, the main thread's made the first time it scores beside the
+worker; a run without a mid-run tick starts no worker and scores its final
+record inline.
 """
 
 from __future__ import annotations
@@ -162,6 +169,12 @@ _COUNTER_KEYS = (
 )
 
 
+# The main thread scores a mid-run evaluation tick itself when the
+# evaluation thread already holds this many unfinished ticks, the one it is
+# scoring included. On mlp_eval 3 beat 2, 4 and no mid-run sharing.
+_SHARE_AT = 3
+
+
 class Simulation:
     """One seeded run of one experiment config."""
 
@@ -188,11 +201,15 @@ class Simulation:
         self.queue = EventQueue()
         self.counters: dict[str, int] = {k: 0 for k in _COUNTER_KEYS}
         # (virtual time, server step, served model name, aggregated updates,
-        # accuracies): a Future of the evaluation thread, None for the final
-        # record until run() evaluates it
-        self._evals: list[tuple[float, int, str, int, Future | None]] = []
+        # accuracies): a Future of the evaluation thread, or the pair the main
+        # thread scored
+        self._evals: list[tuple[float, int, str, int, Future | tuple]] = []
         self._evaluator: ThreadPoolExecutor | None = None
+        # the worker's buffers and the main thread's, each made on first use
         self._eval_out: tuple[np.ndarray | None, np.ndarray] | None = None
+        self._main_out: tuple[np.ndarray | None, np.ndarray] | None = None
+        # record index -> served vector of each tick the worker may not have scored yet
+        self._queued: dict[int, np.ndarray] = {}
         self.events: list[TraceEvent] = []
         self.last_model_event = 0.0
         all_ids = range(config.dataset.m_clients)
@@ -471,27 +488,43 @@ class Simulation:
 
     def _eval_record(self, at_time: float) -> None:
         """A mid-run evaluation tick: the served model is scored on the
-        evaluation thread while the run goes on."""
+        evaluation thread while the run goes on, or here, on the main thread,
+        when that thread already holds _SHARE_AT unfinished ticks."""
         which_model, vec = self.state.served()
         if self._evaluator is None:
             # the worker's one-block buffers, made with it: held from set-up,
             # they would add to a run's training peak
             self._evaluator = ThreadPoolExecutor(max_workers=1, thread_name_prefix="eval")
             self._eval_out = metrics.eval_buffers(self.layout, self.dataset, self.config.eval_cap)
+        self._queued = {i: v for i, v in self._queued.items() if not self._evals[i][4].done()}
+        if len(self._queued) >= _SHARE_AT:
+            self._add_record(at_time, which_model, self._score_here(metrics._accuracy, vec))
+            return
         # metrics._accuracy, not evaluate_accuracy: nothing the benchmark
         # tracer patches may run off the main thread
         accuracies = self._evaluator.submit(
             metrics._accuracy, vec, self.layout, self.dataset, self.config.eval_cap, self._eval_out
         )
         self._add_record(at_time, which_model, accuracies)
+        self._queued[len(self._evals) - 1] = vec
 
-    def _add_record(self, at_time: float, which_model: str, accuracies: Future | None) -> None:
+    def _score_here(self, score: Callable, vec: np.ndarray) -> tuple[float, float]:
+        """score(vec) on the main thread: metrics._accuracy for a mid-run
+        tick, evaluate_accuracy for the final record. Beside a worker it
+        scores in buffers of its own, made the first time it scores."""
+        if self._main_out is None and self._evaluator is not None:
+            self._main_out = metrics.eval_buffers(self.layout, self.dataset, self.config.eval_cap)
+        return score(vec, self.layout, self.dataset, self.config.eval_cap, self._main_out)
+
+    def _add_record(self, at_time: float, which_model: str, accuracies: Future | tuple) -> None:
         stamp = (at_time, self.state.t, which_model)
         record = (*stamp, self.counters["aggregated_updates"], accuracies)
         if self._evals and self._evals[-1][:3] == stamp:
             # the last evaluation at an instant wins: an aux step may follow
-            # the first; only the final record replaces one, a mid-run one
-            self._evals[-1][4].cancel()
+            # the first; only the final record replaces one, a mid-run one,
+            # which the worker skips if it has not started it
+            if self._queued.pop(len(self._evals) - 1, None) is not None:
+                self._evals[-1][4].cancel()
             self._evals[-1] = record
             return
         self._evals.append(record)
@@ -519,16 +552,19 @@ class Simulation:
                     f"below budget {self.config.budget}"
                 )
             which_model, served = self.state.served()
-            # before the shutdown, so that a mid-run evaluation it replaces is cancelled
-            self._add_record(self.last_model_event, which_model, None)
+            final = self._score_here(metrics.evaluate_accuracy, served)
+            self._add_record(self.last_model_event, which_model, final)
+            # the worker finishes its queued ticks oldest first while this
+            # thread takes them newest first; cancel() fails on a started one
+            for i in sorted(self._queued, reverse=True):
+                if self._evals[i][4].cancel():
+                    acc = self._score_here(metrics._accuracy, self._queued[i])
+                    self._evals[i] = (*self._evals[i][:4], acc)
         finally:
             if self._evaluator is not None:
                 self._evaluator.shutdown(wait=True)
-        final = metrics.evaluate_accuracy(
-            served, self.layout, self.dataset, self.config.eval_cap, self._eval_out
-        )
         records = [
-            MetricsRecord(at, step, n, *(final if acc is None else acc.result()), which)
+            MetricsRecord(at, step, n, *(acc.result() if isinstance(acc, Future) else acc), which)
             for at, step, which, n, acc in self._evals
         ]
         return RunResult(

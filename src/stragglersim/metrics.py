@@ -10,7 +10,7 @@ n_classes) rows, 1 MiB of float64 per layer output, the last block taking
 the remainder. Two reasons fix that size: a block's activations fit in a
 core's cache, and no block is small enough for OpenBLAS to pick another
 kernel, so the scores are bitwise those of one pass over all rows. A run
-holds one block's buffers (eval_buffers).
+holds one block's buffers (eval_buffers) per thread that scores.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ def _block_logits(w, layout, x, out):
 
 def _accuracy(w, layout, dataset, cap, out) -> tuple[float, float]:
     """evaluate_accuracy's work. It reaches no function the benchmark
-    tracer patches (model.forward_logits, evaluate_accuracy itself), so it
-    can run on the engine's evaluation thread."""
+    tracer patches (model.forward_logits, evaluate_accuracy itself), so the
+    engine scores its mid-run ticks with it, on either thread."""
     n_total, straggler_rows, end = _scored_rows(dataset, cap)
     total = dataset.eval_total
     if out is None:

@@ -2,9 +2,10 @@
 
 import csv
 import json
+import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -924,6 +925,33 @@ def test_sweep_runs_all_its_trials_in_one_pool_with_byte_identical_output(
     assert len(tree) == 1 + 4 * 3  # sweep.csv, and per point a manifest and two logs
     assert "point_003/trial_001.jsonl" in tree
     assert _tree(pooled) == tree
+
+
+def test_the_trial_pool_has_no_more_workers_than_trials_or_usable_cpus(tmp_path, monkeypatch):
+    config_path = _write_config(tmp_path, _payload())  # two trials
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # (usable CPUs, --jobs): still a pool whenever jobs > 1, even of one worker
+    for cpus, jobs in [(1, 2), (1, 4), (8, 4), (3, 2), (8, 1)]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        out = tmp_path / f"cpus{cpus}_jobs{jobs}"
+        argv = ["simulate", "--config", str(config_path), "--out", str(out), "--jobs", str(jobs)]
+        assert cli.main(argv) == 0
+        assert (out / "trial_001.jsonl").exists()
+    assert sizes == [1, 1, 2, 2]
 
 
 def test_a_failing_sweep_point_cancels_the_trials_not_started(tmp_path, monkeypatch, capsys):

@@ -8,13 +8,14 @@ import math
 import sys
 import threading
 import weakref
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import round_views
 
-from stragglersim import metrics, model, rng
+from stragglersim import engine, metrics, model, rng
 from stragglersim.algorithms import AlgoConfig
 from stragglersim.config import DATASETS_KEPT, ExperimentConfig, ModelConfig, load_config
 from stragglersim.data import DatasetConfig, build_dataset
@@ -366,6 +367,92 @@ def test_evaluation_thread_records_equal_synchronous_evaluation():
         accuracies = metrics.evaluate_accuracy(event.w, sim.layout, sim.dataset, config.eval_cap)
         assert (record.total_acc, record.straggler_acc) == accuracies
         assert record.virtual_time_s == event.at
+
+
+def _shared_eval_config(name):
+    """fare_dust at hidden 64, and feast with tau_max 0, whose auxiliary step
+    at the budget's instant makes the final record replace that step's tick;
+    both evaluate at every server step."""
+    config = _acceptance(name)
+    if name == "feast":
+        return dataclasses.replace(
+            config, budget=300, eval_every=1, algo=dataclasses.replace(config.algo, tau_max=0.0)
+        )
+    return dataclasses.replace(config, budget=300, eval_every=1, model=ModelConfig(hidden=64))
+
+
+def _spy_scorings(monkeypatch):
+    """Record (on the main thread, scored vector) for each metrics._accuracy
+    call, and the ticks the engine takes; the list keeps each vector alive."""
+    scorings, ticks = [], []
+    accuracy, eval_record = metrics._accuracy, Simulation._eval_record
+
+    def spy_accuracy(w, *args):
+        scorings.append((threading.current_thread() is threading.main_thread(), w))
+        return accuracy(w, *args)
+
+    def spy_eval_record(self, at_time):
+        ticks.append(at_time)
+        return eval_record(self, at_time)
+
+    monkeypatch.setattr(metrics, "_accuracy", spy_accuracy)
+    monkeypatch.setattr(Simulation, "_eval_record", spy_eval_record)
+    return scorings, ticks
+
+
+@pytest.mark.parametrize("name", ["fare_dust", "feast"])
+def test_records_do_not_depend_on_the_scoring_thread(monkeypatch, name):
+    # Either thread scores a tick with metrics._accuracy of the same served
+    # vector, each in its own buffers, so the records are bitwise equal
+    # whoever scores them: as shared by default, with the main thread taking
+    # every tick, and with the worker taking every tick (no cancel succeeds,
+    # so the worker also scores the tick the final record replaces).
+    config = _shared_eval_config(name)
+    shared = Simulation(config, 0).run().records
+    scorings, _ = _spy_scorings(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_SHARE_AT", 0)
+        main_only = Simulation(config, 0).run().records
+    assert all(on_main for on_main, _ in scorings)
+    scorings.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_SHARE_AT", math.inf)
+        patch.setattr(Future, "cancel", lambda future: False)
+        worker_only = Simulation(config, 0).run().records
+    assert [on_main for on_main, _ in scorings].count(True) == 1  # the final record
+    assert len(shared) == config.budget // config.algo.cohort_size
+    assert main_only == shared and worker_only == shared
+
+
+@pytest.mark.parametrize("share", [engine._SHARE_AT, 1], ids=["default", "share_at_1"])
+@pytest.mark.parametrize("name", ["fare_dust", "feast"])
+def test_every_record_is_scored_once(monkeypatch, name, share):
+    monkeypatch.setattr(engine, "_SHARE_AT", share)
+    evaluations = []
+    evaluate = metrics.evaluate_accuracy
+    monkeypatch.setattr(
+        metrics,
+        "evaluate_accuracy",
+        lambda *args: evaluations.append(threading.current_thread()) or evaluate(*args),
+    )
+    scorings, ticks = _spy_scorings(monkeypatch)
+    config = _shared_eval_config(name)
+    # frequent lock hand-offs, so the worker may start a tick while the main
+    # thread cancels it
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        records = Simulation(config, 0).run().records
+    finally:
+        sys.setswitchinterval(interval)
+    assert evaluations == [threading.main_thread()]
+    # the final record replaces the tick at its instant, if there is one
+    replaced = len(ticks) + 1 - len(records)
+    assert replaced == (name == "feast")
+    # no served vector is scored twice, by one thread or by both; only the
+    # replaced tick may go unscored
+    assert len({id(w) for _, w in scorings}) == len(scorings)
+    assert len(records) <= len(scorings) <= len(records) + replaced
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
