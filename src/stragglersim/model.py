@@ -29,6 +29,12 @@ weights are checked for finiteness once, at the end.
 Forward and backward passes write only into arrays they allocate (or, for
 an evaluation's forward pass, buffers its caller passes), in place after
 each matmul, never into the weights, features or teachers passed in.
+Reductions along a short axis follow one layout rule: numpy reduces such
+an axis one short row at a time, so a row's class maximum (_row_max) and
+a batch's bias-gradient sum (_batch_sum) run over a transposed copy, whose
+inner loop spans every row or member at once. Both give the plain
+reduction's bits; a sum along the class axis stays plain, because numpy
+adds a contiguous row pairwise and a copy would reorder it.
 """
 
 from __future__ import annotations
@@ -131,14 +137,31 @@ def forward_logits(w: np.ndarray, layout: ModelLayout, x: np.ndarray) -> np.ndar
     return logits[0] if single else logits
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True) over a class-major copy; a maximum is
+    exact in any order."""
+    c = a.shape[-1]
+    return a.reshape(-1, c).T.copy().max(axis=0).reshape(a.shape[:-1] + (1,))
+
+
+def _batch_sum(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=-2, keepdims=True) of a batch (n, k) or stacked
+    batches (B, n, k) over a row-major copy (n, B, k); numpy adds the n rows
+    in order in both layouts. It adds a width-1 array pairwise, as one
+    contiguous run, so that one keeps the plain sum."""
+    if a.shape[-1] == 1:
+        return np.sum(a, axis=-2, keepdims=True)
+    return a.swapaxes(0, -2).copy().sum(axis=0)[..., None, :]
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - _row_max(logits)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - _row_max(logits)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -157,10 +180,10 @@ def _backward(
         np.subtract(1.0, dpre, out=dpre)
         dpre *= dlogits @ _layers(w, layout)[-1][0].swapaxes(-1, -2)
         np.matmul(x.swapaxes(-1, -2), dpre, out=grad_w1)
-        np.sum(dpre, axis=-2, keepdims=True, out=grad_b1)
+        grad_b1[...] = _batch_sum(dpre)
         inputs = hidden
     np.matmul(inputs.swapaxes(-1, -2), dlogits, out=grad_weight)
-    np.sum(dlogits, axis=-2, keepdims=True, out=grad_bias)
+    grad_bias[...] = _batch_sum(dlogits)
     return grad
 
 
@@ -414,8 +437,8 @@ def local_sgd(
             g = _sgd_grad(
                 w[:a],
                 layout,
-                features[idx],
-                labels[idx],
+                features.take(idx, axis=0),
+                labels.take(idx, axis=0),
                 divisor[s, :a],
                 rho=rho,
                 nu=nu,

@@ -7,6 +7,8 @@ configs under ``configs/acceptance/`` across 10 trials in a process pool.
 
 import json
 import math
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -275,8 +277,13 @@ def _acceptance_trial(args):
     )
 
 
-def test_acceptance_9_directional_replication():
+def test_acceptance_9_directional_replication(monkeypatch):
     start = time.monotonic()
+    # Spawned workers start from a fresh import, so each one's numpy loads
+    # with one BLAS thread: a trial is single-threaded, and idle BLAS threads
+    # in every worker contend for the host's cores.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
     names = ["fedavg_full", "fedavg_oversel", "feast", "fare_dust"]
     jobs = []
     for name in names:
@@ -286,7 +293,9 @@ def test_acceptance_9_directional_replication():
         for trial in range(config.trials):
             jobs.append((path, config.base_seed + trial))
     results: dict[str, list[tuple[float, float, float]]] = {}
-    with ProcessPoolExecutor(max_workers=10) as pool:
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         for name, total, straggler, time_s in pool.map(_acceptance_trial, jobs):
             results.setdefault(name, []).append((total, straggler, time_s))
 

@@ -5,13 +5,15 @@ import copy
 import numpy as np
 import pytest
 
-from stragglersim import rng
+from stragglersim import model, rng
 from stragglersim.model import (
     ModelLayout,
     TrainingDiverged,
+    _batch_sum,
     _cohort_plan,
     _forward,
     _layers,
+    _row_max,
     _sgd_grad,
     forward_logits,
     init_params,
@@ -504,6 +506,84 @@ def test_logits_equal_the_out_of_place_expressions(hidden, n):
     out = (np.empty((n, hidden)) if hidden else None, np.empty((n, 10)))
     logits, _ = _forward(w[0], layout, x[0], out)
     assert logits is out[1] and np.array_equal(logits, single)
+
+
+def _spanning_values(gen, shape):
+    """Signed values spanning e^-20 to e^20, with NaN, inf and -inf entries."""
+    a = np.exp(gen.uniform(-20.0, 20.0, shape)) * gen.choice([-1.0, 1.0], shape)
+    flat = a.reshape(-1)
+    spots = gen.choice(flat.size, size=min(3, flat.size), replace=False)
+    flat[spots] = [np.nan, np.inf, -np.inf][: len(spots)]
+    return a
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf + -inf
+@pytest.mark.parametrize("members", [None, 1, 2, 7, 56], ids=lambda b: f"B{b}")
+def test_row_max_and_batch_sum_equal_the_plain_reductions(members):
+    # The kernel's reductions over transposed copies give the bits of
+    # numpy's own reductions, on stacked (B, n, k) and 2-D (n, k) arrays.
+    gen = rng.stream(20, rng.VERIFY, members or 0)
+    lead = () if members is None else (members,)
+    for n in (1, 8, 9, 20, 129):
+        for width in (1, 2, 10, 62, 64):
+            a = _spanning_values(gen, lead + (n, width))
+            got, want = _row_max(a), a.max(axis=-1, keepdims=True)
+            assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            got, want = _batch_sum(a), np.sum(a, axis=-2, keepdims=True)
+            assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            # a row that is all NaN or all inf
+            a[..., 0, :] = np.nan
+            a[..., -1, :] = np.inf
+            assert np.array_equal(_row_max(a), a.max(axis=-1, keepdims=True), equal_nan=True)
+            assert np.array_equal(_batch_sum(a), np.sum(a, axis=-2, keepdims=True), equal_nan=True)
+
+
+@pytest.mark.parametrize("batch_size", [20, 129])
+@pytest.mark.parametrize("per_member", [False, True], ids=["shared", "per_member"])
+@pytest.mark.parametrize(
+    "rho,nu,distill_loss",
+    [(0.1, 0.0, "soft_ce"), (0.1, 0.2, "logit_mse"), (0.0, 0.3, "soft_ce")],
+    ids=["soft_ce", "logit_mse_proximal", "proximal"],
+)
+@pytest.mark.parametrize("hidden", [0, 64], ids=["linear", "mlp64"])
+def test_local_sgd_is_bitwise_equal_under_the_plain_reductions(
+    monkeypatch, hidden, rho, nu, distill_loss, per_member, batch_size
+):
+    gen = rng.stream(21, rng.VERIFY, hidden + batch_size)
+    layout = ModelLayout(d_in=32, hidden=hidden, n_classes=10)
+    sizes = [1, 20, 21, 34, 150, 260, 7]
+    x = gen.standard_normal((sum(sizes), 32))
+    y = gen.integers(10, size=len(x))
+    w0 = 0.3 * gen.standard_normal((len(sizes), layout.n_params) if per_member else layout.n_params)
+    teachers = 0.3 * gen.standard_normal((len(sizes), layout.n_params))
+    kwargs = dict(
+        starts=np.cumsum([0, *sizes[:-1]]).tolist(), sizes=sizes, eta_l=0.05,
+        batch_size=batch_size, steps=[1, 2, 3, 2, 4, 5, 3], rho=rho, nu=nu,
+        teacher_ws=list(teachers) if rho > 0 else None, anchor=w0.copy() if nu > 0 else None,
+        distill_loss=distill_loss, distill_temperature=2.0,
+    )
+
+    def train():
+        gens = [rng.stream(8, rng.SHUFFLE, i) for i in range(len(sizes))]
+        return local_sgd(w0, layout, x, y, gens=gens, **kwargs)
+
+    w_new, *counts_new = train()
+    calls = []
+
+    def plain_row_max(a):
+        calls.append("max")
+        return a.max(axis=-1, keepdims=True)
+
+    def plain_batch_sum(a):
+        calls.append("sum")
+        return np.sum(a, axis=-2, keepdims=True)
+
+    monkeypatch.setattr(model, "_row_max", plain_row_max)
+    monkeypatch.setattr(model, "_batch_sum", plain_batch_sum)
+    w_plain, *counts_plain = train()
+    assert {"max", "sum"} <= set(calls)
+    assert counts_new == counts_plain
+    assert np.array_equal(w_new, w_plain)
 
 
 def test_layout_param_counts():
