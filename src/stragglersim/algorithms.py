@@ -54,7 +54,7 @@ Drivers:
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -168,9 +168,10 @@ class AlgoConfig:
 class ClientUpdate:
     """Result of one client computation; completed_at is fixed at dispatch.
 
-    delta is None until the engine trains the update: at the server step
-    that aggregates it or that names it late, or at one that trains a later
-    update of its client. An update nobody reads keeps delta None, and
+    work is what the engine trains the update from, fixed at dispatch too:
+    (batch plan, start weights, teacher_w). delta is None until the update
+    trains, at the server step that aggregates it or that names it late,
+    which then clears work. An update nobody reads keeps delta None, and
     reading it raises RuntimeError (_read_delta).
     """
 
@@ -181,6 +182,7 @@ class ClientUpdate:
     completed_at: float
     examples_processed: int
     steps_done: int
+    work: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _read_delta(update: ClientUpdate) -> np.ndarray:
@@ -275,10 +277,9 @@ def canonical_delta_sum(updates: list[ClientUpdate]) -> np.ndarray:
     if not updates:
         raise ValueError("no updates to sum")
     ordered = sorted(updates, key=lambda u: (u.round_id, u.client_id))
-    total = _read_delta(ordered[0]).copy()
-    for u in ordered[1:]:
-        total += _read_delta(u)
-    return total
+    # the list becomes one C-contiguous (B, P) block, whose rows numpy adds
+    # in order, as a += loop would
+    return np.add.reduce([_read_delta(u) for u in ordered])
 
 
 # ---- Bounded history of past round deltas ---- #
@@ -340,8 +341,8 @@ def teacher_from_history(
 class SimContext(Protocol):
     """What a driver may use of the engine. apply_server_update trains the
     updates it aggregates and the late ones the driver will fold after the
-    step, so each is read trained; an update the driver never reads goes to
-    discard, and never trains."""
+    step, so each is read trained; an update the driver never reads never
+    trains."""
 
     now: float
     counters: dict[str, int]
@@ -357,8 +358,6 @@ class SimContext(Protocol):
     def apply_server_update(
         self, updates: list[ClientUpdate], late: Sequence[ClientUpdate] = ()
     ) -> np.ndarray: ...
-
-    def discard(self, update: ClientUpdate) -> None: ...
 
     def apply_aux_update(
         self, w_snapshot: np.ndarray, delta_plus: np.ndarray, count: int
@@ -399,7 +398,6 @@ class SyncRoundDriver:
     def on_client_completed(self, update: ClientUpdate) -> None:
         """A late update arrives after its round closed."""
         self.sim.counters["discarded_updates"] += 1
-        self.sim.discard(update)
 
     # -- driver interface -- #
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -92,11 +93,19 @@ def _run_trial_to_file(config: ExperimentConfig, seed: int, out_path: Path) -> N
     )
 
 
+# A trial is single-threaded, and idle BLAS threads in every worker contend
+# for the cores; a forked worker would keep the thread count its parent's
+# numpy loaded with.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _run(runs: list[tuple[ExperimentConfig, Path]], jobs: int) -> list[list[dict]]:
     """Run every trial of every (config, out_dir) pair, all in one pool when
     jobs > 1, of no more workers than trials or usable CPUs; then write each
-    directory's manifest and return its final records. A failing trial
-    cancels the trials that have not started."""
+    directory's manifest and return its final records. The workers are
+    spawned with one BLAS thread each, unless the user set any of
+    _BLAS_THREAD_VARS. A failing trial cancels the trials that have not
+    started."""
     files = [[d / f"trial_{i:03d}.jsonl" for i in range(c.trials)] for c, d in runs]
     tasks = [
         (config, config.base_seed + i, path)
@@ -108,12 +117,17 @@ def _run(runs: list[tuple[ExperimentConfig, Path]], jobs: int) -> list[list[dict
             _run_trial_to_file(*task)
     else:
         workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pinned = [] if any(v in os.environ for v in _BLAS_THREAD_VARS) else _BLAS_THREAD_VARS
+        os.environ.update(dict.fromkeys(pinned, "1"))
+        context = multiprocessing.get_context("spawn")
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
         try:
             for fut in [pool.submit(_run_trial_to_file, *task) for task in tasks]:
                 fut.result()
         finally:
             pool.shutdown(cancel_futures=True)
+            for var in pinned:
+                os.environ.pop(var, None)
     for (config, out_dir), paths in zip(runs, files):
         manifest = {
             "tool_version": __version__,

@@ -21,17 +21,17 @@ state.t. A dispatch records its work and does not train. Its completion
 time and counts never depend on the trained weights: the latency factors
 are drawn first (the per-round time limit needs them), the steps and
 examples follow by arithmetic, and the update completes at now plus the
-factors' total for those examples (latency.LatencySample.total_s). So an
-update trains only when something reads it. A server step trains, in one
-stacked call (model.local_sgd), the updates it aggregates and the late ones
-its driver will fold after it, each from its own version's weights, with
-every earlier untrained dispatch of their clients, so that each client's
-shuffle stream draws in dispatch order. An update the driver discards
-(Simulation.discard) never trains: it only draws its batch plan, when its
-client next trains. Nor do the dispatches still in flight when the run
-ends. A client whose local SGD leaves non-finite weights raises
-FloatingPointError naming the client, the round and the virtual time of
-its dispatch.
+factors' total for those examples (latency.LatencySample.total_s). The
+dispatch then draws the update's batch plan from its client's shuffle
+stream (model.draw_batch_plan) and keeps it with the start weights and the
+teacher (ClientUpdate.work), so every client's stream draws in dispatch
+order whatever trains. An update trains only when something reads it: a
+server step trains, in one stacked call (model.local_sgd), the untrained
+updates it aggregates and the late ones its driver will fold after it,
+each from its own version's weights. An update the driver discards never
+trains, nor do the dispatches still in flight when the run ends. A client
+whose local SGD leaves non-finite weights raises FloatingPointError naming
+the client, the round and the virtual time of its dispatch.
 
 A client is busy until its update completes and is excluded from cohort
 sampling in the meantime (allow_busy_reuse lifts this); a synchronous round
@@ -245,9 +245,6 @@ class Simulation:
         purposes = (rng.LATENCY, rng.SHUFFLE)
         self._client_keys = {p: rng.stream_keys(trial_seed, p, ids=all_ids) for p in purposes}
         self._client_gens: dict[tuple[int, int], np.random.Generator] = {}
-        # untrained dispatches by client, in dispatch order: [dispatch number,
-        # update, teacher_w, start weights, discarded]
-        self._untrained: dict[int, list[list]] = {}
 
         self.tau_limit: float | None = None
         if self.algo.time_limit:
@@ -291,10 +288,10 @@ class Simulation:
         Without a time limit a client runs epochs * ceil(n / b) steps over
         epochs * n examples; with one, the latency draw fixes the steps and
         the last epoch may stop early. A teacher other than state.w itself is
-        an extra download, paying comm * teacher_download_factor. The update's
-        delta stays None until a server step reads it (apply_server_update).
-        Every dispatch trained in one server step distills (passes teacher_w)
-        or none does.
+        an extra download, paying comm * teacher_download_factor. The batch
+        plan is drawn now; the update's delta stays None until a server step
+        reads it (apply_server_update). Every update one server step trains
+        distills (passes teacher_w) or none does.
         """
         if not self.algo.allow_busy_reuse and self._busy_until[client_id] > self.now:
             raise RuntimeError(f"client {client_id} dispatched while busy")
@@ -312,6 +309,8 @@ class Simulation:
             examples = epochs * n + rest * b
         extra_download = teacher_w is not None and teacher_w is not self.state.w
         comm_scale = self._teacher_download_factor if extra_download else 1.0
+        shuffle_gen = self._client_gen(rng.SHUFFLE, client_id)
+        plan = model.draw_batch_plan(shuffle_gen, n, steps, self.algo.batch_size)
         update = ClientUpdate(
             round_id=self.state.t,
             client_id=client_id,
@@ -320,10 +319,9 @@ class Simulation:
             completed_at=self.now + factors.total_s(examples, comm_scale),
             examples_processed=examples,
             steps_done=steps,
+            work=(plan, self.state.w, teacher_w),
         )
         self._busy_until[client_id] = update.completed_at
-        record = [self.counters["dispatches"], update, teacher_w, self.state.w, False]
-        self._untrained.setdefault(client_id, []).append(record)
         self.counters["dispatches"] += 1
         if self.trace:
             members = ((update.round_id, client_id),)
@@ -334,10 +332,12 @@ class Simulation:
         self, updates: list[ClientUpdate], late: Sequence[ClientUpdate] = ()
     ) -> np.ndarray:
         """Aggregate updates into one server step; returns their delta sum, a
-        fresh array the caller may keep. First trains what is read without a
-        delta: updates, and late, the updates the driver folds after the step
-        (_train_reads)."""
-        self._train_reads([*updates, *late])
+        fresh array the caller may keep. First trains, in one stacked call,
+        what it reads untrained: updates, and late, the updates the driver
+        folds after the step."""
+        untrained = [u for u in (*updates, *late) if u.work is not None]
+        if untrained:
+            self._train_group(untrained)
         summed = algorithms.canonical_delta_sum(updates)
         algorithms.server_apply(self.state, summed, len(updates))
         self.counters["aggregated_updates"] += len(updates)
@@ -348,13 +348,6 @@ class Simulation:
         if self.state.t % self.config.eval_every == 0:
             self.schedule(self.now, Simulation._eval_record, weakref.proxy(self), self.now)
         return summed
-
-    def discard(self, update: ClientUpdate) -> None:
-        """The driver never reads update: if untrained, it never trains, and
-        only draws its batch plan when its client next trains."""
-        for record in self._untrained.get(update.client_id, ()):
-            if record[1] is update:
-                record[4] = True
 
     def apply_aux_update(self, w_snapshot: np.ndarray, delta_plus: np.ndarray, count: int) -> None:
         """Step FeAST's auxiliary model by the summed delta delta_plus of count
@@ -375,49 +368,12 @@ class Simulation:
 
     # -- internals -- #
 
-    def _train_reads(self, reads: list[ClientUpdate]) -> None:
-        """Train the updates of reads that have no delta, with every earlier
-        untrained dispatch of their clients, in one stacked call in dispatch
-        order, so each client's shuffle stream draws in dispatch order. A
-        discarded dispatch before its client's first trained one only draws
-        its batch plan (model.draw_batch_plans); one after it trains, unread."""
-        train, draw, trained = [], [], set()
-        for u in reads:
-            cid = u.client_id
-            queue = self._untrained.pop(cid, None)
-            if queue is None:
-                continue
-            if len(queue) == 1 and queue[0][1] is u and not queue[0][4]:
-                train.append(queue[0])  # the usual case: u is all its client owes
-                continue
-            # the records up to u's; none if u has left the queue
-            n = next((i for i, record in enumerate(queue, 1) if record[1] is u), 0)
-            for record in queue[:n]:
-                if record[4] and cid not in trained:
-                    draw.append(record)
-                else:
-                    train.append(record)
-                    trained.add(cid)
-            if len(queue) > n:
-                self._untrained[cid] = queue[n:]
-        if draw:
-            _, sizes, _, _ = zip(*(self._dispatch_table[r[1].client_id] for r in draw))
-            model.draw_batch_plans(
-                sizes,
-                [r[1].steps_done for r in draw],
-                self.algo.batch_size,
-                [self._client_gen(rng.SHUFFLE, r[1].client_id) for r in draw],
-            )
-        if train:
-            train.sort(key=lambda record: record[0])
-            self._train_group(train)
-
-    def _train_group(self, group: list[list]) -> None:
-        """Train dispatches in one stacked call and set each update's delta.
-        group holds dispatch's records in dispatch order; each update trains
-        for the steps its dispatch charged, from its own start weights, which
-        are also its anchor when nu > 0."""
-        _, updates, teachers, ws, _ = zip(*group)
+    def _train_group(self, updates: list[ClientUpdate]) -> None:
+        """Train untrained updates in one stacked call and set each delta.
+        Each trains for the steps its dispatch charged, on the batch plan it
+        drew, from its own start weights, which are also its anchor when
+        nu > 0."""
+        plans, ws, teachers = zip(*(u.work for u in updates))
         _, sizes, _, starts = zip(*(self._dispatch_table[u.client_id] for u in updates))
         distill = teachers[0] is not None
         for u, teacher in zip(updates, teachers):
@@ -437,7 +393,7 @@ class Simulation:
                 starts=starts,
                 sizes=sizes,
                 steps=[u.steps_done for u in updates],
-                gens=[self._client_gen(rng.SHUFFLE, u.client_id) for u in updates],
+                plans=plans,
                 rho=self.algo.rho if distill else 0.0,
                 nu=self.algo.nu,
                 teacher_ws=teachers if distill else None,
@@ -456,7 +412,7 @@ class Simulation:
         # Each delta is its own array: a view into w_final would keep the
         # whole group's block alive while one late update is in flight.
         for u, w, w_i in zip(updates, ws, w_final):
-            u.delta = w - w_i
+            u.delta, u.work = w - w_i, None
 
     def _client_gen(self, purpose: int, client_id: int) -> np.random.Generator:
         key = (purpose, client_id)

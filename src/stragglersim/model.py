@@ -21,8 +21,8 @@ function, local_sgd: clients train as one stacked computation, each from
 its own start weights (and proximal anchor), which may come from different
 model versions, and a lone client is a one-member call. Each client runs a
 given number of steps; E epochs of an n-example shard are E * ceil(n / b)
-steps. Its batch plan draws one shuffle per epoch (_shuffle_epochs), and
-draw_batch_plans makes those draws for an update that never trains. A
+steps, walking a batch plan drawn before the call (draw_batch_plan, at
+dispatch in a simulation): one shuffle of its rows per epoch it starts. A
 client's rows are a start row and a size in one features/labels pair (the
 dataset's own, in a simulation), so no shard is copied per call. The
 weights are checked for finiteness once, at the end.
@@ -327,34 +327,24 @@ def _sgd_grad(
     )
 
 
-def _shuffle_epochs(local: np.ndarray, blocks, gens) -> None:
-    """The batch-plan draws, the one copy of their rule: in member order,
-    gens[i] shuffles in place, one epoch at a time, the n-entry epochs of
-    its block (first, count, n) of local (the draws gen.permutation(n)
-    makes; they depend only on n)."""
-    for gen, (first, count, n) in zip(gens, blocks):
-        for a in range(first, first + count, n):
-            gen.shuffle(local[a : a + n])
+def draw_batch_plan(gen, n: int, steps: int, batch_size: int) -> np.ndarray:
+    """The batch plan of a member that takes steps batch_size-chunks of its n
+    rows, and the one copy of its draw rule: per epoch it starts, gen
+    shuffles an arange(n) in place (the draws gen.permutation(n) makes), and
+    the epochs follow one another. Rows are the member's own, 0 to n - 1."""
+    epochs = -(-steps // -(-n // batch_size))
+    plan = np.arange(n) if epochs == 1 else np.tile(np.arange(n), epochs)
+    for a in range(0, len(plan), n):
+        gen.shuffle(plan[a : a + n])
+    return plan
 
 
-def draw_batch_plans(sizes, steps, batch_size: int, gens) -> None:
-    """Make the draws local_sgd would make for these members, in member
-    order, and train nothing: an update that is never read keeps its
-    client's shuffle stream in step. A shuffle's draws depend only on the
-    length it shuffles, so every member shuffles one scratch buffer."""
-    n_epochs = [-(-s // -(-n // batch_size)) for n, s in zip(sizes, steps)]
-    blocks = [(0, n * e, n) for n, e in zip(sizes, n_epochs)]
-    _shuffle_epochs(np.arange(max(c for _, c, _ in blocks)), blocks, gens)
-
-
-def _cohort_plan(starts, sizes, batch_size: int, steps, gens):
+def _cohort_plan(starts, sizes, batch_size: int, steps, plans):
     """Every member's batches, stacked by step.
 
-    Member i takes steps[i] batches of its sizes[i] rows from starts[i] on:
-    per epoch it starts, its gen shuffles an arange(n) in place (the draws
-    gen.permutation(n) makes), walked in batch_size chunks, so its last
-    epoch may stop early. Members draw in member order, so a client listed
-    twice (sharing one gen) draws its batches in the order it was listed.
+    Member i takes steps[i] batches of its sizes[i] rows from starts[i] on,
+    walking its plans[i] (draw_batch_plan) in batch_size chunks an epoch at
+    a time, so its last epoch may stop early.
     Returns (order, index, lengths). order sorts the members by descending
     step count, so the members with an s-th batch are a prefix of it.
     index (n_steps, B, batch_size) holds rows of the array the starts point
@@ -364,16 +354,15 @@ def _cohort_plan(starts, sizes, batch_size: int, steps, gens):
     order = np.argsort(-np.asarray(steps), kind="stable")
     starts, sizes, n_steps = (np.asarray(a)[order] for a in (starts, sizes, steps))
     per_epoch = -(-sizes // batch_size)
-    n_epochs = -(-n_steps // per_epoch)
-    # Plan position, epoch and place in the epoch of every entry of a buffer
-    # holding, in plan order, one arange(n) per epoch each member starts.
-    counts = sizes * n_epochs
+    # a plan holds one n-entry shuffle per epoch its member starts
+    counts = sizes * -(-n_steps // per_epoch)
+    plans = [plans[i] for i in order.tolist()]
+    if [len(p) for p in plans] != counts.tolist():
+        raise ValueError("a plan must hold one shuffle of its member's rows per epoch it starts")
+    local = np.concatenate(plans)
     member = np.repeat(np.arange(len(sizes)), counts)
     block_start = np.cumsum(counts) - counts
     epoch, pos = np.divmod(np.arange(len(member)) - block_start[member], sizes[member])
-    local = pos.copy()
-    blocks = list(zip(block_start.tolist(), counts.tolist(), sizes.tolist()))
-    _shuffle_epochs(local, [blocks[p] for p in np.argsort(order).tolist()], gens)
     step = epoch * per_epoch[member] + pos // batch_size
     keep = step < n_steps[member]  # the last epoch may stop early
     if not keep.all():
@@ -395,7 +384,7 @@ def local_sgd(
     eta_l: float,
     batch_size: int,
     steps: list[int],
-    gens: list[np.random.Generator],
+    plans: list[np.ndarray],
     rho: float = 0.0,
     nu: float = 0.0,
     teacher_ws: list[np.ndarray] | None = None,
@@ -409,11 +398,11 @@ def local_sgd(
     and anchor (when nu > 0) the proximal anchors, shaped the same way.
     Member i trains on the sizes[i] rows of features and labels from row
     starts[i] on, for steps[i] steps, distilling against the fixed
-    teacher_ws[i]; members may share rows. Each epoch reshuffles with
-    gens[i] (the draws gen.permutation makes) and walks contiguous chunks,
-    the last of which may be short; the last epoch stops after steps[i]
-    steps. The batches and steps are those of B one-member calls made in
-    member order, and the weights the same up to float summation order.
+    teacher_ws[i]; members may share rows. It walks its batch plan plans[i]
+    (draw_batch_plan: one shuffle of its rows per epoch) in contiguous
+    chunks, the last of an epoch maybe short, and stops after steps[i]
+    steps. The batches and steps are those of B one-member calls with the
+    same plans, and the weights the same up to float summation order.
     Step s trains every member that has an s-th batch as one stacked batch;
     short chunks are padded to batch_size with rows that add nothing.
     Returns (w_final (B, P) in member order, steps, examples), the last two
@@ -423,7 +412,7 @@ def local_sgd(
     _check_training_args(
         min(sizes), eta_l, batch_size, min(steps), rho, nu, teacher_ws, anchor, distill_loss
     )
-    order, index, lengths = _cohort_plan(starts, sizes, batch_size, steps, gens)
+    order, index, lengths = _cohort_plan(starts, sizes, batch_size, steps, plans)
     n_active = (lengths > 0).sum(axis=1)
     real = np.arange(batch_size) < lengths[..., None]
     divisor = np.where(real, lengths[..., None], np.inf)[..., None]

@@ -20,7 +20,7 @@ from stragglersim.algorithms import (
     teacher_from_history,
 )
 from stragglersim.engine import Simulation
-from stragglersim.model import ModelLayout, local_sgd, loss_and_grad
+from stragglersim.model import ModelLayout, draw_batch_plan, local_sgd, loss_and_grad
 
 
 def _update(client_id, delta, round_id=0, completed=1.0):
@@ -164,6 +164,26 @@ def test_canonical_sum_orders_by_version_then_id():
     np.testing.assert_array_equal(canonical_delta_sum([b, c, a]), expected)
     with pytest.raises(ValueError):
         canonical_delta_sum([])
+
+
+@pytest.mark.parametrize("n_params", [4, 10, 331, 4106])
+def test_canonical_sum_equals_a_loop_in_that_order(n_params):
+    # numpy adds the rows of a C-contiguous block in order, so one reduction
+    # over the sorted, stacked deltas has the bits of a copy-and-+= loop;
+    # magnitudes spread over 1e-8 to 1e8 would show any other order.
+    gen = rng.stream(2, rng.VERIFY, n_params)
+    for count in (1, 2, 3, 8, 50, 257):
+        deltas = np.exp(gen.uniform(np.log(1e-8), np.log(1e8), (count, n_params)))
+        deltas *= gen.choice([-1.0, 1.0], deltas.shape)
+        ids, rounds = gen.permutation(count).tolist(), gen.integers(3, size=count).tolist()
+        updates = [_update(c, d, round_id=r) for c, r, d in zip(ids, rounds, deltas)]
+        ordered = sorted(updates, key=lambda u: (u.round_id, u.client_id))
+        want = ordered[0].delta.copy()
+        for u in ordered[1:]:
+            want += u.delta
+        got = canonical_delta_sum(updates)
+        assert got.flags.owndata and not any(np.shares_memory(got, u.delta) for u in updates)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_canonical_sum_does_not_mutate_inputs():
@@ -437,7 +457,7 @@ def test_round_delta_descends_when_applied():
     y = gen.integers(3, size=40)
     w_final, _, _ = local_sgd(
         w0, layout, x, y, starts=[0], sizes=[40], eta_l=0.05, batch_size=40, steps=[1],
-        gens=[rng.stream(0, rng.SHUFFLE, 0)],
+        plans=[draw_batch_plan(rng.stream(0, rng.SHUFFLE, 0), 40, 1, 40)],
     )
     w_local = w_final[0]
     delta = w0 - w_local

@@ -1,13 +1,14 @@
 """Tests for config parsing, hashing, sweeps, and the command line."""
 
 import csv
+import ctypes
 import json
 import os
 import re
-import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stragglersim import cli, metrics, model, verify
@@ -932,7 +933,7 @@ def test_the_trial_pool_has_no_more_workers_than_trials_or_usable_cpus(tmp_path,
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             sizes.append(max_workers)
 
         def submit(self, fn, *args):
@@ -954,22 +955,60 @@ def test_the_trial_pool_has_no_more_workers_than_trials_or_usable_cpus(tmp_path,
     assert sizes == [1, 1, 2, 2]
 
 
-def test_a_failing_sweep_point_cancels_the_trials_not_started(tmp_path, monkeypatch, capsys):
-    run = Simulation.run
+def _openblas_threads() -> int | None:
+    """The thread count of the OpenBLAS that numpy loaded; None if it is not
+    the library numpy bundles."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_"):
+            if hasattr(lib, name):
+                get_num_threads = getattr(lib, name)
+                get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+                return get_num_threads()
+    return None
 
-    def fail_first_point(self):
-        if self.config.algo.eta_l == 1.0:
-            raise RuntimeError("point 0 failed")
-        time.sleep(0.2)
-        return run(self)
 
-    monkeypatch.setattr(Simulation, "run", fail_first_point)
-    payload = _sweep_payload(parameters={"algo.eta_l": [1.0, 0.05, 0.1, 0.2]})
-    payload["base"]["trials"] = 4
+_TRIAL_TO_FILE = cli._run_trial_to_file
+
+
+def _trial_noting_blas_threads(config, seed, out_path):
+    """A pool worker's trial that also writes its OpenBLAS thread count."""
+    _TRIAL_TO_FILE(config, seed, out_path)
+    out_path.with_suffix(".threads").write_text(str(_openblas_threads()))
+
+
+@pytest.mark.skipif(_openblas_threads() is None, reason="numpy's bundled OpenBLAS not found")
+def test_a_trial_worker_has_one_blas_thread_unless_the_user_sets_a_count(tmp_path, monkeypatch):
+    # The spawned worker pickles this module's function by name and imports
+    # this module afresh, so it runs the probe, not the parent's patch.
+    config_path = _write_config(tmp_path, _payload())  # two trials
+    monkeypatch.setattr(cli, "_run_trial_to_file", _trial_noting_blas_threads)
+    for var in cli._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    cases = [("unset", None, "1")]
+    if len(os.sched_getaffinity(0)) >= 2:  # OpenBLAS takes no more threads than cores
+        cases.append(("user", "2", "2"))
+    for name, user_value, want in cases:
+        if user_value is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_value)
+        out = tmp_path / name
+        argv = ["simulate", "--config", str(config_path), "--out", str(out), "--jobs", "2"]
+        assert cli.main(argv) == 0
+        assert [p.read_text() for p in sorted(out.glob("*.threads"))] == [want, want]
+        # the parent's environment is as the user left it
+        assert [os.environ.get(var) for var in cli._BLAS_THREAD_VARS] == [user_value, None, None]
+
+
+def test_a_failing_sweep_point_cancels_the_trials_not_started(tmp_path, capsys):
+    # Point 0's step size overflows its weights in the first round; the
+    # other points' trials run to a larger budget.
+    payload = _sweep_payload(parameters={"algo.eta_l": [1e308, 0.05, 0.1, 0.2]})
+    payload["base"].update(trials=4, budget=200)
     sweep_path = _write_config(tmp_path, payload, "sweep.json")
     out = tmp_path / "out"
     assert cli.main(["sweep", "--config", str(sweep_path), "--out", str(out), "--jobs", "2"]) == 3
-    assert capsys.readouterr().err == "error: point 0 failed\n"
+    error = r"error: client \d+ diverged in round 0 at t=0\.000: local SGD left non-finite weights"
+    assert re.fullmatch(error + "\n", capsys.readouterr().err)
     # the trials still queued when point 0 fails never start: few of the other twelve run
     assert len(list(out.rglob("*.jsonl"))) < 12
     assert not (out / "sweep.csv").exists()

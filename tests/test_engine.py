@@ -653,6 +653,7 @@ def test_buffered_lockstep_matches_synchronous_bitwise(k):
 
 ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
 _CROWD = dict(eta_l=0.1, batch_size=20, buffer_size=10, max_concurrency=100)
+_REUSE = dict(eta_l=0.05, batch_size=4, allow_busy_reuse=True)
 
 
 def _acceptance(name, algo=None):
@@ -741,30 +742,48 @@ def test_training_does_only_the_work_a_step_or_a_fold_reads(monkeypatch, config)
     assert sum(trained) == sum(read)
 
 
+def _recording_dispatches(monkeypatch) -> list:
+    """Every update Simulation.dispatch returns from here on, in dispatch order."""
+    dispatched, dispatch = [], Simulation.dispatch
+
+    def recording(sim, client_id, **kwargs):
+        dispatched.append(dispatch(sim, client_id, **kwargs))
+        return dispatched[-1]
+
+    monkeypatch.setattr(Simulation, "dispatch", recording)
+    return dispatched
+
+
 @pytest.mark.parametrize("reuse", [False, True], ids=["idle", "busy_reuse"])
 def test_a_discarded_update_draws_what_training_it_would(monkeypatch, reuse):
-    # Without discard, every late update trains when its client next trains,
-    # so each client's shuffle stream makes the draws of the old rule; with
-    # it, the outputs must not move. Busy reuse puts some discarded updates
-    # behind an untrained earlier dispatch of their client: they train, unread.
+    # A dispatch draws its batch plan at once, so each client's shuffle
+    # stream draws in dispatch order whatever trains: training every update
+    # nobody reads too, at the first server step after its dispatch, must
+    # not move the outputs. Busy reuse dispatches some clients again while
+    # their discarded update is in flight.
     algo = AlgoConfig("fedavg", cohort_size=5, over_selection=True, over_selection_factor=2.0,
                       eta_l=0.05, batch_size=4, allow_busy_reuse=reuse)
     scenario = LatencyScenario("pdpe", _profile(1.0, -3.0, 0.5, 0.8), _profile(2.5, -2.0, 1.0, 0.8))
     config = _config(algo, scenario=scenario, budget=400)
-    discarded, drawn = [], []
-    discard, draw = Simulation.discard, model.draw_batch_plans
-
-    def spy(sim, update):
-        discarded.append((update, update.delta is None))
-        discard(sim, update)
-
-    monkeypatch.setattr(Simulation, "discard", spy)
-    monkeypatch.setattr(model, "draw_batch_plans", lambda *a: drawn.append(a[0]) or draw(*a))
+    dispatched = _recording_dispatches(monkeypatch)
     skipping = Simulation(config, 0).run()
-    trained_unread = sum(untrained and u.delta is not None for u, untrained in discarded)
-    assert drawn and (trained_unread > 0) == reuse
-    monkeypatch.setattr(Simulation, "discard", lambda sim, update: None)
+    unread = [u for u in dispatched if u.delta is None]
+    assert skipping.counters["discarded_updates"] > 0 and unread
+    overlapping = any(
+        a.client_id == b.client_id and b.dispatched_at < a.completed_at
+        for a, b in itertools.combinations(dispatched, 2) if a.delta is None
+    )
+    assert overlapping == reuse
+
+    apply = Simulation.apply_server_update
+
+    def training_all(sim, updates, late=()):
+        return apply(sim, updates, [*late, *(u for u in dispatched if u.work is not None)])
+
+    dispatched.clear()
+    monkeypatch.setattr(Simulation, "apply_server_update", training_all)
     training = Simulation(config, 0).run()
+    assert sum(u.delta is not None for u in dispatched) > len(dispatched) - len(unread)
     np.testing.assert_array_equal(skipping.output_w, training.output_w)
     assert skipping.records == training.records
 
@@ -819,9 +838,9 @@ def test_dispatch_charges_the_work_training_does(monkeypatch, time_limit):
     local_sgd = model.local_sgd
 
     def spy(*args, **kwargs):
-        # Each member's rows per step, planned on copies of its streams.
-        plan_args = [kwargs[k] for k in ("starts", "sizes", "batch_size", "steps")]
-        order, _, lengths = model._cohort_plan(*plan_args, copy.deepcopy(kwargs["gens"]))
+        # Each member's rows per step, laid out from the plans it was given.
+        plan_args = [kwargs[k] for k in ("starts", "sizes", "batch_size", "steps", "plans")]
+        order, _, lengths = model._cohort_plan(*plan_args)
         inverse = np.argsort(order)
         result = local_sgd(*args, **kwargs)
         trained.append((
@@ -832,17 +851,14 @@ def test_dispatch_charges_the_work_training_does(monkeypatch, time_limit):
 
     monkeypatch.setattr(model, "local_sgd", spy)
     updates = [sim.dispatch(sim.sample_cohort(1)[0]) for _ in range(40)]
-    # the last two updates train with every earlier dispatch of their
-    # clients; the next step trains the rest
-    clients = {u.client_id for u in updates[-2:]}
-    groups = [[u for u in updates if u.client_id in clients],
-              [u for u in updates if u.client_id not in clients]]
-    assert len(groups[0]) > 2  # busy reuse dispatched one of the two clients before
+    # busy reuse dispatched some client twice: one call trains it twice
+    assert len({u.client_id for u in updates}) < len(updates)
+    # a step trains exactly the untrained updates it reads
     sim.apply_server_update(updates[-2:])
-    assert [u.delta is None for u in updates] == [u.client_id not in clients for u in updates]
+    assert [u.delta is None for u in updates] == [True] * 38 + [False] * 2
     sim.apply_server_update(updates)
     want = []
-    for group in groups:
+    for group in (updates[-2:], updates[:-2]):
         steps, examples = [u.steps_done for u in group], [u.examples_processed for u in group]
         want.append((steps, examples, (sum(steps), sum(examples))))
     assert trained == want
@@ -893,8 +909,8 @@ def test_a_version_trains_with_one_teacher_use():
     sim.apply_server_update([update])  # the dispatch without a teacher stays untrained
     assert plain.delta is None
     distilling = sim.dispatch(third, teacher_w=sim.state.w)
-    # the call's members in dispatch order: the first sets its teacher use
-    with pytest.raises(RuntimeError, match=f"client {third} of round 1 does not share teacher"):
+    # the call's members in read order: the first sets its teacher use
+    with pytest.raises(RuntimeError, match=f"client {second} of round 0 does not share teacher"):
         sim.apply_server_update([distilling, plain])
 
 
@@ -926,10 +942,55 @@ def test_a_run_may_end_with_dispatches_nobody_read(monkeypatch):
     monkeypatch.undo()
 
     algo = AlgoConfig("fedbuff", buffer_size=2, max_concurrency=5, eta_l=0.05, batch_size=4)
+    dispatched = _recording_dispatches(monkeypatch)
     sim, result = _run(_config(algo, budget=8))
-    untrained = [r[1] for queue in sim._untrained.values() for r in queue]
+    untrained = [u for u in dispatched if u.delta is None]
     assert len(untrained) == sim.counters["dispatches"] - result.aggregated_updates > 0
-    assert all(u.delta is None for u in untrained)
+    assert all(u.work is not None for u in untrained)  # each keeps its plan, never trained
+
+
+@pytest.mark.parametrize(
+    "algo",
+    [
+        AlgoConfig("fedbuff", buffer_size=3, max_concurrency=8, time_limit=True, **_REUSE),
+        AlgoConfig("fedavg", cohort_size=4, over_selection=True, over_selection_factor=2.0,
+                   **_REUSE),
+        AlgoConfig("fare_dust", cohort_size=4, over_selection=True, over_selection_factor=2.0,
+                   rho=0.2, **_REUSE),
+    ],
+    ids=["fedbuff", "fedavg_oversel", "fare_dust"],
+)
+def test_under_busy_reuse_only_the_updates_a_step_reads_train(monkeypatch, algo):
+    # A client dispatched again while busy trains each of its updates alone
+    # at the step that reads it: the members local_sgd trains over a run are
+    # the aggregated updates plus those named late, to be folded.
+    scenario = LatencyScenario("pdpe", _profile(1.0, -3.0, 0.5, 0.8), _profile(2.5, -2.0, 1.0, 0.8))
+    dispatched = _recording_dispatches(monkeypatch)
+    named_late, members = [], []
+    apply, local_sgd = Simulation.apply_server_update, model.local_sgd
+
+    def reading(sim, updates, late=()):
+        named_late.extend(late)
+        return apply(sim, updates, late)
+
+    def training(*args, **kwargs):
+        members.append(len(kwargs["starts"]))
+        return local_sgd(*args, **kwargs)
+
+    monkeypatch.setattr(Simulation, "apply_server_update", reading)
+    monkeypatch.setattr(model, "local_sgd", training)
+    _, result = _run(_config(algo, scenario=scenario, budget=300), trace=False)
+    assert any(
+        a.client_id == b.client_id and b.dispatched_at < a.completed_at
+        for a, b in itertools.combinations(dispatched, 2)
+    )
+    assert sum(members) == result.aggregated_updates + len(named_late)
+    assert sum(members) == sum(u.delta is not None for u in dispatched)
+    counters = result.counters
+    if algo.name == "fare_dust":  # it names every late update; the last round's never arrive
+        assert len(named_late) >= counters["late_folded"] + counters["late_discarded"] > 0
+    else:
+        assert not named_late and sum(members) < counters["dispatches"]
 
 
 def test_buffered_budget_overshoot_is_bounded():

@@ -15,6 +15,7 @@ from stragglersim.model import (
     _layers,
     _row_max,
     _sgd_grad,
+    draw_batch_plan,
     forward_logits,
     init_params,
     local_sgd,
@@ -155,11 +156,17 @@ def test_predict_and_accuracy():
     assert (predicted == y).mean() == 0.75
 
 
+def _plans(gens, sizes, steps, batch_size):
+    """Each member's batch plan, drawn from gens in member order."""
+    return [draw_batch_plan(g, n, s, batch_size) for g, n, s in zip(gens, sizes, steps)]
+
+
 def _one_member(w0, layout, x, y, *, steps, gen, teacher_w=None, **kwargs):
-    """A one-member local_sgd call training on all of x and y: (w, steps,
-    examples)."""
+    """A one-member local_sgd call training on all of x and y, its plan drawn
+    from gen: (w, steps, examples)."""
     w_final, steps_done, examples = local_sgd(
-        w0, layout, x, y, starts=[0], sizes=[len(y)], steps=[steps], gens=[gen],
+        w0, layout, x, y, starts=[0], sizes=[len(y)], steps=[steps],
+        plans=_plans([gen], [len(y)], [steps], kwargs["batch_size"]),
         teacher_ws=None if teacher_w is None else [teacher_w], **kwargs,
     )
     return w_final[0], steps_done, examples
@@ -336,8 +343,8 @@ def test_local_sgd_cohort_matches_per_client_local_sgd(hidden, bound, rho, nu, d
     x, y, rows = _rows(xs, ys)
     member_steps = two_epochs if bound == "epochs" else steps
     got, got_steps, got_examples = local_sgd(
-        w0, layout, x, y, **rows, gens=gens, teacher_ws=teachers if rho > 0 else None,
-        steps=member_steps, **common,
+        w0, layout, x, y, **rows, plans=_plans(gens, rows["sizes"], member_steps, 4),
+        teacher_ws=teachers if rho > 0 else None, steps=member_steps, **common,
     )
     assert got.shape == (len(xs), layout.n_params)
     total_steps = total_examples = 0
@@ -376,7 +383,8 @@ def test_cohort_plan_matches_per_member_permutations(starts, sizes, batch_size, 
     if shared:
         gens[1] = gens[0]
     ref_gens = copy.deepcopy(gens)  # keeps the sharing
-    order, index, lengths = _cohort_plan(starts, sizes, batch_size, steps, gens)
+    plans = _plans(gens, sizes, steps, batch_size)
+    order, index, lengths = _cohort_plan(starts, sizes, batch_size, steps, plans)
 
     assert order.tolist() == sorted(range(len(sizes)), key=lambda i: -steps[i])
     assert lengths.shape == (max(steps), len(sizes))
@@ -409,7 +417,7 @@ def test_a_client_listed_twice_trains_as_two_sequential_calls():
     shared = rng.stream(6, rng.SHUFFLE, 0)
     got, got_steps, got_examples = local_sgd(
         w0, layout, x, y, starts=[0, 0], sizes=[7, 7], eta_l=0.2, batch_size=3, steps=[2, 5],
-        gens=[shared, shared],
+        plans=_plans([shared, shared], [7, 7], [2, 5], 3),
     )
     ref_gen = rng.stream(6, rng.SHUFFLE, 0)
     total_steps = total_examples = 0
@@ -424,6 +432,25 @@ def test_a_client_listed_twice_trains_as_two_sequential_calls():
     assert shared.random() == ref_gen.random()
 
 
+def test_a_plan_must_hold_each_epoch_its_member_starts():
+    # A plan drawn for other steps would walk more epochs than its member
+    # trains, or run out before its last step.
+    layout = ModelLayout(d_in=2, hidden=0, n_classes=2)
+    x, y = np.zeros((7, 2)), np.zeros(7, dtype=int)
+    gen = rng.stream(0, rng.SHUFFLE, 0)
+
+    def train(plan_steps, steps):
+        return local_sgd(
+            np.zeros(layout.n_params), layout, x, y, starts=[0, 0], sizes=[7, 7], eta_l=0.1,
+            batch_size=3, steps=steps, plans=_plans([gen, gen], [7, 7], plan_steps, 3),
+        )
+
+    train([2, 3], [2, 3])  # three 3-row chunks walk one epoch of 7 rows
+    for plan_steps, steps in (([2, 4], [2, 3]), ([2, 3], [2, 4])):
+        with pytest.raises(ValueError, match="one shuffle of its member's rows per epoch"):
+            train(plan_steps, steps)
+
+
 def test_divergence_names_the_cohort_member():
     # Huge features overflow one client's weights; the others stay finite.
     gen = rng.stream(15, rng.VERIFY, 0)
@@ -435,11 +462,9 @@ def test_divergence_names_the_cohort_member():
     kwargs = dict(eta_l=1.0, batch_size=2)
     steps = [2 * -(-len(x) // 2) for x in xs]  # two epochs
     x, y, rows = _rows(xs, ys)
+    plans = _plans([rng.stream(0, rng.SHUFFLE, i) for i in range(4)], rows["sizes"], steps, 2)
     with pytest.raises(TrainingDiverged) as excinfo:
-        local_sgd(
-            w0, layout, x, y, **rows, steps=steps,
-            gens=[rng.stream(0, rng.SHUFFLE, i) for i in range(4)], **kwargs
-        )
+        local_sgd(w0, layout, x, y, **rows, steps=steps, plans=plans, **kwargs)
     assert excinfo.value.member == 2
     with pytest.raises(FloatingPointError):
         _one_member(w0, layout, xs[2], ys[2], steps=steps[2], gen=rng.stream(0, rng.SHUFFLE, 2),
@@ -474,10 +499,11 @@ def test_passes_never_write_into_their_inputs(hidden):
     for distill_loss in ("soft_ce", "logit_mse"):
         loss_and_grad(w, layout, x, y, rho=0.3, nu=0.2, teacher_logits=t_logits, anchor=anchor,
                       distill_loss=distill_loss)
+        gens = [rng.stream(7, rng.SHUFFLE, i) for i in range(3)]
         local_sgd(
             w, layout, x, y, starts=[0, 0, 2], sizes=[9, 5, 7], eta_l=0.1, batch_size=4,
             steps=[6, 4, 4],  # two epochs
-            gens=[rng.stream(7, rng.SHUFFLE, i) for i in range(3)], rho=0.3, nu=0.2,
+            plans=_plans(gens, [9, 5, 7], [6, 4, 4], 4), rho=0.3, nu=0.2,
             teacher_ws=list(teachers), anchor=anchor, distill_loss=distill_loss,
         )
         # the stacked kernel local_sgd runs on its own copies
@@ -565,7 +591,8 @@ def test_local_sgd_is_bitwise_equal_under_the_plain_reductions(
 
     def train():
         gens = [rng.stream(8, rng.SHUFFLE, i) for i in range(len(sizes))]
-        return local_sgd(w0, layout, x, y, gens=gens, **kwargs)
+        plans = _plans(gens, sizes, kwargs["steps"], batch_size)
+        return local_sgd(w0, layout, x, y, plans=plans, **kwargs)
 
     w_new, *counts_new = train()
     calls = []

@@ -311,31 +311,30 @@ def test_the_checks_and_the_engine_run_one_copy_of_each_update(monkeypatch):
 
 
 def test_batch_plans_are_drawn_by_one_function(monkeypatch):
-    # A client's shuffle stream stays in step only if a dispatch that never
-    # trains draws exactly what training would have drawn. So the rule (one
-    # shuffle per epoch, members in member order) has one copy,
-    # model._shuffle_epochs, which both training and model.draw_batch_plans
-    # reach; a restated shuffle anywhere else in the package fails here.
+    # A client's shuffle stream draws in dispatch order, whatever trains,
+    # only if each dispatch draws its batch plan once, at dispatch, by one
+    # rule (one shuffle per epoch it starts): model.draw_batch_plan. Training
+    # lays out the plans it is given; a restated shuffle anywhere else in the
+    # package fails here.
     found = []
     for path in sorted(SOURCE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         rule = [n for n in tree.body
-                if isinstance(n, ast.FunctionDef) and n.name == "_shuffle_epochs"]
+                if isinstance(n, ast.FunctionDef) and n.name == "draw_batch_plan"]
         inside = {id(node) for fn in rule for node in ast.walk(fn)}
         found += [
             f"{path.name}:{node.lineno}" for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr in {"shuffle", "permutation"} and id(node) not in inside
         ]
-    assert not found, f"batch-plan draws outside model._shuffle_epochs: {found}"
+    assert not found, f"batch-plan draws outside model.draw_batch_plan: {found}"
 
-    rule = _spy(monkeypatch, model, "_shuffle_epochs")
-    skipped = _spy(monkeypatch, model, "draw_batch_plans")
+    drawn = _spy(monkeypatch, model, "draw_batch_plan")
     trained = _spy(monkeypatch, model, "local_sgd")
     config = dataclasses.replace(load_config(ACCEPTANCE / "fedavg_oversel.json"), budget=500)
-    engine.Simulation(config, 0).run()
-    assert len(skipped) > 0 and len(trained) > 0
-    assert len(rule) == len(skipped) + len(trained)
+    result = engine.Simulation(config, 0).run()
+    assert len(trained) > 0 and result.counters["discarded_updates"] > 0
+    assert len(drawn) == result.counters["dispatches"]
 
 
 def test_nothing_the_benchmark_tracer_patches_runs_off_the_main_thread(monkeypatch):
