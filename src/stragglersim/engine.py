@@ -174,6 +174,12 @@ _COUNTER_KEYS = (
 # scoring included. On mlp_eval 3 beat 2, 4 and no mid-run sharing.
 _SHARE_AT = 3
 
+# Latency draws per shard behind the Monte Carlo time limit. The 374 shards an
+# acceptance config keeps pool 18,700 draws, so each integer percentile spans
+# 187 ranks. The count fixes what the time-limit stream draws, and so the
+# limit every time-limited run reports.
+_TIME_LIMIT_DRAWS = 50
+
 
 class Simulation:
     """One seeded run of one experiment config."""
@@ -421,7 +427,7 @@ class Simulation:
             gen = self._client_gens[key] = rng.stream_from_key(self._client_keys[purpose][client_id])
         return gen
 
-    def _monte_carlo_time_limit(self, draws_per_client: int = 50) -> float:
+    def _monte_carlo_time_limit(self) -> float:
         """Population percentile of one-epoch computation time (no comm).
 
         Pools overhead + per_example * shard_size draws over all clients
@@ -432,10 +438,10 @@ class Simulation:
         gen = rng.stream(self.config.effective_data_seed(), rng.TIME_LIMIT)
         profiles, sizes, _, _ = zip(*self._dispatch_table.values())  # in shard order
         per_example = [
-            latency.sample_lognormal_batch(p.per_example, gen, draws_per_client) for p in profiles
+            latency.sample_lognormal_batch(p.per_example, gen, _TIME_LIMIT_DRAWS) for p in profiles
         ]
         overhead = [
-            latency.sample_lognormal_batch(p.overhead, gen, draws_per_client) for p in profiles
+            latency.sample_lognormal_batch(p.overhead, gen, _TIME_LIMIT_DRAWS) for p in profiles
         ]
         totals = np.array(overhead) + np.array(per_example) * np.array(sizes, dtype=float)[:, None]
         return latency.nearest_rank_percentile(

@@ -33,8 +33,10 @@ so the checks hold FeAST's code to the analysis.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -234,10 +236,40 @@ class CheckReport:
     elapsed_s: float = 0.0
 
 
+CHECKS: dict[str, Callable[..., CheckReport]] = {}
+
+
+def check(fn: Callable[[int], tuple]) -> Callable[..., CheckReport]:
+    """Register fn(base_seed) -> (passed, measured, bound, detail) in CHECKS
+    under its name without the check_ prefix; the registered check times the
+    call and reports it as a CheckReport. Sizes and bounds are fixed in each
+    check, so base_seed is the one thing a caller varies."""
+    name = fn.__name__.removeprefix("check_")
+
+    @functools.wraps(fn)
+    def run(*, base_seed: int = 0) -> CheckReport:
+        start = time.monotonic()
+        passed, measured, bound, detail = fn(base_seed)
+        return CheckReport(name, passed, measured, bound, detail, time.monotonic() - start)
+
+    CHECKS[name] = run
+    return run
+
+
 # The round schedule of the gap and stationarity checks: 2 of 4 dispatched
 # clients are fast, 4 local steps each, beta = B / B_plus. The stationarity
 # check sets its own eta_l for each horizon.
 _GAP_SCHEDULE = dict(B=2, B_plus=4, T_l=4, eta_g=1.0, eta_l=0.05, eta_a=1.0, beta=0.5)
+
+
+def _seeded_gap_trace(
+    base_seed: int, *, n_seeds: int, T: int, d: int, sigma_l: float, clip: float
+) -> GapTrace:
+    """The gap checks' run: 8 quadratic clients in d dimensions drawn from
+    base_seed, traced under _GAP_SCHEDULE for the n_seeds seeds after it."""
+    quad = make_quad_set(8, d, sigma_l=sigma_l, grad_clip=clip, seed=base_seed)
+    seeds = range(base_seed + 1, base_seed + 1 + n_seeds)
+    return run_gap_trace(quad, T=T, seeds=seeds, **_GAP_SCHEDULE)
 
 
 def closed_form_gap(trace: GapTrace, t_next: int) -> np.ndarray:
@@ -258,74 +290,41 @@ def closed_form_gap(trace: GapTrace, t_next: int) -> np.ndarray:
     return trace.eta_g * total
 
 
-def check_gap_recursion(
-    *,
-    n_seeds: int = 5,
-    T: int = 50,
-    B: int = 2,
-    B_plus: int = 4,
-    tol: float = 1e-9,
-    base_seed: int = 0,
-) -> CheckReport:
+@check
+def check_gap_recursion(base_seed: int) -> tuple:
     """The measured a_t - w_t must match the closed form every round."""
-    start = time.monotonic()
-    quad = make_quad_set(8, 32, sigma_l=0.2, grad_clip=5.0, seed=base_seed)
-    seeds = range(base_seed + 1, base_seed + 1 + n_seeds)
-    trace = run_gap_trace(quad, T=T, seeds=seeds, **{**_GAP_SCHEDULE, "B": B, "B_plus": B_plus})
+    n_seeds, T, tol = 5, 50, 1e-9
+    trace = _seeded_gap_trace(base_seed, n_seeds=n_seeds, T=T, d=32, sigma_l=0.2, clip=5.0)
     worst = 0.0
     for t_next in range(1, T + 1):
         lhs = trace.gap(t_next)
         rhs = closed_form_gap(trace, t_next)
         scale = np.maximum(np.maximum(_row_norms(lhs), _row_norms(rhs)), 1e-15)
         worst = max(worst, float((_row_norms(lhs - rhs) / scale).max()))
-    return CheckReport(
-        name="gap_recursion",
-        passed=worst <= tol,
-        measured={"worst_rel_error": worst},
-        bound={"tol": tol},
-        detail=f"{n_seeds} seeds x {T} rounds, B={B}, B_plus={B_plus}",
-        elapsed_s=time.monotonic() - start,
-    )
+    detail = f"{n_seeds} seeds x {T} rounds, B={trace.B}, B_plus={trace.B_plus}"
+    return worst <= tol, {"worst_rel_error": worst}, {"tol": tol}, detail
 
 
-def check_gap_zero_mean(
-    *,
-    n_seeds: int = 200,
-    T: int = 30,
-    d: int = 256,
-    base_seed: int = 0,
-) -> CheckReport:
+@check
+def check_gap_zero_mean(base_seed: int) -> tuple:
     """Per-coordinate mean of the final gap must sit within 3 standard errors
     of zero for at least 99% of coordinates."""
-    start = time.monotonic()
-    if n_seeds < 100:
-        raise ValueError(f"zero-mean check needs >= 100 seeds, got {n_seeds}")
-    quad = make_quad_set(8, d, sigma_l=0.2, grad_clip=5.0, seed=base_seed)
-    seeds = range(base_seed + 1, base_seed + 1 + n_seeds)
-    gaps = run_gap_trace(quad, T=T, seeds=seeds, **_GAP_SCHEDULE).gap(T)
+    n_seeds, T, d = 200, 30, 256
+    trace = _seeded_gap_trace(base_seed, n_seeds=n_seeds, T=T, d=d, sigma_l=0.2, clip=5.0)
+    gaps = trace.gap(T)
     mean = gaps.mean(axis=0)
     se = gaps.std(axis=0, ddof=1) / math.sqrt(n_seeds)
     within = np.abs(mean) <= 3.0 * se + 1e-15
     fraction = float(within.mean())
-    return CheckReport(
-        name="gap_zero_mean",
-        passed=fraction >= 0.99,
-        measured={"fraction_within_3se": fraction, "max_abs_mean": float(np.abs(mean).max())},
-        bound={"required_fraction": 0.99},
-        detail=f"{n_seeds} seeds, {d} coordinates, T={T}",
-        elapsed_s=time.monotonic() - start,
-    )
+    measured = {"fraction_within_3se": fraction, "max_abs_mean": float(np.abs(mean).max())}
+    detail = f"{n_seeds} seeds, {d} coordinates, T={T}"
+    return fraction >= 0.99, measured, {"required_fraction": 0.99}, detail
 
 
-def check_local_grad_norm(
-    *,
-    n_draws: int = 100_000,
-    sigma_l: float = 0.5,
-    grad_clip: float = 5.0,
-    base_seed: int = 0,
-) -> CheckReport:
+@check
+def check_local_grad_norm(base_seed: int) -> tuple:
     """E||stochastic gradient||^2 must not exceed sigma_l^2 + G^2 (+3 SE)."""
-    start = time.monotonic()
+    n_draws, sigma_l, grad_clip = 100_000, 0.5, 5.0
     quad = make_quad_set(8, 64, sigma_l=sigma_l, grad_clip=grad_clip, seed=base_seed)
     gen = rng.stream(base_seed, rng.VERIFY, 2)
     idx = gen.integers(quad.m, size=n_draws)
@@ -338,14 +337,9 @@ def check_local_grad_norm(
     mean = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(n_draws))
     bound = sigma_l**2 + grad_clip**2
-    return CheckReport(
-        name="local_grad_norm",
-        passed=mean <= bound + 3.0 * se,
-        measured={"mean_sq_norm": mean, "se": se, "clipped_fraction": float(clipped.mean())},
-        bound={"sigma_sq_plus_G_sq": bound},
-        detail=f"{n_draws} draws, sigma_l={sigma_l}, G={grad_clip}",
-        elapsed_s=time.monotonic() - start,
-    )
+    measured = {"mean_sq_norm": mean, "se": se, "clipped_fraction": float(clipped.mean())}
+    detail = f"{n_draws} draws, sigma_l={sigma_l}, G={grad_clip}"
+    return mean <= bound + 3.0 * se, measured, {"sigma_sq_plus_G_sq": bound}, detail
 
 
 def gap_norm_bound(
@@ -366,34 +360,21 @@ def gap_norm_bound(
     )
 
 
-def check_gap_norm_bound(
-    *,
-    n_seeds: int = 100,
-    T: int = 40,
-    base_seed: int = 0,
-) -> CheckReport:
+@check
+def check_gap_norm_bound(base_seed: int) -> tuple:
     """Mean squared gap (plus 3 SE) must stay below the worst-case bound at
     every logged round."""
-    start = time.monotonic()
-    sigma_l, clip = 0.5, 2.0
-    quad = make_quad_set(8, 64, sigma_l=sigma_l, grad_clip=clip, seed=base_seed)
-    seeds = range(base_seed + 1, base_seed + 1 + n_seeds)
-    trace = run_gap_trace(quad, T=T, seeds=seeds, **_GAP_SCHEDULE)
+    n_seeds, T, sigma_l, clip = 100, 40, 0.5, 2.0
+    trace = _seeded_gap_trace(base_seed, n_seeds=n_seeds, T=T, d=64, sigma_l=sigma_l, clip=clip)
     sq_gaps = np.stack([np.vecdot(gap, gap) for gap in map(trace.gap, range(1, T + 1))], axis=1)
     schedule = {k: v for k, v in _GAP_SCHEDULE.items() if k != "eta_a"}
     bound = gap_norm_bound(sigma_l=sigma_l, G=clip, **schedule)
     mean_t = sq_gaps.mean(axis=0)
     se_t = sq_gaps.std(axis=0, ddof=1) / math.sqrt(n_seeds)
     upper = mean_t + 3.0 * se_t
-    worst = float(upper.max())
-    return CheckReport(
-        name="gap_norm_bound",
-        passed=bool((upper <= bound).all()),
-        measured={"worst_mean_plus_3se": worst, "max_mean": float(mean_t.max())},
-        bound={"gap_sq_bound": bound},
-        detail=f"{n_seeds} seeds x {T} rounds, beta=B/B_plus={_GAP_SCHEDULE['beta']}",
-        elapsed_s=time.monotonic() - start,
-    )
+    measured = {"worst_mean_plus_3se": float(upper.max()), "max_mean": float(mean_t.max())}
+    detail = f"{n_seeds} seeds x {T} rounds, beta=B/B_plus={trace.beta}"
+    return bool((upper <= bound).all()), measured, {"gap_sq_bound": bound}, detail
 
 
 def stationarity_rhs(
@@ -406,15 +387,11 @@ def stationarity_rhs(
     )
 
 
-def check_stationarity_schedule(
-    *,
-    horizons: tuple[int, ...] = (64, 256, 1024),
-    base_seed: int = 0,
-) -> CheckReport:
+@check
+def check_stationarity_schedule(base_seed: int) -> tuple:
     """Mean squared gradient norm at the auxiliary iterates must fall with T
     and stay below the rate bound with measured constants."""
-    start = time.monotonic()
-    sigma_l = 0.1
+    horizons, sigma_l = (64, 256, 1024), 0.1
     eta_g, T_l, beta = (_GAP_SCHEDULE[k] for k in ("eta_g", "T_l", "beta"))
     quad = make_quad_set(8, 16, sigma_l=sigma_l, grad_clip=None, seed=base_seed)
     f_gap = quad.f(np.zeros(quad.d)) - quad.f_star()
@@ -436,23 +413,9 @@ def check_stationarity_schedule(
         ok_bound = ok_bound and m_t <= rhs
     ok_trend = all(ms[i + 1] <= 1.1 * ms[i] for i in range(len(ms) - 1))
     ok_halving = ms[-1] <= 0.5 * ms[0]
-    return CheckReport(
-        name="stationarity_schedule",
-        passed=ok_bound and ok_trend and ok_halving,
-        measured=measured,
-        bound={"halving_ratio": 0.5, "trend_slack": 1.1},
-        detail=f"horizons={horizons}, beta=B/B_plus={beta}, eta_g={eta_g}",
-        elapsed_s=time.monotonic() - start,
-    )
-
-
-CHECKS = {
-    "gap_recursion": check_gap_recursion,
-    "gap_zero_mean": check_gap_zero_mean,
-    "local_grad_norm": check_local_grad_norm,
-    "gap_norm_bound": check_gap_norm_bound,
-    "stationarity_schedule": check_stationarity_schedule,
-}
+    bound = {"halving_ratio": 0.5, "trend_slack": 1.1}
+    detail = f"horizons={horizons}, beta=B/B_plus={beta}, eta_g={eta_g}"
+    return ok_bound and ok_trend and ok_halving, measured, bound, detail
 
 
 def suite_checks(which: str) -> list[str]:

@@ -2,15 +2,14 @@
 
 Each test prints as its own pass/fail line under ``pytest -v``. The slow
 directional-replication experiment (criterion 9) runs the four frozen
-configs under ``configs/acceptance/`` across 10 trials in a process pool.
+configs under ``configs/acceptance/`` across 10 trials in ``simulate``'s
+trial pool.
 """
 
 import json
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -89,31 +88,31 @@ def test_acceptance_1_gradient_correctness_100_random_configs():
 
 
 def test_acceptance_2_gap_recursion_closed_form():
-    report = check_gap_recursion(n_seeds=5, T=50, B=2, B_plus=4, tol=1e-9)
+    report = check_gap_recursion()
     assert report.passed, report.measured
     assert report.elapsed_s < 30.0
 
 
 def test_acceptance_3_gap_zero_mean():
-    report = check_gap_zero_mean(n_seeds=200)
+    report = check_gap_zero_mean()
     assert report.passed, report.measured
     assert report.elapsed_s < 120.0
 
 
 def test_acceptance_4_gap_norm_bound():
-    report = check_gap_norm_bound(n_seeds=100)
+    report = check_gap_norm_bound()
     assert report.passed, report.measured
     assert report.elapsed_s < 120.0
 
 
 def test_acceptance_5_local_grad_second_moment_bound():
-    report = check_local_grad_norm(n_draws=100_000)
+    report = check_local_grad_norm()
     assert report.passed, report.measured
     assert report.elapsed_s < 10.0
 
 
 def test_acceptance_6_stationarity_rate_and_halving():
-    report = check_stationarity_schedule(horizons=(64, 256, 1024))
+    report = check_stationarity_schedule()
     assert report.passed, report.measured
     assert report.measured["M_1024"] <= 0.5 * report.measured["M_64"]
     for T in (64, 256, 1024):
@@ -265,50 +264,24 @@ def test_acceptance_8_round_durations_and_factor_medians():
 # ---- criterion 9: directional replication of the straggler study ---- #
 
 
-def _acceptance_trial(args):
-    path, seed = args
-    config = load_config(path)
-    result = Simulation(config, trial_seed=seed).run()
-    return (
-        path.stem,
-        result.final_record.total_acc,
-        result.final_record.straggler_acc,
-        result.total_time_s,
-    )
-
-
-def test_acceptance_9_directional_replication(monkeypatch):
+def test_acceptance_9_directional_replication(tmp_path):
     start = time.monotonic()
-    # Spawned workers start from a fresh import, so each one's numpy loads
-    # with one BLAS thread: a trial is single-threaded, and idle BLAS threads
-    # in every worker contend for the host's cores.
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
     names = ["fedavg_full", "fedavg_oversel", "feast", "fare_dust"]
-    jobs = []
-    for name in names:
-        path = CONFIG_DIR / f"{name}.json"
-        config = load_config(path)
-        assert config.trials == 10
-        for trial in range(config.trials):
-            jobs.append((path, config.base_seed + trial))
-    results: dict[str, list[tuple[float, float, float]]] = {}
-    workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        for name, total, straggler, time_s in pool.map(_acceptance_trial, jobs):
-            results.setdefault(name, []).append((total, straggler, time_s))
+    configs = [load_config(CONFIG_DIR / f"{name}.json") for name in names]
+    assert [config.trials for config in configs] == [10] * 4
+    # simulate's trial pool: one spawned worker per usable CPU, one BLAS thread each
+    runs = [(config, tmp_path / name) for config, name in zip(configs, names)]
+    finals = cli._run(runs, len(os.sched_getaffinity(0)))
 
     stats = {}
-    for name in names:
-        rows = results[name]
+    for name, rows in zip(names, finals):
         assert len(rows) == 10
-        lo, med, hi = np.percentile([r[1] for r in rows], [5.0, 50.0, 95.0])
+        lo, med, hi = np.percentile([r["straggler_acc"] for r in rows], [5.0, 50.0, 95.0])
         stats[name] = {
             "strag_lo": float(lo),
             "strag_med": float(med),
             "strag_hi": float(hi),
-            "time_med": float(np.percentile([r[2] for r in rows], 50.0)),
+            "time_med": float(np.percentile([r["virtual_time_s"] for r in rows], 50.0)),
         }
 
     full = stats["fedavg_full"]

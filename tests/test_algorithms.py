@@ -15,6 +15,7 @@ from stragglersim.algorithms import (
     PendingAuxRound,
     ServerState,
     SyncRoundDriver,
+    aux_step,
     canonical_delta_sum,
     server_apply,
     teacher_from_history,
@@ -136,6 +137,36 @@ def test_server_apply_feeds_ema():
     w_first = state.w.copy()
     server_apply(state, np.array([0.5]), count=1)
     np.testing.assert_allclose(state.ema, 0.9 * w_first + 0.1 * state.w, atol=1e-15)
+
+
+@pytest.mark.parametrize("ema", [False, True], ids=["no_ema", "ema"])
+@pytest.mark.parametrize("server_opt", ["sgd", "adam"])
+def test_a_server_step_writes_into_no_array_it_held(server_opt, ema):
+    # The evaluation thread scores state.served() while the next version
+    # trains, which is safe only while a step rebinds the state's vectors.
+    gen = rng.stream(0, rng.VERIFY, 0)
+    algo = AlgoConfig("fedbuff", server_opt=server_opt, ema_enabled=ema)
+    state = ServerState(gen.standard_normal(5), algo)
+    for _ in range(2):  # the EMA starts at the first step and moves from the second
+        held = {k: getattr(state, k) for k in ("w", "ema", "adam_m", "adam_v")}
+        held = {k: v for k, v in held.items() if v is not None}
+        held["summed_delta"] = summed_delta = gen.standard_normal(5)
+        before = {k: v.copy() for k, v in held.items()}
+        server_apply(state, summed_delta, count=2)
+        for k, v in held.items():
+            np.testing.assert_array_equal(v, before[k], err_msg=k)
+            assert k == "summed_delta" or not np.shares_memory(getattr(state, k), v), k
+    assert (state.ema is not None) == ema
+
+
+def test_the_auxiliary_step_writes_into_none_of_its_inputs():
+    gen = rng.stream(0, rng.VERIFY, 0)
+    aux, w_snapshot, delta_plus = (gen.standard_normal(5) for _ in range(3))
+    before = [v.copy() for v in (aux, w_snapshot, delta_plus)]
+    out = aux_step(aux, w_snapshot, delta_plus, 4, AlgoConfig("feast"))
+    for v, b in zip((aux, w_snapshot, delta_plus), before):
+        np.testing.assert_array_equal(v, b)
+        assert not np.shares_memory(out, v)
 
 
 # ---- canonical aggregation ---- #

@@ -1,12 +1,13 @@
 """Tests for the quadratic testbed and the convergence-claim checks."""
 
+import inspect
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from stragglersim import rng
+from stragglersim import rng, verify
 from stragglersim.verify import (
     QuadClientSet,
     check_gap_recursion,
@@ -340,8 +341,19 @@ def test_stationarity_rhs_arithmetic():
 # ---- check wrappers ---- #
 
 
+def test_each_check_is_registered_under_its_name_and_varies_only_its_seed():
+    assert list(verify.CHECKS) == [
+        "gap_recursion", "gap_zero_mean", "local_grad_norm", "gap_norm_bound",
+        "stationarity_schedule",
+    ]
+    for name, run in verify.CHECKS.items():
+        assert getattr(verify, f"check_{name}") is run
+        assert list(inspect.signature(run).parameters) == ["base_seed"]
+        assert list(inspect.signature(run, follow_wrapped=False).parameters) == ["base_seed"]
+
+
 def test_check_gap_recursion_small_run_passes():
-    report = check_gap_recursion(n_seeds=2, T=10, B=2, B_plus=4, tol=1e-9)
+    report = check_gap_recursion()
     assert report.passed
     assert report.measured["worst_rel_error"] <= 1e-9
     assert report.name == "gap_recursion"
@@ -349,7 +361,7 @@ def test_check_gap_recursion_small_run_passes():
 
 
 def test_check_local_grad_norm_small_run_passes():
-    report = check_local_grad_norm(n_draws=5000)
+    report = check_local_grad_norm()
     assert report.passed
     assert 0.0 < report.measured["clipped_fraction"] < 1.0
     assert report.bound["sigma_sq_plus_G_sq"] == pytest.approx(0.25 + 25.0)
