@@ -48,10 +48,10 @@ def _acceptance(name, **changes):
     return dataclasses.replace(config, budget=BUDGET, **changes)
 
 
-def _zero_sigma(name):
+def _zero_sigma(name, **changes):
     """An acceptance config whose latency factors are all fixed (sigma 0), so
     clients of one group and shard size complete at the same time."""
-    config = _acceptance(name)
+    config = _acceptance(name, **changes)
     fixed = {
         group: dataclasses.replace(profile, **{
             factor: dataclasses.replace(getattr(profile, factor), sigma=0.0)
@@ -130,6 +130,16 @@ def _variants():
         # tied completion times: which late updates wait for the round's close
         **{f"{name}_zero_sigma": _zero_sigma(name)
            for name in ("fedavg_oversel", "fare_dust", "feast")},
+        # tied completions: a refill may pick a client that completes at its own instant
+        "fedbuff_zero_sigma": _zero_sigma("fedavg_full", algo=AlgoConfig("fedbuff", **_CROWD)),
+        # 2,000 small clients, some shards dropped, 400 in flight
+        "fedbuff_crowd_300": _acceptance(
+            "fedavg_full",
+            algo=AlgoConfig("fedbuff", eta_l=0.1, batch_size=20, buffer_size=20,
+                            max_concurrency=400),
+            dataset=dataclasses.replace(full.dataset, m_clients=2000, median_shard_size=8.0,
+                                        n_straggler_clients=300),
+        ),
     }
 
 
