@@ -35,10 +35,16 @@ the client, the round and the virtual time of its dispatch.
 
 A client is busy until its update completes and is excluded from cohort
 sampling in the meantime (allow_busy_reuse lifts this); a synchronous round
-whose cohort is not idle yet starts at Simulation.idle_at. The busy-until
-table spans all m_clients ids and a dropped shard's id is busy forever, so
-the idle pool is one comparison; one call draws a cohort's k pool indices.
-Client streams come from key tables (rng.stream_keys). A dispatch reads its
+whose cohort is not idle yet starts at Simulation.idle_at. The idle pool is
+a list of the idle ids kept sorted; a dispatch takes its client out by
+bisection, which is also the check that it was idle, and pushes (completion
+time, id) onto a heap. Whenever the engine reads the pool (sample_cohort,
+idle_at, dispatch), it first moves every heap entry due at or before now
+back into the list, so a client is idle again at its completion's own
+instant. A dropped shard's id never enters the pool. Under busy reuse the
+pool is every kept id and no heap is kept. One call draws a cohort's k pool
+indices. A client's latency and shuffle streams are made together, from key
+tables (rng.stream_keys), at its first dispatch. A dispatch reads its
 client's profile and shard size from a table built at set-up, and training
 reads the dataset's kept arrays, by shard start row, without copies.
 The run ends at the server step that brings the aggregated client updates
@@ -70,6 +76,7 @@ record inline.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import weakref
@@ -218,27 +225,28 @@ class Simulation:
         self._queued: dict[int, np.ndarray] = {}
         self.events: list[TraceEvent] = []
         self.last_model_event = 0.0
-        all_ids = range(config.dataset.m_clients)
-        self._client_ids = np.array([s.client_id for s in self.dataset.shards], dtype=np.int64)
-        # an id without a shard is never idle
-        self._busy_until = np.full(len(all_ids), np.inf)
-        self._busy_until[self._client_ids] = 0.0
+        # the idle kept ids, sorted, and a heap of (completion time, id) of the
+        # busy ones; under busy reuse every kept id stays idle
+        self._reuse = self.algo.allow_busy_reuse
+        self._idle = sorted(s.client_id for s in self.dataset.shards)
+        self._busy: list[tuple[float, int]] = []
         # a sync round draws distinct clients even with busy reuse; a fedbuff refill draws one
         if self.algo.name != "fedbuff":
             size = self.algo.resolved_dispatch_size()
             field = "cohort_size" if size == self.algo.cohort_size else "dispatch_size"
         else:
             field = "max_concurrency"
-            size = 1 if self.algo.allow_busy_reuse else self.algo.max_concurrency
-        if size > len(self._client_ids):
+            size = 1 if self._reuse else self.algo.max_concurrency
+        if size > len(self._idle):
             raise ConfigError(
                 f"algo.{field}: {size} clients busy at once, but the dataset keeps only "
-                f"{len(self._client_ids)} clients"
+                f"{len(self._idle)} clients"
             )
         self._cohort_gen = rng.stream(trial_seed, rng.COHORT)
+        self._epochs, self._batch_size = self.algo.epochs, self.algo.batch_size
+        b = self._batch_size
         # client id -> (latency profile, n_examples, batches per epoch, start
         # row in the dataset's kept arrays), in shard order
-        b = self.algo.batch_size
         self._dispatch_table = {
             s.client_id: (
                 scenario.profile_for(s.is_straggler), s.n_examples, -(-s.n_examples // b), s.start
@@ -247,10 +255,13 @@ class Simulation:
         }
         self.teacher_gen = rng.stream(trial_seed, rng.TEACHER)
         self._teacher_download_factor = scenario.teacher_download_factor
-        # (purpose, client id) -> that client's stream, made on first use from its key row
-        purposes = (rng.LATENCY, rng.SHUFFLE)
-        self._client_keys = {p: rng.stream_keys(trial_seed, p, ids=all_ids) for p in purposes}
-        self._client_gens: dict[tuple[int, int], np.random.Generator] = {}
+        # client id -> its (latency, shuffle) streams, made together on first
+        # use from its key rows
+        all_ids = range(config.dataset.m_clients)
+        self._client_keys = [
+            rng.stream_keys(trial_seed, p, ids=all_ids) for p in (rng.LATENCY, rng.SHUFFLE)
+        ]
+        self._client_streams: dict[int, tuple[np.random.Generator, np.random.Generator]] = {}
 
         self.tau_limit: float | None = None
         if self.algo.time_limit:
@@ -266,26 +277,25 @@ class Simulation:
     def sample_cohort(self, k: int) -> list[int]:
         """k sequential uniform picks without replacement from the id-sorted
         idle pool: slot i pops index integers(len(pool) - i), the k indices
-        drawn in one call."""
-        reuse = self.algo.allow_busy_reuse
-        pool = self._client_ids if reuse else (self._busy_until <= self.now).nonzero()[0]
+        drawn in one call. The picks stay in the pool until dispatched."""
+        pool = self._release()
         if k > len(pool):
             raise RuntimeError(
                 f"cohort of {k} requested at t={self.now:.3f} but only "
                 f"{len(pool)} clients are idle"
             )
-        if k == 1:  # a buffered refill: skip the list conversion
-            return [int(pool[self._cohort_gen.integers(len(pool))])]
+        if k == 1:  # a buffered refill: skip the copy
+            return [pool[self._cohort_gen.integers(len(pool))]]
         picks = self._cohort_gen.integers(np.arange(len(pool), len(pool) - k, -1)).tolist()
-        pool = pool.tolist()
+        pool = pool.copy()
         return [pool.pop(i) for i in picks]
 
     def idle_at(self, k: int) -> float:
-        """The earliest virtual time, not before now, at which k clients are
-        idle: now under allow_busy_reuse, else the k-th smallest busy-until."""
-        if self.algo.allow_busy_reuse:
-            return self.now
-        return max(self.now, float(np.partition(self._busy_until, k - 1)[k - 1]))
+        """The earliest virtual time, not before now, at which k of the kept
+        clients are idle: now while k are idle (always under
+        allow_busy_reuse), else the completion that makes the k-th idle."""
+        short = k - len(self._release())
+        return self.now if short <= 0 else heapq.nsmallest(short, self._busy)[-1][0]
 
     def dispatch(self, client_id: int, *, teacher_w: np.ndarray | None = None) -> ClientUpdate:
         """Record one client's local computation on the open model version;
@@ -299,24 +309,29 @@ class Simulation:
         reads it (apply_server_update). Every update one server step trains
         distills (passes teacher_w) or none does.
         """
-        if not self.algo.allow_busy_reuse and self._busy_until[client_id] > self.now:
-            raise RuntimeError(f"client {client_id} dispatched while busy")
+        if not self._reuse:
+            idle = self._release()
+            i = bisect.bisect_left(idle, client_id)
+            if i == len(idle) or idle[i] != client_id:
+                raise RuntimeError(f"client {client_id} dispatched while busy")
+            del idle[i]
         profile, n, per_epoch, _ = self._dispatch_table[client_id]
-        factors = latency.sample_client_latency(profile, self._client_gen(rng.LATENCY, client_id))
+        latency_gen, shuffle_gen = self._streams(client_id)
+        factors = latency.sample_client_latency(profile, latency_gen)
+        b = self._batch_size
         if self.tau_limit is None:
-            steps, examples = self.algo.epochs * per_epoch, self.algo.epochs * n
+            steps, examples = self._epochs * per_epoch, self._epochs * n
         else:
-            b = self.algo.batch_size
             steps = max(
                 1, math.floor((self.tau_limit - factors.overhead_s) / (factors.per_example_s * b))
             )
             epochs, rest = divmod(steps, per_epoch)
             # rest < per_epoch, so the unfinished epoch walked only whole chunks
             examples = epochs * n + rest * b
-        extra_download = teacher_w is not None and teacher_w is not self.state.w
+        w = self.state.w
+        extra_download = teacher_w is not None and teacher_w is not w
         comm_scale = self._teacher_download_factor if extra_download else 1.0
-        shuffle_gen = self._client_gen(rng.SHUFFLE, client_id)
-        plan = model.draw_batch_plan(shuffle_gen, n, steps, self.algo.batch_size)
+        plan = model.draw_batch_plan(shuffle_gen, n, steps, b)
         update = ClientUpdate(
             round_id=self.state.t,
             client_id=client_id,
@@ -325,9 +340,10 @@ class Simulation:
             completed_at=self.now + factors.total_s(examples, comm_scale),
             examples_processed=examples,
             steps_done=steps,
-            work=(plan, self.state.w, teacher_w),
+            work=(plan, w, teacher_w),
         )
-        self._busy_until[client_id] = update.completed_at
+        if not self._reuse:
+            heapq.heappush(self._busy, (update.completed_at, client_id))
         self.counters["dispatches"] += 1
         if self.trace:
             members = ((update.round_id, client_id),)
@@ -420,12 +436,24 @@ class Simulation:
         for u, w, w_i in zip(updates, ws, w_final):
             u.delta, u.work = w - w_i, None
 
-    def _client_gen(self, purpose: int, client_id: int) -> np.random.Generator:
-        key = (purpose, client_id)
-        gen = self._client_gens.get(key)
-        if gen is None:
-            gen = self._client_gens[key] = rng.stream_from_key(self._client_keys[purpose][client_id])
-        return gen
+    def _release(self) -> list[int]:
+        """The sorted idle ids, after moving in every busy client whose update
+        completes at or before now."""
+        busy, idle, now = self._busy, self._idle, self.now
+        while busy and busy[0][0] <= now:
+            bisect.insort(idle, heapq.heappop(busy)[1])
+        return idle
+
+    def _streams(self, client_id: int) -> tuple[np.random.Generator, np.random.Generator]:
+        """The client's (latency, shuffle) streams, made together on first use."""
+        streams = self._client_streams.get(client_id)
+        if streams is None:
+            latency_keys, shuffle_keys = self._client_keys
+            streams = self._client_streams[client_id] = (
+                rng.stream_from_key(latency_keys[client_id]),
+                rng.stream_from_key(shuffle_keys[client_id]),
+            )
+        return streams
 
     def _monte_carlo_time_limit(self) -> float:
         """Population percentile of one-epoch computation time (no comm).

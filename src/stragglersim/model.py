@@ -329,14 +329,13 @@ def _sgd_grad(
 
 def draw_batch_plan(gen, n: int, steps: int, batch_size: int) -> np.ndarray:
     """The batch plan of a member that takes steps batch_size-chunks of its n
-    rows, and the one copy of its draw rule: per epoch it starts, gen
-    shuffles an arange(n) in place (the draws gen.permutation(n) makes), and
-    the epochs follow one another. Rows are the member's own, 0 to n - 1."""
+    rows, and the one copy of its draw rule: one gen.permutation(n) per
+    epoch it starts, the epochs following one another. Rows are the
+    member's own, 0 to n - 1."""
     epochs = -(-steps // -(-n // batch_size))
-    plan = np.arange(n) if epochs == 1 else np.tile(np.arange(n), epochs)
-    for a in range(0, len(plan), n):
-        gen.shuffle(plan[a : a + n])
-    return plan
+    if epochs == 1:
+        return gen.permutation(n)
+    return np.concatenate([gen.permutation(n) for _ in range(epochs)])
 
 
 def _cohort_plan(starts, sizes, batch_size: int, steps, plans):

@@ -93,6 +93,13 @@ class _Key(np.random.bit_generator.ISeedSequence):
         return self.key
 
 
+# Philox's default starting counter, 0, as an array: Philox copies it, and
+# a stream is made in about 3.0 us instead of 4.5 us from the int 0 (2-vCPU
+# x86_64, numpy 2.4.6)
+_COUNTER_0 = np.zeros(4, dtype=np.uint64)
+_COUNTER_0.flags.writeable = False
+
+
 def stream_from_key(key: np.ndarray) -> np.random.Generator:
     """The generator stream() gives for the ids of one stream_keys row."""
-    return np.random.Generator(np.random.Philox(_Key(key)))
+    return np.random.Generator(np.random.Philox(_Key(key), counter=_COUNTER_0))

@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import round_views
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stragglersim import engine, metrics, model, rng
 from stragglersim.algorithms import AlgoConfig
@@ -217,15 +219,21 @@ def test_a_round_waits_for_busy_clients_without_busy_reuse():
     assert result.aggregated_updates >= 20
 
 
-def _scan_cohort(sim, k, gen):
-    """The reference idle-pool rule: an id-sorted scan of every client, then
-    one index draw per slot without replacement."""
+def _scan_pool(sim, last_done):
+    """The reference idle pool: an id-sorted scan of every kept client, where
+    a client is idle once its last dispatch (last_done: id -> completion
+    time) completes at or before now, or always under busy reuse."""
     ids = sorted(shard.client_id for shard in sim.dataset.shards)
-    pool = ids if sim.algo.allow_busy_reuse else [
-        cid for cid in ids if sim._busy_until[cid] <= sim.now
-    ]
+    if sim.algo.allow_busy_reuse:
+        return ids
+    return [cid for cid in ids if last_done.get(cid, 0.0) <= sim.now]
+
+
+def _scan_cohort(pool, k, gen):
+    """The reference cohort draw: one index draw per slot without replacement."""
     if k > len(pool):
         raise RuntimeError("short pool")
+    pool = list(pool)
     return [pool.pop(int(gen.integers(len(pool)))) for _ in range(k)]
 
 
@@ -234,25 +242,81 @@ def test_sample_cohort_matches_the_id_sorted_scan(reuse):
     algo = AlgoConfig("fedavg", cohort_size=2, allow_busy_reuse=reuse)
     sim = Simulation(_config(algo), trial_seed=5)
     ids = sorted(shard.client_id for shard in sim.dataset.shards)
-    sim.now = 4.0
-    for i, cid in enumerate(ids):
-        sim._busy_until[cid] = (0.0, 4.0, 9.0)[i % 3]  # idle, idle at now, busy
+    # two of every three clients are dispatched at 0; now is then set to
+    # their median completion, so clients are idle, idle at now, or busy
+    last_done = {cid: sim.dispatch(cid).completed_at for i, cid in enumerate(ids) if i % 3}
+    sim.now = float(np.median(list(last_done.values())))
+    states = {(t < sim.now) - (t > sim.now) for t in last_done.values()}
+    assert states == {-1, 0, 1} and len(last_done) < len(ids)
     reference = copy.deepcopy(sim._cohort_gen)
-    n_idle = len(ids) if reuse else sum(sim._busy_until[cid] <= sim.now for cid in ids)
+    n_idle = len(_scan_pool(sim, last_done))
     for k in (1, 3, 1, n_idle, 1):
         picks = sim.sample_cohort(k)
-        assert picks == _scan_cohort(sim, k, reference)
+        assert picks == _scan_cohort(_scan_pool(sim, last_done), k, reference)
         assert all(type(cid) is int for cid in picks)
     # the cohort stream is left where the scan leaves it
     assert sim._cohort_gen.integers(2**62) == reference.integers(2**62)
     with pytest.raises(RuntimeError, match="idle"):
         sim.sample_cohort(n_idle + 1)
-    sim._busy_until[:] = 9.0
+    for cid in _scan_pool(sim, last_done):
+        last_done[cid] = sim.dispatch(cid).completed_at
     if reuse:
-        assert sim.sample_cohort(1) == _scan_cohort(sim, 1, reference)
+        assert sim.sample_cohort(1) == _scan_cohort(_scan_pool(sim, last_done), 1, reference)
     else:
         with pytest.raises(RuntimeError, match="only 0 clients are idle"):
             sim.sample_cohort(1)
+
+
+# dropped shards (ids with no client) and equal shard sizes under fixed
+# latencies, so completions tie
+_POOL_DATA = dataclasses.replace(SMALL_DATA, median_shard_size=2.0, n_straggler_clients=6)
+_POOL_STEPS = st.lists(
+    st.tuples(st.sampled_from(["dispatch", "dispatch", "advance", "sample", "idle_at"]),
+              st.integers(0, 63)),
+    min_size=20,
+    max_size=80,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reuse=st.booleans(), steps=_POOL_STEPS)
+def test_idle_pool_matches_the_scan_over_last_completions(reuse, steps):
+    # Random dispatch, advance, sample and idle_at steps against the scan of
+    # each client's last completion. An advance often lands on a pending
+    # completion, so a client may complete at now; a dispatch may name a
+    # busy client or a dropped id, which raises and changes nothing.
+    algo = AlgoConfig("fedavg", cohort_size=2, allow_busy_reuse=reuse)
+    config = _config(algo, dataset=_POOL_DATA, scenario=DET_PE)
+    sim = Simulation(config, trial_seed=3)
+    kept = sorted(shard.client_id for shard in sim.dataset.shards)
+    assert sim.dataset.dropped_clients
+    named = kept if reuse else range(_POOL_DATA.m_clients)
+    reference = copy.deepcopy(sim._cohort_gen)
+    last_done: dict[int, float] = {}
+    for op, x in steps:
+        pool = _scan_pool(sim, last_done)
+        if op == "dispatch":
+            cid = named[x % len(named)]
+            if cid in pool:
+                last_done[cid] = sim.dispatch(cid).completed_at
+            else:
+                with pytest.raises(RuntimeError, match=f"client {cid} dispatched while busy"):
+                    sim.dispatch(cid)
+        elif op == "advance":
+            pending = sorted({t for t in last_done.values() if t >= sim.now})
+            sim.now = pending[x % len(pending)] if pending and x % 4 else sim.now + x % 7 / 3
+        elif op == "sample":
+            k = 1 + x % (len(pool) + 1)
+            if k > len(pool):
+                with pytest.raises(RuntimeError, match=f"only {len(pool)} clients are idle"):
+                    sim.sample_cohort(k)
+            else:
+                assert sim.sample_cohort(k) == _scan_cohort(pool, k, reference)
+        else:
+            k = 1 + x % len(kept)
+            done = sorted(last_done.get(cid, 0.0) for cid in kept)
+            assert sim.idle_at(k) == (sim.now if reuse else max(sim.now, done[k - 1]))
+    assert sim._cohort_gen.integers(2**62) == reference.integers(2**62)
 
 
 def test_client_streams_and_idle_pool_skip_nothing_but_dropped_shards():
@@ -266,8 +330,8 @@ def test_client_streams_and_idle_pool_skip_nothing_but_dropped_shards():
     shard_ids = [shard.client_id for shard in sim.dataset.shards]
     assert dropped and len(shard_ids) + len(dropped) == dataset.m_clients
     for client_id in shard_ids:
-        for purpose in (rng.LATENCY, rng.SHUFFLE):
-            gen = copy.deepcopy(sim._client_gen(purpose, client_id))
+        for purpose, gen in zip((rng.LATENCY, rng.SHUFFLE), sim._streams(client_id)):
+            gen = copy.deepcopy(gen)
             reference = rng.stream(11, purpose, client_id)
             assert repr(gen.bit_generator.state) == repr(reference.bit_generator.state)
             np.testing.assert_array_equal(gen.standard_normal(3), reference.standard_normal(3))

@@ -404,6 +404,23 @@ def test_cohort_plan_matches_per_member_permutations(starts, sizes, batch_size, 
         assert gen.random() == ref_gen.random()
 
 
+@pytest.mark.parametrize(
+    "n,steps,batch_size",
+    [(7, 3, 3), (7, 2, 3), (7, 7, 3), (5, 3, 5), (5, 2, 8), (1, 3, 1)],
+    ids=["one_epoch", "early_stop", "third_epoch_early_stop", "n_is_batch", "n_below_batch",
+         "one_row"],
+)
+def test_draw_batch_plan_is_one_permutation_per_started_epoch(n, steps, batch_size):
+    gen = rng.stream(3, rng.SHUFFLE, n)
+    ref = copy.deepcopy(gen)
+    plan = draw_batch_plan(gen, n, steps, batch_size)
+    epochs = -(-steps // -(-n // batch_size))
+    want = np.concatenate([ref.permutation(n) for _ in range(epochs)])
+    assert plan.dtype == want.dtype and plan.tolist() == want.tolist()
+    # the generator ends where the permutations leave it
+    assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)
+
+
 def test_a_client_listed_twice_trains_as_two_sequential_calls():
     # A version group can hold one client twice (a buffered client that
     # completes and is sampled again before the flush). With a time limit

@@ -96,6 +96,7 @@ def test_key_table_rows_are_the_keys_and_draws_of_stream(seed, prefix):
         reference = rng.stream(seed, *prefix, client_id)
         np.testing.assert_array_equal(row, reference.bit_generator.state["state"]["key"])
         gen = rng.stream_from_key(row)
+        assert repr(gen.bit_generator.state) == repr(reference.bit_generator.state)
         np.testing.assert_array_equal(gen.standard_normal(5), reference.standard_normal(5))
         np.testing.assert_array_equal(gen.permutation(11), reference.permutation(11))
         np.testing.assert_array_equal(
