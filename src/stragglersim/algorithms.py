@@ -2,7 +2,8 @@
 
 A driver owns only the round semantics of one algorithm family: which
 clients are dispatched, which arrivals count, and where late straggler
-updates go. It talks to the simulation through a narrow context interface
+updates go. Each of its hooks receives the simulation as its first argument
+(no driver keeps it) and reaches it through a narrow context interface
 (SimContext): dispatch a client with its teacher only, hand over the updates
 of one server step or the summed delta of one auxiliary step, learn when k
 clients will be idle, and schedule one of its own hooks. A dispatch returns
@@ -339,10 +340,11 @@ def teacher_from_history(
 
 
 class SimContext(Protocol):
-    """What a driver may use of the engine. apply_server_update trains the
-    updates it aggregates and the late ones the driver will fold after the
-    step, so each is read trained; an update the driver never reads never
-    trains."""
+    """What a driver may use of the engine, which hands itself to every hook
+    as its first argument: start, is_finished and each handler a driver
+    schedules. apply_server_update trains the updates it aggregates and the
+    late ones the driver will fold after the step, so each is read trained;
+    an update the driver never reads never trains."""
 
     now: float
     counters: dict[str, int]
@@ -380,44 +382,44 @@ class SyncRoundDriver:
 
     folds_late = False
 
-    def __init__(self, sim: SimContext, config: AlgoConfig) -> None:
-        self.sim = sim
+    def __init__(self, config: AlgoConfig) -> None:
         self.config = config
         self.dispatch_size = config.resolved_dispatch_size()
 
     # -- hooks overridden by subclasses -- #
 
-    def _teacher_for_dispatch(self) -> np.ndarray | None:
+    def _teacher_for_dispatch(self, sim: SimContext) -> np.ndarray | None:
         return None
 
     def _after_advance(
-        self, round_id: int, started_at: float, summed: np.ndarray, w_before: np.ndarray
+        self, sim: SimContext, round_id: int, started_at: float, summed: np.ndarray,
+        w_before: np.ndarray,
     ) -> None:
         pass
 
-    def on_client_completed(self, update: ClientUpdate) -> None:
+    def on_client_completed(self, sim: SimContext, update: ClientUpdate) -> None:
         """A late update arrives after its round closed."""
-        self.sim.counters["discarded_updates"] += 1
+        sim.counters["discarded_updates"] += 1
 
     # -- driver interface -- #
 
-    def start(self) -> None:
-        self._start_round()
+    def start(self, sim: SimContext) -> None:
+        self._start_round(sim)
 
-    def is_finished(self) -> bool:
-        return self.sim.budget_reached()
+    def is_finished(self, sim: SimContext) -> bool:
+        return sim.budget_reached()
 
     # -- internals -- #
 
-    def _start_round(self) -> None:
+    def _start_round(self, sim: SimContext) -> None:
         # Late clients of earlier rounds may still be busy: wait for a full cohort.
-        start_at = self.sim.idle_at(self.dispatch_size)
-        if start_at > self.sim.now:
-            self.sim.schedule(start_at, self._start_round)
+        start_at = sim.idle_at(self.dispatch_size)
+        if start_at > sim.now:
+            sim.schedule(start_at, self._start_round)
             return
-        self.sim.counters["rounds_started"] += 1
-        cohort = self.sim.sample_cohort(self.dispatch_size)
-        updates = [self.sim.dispatch(cid, teacher_w=self._teacher_for_dispatch()) for cid in cohort]
+        sim.counters["rounds_started"] += 1
+        cohort = sim.sample_cohort(self.dispatch_size)
+        updates = [sim.dispatch(cid, teacher_w=self._teacher_for_dispatch(sim)) for cid in cohort]
         b = self.config.cohort_size
         by_finish = sorted(
             range(len(updates)), key=lambda i: (updates[i].completed_at, updates[i].client_id)
@@ -434,26 +436,26 @@ class SyncRoundDriver:
             if i not in fast:
                 (held if i < last and u.completed_at == close_at else late).append(u)
         # The close is scheduled first, so it runs before same-time late events.
-        self.sim.schedule(
-            close_at, self._close_round, self.sim.state.t, self.sim.now,
+        sim.schedule(
+            close_at, self._close_round, sim.state.t, sim.now,
             [updates[i] for i in by_finish[:b]], held, (held + late) if self.folds_late else [],
         )
         for u in late:
-            self.sim.schedule(u.completed_at, self.on_client_completed, u)
+            sim.schedule(u.completed_at, self.on_client_completed, u)
 
     def _close_round(
-        self, round_id: int, started_at: float, fast: list[ClientUpdate],
+        self, sim: SimContext, round_id: int, started_at: float, fast: list[ClientUpdate],
         held: list[ClientUpdate], late: list[ClientUpdate],
     ) -> None:
         # The server step rebinds state.w, so this reference keeps the
         # pre-step model.
-        w_before = self.sim.state.w
-        summed = self.sim.apply_server_update(fast, late)
-        self._after_advance(round_id, started_at, summed, w_before)
+        w_before = sim.state.w
+        summed = sim.apply_server_update(fast, late)
+        self._after_advance(sim, round_id, started_at, summed, w_before)
         for update in held:
-            self.on_client_completed(update)
-        if not self.sim.budget_reached():
-            self._start_round()
+            self.on_client_completed(sim, update)
+        if not sim.budget_reached():
+            self._start_round(sim)
 
 
 class HistoryDistillationDriver(SyncRoundDriver):
@@ -461,44 +463,45 @@ class HistoryDistillationDriver(SyncRoundDriver):
 
     folds_late = True
 
-    def __init__(self, sim: SimContext, config: AlgoConfig) -> None:
-        super().__init__(sim, config)
+    def __init__(self, config: AlgoConfig) -> None:
+        super().__init__(config)
         self.history = DeltaHistory(config.history_k)
         # this round's teachers by origin round: its dispatches that draw one
         # entry share one array. Folds run only in event handlers, between
         # rounds' dispatches, so no entry changes while the round dispatches.
         self._teachers: dict[int, np.ndarray] = {}
 
-    def _start_round(self) -> None:
+    def _start_round(self, sim: SimContext) -> None:
         self._teachers.clear()
-        super()._start_round()
+        super()._start_round(sim)
 
-    def _teacher_for_dispatch(self) -> np.ndarray | None:
+    def _teacher_for_dispatch(self, sim: SimContext) -> np.ndarray | None:
         if self.config.rho <= 0:
             return None
-        entry = self.history.sample(self.sim.teacher_gen)
+        entry = self.history.sample(sim.teacher_gen)
         if entry is None:
             if self.config.skip_distill_when_no_history:
                 return None
             # No history yet: the open model itself stands in as teacher; the
             # client already downloads it, so the engine charges no extra comm.
-            return self.sim.state.w
+            return sim.state.w
         teacher = self._teachers.get(entry.origin_round)
         if teacher is None:
-            teacher = teacher_from_history(self.sim.state.w, entry, self.config.eta_g)
+            teacher = teacher_from_history(sim.state.w, entry, self.config.eta_g)
             self._teachers[entry.origin_round] = teacher
         return teacher
 
     def _after_advance(
-        self, round_id: int, started_at: float, summed: np.ndarray, w_before: np.ndarray
+        self, sim: SimContext, round_id: int, started_at: float, summed: np.ndarray,
+        w_before: np.ndarray,
     ) -> None:
         self.history.push(round_id, summed, self.config.cohort_size)
 
-    def on_client_completed(self, update: ClientUpdate) -> None:
+    def on_client_completed(self, sim: SimContext, update: ClientUpdate) -> None:
         if self.history.fold(update):
-            self.sim.counters["late_folded"] += 1
+            sim.counters["late_folded"] += 1
         else:
-            self.sim.counters["late_discarded"] += 1
+            sim.counters["late_discarded"] += 1
 
 
 @dataclass
@@ -530,73 +533,74 @@ class AuxTrackDriver(SyncRoundDriver):
 
     folds_late = True
 
-    def __init__(self, sim: SimContext, config: AlgoConfig) -> None:
-        super().__init__(sim, config)
+    def __init__(self, config: AlgoConfig) -> None:
+        super().__init__(config)
         self.pending: dict[int, PendingAuxRound] = {}
         self.next_aux_round = 0
 
-    def _start_round(self) -> None:
+    def _start_round(self, sim: SimContext) -> None:
         # a strictly sequential run opens its next round only at the previous
         # round's auxiliary update (_mark_ready)
         if not (self.config.strict_sequential and self.pending):
-            super()._start_round()
+            super()._start_round(sim)
 
-    def is_finished(self) -> bool:
-        return self.sim.budget_reached() and not self.pending
+    def is_finished(self, sim: SimContext) -> bool:
+        return sim.budget_reached() and not self.pending
 
     def _after_advance(
-        self, round_id: int, started_at: float, summed: np.ndarray, w_before: np.ndarray
+        self, sim: SimContext, round_id: int, started_at: float, summed: np.ndarray,
+        w_before: np.ndarray,
     ) -> None:
         rec = PendingAuxRound(round_id, w_before, summed, self.config.cohort_size)
         self.pending[round_id] = rec
         if self._all_reported(rec):
-            self._mark_ready(rec)
+            self._mark_ready(sim, rec)
         else:
             # A deadline in the past still fires "now". The round scheduled its
             # late updates when it started, so those due at the deadline's
             # time hold earlier sequence numbers and fold first.
-            deadline = max(started_at + self.config.tau_max, self.sim.now)
-            self.sim.schedule(deadline, self.on_aux_deadline, round_id)
+            deadline = max(started_at + self.config.tau_max, sim.now)
+            sim.schedule(deadline, self.on_aux_deadline, round_id)
 
-    def on_client_completed(self, update: ClientUpdate) -> None:
+    def on_client_completed(self, sim: SimContext, update: ClientUpdate) -> None:
         rec = self.pending.get(update.round_id)
         if rec is None or rec.ready:
-            self.sim.counters["dropped_after_deadline"] += 1
+            sim.counters["dropped_after_deadline"] += 1
             return
         rec.delta_plus += _read_delta(update)
         rec.count_plus += 1
-        self.sim.counters["late_folded"] += 1
+        sim.counters["late_folded"] += 1
         if self._all_reported(rec):
-            self._mark_ready(rec)
+            self._mark_ready(sim, rec)
 
     def _all_reported(self, rec: PendingAuxRound) -> bool:
         """Every dispatched client reported; a strict round waits for its deadline."""
         return not self.config.strict_sequential and rec.count_plus == self.dispatch_size
 
-    def on_aux_deadline(self, round_id: int) -> None:
+    def on_aux_deadline(self, sim: SimContext, round_id: int) -> None:
         rec = self.pending.get(round_id)
         if rec is not None and not rec.ready:
-            self._mark_ready(rec)
+            self._mark_ready(sim, rec)
 
-    def _mark_ready(self, rec: PendingAuxRound) -> None:
+    def _mark_ready(self, sim: SimContext, rec: PendingAuxRound) -> None:
         rec.ready = True
         # Later rounds can become ready before earlier ones; the auxiliary
         # update is applied strictly in round order, holding early-comers.
         while (head := self.pending.get(self.next_aux_round)) is not None and head.ready:
-            self._apply_aux(head)
+            self._apply_aux(sim, head)
             del self.pending[self.next_aux_round]
             self.next_aux_round += 1
             # a strictly sequential run opens its next round only now
-            if self.config.strict_sequential and not self.sim.budget_reached():
-                self._start_round()
+            if self.config.strict_sequential and not sim.budget_reached():
+                self._start_round(sim)
 
-    def _apply_aux(self, rec: PendingAuxRound) -> None:
+    def _apply_aux(self, sim: SimContext, rec: PendingAuxRound) -> None:
         if rec.round_id != self.next_aux_round:
             raise RuntimeError(
                 f"auxiliary update for round {rec.round_id} out of order; "
                 f"expected {self.next_aux_round}"
             )
-        self.sim.apply_aux_update(rec.w_snapshot, rec.delta_plus, rec.count_plus)
+        sim.apply_aux_update(rec.w_snapshot, rec.delta_plus, rec.count_plus)
 
 
 # ---- Buffered asynchronous aggregation ---- #
@@ -614,43 +618,40 @@ class BufferedDriver:
     the (possibly just-updated) global model.
     """
 
-    def __init__(self, sim: SimContext, config: AlgoConfig) -> None:
-        self.sim = sim
+    def __init__(self, config: AlgoConfig) -> None:
         self.config = config
         self.buffer: list[ClientUpdate] = []
 
-    def start(self) -> None:
+    def start(self, sim: SimContext) -> None:
         for _ in range(self.config.max_concurrency):
-            self.on_dispatch()
+            self.on_dispatch(sim)
 
-    def is_finished(self) -> bool:
-        return self.sim.budget_reached()
+    def is_finished(self, sim: SimContext) -> bool:
+        return sim.budget_reached()
 
-    def on_client_completed(self, update: ClientUpdate) -> None:
+    def on_client_completed(self, sim: SimContext, update: ClientUpdate) -> None:
         self.buffer.append(update)
         if len(self.buffer) == self.config.buffer_size:
-            self.sim.apply_server_update(self.buffer)
+            sim.apply_server_update(self.buffer)
             self.buffer.clear()
         # The run ends after this event once the budget is reached, so a
         # queued refill never pops after it.
-        if not self.sim.budget_reached():
-            self.sim.schedule(self.sim.now, self.on_dispatch)
+        if not sim.budget_reached():
+            sim.schedule(sim.now, self.on_dispatch)
 
-    def on_dispatch(self) -> None:
-        cid = self.sim.sample_cohort(1)[0]
-        update = self.sim.dispatch(
-            cid, teacher_w=self.sim.state.w if self.config.rho > 0 else None
-        )
-        self.sim.schedule(update.completed_at, self.on_client_completed, update)
+    def on_dispatch(self, sim: SimContext) -> None:
+        cid = sim.sample_cohort(1)[0]
+        update = sim.dispatch(cid, teacher_w=sim.state.w if self.config.rho > 0 else None)
+        sim.schedule(update.completed_at, self.on_client_completed, update)
 
 
-def make_driver(sim: SimContext, config: AlgoConfig):
+def make_driver(config: AlgoConfig):
     if config.name in ("fedavg", "fedadam"):
-        return SyncRoundDriver(sim, config)
+        return SyncRoundDriver(config)
     if config.name == "fare_dust":
-        return HistoryDistillationDriver(sim, config)
+        return HistoryDistillationDriver(config)
     if config.name == "feast":
-        return AuxTrackDriver(sim, config)
+        return AuxTrackDriver(config)
     if config.name == "fedbuff":
-        return BufferedDriver(sim, config)
+        return BufferedDriver(config)
     raise ValueError(f"unknown algorithm {config.name!r}")

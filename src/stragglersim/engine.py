@@ -3,7 +3,7 @@
 Virtual time advances through a min-heap of events ordered by (fire_at,
 sequence number), so ties resolve in scheduling order and runs with the same
 config and seed replay identically. An event carries its handler and
-arguments, and the loop calls handler(*args) at fire_at. Every
+arguments, and the loop calls handler(sim, *args) at fire_at. Every
 eval_every-th server step schedules an evaluation; drivers schedule the rest
 (Simulation.schedule): a synchronous round its close and its late arrivals,
 the buffered driver each completion. The engine only starts the driver and
@@ -50,8 +50,8 @@ reads the dataset's kept arrays, by shard start row, without copies.
 The run ends at the server step that brings the aggregated client updates
 to the budget, except that feast first applies its open auxiliary rounds;
 the total virtual time is the time of the last event that affected the
-output model. The driver and the queued evaluations hold the engine only
-weakly, so reference counting frees a finished run.
+output model. No driver or queued event holds the engine (each handler
+receives it), so reference counting frees a finished run.
 
 Evaluation runs beside the event loop. A mid-run evaluation tick hands the
 served vector to one worker thread, started on the first tick, and keeps a
@@ -79,7 +79,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-import weakref
 from collections.abc import Callable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -270,7 +269,7 @@ class Simulation:
                 if self.algo.time_limit_s is not None
                 else self._monte_carlo_time_limit()
             )
-        self.driver = make_driver(weakref.proxy(self), self.algo)
+        self.driver = make_driver(self.algo)
 
     # -- context interface used by drivers -- #
 
@@ -368,7 +367,7 @@ class Simulation:
             members = tuple(sorted((u.round_id, u.client_id) for u in updates))
             self.events.append(TraceEvent("aggregate", self.now, members, w=self.state.w.copy()))
         if self.state.t % self.config.eval_every == 0:
-            self.schedule(self.now, Simulation._eval_record, weakref.proxy(self), self.now)
+            self.schedule(self.now, Simulation._eval_record, self.now)
         return summed
 
     def apply_aux_update(self, w_snapshot: np.ndarray, delta_plus: np.ndarray, count: int) -> None:
@@ -382,7 +381,7 @@ class Simulation:
             self.events.append(TraceEvent("aux", self.now, (), w=state.aux.copy()))
 
     def schedule(self, fire_at: float, handler: Callable[..., None], *args) -> None:
-        """Call handler(*args) at virtual time fire_at (not before now)."""
+        """Call handler(self, *args) at virtual time fire_at (not before now)."""
         self.queue.schedule(fire_at, handler, *args, now=self.now)
 
     def budget_reached(self) -> bool:
@@ -522,8 +521,8 @@ class Simulation:
 
     def run(self) -> RunResult:
         try:
-            self.driver.start()
-            while not self.driver.is_finished():
+            self.driver.start(self)
+            while not self.driver.is_finished(self):
                 item = self.queue.pop()
                 if item is None:
                     raise RuntimeError("event queue drained before the run terminated")
@@ -533,7 +532,7 @@ class Simulation:
                         f"event queue produced a time regression: {fire_at} < {self.now}"
                     )
                 self.now = fire_at
-                handler(*args)
+                handler(self, *args)
 
             aggregated = self.counters["aggregated_updates"]
             if aggregated < self.config.budget:

@@ -348,35 +348,35 @@ def test_config_validation():
 
 def test_empty_history_teacher_is_current_model():
     sim = _StubSim(w=[1.0, 2.0])
-    driver = HistoryDistillationDriver(sim, AlgoConfig("fare_dust", rho=0.1))
+    driver = HistoryDistillationDriver(AlgoConfig("fare_dust", rho=0.1))
     # the open model itself, which the engine does not charge as a download
-    assert driver._teacher_for_dispatch() is sim.state.w
+    assert driver._teacher_for_dispatch(sim) is sim.state.w
     _assert_teacher_stream_unmoved(sim)  # an empty history draws nothing
 
 
 def test_empty_history_can_skip_distillation():
     sim = _StubSim(w=[1.0])
     driver = HistoryDistillationDriver(
-        sim, AlgoConfig("fare_dust", rho=0.1, skip_distill_when_no_history=True)
+        AlgoConfig("fare_dust", rho=0.1, skip_distill_when_no_history=True)
     )
-    assert driver._teacher_for_dispatch() is None
+    assert driver._teacher_for_dispatch(sim) is None
 
 
 def test_zero_rho_never_consumes_teacher_stream():
     sim = _StubSim(w=[1.0])
-    driver = HistoryDistillationDriver(sim, AlgoConfig("fare_dust", rho=0.0))
+    driver = HistoryDistillationDriver(AlgoConfig("fare_dust", rho=0.0))
     # two entries, since a draw over one entry leaves the stream unmoved
     driver.history.push(0, np.array([1.0]), count=1)
     driver.history.push(1, np.array([2.0]), count=1)
-    assert driver._teacher_for_dispatch() is None
+    assert driver._teacher_for_dispatch(sim) is None
     _assert_teacher_stream_unmoved(sim)
 
 
 def test_history_teacher_applies_sampled_delta():
     sim = _StubSim(w=[2.0], eta_g=0.5)
-    driver = HistoryDistillationDriver(sim, AlgoConfig("fare_dust", rho=0.1, eta_g=0.5))
+    driver = HistoryDistillationDriver(AlgoConfig("fare_dust", rho=0.1, eta_g=0.5))
     driver.history.push(4, np.array([4.0]), count=2)
-    teacher = driver._teacher_for_dispatch()
+    teacher = driver._teacher_for_dispatch(sim)
     np.testing.assert_array_equal(teacher, [2.0 - 0.5 * 2.0])
     assert teacher is not sim.state.w  # a fresh array: the engine charges its download
 
@@ -385,16 +385,16 @@ def test_dispatches_of_one_round_share_each_history_teacher(monkeypatch):
     # A round's dispatches that draw one entry share one teacher array; each
     # still draws its entry, in order. A fold between rounds leaves the teachers
     # already handed out as they were, and the next round builds new ones.
-    monkeypatch.setattr(SyncRoundDriver, "_start_round", lambda self: None)
+    monkeypatch.setattr(SyncRoundDriver, "_start_round", lambda self, sim: None)
     sim = _StubSim(w=[2.0], eta_g=0.5)
-    driver = HistoryDistillationDriver(sim, AlgoConfig("fare_dust", rho=0.1, eta_g=0.5))
+    driver = HistoryDistillationDriver(AlgoConfig("fare_dust", rho=0.1, eta_g=0.5))
     driver.history.push(3, np.array([6.0]), count=1)
     driver.history.push(4, np.array([4.0]), count=2)
     gen = rng.stream(0, rng.TEACHER)
 
     def one_round():
-        driver._start_round()
-        teachers = [driver._teacher_for_dispatch() for _ in range(8)]
+        driver._start_round(sim)
+        teachers = [driver._teacher_for_dispatch(sim) for _ in range(8)]
         drawn = [3 + int(gen.integers(2)) for _ in teachers]
         assert set(drawn) == {3, 4}
         by_entry = {}
@@ -405,7 +405,7 @@ def test_dispatches_of_one_round_share_each_history_teacher(monkeypatch):
     first = one_round()
     np.testing.assert_array_equal(first[3], [2.0 - 0.5 * 6.0])
     np.testing.assert_array_equal(first[4], [2.0 - 0.5 * 2.0])
-    driver.on_client_completed(_update(9, [5.0], round_id=4))
+    driver.on_client_completed(sim, _update(9, [5.0], round_id=4))
     second = one_round()
     assert all(second[origin] is not first[origin] for origin in (3, 4))
     np.testing.assert_array_equal(second[4], [2.0 - 0.5 * 3.0])
@@ -429,21 +429,21 @@ def test_reading_an_untrained_update_raises_naming_it():
     with pytest.raises(RuntimeError, match=message):
         hist.fold(untrained(3))
     sim = _StubSim(w=[0.0], algo=AlgoConfig("feast"))
-    driver = AuxTrackDriver(sim, AlgoConfig("feast"))
+    driver = AuxTrackDriver(AlgoConfig("feast"))
     driver.pending[3] = PendingAuxRound(3, np.zeros(1), np.zeros(1), count_plus=1)
     with pytest.raises(RuntimeError, match=message):
-        driver.on_client_completed(untrained(3))
+        driver.on_client_completed(sim, untrained(3))
     assert sim.counters["late_folded"] == 0
 
 
 def test_late_updates_fold_into_history_or_count_as_discarded():
     sim = _StubSim(w=[0.0])
-    driver = HistoryDistillationDriver(sim, AlgoConfig("fare_dust", history_k=1))
+    driver = HistoryDistillationDriver(AlgoConfig("fare_dust", history_k=1))
     driver.history.push(0, np.array([1.0]), count=1)
-    driver.on_client_completed(_update(9, [0.5], round_id=0))
+    driver.on_client_completed(sim, _update(9, [0.5], round_id=0))
     assert sim.counters["late_folded"] == 1
     driver.history.push(1, np.array([0.0]), count=1)  # evicts round 0
-    driver.on_client_completed(_update(9, [0.5], round_id=0))
+    driver.on_client_completed(sim, _update(9, [0.5], round_id=0))
     assert sim.counters["late_discarded"] == 1
 
 
@@ -463,7 +463,7 @@ def test_aux_update_matches_hand_computation():
 
 def test_aux_updates_must_arrive_in_round_order():
     sim = _StubSim(w=[0.0], algo=AlgoConfig("feast"))
-    driver = AuxTrackDriver(sim, AlgoConfig("feast"))
+    driver = AuxTrackDriver(AlgoConfig("feast"))
     rec = PendingAuxRound(
         round_id=3,
         w_snapshot=np.zeros(1),
@@ -471,10 +471,10 @@ def test_aux_updates_must_arrive_in_round_order():
         count_plus=1,
     )
     with pytest.raises(RuntimeError, match="out of order"):
-        driver._apply_aux(rec)
+        driver._apply_aux(sim, rec)
     assert sim.counters["aux_rounds"] == 0
     rec.round_id = 0
-    driver._apply_aux(rec)  # the expected round steps the engine's aux model
+    driver._apply_aux(sim, rec)  # the expected round steps the engine's aux model
     assert sim.counters["aux_rounds"] == 1
 
 

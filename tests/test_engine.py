@@ -619,7 +619,41 @@ def test_a_finished_trial_is_freed_without_the_cycle_collector(algo, eval_every)
     try:
         sim = Simulation(_config(algo, budget=40, eval_every=eval_every), trial_seed=0)
         sim.run()
-        assert sim.driver.is_finished() and sim.queue.pop() is not None
+        assert sim.driver.is_finished(sim) and sim.queue.pop() is not None
+        freed = weakref.ref(sim)
+        del sim
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _diverges(sim: Simulation) -> bool:
+    """Run sim until it raises FloatingPointError. The error's traceback,
+    which holds the run, is gone once this returns."""
+    try:
+        sim.run()
+    except FloatingPointError:
+        return True
+    return False
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("diverging", [False, True], ids=["never_ran", "diverged"])
+def test_an_unrun_or_diverged_trial_is_freed_without_the_cycle_collector(diverging):
+    # The cases beside a finished trial: a Simulation that never ran, and one
+    # whose run() raised (the diverging step of
+    # test_no_evaluation_thread_outlives_its_run, after the evaluation thread
+    # started).
+    algo = AlgoConfig("fedavg", cohort_size=4, **_SMALL_STEP)
+    if diverging:
+        algo = dataclasses.replace(algo, eta_l=1e307, eta_g=10.0)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulation(_config(algo, budget=40, eval_every=1), trial_seed=0)
+        if diverging:
+            assert _diverges(sim) and sim._evaluator is not None
         freed = weakref.ref(sim)
         del sim
         assert freed() is None

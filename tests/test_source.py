@@ -183,11 +183,14 @@ def _attributes_of(tree, owner: str) -> set[str]:
 
 
 def test_drivers_use_only_the_declared_simulation_context():
-    # Drivers reach the engine only through self.sim. Every name they use is
+    # Drivers reach the engine only through the sim argument their hooks
+    # receive, and none keeps it as self.sim. Every name they use is
     # declared on SimContext and defined on Simulation (a method with the
     # declared signature, or an attribute it sets), and SimContext declares
     # nothing the drivers do not use.
-    used = _attributes_of(ast.parse((SOURCE_DIR / "algorithms.py").read_text()), "self.sim")
+    tree = ast.parse((SOURCE_DIR / "algorithms.py").read_text())
+    assert "sim" not in _attributes_of(tree, "self")
+    used = _attributes_of(tree, "sim")
     context = _class_body(SOURCE_DIR / "algorithms.py", "SimContext")
     fields = {n.target.id for n in context.body if isinstance(n, ast.AnnAssign)}
     methods = {n.name for n in context.body if isinstance(n, ast.FunctionDef)}
