@@ -140,6 +140,32 @@ def _variants():
             dataset=dataclasses.replace(full.dataset, m_clients=2000, median_shard_size=8.0,
                                         n_straggler_clients=300),
         ),
+        # knobs no other variant sets away from their defaults
+        "fedavg_oversel_factor_1_4": _acceptance(
+            "fedavg_oversel", algo=dataclasses.replace(oversel.algo, over_selection_factor=1.4)
+        ),
+        "fedavg_oversel_time_limit_p40": _acceptance(
+            "fedavg_oversel",
+            algo=dataclasses.replace(oversel.algo, time_limit=True, time_limit_percentile=40.0),
+        ),
+        "fedavg_oversel_busy_reuse": _acceptance(
+            "fedavg_oversel", algo=dataclasses.replace(oversel.algo, allow_busy_reuse=True)
+        ),
+        "fare_dust_skip_distill_t2_init_0_2": _acceptance(
+            "fare_dust",
+            algo=dataclasses.replace(fare.algo, skip_distill_when_no_history=True),
+            model=dataclasses.replace(fare.model, distill_temperature=2.0, init_scale=0.2),
+        ),
+        "fare_dust_server_sgd": _acceptance(
+            "fare_dust",
+            algo=dataclasses.replace(fare.algo, server_opt="sgd", adam_eps=AlgoConfig.adam_eps),
+        ),
+        "fedadam_betas": _acceptance(
+            "fedavg_full",
+            algo=AlgoConfig("fedadam", eta_l=0.1, eta_g=0.03, batch_size=20, adam_eps=0.01,
+                            adam_beta1=0.8, adam_beta2=0.95),
+        ),
+        "feast_eta_a_0_5": _acceptance("feast", algo=dataclasses.replace(feast.algo, eta_a=0.5)),
     }
 
 
