@@ -2,24 +2,8 @@
 
 A driver owns only the round semantics of one algorithm family: which
 clients are dispatched, which arrivals count, and where late straggler
-updates go. Each of its hooks receives the simulation as its first argument
-(no driver keeps it) and reaches it through a narrow context interface
-(SimContext): dispatch a client with its teacher only, hand over the updates
-of one server step or the summed delta of one auxiliary step, learn when k
-clients will be idle, and schedule one of its own hooks. A dispatch returns
-the update with its completion time, drawn at dispatch; the driver schedules
-what the completion triggers: a synchronous round its close at the B-th
-completion and one event per late update, the buffered driver one event per
-completion. The engine binds every dispatch to the open model version (start
-and anchor state.w, round id state.t), prices its teacher's download and
-records the work. It trains an update only when something reads it: a
-server step trains the updates it aggregates and those the driver names as
-late, to be folded afterwards; an update the driver discards is never
-trained (SimContext). The engine also sums and applies the
-updates, takes FeAST's auxiliary step, decides which model is served, and
-keeps the trace. Its update budget ends every run: a driver reads
-Simulation.budget_reached() and keeps no finished flag of its own.
-Conventions shared by every driver:
+updates go. It reaches the engine through SimContext, and the engine owns
+everything else (see engine). Conventions shared by every driver:
 
 * A client update carries delta = w_dispatched - w_final, so the server
   subtracts: SGD does w <- w - (eta_g / count) * summed_delta.
@@ -28,28 +12,9 @@ Conventions shared by every driver:
 * A server step sums its deltas in (round_id, client_id) order, whatever
   the arrival order. History folds and FeAST's augmented deltas add late
   deltas in arrival order: deterministic, but their sums depend on it.
-* Synchronous cohorts are sampled sequentially without replacement from the
-  id-sorted idle pool, one uniform index draw per slot; the buffered driver
-  draws from the same stream one client at a time, which makes the two
-  families consume randomness identically.
-
-Drivers:
-  SyncRoundDriver    plain synchronous rounds (SGD or Adam server), with
-                     optional over-selection and per-round time limits;
-                     also the base for the history-distillation and
-                     auxiliary-model variants below.
-  HistoryDistillationDriver  over-selection rounds where late stragglers
-                     fold into a bounded history of past round deltas, and
-                     each dispatched client distills against a teacher
-                     reconstructed from a uniformly sampled history entry;
-                     the served model is an EMA of the fast-round iterates.
-  AuxTrackDriver     over-selection rounds plus an auxiliary slow-timescale
-                     model: stragglers fold into an augmented delta until a
-                     per-round deadline, and the auxiliary model averages the
-                     augmented updates in strict round order.
-  BufferedDriver     fully asynchronous buffered aggregation with a fixed
-                     concurrency target and optional distillation/proximal/
-                     EMA/Adam modifications.
+* Synchronous cohorts and the buffered driver's single refills draw from
+  the same cohort stream (SimContext.sample_cohort), so the two families
+  consume randomness identically.
 """
 
 from __future__ import annotations
@@ -171,9 +136,8 @@ class ClientUpdate:
 
     work is what the engine trains the update from, fixed at dispatch too:
     (batch plan, start weights, teacher_w). delta is None until the update
-    trains, at the server step that aggregates it or that names it late,
-    which then clears work. An update nobody reads keeps delta None, and
-    reading it raises RuntimeError (_read_delta).
+    trains, which clears work; reading an untrained delta raises
+    RuntimeError (_read_delta).
     """
 
     round_id: int
@@ -340,11 +304,8 @@ def teacher_from_history(
 
 
 class SimContext(Protocol):
-    """What a driver may use of the engine, which hands itself to every hook
-    as its first argument: start, is_finished and each handler a driver
-    schedules. apply_server_update trains the updates it aggregates and the
-    late ones the driver will fold after the step, so each is read trained;
-    an update the driver never reads never trains."""
+    """What a driver may use of the engine. A driver keeps no finished flag
+    of its own: the update budget (budget_reached) ends every run."""
 
     now: float
     counters: dict[str, int]
@@ -374,11 +335,13 @@ class SimContext(Protocol):
 
 
 class SyncRoundDriver:
-    """Synchronous rounds: dispatch B_t, aggregate the B fastest. A round
-    knows at its start which B are fast, by (completed_at, client_id), so it
-    schedules its close then, and then each late update in dispatch order.
-    Late updates are discarded unread unless folds_late: then the close's
-    server step trains them too."""
+    """Synchronous rounds (fedavg, fedadam): dispatch B_t, aggregate the B
+    fastest, with an SGD or Adam server, optional over-selection and
+    per-round time limits. A round knows at its start which B are fast, by
+    (completed_at, client_id), so it schedules its close then, and then each
+    late update in dispatch order. Late updates are discarded unread unless
+    folds_late: then the close names them late to its server step. The base
+    of the history-distillation and auxiliary-model drivers."""
 
     folds_late = False
 
@@ -437,21 +400,21 @@ class SyncRoundDriver:
                 (held if i < last and u.completed_at == close_at else late).append(u)
         # The close is scheduled first, so it runs before same-time late events.
         sim.schedule(
-            close_at, self._close_round, sim.state.t, sim.now,
-            [updates[i] for i in by_finish[:b]], held, (held + late) if self.folds_late else [],
+            close_at, self._close_round, [updates[i] for i in by_finish[:b]], held,
+            (held + late) if self.folds_late else [],
         )
         for u in late:
             sim.schedule(u.completed_at, self.on_client_completed, u)
 
     def _close_round(
-        self, sim: SimContext, round_id: int, started_at: float, fast: list[ClientUpdate],
-        held: list[ClientUpdate], late: list[ClientUpdate],
+        self, sim: SimContext, fast: list[ClientUpdate], held: list[ClientUpdate],
+        late: list[ClientUpdate],
     ) -> None:
-        # The server step rebinds state.w, so this reference keeps the
-        # pre-step model.
+        # The step rebinds state.w, so w_before keeps the pre-step model. A
+        # cohort is dispatched at one instant from one version: fast[0] names both.
         w_before = sim.state.w
         summed = sim.apply_server_update(fast, late)
-        self._after_advance(sim, round_id, started_at, summed, w_before)
+        self._after_advance(sim, fast[0].round_id, fast[0].dispatched_at, summed, w_before)
         for update in held:
             self.on_client_completed(sim, update)
         if not sim.budget_reached():
@@ -459,7 +422,10 @@ class SyncRoundDriver:
 
 
 class HistoryDistillationDriver(SyncRoundDriver):
-    """Over-selection rounds with straggler folding into a teacher history."""
+    """fare_dust: over-selection rounds whose late stragglers fold into a
+    bounded history of past round deltas. Each dispatched client distills
+    against a teacher rebuilt from a uniformly sampled history entry, and
+    the served model is an EMA of the fast-round iterates."""
 
     folds_late = True
 
@@ -521,7 +487,7 @@ class PendingAuxRound:
 
 
 class AuxTrackDriver(SyncRoundDriver):
-    """Over-selection rounds plus an auxiliary model fed by augmented deltas.
+    """feast: over-selection rounds plus an auxiliary model fed by augmented deltas.
 
     The global model advances on the B fastest updates as usual. Stragglers
     from round t keep folding into an augmented delta until min(round start +
@@ -607,7 +573,9 @@ class AuxTrackDriver(SyncRoundDriver):
 
 
 class BufferedDriver:
-    """Asynchronous buffered aggregation with a fixed concurrency target.
+    """fedbuff: asynchronous buffered aggregation with a fixed concurrency
+    target, and optional distillation against the global model, proximal
+    term, EMA and Adam server.
 
     max_concurrency clients run at all times; each dispatch schedules its
     completion, which lands the delta (unscaled) in the buffer, and every

@@ -2,22 +2,9 @@
 
 Each class is an isotropic Gaussian cluster in feature space. Clients get
 lognormal-sized shards with Dirichlet-skewed class mixtures, which makes the
-population non-IID in a controllable way. A straggler partition then ranks
-clients by how many examples they hold from the designated straggler classes,
-flags the top n as straggler clients, and removes all straggler-class
-examples from everyone else, so those classes live exclusively on straggler
-clients. The held-out evaluation split comes from the same class clusters
-via a disjoint stream. The straggler split is not a second copy: the dataset
-stores the indices of the total split's straggler-class rows, computed once.
-
-build_dataset is the one way to make a dataset. It runs as array operations
-over the whole population: _generate draws the raw examples into one
-features array and one labels array, client by client, and _partition keeps
-rows through one boolean mask and one gather. The dataset holds the kept
-arrays, client by client, and a shard is its start row and size in them, so
-training gathers batches from the kept arrays without copying shards and
-readers slice labels[start:start + n_examples]. The kept arrays and the eval
-arrays are read-only, so one dataset can serve many trials without a copy.
+population non-IID in a controllable way. A straggler partition
+(_partition) then leaves the designated straggler classes on straggler
+clients alone. build_dataset is the one way to make a dataset.
 """
 
 from __future__ import annotations
@@ -200,10 +187,11 @@ def _partition(
     table is True at the straggler classes. Clients rank by straggler-class
     example count, ties by ascending id; the top n keep all their examples
     and are flagged straggler. The others lose their straggler-class
-    examples; a shard left empty is dropped, with one warning giving the
-    count and a debug line giving the ids. Returns (the kept features and
-    labels, read-only and client by client, the shards in id order, each
-    its start row and size in them, and the dropped ids).
+    examples, through one boolean mask and one gather; a shard left empty
+    is dropped, with one warning giving the count and a debug line giving
+    the ids. Returns (the kept features and labels, read-only and client by
+    client, the shards in id order, each its start row and size in them,
+    and the dropped ids).
     """
     owner = np.repeat(np.arange(len(sizes)), sizes)
     in_class = table[labels]

@@ -1,77 +1,19 @@
 """Deterministic discrete-event simulation of one federated training run.
 
-Virtual time advances through a min-heap of events ordered by (fire_at,
-sequence number), so ties resolve in scheduling order and runs with the same
-config and seed replay identically. An event carries its handler and
-arguments, and the loop calls handler(sim, *args) at fire_at. Every
-eval_every-th server step schedules an evaluation; drivers schedule the rest
-(Simulation.schedule): a synchronous round its close and its late arrivals,
-the buffered driver each completion. The engine only starts the driver and
-asks it whether the run is finished.
+The event loop (Simulation.run) pops events in (fire_at, scheduling order)
+from an EventQueue and calls each handler with its arguments at fire_at, so
+a config and seed replay identically. Every handler receives the simulation
+as its first argument, the driver's hooks among them, and no driver or
+queued event keeps it, so reference counting frees a finished run. Of the
+driver the loop calls only start and is_finished; every other event is
+scheduled (Simulation.schedule) by the driver, or by a server step due an
+evaluation tick.
 
-The engine owns the wall-clock-free mechanics: client busy bookkeeping,
-latency sampling with the teacher download cost, local training, the server
-and FeAST auxiliary steps (ServerState builds its slots from the AlgoConfig),
-the served model (ServerState.served), the update budget, evaluation
-cadence, and the trace. Round semantics live in the drivers (see algorithms).
-
-A driver decides only a dispatch's client and teacher; the engine binds it
-to the open model version: start and anchor (nu > 0) state.w, round id
-state.t. A dispatch records its work and does not train. Its completion
-time and counts never depend on the trained weights: the latency factors
-are drawn first (the per-round time limit needs them), the steps and
-examples follow by arithmetic, and the update completes at now plus the
-factors' total for those examples (latency.LatencySample.total_s). The
-dispatch then draws the update's batch plan from its client's shuffle
-stream (model.draw_batch_plan) and keeps it with the start weights and the
-teacher (ClientUpdate.work), so every client's stream draws in dispatch
-order whatever trains. An update trains only when something reads it: a
-server step trains, in one stacked call (model.local_sgd), the untrained
-updates it aggregates and the late ones its driver will fold after it,
-each from its own version's weights. An update the driver discards never
-trains, nor do the dispatches still in flight when the run ends. A client
-whose local SGD leaves non-finite weights raises FloatingPointError naming
-the client, the round and the virtual time of its dispatch.
-
-A client is busy until its update completes and is excluded from cohort
-sampling in the meantime (allow_busy_reuse lifts this); a synchronous round
-whose cohort is not idle yet starts at Simulation.idle_at. The idle pool is
-a list of the idle ids kept sorted; a dispatch takes its client out by
-bisection, which is also the check that it was idle, and pushes (completion
-time, id) onto a heap. Whenever the engine reads the pool (sample_cohort,
-idle_at, dispatch), it first moves every heap entry due at or before now
-back into the list, so a client is idle again at its completion's own
-instant. A dropped shard's id never enters the pool. Under busy reuse the
-pool is every kept id and no heap is kept. One call draws a cohort's k pool
-indices. A client's latency and shuffle streams are made together, from key
-tables (rng.stream_keys), at its first dispatch. A dispatch reads its
-client's profile and shard size from a table built at set-up, and training
-reads the dataset's kept arrays, by shard start row, without copies.
-The run ends at the server step that brings the aggregated client updates
-to the budget, except that feast first applies its open auxiliary rounds;
-the total virtual time is the time of the last event that affected the
-output model. No driver or queued event holds the engine (each handler
-receives it), so reference counting frees a finished run.
-
-Evaluation runs beside the event loop. A mid-run evaluation tick hands the
-served vector to one worker thread, started on the first tick, and keeps a
-future in its record; numpy releases the GIL in the forward pass, so the
-next model version trains meanwhile. When the worker already holds _SHARE_AT
-unfinished ticks, the main thread scores the tick itself instead. When the loop
-ends, the main thread scores the final record, then takes the queued ticks
-newest first (a tick the worker has started cannot be cancelled) while the
-worker finishes them oldest first; run() then shuts the worker down and
-completes the records in the order they were made. The served vectors are
-rebound at each step, never written in place, so either thread reads a fixed
-model, and a record is metrics._accuracy of its vector whichever thread
-scores it. Only the final record goes through evaluate_accuracy: nothing the
-benchmark tracer patches runs off the main thread. An evaluation scores the
-eval split in row blocks of 1 MiB per layer output (see metrics), sized for
-a core's cache and large enough that OpenBLAS keeps one kernel, so the
-scores are those of one pass. The worker and the main thread each hold one
-block's buffers, the main thread's made the first time it scores beside the
-worker; a run without a mid-run tick starts no worker and scores its final
-record inline.
+The engine owns the mechanics that hold for every algorithm: the idle
+pool, latency and training, the server and FeAST auxiliary steps, the
+served model, the update budget, evaluation and the trace. Round semantics
+live in the drivers (algorithms), which reach the engine only through
+algorithms.SimContext.
 """
 
 from __future__ import annotations
@@ -124,7 +66,8 @@ class TraceEvent:
     auxiliary-model step; no members, applied in round order). Members are
     (round_id, client_id) pairs, where round_id is the model version (server
     step count) the client was dispatched with. w is the model after an
-    aggregate or aux step.
+    aggregate or aux step: the state's own array, which later steps rebind
+    and never write into.
     """
 
     kind: str
@@ -136,7 +79,8 @@ class TraceEvent:
 
 @dataclass
 class RunResult:
-    """Everything one trial produces."""
+    """Everything one trial produces. total_time_s is the virtual time of the
+    last event that changed the output model."""
 
     records: list[MetricsRecord]
     counters: dict[str, int]
@@ -224,8 +168,8 @@ class Simulation:
         self._queued: dict[int, np.ndarray] = {}
         self.events: list[TraceEvent] = []
         self.last_model_event = 0.0
-        # the idle kept ids, sorted, and a heap of (completion time, id) of the
-        # busy ones; under busy reuse every kept id stays idle
+        # the idle kept ids, sorted (a dropped shard's never enters), and a heap of
+        # (completion time, id) of the busy ones; under busy reuse every kept id stays idle
         self._reuse = self.algo.allow_busy_reuse
         self._idle = sorted(s.client_id for s in self.dataset.shards)
         self._busy: list[tuple[float, int]] = []
@@ -276,7 +220,9 @@ class Simulation:
     def sample_cohort(self, k: int) -> list[int]:
         """k sequential uniform picks without replacement from the id-sorted
         idle pool: slot i pops index integers(len(pool) - i), the k indices
-        drawn in one call. The picks stay in the pool until dispatched."""
+        drawn in one call. The picks stay in the pool until dispatched. A
+        client is out of the pool from its dispatch to its update's
+        completion, unless allow_busy_reuse."""
         pool = self._release()
         if k > len(pool):
             raise RuntimeError(
@@ -297,16 +243,23 @@ class Simulation:
         return self.now if short <= 0 else heapq.nsmallest(short, self._busy)[-1][0]
 
     def dispatch(self, client_id: int, *, teacher_w: np.ndarray | None = None) -> ClientUpdate:
-        """Record one client's local computation on the open model version;
-        the driver schedules what its completion triggers.
+        """Record one client's local computation on the open model version:
+        start weights and anchor (nu > 0) state.w, round id state.t. The
+        driver chooses only the client and teacher, and schedules what the
+        completion triggers.
 
-        Without a time limit a client runs epochs * ceil(n / b) steps over
-        epochs * n examples; with one, the latency draw fixes the steps and
-        the last epoch may stop early. A teacher other than state.w itself is
-        an extra download, paying comm * teacher_download_factor. The batch
-        plan is drawn now; the update's delta stays None until a server step
-        reads it (apply_server_update). Every update one server step trains
-        distills (passes teacher_w) or none does.
+        Taking the client out of the sorted idle list, by bisection, checks
+        that it is idle. Completion time and counts never depend on trained
+        weights: the latency factors are drawn first, the steps and examples
+        follow by arithmetic, and the update completes at now plus the
+        factors' total (latency.LatencySample.total_s). Without a time limit
+        a client runs epochs * ceil(n / b) steps over epochs * n examples;
+        with one, the latency draw fixes the steps and the last epoch may stop
+        early. A teacher other than state.w itself is an extra download,
+        paying comm * teacher_download_factor. The batch plan is drawn last,
+        from the client's shuffle stream, so every stream draws in dispatch
+        order whatever trains. Every update one server step trains distills
+        (passes teacher_w) or none does.
         """
         if not self._reuse:
             idle = self._release()
@@ -353,9 +306,15 @@ class Simulation:
         self, updates: list[ClientUpdate], late: Sequence[ClientUpdate] = ()
     ) -> np.ndarray:
         """Aggregate updates into one server step; returns their delta sum, a
-        fresh array the caller may keep. First trains, in one stacked call,
-        what it reads untrained: updates, and late, the updates the driver
-        folds after the step."""
+        fresh array the caller may keep. Every eval_every-th step schedules
+        an evaluation tick.
+
+        An update trains only when a server step reads it: the step first
+        trains, in one stacked call (_train_group), the untrained updates it
+        aggregates and late, those the driver folds after it. So an update
+        the driver discards, and a dispatch still in flight when the run
+        ends, never trains.
+        """
         untrained = [u for u in (*updates, *late) if u.work is not None]
         if untrained:
             self._train_group(untrained)
@@ -365,7 +324,7 @@ class Simulation:
         self.last_model_event = self.now
         if self.trace:
             members = tuple(sorted((u.round_id, u.client_id) for u in updates))
-            self.events.append(TraceEvent("aggregate", self.now, members, w=self.state.w.copy()))
+            self.events.append(TraceEvent("aggregate", self.now, members, w=self.state.w))
         if self.state.t % self.config.eval_every == 0:
             self.schedule(self.now, Simulation._eval_record, self.now)
         return summed
@@ -378,22 +337,27 @@ class Simulation:
         self.counters["aux_rounds"] += 1
         self.last_model_event = self.now
         if self.trace:
-            self.events.append(TraceEvent("aux", self.now, (), w=state.aux.copy()))
+            self.events.append(TraceEvent("aux", self.now, (), w=state.aux))
 
     def schedule(self, fire_at: float, handler: Callable[..., None], *args) -> None:
-        """Call handler(self, *args) at virtual time fire_at (not before now)."""
+        """Queue handler with args for virtual time fire_at, not before now."""
         self.queue.schedule(fire_at, handler, *args, now=self.now)
 
     def budget_reached(self) -> bool:
+        """Whether the aggregated updates reached the budget. The run ends at
+        the server step that reaches it, except that feast first applies its
+        open auxiliary rounds (AuxTrackDriver.is_finished)."""
         return self.counters["aggregated_updates"] >= self.config.budget
 
     # -- internals -- #
 
     def _train_group(self, updates: list[ClientUpdate]) -> None:
-        """Train untrained updates in one stacked call and set each delta.
-        Each trains for the steps its dispatch charged, on the batch plan it
-        drew, from its own start weights, which are also its anchor when
-        nu > 0."""
+        """Train untrained updates in one model.local_sgd call and set each
+        delta. Each trains for the steps its dispatch charged, on the batch
+        plan it drew, from its own start weights, which are also its anchor
+        when nu > 0, reading its shard by start row from the dataset's kept
+        arrays without a copy. A client whose weights end non-finite raises
+        FloatingPointError naming it, its round and its dispatch time."""
         plans, ws, teachers = zip(*(u.work for u in updates))
         _, sizes, _, starts = zip(*(self._dispatch_table[u.client_id] for u in updates))
         distill = teachers[0] is not None
@@ -437,14 +401,16 @@ class Simulation:
 
     def _release(self) -> list[int]:
         """The sorted idle ids, after moving in every busy client whose update
-        completes at or before now."""
+        completes at or before now, so a client is idle again at its
+        completion's own instant. Every read of the pool goes through here."""
         busy, idle, now = self._busy, self._idle, self.now
         while busy and busy[0][0] <= now:
             bisect.insort(idle, heapq.heappop(busy)[1])
         return idle
 
     def _streams(self, client_id: int) -> tuple[np.random.Generator, np.random.Generator]:
-        """The client's (latency, shuffle) streams, made together on first use."""
+        """The client's (latency, shuffle) streams, made together from the key
+        tables (rng.stream_keys) at its first dispatch."""
         streams = self._client_streams.get(client_id)
         if streams is None:
             latency_keys, shuffle_keys = self._client_keys
@@ -476,9 +442,14 @@ class Simulation:
         )
 
     def _eval_record(self, at_time: float) -> None:
-        """A mid-run evaluation tick: the served model is scored on the
-        evaluation thread while the run goes on, or here, on the main thread,
-        when that thread already holds _SHARE_AT unfinished ticks."""
+        """A mid-run evaluation tick. The served vector goes to one worker
+        thread, started with one block's buffers on the first tick, and the
+        record keeps its future; numpy releases the GIL in the forward pass,
+        so the next model version trains meanwhile. When the worker already
+        holds _SHARE_AT unfinished ticks, the main thread scores this one.
+        Server steps rebind the served vectors and never write into them, so
+        either thread reads a fixed model, and both score with
+        metrics._accuracy, so a record's bits do not depend on the thread."""
         which_model, vec = self.state.served()
         if self._evaluator is None:
             # the worker's one-block buffers, made with it: held from set-up,
@@ -489,8 +460,6 @@ class Simulation:
         if len(self._queued) >= _SHARE_AT:
             self._add_record(at_time, which_model, self._score_here(metrics._accuracy, vec))
             return
-        # metrics._accuracy, not evaluate_accuracy: nothing the benchmark
-        # tracer patches may run off the main thread
         accuracies = self._evaluator.submit(
             metrics._accuracy, vec, self.layout, self.dataset, self.config.eval_cap, self._eval_out
         )
@@ -520,6 +489,9 @@ class Simulation:
         self.counters["evals"] += 1
 
     def run(self) -> RunResult:
+        """Run the loop until the driver is finished, then score the final
+        record here through evaluate_accuracy, the only record that does:
+        nothing the benchmark tracer patches may run off the main thread."""
         try:
             self.driver.start(self)
             while not self.driver.is_finished(self):

@@ -163,7 +163,7 @@ def latency_percentiles(
     scenario: LatencyScenario,
     population: "FederatedDataset",
     rng: np.random.Generator,
-    n_draws: int,
+    epochs: int,
     percentiles: tuple[float, ...] = (50.0, 95.0, 99.0),
 ) -> dict[str, dict[float, float]]:
     """Simulate per-client one-epoch totals and summarize them by group.
@@ -178,8 +178,8 @@ def latency_percentiles(
     """
     if not population.shards:
         raise ValueError("population has no client shards")
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
 
     sizes = {
         "standard": np.array([s.n_examples for s in population.shards if not s.is_straggler]),
@@ -190,8 +190,8 @@ def latency_percentiles(
         if len(n_examples) == 0:
             continue
         profile = scenario.profile_for(group == "straggler")
-        totals = np.empty(n_draws * len(n_examples))
-        for epoch in range(n_draws):
+        totals = np.empty(epochs * len(n_examples))
+        for epoch in range(epochs):
             comm = sample_lognormal_batch(profile.comm, rng, len(n_examples))
             per_example = sample_lognormal_batch(profile.per_example, rng, len(n_examples))
             overhead = sample_lognormal_batch(profile.overhead, rng, len(n_examples))

@@ -3,14 +3,8 @@
 A run produces a sequence of records (one per evaluation tick plus a final
 one) and a summary line with run counters. Across trials, final records are
 summarized per metric by the median and a [5th, 95th] percentile band using
-linear interpolation.
-
-An evaluation scores the eval split in row blocks of 2**17 // max(hidden,
-n_classes) rows, 1 MiB of float64 per layer output, the last block taking
-the remainder. Two reasons fix that size: a block's activations fit in a
-core's cache, and no block is small enough for OpenBLAS to pick another
-kernel, so the scores are bitwise those of one pass over all rows. A run
-holds one block's buffers (eval_buffers) per thread that scores.
+linear interpolation. An evaluation scores the eval split in row blocks
+(_block_cuts).
 """
 
 from __future__ import annotations
@@ -68,7 +62,8 @@ def evaluate_accuracy(
 def eval_buffers(
     layout: ModelLayout, dataset: FederatedDataset, cap: int | None = None
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Empty arrays for evaluate_accuracy's out at this layout, dataset and cap."""
+    """Empty arrays for evaluate_accuracy's out at this layout, dataset and
+    cap; a run holds one pair per thread that scores."""
     cuts = _block_cuts(_scored_rows(dataset, cap)[2], layout)
     rows = cuts[-1] - cuts[-2]  # the last block is the largest
     hidden = np.empty((rows, layout.hidden)) if layout.hidden else None
@@ -76,7 +71,8 @@ def eval_buffers(
 
 
 def _block_rows(layout: ModelLayout) -> int:
-    """Rows per scoring block: 1 MiB of float64 in the widest layer output."""
+    """Rows per scoring block: 1 MiB of float64 in the widest layer output,
+    so a block's activations fit in a core's cache."""
     return 2**17 // max(layout.hidden, layout.n_classes)
 
 

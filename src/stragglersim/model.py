@@ -11,30 +11,9 @@ kind. The training loss is
 where supervised is mean softmax cross-entropy, distill compares student
 logits against fixed teacher logits (soft cross-entropy by default, logit
 mean-squared-error as an alternative), and proximal is half the squared
-distance to an anchor vector. All gradients are exact analytic expressions.
-
-The gradient has one implementation, _grad. loss_and_grad, the validated
-reference, adds argument checks and the loss terms; training reaches _grad
-through _sgd_grad, which adds neither. So the finite-difference check of
-loss_and_grad covers the arithmetic training runs. Training has one
-function, local_sgd: clients train as one stacked computation, each from
-its own start weights (and proximal anchor), which may come from different
-model versions, and a lone client is a one-member call. Each client runs a
-given number of steps; E epochs of an n-example shard are E * ceil(n / b)
-steps, walking a batch plan drawn before the call (draw_batch_plan, at
-dispatch in a simulation): one shuffle of its rows per epoch it starts. A
-client's rows are a start row and a size in one features/labels pair (the
-dataset's own, in a simulation), so no shard is copied per call. The
-weights are checked for finiteness once, at the end.
-Forward and backward passes write only into arrays they allocate (or, for
-an evaluation's forward pass, buffers its caller passes), in place after
-each matmul, never into the weights, features or teachers passed in.
-Reductions along a short axis follow one layout rule: numpy reduces such
-an axis one short row at a time, so a row's class maximum (_row_max) and
-a batch's bias-gradient sum (_batch_sum) run over a transposed copy, whose
-inner loop spans every row or member at once. Both give the plain
-reduction's bits; a sum along the class axis stays plain, because numpy
-adds a contiguous row pairwise and a copy would reorder it.
+distance to an anchor vector. All gradients are exact analytic expressions
+with one implementation, _grad, which loss_and_grad (the validated
+reference) and training (local_sgd, the one training function) share.
 """
 
 from __future__ import annotations
@@ -138,8 +117,10 @@ def forward_logits(w: np.ndarray, layout: ModelLayout, x: np.ndarray) -> np.ndar
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
-    """a.max(axis=-1, keepdims=True) over a class-major copy; a maximum is
-    exact in any order."""
+    """a.max(axis=-1, keepdims=True) over a class-major copy, whose inner loop
+    spans every row at once where numpy would reduce one short row at a
+    time; a maximum is exact in any order. Sums along the class axis stay
+    plain: numpy adds a contiguous row pairwise, and a copy would reorder it."""
     c = a.shape[-1]
     return a.reshape(-1, c).T.copy().max(axis=0).reshape(a.shape[:-1] + (1,))
 
@@ -318,7 +299,8 @@ def _sgd_grad(
     w, layout, x, y, n, *, rho, nu, teacher_w, anchor, distill_loss, distill_temperature
 ) -> np.ndarray:
     """Training's gradient: _grad after the forward passes of x under w and,
-    when rho > 0, under teacher_w (shaped like w); no checks or loss values."""
+    when rho > 0, under teacher_w (shaped like w); no checks or loss values,
+    so the finite-difference check of loss_and_grad covers its arithmetic."""
     logits, hidden = _forward(w, layout, x)
     t_logits = _forward(teacher_w, layout, x)[0] if rho > 0 else None
     return _grad(
@@ -397,7 +379,8 @@ def local_sgd(
     and anchor (when nu > 0) the proximal anchors, shaped the same way.
     Member i trains on the sizes[i] rows of features and labels from row
     starts[i] on, for steps[i] steps, distilling against the fixed
-    teacher_ws[i]; members may share rows. It walks its batch plan plans[i]
+    teacher_ws[i]; members may share rows, and no shard is copied. A lone
+    client is a one-member call. Member i walks its batch plan plans[i]
     (draw_batch_plan: one shuffle of its rows per epoch) in contiguous
     chunks, the last of an epoch maybe short, and stops after steps[i]
     steps. The batches and steps are those of B one-member calls with the
@@ -405,8 +388,8 @@ def local_sgd(
     Step s trains every member that has an s-th batch as one stacked batch;
     short chunks are padded to batch_size with rows that add nothing.
     Returns (w_final (B, P) in member order, steps, examples), the last two
-    the call's totals over its members. Raises TrainingDiverged naming the
-    first member whose weights are not finite.
+    the call's totals over its members. The weights are checked once, at the
+    end: TrainingDiverged names the first member whose weights are not finite.
     """
     _check_training_args(
         min(sizes), eta_l, batch_size, min(steps), rho, nu, teacher_ws, anchor, distill_loss

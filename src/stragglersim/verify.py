@@ -419,7 +419,8 @@ def check_stationarity_schedule(base_seed: int) -> tuple:
 
 
 def suite_checks(which: str) -> list[str]:
-    """The checks suite which runs ("all" or one name); ConfigError otherwise."""
+    """The checks suite which runs ("all" or one name); ConfigError otherwise.
+    The one rule for suite names, shared by run_suite and the CLI."""
     if which == "all":
         return list(CHECKS)
     if which not in CHECKS:

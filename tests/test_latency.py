@@ -167,7 +167,7 @@ def test_pdpe_straggler_to_standard_median_ratio_band():
     # misscaled profiles.
     dataset = build_dataset(DatasetConfig(), seed=0)
     gen = rng.stream(0, rng.LATENCY, 0)
-    table = latency_percentiles(PDPE_SCENARIO, dataset, gen, n_draws=50)
+    table = latency_percentiles(PDPE_SCENARIO, dataset, gen, epochs=50)
     ratio = table["straggler"][50.0] / table["standard"][50.0]
     assert 2.0 <= ratio <= 3.5
 
@@ -175,7 +175,7 @@ def test_pdpe_straggler_to_standard_median_ratio_band():
 def test_percentile_table_covers_requested_levels():
     dataset = build_dataset(DatasetConfig(m_clients=40, n_straggler_clients=10), seed=1)
     gen = rng.stream(0, rng.LATENCY, 0)
-    table = latency_percentiles(PDPE_SCENARIO, dataset, gen, n_draws=5, percentiles=(50.0, 99.0))
+    table = latency_percentiles(PDPE_SCENARIO, dataset, gen, epochs=5, percentiles=(50.0, 99.0))
     for group in ("standard", "straggler"):
         assert set(table[group]) == {50.0, 99.0}
         assert table[group][50.0] <= table[group][99.0]
