@@ -308,7 +308,6 @@ class SimContext(Protocol):
     of its own: the update budget (budget_reached) ends every run."""
 
     now: float
-    counters: dict[str, int]
     state: ServerState
     teacher_gen: np.random.Generator
 
@@ -324,6 +323,10 @@ class SimContext(Protocol):
 
     def apply_aux_update(
         self, w_snapshot: np.ndarray, delta_plus: np.ndarray, count: int
+    ) -> None: ...
+
+    def tally(
+        self, kind: str, updates: Sequence[ClientUpdate] = (), w: np.ndarray | None = None
     ) -> None: ...
 
     def schedule(self, fire_at: float, handler: Callable[..., None], *args) -> None: ...
@@ -362,7 +365,7 @@ class SyncRoundDriver:
 
     def on_client_completed(self, sim: SimContext, update: ClientUpdate) -> None:
         """A late update arrives after its round closed."""
-        sim.counters["discarded_updates"] += 1
+        sim.tally("discarded_updates", (update,))
 
     # -- driver interface -- #
 
@@ -380,7 +383,7 @@ class SyncRoundDriver:
         if start_at > sim.now:
             sim.schedule(start_at, self._start_round)
             return
-        sim.counters["rounds_started"] += 1
+        sim.tally("rounds_started")
         cohort = sim.sample_cohort(self.dispatch_size)
         updates = [sim.dispatch(cid, teacher_w=self._teacher_for_dispatch(sim)) for cid in cohort]
         b = self.config.cohort_size
@@ -464,10 +467,7 @@ class HistoryDistillationDriver(SyncRoundDriver):
         self.history.push(round_id, summed, self.config.cohort_size)
 
     def on_client_completed(self, sim: SimContext, update: ClientUpdate) -> None:
-        if self.history.fold(update):
-            sim.counters["late_folded"] += 1
-        else:
-            sim.counters["late_discarded"] += 1
+        sim.tally("late_folded" if self.history.fold(update) else "late_discarded", (update,))
 
 
 @dataclass
@@ -531,11 +531,11 @@ class AuxTrackDriver(SyncRoundDriver):
     def on_client_completed(self, sim: SimContext, update: ClientUpdate) -> None:
         rec = self.pending.get(update.round_id)
         if rec is None or rec.ready:
-            sim.counters["dropped_after_deadline"] += 1
+            sim.tally("dropped_after_deadline", (update,))
             return
         rec.delta_plus += _read_delta(update)
         rec.count_plus += 1
-        sim.counters["late_folded"] += 1
+        sim.tally("late_folded", (update,))
         if self._all_reported(rec):
             self._mark_ready(sim, rec)
 
@@ -613,13 +613,11 @@ class BufferedDriver:
         sim.schedule(update.completed_at, self.on_client_completed, update)
 
 
-def make_driver(config: AlgoConfig):
-    if config.name in ("fedavg", "fedadam"):
-        return SyncRoundDriver(config)
-    if config.name == "fare_dust":
-        return HistoryDistillationDriver(config)
-    if config.name == "feast":
-        return AuxTrackDriver(config)
-    if config.name == "fedbuff":
-        return BufferedDriver(config)
-    raise ValueError(f"unknown algorithm {config.name!r}")
+# the driver class of each of ALGORITHM_NAMES, which AlgoConfig checks
+DRIVERS = {
+    "fedavg": SyncRoundDriver,
+    "fedadam": SyncRoundDriver,
+    "fedbuff": BufferedDriver,
+    "fare_dust": HistoryDistillationDriver,
+    "feast": AuxTrackDriver,
+}

@@ -74,6 +74,14 @@ def _resolve_jobs(arg_jobs: int | None) -> int:
         raise ConfigError(f"STRAGGLERSIM_JOBS={env!r} is not an integer >= 1") from exc
 
 
+def _check_out_dir(out: Path) -> None:
+    """ConfigError unless out is or could be made a directory; checked before
+    the first trial and making nothing, so a failure leaves no empty directory."""
+    nearest = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not nearest.is_dir():
+        raise ConfigError(f"--out {out}: {nearest} is not a directory")
+
+
 def _run_trial_to_file(config: ExperimentConfig, seed: int, out_path: Path) -> None:
     """Worker: run one trial and write its JSONL log (used across processes)."""
     result = Simulation(config, seed).run()
@@ -171,6 +179,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed)
     out_dir = Path(args.out)
+    _check_out_dir(out_dir)
     [finals] = _run([(config, out_dir)], _resolve_jobs(args.jobs))
     _summarize(config.name or config.algo.name, finals)
     print(f"wrote {config.trials} trial logs and manifest.json to {out_dir}")
@@ -181,6 +190,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = load_sweep(args.config)
     points = sweep_points(sweep, args.config)
     out_dir = Path(args.out)
+    _check_out_dir(out_dir)
     runs = [(config, out_dir / f"point_{idx:03d}") for idx, (_, config) in enumerate(points)]
     point_finals = _run(runs, _resolve_jobs(args.jobs))
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algorithms, latency, metrics, model, rng
-from .algorithms import ClientUpdate, ServerState, make_driver
+from .algorithms import DRIVERS, ClientUpdate, ServerState
 from .config import ConfigError, ExperimentConfig
 from .data import FederatedDataset
 from .metrics import MetricsRecord
@@ -59,21 +59,15 @@ class EventQueue:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One entry of Simulation.events, recorded only when tracing is on.
-
-    kind is "dispatch" (one member; completed_at is when its update
-    arrives), "aggregate" (the members of one server step) or "aux" (an
-    auxiliary-model step; no members, applied in round order). Members are
-    (round_id, client_id) pairs, where round_id is the model version (server
-    step count) the client was dispatched with. w is the model after an
-    aggregate or aux step: the state's own array, which later steps rebind
-    and never write into.
-    """
+    """One Simulation.tally call, recorded only when tracing is on: the
+    counter it moved, its virtual time and the updates it counted, none for
+    a kind counted once. w is the model after an aggregated_updates or
+    aux_rounds step: the state's own array, which later steps rebind and
+    never write into."""
 
     kind: str
     at: float
-    members: tuple[tuple[int, int], ...]
-    completed_at: float = math.nan
+    updates: tuple[ClientUpdate, ...] = ()
     w: np.ndarray | None = None
 
 
@@ -213,7 +207,7 @@ class Simulation:
                 if self.algo.time_limit_s is not None
                 else self._monte_carlo_time_limit()
             )
-        self.driver = make_driver(self.algo)
+        self.driver = DRIVERS[self.algo.name](self.algo)
 
     # -- context interface used by drivers -- #
 
@@ -296,10 +290,7 @@ class Simulation:
         )
         if not self._reuse:
             heapq.heappush(self._busy, (update.completed_at, client_id))
-        self.counters["dispatches"] += 1
-        if self.trace:
-            members = ((update.round_id, client_id),)
-            self.events.append(TraceEvent("dispatch", self.now, members, update.completed_at))
+        self.tally("dispatches", (update,))
         return update
 
     def apply_server_update(
@@ -320,11 +311,8 @@ class Simulation:
             self._train_group(untrained)
         summed = algorithms.canonical_delta_sum(updates)
         algorithms.server_apply(self.state, summed, len(updates))
-        self.counters["aggregated_updates"] += len(updates)
         self.last_model_event = self.now
-        if self.trace:
-            members = tuple(sorted((u.round_id, u.client_id) for u in updates))
-            self.events.append(TraceEvent("aggregate", self.now, members, w=self.state.w))
+        self.tally("aggregated_updates", updates, self.state.w)
         if self.state.t % self.config.eval_every == 0:
             self.schedule(self.now, Simulation._eval_record, self.now)
         return summed
@@ -334,10 +322,17 @@ class Simulation:
         clients that trained from w_snapshot; counts one auxiliary round."""
         state = self.state
         state.aux = algorithms.aux_step(state.aux, w_snapshot, delta_plus, count, state.algo)
-        self.counters["aux_rounds"] += 1
         self.last_model_event = self.now
+        self.tally("aux_rounds", w=state.aux)
+
+    def tally(
+        self, kind: str, updates: Sequence[ClientUpdate] = (), w: np.ndarray | None = None
+    ) -> None:
+        """The one writer of counters: adds len(updates), or 1 without updates,
+        to counters[kind], and when tracing records the call as a TraceEvent."""
+        self.counters[kind] += len(updates) or 1
         if self.trace:
-            self.events.append(TraceEvent("aux", self.now, (), w=state.aux))
+            self.events.append(TraceEvent(kind, self.now, tuple(updates), w))
 
     def schedule(self, fire_at: float, handler: Callable[..., None], *args) -> None:
         """Queue handler with args for virtual time fire_at, not before now."""
@@ -486,7 +481,7 @@ class Simulation:
             self._evals[-1] = record
             return
         self._evals.append(record)
-        self.counters["evals"] += 1
+        self.tally("evals")
 
     def run(self) -> RunResult:
         """Run the loop until the driver is finished, then score the final

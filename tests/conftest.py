@@ -13,17 +13,19 @@ def round_views(events):
     started = {}
     views = []
     for event in events:
-        if event.kind == "dispatch":
-            ((rid, cid),) = event.members
+        if event.kind == "dispatches":
+            (update,) = event.updates
             view = started.setdefault(
-                rid,
-                SimpleNamespace(round_id=rid, started_at=event.at, cohort=[], completed_at={}),
+                update.round_id,
+                SimpleNamespace(
+                    round_id=update.round_id, started_at=event.at, cohort=[], completed_at={}
+                ),
             )
-            view.cohort.append(cid)
-            view.completed_at[cid] = event.completed_at
-        elif event.kind == "aggregate":
-            view = started[event.members[0][0]]
-            view.fast_ids = sorted(cid for _, cid in event.members)
+            view.cohort.append(update.client_id)
+            view.completed_at[update.client_id] = update.completed_at
+        elif event.kind == "aggregated_updates":
+            view = started[event.updates[0].round_id]
+            view.fast_ids = sorted(u.client_id for u in event.updates)
             view.advanced_at = event.at
             view.w_after = event.w
             views.append(view)

@@ -186,7 +186,7 @@ def test_acceptance_7b_feast_without_over_selection_tracks_w():
     sim = Simulation(feast, trial_seed=3, trace=True)
     sim.run()
     w_log = round_views(sim.events)
-    aux_log = [event.w for event in sim.events if event.kind == "aux"]
+    aux_log = [event.w for event in sim.events if event.kind == "aux_rounds"]
     assert len(w_log) == len(aux_log) == 100
     worst = max(
         float(np.abs(entry.w_after - aux).max())

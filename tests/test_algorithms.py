@@ -44,12 +44,14 @@ class _StubSim:
         self.state = ServerState(w=np.asarray(w, dtype=np.float64), algo=algo)
         self.counters = collections.defaultdict(int)
         self.trace = False
+        self.events = []
         self.now = 0.0
         self.last_model_event = 0.0
         self.teacher_gen = rng.stream(teacher_seed, rng.TEACHER)
 
-    # The engine's own auxiliary step, run against this stub's state.
+    # The engine's own auxiliary step and counting, run against this stub's state.
     apply_aux_update = Simulation.apply_aux_update
+    tally = Simulation.tally
 
 
 def _assert_teacher_stream_unmoved(sim, seed=0):

@@ -677,6 +677,30 @@ def test_verify_checks_out_before_the_first_check(tmp_path, capsys, monkeypatch,
     assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("out_kind", ["file", "under-file"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_simulate_and_sweep_check_out_before_the_first_trial(
+    tmp_path, capsys, monkeypatch, command, out_kind
+):
+    # An --out that is a file, or lies under one, fails before any trial
+    # runs, and no directory is made on the way.
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_run_trial_to_file", no_trial)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken if out_kind == "file" else taken / "sub" / "dir"
+    payload = _sweep_payload() if command == "sweep" else _payload(trials=4)
+    config_path = _write_config(tmp_path, payload, f"{command}.json")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out}: {taken} is not a directory\n"
+    assert taken.read_text() == "keep\n" and sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize(
     "command, out_kind",
     [("data-report", "file"), ("latency-report", "dir"), ("verify", "dir"), ("report", "dir"),

@@ -21,7 +21,7 @@ from stragglersim import engine, metrics, model, rng
 from stragglersim.algorithms import AlgoConfig
 from stragglersim.config import DATASETS_KEPT, ExperimentConfig, ModelConfig, load_config
 from stragglersim.data import DatasetConfig, build_dataset
-from stragglersim.engine import EventQueue, Simulation
+from stragglersim.engine import _COUNTER_KEYS, EventQueue, Simulation
 from stragglersim.latency import LatencyProfile, LatencyScenario, LognormalParams
 
 
@@ -198,9 +198,9 @@ def test_a_round_waits_for_busy_clients_without_busy_reuse():
     assert result.aggregated_updates >= 20
     spans = {}
     for event in sim.events:
-        if event.kind == "dispatch":
-            ((_, cid),) = event.members
-            spans.setdefault(cid, []).append((event.at, event.completed_at))
+        if event.kind == "dispatches":
+            (update,) = event.updates
+            spans.setdefault(update.client_id, []).append((event.at, update.completed_at))
     for runs in spans.values():
         assert all(end <= start for (_, end), (start, _) in zip(runs, runs[1:]))
     views = round_views(sim.events)
@@ -339,7 +339,7 @@ def test_client_streams_and_idle_pool_skip_nothing_but_dropped_shards():
     with pytest.raises(RuntimeError, match=f"only {len(shard_ids)} clients are idle"):
         sim.sample_cohort(len(shard_ids) + 1)
     sim.run()
-    dispatched = {cid for e in sim.events if e.kind == "dispatch" for _, cid in e.members}
+    dispatched = {u.client_id for e in sim.events if e.kind == "dispatches" for u in e.updates}
     assert dispatched and not dispatched & dropped
 
 
@@ -424,7 +424,7 @@ def test_evaluation_thread_records_equal_synchronous_evaluation():
         sim, result = _run(config)
     finally:
         sys.setswitchinterval(interval)
-    aggregates = [e for e in sim.events if e.kind == "aggregate"]
+    aggregates = [e for e in sim.events if e.kind == "aggregated_updates"]
     assert result.which_model == "global"
     assert [r.server_step for r in result.records] == list(range(1, len(aggregates) + 1))
     for record, event in zip(result.records, aggregates):
@@ -555,11 +555,10 @@ def test_no_evaluation_thread_outlives_its_run():
 def test_trace_accounts_for_every_dispatch_step_and_aux_round(algo, served):
     config = _config(algo, budget=40)
     sim, result = _run(config)
-    kinds = [e.kind for e in sim.events]
-    assert kinds.count("dispatch") == sim.counters["dispatches"]
-    aggregated = sum(len(e.members) for e in sim.events if e.kind == "aggregate")
-    assert aggregated == result.aggregated_updates
-    assert kinds.count("aux") == sim.counters["aux_rounds"]
+    traced = dict.fromkeys(_COUNTER_KEYS, 0)
+    for e in sim.events:
+        traced[e.kind] += len(e.updates) or 1
+    assert traced == result.counters
     times = [e.at for e in sim.events]
     assert times == sorted(times)
     assert result.which_model == served
@@ -568,6 +567,11 @@ def test_trace_accounts_for_every_dispatch_step_and_aux_round(algo, served):
 
 
 _OVERSEL = dict(cohort_size=4, over_selection=True, **_SMALL_STEP)
+# the counters that settle a dispatched update, each update under one of them
+_SETTLING_KINDS = (
+    "aggregated_updates", "discarded_updates", "late_folded", "late_discarded",
+    "dropped_after_deadline",
+)
 
 
 @pytest.mark.parametrize(
@@ -585,17 +589,17 @@ _OVERSEL = dict(cohort_size=4, over_selection=True, **_SMALL_STEP)
     ids=["fedavg", "fedadam", "fedbuff", "fare_dust", "feast", "time_limit", "busy_reuse"],
 )
 def test_every_dispatch_is_aggregated_dropped_or_still_in_flight(algo):
-    sim, _ = _run(_config(algo, budget=200), trace=False)
-    in_flight = 0
-    while (item := sim.queue.pop()) is not None:
-        in_flight += item[1] == sim.driver.on_client_completed
-    c = sim.counters
-    settled = (
-        c["aggregated_updates"] + c["discarded_updates"] + c["late_folded"]
-        + c["late_discarded"] + c["dropped_after_deadline"]
-    )
-    assert c["dispatches"] == settled + in_flight
-    assert in_flight > 0
+    # Each dispatched update is settled exactly once, under one kind, or is
+    # still queued in flight when the run ends.
+    sim, _ = _run(_config(algo, budget=200))
+    in_flight = [
+        args[0] for _, handler, args in iter(sim.queue.pop, None)
+        if handler == sim.driver.on_client_completed
+    ]
+    dispatched = [u for e in sim.events if e.kind == "dispatches" for u in e.updates]
+    settled = [u for e in sim.events if e.kind in _SETTLING_KINDS for u in e.updates]
+    assert in_flight
+    assert sorted(map(id, settled + in_flight)) == sorted(map(id, dispatched))
 
 
 @pytest.mark.parametrize(
@@ -731,7 +735,7 @@ def test_buffered_lockstep_matches_synchronous_bitwise(k):
     sync_sim, sync_res = _run(_config(sync_algo, dataset=dataset, scenario=DET_PE, budget=budget))
     buff_sim, buff_res = _run(_config(buff_algo, dataset=dataset, scenario=DET_PE, budget=budget))
 
-    flushes = [e for e in buff_sim.events if e.kind == "aggregate"]
+    flushes = [e for e in buff_sim.events if e.kind == "aggregated_updates"]
     sync_w = [e.w_after for e in round_views(sync_sim.events)]
     buff_w = [e.w for e in flushes]
     assert len(sync_w) == len(buff_w) == 6
@@ -740,11 +744,11 @@ def test_buffered_lockstep_matches_synchronous_bitwise(k):
     np.testing.assert_array_equal(sync_res.output_w, buff_res.output_w)
     assert sync_res.total_time_s == buff_res.total_time_s
     sync_members = [sorted(e.fast_ids) for e in round_views(sync_sim.events)]
-    buff_members = [sorted(cid for _, cid in e.members) for e in flushes]
+    buff_members = [sorted(u.client_id for u in e.updates) for e in flushes]
     assert sync_members == buff_members
     # each flush holds one whole wave: all members share a model version
     for e in flushes:
-        assert len({version for version, _ in e.members}) == 1
+        assert len({u.round_id for u in e.updates}) == 1
 
 
 # ---- version training against per-client training ---- #
@@ -886,10 +890,16 @@ def test_a_discarded_update_draws_what_training_it_would(monkeypatch, reuse):
     assert skipping.records == training.records
 
 
+def _unmoved(w0, *args, starts, **kwargs):
+    """model.local_sgd as if no client moved off its start weights; the
+    totals go unread."""
+    return np.broadcast_to(w0, (len(starts), w0.shape[-1])).copy(), 0, 0
+
+
 def _schedule(result, sim):
     """Everything about a run that must not depend on the trained weights."""
     events = [
-        (e.kind, e.at, e.members, None if math.isnan(e.completed_at) else e.completed_at)
+        (e.kind, e.at, [(u.round_id, u.client_id, u.completed_at) for u in e.updates])
         for e in sim.events
     ]
     return events, result.counters, result.total_time_s, result.server_steps
@@ -914,15 +924,77 @@ def test_the_schedule_never_reads_the_weights(monkeypatch, config):
     dataset = build_dataset(config.dataset, config.effective_data_seed())
     trained = Simulation(config, 0, dataset, trace=True)
     want = _schedule(trained.run(), trained)
-
-    def untrained(w0, *args, starts, **kwargs):
-        return np.repeat(w0[None, :], len(starts), axis=0), 0, 0  # the totals go unread
-
-    monkeypatch.setattr(model, "local_sgd", untrained)
+    monkeypatch.setattr(model, "local_sgd", _unmoved)
     stubbed = Simulation(config, 0, dataset, trace=True)
     got = _schedule(stubbed.run(), stubbed)
     assert not np.array_equal(trained.state.w, stubbed.state.w)
     assert got == want
+
+
+# ---- where straggler updates go, with training stubbed ---- #
+
+
+def _stubbed_run(monkeypatch, name, seed):
+    """A traced acceptance trial at budget 1000 whose clients never move
+    off their start weights: its schedule and counters are the trained
+    trial's (test_the_schedule_never_reads_the_weights)."""
+    monkeypatch.setattr(model, "local_sgd", _unmoved)
+    sim = Simulation(_acceptance(name), seed, trace=True)
+    sim.run()
+    return sim
+
+
+def _tallied(sim, kind):
+    """The updates the trace tallied under kind, in tally order."""
+    return [u for e in sim.events if e.kind == kind for u in e.updates]
+
+
+def _straggler_share(sim, kind):
+    stragglers = {s.client_id for s in sim.dataset.shards if s.is_straggler}
+    updates = _tallied(sim, kind)
+    return sum(u.client_id in stragglers for u in updates) / len(updates)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_over_selection_silences_stragglers_and_full_participation_does_not(
+    monkeypatch, seed
+):
+    # Over-selection aggregates the B fastest of 1.2 B, so its stragglers are
+    # 0.138-0.151 of its dispatches but 0.044-0.067 of its aggregated updates
+    # (at most 0.44 of their dispatched share), measured at seeds 0-4. Full
+    # participation aggregates every dispatch.
+    oversel = _stubbed_run(monkeypatch, "fedavg_oversel", seed)
+    dispatched = _straggler_share(oversel, "dispatches")
+    aggregated = _straggler_share(oversel, "aggregated_updates")
+    assert 0.12 <= dispatched <= 0.17
+    assert aggregated <= 0.09 and aggregated <= 0.6 * dispatched
+    full = _stubbed_run(monkeypatch, "fedavg_full", seed)
+    assert 0.12 <= _straggler_share(full, "dispatches") <= 0.18
+    assert sorted(map(id, _tallied(full, "aggregated_updates"))) == sorted(
+        map(id, _tallied(full, "dispatches"))
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_feast_and_fare_dust_fold_the_stragglers_over_selection_discards(monkeypatch, seed):
+    # feast dispatches and aggregates exactly what fedavg_oversel does, and
+    # folds every late update into its auxiliary model: 200, among them each
+    # of the 186-187 that fedavg_oversel discards. fare_dust's teachers move
+    # its schedule, but the late updates it folds are 0.56-0.69 stragglers
+    # against 0.14-0.15 of its dispatches (seeds 0-2).
+    def pairs(sim, kind):
+        return {(u.round_id, u.client_id) for u in _tallied(sim, kind)}
+
+    oversel = _stubbed_run(monkeypatch, "fedavg_oversel", seed)
+    feast = _stubbed_run(monkeypatch, "feast", seed)
+    for kind in ("dispatches", "aggregated_updates"):
+        assert pairs(feast, kind) == pairs(oversel, kind)
+    discarded, folded = pairs(oversel, "discarded_updates"), pairs(feast, "late_folded")
+    assert len(discarded) >= 180 and discarded < folded
+    assert len(folded) == 200 and not _tallied(feast, "dropped_after_deadline")
+    fare_dust = _stubbed_run(monkeypatch, "fare_dust", seed)
+    assert _straggler_share(fare_dust, "late_folded") >= 0.45
+    assert _straggler_share(fare_dust, "dispatches") <= 0.17
 
 
 @pytest.mark.parametrize("time_limit", [False, True], ids=["epochs", "time_limit"])

@@ -211,6 +211,34 @@ def test_drivers_use_only_the_declared_simulation_context():
         assert inspect.signature(getattr(engine.Simulation, name)) == declared, name
 
 
+def test_only_the_tally_writes_the_counters():
+    # Simulation.tally is the one code that moves a counter, and it traces
+    # what it counts, so the trace and the counters agree by construction.
+    def writes(node) -> bool:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        else:
+            return False
+        return any(
+            isinstance(t, ast.Subscript) and ast.unparse(t.value).split(".")[-1] == "counters"
+            for target in targets for t in ast.walk(target)
+        )
+
+    found, tally = set(), set()
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.name, node.lineno) for node in ast.walk(tree) if writes(node)}
+        if path.name == "engine.py":
+            (method,) = [n for n in _class_body(path, "Simulation").body
+                         if isinstance(n, ast.FunctionDef) and n.name == "tally"]
+            tally = {(path.name, n.lineno) for n in ast.walk(method) if writes(n)}
+    assert tally and found == tally, f"counters written outside tally: {sorted(found - tally)}"
+
+
 def test_drivers_decide_only_round_semantics():
     # The teacher download cost and FeAST's auxiliary model belong to the
     # engine, and strict_sequential is FeAST's: only AuxTrackDriver reads it.

@@ -4,19 +4,26 @@ A whitespace-only line is blank, also inside a docstring. Any other line of a
 module, class or function docstring is docstring. A line whose first
 non-blank character is ``#`` is comment. Every other line is code.
 
-Run from anywhere: ``python tools/src_lines.py [root]``, where root defaults to
-the repository's src/ directory.
+Run from anywhere: ``python tools/src_lines.py [root] [--base REV]``, where
+root defaults to the repository's src/ directory. With --base, it also prints
+the split of REV's src/, extracted with `git archive` as tools/ab.py does, and
+the difference root minus REV, kind by kind.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
+from ab import extract
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+KINDS = ("code", "docstring", "comment", "blank")
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -45,11 +52,28 @@ def count(path: Path) -> Counter:
     return kinds
 
 
+def tree_kinds(root: Path) -> Counter:
+    return sum(map(count, sorted(root.rglob("*.py"))), Counter())
+
+
+def split(label: str, kinds: Counter, sign: str = "") -> str:
+    """One line: label, the total and each kind, signed when sign is "+"."""
+    parts = (", " if sign else " + ").join(f"{kinds[k]:{sign},} {k}" for k in KINDS)
+    return f"{label}: {sum(kinds[k] for k in KINDS):{sign},} lines = {parts}"
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else SRC
-    kinds = sum(map(count, sorted(root.rglob("*.py"))), Counter())
-    split = " + ".join(f"{kinds[k]:,} {k}" for k in ("code", "docstring", "comment", "blank"))
-    print(f"{root.name}/: {kinds.total():,} lines = {split}")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", nargs="?", type=Path, default=SRC)
+    parser.add_argument("--base", metavar="REV", help="also count REV's src/ and the difference")
+    args = parser.parse_args(argv)
+    kinds = tree_kinds(args.root)
+    print(split(f"{args.root.name}/", kinds))
+    if args.base:
+        with tempfile.TemporaryDirectory() as tmp:
+            base = tree_kinds(extract(args.base, Path(tmp)).parent)
+        print(split(f"{args.base} src/", base))
+        print(split("difference", Counter({k: kinds[k] - base[k] for k in KINDS}), "+"))
     return 0
 
 
