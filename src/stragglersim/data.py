@@ -4,12 +4,16 @@ Each class is an isotropic Gaussian cluster in feature space. Clients get
 lognormal-sized shards with Dirichlet-skewed class mixtures, which makes the
 population non-IID in a controllable way. A straggler partition
 (_partition) then leaves the designated straggler classes on straggler
-clients alone. build_dataset is the one way to make a dataset.
+clients alone. build_dataset is the one way to make a dataset; it draws
+the eval split's labels and noise on a worker thread, from the split's own
+stream into an array it made, while it generates the population, so the
+result is the serial one bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,13 +126,14 @@ def class_centers(config: DatasetConfig, seed: int) -> np.ndarray:
     return gen.standard_normal((config.n_classes, config.d_in)) * config.center_scale
 
 
-def _generate(config: DatasetConfig, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _generate(
+    config: DatasetConfig, seed: int, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The raw population as (features, labels, sizes): rows client by client.
 
     Shard sizes are lognormal around the configured median (rounded, min 1);
     a client's class mixture is Dirichlet(concentration * global mixture).
     """
-    centers = class_centers(config, seed)
     mixture = config.mixture()
 
     size_gen = rng.stream(seed, rng.DATA, 1)
@@ -147,12 +152,19 @@ def _generate(config: DatasetConfig, seed: int) -> tuple[np.ndarray, np.ndarray,
 
     keys = rng.stream_keys(seed, rng.DATA, 3, ids=range(config.m_clients))
     ends = np.cumsum(sizes).tolist()
-    labels = np.empty(ends[-1], dtype=np.int64)
+    uniform = np.empty(ends[-1])
     features = np.empty((ends[-1], config.d_in))
     for client_id, (a, b) in enumerate(zip([0, *ends], ends)):
         ex_gen = rng.stream_from_key(keys[client_id])
-        labels[a:b] = cdf[client_id].searchsorted(ex_gen.random(b - a), side="right")
+        ex_gen.random(out=uniform[a:b])
         ex_gen.standard_normal(out=features[a:b])
+    # The search, for every row at once: a row's label counts its client's cdf
+    # entries <= its uniform, which is side "right" since a cdf row never
+    # decreases. The last entry is exactly 1.0, above every uniform, so it
+    # never counts; a column at a time keeps each temporary one row long.
+    labels = np.zeros(ends[-1], dtype=np.int64)
+    for column in cdf[:, :-1].T:
+        labels += np.repeat(column, sizes) <= uniform
     # centers[labels] + cluster_spread * noise, bit for bit, computed in place
     features *= config.cluster_spread
     _add_centers(features, centers, labels)
@@ -225,36 +237,49 @@ def _read_only(*arrays: np.ndarray) -> None:
         array.flags.writeable = False
 
 
-def make_eval_splits(config: DatasetConfig, seed: int) -> tuple[EvalSplit, np.ndarray]:
-    """The held-out split, drawn from the same class clusters as training,
-    and the ascending indices of its rows whose labels are straggler classes.
-    All three arrays are read-only.
-
-    Uses an rng stream disjoint from shard generation.
-    """
-    centers = class_centers(config, seed)
-    gen = rng.stream(seed, rng.EVAL)
-    labels = gen.choice(config.n_classes, size=config.eval_size, p=config.mixture())
-    features = gen.standard_normal((config.eval_size, config.d_in))
-    features *= config.cluster_spread
-    _add_centers(features, centers, labels)
-    table = _class_table(config.straggler_classes, config.n_classes)
-    straggler_rows = np.flatnonzero(table[labels])
-    _read_only(features, labels, straggler_rows)
-    return EvalSplit(features=features, labels=labels), straggler_rows
+def _draw_eval(gen: np.random.Generator, mixture: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """The eval split's draws from its stream: returns its labels and fills
+    features with standard normals. build_dataset runs this on its worker."""
+    labels = gen.choice(len(mixture), size=len(features), p=mixture)
+    gen.standard_normal(out=features)
+    return labels
 
 
 def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
-    """Generate, partition, and attach eval splits; validates invariants.
+    """Generate, partition, and attach the eval split; validates invariants.
 
     Each step runs as array operations over the whole population, and every
     array of the result is read-only, so one dataset can serve many trials.
+    The eval split is drawn from the same class clusters as training, from
+    its own stream (rng.EVAL), and eval_straggler_rows are the ascending
+    indices of its straggler-class rows.
+
+    The eval split's draws (_draw_eval) run on a worker thread while this
+    thread generates and partitions the population; numpy releases the GIL
+    while it fills an array, so the two overlap on a second core. The result
+    is the serial one, bit for bit: the EVAL stream shares no state with the
+    training streams, and the worker draws from a generator and into a
+    feature array that this thread made. Rule: the worker runs nothing but
+    _draw_eval, so every rng.stream call, every large allocation and every
+    other step stays on the calling thread, and a tracer that patches
+    module functions (the benchmark's patches rng.stream and this function)
+    sees them all on one thread. The worker is joined before this returns
+    or raises.
     """
     table = _class_table(config.straggler_classes, config.n_classes)
-    features, labels, shards, dropped = _partition(
-        *_generate(config, seed), table, config.n_straggler_clients
-    )
-    eval_total, eval_straggler_rows = make_eval_splits(config, seed)
+    centers = class_centers(config, seed)
+    eval_gen = rng.stream(seed, rng.EVAL)
+    eval_features = np.empty((config.eval_size, config.d_in))
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="eval-draws") as worker:
+        drawn = worker.submit(_draw_eval, eval_gen, config.mixture(), eval_features)
+        features, labels, shards, dropped = _partition(
+            *_generate(config, seed, centers), table, config.n_straggler_clients
+        )
+        eval_labels = drawn.result()
+    eval_features *= config.cluster_spread
+    _add_centers(eval_features, centers, eval_labels)
+    eval_straggler_rows = np.flatnonzero(table[eval_labels])
+    _read_only(eval_features, eval_labels, eval_straggler_rows)
 
     if not shards:
         raise ValueError(
@@ -280,7 +305,7 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
         shards=shards,
         features=features,
         labels=labels,
-        eval_total=eval_total,
+        eval_total=EvalSplit(features=eval_features, labels=eval_labels),
         eval_straggler_rows=eval_straggler_rows,
         dropped_clients=dropped,
     )

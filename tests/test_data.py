@@ -2,6 +2,8 @@
 
 import hashlib
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -50,7 +52,7 @@ def _partition_labels(label_lists, straggler_classes, n_straggler_clients, n_cla
 
 def _raw_shards(config, seed):
     """The raw population of _generate as one (labels, features) pair per client."""
-    features, labels, sizes = _generate(config, seed)
+    features, labels, sizes = _generate(config, seed, class_centers(config, seed))
     ends = np.cumsum(sizes)[:-1]
     return list(zip(np.split(labels, ends), np.split(features, ends)))
 
@@ -78,7 +80,7 @@ def test_standard_shards_lose_straggler_classes():
 
 
 def test_straggler_shards_keep_everything_and_counts_are_conserved():
-    features, labels, sizes = _generate(SMALL, seed=0)
+    features, labels, sizes = _generate(SMALL, 0, class_centers(SMALL, 0))
     table = _class_table((0, 1), SMALL.n_classes)
     kept_x, kept_y, out, dropped = _partition(
         features, labels, sizes, table, SMALL.n_straggler_clients
@@ -147,7 +149,7 @@ def test_shard_sizes_follow_lognormal_formula():
     config = DatasetConfig(
         m_clients=50, median_shard_size=12.0, size_sigma=0.7, n_straggler_clients=12
     )
-    _, _, sizes = _generate(config, seed=3)
+    _, _, sizes = _generate(config, 3, class_centers(config, 3))
     z = rng.stream(3, rng.DATA, 1).standard_normal(50)
     expected = np.maximum(1, np.rint(np.exp(np.log(12.0) + 0.7 * z)).astype(int))
     assert sizes.tolist() == expected.tolist()
@@ -390,6 +392,61 @@ _FEDBUFF_CROWD = dict(_ACCEPTANCE, m_clients=2000, median_shard_size=8.0, n_stra
 )
 def test_built_datasets_match_their_recorded_digests(config, seed, want):
     assert _digest(build_dataset(config, seed)) == want
+
+
+def test_concurrent_builds_match_a_serial_build_and_leave_no_thread():
+    # build_dataset draws the eval split on a worker thread of its own; two
+    # builds at once, each with its worker, must still give the serial bits,
+    # and every worker must be joined when build_dataset returns or raises.
+    config = DatasetConfig(**_ACCEPTANCE)
+    before = threading.active_count()
+    serial = _digest(build_dataset(config, 0))
+    assert threading.active_count() == before
+
+    start = threading.Barrier(2)
+    digests = []
+
+    def build():
+        start.wait(timeout=10)
+        digests.append(_digest(build_dataset(config, 0)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert digests == [serial, serial]
+    assert threading.active_count() == before
+
+    # every class is a straggler class and no client is a straggler, so the
+    # partition keeps no shard
+    empty = DatasetConfig(n_classes=2, m_clients=5, straggler_classes=(0, 1),
+                          n_straggler_clients=0, eval_size=20)
+    with pytest.raises(ValueError, match="no client shard"):
+        build_dataset(empty, 0)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("section", [_ACCEPTANCE, _FEDBUFF_CROWD], ids=["acceptance", "fedbuff_crowd"])
+def test_every_stream_is_made_on_the_calling_thread(monkeypatch, section):
+    # The benchmark tracer patches rng.stream and keeps one span stack for
+    # the process, so build_dataset's eval worker must make no stream.
+    threads = []
+    stream = rng.stream
+
+    def spy(*args):
+        threads.append(threading.current_thread())
+        return stream(*args)
+
+    monkeypatch.setattr(rng, "stream", spy)
+    build_dataset(DatasetConfig(**section), 0)
+    assert threads and set(threads) == {threading.current_thread()}
 
 
 @st.composite

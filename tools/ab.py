@@ -16,8 +16,16 @@ and by wall time. A ratio is working tree over REV, so below 1 is faster; the
 tool prints per config the median CPU and wall ratios and the pairs each side
 of a ratio won.
 
+Pair i also builds, on each side, the dataset of every distinct dataset
+section and data seed (the four acceptance configs share one) by calling
+data.build_dataset directly, not through the configs' dataset cache. A build
+is timed by the process's CPU time (time.process_time, which counts the
+build's eval worker thread) and by wall time, and the tool prints its ratios
+beside the trials'.
+
 Both sides of a pair must produce the same sha256 of output_w, the counters,
-total_time_s, server_steps and the records. Any difference exits 1.
+total_time_s, server_steps and the records, and each build the same sha256
+of its shards, kept rows, eval split and dropped ids. Any difference exits 1.
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ def extract(rev: str, into: Path) -> Path:
 
 
 def load(name: str, package_dir: Path):
-    """The package at package_dir, imported as name: its config and engine modules."""
+    """The package at package_dir, imported as name: its config, data and engine modules."""
     spec = importlib.util.spec_from_file_location(
         name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)]
     )
@@ -73,16 +81,25 @@ def load(name: str, package_dir: Path):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     logging.getLogger(name).setLevel(logging.ERROR)
-    return importlib.import_module(f"{name}.config"), importlib.import_module(f"{name}.engine")
+    return tuple(importlib.import_module(f"{name}.{m}") for m in ("config", "data", "engine"))
 
 
 class Side:
     """One package with its configs loaded and their datasets built."""
 
     def __init__(self, name: str, package_dir: Path) -> None:
-        config, self.engine = load(name, package_dir)
+        config, self.data, self.engine = load(name, package_dir)
         self.configs = [config.load_config(path) for path in CONFIGS]
         self.datasets = [cfg.build_dataset() for cfg in self.configs]
+        shared = {}
+        for path, cfg in zip(CONFIGS, self.configs):
+            shared.setdefault((cfg.dataset, cfg.effective_data_seed()), []).append(path.stem)
+        # (name, (dataset section, data seed)) of each distinct build, named
+        # after the first config that uses it: "data of fedavg_full +4"
+        self.builds = [
+            (f"data of {stems[0]}" + (f" +{len(stems) - 1}" if len(stems) > 1 else ""), section)
+            for section, stems in shared.items()
+        ]
 
     def trial(self, k: int, seed: int) -> tuple[float, float, str]:
         """(CPU seconds, wall seconds, output digest) of config k at seed."""
@@ -91,6 +108,13 @@ class Side:
         result = sim.run()
         cpu, wall = time.thread_time() - cpu, time.perf_counter() - wall
         return cpu, wall, digest(result)
+
+    def build(self, j: int) -> tuple[float, float, str]:
+        """(process CPU seconds, wall seconds, dataset digest) of build j."""
+        cpu, wall = time.process_time(), time.perf_counter()
+        dataset = self.data.build_dataset(*self.builds[j][1])
+        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+        return cpu, wall, dataset_digest(dataset)
 
 
 def digest(result) -> str:
@@ -107,39 +131,58 @@ def digest(result) -> str:
     return h.hexdigest()
 
 
+def dataset_digest(dataset) -> str:
+    """sha256 over every shard's id, group, labels and features with their
+    dtypes, the eval arrays, the eval straggler rows and the dropped ids."""
+    h = hashlib.sha256()
+    for s in dataset.shards:
+        rows = slice(s.start, s.start + s.n_examples)
+        labels, features = dataset.labels[rows], dataset.features[rows]
+        h.update(f"{s.client_id}:{s.is_straggler}:{labels.dtype}:{features.dtype}".encode())
+        h.update(labels.tobytes())
+        h.update(features.tobytes())
+    for a in (dataset.eval_total.features, dataset.eval_total.labels, dataset.eval_straggler_rows):
+        h.update(str(a.dtype).encode())
+        h.update(a.tobytes())
+    h.update(repr(dataset.dropped_clients).encode())
+    return h.hexdigest()
+
+
 def ratio_line(ratios: list[float]) -> str:
     faster = sum(r < 1.0 for r in ratios)
     return f"x{statistics.median(ratios):.3f} ({faster}/{len(ratios)} faster)"
 
 
 def compare(rev: Side, tree: Side, pairs: int) -> tuple[dict, dict, list[str]]:
-    """Per config name, the CPU and wall ratios of each pair, and the pairs
-    whose outputs differ."""
-    names = [path.stem for path in CONFIGS]
-    cpu = {name: [] for name in names}
-    wall = {name: [] for name in names}
+    """Per config name and per build name, the CPU and wall ratios of each
+    pair, and the pairs whose outputs differ."""
+    jobs = [(path.stem, lambda side, seed, k=k: side.trial(k, seed))
+            for k, path in enumerate(CONFIGS)]
+    jobs += [(name, lambda side, seed, j=j: side.build(j))
+             for j, (name, _) in enumerate(tree.builds)]
+    cpu = {name: [] for name, _ in jobs}
+    wall = {name: [] for name, _ in jobs}
     mismatches = []
     order = random.Random(0)
     for i in range(pairs):
         seed = FIRST_SEED + i
-        ks = list(range(len(CONFIGS)))
-        order.shuffle(ks)
-        for k in ks:
+        order.shuffle(jobs)
+        for name, run in jobs:
             sides = [rev, tree]
             order.shuffle(sides)
-            runs = {side: side.trial(k, seed) for side in sides}
+            runs = {side: run(side, seed) for side in sides}
             (rev_cpu, rev_wall, rev_digest), (cpu_s, wall_s, tree_digest) = runs[rev], runs[tree]
             if rev_digest != tree_digest:
-                mismatches.append(f"{names[k]} seed {seed}")
-            cpu[names[k]].append(cpu_s / rev_cpu)
-            wall[names[k]].append(wall_s / rev_wall)
+                mismatches.append(f"{name}, pair {i + 1} (seed {seed})")
+            cpu[name].append(cpu_s / rev_cpu)
+            wall[name].append(wall_s / rev_wall)
     return cpu, wall, mismatches
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the git revision to compare the working tree with")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs of trials per config")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per config and per build")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -147,10 +190,11 @@ def main(argv: list[str]) -> int:
         rev = Side("_ab_rev", extract(args.rev, Path(tmp)))
         tree = Side("_ab_tree", ROOT / "src" / "stragglersim")
         cpu, wall, mismatches = compare(rev, tree, args.pairs)
-    print(f"working tree against {args.rev}, {args.pairs} pair(s) per config, seeds from "
-          f"{FIRST_SEED}, one BLAS thread; ratio = tree / rev")
+    print(f"working tree against {args.rev}, {args.pairs} pair(s) per config and per build, "
+          f"seeds from {FIRST_SEED}, one BLAS thread; ratio = tree / rev")
+    width = max(map(len, cpu))
     for name in cpu:
-        print(f"  {name:16s} cpu {ratio_line(cpu[name])}   wall {ratio_line(wall[name])}")
+        print(f"  {name:{width}s} cpu {ratio_line(cpu[name])}   wall {ratio_line(wall[name])}")
     for mismatch in mismatches:
         print(f"OUTPUT MISMATCH: {mismatch}")
     total = len(cpu) * args.pairs
