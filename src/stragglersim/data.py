@@ -4,10 +4,7 @@ Each class is an isotropic Gaussian cluster in feature space. Clients get
 lognormal-sized shards with Dirichlet-skewed class mixtures, which makes the
 population non-IID in a controllable way. A straggler partition
 (_partition) then leaves the designated straggler classes on straggler
-clients alone. build_dataset is the one way to make a dataset; it draws
-the eval split's labels and noise on a worker thread, from the split's own
-stream into an array it made, while it generates the population, so the
-result is the serial one bit for bit.
+clients alone. build_dataset is the one way to make a dataset.
 """
 
 from __future__ import annotations
@@ -237,12 +234,11 @@ def _read_only(*arrays: np.ndarray) -> None:
         array.flags.writeable = False
 
 
-def _draw_eval(gen: np.random.Generator, mixture: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """The eval split's draws from its stream: returns its labels and fills
-    features with standard normals. build_dataset runs this on its worker."""
-    labels = gen.choice(len(mixture), size=len(features), p=mixture)
+def _draw_eval(gen: np.random.Generator, uniform: np.ndarray, features: np.ndarray) -> None:
+    """The eval split's draws from its stream, into arrays the caller made:
+    uniform for its labels, then standard normals for its features."""
+    gen.random(out=uniform)
     gen.standard_normal(out=features)
-    return labels
 
 
 def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
@@ -256,12 +252,12 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
 
     The eval split's draws (_draw_eval) run on a worker thread while this
     thread generates and partitions the population; numpy releases the GIL
-    while it fills an array, so the two overlap on a second core. The result
-    is the serial one, bit for bit: the EVAL stream shares no state with the
-    training streams, and the worker draws from a generator and into a
-    feature array that this thread made. Rule: the worker runs nothing but
-    _draw_eval, so every rng.stream call, every large allocation and every
-    other step stays on the calling thread, and a tracer that patches
+    while it fills an array, so the two overlap when a second core is free.
+    The result is the serial one, bit for bit: the EVAL stream shares no
+    state with the training streams, and the worker fills arrays that this
+    thread made. Rule: the worker runs nothing but _draw_eval, so every
+    rng.stream call, every array allocation and every other step (the label
+    search included) stays on the calling thread, and a tracer that patches
     module functions (the benchmark's patches rng.stream and this function)
     sees them all on one thread. The worker is joined before this returns
     or raises.
@@ -269,13 +265,18 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
     table = _class_table(config.straggler_classes, config.n_classes)
     centers = class_centers(config, seed)
     eval_gen = rng.stream(seed, rng.EVAL)
+    uniform = np.empty(config.eval_size)
     eval_features = np.empty((config.eval_size, config.d_in))
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="eval-draws") as worker:
-        drawn = worker.submit(_draw_eval, eval_gen, config.mixture(), eval_features)
+        drawn = worker.submit(_draw_eval, eval_gen, uniform, eval_features)
         features, labels, shards, dropped = _partition(
             *_generate(config, seed, centers), table, config.n_straggler_clients
         )
-        eval_labels = drawn.result()
+        drawn.result()
+    # the labels gen.choice(n_classes, eval_size, p=mixture) draws, as in _generate
+    cdf = config.mixture().cumsum()
+    cdf /= cdf[-1]
+    eval_labels = np.searchsorted(cdf, uniform, side="right")
     eval_features *= config.cluster_spread
     _add_centers(eval_features, centers, eval_labels)
     eval_straggler_rows = np.flatnonzero(table[eval_labels])

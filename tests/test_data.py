@@ -1,9 +1,10 @@
 """Tests for synthetic data generation and the straggler partition."""
 
-import hashlib
+import importlib.util
 import logging
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,20 +309,13 @@ def test_config_validation():
 # ---- the built dataset, bit for bit ---- #
 
 
-def _digest(dataset) -> str:
-    """sha256 over every shard's id, group, labels and features with their
-    dtypes, the eval arrays, the eval straggler rows and the dropped ids."""
-    h = hashlib.sha256()
-    for s in dataset.shards:
-        labels, features = _rows(dataset.labels, s), _rows(dataset.features, s)
-        h.update(f"{s.client_id}:{s.is_straggler}:{labels.dtype}:{features.dtype}".encode())
-        h.update(np.ascontiguousarray(labels).tobytes())
-        h.update(np.ascontiguousarray(features).tobytes())
-    for a in (dataset.eval_total.features, dataset.eval_total.labels, dataset.eval_straggler_rows):
-        h.update(str(a.dtype).encode())
-        h.update(np.ascontiguousarray(a).tobytes())
-    h.update(repr(dataset.dropped_clients).encode())
-    return h.hexdigest()
+# The dataset digest tools/ab.py compares between two trees.
+_spec = importlib.util.spec_from_file_location(
+    "ab", Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+)
+_ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_ab)
+_digest = _ab.dataset_digest
 
 
 # The dataset section of configs/acceptance/*.json; benchmarks/configs/mlp_eval.json
@@ -395,9 +389,8 @@ def test_built_datasets_match_their_recorded_digests(config, seed, want):
 
 
 def test_concurrent_builds_match_a_serial_build_and_leave_no_thread():
-    # build_dataset draws the eval split on a worker thread of its own; two
-    # builds at once, each with its worker, must still give the serial bits,
-    # and every worker must be joined when build_dataset returns or raises.
+    # build_dataset's eval worker: two builds at once still give the serial
+    # bits, and no worker outlives a build that returns or raises.
     config = DatasetConfig(**_ACCEPTANCE)
     before = threading.active_count()
     serial = _digest(build_dataset(config, 0))
@@ -435,8 +428,7 @@ def test_concurrent_builds_match_a_serial_build_and_leave_no_thread():
 
 @pytest.mark.parametrize("section", [_ACCEPTANCE, _FEDBUFF_CROWD], ids=["acceptance", "fedbuff_crowd"])
 def test_every_stream_is_made_on_the_calling_thread(monkeypatch, section):
-    # The benchmark tracer patches rng.stream and keeps one span stack for
-    # the process, so build_dataset's eval worker must make no stream.
+    # the rule in build_dataset's docstring
     threads = []
     stream = rng.stream
 
