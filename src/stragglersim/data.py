@@ -141,31 +141,42 @@ def _generate(
     mix_gen = rng.stream(seed, rng.DATA, 2)
     alphas = config.concentration * mixture
     client_mixtures = mix_gen.dirichlet(alphas, size=config.m_clients)
-    # A client's labels are what ex_gen.choice(n_classes, size, p=its mixture)
-    # draws: choice searches cdf = p.cumsum() / its last entry for
-    # random(size), side "right". Here the cdf is built for all clients at once.
-    cdf = np.cumsum(client_mixtures, axis=1)
-    cdf /= cdf[:, -1:]
 
     keys = rng.stream_keys(seed, rng.DATA, 3, ids=range(config.m_clients))
     ends = np.cumsum(sizes).tolist()
     uniform = np.empty(ends[-1])
     features = np.empty((ends[-1], config.d_in))
     for client_id, (a, b) in enumerate(zip([0, *ends], ends)):
-        ex_gen = rng.stream_from_key(keys[client_id])
-        ex_gen.random(out=uniform[a:b])
-        ex_gen.standard_normal(out=features[a:b])
-    # The search, for every row at once: a row's label counts its client's cdf
-    # entries <= its uniform, which is side "right" since a cdf row never
-    # decreases. The last entry is exactly 1.0, above every uniform, so it
-    # never counts; a column at a time keeps each temporary one row long.
-    labels = np.zeros(ends[-1], dtype=np.int64)
+        _draw(rng.stream_from_key(keys[client_id]), uniform[a:b], features[a:b])
+    labels = _label(client_mixtures, sizes, uniform, features, centers, config.cluster_spread)
+    return features, labels, sizes
+
+
+def _draw(gen: np.random.Generator, uniform: np.ndarray, features: np.ndarray) -> None:
+    """A block's draws from its stream, into arrays the caller made: uniform
+    for its labels, then standard normals for its features."""
+    gen.random(out=uniform)
+    gen.standard_normal(out=features)
+
+
+def _label(mixtures, sizes, uniform, features, centers, spread: float) -> np.ndarray:
+    """Label drawn rows, sizes[i] of them from mixtures[i] in turn, and make
+    their noise the features centers[labels] + spread * noise, in place.
+
+    A row's label is what gen.choice(n_classes, p=its mixture) draws from
+    its uniform: the count of its cdf's entries (cumsum over its last entry)
+    <= the uniform, choice's side "right" search since a cdf never
+    decreases. The last entry, exactly 1.0, never counts; a column at a time
+    keeps each temporary one row long.
+    """
+    cdf = np.cumsum(mixtures, axis=1)
+    cdf /= cdf[:, -1:]
+    labels = np.zeros(len(uniform), dtype=np.int64)
     for column in cdf[:, :-1].T:
         labels += np.repeat(column, sizes) <= uniform
-    # centers[labels] + cluster_spread * noise, bit for bit, computed in place
-    features *= config.cluster_spread
+    features *= spread
     _add_centers(features, centers, labels)
-    return features, labels, sizes
+    return labels
 
 
 def _add_centers(features: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> None:
@@ -234,33 +245,28 @@ def _read_only(*arrays: np.ndarray) -> None:
         array.flags.writeable = False
 
 
-def _draw_eval(gen: np.random.Generator, uniform: np.ndarray, features: np.ndarray) -> None:
-    """The eval split's draws from its stream, into arrays the caller made:
-    uniform for its labels, then standard normals for its features."""
-    gen.random(out=uniform)
-    gen.standard_normal(out=features)
-
-
 def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
     """Generate, partition, and attach the eval split; validates invariants.
 
     Each step runs as array operations over the whole population, and every
     array of the result is read-only, so one dataset can serve many trials.
-    The eval split is drawn from the same class clusters as training, from
-    its own stream (rng.EVAL), and eval_straggler_rows are the ascending
-    indices of its straggler-class rows.
+    One rule draws and labels every example, a client's and the eval
+    split's: its stream draws a block's uniforms, then its standard normals
+    (_draw), and _label turns the block into rows of the class clusters,
+    each client's block from its own mixture, the eval split's from
+    config.mixture() and its own stream (rng.EVAL). eval_straggler_rows are
+    the ascending indices of the eval split's straggler-class rows.
 
-    The eval split's draws (_draw_eval) run on a worker thread while this
-    thread generates and partitions the population; numpy releases the GIL
-    while it fills an array, so the two overlap when a second core is free.
-    The result is the serial one, bit for bit: the EVAL stream shares no
-    state with the training streams, and the worker fills arrays that this
-    thread made. Rule: the worker runs nothing but _draw_eval, so every
-    rng.stream call, every array allocation and every other step (the label
-    search included) stays on the calling thread, and a tracer that patches
-    module functions (the benchmark's patches rng.stream and this function)
-    sees them all on one thread. The worker is joined before this returns
-    or raises.
+    The eval split's _draw runs on a worker thread while this thread
+    generates and partitions the population; numpy releases the GIL while
+    it fills an array, so the two overlap when a second core is free. The
+    result is the serial one, bit for bit: the EVAL stream shares no state
+    with the training streams. Rule: the worker runs nothing but _draw, on a
+    generator and arrays that this thread made, so every rng.stream call,
+    every array allocation and every other step (the eval labels included)
+    stays on the calling thread, and a tracer that patches module functions
+    (the benchmark's patches rng.stream and this function) sees them all on
+    one thread. The worker is joined before this returns or raises.
     """
     table = _class_table(config.straggler_classes, config.n_classes)
     centers = class_centers(config, seed)
@@ -268,17 +274,13 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
     uniform = np.empty(config.eval_size)
     eval_features = np.empty((config.eval_size, config.d_in))
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="eval-draws") as worker:
-        drawn = worker.submit(_draw_eval, eval_gen, uniform, eval_features)
+        drawn = worker.submit(_draw, eval_gen, uniform, eval_features)
         features, labels, shards, dropped = _partition(
             *_generate(config, seed, centers), table, config.n_straggler_clients
         )
         drawn.result()
-    # the labels gen.choice(n_classes, eval_size, p=mixture) draws, as in _generate
-    cdf = config.mixture().cumsum()
-    cdf /= cdf[-1]
-    eval_labels = np.searchsorted(cdf, uniform, side="right")
-    eval_features *= config.cluster_spread
-    _add_centers(eval_features, centers, eval_labels)
+    mixture, spread = config.mixture()[None], config.cluster_spread
+    eval_labels = _label(mixture, [config.eval_size], uniform, eval_features, centers, spread)
     eval_straggler_rows = np.flatnonzero(table[eval_labels])
     _read_only(eval_features, eval_labels, eval_straggler_rows)
 

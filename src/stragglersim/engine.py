@@ -163,7 +163,7 @@ class Simulation:
         self.events: list[TraceEvent] = []
         self.last_model_event = 0.0
         # the idle kept ids, sorted (a dropped shard's never enters), and a heap of
-        # (completion time, id) of the busy ones; under busy reuse every kept id stays idle
+        # (busy-until time, id) of the busy ones
         self._reuse = self.algo.allow_busy_reuse
         self._idle = sorted(s.client_id for s in self.dataset.shards)
         self._busy: list[tuple[float, int]] = []
@@ -216,7 +216,7 @@ class Simulation:
         idle pool: slot i pops index integers(len(pool) - i), the k indices
         drawn in one call. The picks stay in the pool until dispatched. A
         client is out of the pool from its dispatch to its update's
-        completion, unless allow_busy_reuse."""
+        completion, or under allow_busy_reuse to its dispatch's own instant."""
         pool = self._release()
         if k > len(pool):
             raise RuntimeError(
@@ -243,7 +243,9 @@ class Simulation:
         completion triggers.
 
         Taking the client out of the sorted idle list, by bisection, checks
-        that it is idle. Completion time and counts never depend on trained
+        that it is idle. It is busy until its update completes, or under
+        allow_busy_reuse until now, so the pool read next at this instant
+        returns it. Completion time and counts never depend on trained
         weights: the latency factors are drawn first, the steps and examples
         follow by arithmetic, and the update completes at now plus the
         factors' total (latency.LatencySample.total_s). Without a time limit
@@ -255,12 +257,11 @@ class Simulation:
         order whatever trains. Every update one server step trains distills
         (passes teacher_w) or none does.
         """
-        if not self._reuse:
-            idle = self._release()
-            i = bisect.bisect_left(idle, client_id)
-            if i == len(idle) or idle[i] != client_id:
-                raise RuntimeError(f"client {client_id} dispatched while busy")
-            del idle[i]
+        idle = self._release()
+        i = bisect.bisect_left(idle, client_id)
+        if i == len(idle) or idle[i] != client_id:
+            raise RuntimeError(f"client {client_id} dispatched while busy")
+        del idle[i]
         profile, n, per_epoch, _ = self._dispatch_table[client_id]
         latency_gen, shuffle_gen = self._streams(client_id)
         factors = latency.sample_client_latency(profile, latency_gen)
@@ -288,8 +289,7 @@ class Simulation:
             steps_done=steps,
             work=(plan, w, teacher_w),
         )
-        if not self._reuse:
-            heapq.heappush(self._busy, (update.completed_at, client_id))
+        heapq.heappush(self._busy, (self.now if self._reuse else update.completed_at, client_id))
         self.tally("dispatches", (update,))
         return update
 
@@ -487,6 +487,7 @@ class Simulation:
         """Run the loop until the driver is finished, then score the final
         record here through evaluate_accuracy, the only record that does:
         nothing the benchmark tracer patches may run off the main thread."""
+        finished = False
         try:
             self.driver.start(self)
             while not self.driver.is_finished(self):
@@ -516,9 +517,11 @@ class Simulation:
                 if self._evals[i][4].cancel():
                     acc = self._score_here(metrics._accuracy, self._queued[i])
                     self._evals[i] = (*self._evals[i][:4], acc)
+            finished = True
         finally:
+            # a failing run cancels the ticks the worker has not started
             if self._evaluator is not None:
-                self._evaluator.shutdown(wait=True)
+                self._evaluator.shutdown(wait=True, cancel_futures=not finished)
         records = [
             MetricsRecord(at, step, n, *(acc.result() if isinstance(acc, Future) else acc), which)
             for at, step, which, n, acc in self._evals

@@ -17,6 +17,7 @@ from stragglersim.data import (
     DatasetConfig,
     _class_table,
     _generate,
+    _label,
     _partition,
     build_dataset,
     class_centers,
@@ -273,6 +274,61 @@ def test_missing_straggler_class_in_straggler_shards_rejected():
     )
     with pytest.raises(ValueError, match="no straggler shard"):
         build_dataset(config, seed=0)
+
+
+def _cdf(mixtures):
+    cdf = np.cumsum(mixtures, axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf
+
+
+def _check_labels(mixtures, sizes, uniform):
+    """_label against np.searchsorted(cdf row, u, side="right") for every
+    row, a mixture's cdf being its cumsum divided by its last entry; the
+    features come out as centers[labels] + spread * noise."""
+    noise = np.arange(2.0 * len(uniform)).reshape(-1, 2)
+    centers = 10 * np.arange(2.0 * mixtures.shape[1]).reshape(-1, 2)
+    features = noise.copy()
+    labels = _label(mixtures, sizes, uniform, features, centers, 0.5)
+    cdf = _cdf(mixtures)
+    owner = np.repeat(np.arange(len(mixtures)), sizes)
+    want = [np.searchsorted(cdf[i], u, side="right") for i, u in zip(owner, uniform)]
+    np.testing.assert_array_equal(labels, want)
+    np.testing.assert_array_equal(features, centers[labels] + 0.5 * noise)
+
+
+@st.composite
+def _label_blocks(draw):
+    """(mixtures, sizes, uniform): mixture rows, zero weights among them, and
+    a block of uniforms per row, where a uniform may be exactly an entry of
+    its row's cdf below 1.0; at least one is."""
+    n_classes = draw(st.integers(2, 6))
+    weight = st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0]) | st.floats(0.0, 5.0)
+    row = st.lists(weight, min_size=n_classes, max_size=n_classes).filter(lambda r: sum(r) > 0)
+    mixtures = np.array(draw(st.lists(row, min_size=1, max_size=5)))
+    blocks, ties = [], 0
+    for row_cdf in _cdf(mixtures):
+        tie = st.sampled_from(row_cdf[row_cdf < 1.0].tolist() or [0.5])
+        block = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True) | tie, min_size=1, max_size=8))
+        ties += len(set(block) & set(row_cdf.tolist()))
+        blocks.append(block)
+    assume(ties > 0)
+    return mixtures, [len(b) for b in blocks], np.concatenate(blocks)
+
+
+@given(block=_label_blocks())
+@settings(max_examples=150, deadline=None)
+def test_a_label_counts_the_cdf_entries_at_or_below_its_uniform(block):
+    _check_labels(*block)
+
+
+def test_a_one_row_eval_shaped_block_labels_at_ties():
+    # the eval split's call: one mixture row over the whole block; the zero
+    # weight makes two cdf entries equal, and the first uniforms tie each entry
+    config = DatasetConfig(n_classes=4, class_mixture=(0.4, 0.0, 0.3, 0.3), straggler_classes=(0,))
+    mixture = config.mixture()[None]
+    uniform = np.concatenate([_cdf(mixture)[0, :-1], rng.stream(0, rng.VERIFY, 0).random(300)])
+    _check_labels(mixture, [len(uniform)], uniform)
 
 
 def test_mixture_normalization():

@@ -7,6 +7,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 import weakref
 from concurrent.futures import Future
 from pathlib import Path
@@ -343,6 +344,27 @@ def test_client_streams_and_idle_pool_skip_nothing_but_dropped_shards():
     assert dispatched and not dispatched & dropped
 
 
+def test_busy_reuse_returns_a_dispatch_to_the_pool_at_its_own_instant():
+    # Under busy reuse a dispatch leaves the idle pool like any other and is
+    # busy until its own instant, so the pool read at that instant, idle_at
+    # and a FedBuff refill at that instant all see every kept client.
+    algo = AlgoConfig("fedbuff", buffer_size=2, max_concurrency=4, allow_busy_reuse=True)
+    sim = Simulation(_config(algo), trial_seed=0, trace=True)
+    kept = sorted(shard.client_id for shard in sim.dataset.shards)
+    sim.now = 2.5
+    for cid in kept[::2]:
+        sim.dispatch(cid)
+    assert sim._release() == kept
+    assert [sim.idle_at(k) for k in (1, len(kept))] == [sim.now, sim.now]
+    reference = copy.deepcopy(sim._cohort_gen)
+    for _ in range(10 * len(kept)):
+        sim.driver.on_dispatch(sim)
+    refills = [e.updates[0].client_id for e in sim.events[-10 * len(kept):]]
+    assert refills == [_scan_cohort(kept, 1, reference)[0] for _ in refills]
+    assert any(a == b for a, b in zip(refills, refills[1:]))
+    assert sim._release() == kept
+
+
 def test_run_is_deterministic_in_the_trial_seed():
     algo = AlgoConfig("fedavg", cohort_size=5, over_selection=True, eta_l=0.05, batch_size=4)
     config = _config(algo, budget=30, eval_every=2)
@@ -535,6 +557,40 @@ def test_no_evaluation_thread_outlives_its_run():
     with pytest.raises(FloatingPointError, match="diverged in round 1"):
         sim.run()
     assert sim._evaluator is not None and threading.active_count() == before
+
+
+def test_a_failing_run_scores_no_queued_tick(monkeypatch):
+    # The worker holds the first tick until the fifth server step raises; the
+    # ticks queued behind it are cancelled, not scored, before the error leaves.
+    monkeypatch.setattr(engine, "_SHARE_AT", math.inf)
+    started, raised, worker_scorings = threading.Event(), threading.Event(), []
+    accuracy, apply = metrics._accuracy, Simulation.apply_server_update
+
+    def blocking_accuracy(*args):
+        if threading.current_thread() is not threading.main_thread():
+            worker_scorings.append(args[0])
+            started.set()
+            raised.wait(timeout=10)
+            time.sleep(0.05)  # the main thread shuts the worker down meanwhile
+        return accuracy(*args)
+
+    def failing_step(sim, updates, late=()):
+        if sim.state.t == 4:
+            assert started.wait(timeout=10)
+            raised.set()
+            raise RuntimeError("server step failed")
+        return apply(sim, updates, late)
+
+    monkeypatch.setattr(metrics, "_accuracy", blocking_accuracy)
+    monkeypatch.setattr(Simulation, "apply_server_update", failing_step)
+    algo = AlgoConfig("fedavg", cohort_size=4, **_SMALL_STEP)
+    sim = Simulation(_config(algo, budget=40, eval_every=1), trial_seed=0)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="server step failed"):
+        sim.run()
+    assert len(sim._evals) == 4 and len(worker_scorings) == 1
+    assert [record[4].cancelled() for record in sim._evals] == [False, True, True, True]
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize(

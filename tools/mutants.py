@@ -1,0 +1,204 @@
+"""Require the tests to kill every mutant of src/ on a checked-in list.
+
+    python tools/mutants.py
+
+A mutant is an edit of one file: an exact old text, which must occur in it
+exactly once, so that code which moves breaks the list loudly instead of
+leaving a stale mutant, and the new text that replaces it. A mutant that one
+edit cannot make lists further (old, new) hunks of the same file in more.
+
+The tool first runs every named test file on an unmutated copy of the
+working tree, which must pass. Then, for each mutant, it copies the working
+tree (without .git and caches) into a temporary directory, applies the edit
+there and runs `pytest -x -q` on the mutant's test files, with the copy's
+src/ first on the path. The mutant is killed when pytest fails and survives
+when it passes. The tool prints one line per mutant, then the survivors, and
+exits 1 if any survive. A survivor calls for a new test, never for dropping
+the mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
+# seconds one pytest run may take; the slowest named file takes about 10
+TIMEOUT_S = 300
+
+
+@dataclass(frozen=True)
+class Mutant:
+    file: str
+    old: str
+    new: str
+    reason: str
+    tests: tuple[str, ...]
+    more: tuple[tuple[str, str], ...] = ()
+
+
+ENGINE = "src/stragglersim/engine.py"
+ALGORITHMS = "src/stragglersim/algorithms.py"
+GOLDEN = "tests/test_golden.py"
+
+MUTANTS = (
+    Mutant(
+        ENGINE,
+        "while busy and busy[0][0] <= now:",
+        "while busy and busy[0][0] < now:",
+        "a client completing at now is not yet idle",
+        (GOLDEN,),
+    ),
+    Mutant(
+        ENGINE,
+        '            raise RuntimeError(f"client {client_id} dispatched while busy")\n'
+        "        del idle[i]\n",
+        '            raise RuntimeError(f"client {client_id} dispatched while busy")\n',
+        "a dispatched client stays in the idle pool",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        ENGINE,
+        "(self.now if self._reuse else update.completed_at, client_id)",
+        "(update.completed_at, client_id)",
+        "a busy-reuse dispatch leaves the pool until its completion",
+        (GOLDEN,),
+    ),
+    Mutant(
+        ENGINE,
+        "        plan = model.draw_batch_plan(shuffle_gen, n, steps, b)\n",
+        "        plan = (shuffle_gen, n, steps, b)\n",
+        "the batch plan is drawn when the update trains, not at its dispatch",
+        ("tests/test_engine.py",),
+        more=((
+            "        plans, ws, teachers = zip(*(u.work for u in updates))\n",
+            "        plans, ws, teachers = zip(*(u.work for u in updates))\n"
+            "        plans = [model.draw_batch_plan(*p) for p in plans]\n",
+        ),),
+    ),
+    Mutant(
+        ALGORITHMS,
+        "sorted(updates, key=lambda u: (u.round_id, u.client_id))",
+        "sorted(updates, key=lambda u: (u.round_id, u.client_id), reverse=True)",
+        "the canonical delta sum adds in reverse order",
+        ("tests/test_algorithms.py",),
+    ),
+    Mutant(
+        ALGORITHMS,
+        "        state.w = state.w - algo.eta_g * g\n",
+        "        state.w -= algo.eta_g * g\n",
+        "the SGD server step writes into the served model",
+        ("tests/test_algorithms.py",),
+    ),
+    Mutant(
+        ALGORITHMS,
+        "            state.ema = algo.ema_beta * state.ema + (1.0 - algo.ema_beta) * state.w\n",
+        "            state.ema *= algo.ema_beta\n"
+        "            state.ema += (1.0 - algo.ema_beta) * state.w\n",
+        "the EMA update writes into the served EMA",
+        ("tests/test_algorithms.py",),
+    ),
+    Mutant(
+        ALGORITHMS,
+        "        state.adam_m = b1 * state.adam_m + (1.0 - b1) * g\n",
+        "        state.adam_m *= b1\n"
+        "        state.adam_m += (1.0 - b1) * g\n",
+        "Adam's first moment is updated in place",
+        ("tests/test_algorithms.py",),
+    ),
+    Mutant(
+        ALGORITHMS,
+        "    return beta * (aux - eta_a * g) + (1.0 - beta) * w_plus\n",
+        "    aux -= eta_a * g\n"
+        "    aux *= beta\n"
+        "    aux += (1.0 - beta) * w_plus\n"
+        "    return aux\n",
+        "the auxiliary step writes into the served auxiliary model",
+        ("tests/test_algorithms.py",),
+    ),
+    Mutant(
+        "src/stragglersim/model.py",
+        "a.swapaxes(0, -2).copy().sum(axis=0)[..., None, :]",
+        "a.swapaxes(-1, -2).copy().sum(axis=-1)[..., None, :]",
+        "the batch sum adds its copy along the last axis, pairwise",
+        ("tests/test_model.py",),
+    ),
+    Mutant(
+        "src/stragglersim/data.py",
+        "labels += np.repeat(column, sizes) <= uniform",
+        "labels += np.repeat(column, sizes) < uniform",
+        "a label leaves out the cdf entries equal to its uniform",
+        ("tests/test_data.py",),
+    ),
+)
+
+
+def copy_tree(into: Path) -> Path:
+    tree = into / "tree"
+    shutil.copytree(ROOT, tree, ignore=IGNORED)
+    return tree
+
+
+def apply(tree: Path, mutant: Mutant) -> None:
+    path = tree / mutant.file
+    text = path.read_text()
+    for old, new in ((mutant.old, mutant.new), *mutant.more):
+        count = text.count(old)
+        if count != 1:
+            sys.exit(f"{mutant.file}: the old text of {mutant.reason!r} occurs {count} times:\n{old}")
+        text = text.replace(old, new)
+    path.write_text(text)
+
+
+def passes(tree: Path, tests) -> bool:
+    """Whether pytest passes the tests in tree; a run past TIMEOUT_S fails."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+            stdin=subprocess.DEVNULL,
+        )
+    except subprocess.TimeoutExpired:
+        return False
+    return run.returncode == 0
+
+
+def main() -> int:
+    named = sorted({t for mutant in MUTANTS for t in mutant.tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        if not passes(copy_tree(Path(tmp)), named):
+            print(f"the unmutated tree fails {' '.join(named)}; fix that first", file=sys.stderr)
+            return 2
+    survivors = []
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = copy_tree(Path(tmp))
+            apply(tree, mutant)
+            survived = passes(tree, mutant.tests)
+        status = "SURVIVED" if survived else "killed"
+        print(
+            f"{status:8} {time.perf_counter() - start:5.1f} s  {mutant.file}: {mutant.reason}",
+            flush=True,
+        )
+        if survived:
+            survivors.append(mutant)
+    if survivors:
+        print(f"\n{len(survivors)} of {len(MUTANTS)} mutants survived:")
+        for mutant in survivors:
+            print(f"  {mutant.file}: {mutant.reason} (ran {' '.join(mutant.tests)})")
+        return 1
+    print(f"\nall {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
