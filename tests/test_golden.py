@@ -7,8 +7,9 @@ steps, virtual time, the time limit and every record must match
 acceptance configs, at the same budget, must match by sha256, and so must the
 reports: the `verify --out` JSON of four checks (without the wall-clock
 `elapsed_s`), the files and stdout of `data-report` and `latency-report
---draws 20000` on `fedavg_full`, a two-point `sweep` (its tree and stdout),
-and `report` over one of its points and, with `--force-mixed`, over both.
+--draws 20000` on `fedavg_full` and on its 2,000-client crowd dataset section
+(which drops shards), a two-point `sweep` (its tree and stdout), and `report`
+over one of its points and, with `--force-mixed`, over both.
 
 A change that means to move outputs re-records the file and names every
 field that moved:
@@ -34,6 +35,7 @@ from stragglersim.algorithms import AlgoConfig
 from stragglersim.config import load_config
 from stragglersim.data import build_dataset
 from stragglersim.engine import Simulation
+from stragglersim.latency import PE_MODE, PE_PROFILE, LatencyScenario
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
@@ -41,6 +43,8 @@ ACCEPTANCE = ("fedavg_full", "fedavg_oversel", "fare_dust", "feast")
 BUDGET = 300
 SEEDS = (0, 1)
 _CROWD = dict(eta_l=0.1, batch_size=20, buffer_size=10, max_concurrency=100)
+# 2,000 small clients, 300 of them stragglers: the section drops shards
+_CROWD_DATASET = dict(m_clients=2000, median_shard_size=8.0, n_straggler_clients=300)
 
 
 def _acceptance(name, **changes):
@@ -137,8 +141,7 @@ def _variants():
             "fedavg_full",
             algo=AlgoConfig("fedbuff", eta_l=0.1, batch_size=20, buffer_size=20,
                             max_concurrency=400),
-            dataset=dataclasses.replace(full.dataset, m_clients=2000, median_shard_size=8.0,
-                                        n_straggler_clients=300),
+            dataset=dataclasses.replace(full.dataset, **_CROWD_DATASET),
         ),
         # knobs no other variant sets away from their defaults
         "fedavg_oversel_factor_1_4": _acceptance(
@@ -166,6 +169,10 @@ def _variants():
                             adam_beta1=0.8, adam_beta2=0.95),
         ),
         "feast_eta_a_0_5": _acceptance("feast", algo=dataclasses.replace(feast.algo, eta_a=0.5)),
+        # the per-example scenario: both groups draw from one profile
+        "feast_pe": _acceptance(
+            "feast", latency=LatencyScenario(PE_MODE, PE_PROFILE, PE_PROFILE)
+        ),
     }
 
 
@@ -243,17 +250,21 @@ def _report_digests(tmp_dir: Path) -> dict[str, str]:
         for check in report["checks"]:
             del check["elapsed_s"]
         digests[f"verify/{suite}.json"] = _sha256(json.dumps(report, indent=2))
-    config = str(ACCEPTANCE_DIR / "fedavg_full.json")
-    out = tmp_dir / "data"
-    stdout = _run_cli(["data-report", "--config", config, "--out", str(out)], out)
-    digests["data-report/stdout"] = _sha256(stdout)
-    for name in ("clients.csv", "classes.csv"):
-        digests[f"data-report/{name}"] = _sha256((out / name).read_bytes())
-    out = tmp_dir / "latency.csv"
-    stdout = _run_cli(["latency-report", "--config", config, "--draws", str(REPORT_DRAWS),
-                       "--out", str(out)], out)
-    digests["latency-report/stdout"] = _sha256(stdout)
-    digests["latency-report/latency.csv"] = _sha256(out.read_bytes())
+    crowd_path = tmp_dir / "crowd.json"
+    crowd = _acceptance_payload("fedavg_full")
+    crowd["dataset"].update(_CROWD_DATASET)
+    crowd_path.write_text(json.dumps(crowd), encoding="utf-8")
+    for suffix, config in (("", ACCEPTANCE_DIR / "fedavg_full.json"), ("-crowd", crowd_path)):
+        out = tmp_dir / f"data{suffix}"
+        stdout = _run_cli(["data-report", "--config", str(config), "--out", str(out)], out)
+        digests[f"data-report{suffix}/stdout"] = _sha256(stdout)
+        for name in ("clients.csv", "classes.csv"):
+            digests[f"data-report{suffix}/{name}"] = _sha256((out / name).read_bytes())
+        out = tmp_dir / f"latency{suffix}.csv"
+        stdout = _run_cli(["latency-report", "--config", str(config), "--draws",
+                           str(REPORT_DRAWS), "--out", str(out)], out)
+        digests[f"latency-report{suffix}/stdout"] = _sha256(stdout)
+        digests[f"latency-report{suffix}/latency.csv"] = _sha256(out.read_bytes())
 
     sweep_path = tmp_dir / "sweep.json"
     base = {**_acceptance_payload("fare_dust", SWEEP_BUDGET), "trials": 2}
