@@ -135,9 +135,9 @@ class ClientUpdate:
     """Result of one client computation; completed_at is fixed at dispatch.
 
     work is what the engine trains the update from, fixed at dispatch too:
-    (batch plan, start weights, teacher_w). delta is None until the update
-    trains, which clears work; reading an untrained delta raises
-    RuntimeError (_read_delta).
+    (batch plan, start weights, teacher_w, start row, shard size). delta is
+    None until the update trains, which clears work; reading an untrained
+    delta raises RuntimeError (_read_delta).
     """
 
     round_id: int

@@ -325,7 +325,7 @@ def cmd_data_report(args: argparse.Namespace) -> int:
     )
     class_rows = class_report_rows(dataset, config.dataset.n_classes)
     metrics.write_csv(classes_csv, class_rows, ["group", "class", "n_examples"])
-    n_straggler = sum(s.is_straggler for s in dataset.shards)
+    n_straggler = int(dataset.shards.is_straggler.sum())
     print(
         f"{dataset.n_clients} clients ({n_straggler} straggler, "
         f"{dataset.n_clients - n_straggler} standard), {total_examples(dataset.shards)} examples, "

@@ -79,15 +79,19 @@ class DatasetConfig:
         return p / p.sum()
 
 
-@dataclass
-class ClientShard:
-    """One client's local examples: the n_examples rows of the dataset's
-    kept arrays from start on."""
+@dataclass(frozen=True, eq=False)
+class Shards:
+    """The kept clients as four read-only columns, in ascending id order:
+    client i's id, its start row and size in the dataset's kept arrays, and
+    whether it is a straggler. The shards tile the kept arrays in this order."""
 
-    client_id: int
-    start: int
-    n_examples: int
-    is_straggler: bool
+    ids: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    is_straggler: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
@@ -105,7 +109,7 @@ class EvalSplit:
 class FederatedDataset:
     """Client shards, the kept rows they index, the eval split and its straggler rows."""
 
-    shards: list[ClientShard]
+    shards: Shards
     features: np.ndarray
     labels: np.ndarray
     eval_total: EvalSplit
@@ -200,7 +204,7 @@ def _partition(
     sizes: np.ndarray,
     table: np.ndarray,
     n_straggler_clients: int,
-) -> tuple[np.ndarray, np.ndarray, list[ClientShard], tuple[int, ...]]:
+) -> tuple[np.ndarray, np.ndarray, Shards, tuple[int, ...]]:
     """Flag the top-n straggler-class holders and purge those classes elsewhere.
 
     Takes a population stored client by client, sizes[i] rows for client i;
@@ -210,8 +214,7 @@ def _partition(
     examples, through one boolean mask and one gather; a shard left empty
     is dropped, with one warning giving the count and a debug line giving
     the ids. Returns (the kept features and labels, read-only and client by
-    client, the shards in id order, each its start row and size in them,
-    and the dropped ids).
+    client, their Shards, and the dropped ids).
     """
     owner = np.repeat(np.arange(len(sizes)), sizes)
     in_class = table[labels]
@@ -225,19 +228,15 @@ def _partition(
     listed = flagged | (kept > 0)
     dropped = np.flatnonzero(~listed).tolist()
     features, labels = features[keep], labels[keep]
-    _read_only(features, labels)
+    ids, sizes = np.flatnonzero(listed), kept[listed]
+    starts, is_straggler = np.cumsum(sizes) - sizes, flagged[listed]
+    _read_only(features, labels, ids, starts, sizes, is_straggler)
     if dropped:
         logger.warning(
             "dropped %d standard shard(s) emptied by straggler-class removal", len(dropped)
         )
         logger.debug("dropped shard ids: %s", dropped)
-    ends = np.cumsum(kept[listed]).tolist()
-    ids = np.flatnonzero(listed).tolist()
-    shards = [
-        ClientShard(client_id, a, b - a, is_straggler)
-        for client_id, a, b, is_straggler in zip(ids, [0, *ends], ends, flagged[listed].tolist())
-    ]
-    return features, labels, shards, tuple(dropped)
+    return features, labels, Shards(ids, starts, sizes, is_straggler), tuple(dropped)
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -290,8 +289,8 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
             "add straggler clients or keep some classes out of straggler_classes"
         )
     if config.n_straggler_clients > 0:
-        rows = [labels[s.start : s.start + s.n_examples] for s in shards if s.is_straggler]
-        held = np.bincount(np.concatenate(rows), minlength=config.n_classes)
+        rows = np.repeat(shards.is_straggler, shards.sizes)
+        held = np.bincount(labels[rows], minlength=config.n_classes)
         missing = np.flatnonzero(table & (held == 0)).tolist()
         if missing:
             raise ValueError(
@@ -314,35 +313,29 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
     )
 
 
-def total_examples(shards: list[ClientShard]) -> int:
-    return sum(s.n_examples for s in shards)
+def total_examples(shards: Shards) -> int:
+    return int(shards.sizes.sum())
 
 
 # ---- Report helpers ---- #
 
 
 def shard_report_rows(dataset: FederatedDataset) -> list[dict]:
-    """One row per client: id, group, and size."""
+    """One row per client, in id order: id, group, and size."""
+    shards = dataset.shards
     return [
-        {
-            "client_id": s.client_id,
-            "group": "straggler" if s.is_straggler else "standard",
-            "n_examples": s.n_examples,
-        }
-        for s in dataset.shards
+        {"client_id": i, "group": "straggler" if s else "standard", "n_examples": n}
+        for i, s, n in zip(*(a.tolist() for a in (shards.ids, shards.is_straggler, shards.sizes)))
     ]
 
 
 def class_report_rows(dataset: FederatedDataset, n_classes: int) -> list[dict]:
     """One row per (group, class): total example count."""
-    counts = {"standard": np.zeros(n_classes, dtype=int), "straggler": np.zeros(n_classes, dtype=int)}
-    for s in dataset.shards:
-        group = "straggler" if s.is_straggler else "standard"
-        counts[group] += np.bincount(
-            dataset.labels[s.start : s.start + s.n_examples], minlength=n_classes
-        )
-    rows = []
-    for group in ("standard", "straggler"):
-        for cls in range(n_classes):
-            rows.append({"group": group, "class": cls, "n_examples": int(counts[group][cls])})
-    return rows
+    shards = dataset.shards
+    group_rows = np.repeat(shards.is_straggler, shards.sizes) * n_classes
+    counts = np.bincount(group_rows + dataset.labels, minlength=2 * n_classes).tolist()
+    return [
+        {"group": group, "class": cls, "n_examples": counts[g * n_classes + cls]}
+        for g, group in enumerate(("standard", "straggler"))
+        for cls in range(n_classes)
+    ]

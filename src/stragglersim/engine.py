@@ -162,10 +162,17 @@ class Simulation:
         self._queued: dict[int, np.ndarray] = {}
         self.events: list[TraceEvent] = []
         self.last_model_event = 0.0
-        # the idle kept ids, sorted (a dropped shard's never enters), and a heap of
-        # (busy-until time, id) of the busy ones
+        # the kept clients' columns as lists, in ascending id order (a dropped
+        # shard's id is in none): id, start row in the dataset's kept arrays,
+        # size, and the index of its latency profile in _profiles
+        shards = self.dataset.shards
+        self._ids, self._starts, self._sizes, self._groups = (
+            a.tolist() for a in (shards.ids, shards.starts, shards.sizes, shards.is_straggler)
+        )
+        self._profiles = (scenario.standard_profile, scenario.straggler_profile)
+        # the idle kept ids, sorted, and a heap of (busy-until time, id) of the busy ones
         self._reuse = self.algo.allow_busy_reuse
-        self._idle = sorted(s.client_id for s in self.dataset.shards)
+        self._idle = self._ids.copy()
         self._busy: list[tuple[float, int]] = []
         # a sync round draws distinct clients even with busy reuse; a fedbuff refill draws one
         if self.algo.name != "fedbuff":
@@ -181,15 +188,6 @@ class Simulation:
             )
         self._cohort_gen = rng.stream(trial_seed, rng.COHORT)
         self._epochs, self._batch_size = self.algo.epochs, self.algo.batch_size
-        b = self._batch_size
-        # client id -> (latency profile, n_examples, batches per epoch, start
-        # row in the dataset's kept arrays), in shard order
-        self._dispatch_table = {
-            s.client_id: (
-                scenario.profile_for(s.is_straggler), s.n_examples, -(-s.n_examples // b), s.start
-            )
-            for s in self.dataset.shards
-        }
         self.teacher_gen = rng.stream(trial_seed, rng.TEACHER)
         self._teacher_download_factor = scenario.teacher_download_factor
         # client id -> its (latency, shuffle) streams, made together on first
@@ -243,9 +241,10 @@ class Simulation:
         completion triggers.
 
         Taking the client out of the sorted idle list, by bisection, checks
-        that it is idle. It is busy until its update completes, or under
-        allow_busy_reuse until now, so the pool read next at this instant
-        returns it. Completion time and counts never depend on trained
+        that it is idle; a second bisection, on the kept ids, finds its start
+        row, size and latency profile. It is busy until its update completes,
+        or under allow_busy_reuse until now, so the pool read next at this
+        instant returns it. Completion time and counts never depend on trained
         weights: the latency factors are drawn first, the steps and examples
         follow by arithmetic, and the update completes at now plus the
         factors' total (latency.LatencySample.total_s). Without a time limit
@@ -262,10 +261,12 @@ class Simulation:
         if i == len(idle) or idle[i] != client_id:
             raise RuntimeError(f"client {client_id} dispatched while busy")
         del idle[i]
-        profile, n, per_epoch, _ = self._dispatch_table[client_id]
+        k = bisect.bisect_left(self._ids, client_id)
+        start, n = self._starts[k], self._sizes[k]
         latency_gen, shuffle_gen = self._streams(client_id)
-        factors = latency.sample_client_latency(profile, latency_gen)
+        factors = latency.sample_client_latency(self._profiles[self._groups[k]], latency_gen)
         b = self._batch_size
+        per_epoch = -(-n // b)
         if self.tau_limit is None:
             steps, examples = self._epochs * per_epoch, self._epochs * n
         else:
@@ -287,7 +288,7 @@ class Simulation:
             completed_at=self.now + factors.total_s(examples, comm_scale),
             examples_processed=examples,
             steps_done=steps,
-            work=(plan, w, teacher_w),
+            work=(plan, w, teacher_w, start, n),
         )
         heapq.heappush(self._busy, (self.now if self._reuse else update.completed_at, client_id))
         self.tally("dispatches", (update,))
@@ -353,8 +354,7 @@ class Simulation:
         when nu > 0, reading its shard by start row from the dataset's kept
         arrays without a copy. A client whose weights end non-finite raises
         FloatingPointError naming it, its round and its dispatch time."""
-        plans, ws, teachers = zip(*(u.work for u in updates))
-        _, sizes, _, starts = zip(*(self._dispatch_table[u.client_id] for u in updates))
+        plans, ws, teachers, starts, sizes = zip(*(u.work for u in updates))
         distill = teachers[0] is not None
         for u, teacher in zip(updates, teachers):
             if (teacher is not None) != distill:
@@ -424,14 +424,14 @@ class Simulation:
         come first, then every shard's overhead draws.
         """
         gen = rng.stream(self.config.effective_data_seed(), rng.TIME_LIMIT)
-        profiles, sizes, _, _ = zip(*self._dispatch_table.values())  # in shard order
+        profiles = [self._profiles[g] for g in self._groups]  # in id order
         per_example = [
             latency.sample_lognormal_batch(p.per_example, gen, _TIME_LIMIT_DRAWS) for p in profiles
         ]
         overhead = [
             latency.sample_lognormal_batch(p.overhead, gen, _TIME_LIMIT_DRAWS) for p in profiles
         ]
-        totals = np.array(overhead) + np.array(per_example) * np.array(sizes, dtype=float)[:, None]
+        totals = np.array(overhead) + np.array(per_example) * self.dataset.shards.sizes[:, None]
         return latency.nearest_rank_percentile(
             totals.ravel(), self.algo.time_limit_percentile
         )

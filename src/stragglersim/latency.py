@@ -181,15 +181,13 @@ def latency_percentiles(
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
 
-    sizes = {
-        "standard": np.array([s.n_examples for s in population.shards if not s.is_straggler]),
-        "straggler": np.array([s.n_examples for s in population.shards if s.is_straggler]),
-    }
+    shards = population.shards
     table: dict[str, dict[float, float]] = {}
-    for group, n_examples in sizes.items():
+    for group, is_straggler in (("standard", False), ("straggler", True)):
+        n_examples = shards.sizes[shards.is_straggler == is_straggler]
         if len(n_examples) == 0:
             continue
-        profile = scenario.profile_for(group == "straggler")
+        profile = scenario.profile_for(is_straggler)
         totals = np.empty(epochs * len(n_examples))
         for epoch in range(epochs):
             comm = sample_lognormal_batch(profile.comm, rng, len(n_examples))

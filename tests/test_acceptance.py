@@ -231,8 +231,9 @@ def test_acceptance_8_round_durations_and_factor_medians():
         config = config_from_dict(cfg_payload)
         sim = Simulation(config, trial_seed=1, trace=True)
         sim.run()
-        sizes = {shard.client_id: shard.n_examples for shard in sim.dataset.shards}
-        flags = {shard.client_id: shard.is_straggler for shard in sim.dataset.shards}
+        ids = sim.dataset.shards.ids.tolist()
+        sizes = dict(zip(ids, sim.dataset.shards.sizes.tolist()))
+        flags = dict(zip(ids, sim.dataset.shards.is_straggler.tolist()))
         rounds = round_views(sim.events)
         assert len(rounds) == 10
         for entry in rounds:

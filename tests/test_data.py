@@ -11,10 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stragglersim import rng
+from stragglersim import data, rng
 from stragglersim.data import (
-    ClientShard,
     DatasetConfig,
+    Shards,
     _class_table,
     _generate,
     _label,
@@ -35,9 +35,14 @@ SMALL = DatasetConfig(
 )
 
 
-def _rows(array, shard):
-    """The shard's rows of one of the kept arrays it indexes."""
-    return array[shard.start : shard.start + shard.n_examples]
+def _rows(array, shards, i):
+    """Shard i's rows, in id order, of one of the kept arrays it indexes."""
+    return array[shards.starts[i] : shards.starts[i] + shards.sizes[i]]
+
+
+def _columns(shards):
+    """The shards' four columns as lists."""
+    return [column.tolist() for column in vars(shards).values()]
 
 
 def _partition_labels(label_lists, straggler_classes, n_straggler_clients, n_classes=4):
@@ -68,17 +73,17 @@ def test_ranking_prefers_high_counts_then_low_ids():
         {0, 1},
         2,
     )
-    flagged = [s.client_id for s in out if s.is_straggler]
+    flagged = out.ids[out.is_straggler].tolist()
     assert flagged == [0, 2]
     assert dropped == ()
 
 
 def test_standard_shards_lose_straggler_classes():
     dataset = build_dataset(SMALL, seed=0)
-    for shard in dataset.shards:
-        if not shard.is_straggler:
-            assert not np.isin(_rows(dataset.labels, shard), [0, 1]).any()
-            assert shard.n_examples > 0
+    shards = dataset.shards
+    for i in np.flatnonzero(~shards.is_straggler):
+        assert not np.isin(_rows(dataset.labels, shards, i), [0, 1]).any()
+        assert shards.sizes[i] > 0
 
 
 def test_straggler_shards_keep_everything_and_counts_are_conserved():
@@ -90,13 +95,13 @@ def test_straggler_shards_keep_everything_and_counts_are_conserved():
     raw = _raw_shards(SMALL, seed=0)
 
     non_straggler_before = int((~table[labels]).sum())
-    non_straggler_after = sum(int((~table[_rows(kept_y, s)]).sum()) for s in out)
+    non_straggler_after = sum(int((~table[_rows(kept_y, out, i)]).sum()) for i in range(len(out)))
     assert non_straggler_after == non_straggler_before
 
-    for shard in out:
-        labels, features = _rows(kept_y, shard), _rows(kept_x, shard)
-        raw_labels, raw_features = raw[shard.client_id]
-        if shard.is_straggler:
+    for i, (client_id, is_straggler) in enumerate(zip(out.ids.tolist(), out.is_straggler.tolist())):
+        labels, features = _rows(kept_y, out, i), _rows(kept_x, out, i)
+        raw_labels, raw_features = raw[client_id]
+        if is_straggler:
             np.testing.assert_array_equal(labels, raw_labels)
             np.testing.assert_array_equal(features, raw_features)
         else:
@@ -117,9 +122,9 @@ def test_emptied_standard_shard_is_dropped_with_warning(caplog):
             1,
         )
     assert dropped == (1,)
-    assert [s.client_id for s in out] == [0, 2]
+    assert out.ids.tolist() == [0, 2]
     # the kept shards hold exactly their own rows
-    assert _rows(kept, out[1])[:, 0].tolist() == [8.0, 9.0]
+    assert _rows(kept, out, 1)[:, 0].tolist() == [8.0, 9.0]
     assert sum(1 for rec in caplog.records if "dropped" in rec.message) == 1
 
 
@@ -138,8 +143,8 @@ def test_drop_warning_gives_the_count_and_debug_gives_the_ids(caplog):
 def test_population_scale_straggler_counts():
     config = DatasetConfig(m_clients=3400, n_straggler_clients=800)
     dataset = build_dataset(config, seed=0)
-    n_straggler = sum(1 for s in dataset.shards if s.is_straggler)
-    n_standard = sum(1 for s in dataset.shards if not s.is_straggler)
+    n_straggler = int(dataset.shards.is_straggler.sum())
+    n_standard = int((~dataset.shards.is_straggler).sum())
     assert n_straggler == 800
     assert n_standard == 2600 - len(dataset.dropped_clients)
     # At the default concentration nearly every standard client holds at
@@ -170,19 +175,19 @@ def test_zero_size_sigma_gives_exact_median():
     )
     dataset = build_dataset(config, seed=0)
     assert dataset.n_clients == 1
-    assert dataset.shards[0].n_examples == 10
-    assert dataset.shards[0].is_straggler
+    assert dataset.shards.sizes[0] == 10
+    assert dataset.shards.is_straggler[0]
 
 
 def test_determinism_and_seed_sensitivity():
     a = build_dataset(SMALL, seed=5)
     b = build_dataset(SMALL, seed=5)
     c = build_dataset(SMALL, seed=6)
-    assert a.shards == b.shards
+    assert _columns(a.shards) == _columns(b.shards)
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.labels, b.labels)
     np.testing.assert_array_equal(a.eval_total.features, b.eval_total.features)
-    assert not np.array_equal(_rows(a.features, a.shards[0]), _rows(c.features, c.shards[0]))
+    assert not np.array_equal(_rows(a.features, a.shards, 0), _rows(c.features, c.shards, 0))
 
 
 def test_eval_straggler_is_filtered_view_of_total():
@@ -341,7 +346,7 @@ def test_mixture_normalization():
 
 
 def test_total_examples_sums_shards():
-    shards = [ClientShard(0, 0, 2, False), ClientShard(1, 2, 3, True)]
+    shards = Shards(np.array([0, 1]), np.array([0, 2]), np.array([2, 3]), np.array([False, True]))
     assert total_examples(shards) == 5
 
 
@@ -371,7 +376,10 @@ _spec = importlib.util.spec_from_file_location(
 )
 _ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_ab)
-_digest = _ab.dataset_digest
+
+
+def _digest(dataset):
+    return _ab.dataset_digest(dataset, data)
 
 
 # The dataset section of configs/acceptance/*.json; benchmarks/configs/mlp_eval.json
@@ -531,17 +539,17 @@ def test_a_built_dataset_keeps_the_partition_invariants(config, seed):
     except ValueError:
         return
     shards = dataset.shards
-    straggler = [s.client_id for s in shards if s.is_straggler]
+    straggler = shards.ids[shards.is_straggler].tolist()
     assert len(straggler) == config.n_straggler_clients
     table = np.isin(np.arange(config.n_classes), config.straggler_classes)
-    for shard in shards:
-        assert shard.n_examples > 0
-        assert shard.is_straggler or not table[_rows(dataset.labels, shard)].any()
-    ids = [s.client_id for s in shards]
+    for i in range(len(shards)):
+        assert shards.sizes[i] > 0
+        assert shards.is_straggler[i] or not table[_rows(dataset.labels, shards, i)].any()
+    ids = shards.ids.tolist()
     assert ids == sorted(set(ids))
     # the shards tile the kept arrays in id order
-    ends = np.cumsum([s.n_examples for s in shards]).tolist()
-    assert [s.start for s in shards] == [0, *ends[:-1]]
+    ends = np.cumsum(shards.sizes).tolist()
+    assert shards.starts.tolist() == [0, *ends[:-1]]
     assert ends[-1] == len(dataset.labels) == len(dataset.features)
     assert dataset.dropped_clients == tuple(
         cid for cid, (labels, _) in enumerate(_raw_shards(config, seed))
@@ -553,5 +561,6 @@ def test_a_built_dataset_keeps_the_partition_invariants(config, seed):
         dataset.eval_total.features,
         dataset.eval_total.labels,
         dataset.eval_straggler_rows,
+        *vars(shards).values(),
     ]
     assert not any(a.flags.writeable for a in arrays)

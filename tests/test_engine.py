@@ -128,15 +128,16 @@ def test_deterministic_latency_matches_formula():
     algo = AlgoConfig("fedavg", cohort_size=4, over_selection=True, eta_l=0.05, batch_size=4)
     config = _config(algo, budget=16)
     sim, result = _run(config)
-    shards = {s.client_id: s for s in sim.dataset.shards}
+    shards = sim.dataset.shards
+    sizes = dict(zip(shards.ids.tolist(), shards.sizes.tolist()))
+    flags = dict(zip(shards.ids.tolist(), shards.is_straggler.tolist()))
     for entry in round_views(sim.events):
         for cid, completed in entry.completed_at.items():
-            shard = shards[cid]
-            profile = DET_PDPE.profile_for(shard.is_straggler)
+            profile = DET_PDPE.profile_for(flags[cid])
             expected = (
                 math.exp(profile.comm.mu) * 1.0
                 + math.exp(profile.overhead.mu)
-                + math.exp(profile.per_example.mu) * shard.n_examples
+                + math.exp(profile.per_example.mu) * sizes[cid]
             )
             assert completed == entry.started_at + expected
 
@@ -224,7 +225,7 @@ def _scan_pool(sim, last_done):
     """The reference idle pool: an id-sorted scan of every kept client, where
     a client is idle once its last dispatch (last_done: id -> completion
     time) completes at or before now, or always under busy reuse."""
-    ids = sorted(shard.client_id for shard in sim.dataset.shards)
+    ids = sim.dataset.shards.ids.tolist()
     if sim.algo.allow_busy_reuse:
         return ids
     return [cid for cid in ids if last_done.get(cid, 0.0) <= sim.now]
@@ -242,7 +243,7 @@ def _scan_cohort(pool, k, gen):
 def test_sample_cohort_matches_the_id_sorted_scan(reuse):
     algo = AlgoConfig("fedavg", cohort_size=2, allow_busy_reuse=reuse)
     sim = Simulation(_config(algo), trial_seed=5)
-    ids = sorted(shard.client_id for shard in sim.dataset.shards)
+    ids = sim.dataset.shards.ids.tolist()
     # two of every three clients are dispatched at 0; now is then set to
     # their median completion, so clients are idle, idle at now, or busy
     last_done = {cid: sim.dispatch(cid).completed_at for i, cid in enumerate(ids) if i % 3}
@@ -289,7 +290,7 @@ def test_idle_pool_matches_the_scan_over_last_completions(reuse, steps):
     algo = AlgoConfig("fedavg", cohort_size=2, allow_busy_reuse=reuse)
     config = _config(algo, dataset=_POOL_DATA, scenario=DET_PE)
     sim = Simulation(config, trial_seed=3)
-    kept = sorted(shard.client_id for shard in sim.dataset.shards)
+    kept = sim.dataset.shards.ids.tolist()
     assert sim.dataset.dropped_clients
     named = kept if reuse else range(_POOL_DATA.m_clients)
     reference = copy.deepcopy(sim._cohort_gen)
@@ -328,7 +329,7 @@ def test_client_streams_and_idle_pool_skip_nothing_but_dropped_shards():
     config = _config(algo, dataset=dataset, budget=60)
     sim = Simulation(config, trial_seed=11, trace=True)
     dropped = set(sim.dataset.dropped_clients)
-    shard_ids = [shard.client_id for shard in sim.dataset.shards]
+    shard_ids = sim.dataset.shards.ids.tolist()
     assert dropped and len(shard_ids) + len(dropped) == dataset.m_clients
     for client_id in shard_ids:
         for purpose, gen in zip((rng.LATENCY, rng.SHUFFLE), sim._streams(client_id)):
@@ -350,7 +351,7 @@ def test_busy_reuse_returns_a_dispatch_to_the_pool_at_its_own_instant():
     # and a FedBuff refill at that instant all see every kept client.
     algo = AlgoConfig("fedbuff", buffer_size=2, max_concurrency=4, allow_busy_reuse=True)
     sim = Simulation(_config(algo), trial_seed=0, trace=True)
-    kept = sorted(shard.client_id for shard in sim.dataset.shards)
+    kept = sim.dataset.shards.ids.tolist()
     sim.now = 2.5
     for cid in kept[::2]:
         sim.dispatch(cid)
@@ -382,7 +383,7 @@ def test_trials_share_the_dataset_but_not_trajectories():
     config = _config(algo, budget=20)
     sim_a = Simulation(config, trial_seed=1)
     sim_b = Simulation(config, trial_seed=2)
-    assert sim_a.dataset.shards == sim_b.dataset.shards
+    assert sim_a.dataset.shards is sim_b.dataset.shards
     np.testing.assert_array_equal(sim_a.dataset.features, sim_b.dataset.features)
     a = sim_a.run()
     b = sim_b.run()
@@ -734,7 +735,7 @@ def test_trials_with_one_dataset_section_and_data_seed_share_one_dataset():
     assert Simulation(fedbuff, trial_seed=7).dataset is shared
     other = Simulation(dataclasses.replace(fedavg, data_seed=5), trial_seed=0).dataset
     assert other is not shared
-    assert other.shards[0].n_examples != shared.shards[0].n_examples
+    assert other.shards.sizes[0] != shared.shards.sizes[0]
 
 
 def test_a_shared_dataset_cannot_be_written():
@@ -745,6 +746,7 @@ def test_a_shared_dataset_cannot_be_written():
         dataset.eval_total.features,
         dataset.eval_total.labels,
         dataset.eval_straggler_rows,
+        *vars(dataset.shards).values(),
     ]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -758,7 +760,7 @@ def test_a_process_keeps_at_most_datasets_kept_datasets():
     for config in configs[1:]:
         config.build_dataset()
     rebuilt = configs[0].build_dataset()
-    assert rebuilt is not first and rebuilt.shards[0].n_examples == first.shards[0].n_examples
+    assert rebuilt is not first and rebuilt.shards.sizes[0] == first.shards.sizes[0]
     assert configs[-1].build_dataset() is configs[-1].build_dataset()
 
 
@@ -1006,7 +1008,7 @@ def _tallied(sim, kind):
 
 
 def _straggler_share(sim, kind):
-    stragglers = {s.client_id for s in sim.dataset.shards if s.is_straggler}
+    stragglers = set(sim.dataset.shards.ids[sim.dataset.shards.is_straggler].tolist())
     updates = _tallied(sim, kind)
     return sum(u.client_id in stragglers for u in updates) / len(updates)
 
@@ -1089,7 +1091,7 @@ def test_dispatch_charges_the_work_training_does(monkeypatch, time_limit):
         want.append((steps, examples, (sum(steps), sum(examples))))
     assert trained == want
     if time_limit:  # the step budgets differ and some stop inside an epoch
-        sizes = {s.client_id: s.n_examples for s in sim.dataset.shards}
+        sizes = dict(zip(sim.dataset.shards.ids.tolist(), sim.dataset.shards.sizes.tolist()))
         per_epoch = [-(-sizes[u.client_id] // 3) for u in updates]
         assert len({u.steps_done for u in updates}) > 1
         assert any(u.steps_done % p for u, p in zip(updates, per_epoch))
@@ -1245,12 +1247,12 @@ def test_time_limit_threshold_matches_independent_oracle():
     z_pe = gen.standard_normal((len(shards), 50))
     z_ov = gen.standard_normal((len(shards), 50))
     pool = []
-    for i, shard in enumerate(shards):
-        profile = DET_PDPE.profile_for(shard.is_straggler)
+    for i, (size, is_straggler) in enumerate(zip(shards.sizes, shards.is_straggler)):
+        profile = DET_PDPE.profile_for(is_straggler)
         for d in range(50):
             pe = math.exp(profile.per_example.mu + profile.per_example.sigma * z_pe[i, d])
             ov = math.exp(profile.overhead.mu + profile.overhead.sigma * z_ov[i, d])
-            pool.append(ov + pe * shard.n_examples)
+            pool.append(ov + pe * size)
     pool.sort()
     rank = math.ceil(0.75 * len(pool))
     assert sim.tau_limit == pool[rank - 1]
@@ -1266,9 +1268,8 @@ def test_time_limit_step_budget_formula():
     config = _config(algo, budget=8)
     sim = Simulation(config, trial_seed=0, trace=True)
     assert sim.tau_limit == 3.0
-    shard = sim.dataset.shards[0]
-    cid = shard.client_id
-    profile = DET_PDPE.profile_for(shard.is_straggler)
+    cid = sim.dataset.shards.ids[0].item()
+    profile = DET_PDPE.profile_for(sim.dataset.shards.is_straggler[0])
     update = sim.dispatch(cid)
     pe = math.exp(profile.per_example.mu)
     ov = math.exp(profile.overhead.mu)
@@ -1284,7 +1285,7 @@ def test_time_limit_charges_at_least_one_step():
     )
     config = _config(algo, budget=4)
     sim = Simulation(config, trial_seed=0)
-    update = sim.dispatch(sim.dataset.shards[0].client_id)
+    update = sim.dispatch(sim.dataset.shards.ids[0].item())
     assert update.steps_done == 1
     assert update.examples_processed <= 4
 
@@ -1302,9 +1303,8 @@ def test_teacher_download_scales_comm_factor_only():
     algo = AlgoConfig("fedbuff", buffer_size=2, max_concurrency=3, eta_l=0.05, batch_size=4,
                       rho=0.2)
     base = Simulation(_config(algo, budget=4), trial_seed=0)
-    shard = base.dataset.shards[0]
-    cid = shard.client_id
-    profile = DET_PDPE.profile_for(shard.is_straggler)
+    cid = base.dataset.shards.ids[0].item()
+    profile = DET_PDPE.profile_for(base.dataset.shards.is_straggler[0])
     plain = base.dispatch(cid)
     comm = math.exp(profile.comm.mu)
     # a fresh teacher array is an extra download, the open model itself is not

@@ -10,18 +10,17 @@ once: the four acceptance configs and the fedbuff_crowd and mlp_eval
 benchmark configs (read only).
 
 Pair i runs every config once on each side at seed 1000 + i, the configs and
-the two sides of each in shuffled order. A trial is timed by its main
-thread's CPU time (time.thread_time, which leaves out the evaluation thread)
-and by wall time. A ratio is working tree over REV, so below 1 is faster; the
-tool prints per config the median CPU and wall ratios and the pairs each side
-of a ratio won.
+the two sides of each in shuffled order. Pair i also builds, on each side,
+the dataset of every distinct dataset section and data seed (the four
+acceptance configs share one) by calling data.build_dataset directly, not
+through the configs' dataset cache.
 
-Pair i also builds, on each side, the dataset of every distinct dataset
-section and data seed (the four acceptance configs share one) by calling
-data.build_dataset directly, not through the configs' dataset cache. A build
-is timed by the process's CPU time (time.process_time, which counts the
-build's eval worker thread) and by wall time, and the tool prints its ratios
-beside the trials'.
+A trial or build is timed three ways: by its main thread's CPU time
+(time.thread_time, which leaves out a trial's evaluation thread and a
+build's eval-draw thread), by the process's CPU time (time.process_time,
+which counts them) and by wall time. A ratio is working tree over REV, so
+below 1 is faster; the tool prints per config and per build the median of
+each ratio and the pairs each side of it won.
 
 Both sides of a pair must produce the same sha256 of output_w, the counters,
 total_time_s, server_steps and the records, and each build the same sha256
@@ -97,20 +96,29 @@ class Side:
             for section, stems in shared.items()
         ]
 
-    def trial(self, k: int, seed: int) -> tuple[float, float, str]:
-        """(CPU seconds, wall seconds, output digest) of config k at seed."""
+    def trial(self, k: int, seed: int) -> tuple[tuple[float, ...], str]:
+        """(seconds by CLOCKS, output digest) of config k at seed."""
         sim = self.engine.Simulation(self.configs[k], seed, self.datasets[k])
-        cpu, wall = time.thread_time(), time.perf_counter()
-        result = sim.run()
-        cpu, wall = time.thread_time() - cpu, time.perf_counter() - wall
-        return cpu, wall, digest(result)
+        seconds, result = timed(sim.run)
+        return seconds, digest(result)
 
-    def build(self, j: int) -> tuple[float, float, str]:
-        """(process CPU seconds, wall seconds, dataset digest) of build j."""
-        cpu, wall = time.process_time(), time.perf_counter()
-        dataset = self.data.build_dataset(*self.builds[j][1])
-        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
-        return cpu, wall, dataset_digest(dataset)
+    def build(self, j: int) -> tuple[tuple[float, ...], str]:
+        """(seconds by CLOCKS, dataset digest) of build j."""
+        seconds, dataset = timed(self.data.build_dataset, *self.builds[j][1])
+        return seconds, dataset_digest(dataset, self.data)
+
+
+# the clocks a trial or build is timed by, named as the tool prints them
+CLOCKS = {"thread cpu": time.thread_time, "process cpu": time.process_time,
+          "wall": time.perf_counter}
+
+
+def timed(call, *args):
+    """(the seconds call(*args) took by each of CLOCKS, its result)."""
+    starts = [clock() for clock in CLOCKS.values()]
+    result = call(*args)
+    ends = [clock() for clock in CLOCKS.values()]
+    return tuple(end - start for start, end in zip(starts, ends)), result
 
 
 def digest(result) -> str:
@@ -127,16 +135,22 @@ def digest(result) -> str:
     return h.hexdigest()
 
 
-def dataset_digest(dataset) -> str:
+def dataset_digest(dataset, data) -> str:
     """sha256 over every shard's id, group, labels and features with their
     dtypes, the eval arrays, the eval straggler rows and the dropped ids.
+    The shards come from data.shard_report_rows, data being the dataset's
+    own data module, whose rows both trees give alike; they tile the kept
+    arrays in id order, so a running sum of sizes gives their start rows.
     tests/test_data.py records it for fixed builds, loading this file, which
     therefore sets nothing before main runs."""
     h = hashlib.sha256()
-    for s in dataset.shards:
-        rows = slice(s.start, s.start + s.n_examples)
+    start = 0
+    for row in data.shard_report_rows(dataset):
+        rows = slice(start, start + row["n_examples"])
+        start = rows.stop
         labels, features = dataset.labels[rows], dataset.features[rows]
-        h.update(f"{s.client_id}:{s.is_straggler}:{labels.dtype}:{features.dtype}".encode())
+        is_straggler = row["group"] == "straggler"
+        h.update(f"{row['client_id']}:{is_straggler}:{labels.dtype}:{features.dtype}".encode())
         h.update(labels.tobytes())
         h.update(features.tobytes())
     for a in (dataset.eval_total.features, dataset.eval_total.labels, dataset.eval_straggler_rows):
@@ -151,15 +165,14 @@ def ratio_line(ratios: list[float]) -> str:
     return f"x{statistics.median(ratios):.3f} ({faster}/{len(ratios)} faster)"
 
 
-def compare(rev: Side, tree: Side, pairs: int) -> tuple[dict, dict, list[str]]:
-    """Per config name and per build name, the CPU and wall ratios of each
-    pair, and the pairs whose outputs differ."""
+def compare(rev: Side, tree: Side, pairs: int) -> tuple[dict, list[str]]:
+    """Per config name and per build name, the ratios of each pair by each
+    of CLOCKS, and the pairs whose outputs differ."""
     jobs = [(path.stem, lambda side, seed, k=k: side.trial(k, seed))
             for k, path in enumerate(CONFIGS)]
     jobs += [(name, lambda side, seed, j=j: side.build(j))
              for j, (name, _) in enumerate(tree.builds)]
-    cpu = {name: [] for name, _ in jobs}
-    wall = {name: [] for name, _ in jobs}
+    ratios = {name: {clock: [] for clock in CLOCKS} for name, _ in jobs}
     mismatches = []
     order = random.Random(0)
     for i in range(pairs):
@@ -169,12 +182,12 @@ def compare(rev: Side, tree: Side, pairs: int) -> tuple[dict, dict, list[str]]:
             sides = [rev, tree]
             order.shuffle(sides)
             runs = {side: run(side, seed) for side in sides}
-            (rev_cpu, rev_wall, rev_digest), (cpu_s, wall_s, tree_digest) = runs[rev], runs[tree]
+            (rev_s, rev_digest), (tree_s, tree_digest) = runs[rev], runs[tree]
             if rev_digest != tree_digest:
                 mismatches.append(f"{name}, pair {i + 1} (seed {seed})")
-            cpu[name].append(cpu_s / rev_cpu)
-            wall[name].append(wall_s / rev_wall)
-    return cpu, wall, mismatches
+            for clock, a, b in zip(CLOCKS, rev_s, tree_s):
+                ratios[name][clock].append(b / a)
+    return ratios, mismatches
 
 
 def main(argv: list[str]) -> int:
@@ -190,15 +203,16 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         rev = Side("_ab_rev", extract(args.rev, Path(tmp)))
         tree = Side("_ab_tree", ROOT / "src" / "stragglersim")
-        cpu, wall, mismatches = compare(rev, tree, args.pairs)
+        ratios, mismatches = compare(rev, tree, args.pairs)
     print(f"working tree against {args.rev}, {args.pairs} pair(s) per config and per build, "
           f"seeds from {FIRST_SEED}, one BLAS thread; ratio = tree / rev")
-    width = max(map(len, cpu))
-    for name in cpu:
-        print(f"  {name:{width}s} cpu {ratio_line(cpu[name])}   wall {ratio_line(wall[name])}")
+    width = max(map(len, ratios))
+    for name, by_clock in ratios.items():
+        lines = "   ".join(f"{clock} {ratio_line(r)}" for clock, r in by_clock.items())
+        print(f"  {name:{width}s} {lines}")
     for mismatch in mismatches:
         print(f"OUTPUT MISMATCH: {mismatch}")
-    total = len(cpu) * args.pairs
+    total = len(ratios) * args.pairs
     print(f"outputs bitwise equal in {total - len(mismatches)} of {total} pairs")
     return 1 if mismatches else 0
 

@@ -78,10 +78,33 @@ MUTANTS = (
         "the batch plan is drawn when the update trains, not at its dispatch",
         ("tests/test_engine.py",),
         more=((
-            "        plans, ws, teachers = zip(*(u.work for u in updates))\n",
-            "        plans, ws, teachers = zip(*(u.work for u in updates))\n"
+            "        plans, ws, teachers, starts, sizes = zip(*(u.work for u in updates))\n",
+            "        plans, ws, teachers, starts, sizes = zip(*(u.work for u in updates))\n"
             "        plans = [model.draw_batch_plan(*p) for p in plans]\n",
         ),),
+    ),
+    Mutant(
+        ENGINE,
+        "latency.sample_client_latency(self._profiles[self._groups[k]], latency_gen)",
+        "latency.sample_client_latency(self._profiles[not self._groups[k]], latency_gen)",
+        "a dispatch draws the client's latency from the other group's profile",
+        (GOLDEN,),
+    ),
+    Mutant(
+        ENGINE,
+        "start, n = self._starts[k], self._sizes[k]",
+        "start, n = self._starts[k + 1], self._sizes[k]",
+        "a client trains from the next client's start row",
+        (GOLDEN,),
+    ),
+    Mutant(
+        ALGORITHMS,
+        "        w_before = sim.state.w\n"
+        "        summed = sim.apply_server_update(fast, late)\n",
+        "        summed = sim.apply_server_update(fast, late)\n"
+        "        w_before = sim.state.w\n",
+        "FeAST's auxiliary round snapshots the model after the server step",
+        ("tests/test_gap_trace.py",),
     ),
     Mutant(
         ALGORITHMS,
