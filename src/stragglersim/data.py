@@ -146,13 +146,14 @@ def _generate(
     alphas = config.concentration * mixture
     client_mixtures = mix_gen.dirichlet(alphas, size=config.m_clients)
 
-    keys = rng.stream_keys(seed, rng.DATA, 3, ids=range(config.m_clients))
+    keys = rng.stream_keys(seed, rng.DATA, 3, ids=np.arange(config.m_clients))
     ends = np.cumsum(sizes).tolist()
     uniform = np.empty(ends[-1])
     features = np.empty((ends[-1], config.d_in))
+    labels = np.zeros(ends[-1], dtype=np.int64)
     for client_id, (a, b) in enumerate(zip([0, *ends], ends)):
         _draw(rng.stream_from_key(keys[client_id]), uniform[a:b], features[a:b])
-    labels = _label(client_mixtures, sizes, uniform, features, centers, config.cluster_spread)
+    _label(client_mixtures, sizes, uniform, features, centers, config.cluster_spread, labels)
     return features, labels, sizes
 
 
@@ -163,9 +164,10 @@ def _draw(gen: np.random.Generator, uniform: np.ndarray, features: np.ndarray) -
     gen.standard_normal(out=features)
 
 
-def _label(mixtures, sizes, uniform, features, centers, spread: float) -> np.ndarray:
-    """Label drawn rows, sizes[i] of them from mixtures[i] in turn, and make
-    their noise the features centers[labels] + spread * noise, in place.
+def _label(mixtures, sizes, uniform, features, centers, spread: float, labels) -> None:
+    """Label drawn rows into labels, an int64 zero array the caller made,
+    sizes[i] of them from mixtures[i] in turn, and make their noise the
+    features centers[labels] + spread * noise, in place.
 
     A row's label is what gen.choice(n_classes, p=its mixture) draws from
     its uniform: the count of its cdf's entries (cumsum over its last entry)
@@ -175,12 +177,10 @@ def _label(mixtures, sizes, uniform, features, centers, spread: float) -> np.nda
     """
     cdf = np.cumsum(mixtures, axis=1)
     cdf /= cdf[:, -1:]
-    labels = np.zeros(len(uniform), dtype=np.int64)
     for column in cdf[:, :-1].T:
         labels += np.repeat(column, sizes) <= uniform
     features *= spread
     _add_centers(features, centers, labels)
-    return labels
 
 
 def _add_centers(features: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> None:
@@ -256,31 +256,39 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
     config.mixture() and its own stream (rng.EVAL). eval_straggler_rows are
     the ascending indices of the eval split's straggler-class rows.
 
-    The eval split's _draw runs on a worker thread while this thread
+    Two lanes build a dataset. A worker thread builds the whole eval split
+    (its _draw, its _label and its straggler rows) while this thread
     generates and partitions the population; numpy releases the GIL while
     it fills an array, so the two overlap when a second core is free. The
     result is the serial one, bit for bit: the EVAL stream shares no state
-    with the training streams. Rule: the worker runs nothing but _draw, on a
-    generator and arrays that this thread made, so every rng.stream call,
-    every array allocation and every other step (the eval labels included)
-    stays on the calling thread, and a tracer that patches module functions
-    (the benchmark's patches rng.stream and this function) sees them all on
-    one thread. The worker is joined before this returns or raises.
+    with the training streams. Rule: the worker builds the eval split from a
+    generator and arrays that this thread made (its uniforms, features and
+    labels: an array the worker allocated would outlive the build in the
+    worker's malloc arena and raise the process's peak RSS), and it calls
+    nothing the benchmark tracer patches (rng.stream and this function
+    among them), so the tracer sees every call it counts on one thread. The
+    worker is joined before this returns or raises; the checks and the
+    read-only flags follow the join.
     """
     table = _class_table(config.straggler_classes, config.n_classes)
     centers = class_centers(config, seed)
     eval_gen = rng.stream(seed, rng.EVAL)
     uniform = np.empty(config.eval_size)
     eval_features = np.empty((config.eval_size, config.d_in))
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="eval-draws") as worker:
-        drawn = worker.submit(_draw, eval_gen, uniform, eval_features)
+    eval_labels = np.zeros(config.eval_size, dtype=np.int64)
+
+    def eval_split() -> np.ndarray:
+        _draw(eval_gen, uniform, eval_features)
+        mixture, spread = config.mixture()[None], config.cluster_spread
+        _label(mixture, [config.eval_size], uniform, eval_features, centers, spread, eval_labels)
+        return np.flatnonzero(table[eval_labels])
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="eval-split") as worker:
+        split = worker.submit(eval_split)
         features, labels, shards, dropped = _partition(
             *_generate(config, seed, centers), table, config.n_straggler_clients
         )
-        drawn.result()
-    mixture, spread = config.mixture()[None], config.cluster_spread
-    eval_labels = _label(mixture, [config.eval_size], uniform, eval_features, centers, spread)
-    eval_straggler_rows = np.flatnonzero(table[eval_labels])
+        eval_straggler_rows = split.result()
     _read_only(eval_features, eval_labels, eval_straggler_rows)
 
     if not shards:

@@ -190,11 +190,10 @@ class Simulation:
         self._epochs, self._batch_size = self.algo.epochs, self.algo.batch_size
         self.teacher_gen = rng.stream(trial_seed, rng.TEACHER)
         self._teacher_download_factor = scenario.teacher_download_factor
-        # client id -> its (latency, shuffle) streams, made together on first
-        # use from its key rows
-        all_ids = range(config.dataset.m_clients)
+        # kept position -> its client's (latency, shuffle) streams, made
+        # together on first use from the key rows at that position
         self._client_keys = [
-            rng.stream_keys(trial_seed, p, ids=all_ids) for p in (rng.LATENCY, rng.SHUFFLE)
+            rng.stream_keys(trial_seed, p, ids=shards.ids) for p in (rng.LATENCY, rng.SHUFFLE)
         ]
         self._client_streams: dict[int, tuple[np.random.Generator, np.random.Generator]] = {}
 
@@ -241,10 +240,11 @@ class Simulation:
         completion triggers.
 
         Taking the client out of the sorted idle list, by bisection, checks
-        that it is idle; a second bisection, on the kept ids, finds its start
-        row, size and latency profile. It is busy until its update completes,
-        or under allow_busy_reuse until now, so the pool read next at this
-        instant returns it. Completion time and counts never depend on trained
+        that it is idle; a second bisection, on the kept ids, finds its
+        position, which gives its start row, size, latency profile and
+        streams. It is busy until its update completes, or under
+        allow_busy_reuse until now, so the pool read next at this instant
+        returns it. Completion time and counts never depend on trained
         weights: the latency factors are drawn first, the steps and examples
         follow by arithmetic, and the update completes at now plus the
         factors' total (latency.LatencySample.total_s). Without a time limit
@@ -263,7 +263,7 @@ class Simulation:
         del idle[i]
         k = bisect.bisect_left(self._ids, client_id)
         start, n = self._starts[k], self._sizes[k]
-        latency_gen, shuffle_gen = self._streams(client_id)
+        latency_gen, shuffle_gen = self._streams(k)
         factors = latency.sample_client_latency(self._profiles[self._groups[k]], latency_gen)
         b = self._batch_size
         per_epoch = -(-n // b)
@@ -403,15 +403,16 @@ class Simulation:
             bisect.insort(idle, heapq.heappop(busy)[1])
         return idle
 
-    def _streams(self, client_id: int) -> tuple[np.random.Generator, np.random.Generator]:
-        """The client's (latency, shuffle) streams, made together from the key
-        tables (rng.stream_keys) at its first dispatch."""
-        streams = self._client_streams.get(client_id)
+    def _streams(self, k: int) -> tuple[np.random.Generator, np.random.Generator]:
+        """The (latency, shuffle) streams of the client at kept position k,
+        made together at its first dispatch from row k of the key tables
+        (rng.stream_keys of the kept ids, so row k is the key of its id)."""
+        streams = self._client_streams.get(k)
         if streams is None:
             latency_keys, shuffle_keys = self._client_keys
-            streams = self._client_streams[client_id] = (
-                rng.stream_from_key(latency_keys[client_id]),
-                rng.stream_from_key(shuffle_keys[client_id]),
+            streams = self._client_streams[k] = (
+                rng.stream_from_key(latency_keys[k]),
+                rng.stream_from_key(shuffle_keys[k]),
             )
         return streams
 

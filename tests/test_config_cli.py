@@ -741,7 +741,7 @@ def test_verify_unknown_suite_exits_2(tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", "--suite", "nope", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: unknown suite 'nope'; options: all, gap_recursion, gap_zero_mean, "
-        "local_grad_norm, gap_norm_bound, stationarity_schedule\n"
+        "local_grad_norm, gap_norm_bound, stationarity_schedule, engine_gap_recursion\n"
     )
     assert ran == []
 

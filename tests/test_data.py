@@ -294,7 +294,8 @@ def _check_labels(mixtures, sizes, uniform):
     noise = np.arange(2.0 * len(uniform)).reshape(-1, 2)
     centers = 10 * np.arange(2.0 * mixtures.shape[1]).reshape(-1, 2)
     features = noise.copy()
-    labels = _label(mixtures, sizes, uniform, features, centers, 0.5)
+    labels = np.zeros(len(uniform), dtype=np.int64)
+    _label(mixtures, sizes, uniform, features, centers, 0.5, labels)
     cdf = _cdf(mixtures)
     owner = np.repeat(np.arange(len(mixtures)), sizes)
     want = [np.searchsorted(cdf[i], u, side="right") for i, u in zip(owner, uniform)]

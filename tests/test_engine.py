@@ -9,7 +9,7 @@ import sys
 import threading
 import time
 import weakref
-from concurrent.futures import Future
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -331,8 +331,8 @@ def test_client_streams_and_idle_pool_skip_nothing_but_dropped_shards():
     dropped = set(sim.dataset.dropped_clients)
     shard_ids = sim.dataset.shards.ids.tolist()
     assert dropped and len(shard_ids) + len(dropped) == dataset.m_clients
-    for client_id in shard_ids:
-        for purpose, gen in zip((rng.LATENCY, rng.SHUFFLE), sim._streams(client_id)):
+    for k, client_id in enumerate(shard_ids):
+        for purpose, gen in zip((rng.LATENCY, rng.SHUFFLE), sim._streams(k)):
             gen = copy.deepcopy(gen)
             reference = rng.stream(11, purpose, client_id)
             assert repr(gen.bit_generator.state) == repr(reference.bit_generator.state)
@@ -492,8 +492,10 @@ def test_records_do_not_depend_on_the_scoring_thread(monkeypatch, name):
     # Either thread scores a tick with metrics._accuracy of the same served
     # vector, each in its own buffers, so the records are bitwise equal
     # whoever scores them: as shared by default, with the main thread taking
-    # every tick, and with the worker taking every tick (no cancel succeeds,
-    # so the worker also scores the tick the final record replaces).
+    # every tick, and with the worker taking every tick (each submit waits
+    # until the worker has scored its tick, so no tick is ever unfinished or
+    # cancelled, and the worker also scores the tick the final record
+    # replaces).
     config = _shared_eval_config(name)
     shared = Simulation(config, 0).run().records
     scorings, _ = _spy_scorings(monkeypatch)
@@ -502,9 +504,14 @@ def test_records_do_not_depend_on_the_scoring_thread(monkeypatch, name):
         main_only = Simulation(config, 0).run().records
     assert all(on_main for on_main, _ in scorings)
     scorings.clear()
+    class ScoredOnSubmit(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            future.exception()  # waits for the worker to finish the tick
+            return future
+
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "_SHARE_AT", math.inf)
-        patch.setattr(Future, "cancel", lambda future: False)
+        patch.setattr(engine, "ThreadPoolExecutor", ScoredOnSubmit)
         worker_only = Simulation(config, 0).run().records
     assert [on_main for on_main, _ in scorings].count(True) == 1  # the final record
     assert len(shared) == config.budget // config.algo.cohort_size

@@ -10,13 +10,14 @@ from pathlib import Path
 import numpy as np
 
 import stragglersim
-from stragglersim import algorithms, engine, metrics, model, rng, verify
+from stragglersim import algorithms, data, engine, metrics, model, rng, verify
 from stragglersim.config import ModelConfig, load_config
 
 SOURCE_DIR = Path(stragglersim.__file__).parent
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 ACCEPTANCE = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
 FEAST = ACCEPTANCE / "feast.json"
+CROWD = Path(__file__).resolve().parent.parent / "benchmarks" / "configs" / "fedbuff_crowd.json"
 
 
 def test_no_assert_statements_in_package_source():
@@ -112,16 +113,21 @@ def _load_tracing():
     return tracing
 
 
-def test_every_name_the_benchmark_tracer_patches_exists():
-    # The tracer patches owner.__dict__[attr] from outside the package, so a
-    # renamed or deleted target would only break a traced benchmark run.
-    tracing = _load_tracing()
-    targets = [(owner, attr) for owner, attr, _ in tracing._SPANS] + [
+def _tracer_targets(tracing) -> list:
+    """(owner, attribute) of every name the benchmark tracer patches."""
+    return [(owner, attr) for owner, attr, _ in tracing._SPANS] + [
         (model, "loss_and_grad"),
         (model, "forward_logits"),
         (engine.EventQueue, "pop"),
         (engine.EventQueue, "schedule"),
     ]
+
+
+def test_every_name_the_benchmark_tracer_patches_exists():
+    # The tracer patches owner.__dict__[attr] from outside the package, so a
+    # renamed or deleted target would only break a traced benchmark run.
+    tracing = _load_tracing()
+    targets = _tracer_targets(tracing)
     missing = [f"{getattr(o, '__name__', o)}.{a}" for o, a in targets if a not in o.__dict__]
     assert not missing, f"tracer targets missing: {missing}"
     originals = [(o, a, o.__dict__[a]) for o, a in targets]
@@ -368,19 +374,45 @@ def test_batch_plans_are_drawn_by_one_function(monkeypatch):
     assert len(drawn) == result.counters["dispatches"]
 
 
+def _spy_tracer_targets(monkeypatch) -> dict:
+    """(owner, attribute) -> the thread of every call that reaches each
+    tracer target from here on."""
+    targets = _tracer_targets(_load_tracing())
+    return {(owner, attr): _spy(monkeypatch, owner, attr) for owner, attr in targets}
+
+
+def _called_off(thread, calls: dict) -> list[str]:
+    """The spied targets that a thread other than thread called."""
+    return sorted(
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for (owner, attr), threads in calls.items() if any(t is not thread for t in threads)
+    )
+
+
+def test_a_build_runs_no_tracer_target_on_its_worker(monkeypatch):
+    # The rule in data.build_dataset's docstring: its worker builds the eval
+    # split and reaches nothing the tracer patches, rng.stream included, so
+    # the tracer sees every stream and span of a build on the calling thread.
+    calls = _spy_tracer_targets(monkeypatch)
+    labelled = _spy(monkeypatch, data, "_label")
+    for path in (FEAST, CROWD):
+        config = load_config(path)
+        data.build_dataset(config.dataset, config.effective_data_seed())
+    main = threading.main_thread()
+    off_main = _called_off(main, calls)
+    assert not off_main, f"tracer targets called off the main thread: {off_main}"
+    assert len(calls[rng, "stream"]) > 0 and len(calls[data, "build_dataset"]) == 2
+    # the check is not empty: each build labelled its population here and its
+    # eval split on the worker
+    assert sorted(t is main for t in labelled) == [False, False, True, True]
+
+
 def test_nothing_the_benchmark_tracer_patches_runs_off_the_main_thread(monkeypatch):
     # The tracer keeps one span stack for the process, and its forward_logits
     # counter reads the top of it. Mid-run evaluations run on the engine's
     # evaluation thread, which must reach no tracer target; only the final
     # record is evaluated through metrics.evaluate_accuracy, inline.
-    tracing = _load_tracing()
-    targets = [(owner, attr) for owner, attr, _ in tracing._SPANS] + [
-        (model, "loss_and_grad"),
-        (model, "forward_logits"),
-        (engine.EventQueue, "pop"),
-        (engine.EventQueue, "schedule"),
-    ]
-    calls = {(owner, attr): _spy(monkeypatch, owner, attr) for owner, attr in targets}
+    calls = _spy_tracer_targets(monkeypatch)
     forwards = _spy(monkeypatch, model, "_forward")
     config = load_config(ACCEPTANCE / "fare_dust.json")
     config = dataclasses.replace(config, budget=200, eval_every=1, model=ModelConfig(hidden=64))
@@ -388,10 +420,7 @@ def test_nothing_the_benchmark_tracer_patches_runs_off_the_main_thread(monkeypat
     sim.run()
 
     main = threading.main_thread()
-    off_main = sorted(
-        f"{getattr(owner, '__name__', owner)}.{attr}"
-        for (owner, attr), threads in calls.items() if any(t is not main for t in threads)
-    )
+    off_main = _called_off(main, calls)
     assert not off_main, f"tracer targets called off the main thread: {off_main}"
     assert len(calls[metrics, "evaluate_accuracy"]) == 1
     # the check is not empty: the mid-run evaluations ran on another thread,

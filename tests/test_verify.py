@@ -344,7 +344,7 @@ def test_stationarity_rhs_arithmetic():
 def test_each_check_is_registered_under_its_name_and_varies_only_its_seed():
     assert list(verify.CHECKS) == [
         "gap_recursion", "gap_zero_mean", "local_grad_norm", "gap_norm_bound",
-        "stationarity_schedule",
+        "stationarity_schedule", "engine_gap_recursion",
     ]
     for name, run in verify.CHECKS.items():
         assert getattr(verify, f"check_{name}") is run

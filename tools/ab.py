@@ -1,13 +1,14 @@
 """Compare the simulator at a git revision with the working tree, in one process.
 
-    python tools/ab.py REV [--pairs N]
+    python tools/ab.py REV [--pairs N] [--config PATH ...]
 
 The tool extracts REV's src/ with `git archive` into a temporary directory
 and loads it beside the working tree's src/ as two packages, which works
 because the package imports itself only relatively. BLAS runs on one thread,
 set before numpy loads. Each side loads its configs and builds their datasets
 once: the four acceptance configs and the fedbuff_crowd and mlp_eval
-benchmark configs (read only).
+benchmark configs (read only), then each config that --config names (read
+only; repeatable), such as a large-population config kept outside the repo.
 
 Pair i runs every config once on each side at seed 1000 + i, the configs and
 the two sides of each in shuffled order. Pair i also builds, on each side,
@@ -17,7 +18,7 @@ through the configs' dataset cache.
 
 A trial or build is timed three ways: by its main thread's CPU time
 (time.thread_time, which leaves out a trial's evaluation thread and a
-build's eval-draw thread), by the process's CPU time (time.process_time,
+build's eval-split thread), by the process's CPU time (time.process_time,
 which counts them) and by wall time. A ratio is working tree over REV, so
 below 1 is faster; the tool prints per config and per build the median of
 each ratio and the pairs each side of it won.
@@ -80,14 +81,15 @@ def load(name: str, package_dir: Path):
 
 
 class Side:
-    """One package with its configs loaded and their datasets built."""
+    """One package with the configs at paths loaded and their datasets built."""
 
-    def __init__(self, name: str, package_dir: Path) -> None:
+    def __init__(self, name: str, package_dir: Path, paths: list[Path]) -> None:
         config, self.data, self.engine = load(name, package_dir)
-        self.configs = [config.load_config(path) for path in CONFIGS]
+        self.paths = paths
+        self.configs = [config.load_config(path) for path in paths]
         self.datasets = [cfg.build_dataset() for cfg in self.configs]
         shared = {}
-        for path, cfg in zip(CONFIGS, self.configs):
+        for path, cfg in zip(paths, self.configs):
             shared.setdefault((cfg.dataset, cfg.effective_data_seed()), []).append(path.stem)
         # (name, (dataset section, data seed)) of each distinct build, named
         # after the first config that uses it: "data of fedavg_full +4"
@@ -169,7 +171,7 @@ def compare(rev: Side, tree: Side, pairs: int) -> tuple[dict, list[str]]:
     """Per config name and per build name, the ratios of each pair by each
     of CLOCKS, and the pairs whose outputs differ."""
     jobs = [(path.stem, lambda side, seed, k=k: side.trial(k, seed))
-            for k, path in enumerate(CONFIGS)]
+            for k, path in enumerate(tree.paths)]
     jobs += [(name, lambda side, seed, j=j: side.build(j))
              for j, (name, _) in enumerate(tree.builds)]
     ratios = {name: {clock: [] for clock in CLOCKS} for name, _ in jobs}
@@ -194,15 +196,23 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the git revision to compare the working tree with")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per config and per build")
+    parser.add_argument("--config", type=Path, action="append", default=[], metavar="PATH",
+                        help="a further config to run in every pair (repeatable)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    paths = [*CONFIGS, *(path.resolve() for path in args.config)]
+    for path in args.config:
+        if not path.is_file():
+            parser.error(f"--config {path}: no such file")
+    if len({path.stem for path in paths}) < len(paths):
+        parser.error("each config needs a file name of its own")
     # One BLAS thread, set before either package loads numpy.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        rev = Side("_ab_rev", extract(args.rev, Path(tmp)))
-        tree = Side("_ab_tree", ROOT / "src" / "stragglersim")
+        rev = Side("_ab_rev", extract(args.rev, Path(tmp)), paths)
+        tree = Side("_ab_tree", ROOT / "src" / "stragglersim", paths)
         ratios, mismatches = compare(rev, tree, args.pairs)
     print(f"working tree against {args.rev}, {args.pairs} pair(s) per config and per build, "
           f"seeds from {FIRST_SEED}, one BLAS thread; ratio = tree / rev")

@@ -92,6 +92,15 @@ MUTANTS = (
     ),
     Mutant(
         ENGINE,
+        "                rng.stream_from_key(latency_keys[k]),\n"
+        "                rng.stream_from_key(shuffle_keys[k]),\n",
+        "                rng.stream_from_key(latency_keys[self._ids[k]]),\n"
+        "                rng.stream_from_key(shuffle_keys[self._ids[k]]),\n",
+        "a client's streams come from the key rows at its id, not at its kept position",
+        (GOLDEN,),
+    ),
+    Mutant(
+        ENGINE,
         "start, n = self._starts[k], self._sizes[k]",
         "start, n = self._starts[k + 1], self._sizes[k]",
         "a client trains from the next client's start row",
