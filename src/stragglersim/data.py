@@ -151,8 +151,10 @@ def _generate(
     uniform = np.empty(ends[-1])
     features = np.empty((ends[-1], config.d_in))
     labels = np.zeros(ends[-1], dtype=np.int64)
-    for client_id, (a, b) in enumerate(zip([0, *ends], ends)):
-        _draw(rng.stream_from_key(keys[client_id]), uniform[a:b], features[a:b])
+    gen = rng.stream_from_key(keys[0])
+    for key, a, b in zip(keys, [0, *ends], ends):
+        rng.rekey(gen, key)
+        _draw(gen, uniform[a:b], features[a:b])
     _label(client_mixtures, sizes, uniform, features, centers, config.cluster_spread, labels)
     return features, labels, sizes
 

@@ -140,3 +140,38 @@ def test_one_call_bounded_draws_equal_sequential_scalar_draws(n):
             got = one.integers(np.arange(n, n - k, -1))
             assert got.tolist() == [int(each.integers(n - i)) for i in range(k)]
             np.testing.assert_equal(one.bit_generator.state, each.bit_generator.state)
+
+
+def _draws(gen):
+    """A draw of each kind a stream serves, in turn; random(dtype=float32)
+    reads uint32 halves, so it can leave one held."""
+    return [
+        gen.random(5),
+        gen.standard_normal(5),
+        gen.integers(1000, size=6),
+        gen.permutation(11),
+        gen.random(3, dtype=np.float32),
+    ]
+
+
+@pytest.mark.parametrize("left", ["as_drawn", "mid_block", "held_uint32"])
+def test_a_rekeyed_generator_draws_what_a_fresh_keyed_stream_draws(left):
+    keys = rng.stream_keys(4, rng.DATA, 3, ids=[0, 1, 17, 2**32 - 1])
+    gen = rng.stream_from_key(keys[0])
+    for row in [*keys[1:], keys[0]]:
+        # A uint64 draw from a spent block leaves buffer_pos 1; a float32
+        # draw without a held half holds one.
+        state = gen.bit_generator.state
+        if left == "mid_block" and state["buffer_pos"] == 4:
+            gen.random()
+        if left == "held_uint32" and not state["has_uint32"]:
+            gen.random(dtype=np.float32)
+        state = gen.bit_generator.state
+        assert left != "mid_block" or state["buffer_pos"] < 4
+        assert left != "held_uint32" or state["has_uint32"] == 1
+        rng.rekey(gen, row)
+        fresh = rng.stream_from_key(row)
+        assert repr(gen.bit_generator.state) == repr(fresh.bit_generator.state)
+        for got, want in zip(_draws(gen), _draws(fresh)):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype

@@ -1,6 +1,6 @@
 """Compare the simulator at a git revision with the working tree, in one process.
 
-    python tools/ab.py REV [--pairs N] [--config PATH ...]
+    python tools/ab.py REV [--pairs N] [--config PATH ...] [--json PATH]
 
 The tool extracts REV's src/ with `git archive` into a temporary directory
 and loads it beside the working tree's src/ as two packages, which works
@@ -26,6 +26,12 @@ each ratio and the pairs each side of it won.
 Both sides of a pair must produce the same sha256 of output_w, the counters,
 total_time_s, server_steps and the records, and each build the same sha256
 of its shards, kept rows, eval split and dropped ids. Any difference exits 1.
+
+--json PATH also writes the run to PATH: the environment, REV's and the
+working tree's commits, the raw per-pair seconds of every config and build
+on each side by each clock, each ratio's median and pair wins, and the
+mismatches. A perf change commits the file as BENCH_<sha>.json, sha being
+the commit it measures.
 """
 
 from __future__ import annotations
@@ -36,8 +42,10 @@ import hashlib
 import importlib
 import importlib.util
 import io
+import json
 import logging
 import os
+import platform
 import random
 import statistics
 import subprocess
@@ -162,19 +170,25 @@ def dataset_digest(dataset, data) -> str:
     return h.hexdigest()
 
 
-def ratio_line(ratios: list[float]) -> str:
-    faster = sum(r < 1.0 for r in ratios)
-    return f"x{statistics.median(ratios):.3f} ({faster}/{len(ratios)} faster)"
+def ratio_summary(rev_s: list[float], tree_s: list[float]) -> dict:
+    """The median of the pairs' ratios tree / rev and the pairs the tree won."""
+    ratios = [b / a for a, b in zip(rev_s, tree_s)]
+    return {"median": statistics.median(ratios), "tree_faster": sum(r < 1.0 for r in ratios),
+            "pairs": len(ratios)}
+
+
+def ratio_line(summary: dict) -> str:
+    return f"x{summary['median']:.3f} ({summary['tree_faster']}/{summary['pairs']} faster)"
 
 
 def compare(rev: Side, tree: Side, pairs: int) -> tuple[dict, list[str]]:
-    """Per config name and per build name, the ratios of each pair by each
-    of CLOCKS, and the pairs whose outputs differ."""
+    """Per config name and per build name, the seconds of each pair on each
+    side ("rev", "tree") by each of CLOCKS, and the pairs whose outputs differ."""
     jobs = [(path.stem, lambda side, seed, k=k: side.trial(k, seed))
             for k, path in enumerate(tree.paths)]
     jobs += [(name, lambda side, seed, j=j: side.build(j))
              for j, (name, _) in enumerate(tree.builds)]
-    ratios = {name: {clock: [] for clock in CLOCKS} for name, _ in jobs}
+    times = {name: {clock: {"rev": [], "tree": []} for clock in CLOCKS} for name, _ in jobs}
     mismatches = []
     order = random.Random(0)
     for i in range(pairs):
@@ -188,8 +202,43 @@ def compare(rev: Side, tree: Side, pairs: int) -> tuple[dict, list[str]]:
             if rev_digest != tree_digest:
                 mismatches.append(f"{name}, pair {i + 1} (seed {seed})")
             for clock, a, b in zip(CLOCKS, rev_s, tree_s):
-                ratios[name][clock].append(b / a)
-    return ratios, mismatches
+                times[name][clock]["rev"].append(a)
+                times[name][clock]["tree"].append(b)
+    return times, mismatches
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def report(args, paths: list[Path], times: dict, summaries: dict, mismatches: list[str]) -> dict:
+    """The run as --json writes it."""
+    return {
+        "tool": "tools/ab.py",
+        "rev": {"name": args.rev, "commit": git("rev-parse", args.rev)},
+        "tree": {"commit": git("rev-parse", "HEAD"),
+                 "src_dirty": bool(git("status", "--porcelain", "--", "src"))},
+        "environment": {
+            "date_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "python": platform.python_version(),
+            "numpy": sys.modules["numpy"].__version__,
+            "platform": platform.platform(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "cpus_usable": len(os.sched_getaffinity(0)),
+            "blas_threads": 1,
+        },
+        "pairs": args.pairs,
+        "first_seed": FIRST_SEED,
+        "configs": [str(path.relative_to(ROOT)) if path.is_relative_to(ROOT) else str(path)
+                    for path in paths],
+        "ratio": "tree / rev, per pair; below 1 is faster",
+        "jobs": {name: {clock: {"seconds": by_clock[clock], "ratio": summaries[name][clock]}
+                        for clock in CLOCKS}
+                 for name, by_clock in times.items()},
+        "mismatches": mismatches,
+    }
 
 
 def main(argv: list[str]) -> int:
@@ -198,6 +247,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--pairs", type=int, default=10, help="pairs per config and per build")
     parser.add_argument("--config", type=Path, action="append", default=[], metavar="PATH",
                         help="a further config to run in every pair (repeatable)")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also write the environment, raw times and ratios to PATH")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -213,17 +264,23 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         rev = Side("_ab_rev", extract(args.rev, Path(tmp)), paths)
         tree = Side("_ab_tree", ROOT / "src" / "stragglersim", paths)
-        ratios, mismatches = compare(rev, tree, args.pairs)
+        times, mismatches = compare(rev, tree, args.pairs)
+    summaries = {name: {clock: ratio_summary(s["rev"], s["tree"]) for clock, s in by_clock.items()}
+                 for name, by_clock in times.items()}
     print(f"working tree against {args.rev}, {args.pairs} pair(s) per config and per build, "
           f"seeds from {FIRST_SEED}, one BLAS thread; ratio = tree / rev")
-    width = max(map(len, ratios))
-    for name, by_clock in ratios.items():
-        lines = "   ".join(f"{clock} {ratio_line(r)}" for clock, r in by_clock.items())
+    width = max(map(len, summaries))
+    for name, by_clock in summaries.items():
+        lines = "   ".join(f"{clock} {ratio_line(s)}" for clock, s in by_clock.items())
         print(f"  {name:{width}s} {lines}")
     for mismatch in mismatches:
         print(f"OUTPUT MISMATCH: {mismatch}")
-    total = len(ratios) * args.pairs
+    total = len(summaries) * args.pairs
     print(f"outputs bitwise equal in {total - len(mismatches)} of {total} pairs")
+    if args.json:
+        run = report(args, paths, times, summaries, mismatches)
+        args.json.write_text(json.dumps(run, indent=1) + "\n")
+        print(f"wrote {args.json}")
     return 1 if mismatches else 0
 
 

@@ -46,6 +46,7 @@ class Mutant:
 
 ENGINE = "src/stragglersim/engine.py"
 ALGORITHMS = "src/stragglersim/algorithms.py"
+RNG = "src/stragglersim/rng.py"
 GOLDEN = "tests/test_golden.py"
 
 MUTANTS = (
@@ -108,6 +109,13 @@ MUTANTS = (
     ),
     Mutant(
         ALGORITHMS,
+        "                (held if i < last and u.completed_at == close_at else late).append(u)\n",
+        "                late.append(u)\n",
+        "a round's late update tied with its close is not held for the close",
+        (GOLDEN,),
+    ),
+    Mutant(
+        ALGORITHMS,
         "        w_before = sim.state.w\n"
         "        summed = sim.apply_server_update(fast, late)\n",
         "        summed = sim.apply_server_update(fast, late)\n"
@@ -161,6 +169,21 @@ MUTANTS = (
         "a.swapaxes(-1, -2).copy().sum(axis=-1)[..., None, :]",
         "the batch sum adds its copy along the last axis, pairwise",
         ("tests/test_model.py",),
+    ),
+    Mutant(
+        RNG,
+        '"state": {"counter": (0, 0, 0, 0), "key": key},',
+        '"state": {"counter": gen.bit_generator.state["state"]["counter"], "key": key},',
+        "a rekeyed generator keeps the previous stream's counter",
+        ("tests/test_rng.py", "tests/test_data.py"),
+    ),
+    Mutant(
+        RNG,
+        '"buffer": (0, 0, 0, 0),',
+        '"buffer": gen.bit_generator.state["buffer"],',
+        "a rekeyed generator keeps the previous stream's buffer and buffer position",
+        ("tests/test_rng.py", "tests/test_data.py"),
+        more=(('"buffer_pos": 4,', '"buffer_pos": gen.bit_generator.state["buffer_pos"],'),),
     ),
     Mutant(
         "src/stragglersim/data.py",
