@@ -131,6 +131,11 @@ def _variants():
             eval_cap=16000,
         ),
         "fedavg_full_eval_every_1": _acceptance("fedavg_full", eval_every=1),
+        # tau_max 0 steps the auxiliary model at its round's server step, so
+        # the final record replaces the tick at the budget's instant
+        "feast_tau_max_0_eval_every_1": _acceptance(
+            "feast", eval_every=1, algo=dataclasses.replace(feast.algo, tau_max=0.0)
+        ),
         # tied completion times: which late updates wait for the round's close
         **{f"{name}_zero_sigma": _zero_sigma(name)
            for name in ("fedavg_oversel", "fare_dust", "feast")},
