@@ -113,11 +113,6 @@ _COUNTER_KEYS = (
 )
 
 
-# The main thread scores a mid-run evaluation tick itself when the
-# evaluation thread already holds this many unfinished ticks, the one it is
-# scoring included. On mlp_eval 3 beat 2, 4 and no mid-run sharing.
-_SHARE_AT = 3
-
 # Latency draws per shard behind the Monte Carlo time limit. The 374 shards an
 # acceptance config keeps pool 18,700 draws, so each integer percentile spans
 # 187 ranks. The count fixes what the time-limit stream draws, and so the
@@ -151,15 +146,11 @@ class Simulation:
         self.queue = EventQueue()
         self.counters: dict[str, int] = {k: 0 for k in _COUNTER_KEYS}
         # (virtual time, server step, served model name, aggregated updates,
-        # accuracies): a Future of the evaluation thread, or the pair the main
-        # thread scored
+        # accuracies): a mid-run tick's Future of the evaluation thread, or
+        # the final record's pair
         self._evals: list[tuple[float, int, str, int, Future | tuple]] = []
         self._evaluator: ThreadPoolExecutor | None = None
-        # the worker's buffers and the main thread's, each made on first use
         self._eval_out: tuple[np.ndarray | None, np.ndarray] | None = None
-        self._main_out: tuple[np.ndarray | None, np.ndarray] | None = None
-        # record index -> served vector of each tick the worker may not have scored yet
-        self._queued: dict[int, np.ndarray] = {}
         self.events: list[TraceEvent] = []
         self.last_model_event = 0.0
         # the kept clients' columns as lists, in ascending id order (a dropped
@@ -438,46 +429,33 @@ class Simulation:
         )
 
     def _eval_record(self, at_time: float) -> None:
-        """A mid-run evaluation tick. The served vector goes to one worker
-        thread, started with one block's buffers on the first tick, and the
-        record keeps its future; numpy releases the GIL in the forward pass,
-        so the next model version trains meanwhile. When the worker already
-        holds _SHARE_AT unfinished ticks, the main thread scores this one.
-        Server steps rebind the served vectors and never write into them, so
-        either thread reads a fixed model, and both score with
-        metrics._accuracy, so a record's bits do not depend on the thread."""
+        """A mid-run evaluation tick. The run's one worker thread, started
+        with one block's buffers on the first tick, scores the served vector
+        with metrics._accuracy in those buffers, and the record keeps its
+        future. numpy releases the GIL in the forward pass, so the next model
+        version trains meanwhile. Server steps rebind the served vectors and
+        never write into them, so the worker reads a fixed model."""
         which_model, vec = self.state.served()
         if self._evaluator is None:
             # the worker's one-block buffers, made with it: held from set-up,
             # they would add to a run's training peak
             self._evaluator = ThreadPoolExecutor(max_workers=1, thread_name_prefix="eval")
             self._eval_out = metrics.eval_buffers(self.layout, self.dataset, self.config.eval_cap)
-        self._queued = {i: v for i, v in self._queued.items() if not self._evals[i][4].done()}
-        if len(self._queued) >= _SHARE_AT:
-            self._add_record(at_time, which_model, self._score_here(metrics._accuracy, vec))
-            return
         accuracies = self._evaluator.submit(
             metrics._accuracy, vec, self.layout, self.dataset, self.config.eval_cap, self._eval_out
         )
         self._add_record(at_time, which_model, accuracies)
-        self._queued[len(self._evals) - 1] = vec
-
-    def _score_here(self, score: Callable, vec: np.ndarray) -> tuple[float, float]:
-        """score(vec) on the main thread: metrics._accuracy for a mid-run
-        tick, evaluate_accuracy for the final record. Beside a worker it
-        scores in buffers of its own, made the first time it scores."""
-        if self._main_out is None and self._evaluator is not None:
-            self._main_out = metrics.eval_buffers(self.layout, self.dataset, self.config.eval_cap)
-        return score(vec, self.layout, self.dataset, self.config.eval_cap, self._main_out)
 
     def _add_record(self, at_time: float, which_model: str, accuracies: Future | tuple) -> None:
+        """Append a record, or replace the last one when it has the same
+        instant, server step and served model: the last evaluation at an
+        instant wins, since an aux step may follow the first. A replaced
+        record that holds a Future is cancelled, so the worker skips its tick
+        if it has not started it."""
         stamp = (at_time, self.state.t, which_model)
         record = (*stamp, self.counters["aggregated_updates"], accuracies)
         if self._evals and self._evals[-1][:3] == stamp:
-            # the last evaluation at an instant wins: an aux step may follow
-            # the first; only the final record replaces one, a mid-run one,
-            # which the worker skips if it has not started it
-            if self._queued.pop(len(self._evals) - 1, None) is not None:
+            if isinstance(self._evals[-1][4], Future):
                 self._evals[-1][4].cancel()
             self._evals[-1] = record
             return
@@ -486,8 +464,10 @@ class Simulation:
 
     def run(self) -> RunResult:
         """Run the loop until the driver is finished, then score the final
-        record here through evaluate_accuracy, the only record that does:
-        nothing the benchmark tracer patches may run off the main thread."""
+        record on this thread through evaluate_accuracy, in buffers of its
+        own, while the worker finishes its ticks. It is the only record
+        scored here, and the only one through evaluate_accuracy: nothing the
+        benchmark tracer patches may run off the main thread."""
         finished = False
         try:
             self.driver.start(self)
@@ -510,14 +490,10 @@ class Simulation:
                     f"below budget {self.config.budget}"
                 )
             which_model, served = self.state.served()
-            final = self._score_here(metrics.evaluate_accuracy, served)
+            final = metrics.evaluate_accuracy(
+                served, self.layout, self.dataset, self.config.eval_cap
+            )
             self._add_record(self.last_model_event, which_model, final)
-            # the worker finishes its queued ticks oldest first while this
-            # thread takes them newest first; cancel() fails on a started one
-            for i in sorted(self._queued, reverse=True):
-                if self._evals[i][4].cancel():
-                    acc = self._score_here(metrics._accuracy, self._queued[i])
-                    self._evals[i] = (*self._evals[i][:4], acc)
             finished = True
         finally:
             # a failing run cancels the ticks the worker has not started

@@ -40,30 +40,25 @@ class MetricsRecord:
 
 
 def evaluate_accuracy(
-    w: np.ndarray,
-    layout: ModelLayout,
-    dataset: FederatedDataset,
-    cap: int | None = None,
-    out: tuple[np.ndarray | None, np.ndarray] | None = None,
+    w: np.ndarray, layout: ModelLayout, dataset: FederatedDataset, cap: int | None = None
 ) -> tuple[float, float]:
     """Accuracy on the total and straggler-class eval splits, capped to
     the first `cap` examples of each split.
 
     The straggler split is the stored straggler-class rows of the total
     split (dataset.eval_straggler_rows, never empty), so one scoring of the
-    total rows up to the last one either split uses scores both. out, from
-    eval_buffers, holds one block's (rows, hidden) and (rows, n_classes)
-    arrays, which a run fills at every evaluation; without it, the call
-    makes its own pair.
+    total rows up to the last one either split uses scores both. The call
+    scores in one block's buffers of its own (eval_buffers).
     """
-    return _accuracy(w, layout, dataset, cap, out)
+    return _accuracy(w, layout, dataset, cap, eval_buffers(layout, dataset, cap))
 
 
 def eval_buffers(
     layout: ModelLayout, dataset: FederatedDataset, cap: int | None = None
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Empty arrays for evaluate_accuracy's out at this layout, dataset and
-    cap; a run holds one pair per thread that scores."""
+    """One block's empty (rows, hidden) and (rows, n_classes) arrays, the
+    out of _accuracy at this layout, dataset and cap. A run's worker holds
+    one pair for all its ticks; evaluate_accuracy makes a pair per call."""
     cuts = _block_cuts(_scored_rows(dataset, cap)[2], layout)
     rows = cuts[-1] - cuts[-2]  # the last block is the largest
     hidden = np.empty((rows, layout.hidden)) if layout.hidden else None
@@ -109,13 +104,12 @@ def _block_logits(w, layout, x, out):
 
 
 def _accuracy(w, layout, dataset, cap, out) -> tuple[float, float]:
-    """evaluate_accuracy's work. It reaches no function the benchmark
-    tracer patches (model.forward_logits, evaluate_accuracy itself), so the
-    engine scores its mid-run ticks with it, on either thread."""
+    """evaluate_accuracy's work, in out's buffers (eval_buffers). It reaches
+    no function the benchmark tracer patches (model.forward_logits,
+    evaluate_accuracy itself), so the engine scores its mid-run ticks with
+    it, on the worker."""
     n_total, straggler_rows, end = _scored_rows(dataset, cap)
     total = dataset.eval_total
-    if out is None:
-        out = eval_buffers(layout, dataset, cap)
     predicted = np.empty(end, dtype=np.intp)
     for start, logits in _block_logits(w, layout, total.features[:end], out):
         logits.argmax(axis=1, out=predicted[start : start + len(logits)])

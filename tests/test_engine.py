@@ -489,21 +489,16 @@ def _spy_scorings(monkeypatch):
 
 @pytest.mark.parametrize("name", ["fare_dust", "feast"])
 def test_records_do_not_depend_on_the_scoring_thread(monkeypatch, name):
-    # Either thread scores a tick with metrics._accuracy of the same served
-    # vector, each in its own buffers, so the records are bitwise equal
-    # whoever scores them: as shared by default, with the main thread taking
-    # every tick, and with the worker taking every tick (each submit waits
-    # until the worker has scored its tick, so no tick is ever unfinished or
-    # cancelled, and the worker also scores the tick the final record
-    # replaces).
+    # The worker scores each tick with metrics._accuracy in its own buffers,
+    # and the main thread the final record in buffers of its own, so the
+    # records are bitwise equal however the two overlap: by default, and
+    # with each submit waiting until the worker has scored its tick, so no
+    # tick is ever unfinished or cancelled, and the worker also scores the
+    # tick the final record replaces.
     config = _shared_eval_config(name)
-    shared = Simulation(config, 0).run().records
+    default = Simulation(config, 0).run().records
     scorings, _ = _spy_scorings(monkeypatch)
-    with monkeypatch.context() as patch:
-        patch.setattr(engine, "_SHARE_AT", 0)
-        main_only = Simulation(config, 0).run().records
-    assert all(on_main for on_main, _ in scorings)
-    scorings.clear()
+
     class ScoredOnSubmit(ThreadPoolExecutor):
         def submit(self, *args, **kwargs):
             future = super().submit(*args, **kwargs)
@@ -514,14 +509,12 @@ def test_records_do_not_depend_on_the_scoring_thread(monkeypatch, name):
         patch.setattr(engine, "ThreadPoolExecutor", ScoredOnSubmit)
         worker_only = Simulation(config, 0).run().records
     assert [on_main for on_main, _ in scorings].count(True) == 1  # the final record
-    assert len(shared) == config.budget // config.algo.cohort_size
-    assert main_only == shared and worker_only == shared
+    assert len(default) == config.budget // config.algo.cohort_size
+    assert worker_only == default
 
 
-@pytest.mark.parametrize("share", [engine._SHARE_AT, 1], ids=["default", "share_at_1"])
 @pytest.mark.parametrize("name", ["fare_dust", "feast"])
-def test_every_record_is_scored_once(monkeypatch, name, share):
-    monkeypatch.setattr(engine, "_SHARE_AT", share)
+def test_every_record_is_scored_once(monkeypatch, name):
     evaluations = []
     evaluate = metrics.evaluate_accuracy
     monkeypatch.setattr(
@@ -543,10 +536,41 @@ def test_every_record_is_scored_once(monkeypatch, name, share):
     # the final record replaces the tick at its instant, if there is one
     replaced = len(ticks) + 1 - len(records)
     assert replaced == (name == "feast")
-    # no served vector is scored twice, by one thread or by both; only the
-    # replaced tick may go unscored
+    # no served vector is scored twice; only the replaced tick may go unscored
     assert len({id(w) for _, w in scorings}) == len(scorings)
     assert len(records) <= len(scorings) <= len(records) + replaced
+
+
+def test_the_main_thread_scores_no_tick_however_far_the_worker_falls_behind(monkeypatch):
+    # Every mid-run tick waits for the worker, however many are queued: the
+    # main thread calls metrics._accuracy only inside its one
+    # evaluate_accuracy call, the final record's, and the records are those
+    # of a run whose worker keeps up.
+    config = _shared_eval_config("fare_dust")
+    expected = Simulation(config, 0).run().records
+    accuracy, evaluate = metrics._accuracy, metrics.evaluate_accuracy
+    main_scorings, evaluations, in_evaluate = [], [], []
+
+    def slow_accuracy(*args):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+        elif not in_evaluate:
+            main_scorings.append(args[0])
+        return accuracy(*args)
+
+    def spy_evaluate(*args):
+        evaluations.append(threading.current_thread())
+        in_evaluate.append(True)
+        try:
+            return evaluate(*args)
+        finally:
+            in_evaluate.pop()
+
+    monkeypatch.setattr(metrics, "_accuracy", slow_accuracy)
+    monkeypatch.setattr(metrics, "evaluate_accuracy", spy_evaluate)
+    records = Simulation(config, 0).run().records
+    assert len(main_scorings) == 0 and evaluations == [threading.main_thread()]
+    assert records == expected
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -570,7 +594,6 @@ def test_no_evaluation_thread_outlives_its_run():
 def test_a_failing_run_scores_no_queued_tick(monkeypatch):
     # The worker holds the first tick until the fifth server step raises; the
     # ticks queued behind it are cancelled, not scored, before the error leaves.
-    monkeypatch.setattr(engine, "_SHARE_AT", math.inf)
     started, raised, worker_scorings = threading.Event(), threading.Event(), []
     accuracy, apply = metrics._accuracy, Simulation.apply_server_update
 

@@ -171,19 +171,19 @@ def test_evaluation_holds_one_hidden_and_one_logits_array():
     assert [a.shape for a in out] == [(block, layout.hidden), (block, layout.n_classes)]
     block_bytes = block * (layout.hidden + layout.n_classes) * 8
     peaks = []
-    for buffers in (None, out):
+    for score in (evaluate_accuracy, lambda *args: metrics._accuracy(*args, None, out)):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            accuracies = evaluate_accuracy(w, layout, dataset, out=buffers)
+            accuracies = score(w, layout, dataset)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
         assert accuracies == evaluate_accuracy(w, layout, dataset)
-    # without buffers, one block's pair plus the (n,) predictions and hit mask
+    # evaluate_accuracy: one block's pair of its own, the (n,) predictions and hit mask
     assert peaks[0] <= 1.2 * block_bytes + 2 * n * 8, peaks
     assert peaks[0] < n * (layout.hidden + layout.n_classes) * 8 / 3, peaks
-    # with a run's buffers, only the predictions and hit mask remain
+    # in a worker's buffers, only the predictions and hit mask remain
     assert peaks[1] <= 2 * n * 8, peaks
 
 

@@ -21,7 +21,9 @@ A trial or build is timed three ways: by its main thread's CPU time
 build's eval-split thread), by the process's CPU time (time.process_time,
 which counts them) and by wall time. A ratio is working tree over REV, so
 below 1 is faster; the tool prints per config and per build the median of
-each ratio and the pairs each side of it won.
+each ratio over the pairs, its 95% bootstrap interval (2,000 resamples of
+the pairs at a fixed seed, so a rerun on the same times prints the same
+interval) and the pairs each side of it won.
 
 Both sides of a pair must produce the same sha256 of output_w, the counters,
 total_time_s, server_steps and the records, and each build the same sha256
@@ -29,9 +31,9 @@ of its shards, kept rows, eval split and dropped ids. Any difference exits 1.
 
 --json PATH also writes the run to PATH: the environment, REV's and the
 working tree's commits, the raw per-pair seconds of every config and build
-on each side by each clock, each ratio's median and pair wins, and the
-mismatches. A perf change commits the file as BENCH_<sha>.json, sha being
-the commit it measures.
+on each side by each clock, each ratio's median, bootstrap interval and
+pair wins, and the mismatches. A perf change commits the file as
+BENCH_<sha>.json, sha being the commit it measures.
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ CONFIGS = tuple(
     ROOT / "benchmarks" / "configs" / f"{name}.json" for name in ("fedbuff_crowd", "mlp_eval")
 )
 FIRST_SEED = 1000
+# resamples and seed of the bootstrap interval of a ratio's median
+RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
 
 
 def extract(rev: str, into: Path) -> Path:
@@ -171,14 +176,22 @@ def dataset_digest(dataset, data) -> str:
 
 
 def ratio_summary(rev_s: list[float], tree_s: list[float]) -> dict:
-    """The median of the pairs' ratios tree / rev and the pairs the tree won."""
+    """The median of the pairs' ratios tree / rev, its 95% bootstrap
+    interval, and the pairs the tree won. The interval is the 2.5th and
+    97.5th percentile of the medians of RESAMPLES resamples of the pairs,
+    drawn with replacement at BOOTSTRAP_SEED."""
     ratios = [b / a for a, b in zip(rev_s, tree_s)]
-    return {"median": statistics.median(ratios), "tree_faster": sum(r < 1.0 for r in ratios),
-            "pairs": len(ratios)}
+    draw = random.Random(BOOTSTRAP_SEED)
+    medians = [statistics.median(draw.choices(ratios, k=len(ratios))) for _ in range(RESAMPLES)]
+    cuts = statistics.quantiles(medians, n=40, method="inclusive")
+    return {"median": statistics.median(ratios), "ci95": [cuts[0], cuts[-1]],
+            "tree_faster": sum(r < 1.0 for r in ratios), "pairs": len(ratios)}
 
 
 def ratio_line(summary: dict) -> str:
-    return f"x{summary['median']:.3f} ({summary['tree_faster']}/{summary['pairs']} faster)"
+    lo, hi = summary["ci95"]
+    return (f"x{summary['median']:.3f} [{lo:.3f}, {hi:.3f}] "
+            f"({summary['tree_faster']}/{summary['pairs']} faster)")
 
 
 def compare(rev: Side, tree: Side, pairs: int) -> tuple[dict, list[str]]:

@@ -108,6 +108,13 @@ MUTANTS = (
         (GOLDEN,),
     ),
     Mutant(
+        ENGINE,
+        "        if self._evals and self._evals[-1][:3] == stamp:\n",
+        "        if self._evals and self._evals[-1][:3] == stamp and isinstance(accuracies, Future):\n",
+        "the final record is appended beside the same-instant tick it should replace",
+        ("tests/test_engine.py", GOLDEN),
+    ),
+    Mutant(
         ALGORITHMS,
         "                (held if i < last and u.completed_at == close_at else late).append(u)\n",
         "                late.append(u)\n",
