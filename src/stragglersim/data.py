@@ -155,6 +155,7 @@ def _generate(
     for key, a, b in zip(keys, [0, *ends], ends):
         rng.rekey(gen, key)
         _draw(gen, uniform[a:b], features[a:b])
+    rng.recycle([gen])
     _label(client_mixtures, sizes, uniform, features, centers, config.cluster_spread, labels)
     return features, labels, sizes
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -182,7 +183,8 @@ class Simulation:
         self.teacher_gen = rng.stream(trial_seed, rng.TEACHER)
         self._teacher_download_factor = scenario.teacher_download_factor
         # kept position -> its client's (latency, shuffle) streams, made
-        # together on first use from the key rows at that position
+        # together on first use from the key rows at that position; run()
+        # hands them back to rng.recycle
         self._client_keys = [
             rng.stream_keys(trial_seed, p, ids=shards.ids) for p in (rng.LATENCY, rng.SHUFFLE)
         ]
@@ -467,7 +469,9 @@ class Simulation:
         record on this thread through evaluate_accuracy, in buffers of its
         own, while the worker finishes its ticks. It is the only record
         scored here, and the only one through evaluate_accuracy: nothing the
-        benchmark tracer patches may run off the main thread."""
+        benchmark tracer patches may run off the main thread. Finished or
+        failed, the run hands its clients' streams back to rng.recycle and
+        keeps none."""
         finished = False
         try:
             self.driver.start(self)
@@ -499,6 +503,8 @@ class Simulation:
             # a failing run cancels the ticks the worker has not started
             if self._evaluator is not None:
                 self._evaluator.shutdown(wait=True, cancel_futures=not finished)
+            rng.recycle(itertools.chain.from_iterable(self._client_streams.values()))
+            self._client_streams.clear()
         records = [
             MetricsRecord(at, step, n, *(acc.result() if isinstance(acc, Future) else acc), which)
             for at, step, which, n, acc in self._evals

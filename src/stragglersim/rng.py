@@ -11,8 +11,14 @@ algorithm reductions exact.
 
 A family of per-id streams, such as one per client, need not build a
 SeedSequence per id (about 20 us): stream_keys hashes a whole id array into
-the keys that stream derives, and stream_from_key builds one id's generator.
+the keys that stream derives, and stream_from_key makes one id's generator.
 A loop over the family can keep one generator and rekey it to each id.
+
+A Philox generator's whole state is its key and counter, so a generator a
+finished run hands back (recycle) can serve any later stream: stream_from_key
+rekeys a spare when one is left and builds a generator only when none is.
+A recycled generator's bit_generator.seed_seq still names the key it was
+built with; nothing reads it, and its state names the stream it serves.
 """
 
 from __future__ import annotations
@@ -101,9 +107,35 @@ _COUNTER_0 = np.zeros(4, dtype=np.uint64)
 _COUNTER_0.flags.writeable = False
 
 
+# Generators handed back by recycle, for stream_from_key to rekey
+_spares: list[np.random.Generator] = []
+
+
 def stream_from_key(key: np.ndarray) -> np.random.Generator:
-    """The generator stream() gives for the ids of one stream_keys row."""
-    return np.random.Generator(np.random.Philox(_Key(key), counter=_COUNTER_0))
+    """The generator stream() gives for the ids of one stream_keys row: a
+    spare, rekeyed, or a new generator when no spare is left.
+
+    In a loop over 2,868 keys that keeps what it makes, as a run keeps its
+    clients' streams, a spare takes 1.4 us per key and a build 4.4-4.6 us
+    (the fastest of 25 loops in each of three processes; 2-vCPU x86_64,
+    Python 3.11.7, numpy 2.4.6), and each build makes four objects the
+    garbage collector tracks. One atomic list.pop takes the spare, so two
+    threads never get the same one. A new generator keeps a copy of key, so
+    that as a spare it holds no view of its first key table.
+    """
+    try:
+        gen = _spares.pop()
+    except IndexError:
+        return np.random.Generator(np.random.Philox(_Key(key.copy()), counter=_COUNTER_0))
+    rekey(gen, key)
+    return gen
+
+
+def recycle(generators) -> None:
+    """Hand generators made by stream_from_key back for it to reuse. The
+    caller must drop every reference it holds to them: the next
+    stream_from_key call may rekey one to another stream."""
+    _spares.extend(generators)
 
 
 def rekey(gen: np.random.Generator, key: np.ndarray) -> None:
@@ -112,8 +144,8 @@ def rekey(gen: np.random.Generator, key: np.ndarray) -> None:
 
     It writes Philox's state: the key, a zero counter, an empty buffer
     (buffer_pos 4) and no held uint32, so gen then draws, bit for bit, what
-    stream_from_key(key) would draw. That takes about 1.0 us, where a new
-    generator takes 2.8 us (2-vCPU x86_64, numpy 2.4.6).
+    a new stream_from_key(key) generator would draw. That takes 1.4-1.5 us
+    in the loop stream_from_key was timed in, against 4.4-4.6 us for a build.
     """
     gen.bit_generator.state = {
         "bit_generator": "Philox",

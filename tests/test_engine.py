@@ -345,6 +345,40 @@ def test_client_streams_and_idle_pool_skip_nothing_but_dropped_shards():
     assert dispatched and not dispatched & dropped
 
 
+def test_a_run_on_recycled_generators_equals_one_on_new_generators(monkeypatch):
+    # A longer run of another seed hands back a generator for every client
+    # the next run dispatches, so that run builds none; it must give what a
+    # run on new generators gives.
+    algo = AlgoConfig("fedbuff", buffer_size=3, max_concurrency=5, eta_l=0.05, batch_size=4)
+    config = _config(algo, budget=60, eval_every=4)
+    Simulation(dataclasses.replace(config, budget=300), trial_seed=4).run()
+    spares = {id(gen) for gen in rng._spares}
+    recycled = Simulation(config, trial_seed=5).run()
+    assert {id(gen) for gen in rng._spares} == spares
+    monkeypatch.setattr(rng, "_spares", [])
+    fresh = Simulation(config, trial_seed=5).run()
+    assert recycled.counters == fresh.counters
+    assert recycled.total_time_s == fresh.total_time_s
+    assert [r.to_dict() for r in recycled.records] == [r.to_dict() for r in fresh.records]
+    np.testing.assert_array_equal(recycled.output_w, fresh.output_w)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("diverging", [False, True], ids=["finished", "diverged"])
+def test_a_run_hands_back_every_client_generator(diverging):
+    algo = AlgoConfig("fedavg", cohort_size=4, **_SMALL_STEP)
+    if diverging:
+        algo = dataclasses.replace(algo, eta_l=1e307, eta_g=10.0)
+    sim = Simulation(_config(algo, budget=40, eval_every=1), trial_seed=0)
+    made = sim._streams(0)
+    if diverging:
+        assert _diverges(sim)
+    else:
+        sim.run()
+    assert not sim._client_streams
+    assert all(any(gen is spare for spare in rng._spares) for gen in made)
+
+
 def test_busy_reuse_returns_a_dispatch_to_the_pool_at_its_own_instant():
     # Under busy reuse a dispatch leaves the idle pool like any other and is
     # busy until its own instant, so the pool read at that instant, idle_at

@@ -2,6 +2,8 @@
 
 import copy
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -175,3 +177,73 @@ def test_a_rekeyed_generator_draws_what_a_fresh_keyed_stream_draws(left):
         for got, want in zip(_draws(gen), _draws(fresh)):
             np.testing.assert_array_equal(got, want)
             assert got.dtype == want.dtype
+
+
+def test_a_recycled_generator_draws_what_a_new_keyed_stream_draws(monkeypatch):
+    # A spare handed back mid-block by a permutation, holding the other half
+    # of a uint32 draw, serves the next stream_from_key call rekeyed: state
+    # and draws are those of a generator built for its key.
+    monkeypatch.setattr(rng, "_spares", [])
+    keys = rng.stream_keys(9, rng.SHUFFLE, ids=[3, 40])
+    spare = rng.stream_from_key(keys[0])
+    spare.permutation(11)
+    spare.integers(10, dtype=np.uint32)
+    state = spare.bit_generator.state
+    assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+    rng.recycle([spare])
+    gen = rng.stream_from_key(keys[1])
+    assert gen is spare and not rng._spares
+    fresh = rng.stream_from_key(keys[1])
+    assert fresh is not spare
+    assert repr(gen.bit_generator.state) == repr(fresh.bit_generator.state)
+    for got, want in zip(_draws(gen), _draws(fresh)):
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+
+
+def test_a_new_keyed_stream_holds_no_view_of_its_key_table(monkeypatch):
+    # A spare outlives its run, so it must not keep the run's key table.
+    monkeypatch.setattr(rng, "_spares", [])
+    keys = rng.stream_keys(9, rng.LATENCY, ids=[3, 40])
+    key = rng.stream_from_key(keys[1]).bit_generator.seed_seq.key
+    np.testing.assert_array_equal(key, keys[1])
+    assert not np.shares_memory(key, keys)
+
+
+def test_threads_never_hold_the_same_spare(monkeypatch):
+    # stream_from_key takes a spare with one list.pop, so however threads
+    # interleave, no generator is handed to two of them at once, and each
+    # holds what it was handed at the start of its own stream.
+    monkeypatch.setattr(rng, "_spares", [])
+    keys = rng.stream_keys(9, rng.LATENCY, ids=np.arange(40))
+    lock, held, faults = threading.Lock(), set(), []
+
+    def work():
+        for _ in range(40):
+            gens = [rng.stream_from_key(key) for key in keys]
+            ids = {id(gen) for gen in gens}
+            with lock:
+                if len(ids) < len(gens) or ids & held:
+                    faults.append("handed out twice")
+                held.update(ids)
+            for gen, key in zip(gens, keys):
+                state = gen.bit_generator.state["state"]
+                if state["key"].tolist() != key.tolist() or state["counter"].any():
+                    faults.append("rekeyed while held")
+            with lock:
+                held.difference_update(ids)
+            rng.recycle(gens)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not faults
+    assert len(rng._spares) <= 4 * len(keys)

@@ -115,6 +115,13 @@ MUTANTS = (
         ("tests/test_engine.py", GOLDEN),
     ),
     Mutant(
+        ENGINE,
+        "            self._client_streams.clear()\n",
+        "",
+        "a finished run keeps its generators in _client_streams",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
         ALGORITHMS,
         "                (held if i < last and u.completed_at == close_at else late).append(u)\n",
         "                late.append(u)\n",
@@ -191,6 +198,13 @@ MUTANTS = (
         "a rekeyed generator keeps the previous stream's buffer and buffer position",
         ("tests/test_rng.py", "tests/test_data.py"),
         more=(('"buffer_pos": 4,', '"buffer_pos": gen.bit_generator.state["buffer_pos"],'),),
+    ),
+    Mutant(
+        RNG,
+        "    rekey(gen, key)\n    return gen\n",
+        "    return gen\n",
+        "a spare is handed out without rekey",
+        ("tests/test_rng.py", GOLDEN),
     ),
     Mutant(
         "src/stragglersim/data.py",
