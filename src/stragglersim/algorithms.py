@@ -2,8 +2,13 @@
 
 A driver owns only the round semantics of one algorithm family: which
 clients are dispatched, which arrivals count, and where late straggler
-updates go. It reaches the engine through SimContext, and the engine owns
-everything else (see engine). Conventions shared by every driver:
+updates go. The engine owns everything else (see engine). A driver reaches
+it only through the sim argument of its hooks, an engine.Simulation, whose
+driver-facing names are the boundary: now, state, teacher_gen, idle_at,
+sample_cohort, dispatch, apply_server_update, apply_aux_update, tally,
+schedule and budget_reached. tests/test_source.py holds that list and checks
+it. A driver keeps no finished flag: budget_reached ends every run.
+Conventions shared by every driver:
 
 * A client update carries delta = w_dispatched - w_final, so the server
   subtracts: SGD does w <- w - (eta_g / count) * summed_delta.
@@ -13,17 +18,19 @@ everything else (see engine). Conventions shared by every driver:
   the arrival order. History folds and FeAST's augmented deltas add late
   deltas in arrival order: deterministic, but their sums depend on it.
 * Synchronous cohorts and the buffered driver's single refills draw from
-  the same cohort stream (SimContext.sample_cohort), so the two families
+  the same cohort stream (Simulation.sample_cohort), so the two families
   consume randomness identically.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .engine import Simulation
 
 
 ALGORITHM_NAMES = ("fedavg", "fedadam", "fedbuff", "fare_dust", "feast")
@@ -300,40 +307,6 @@ def teacher_from_history(
     return w - eta_g * (entry.summed_delta / entry.contributor_count)
 
 
-# ---- Simulation context expected by drivers ---- #
-
-
-class SimContext(Protocol):
-    """What a driver may use of the engine. A driver keeps no finished flag
-    of its own: the update budget (budget_reached) ends every run."""
-
-    now: float
-    state: ServerState
-    teacher_gen: np.random.Generator
-
-    def idle_at(self, k: int) -> float: ...
-
-    def sample_cohort(self, k: int) -> list[int]: ...
-
-    def dispatch(self, client_id: int, *, teacher_w: np.ndarray | None = None) -> ClientUpdate: ...
-
-    def apply_server_update(
-        self, updates: list[ClientUpdate], late: Sequence[ClientUpdate] = ()
-    ) -> np.ndarray: ...
-
-    def apply_aux_update(
-        self, w_snapshot: np.ndarray, delta_plus: np.ndarray, count: int
-    ) -> None: ...
-
-    def tally(
-        self, kind: str, updates: Sequence[ClientUpdate] = (), w: np.ndarray | None = None
-    ) -> None: ...
-
-    def schedule(self, fire_at: float, handler: Callable[..., None], *args) -> None: ...
-
-    def budget_reached(self) -> bool: ...
-
-
 # ---- Synchronous rounds ---- #
 
 
@@ -354,30 +327,30 @@ class SyncRoundDriver:
 
     # -- hooks overridden by subclasses -- #
 
-    def _teacher_for_dispatch(self, sim: SimContext) -> np.ndarray | None:
+    def _teacher_for_dispatch(self, sim: Simulation) -> np.ndarray | None:
         return None
 
     def _after_advance(
-        self, sim: SimContext, round_id: int, started_at: float, summed: np.ndarray,
+        self, sim: Simulation, round_id: int, started_at: float, summed: np.ndarray,
         w_before: np.ndarray,
     ) -> None:
         pass
 
-    def on_client_completed(self, sim: SimContext, update: ClientUpdate) -> None:
+    def on_client_completed(self, sim: Simulation, update: ClientUpdate) -> None:
         """A late update arrives after its round closed."""
         sim.tally("discarded_updates", (update,))
 
     # -- driver interface -- #
 
-    def start(self, sim: SimContext) -> None:
+    def start(self, sim: Simulation) -> None:
         self._start_round(sim)
 
-    def is_finished(self, sim: SimContext) -> bool:
+    def is_finished(self, sim: Simulation) -> bool:
         return sim.budget_reached()
 
     # -- internals -- #
 
-    def _start_round(self, sim: SimContext) -> None:
+    def _start_round(self, sim: Simulation) -> None:
         # Late clients of earlier rounds may still be busy: wait for a full cohort.
         start_at = sim.idle_at(self.dispatch_size)
         if start_at > sim.now:
@@ -410,7 +383,7 @@ class SyncRoundDriver:
             sim.schedule(u.completed_at, self.on_client_completed, u)
 
     def _close_round(
-        self, sim: SimContext, fast: list[ClientUpdate], held: list[ClientUpdate],
+        self, sim: Simulation, fast: list[ClientUpdate], held: list[ClientUpdate],
         late: list[ClientUpdate],
     ) -> None:
         # The step rebinds state.w, so w_before keeps the pre-step model. A
@@ -440,11 +413,11 @@ class HistoryDistillationDriver(SyncRoundDriver):
         # rounds' dispatches, so no entry changes while the round dispatches.
         self._teachers: dict[int, np.ndarray] = {}
 
-    def _start_round(self, sim: SimContext) -> None:
+    def _start_round(self, sim: Simulation) -> None:
         self._teachers.clear()
         super()._start_round(sim)
 
-    def _teacher_for_dispatch(self, sim: SimContext) -> np.ndarray | None:
+    def _teacher_for_dispatch(self, sim: Simulation) -> np.ndarray | None:
         if self.config.rho <= 0:
             return None
         entry = self.history.sample(sim.teacher_gen)
@@ -461,12 +434,12 @@ class HistoryDistillationDriver(SyncRoundDriver):
         return teacher
 
     def _after_advance(
-        self, sim: SimContext, round_id: int, started_at: float, summed: np.ndarray,
+        self, sim: Simulation, round_id: int, started_at: float, summed: np.ndarray,
         w_before: np.ndarray,
     ) -> None:
         self.history.push(round_id, summed, self.config.cohort_size)
 
-    def on_client_completed(self, sim: SimContext, update: ClientUpdate) -> None:
+    def on_client_completed(self, sim: Simulation, update: ClientUpdate) -> None:
         sim.tally("late_folded" if self.history.fold(update) else "late_discarded", (update,))
 
 
@@ -504,17 +477,17 @@ class AuxTrackDriver(SyncRoundDriver):
         self.pending: dict[int, PendingAuxRound] = {}
         self.next_aux_round = 0
 
-    def _start_round(self, sim: SimContext) -> None:
+    def _start_round(self, sim: Simulation) -> None:
         # a strictly sequential run opens its next round only at the previous
         # round's auxiliary update (_mark_ready)
         if not (self.config.strict_sequential and self.pending):
             super()._start_round(sim)
 
-    def is_finished(self, sim: SimContext) -> bool:
+    def is_finished(self, sim: Simulation) -> bool:
         return sim.budget_reached() and not self.pending
 
     def _after_advance(
-        self, sim: SimContext, round_id: int, started_at: float, summed: np.ndarray,
+        self, sim: Simulation, round_id: int, started_at: float, summed: np.ndarray,
         w_before: np.ndarray,
     ) -> None:
         rec = PendingAuxRound(round_id, w_before, summed, self.config.cohort_size)
@@ -528,7 +501,7 @@ class AuxTrackDriver(SyncRoundDriver):
             deadline = max(started_at + self.config.tau_max, sim.now)
             sim.schedule(deadline, self.on_aux_deadline, round_id)
 
-    def on_client_completed(self, sim: SimContext, update: ClientUpdate) -> None:
+    def on_client_completed(self, sim: Simulation, update: ClientUpdate) -> None:
         rec = self.pending.get(update.round_id)
         if rec is None or rec.ready:
             sim.tally("dropped_after_deadline", (update,))
@@ -543,12 +516,12 @@ class AuxTrackDriver(SyncRoundDriver):
         """Every dispatched client reported; a strict round waits for its deadline."""
         return not self.config.strict_sequential and rec.count_plus == self.dispatch_size
 
-    def on_aux_deadline(self, sim: SimContext, round_id: int) -> None:
+    def on_aux_deadline(self, sim: Simulation, round_id: int) -> None:
         rec = self.pending.get(round_id)
         if rec is not None and not rec.ready:
             self._mark_ready(sim, rec)
 
-    def _mark_ready(self, sim: SimContext, rec: PendingAuxRound) -> None:
+    def _mark_ready(self, sim: Simulation, rec: PendingAuxRound) -> None:
         rec.ready = True
         # Later rounds can become ready before earlier ones; the auxiliary
         # update is applied strictly in round order, holding early-comers.
@@ -560,7 +533,7 @@ class AuxTrackDriver(SyncRoundDriver):
             if self.config.strict_sequential and not sim.budget_reached():
                 self._start_round(sim)
 
-    def _apply_aux(self, sim: SimContext, rec: PendingAuxRound) -> None:
+    def _apply_aux(self, sim: Simulation, rec: PendingAuxRound) -> None:
         if rec.round_id != self.next_aux_round:
             raise RuntimeError(
                 f"auxiliary update for round {rec.round_id} out of order; "
@@ -590,14 +563,14 @@ class BufferedDriver:
         self.config = config
         self.buffer: list[ClientUpdate] = []
 
-    def start(self, sim: SimContext) -> None:
+    def start(self, sim: Simulation) -> None:
         for _ in range(self.config.max_concurrency):
             self.on_dispatch(sim)
 
-    def is_finished(self, sim: SimContext) -> bool:
+    def is_finished(self, sim: Simulation) -> bool:
         return sim.budget_reached()
 
-    def on_client_completed(self, sim: SimContext, update: ClientUpdate) -> None:
+    def on_client_completed(self, sim: Simulation, update: ClientUpdate) -> None:
         self.buffer.append(update)
         if len(self.buffer) == self.config.buffer_size:
             sim.apply_server_update(self.buffer)
@@ -607,7 +580,7 @@ class BufferedDriver:
         if not sim.budget_reached():
             sim.schedule(sim.now, self.on_dispatch)
 
-    def on_dispatch(self, sim: SimContext) -> None:
+    def on_dispatch(self, sim: Simulation) -> None:
         cid = sim.sample_cohort(1)[0]
         update = sim.dispatch(cid, teacher_w=sim.state.w if self.config.rho > 0 else None)
         sim.schedule(update.completed_at, self.on_client_completed, update)

@@ -11,14 +11,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed verification, 2 bad input (missing file,
 malformed or unknown config or sweep-file keys, wrong-typed values, negative
-seeds, a count flag or STRAGGLERSIM_JOBS below 1, cohorts larger than the
-dataset, a dataset the generator cannot satisfy, a malformed trial log or a
-record line missing a field, an --out path that cannot be written), 3 a trial
-failed at run time (RuntimeError or FloatingPointError).
+seeds, a count flag below 1, cohorts larger than the dataset, a dataset the
+generator cannot satisfy, a malformed trial log or a record line missing a
+field, an --out path that cannot be written, found before the command reads
+a log, builds a dataset or runs a trial or check), 3 a trial failed at run
+time (RuntimeError or FloatingPointError).
 
 Trial seeds are base_seed + trial_index. simulate is a sweep of one point:
-both run all their trials in one pool (--jobs or STRAGGLERSIM_JOBS processes)
-and print one summary line per config, as report does. Each trial writes its
+both run all their trials in one pool of --jobs processes (default 1) and
+print one summary line per config, as report does. Each trial writes its
 own file, and creates its directory once it has run, so outputs are
 byte-identical regardless of parallelism.
 """
@@ -62,24 +63,21 @@ def _int_at_least(low: int):
     return parse
 
 
-def _resolve_jobs(arg_jobs: int | None) -> int:
-    if arg_jobs is not None:
-        return arg_jobs
-    env = os.environ.get("STRAGGLERSIM_JOBS")
-    if not env:
-        return 1
-    try:
-        return _int_at_least(1)(env)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ConfigError(f"STRAGGLERSIM_JOBS={env!r} is not an integer >= 1") from exc
-
-
 def _check_out_dir(out: Path) -> None:
-    """ConfigError unless out is or could be made a directory; checked before
-    the first trial and making nothing, so a failure leaves no empty directory."""
+    """ConfigError unless out is or could be made a directory. It makes
+    nothing, so a failure leaves no empty directory."""
     nearest = next(p for p in (out, *out.parents) if os.path.lexists(p))
     if not nearest.is_dir():
         raise ConfigError(f"--out {out}: {nearest} is not a directory")
+
+
+def _check_out_file(out: Path) -> None:
+    """ConfigError unless out can be written as a file: it is no directory,
+    and its directory exists."""
+    if out.is_dir():
+        raise ConfigError(f"--out {out}: is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"--out {out}: directory {out.parent} does not exist")
 
 
 def _run_trial_to_file(config: ExperimentConfig, seed: int, out_path: Path) -> None:
@@ -180,7 +178,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, base_seed=args.seed)
     out_dir = Path(args.out)
     _check_out_dir(out_dir)
-    [finals] = _run([(config, out_dir)], _resolve_jobs(args.jobs))
+    [finals] = _run([(config, out_dir)], args.jobs)
     _summarize(config.name or config.algo.name, finals)
     print(f"wrote {config.trials} trial logs and manifest.json to {out_dir}")
     return 0
@@ -192,7 +190,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     _check_out_dir(out_dir)
     runs = [(config, out_dir / f"point_{idx:03d}") for idx, (_, config) in enumerate(points)]
-    point_finals = _run(runs, _resolve_jobs(args.jobs))
+    point_finals = _run(runs, args.jobs)
 
     rows = []
     for idx, ((assignment, _), finals) in enumerate(zip(points, point_finals)):
@@ -220,12 +218,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     suite_checks(args.suite)  # an unknown name fails before --out is checked
     if args.out:
-        # checked before the suite runs, which takes seconds
-        out = Path(args.out)
-        if out.is_dir():
-            raise ConfigError(f"--out {out}: is a directory")
-        if not out.parent.is_dir():
-            raise ConfigError(f"--out {out}: directory {out.parent} does not exist")
+        _check_out_file(Path(args.out))  # before the suite, which takes seconds
     report = run_suite(args.suite, base_seed=args.seed)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
@@ -240,6 +233,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    _check_out_file(Path(args.out))
     files: list[Path] = []
     for entry in args.inputs:
         path = Path(entry)
@@ -293,6 +287,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_latency_report(args: argparse.Namespace) -> int:
+    _check_out_file(Path(args.out))
     config = load_config(args.config)
     dataset = config.build_dataset()
     gen = rng.stream(args.seed, rng.LATENCY)
@@ -314,9 +309,10 @@ def cmd_latency_report(args: argparse.Namespace) -> int:
 
 
 def cmd_data_report(args: argparse.Namespace) -> int:
+    out_dir = Path(args.out)
+    _check_out_dir(out_dir)
     config = load_config(args.config)
     dataset = config.build_dataset()
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     clients_csv = out_dir / "clients.csv"
     classes_csv = out_dir / "classes.csv"
@@ -350,13 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=_int_at_least(0), default=None, help="override base seed")
     p.add_argument("--trials", type=_int_at_least(1), default=None, help="override trial count")
-    p.add_argument("--jobs", type=_int_at_least(1), default=None, help="parallel worker processes")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel worker processes")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="grid-sweep parameters over a base config")
     p.add_argument("--config", required=True, help="sweep config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=_int_at_least(1), default=None, help="parallel worker processes")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel worker processes")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="numerical verification suite")

@@ -12,8 +12,10 @@ evaluation tick.
 The engine owns the mechanics that hold for every algorithm: the idle
 pool, latency and training, the server and FeAST auxiliary steps, the
 served model, the update budget, evaluation and the trace. Round semantics
-live in the drivers (algorithms), which reach the engine only through
-algorithms.SimContext.
+live in the drivers (algorithms), which reach the engine only through the
+driver-facing names of Simulation: the methods of its driver-facing
+interface, sample_cohort to budget_reached, and now, state and teacher_gen.
+tests/test_source.py holds the one list of them and checks it.
 """
 
 from __future__ import annotations
@@ -136,7 +138,6 @@ class Simulation:
         self.trace = trace
         self.dataset = dataset if dataset is not None else config.build_dataset()
         self.layout = config.layout()
-        scenario = config.latency
 
         w0 = model.init_params(
             self.layout, rng.stream(trial_seed, rng.INIT), scale=config.model.init_scale
@@ -156,12 +157,11 @@ class Simulation:
         self.last_model_event = 0.0
         # the kept clients' columns as lists, in ascending id order (a dropped
         # shard's id is in none): id, start row in the dataset's kept arrays,
-        # size, and the index of its latency profile in _profiles
+        # size, and whether it is a straggler
         shards = self.dataset.shards
         self._ids, self._starts, self._sizes, self._groups = (
             a.tolist() for a in (shards.ids, shards.starts, shards.sizes, shards.is_straggler)
         )
-        self._profiles = (scenario.standard_profile, scenario.straggler_profile)
         # the idle kept ids, sorted, and a heap of (busy-until time, id) of the busy ones
         self._reuse = self.algo.allow_busy_reuse
         self._idle = self._ids.copy()
@@ -181,7 +181,7 @@ class Simulation:
         self._cohort_gen = rng.stream(trial_seed, rng.COHORT)
         self._epochs, self._batch_size = self.algo.epochs, self.algo.batch_size
         self.teacher_gen = rng.stream(trial_seed, rng.TEACHER)
-        self._teacher_download_factor = scenario.teacher_download_factor
+        self._teacher_download_factor = config.latency.teacher_download_factor
         # kept position -> its client's (latency, shuffle) streams, made
         # together on first use from the key rows at that position; run()
         # hands them back to rng.recycle
@@ -199,7 +199,7 @@ class Simulation:
             )
         self.driver = DRIVERS[self.algo.name](self.algo)
 
-    # -- context interface used by drivers -- #
+    # -- driver-facing interface -- #
 
     def sample_cohort(self, k: int) -> list[int]:
         """k sequential uniform picks without replacement from the id-sorted
@@ -257,7 +257,8 @@ class Simulation:
         k = bisect.bisect_left(self._ids, client_id)
         start, n = self._starts[k], self._sizes[k]
         latency_gen, shuffle_gen = self._streams(k)
-        factors = latency.sample_client_latency(self._profiles[self._groups[k]], latency_gen)
+        profile = self.config.latency.profile_for(self._groups[k])
+        factors = latency.sample_client_latency(profile, latency_gen)
         b = self._batch_size
         per_epoch = -(-n // b)
         if self.tau_limit is None:
@@ -418,7 +419,7 @@ class Simulation:
         come first, then every shard's overhead draws.
         """
         gen = rng.stream(self.config.effective_data_seed(), rng.TIME_LIMIT)
-        profiles = [self._profiles[g] for g in self._groups]  # in id order
+        profiles = [self.config.latency.profile_for(g) for g in self._groups]  # in id order
         per_example = [
             latency.sample_lognormal_batch(p.per_example, gen, _TIME_LIMIT_DRAWS) for p in profiles
         ]

@@ -10,8 +10,8 @@ shuffle sequences, which is what makes trajectory-equality checks between
 algorithm reductions exact.
 
 A family of per-id streams, such as one per client, need not build a
-SeedSequence per id (about 20 us): stream_keys hashes a whole id array into
-the keys that stream derives, and stream_from_key makes one id's generator.
+costly SeedSequence per id: stream_keys hashes a whole id array into the
+keys that stream derives, and stream_from_key makes one id's generator.
 A loop over the family can keep one generator and rekey it to each id.
 
 A Philox generator's whole state is its key and counter, so a generator a
@@ -100,9 +100,8 @@ class _Key(np.random.bit_generator.ISeedSequence):
         return self.key
 
 
-# Philox's default starting counter, 0, as an array: Philox copies it, and
-# a stream is made in about 3.0 us instead of 4.5 us from the int 0 (2-vCPU
-# x86_64, numpy 2.4.6)
+# Philox's default starting counter, 0, as an array: Philox copies it, which
+# makes a stream faster than converting the int 0 each time
 _COUNTER_0 = np.zeros(4, dtype=np.uint64)
 _COUNTER_0.flags.writeable = False
 
@@ -115,13 +114,11 @@ def stream_from_key(key: np.ndarray) -> np.random.Generator:
     """The generator stream() gives for the ids of one stream_keys row: a
     spare, rekeyed, or a new generator when no spare is left.
 
-    In a loop over 2,868 keys that keeps what it makes, as a run keeps its
-    clients' streams, a spare takes 1.4 us per key and a build 4.4-4.6 us
-    (the fastest of 25 loops in each of three processes; 2-vCPU x86_64,
-    Python 3.11.7, numpy 2.4.6), and each build makes four objects the
-    garbage collector tracks. One atomic list.pop takes the spare, so two
-    threads never get the same one. A new generator keeps a copy of key, so
-    that as a spare it holds no view of its first key table.
+    Rekeying a spare is faster than a build and makes none of the four
+    objects a build adds for the garbage collector to track. One atomic
+    list.pop takes the spare, so two threads never get the same one. A new
+    generator keeps a copy of key, so that as a spare it holds no view of
+    its first key table.
     """
     try:
         gen = _spares.pop()
@@ -144,8 +141,7 @@ def rekey(gen: np.random.Generator, key: np.ndarray) -> None:
 
     It writes Philox's state: the key, a zero counter, an empty buffer
     (buffer_pos 4) and no held uint32, so gen then draws, bit for bit, what
-    a new stream_from_key(key) generator would draw. That takes 1.4-1.5 us
-    in the loop stream_from_key was timed in, against 4.4-4.6 us for a build.
+    a new stream_from_key(key) generator would draw.
     """
     gen.bit_generator.state = {
         "bit_generator": "Philox",

@@ -37,7 +37,7 @@ def _update(client_id, delta, round_id=0, completed=1.0):
 
 
 class _StubSim:
-    """Minimal SimContext stand-in for driver unit tests."""
+    """Minimal stand-in for engine.Simulation's driver-facing names, for driver unit tests."""
 
     def __init__(self, w, eta_g=1.0, teacher_seed=0, algo=None):
         algo = algo or AlgoConfig("fedavg", eta_g=eta_g)

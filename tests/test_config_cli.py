@@ -61,6 +61,15 @@ def _write_config(tmp_path, payload, name="config.json"):
     return path
 
 
+def _forbid(monkeypatch, owner, name: str) -> None:
+    """Make owner.name raise AssertionError when it is called."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(owner, name, forbidden)
+
+
 # ---- parsing and validation ---- #
 
 
@@ -518,10 +527,7 @@ def test_sweep_cap_and_validation(tmp_path, capsys):
 def test_a_bad_sweep_point_names_the_file_and_the_point_before_any_trial(
     tmp_path, capsys, monkeypatch, parameters, message
 ):
-    def no_trial(*args):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(cli, "_run_trial_to_file", no_trial)
+    _forbid(monkeypatch, cli, "_run_trial_to_file")
     path = _write_config(tmp_path, _sweep_payload(parameters=parameters), "sweep.json")
     out = tmp_path / "out"
     assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 2
@@ -639,14 +645,16 @@ def test_negative_seed_and_non_positive_count_flags_exit_2(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_non_positive_jobs_environment_exits_2(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("STRAGGLERSIM_JOBS", value)
-    config_path = _write_config(tmp_path, _payload())
+def test_simulate_reads_no_worker_count_from_the_environment(tmp_path, monkeypatch):
+    # --jobs is the one way to set the worker count, so a stale variable of
+    # an older version changes nothing.
+    monkeypatch.setenv("STRAGGLERSIM_JOBS", "0")
+    config_path = _write_config(tmp_path, _payload(trials=2))
     out = tmp_path / "out"
-    assert cli.main(["simulate", "--config", str(config_path), "--out", str(out)]) == 2
-    assert f"STRAGGLERSIM_JOBS={value!r} is not an integer >= 1" in capsys.readouterr().err
-    assert not out.exists()
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "trial_000.jsonl", "trial_001.jsonl"
+    ]
 
 
 def test_verify_single_check_passes(tmp_path, capsys):
@@ -662,15 +670,27 @@ def test_verify_single_check_passes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("out_kind", ["dir", "missing-parent"])
-def test_verify_checks_out_before_the_first_check(tmp_path, capsys, monkeypatch, out_kind):
-    def no_suite(*args, **kwargs):
-        raise AssertionError("the suite ran")
-
-    monkeypatch.setattr(cli, "run_suite", no_suite)
-    out = tmp_path / "taken" if out_kind == "dir" else tmp_path / "missing" / "verify.json"
+@pytest.mark.parametrize("command", ["verify", "report", "latency-report"])
+def test_verify_checks_out_before_the_first_check(
+    tmp_path, capsys, monkeypatch, command, out_kind
+):
+    # A file --out that is a directory, or whose directory is missing, fails
+    # before the suite runs, a log is read or a dataset is built.
+    _forbid(monkeypatch, cli, "run_suite")
+    _forbid(monkeypatch, metrics, "read_run_jsonl")
+    _forbid(monkeypatch, ExperimentConfig, "build_dataset")
+    log = tmp_path / "run" / "trial_000.jsonl"
+    log.parent.mkdir()
+    log.write_text("")
+    out = tmp_path / "taken" if out_kind == "dir" else tmp_path / "missing" / "out.json"
     if out_kind == "dir":
         out.mkdir()
-    assert cli.main(["verify", "--suite", "gap_recursion", "--out", str(out)]) == 2
+    argv = {
+        "verify": ["--suite", "gap_recursion"],
+        "report": ["--in", str(log.parent)],
+        "latency-report": ["--config", str(_write_config(tmp_path, _payload()))],
+    }[command]
+    assert cli.main([command, *argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err
@@ -678,16 +698,14 @@ def test_verify_checks_out_before_the_first_check(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("out_kind", ["file", "under-file"])
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "data-report"])
 def test_simulate_and_sweep_check_out_before_the_first_trial(
     tmp_path, capsys, monkeypatch, command, out_kind
 ):
-    # An --out that is a file, or lies under one, fails before any trial
-    # runs, and no directory is made on the way.
-    def no_trial(*args):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(cli, "_run_trial_to_file", no_trial)
+    # A directory --out that is a file, or lies under one, fails before any
+    # trial runs or dataset is built, and no directory is made on the way.
+    _forbid(monkeypatch, cli, "_run_trial_to_file")
+    _forbid(monkeypatch, ExperimentConfig, "build_dataset")
     taken = tmp_path / "taken"
     taken.write_text("keep\n")
     out = taken if out_kind == "file" else taken / "sub" / "dir"
@@ -1071,18 +1089,6 @@ def test_data_report_writes_composition_tables(tmp_path, capsys):
         if row["group"] == "standard" and int(row["class"]) in (0, 1):
             assert int(row["n_examples"]) == 0
     assert "clients" in capsys.readouterr().out
-
-
-def test_jobs_resolution_precedence(monkeypatch):
-    monkeypatch.delenv("STRAGGLERSIM_JOBS", raising=False)
-    assert cli._resolve_jobs(None) == 1
-    assert cli._resolve_jobs(4) == 4
-    monkeypatch.setenv("STRAGGLERSIM_JOBS", "3")
-    assert cli._resolve_jobs(None) == 3
-    assert cli._resolve_jobs(2) == 2
-    monkeypatch.setenv("STRAGGLERSIM_JOBS", "bananas")
-    with pytest.raises(ConfigError):
-        cli._resolve_jobs(None)
 
 
 def test_version_flag():

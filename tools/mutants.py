@@ -86,8 +86,8 @@ MUTANTS = (
     ),
     Mutant(
         ENGINE,
-        "latency.sample_client_latency(self._profiles[self._groups[k]], latency_gen)",
-        "latency.sample_client_latency(self._profiles[not self._groups[k]], latency_gen)",
+        "profile = self.config.latency.profile_for(self._groups[k])",
+        "profile = self.config.latency.profile_for(not self._groups[k])",
         "a dispatch draws the client's latency from the other group's profile",
         (GOLDEN,),
     ),
@@ -176,6 +176,15 @@ MUTANTS = (
         "    return aux\n",
         "the auxiliary step writes into the served auxiliary model",
         ("tests/test_algorithms.py",),
+    ),
+    Mutant(
+        ALGORITHMS,
+        "        self.buffer.append(update)\n",
+        "        if len(sim.queue) < 0:\n"
+        "            return\n"
+        "        self.buffer.append(update)\n",
+        "a driver hook reads sim.queue, past the driver boundary, without changing outputs",
+        ("tests/test_source.py",),
     ),
     Mutant(
         "src/stragglersim/model.py",
