@@ -105,6 +105,9 @@ def _variants():
             algo=AlgoConfig("fedbuff", rho=0.2, **_CROWD),
             latency=dataclasses.replace(full.latency, teacher_download_factor=2.0),
         ),
+        "fedbuff_time_limit": _acceptance(
+            "fedavg_full", algo=AlgoConfig("fedbuff", time_limit=True, **_CROWD)
+        ),
         "fedbuff_busy_reuse_time_limit": _acceptance(
             "fedavg_full",
             algo=AlgoConfig("fedbuff", allow_busy_reuse=True, time_limit=True, **_CROWD),
