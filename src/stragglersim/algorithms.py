@@ -69,7 +69,6 @@ class AlgoConfig:
     tau_max: float = 100000.0
     strict_sequential: bool = False
     skip_distill_when_no_history: bool = False
-    allow_busy_reuse: bool = False
 
     def __post_init__(self) -> None:
         if self.name not in ALGORITHM_NAMES:

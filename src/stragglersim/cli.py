@@ -80,6 +80,14 @@ def _check_out_file(out: Path) -> None:
         raise ConfigError(f"--out {out}: directory {out.parent} does not exist")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    keeps one (macOS does not), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_trial_to_file(config: ExperimentConfig, seed: int, out_path: Path) -> None:
     """Worker: run one trial and write its JSONL log (used across processes)."""
     result = Simulation(config, seed).run()
@@ -122,7 +130,7 @@ def _run(runs: list[tuple[ExperimentConfig, Path]], jobs: int) -> list[list[dict
         for task in tasks:
             _run_trial_to_file(*task)
     else:
-        workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
+        workers = min(jobs, len(tasks), _usable_cpus())
         pinned = [] if any(v in os.environ for v in _BLAS_THREAD_VARS) else _BLAS_THREAD_VARS
         os.environ.update(dict.fromkeys(pinned, "1"))
         context = multiprocessing.get_context("spawn")

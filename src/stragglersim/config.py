@@ -45,7 +45,6 @@ class ModelConfig:
     """Classifier architecture and loss options shared by all clients."""
 
     hidden: int = 32
-    activation: str = "tanh"
     init_scale: float = 0.05
     distill_loss: str = "soft_ce"
     distill_temperature: float = 1.0
@@ -99,7 +98,6 @@ class ExperimentConfig:
             d_in=self.dataset.d_in,
             hidden=self.model.hidden,
             n_classes=self.dataset.n_classes,
-            activation=self.model.activation,
         )
 
     def effective_data_seed(self) -> int:

@@ -163,16 +163,13 @@ class Simulation:
             a.tolist() for a in (shards.ids, shards.starts, shards.sizes, shards.is_straggler)
         )
         # the idle kept ids, sorted, and a heap of (busy-until time, id) of the busy ones
-        self._reuse = self.algo.allow_busy_reuse
         self._idle = self._ids.copy()
         self._busy: list[tuple[float, int]] = []
-        # a sync round draws distinct clients even with busy reuse; a fedbuff refill draws one
         if self.algo.name != "fedbuff":
             size = self.algo.resolved_dispatch_size()
             field = "cohort_size" if size == self.algo.cohort_size else "dispatch_size"
         else:
-            field = "max_concurrency"
-            size = 1 if self._reuse else self.algo.max_concurrency
+            field, size = "max_concurrency", self.algo.max_concurrency
         if size > len(self._idle):
             raise ConfigError(
                 f"algo.{field}: {size} clients busy at once, but the dataset keeps only "
@@ -206,7 +203,7 @@ class Simulation:
         idle pool: slot i pops index integers(len(pool) - i), the k indices
         drawn in one call. The picks stay in the pool until dispatched. A
         client is out of the pool from its dispatch to its update's
-        completion, or under allow_busy_reuse to its dispatch's own instant."""
+        completion."""
         pool = self._release()
         if k > len(pool):
             raise RuntimeError(
@@ -221,8 +218,8 @@ class Simulation:
 
     def idle_at(self, k: int) -> float:
         """The earliest virtual time, not before now, at which k of the kept
-        clients are idle: now while k are idle (always under
-        allow_busy_reuse), else the completion that makes the k-th idle."""
+        clients are idle: now while k are idle, else the completion that makes
+        the k-th idle."""
         short = k - len(self._release())
         return self.now if short <= 0 else heapq.nsmallest(short, self._busy)[-1][0]
 
@@ -235,12 +232,11 @@ class Simulation:
         Taking the client out of the sorted idle list, by bisection, checks
         that it is idle; a second bisection, on the kept ids, finds its
         position, which gives its start row, size, latency profile and
-        streams. It is busy until its update completes, or under
-        allow_busy_reuse until now, so the pool read next at this instant
-        returns it. Completion time and counts never depend on trained
-        weights: the latency factors are drawn first, the steps and examples
-        follow by arithmetic, and the update completes at now plus the
-        factors' total (latency.LatencySample.total_s). Without a time limit
+        streams. It is busy until its update completes. Completion time and
+        counts never depend on trained weights: the latency factors are drawn
+        first, the steps and examples follow by arithmetic, and the update
+        completes at now plus the factors' total
+        (latency.LatencySample.total_s). Without a time limit
         a client runs epochs * ceil(n / b) steps over epochs * n examples;
         with one, the latency draw fixes the steps and the last epoch may stop
         early. A teacher other than state.w itself is an extra download,
@@ -284,7 +280,7 @@ class Simulation:
             steps_done=steps,
             work=(plan, w, teacher_w, start, n),
         )
-        heapq.heappush(self._busy, (self.now if self._reuse else update.completed_at, client_id))
+        heapq.heappush(self._busy, (update.completed_at, client_id))
         self.tally("dispatches", (update,))
         return update
 

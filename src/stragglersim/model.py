@@ -31,7 +31,6 @@ class ModelLayout:
     d_in: int
     hidden: int
     n_classes: int
-    activation: str = "tanh"
 
     def __post_init__(self) -> None:
         if self.d_in < 1:
@@ -40,8 +39,6 @@ class ModelLayout:
             raise ValueError(f"hidden must be >= 0, got {self.hidden}")
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.activation != "tanh":
-            raise ValueError(f"activation must be 'tanh', got {self.activation!r}")
 
     @functools.cached_property
     def dims(self) -> tuple[tuple[int, int], ...]:

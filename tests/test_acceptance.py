@@ -8,7 +8,6 @@ trial pool.
 
 import json
 import math
-import os
 import time
 from pathlib import Path
 
@@ -272,7 +271,7 @@ def test_acceptance_9_directional_replication(tmp_path):
     assert [config.trials for config in configs] == [10] * 4
     # simulate's trial pool: one spawned worker per usable CPU, one BLAS thread each
     runs = [(config, tmp_path / name) for config, name in zip(configs, names)]
-    finals = cli._run(runs, len(os.sched_getaffinity(0)))
+    finals = cli._run(runs, cli._usable_cpus())
 
     stats = {}
     for name, rows in zip(names, finals):

@@ -87,11 +87,21 @@ def test_unknown_top_level_key_is_path_qualified():
         config_from_dict(_payload(budgett=9))
 
 
-def test_unknown_algo_key_is_path_qualified():
+@pytest.mark.parametrize(
+    "section, key, value",
+    # a typo, and two keys of earlier versions
+    [("algo", "eta_gl", 1.0), ("algo", "allow_busy_reuse", True), ("model", "activation", "tanh")],
+)
+def test_unknown_section_key_is_path_qualified(tmp_path, capsys, section, key, value):
     payload = _payload()
-    payload["algo"]["eta_gl"] = 1.0
-    with pytest.raises(ConfigError, match=r"config\.algo: unknown key\(s\) \['eta_gl'\]"):
+    payload[section][key] = value
+    message = f".{section}: unknown key(s) ['{key}']"
+    with pytest.raises(ConfigError, match=re.escape(f"config{message}")):
         config_from_dict(payload)
+    config_path = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"error: {config_path}{message}" in capsys.readouterr().err
 
 
 def test_unknown_dataset_key_lists_known_keys():
@@ -138,7 +148,7 @@ def test_bad_algo_value_is_path_qualified():
         ("latency.teacher_download_factor", '"3"'),
         ("latency.teacher_download_factor", "true"),
         ("latency.standard.comm", '["2.7", true]'),
-        ("model.activation", '"relu"'),
+        ("model.hidden", "-1"),
         ("dataset.straggler_classes", "[0, 1.5]"),
         ("dataset.straggler_classes", "[true, 1]"),
     ],
@@ -282,13 +292,6 @@ def test_cohorts_larger_than_the_dataset_exit_2_before_the_first_event(tmp_path,
         assert f"algo.{field}: {n + 1} clients" in err
         assert f"only {n} clients" in err
         assert not list(out.glob("*.jsonl"))
-    # a fedbuff refill that may reuse busy clients draws one client at a time
-    reuse = {"name": "fedbuff", "buffer_size": 2, "max_concurrency": n + 1,
-             "allow_busy_reuse": True}
-    assert Simulation(config_from_dict(_payload(algo=reuse)), 0).run().aggregated_updates == 8
-    # a synchronous round still needs dispatch_size distinct clients
-    with pytest.raises(ConfigError, match=rf"algo\.cohort_size: {n + 1} clients"):
-        Simulation(config_from_dict(_payload(algo={**cases[0][0], "allow_busy_reuse": True})), 0)
 
 
 @pytest.mark.parametrize(
@@ -997,6 +1000,18 @@ def test_the_trial_pool_has_no_more_workers_than_trials_or_usable_cpus(tmp_path,
     assert sizes == [1, 1, 2, 2]
 
 
+def test_jobs_run_where_the_platform_keeps_no_cpu_affinity(tmp_path, monkeypatch):
+    # macOS has no os.sched_getaffinity: the pool is sized by os.cpu_count.
+    config_path = _write_config(tmp_path, _payload())  # two trials
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for jobs in ("1", "2"):
+        argv = ["simulate", "--config", str(config_path), "--out", str(tmp_path / jobs),
+                "--jobs", jobs]
+        assert cli.main(argv) == 0
+    assert _tree(tmp_path / "2") == _tree(tmp_path / "1")
+    assert "trial_001.jsonl" in _tree(tmp_path / "1")
+
+
 def _openblas_threads() -> int | None:
     """The thread count of the OpenBLAS that numpy loaded; None if it is not
     the library numpy bundles."""
@@ -1028,7 +1043,7 @@ def test_a_trial_worker_has_one_blas_thread_unless_the_user_sets_a_count(tmp_pat
     for var in cli._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     cases = [("unset", None, "1")]
-    if len(os.sched_getaffinity(0)) >= 2:  # OpenBLAS takes no more threads than cores
+    if cli._usable_cpus() >= 2:  # OpenBLAS takes no more threads than cores
         cases.append(("user", "2", "2"))
     for name, user_value, want in cases:
         if user_value is not None:

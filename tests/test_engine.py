@@ -180,7 +180,7 @@ def test_clients_are_never_double_booked():
             assert s1 >= e0, f"client {cid} re-dispatched while busy"
 
 
-def test_a_round_waits_for_busy_clients_without_busy_reuse():
+def test_a_round_waits_for_busy_clients():
     # One straggler, so the advance instant can never coincide with the
     # last busy client's completion: the next cohort is short one client
     # until that client completes, and the round starts only then.
@@ -209,25 +209,12 @@ def test_a_round_waits_for_busy_clients_without_busy_reuse():
     assert sim.counters["rounds_started"] == len(views)
     assert any(nxt.started_at > prev.advanced_at for prev, nxt in zip(views, views[1:]))
 
-    relaxed = AlgoConfig(
-        "fedavg",
-        cohort_size=5,
-        over_selection=True,
-        eta_l=0.05,
-        batch_size=4,
-        allow_busy_reuse=True,
-    )
-    _, result = _run(_config(relaxed, dataset=dataset, budget=20))
-    assert result.aggregated_updates >= 20
-
 
 def _scan_pool(sim, last_done):
     """The reference idle pool: an id-sorted scan of every kept client, where
     a client is idle once its last dispatch (last_done: id -> completion
-    time) completes at or before now, or always under busy reuse."""
+    time) completes at or before now."""
     ids = sim.dataset.shards.ids.tolist()
-    if sim.algo.allow_busy_reuse:
-        return ids
     return [cid for cid in ids if last_done.get(cid, 0.0) <= sim.now]
 
 
@@ -239,9 +226,8 @@ def _scan_cohort(pool, k, gen):
     return [pool.pop(int(gen.integers(len(pool)))) for _ in range(k)]
 
 
-@pytest.mark.parametrize("reuse", [False, True], ids=["idle_only", "busy_reuse"])
-def test_sample_cohort_matches_the_id_sorted_scan(reuse):
-    algo = AlgoConfig("fedavg", cohort_size=2, allow_busy_reuse=reuse)
+def test_sample_cohort_matches_the_id_sorted_scan():
+    algo = AlgoConfig("fedavg", cohort_size=2)
     sim = Simulation(_config(algo), trial_seed=5)
     ids = sim.dataset.shards.ids.tolist()
     # two of every three clients are dispatched at 0; now is then set to
@@ -262,11 +248,8 @@ def test_sample_cohort_matches_the_id_sorted_scan(reuse):
         sim.sample_cohort(n_idle + 1)
     for cid in _scan_pool(sim, last_done):
         last_done[cid] = sim.dispatch(cid).completed_at
-    if reuse:
-        assert sim.sample_cohort(1) == _scan_cohort(_scan_pool(sim, last_done), 1, reference)
-    else:
-        with pytest.raises(RuntimeError, match="only 0 clients are idle"):
-            sim.sample_cohort(1)
+    with pytest.raises(RuntimeError, match="only 0 clients are idle"):
+        sim.sample_cohort(1)
 
 
 # dropped shards (ids with no client) and equal shard sizes under fixed
@@ -281,18 +264,18 @@ _POOL_STEPS = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(reuse=st.booleans(), steps=_POOL_STEPS)
-def test_idle_pool_matches_the_scan_over_last_completions(reuse, steps):
+@given(steps=_POOL_STEPS)
+def test_idle_pool_matches_the_scan_over_last_completions(steps):
     # Random dispatch, advance, sample and idle_at steps against the scan of
     # each client's last completion. An advance often lands on a pending
     # completion, so a client may complete at now; a dispatch may name a
     # busy client or a dropped id, which raises and changes nothing.
-    algo = AlgoConfig("fedavg", cohort_size=2, allow_busy_reuse=reuse)
+    algo = AlgoConfig("fedavg", cohort_size=2)
     config = _config(algo, dataset=_POOL_DATA, scenario=DET_PE)
     sim = Simulation(config, trial_seed=3)
     kept = sim.dataset.shards.ids.tolist()
     assert sim.dataset.dropped_clients
-    named = kept if reuse else range(_POOL_DATA.m_clients)
+    named = range(_POOL_DATA.m_clients)
     reference = copy.deepcopy(sim._cohort_gen)
     last_done: dict[int, float] = {}
     for op, x in steps:
@@ -317,7 +300,7 @@ def test_idle_pool_matches_the_scan_over_last_completions(reuse, steps):
         else:
             k = 1 + x % len(kept)
             done = sorted(last_done.get(cid, 0.0) for cid in kept)
-            assert sim.idle_at(k) == (sim.now if reuse else max(sim.now, done[k - 1]))
+            assert sim.idle_at(k) == max(sim.now, done[k - 1])
     assert sim._cohort_gen.integers(2**62) == reference.integers(2**62)
 
 
@@ -377,27 +360,6 @@ def test_a_run_hands_back_every_client_generator(diverging):
         sim.run()
     assert not sim._client_streams
     assert all(any(gen is spare for spare in rng._spares) for gen in made)
-
-
-def test_busy_reuse_returns_a_dispatch_to_the_pool_at_its_own_instant():
-    # Under busy reuse a dispatch leaves the idle pool like any other and is
-    # busy until its own instant, so the pool read at that instant, idle_at
-    # and a FedBuff refill at that instant all see every kept client.
-    algo = AlgoConfig("fedbuff", buffer_size=2, max_concurrency=4, allow_busy_reuse=True)
-    sim = Simulation(_config(algo), trial_seed=0, trace=True)
-    kept = sim.dataset.shards.ids.tolist()
-    sim.now = 2.5
-    for cid in kept[::2]:
-        sim.dispatch(cid)
-    assert sim._release() == kept
-    assert [sim.idle_at(k) for k in (1, len(kept))] == [sim.now, sim.now]
-    reference = copy.deepcopy(sim._cohort_gen)
-    for _ in range(10 * len(kept)):
-        sim.driver.on_dispatch(sim)
-    refills = [e.updates[0].client_id for e in sim.events[-10 * len(kept):]]
-    assert refills == [_scan_cohort(kept, 1, reference)[0] for _ in refills]
-    assert any(a == b for a, b in zip(refills, refills[1:]))
-    assert sim._release() == kept
 
 
 def test_run_is_deterministic_in_the_trial_seed():
@@ -704,10 +666,8 @@ _SETTLING_KINDS = (
         AlgoConfig("fare_dust", rho=0.1, history_k=2, **_OVERSEL),
         AlgoConfig("feast", tau_max=15.0, **_OVERSEL),
         AlgoConfig("fedavg", time_limit=True, **_OVERSEL),
-        AlgoConfig("fedbuff", buffer_size=3, max_concurrency=40, allow_busy_reuse=True,
-                   **_SMALL_STEP),
     ],
-    ids=["fedavg", "fedadam", "fedbuff", "fare_dust", "feast", "time_limit", "busy_reuse"],
+    ids=["fedavg", "fedadam", "fedbuff", "fare_dust", "feast", "time_limit"],
 )
 def test_every_dispatch_is_aggregated_dropped_or_still_in_flight(algo):
     # Each dispatched update is settled exactly once, under one kind, or is
@@ -877,7 +837,6 @@ def test_buffered_lockstep_matches_synchronous_bitwise(k):
 
 ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
 _CROWD = dict(eta_l=0.1, batch_size=20, buffer_size=10, max_concurrency=100)
-_REUSE = dict(eta_l=0.05, batch_size=4, allow_busy_reuse=True)
 
 
 def _acceptance(name, algo=None):
@@ -885,43 +844,56 @@ def _acceptance(name, algo=None):
     return dataclasses.replace(config, budget=1000, algo=algo or config.algo)
 
 
+def _redrawn(group) -> bool:
+    """Whether a stacked call trains two updates of one client with
+    different step counts."""
+    steps = {}
+    for u in group:
+        steps.setdefault(u.client_id, set()).add(u.steps_done)
+    return any(len(s) > 1 for s in steps.values())
+
+
 @pytest.mark.parametrize(
-    "config",
+    ("config", "redrawn"),
     [
-        _acceptance("fedavg_full"),
-        _acceptance("fedavg_oversel"),
-        _acceptance("fare_dust"),
-        _acceptance("feast"),
-        _acceptance("fedavg_full", AlgoConfig("fedbuff", **_CROWD)),
-        _acceptance(
+        (_acceptance("fedavg_full"), False),
+        (_acceptance("fedavg_oversel"), False),
+        (_acceptance("fare_dust"), False),
+        (_acceptance("feast"), False),
+        (_acceptance("fedavg_full", AlgoConfig("fedbuff", **_CROWD)), False),
+        (_acceptance(
             "fedavg_full",
             AlgoConfig("fedbuff", ema_enabled=True, rho=0.2, nu=0.05, **_CROWD),
-        ),
-        # a busy client sampled again before the flush trains twice in one
-        # version group, with different step counts
-        _acceptance(
+        ), False),
+        # a buffer as large as the concurrency: a client completes, is drawn
+        # again and completes again before the flush, so it trains twice in
+        # one version group, with different step counts
+        (_acceptance(
             "fedavg_full",
-            AlgoConfig("fedbuff", allow_busy_reuse=True, time_limit=True, **_CROWD),
-        ),
-        _acceptance("fedavg_full", AlgoConfig("fedbuff", time_limit=True, **_CROWD)),
+            AlgoConfig("fedbuff", time_limit=True, **{**_CROWD, "buffer_size": 100}),
+        ), True),
+        (_acceptance("fedavg_full", AlgoConfig("fedbuff", time_limit=True, **_CROWD)), False),
     ],
     ids=[
         "fedavg_full", "fedavg_oversel", "fare_dust", "feast",
-        "fedbuff", "fedbuff_ema_rho_nu", "fedbuff_busy_reuse", "fedbuff_time_limit",
+        "fedbuff", "fedbuff_ema_rho_nu", "fedbuff_redrawn", "fedbuff_time_limit",
     ],
 )
-def test_cohort_training_matches_per_client_dispatch(monkeypatch, config):
+def test_cohort_training_matches_per_client_dispatch(monkeypatch, config, redrawn):
     dataset = build_dataset(config.dataset, config.effective_data_seed())
     train_group = Simulation._train_group
-    sizes = []
+    sizes, redraws = [], []
 
     def record_sizes(sim, group):
         sizes.append(len(group))
+        redraws.append(_redrawn(group))
         train_group(sim, group)
 
     monkeypatch.setattr(Simulation, "_train_group", record_sizes)
     stacked = Simulation(config, 0, dataset).run()
     assert max(sizes) > 1
+    if redrawn:
+        assert any(redraws)
     # the engine's group trainer, one member at a time
     monkeypatch.setattr(
         Simulation, "_train_group", lambda sim, group: [train_group(sim, [m]) for m in group]
@@ -978,26 +950,19 @@ def _recording_dispatches(monkeypatch) -> list:
     return dispatched
 
 
-@pytest.mark.parametrize("reuse", [False, True], ids=["idle", "busy_reuse"])
-def test_a_discarded_update_draws_what_training_it_would(monkeypatch, reuse):
+def test_a_discarded_update_draws_what_training_it_would(monkeypatch):
     # A dispatch draws its batch plan at once, so each client's shuffle
     # stream draws in dispatch order whatever trains: training every update
     # nobody reads too, at the first server step after its dispatch, must
-    # not move the outputs. Busy reuse dispatches some clients again while
-    # their discarded update is in flight.
+    # not move the outputs.
     algo = AlgoConfig("fedavg", cohort_size=5, over_selection=True, over_selection_factor=2.0,
-                      eta_l=0.05, batch_size=4, allow_busy_reuse=reuse)
+                      eta_l=0.05, batch_size=4)
     scenario = LatencyScenario("pdpe", _profile(1.0, -3.0, 0.5, 0.8), _profile(2.5, -2.0, 1.0, 0.8))
     config = _config(algo, scenario=scenario, budget=400)
     dispatched = _recording_dispatches(monkeypatch)
     skipping = Simulation(config, 0).run()
     unread = [u for u in dispatched if u.delta is None]
     assert skipping.counters["discarded_updates"] > 0 and unread
-    overlapping = any(
-        a.client_id == b.client_id and b.dispatched_at < a.completed_at
-        for a, b in itertools.combinations(dispatched, 2) if a.delta is None
-    )
-    assert overlapping == reuse
 
     apply = Simulation.apply_server_update
 
@@ -1122,8 +1087,8 @@ def test_feast_and_fare_dust_fold_the_stragglers_over_selection_discards(monkeyp
 @pytest.mark.parametrize("time_limit", [False, True], ids=["epochs", "time_limit"])
 def test_dispatch_charges_the_work_training_does(monkeypatch, time_limit):
     # Dispatch computes steps and examples by arithmetic, before training.
-    algo = AlgoConfig("fedbuff", buffer_size=2, max_concurrency=20, allow_busy_reuse=True,
-                      eta_l=0.05, batch_size=3, epochs=2, time_limit=time_limit)
+    algo = AlgoConfig("fedbuff", buffer_size=2, max_concurrency=4, eta_l=0.05, batch_size=3,
+                      epochs=2, time_limit=time_limit)
     scenario = LatencyScenario("pdpe", _profile(1.0, -3.0, 0.5, 0.8), _profile(2.5, -2.0, 1.0, 0.8))
     sim = Simulation(_config(algo, scenario=scenario), trial_seed=0)
     trained = []
@@ -1142,9 +1107,21 @@ def test_dispatch_charges_the_work_training_does(monkeypatch, time_limit):
         return result
 
     monkeypatch.setattr(model, "local_sgd", spy)
-    updates = [sim.dispatch(sim.sample_cohort(1)[0]) for _ in range(40)]
-    # busy reuse dispatched some client twice: one call trains it twice
-    assert len({u.client_id for u in updates}) < len(updates)
+    # a buffer of 40 completions before any flush: each completion's client
+    # is idle at once, and its refill may draw it again
+    in_flight = [sim.dispatch(cid) for cid in sim.sample_cohort(algo.max_concurrency)]
+    updates = []
+    while len(updates) < 40:
+        done = min(in_flight, key=lambda u: u.completed_at)
+        in_flight.remove(done)
+        updates.append(done)
+        sim.now = done.completed_at
+        in_flight.append(sim.dispatch(sim.sample_cohort(1)[0]))
+    # some client completed, was drawn again and completed again: the one
+    # call that trains updates[:-2] trains it twice
+    again = [(a, b) for a, b in itertools.combinations(updates[:-2], 2)
+             if a.client_id == b.client_id]
+    assert again and all(b.dispatched_at >= a.completed_at for a, b in again)
     # a step trains exactly the untrained updates it reads
     sim.apply_server_update(updates[-2:])
     assert [u.delta is None for u in updates] == [True] * 38 + [False] * 2
@@ -1159,6 +1136,7 @@ def test_dispatch_charges_the_work_training_does(monkeypatch, time_limit):
         per_epoch = [-(-sizes[u.client_id] // 3) for u in updates]
         assert len({u.steps_done for u in updates}) > 1
         assert any(u.steps_done % p for u, p in zip(updates, per_epoch))
+        assert any(a.steps_done != b.steps_done for a, b in again)
 
 
 def test_each_update_of_a_round_owns_its_delta():
@@ -1239,50 +1217,6 @@ def test_a_run_may_end_with_dispatches_nobody_read(monkeypatch):
     untrained = [u for u in dispatched if u.delta is None]
     assert len(untrained) == sim.counters["dispatches"] - result.aggregated_updates > 0
     assert all(u.work is not None for u in untrained)  # each keeps its plan, never trained
-
-
-@pytest.mark.parametrize(
-    "algo",
-    [
-        AlgoConfig("fedbuff", buffer_size=3, max_concurrency=8, time_limit=True, **_REUSE),
-        AlgoConfig("fedavg", cohort_size=4, over_selection=True, over_selection_factor=2.0,
-                   **_REUSE),
-        AlgoConfig("fare_dust", cohort_size=4, over_selection=True, over_selection_factor=2.0,
-                   rho=0.2, **_REUSE),
-    ],
-    ids=["fedbuff", "fedavg_oversel", "fare_dust"],
-)
-def test_under_busy_reuse_only_the_updates_a_step_reads_train(monkeypatch, algo):
-    # A client dispatched again while busy trains each of its updates alone
-    # at the step that reads it: the members local_sgd trains over a run are
-    # the aggregated updates plus those named late, to be folded.
-    scenario = LatencyScenario("pdpe", _profile(1.0, -3.0, 0.5, 0.8), _profile(2.5, -2.0, 1.0, 0.8))
-    dispatched = _recording_dispatches(monkeypatch)
-    named_late, members = [], []
-    apply, local_sgd = Simulation.apply_server_update, model.local_sgd
-
-    def reading(sim, updates, late=()):
-        named_late.extend(late)
-        return apply(sim, updates, late)
-
-    def training(*args, **kwargs):
-        members.append(len(kwargs["starts"]))
-        return local_sgd(*args, **kwargs)
-
-    monkeypatch.setattr(Simulation, "apply_server_update", reading)
-    monkeypatch.setattr(model, "local_sgd", training)
-    _, result = _run(_config(algo, scenario=scenario, budget=300), trace=False)
-    assert any(
-        a.client_id == b.client_id and b.dispatched_at < a.completed_at
-        for a, b in itertools.combinations(dispatched, 2)
-    )
-    assert sum(members) == result.aggregated_updates + len(named_late)
-    assert sum(members) == sum(u.delta is not None for u in dispatched)
-    counters = result.counters
-    if algo.name == "fare_dust":  # it names every late update; the last round's never arrive
-        assert len(named_late) >= counters["late_folded"] + counters["late_discarded"] > 0
-    else:
-        assert not named_late and sum(members) < counters["dispatches"]
 
 
 def test_buffered_budget_overshoot_is_bounded():

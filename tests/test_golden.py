@@ -108,10 +108,6 @@ def _variants():
         "fedbuff_time_limit": _acceptance(
             "fedavg_full", algo=AlgoConfig("fedbuff", time_limit=True, **_CROWD)
         ),
-        "fedbuff_busy_reuse_time_limit": _acceptance(
-            "fedavg_full",
-            algo=AlgoConfig("fedbuff", allow_busy_reuse=True, time_limit=True, **_CROWD),
-        ),
         "feast_strict_sequential": _acceptance(
             "feast", algo=dataclasses.replace(feast.algo, strict_sequential=True)
         ),
@@ -158,9 +154,6 @@ def _variants():
         "fedavg_oversel_time_limit_p40": _acceptance(
             "fedavg_oversel",
             algo=dataclasses.replace(oversel.algo, time_limit=True, time_limit_percentile=40.0),
-        ),
-        "fedavg_oversel_busy_reuse": _acceptance(
-            "fedavg_oversel", algo=dataclasses.replace(oversel.algo, allow_busy_reuse=True)
         ),
         "fare_dust_skip_distill_t2_init_0_2": _acceptance(
             "fare_dust",

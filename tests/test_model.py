@@ -637,8 +637,6 @@ def test_layout_param_counts():
     assert ModelLayout(d_in=16, hidden=32, n_classes=10).dims == ((16, 32), (32, 10))
     with pytest.raises(ValueError):
         ModelLayout(d_in=0, hidden=1, n_classes=2)
-    with pytest.raises(ValueError):
-        ModelLayout(d_in=2, hidden=1, n_classes=2, activation="relu")
 
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])

@@ -239,7 +239,7 @@ def report(args, paths: list[Path], times: dict, summaries: dict, mismatches: li
             "platform": platform.platform(),
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
-            "cpus_usable": len(os.sched_getaffinity(0)),
+            "cpus_usable": importlib.import_module("_ab_tree.cli")._usable_cpus(),
             "blas_threads": 1,
         },
         "pairs": args.pairs,

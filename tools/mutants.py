@@ -67,9 +67,9 @@ MUTANTS = (
     ),
     Mutant(
         ENGINE,
-        "(self.now if self._reuse else update.completed_at, client_id)",
         "(update.completed_at, client_id)",
-        "a busy-reuse dispatch leaves the pool until its completion",
+        "(self.now, client_id)",
+        "a dispatch re-enters the idle pool at its own instant",
         (GOLDEN,),
     ),
     Mutant(
