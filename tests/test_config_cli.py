@@ -992,7 +992,8 @@ def test_the_trial_pool_has_no_more_workers_than_trials_or_usable_cpus(tmp_path,
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
     # (usable CPUs, --jobs): still a pool whenever jobs > 1, even of one worker
     for cpus, jobs in [(1, 2), (1, 4), (8, 4), (3, 2), (8, 1)]:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
         out = tmp_path / f"cpus{cpus}_jobs{jobs}"
         argv = ["simulate", "--config", str(config_path), "--out", str(out), "--jobs", str(jobs)]
         assert cli.main(argv) == 0
