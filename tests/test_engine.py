@@ -666,8 +666,11 @@ _SETTLING_KINDS = (
         AlgoConfig("fare_dust", rho=0.1, history_k=2, **_OVERSEL),
         AlgoConfig("feast", tau_max=15.0, **_OVERSEL),
         AlgoConfig("fedavg", time_limit=True, **_OVERSEL),
+        # a buffer as large as the concurrency: a client completes, is drawn
+        # again and completes again before the flush
+        AlgoConfig("fedbuff", buffer_size=6, max_concurrency=6, **_SMALL_STEP),
     ],
-    ids=["fedavg", "fedadam", "fedbuff", "fare_dust", "feast", "time_limit"],
+    ids=["fedavg", "fedadam", "fedbuff", "fare_dust", "feast", "time_limit", "fedbuff_redrawn"],
 )
 def test_every_dispatch_is_aggregated_dropped_or_still_in_flight(algo):
     # Each dispatched update is settled exactly once, under one kind, or is
@@ -950,19 +953,24 @@ def _recording_dispatches(monkeypatch) -> list:
     return dispatched
 
 
-def test_a_discarded_update_draws_what_training_it_would(monkeypatch):
+@pytest.mark.parametrize("time_limit", [False, True], ids=["epochs", "time_limit"])
+def test_a_discarded_update_draws_what_training_it_would(monkeypatch, time_limit):
     # A dispatch draws its batch plan at once, so each client's shuffle
     # stream draws in dispatch order whatever trains: training every update
     # nobody reads too, at the first server step after its dispatch, must
-    # not move the outputs.
+    # not move the outputs. A time limit cuts each plan to the steps that
+    # fit the client's time.
     algo = AlgoConfig("fedavg", cohort_size=5, over_selection=True, over_selection_factor=2.0,
-                      eta_l=0.05, batch_size=4)
+                      eta_l=0.05, batch_size=4, time_limit=time_limit)
     scenario = LatencyScenario("pdpe", _profile(1.0, -3.0, 0.5, 0.8), _profile(2.5, -2.0, 1.0, 0.8))
     config = _config(algo, scenario=scenario, budget=400)
     dispatched = _recording_dispatches(monkeypatch)
-    skipping = Simulation(config, 0).run()
+    sim = Simulation(config, 0)
+    skipping = sim.run()
     unread = [u for u in dispatched if u.delta is None]
     assert skipping.counters["discarded_updates"] > 0 and unread
+    sizes = dict(zip(sim.dataset.shards.ids.tolist(), sim.dataset.shards.sizes.tolist()))
+    assert any(u.steps_done % -(-sizes[u.client_id] // 4) for u in unread) == time_limit
 
     apply = Simulation.apply_server_update
 
@@ -1217,6 +1225,46 @@ def test_a_run_may_end_with_dispatches_nobody_read(monkeypatch):
     untrained = [u for u in dispatched if u.delta is None]
     assert len(untrained) == sim.counters["dispatches"] - result.aggregated_updates > 0
     assert all(u.work is not None for u in untrained)  # each keeps its plan, never trained
+
+
+@pytest.mark.parametrize(
+    "algo",
+    [
+        AlgoConfig("fedbuff", buffer_size=3, max_concurrency=8, time_limit=True, **_SMALL_STEP),
+        AlgoConfig("fedavg", cohort_size=4, over_selection=True, over_selection_factor=2.0,
+                   **_SMALL_STEP),
+        AlgoConfig("fare_dust", cohort_size=4, over_selection=True, over_selection_factor=2.0,
+                   rho=0.2, **_SMALL_STEP),
+    ],
+    ids=["fedbuff", "fedavg_oversel", "fare_dust"],
+)
+def test_only_the_updates_a_step_reads_train(monkeypatch, algo):
+    # Each update trains at the step that reads it: the members local_sgd
+    # trains over a run are the aggregated updates plus those named late, to
+    # be folded, and no discarded or still in-flight update trains.
+    scenario = LatencyScenario("pdpe", _profile(1.0, -3.0, 0.5, 0.8), _profile(2.5, -2.0, 1.0, 0.8))
+    dispatched = _recording_dispatches(monkeypatch)
+    named_late, members = [], []
+    apply, local_sgd = Simulation.apply_server_update, model.local_sgd
+
+    def reading(sim, updates, late=()):
+        named_late.extend(late)
+        return apply(sim, updates, late)
+
+    def training(*args, **kwargs):
+        members.append(len(kwargs["starts"]))
+        return local_sgd(*args, **kwargs)
+
+    monkeypatch.setattr(Simulation, "apply_server_update", reading)
+    monkeypatch.setattr(model, "local_sgd", training)
+    _, result = _run(_config(algo, scenario=scenario, budget=300), trace=False)
+    assert sum(members) == result.aggregated_updates + len(named_late)
+    assert sum(members) == sum(u.delta is not None for u in dispatched)
+    counters = result.counters
+    if algo.name == "fare_dust":  # it names every late update; the last round's never arrive
+        assert len(named_late) >= counters["late_folded"] + counters["late_discarded"] > 0
+    else:
+        assert not named_late and sum(members) < counters["dispatches"]
 
 
 def test_buffered_budget_overshoot_is_bounded():
