@@ -46,8 +46,6 @@ class AlgoConfig:
     batch_size: int = 20
     epochs: int = 1
     cohort_size: int = 50
-    over_selection: bool = False
-    over_selection_factor: float = 1.2
     dispatch_size: int | None = None
     time_limit: bool = False
     time_limit_s: float | None = None
@@ -58,14 +56,13 @@ class AlgoConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.99
     adam_eps: float = 1e-4
-    ema_enabled: bool | None = None
+    ema_enabled: bool = False
     ema_beta: float = 0.99
     history_k: int = 50
     rho: float = 0.0
     nu: float = 0.0
     feast_beta: float = 0.99
     kappa: float = 0.9
-    eta_a: float | None = None
     tau_max: float = 100000.0
     strict_sequential: bool = False
     skip_distill_when_no_history: bool = False
@@ -79,8 +76,6 @@ class AlgoConfig:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.cohort_size < 1:
             raise ValueError(f"cohort_size must be >= 1, got {self.cohort_size}")
-        if self.over_selection_factor < 1.0:
-            raise ValueError("over_selection_factor must be >= 1")
         if self.dispatch_size is not None and self.dispatch_size < self.cohort_size:
             raise ValueError("dispatch_size must be >= cohort_size")
         if self.buffer_size < 1:
@@ -99,8 +94,6 @@ class AlgoConfig:
             raise ValueError("rho and nu must be >= 0")
         if self.kappa < 0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if self.eta_a is not None and self.eta_a < 0:
-            raise ValueError(f"eta_a must be >= 0, got {self.eta_a}")
         if self.tau_max < 0:
             raise ValueError(f"tau_max must be >= 0, got {self.tau_max}")
         if self.time_limit_s is not None and self.time_limit_s <= 0:
@@ -110,11 +103,7 @@ class AlgoConfig:
 
     def resolved_dispatch_size(self) -> int:
         """Clients dispatched per synchronous round (B_t)."""
-        if self.dispatch_size is not None:
-            return self.dispatch_size
-        if self.over_selection:
-            return int(round(self.cohort_size * self.over_selection_factor))
-        return self.cohort_size
+        return self.cohort_size if self.dispatch_size is None else self.dispatch_size
 
     def resolved_server_opt(self) -> str:
         if self.server_opt is not None:
@@ -124,15 +113,10 @@ class AlgoConfig:
         return "sgd"
 
     def resolved_ema_enabled(self) -> bool:
-        if self.name == "fare_dust":
-            return True
-        if self.ema_enabled is None:
-            return False
-        return self.ema_enabled
+        return self.name == "fare_dust" or self.ema_enabled
 
     def resolved_eta_a(self) -> float:
-        if self.eta_a is not None:
-            return self.eta_a
+        """FeAST's auxiliary step, kappa * eta_g."""
         return self.kappa * self.eta_g
 
 

@@ -251,17 +251,13 @@ def _only(*names: str):
 # Knobs that act only under some setting: given without it they would change
 # the config hash and nothing else. Each maps to that setting, as a test and
 # as words. The base synchronous driver sends no teacher, so rho acts only in
-# fare_dust and fedbuff; fedbuff sizes no rounds; fare_dust always keeps an
-# EMA.
+# fare_dust and fedbuff; fare_dust sends none at rho 0; fedbuff sizes no
+# rounds; fare_dust always keeps an EMA.
 _SYNC = _only("fedavg", "fedadam", "fare_dust", "feast")
 _ADAM = (lambda algo: algo.resolved_server_opt() == "adam", "server_opt resolves to 'adam'")
 _KNOB_SETTINGS = {
     "time_limit_s": (lambda algo: algo.time_limit, "time_limit is true"),
     "time_limit_percentile": (lambda algo: algo.time_limit, "time_limit is true"),
-    "over_selection_factor": (
-        lambda algo: algo.over_selection and algo.dispatch_size is None,
-        "over_selection is true and dispatch_size is not given",
-    ),
     "ema_beta": (
         lambda algo: algo.resolved_ema_enabled(),
         "ema_enabled is true or name is 'fare_dust'",
@@ -269,15 +265,16 @@ _KNOB_SETTINGS = {
     "buffer_size": _only("fedbuff"),
     "max_concurrency": _only("fedbuff"),
     "history_k": _only("fare_dust"),
-    "skip_distill_when_no_history": _only("fare_dust"),
+    "skip_distill_when_no_history": (
+        lambda algo: algo.name == "fare_dust" and algo.rho > 0,
+        "name is 'fare_dust' and rho > 0",
+    ),
     "feast_beta": _only("feast"),
     "kappa": _only("feast"),
-    "eta_a": _only("feast"),
     "tau_max": _only("feast"),
     "strict_sequential": _only("feast"),
     "rho": _only("fare_dust", "fedbuff"),
     "cohort_size": _SYNC,
-    "over_selection": _SYNC,
     "dispatch_size": _SYNC,
     "ema_enabled": (lambda algo: algo.name != "fare_dust", "name is not 'fare_dust'"),
     "adam_beta1": _ADAM,

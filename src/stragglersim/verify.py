@@ -161,7 +161,7 @@ def run_gap_trace(
     T_l: int,
     eta_g: float,
     eta_l: float,
-    eta_a: float,
+    kappa: float,
     beta: float,
     seeds: list[int] | range,
     fast_selector=None,
@@ -171,7 +171,7 @@ def run_gap_trace(
     auxiliary update (all dispatched clients report). Row s of each logged
     array is what seeds[s] gives alone, though every local step, server_apply
     and aux_step runs once on the stacked rows, under feast's AlgoConfig (an
-    SGD server, no EMA), which rejects invalid eta_g, eta_a and beta.
+    SGD server, no EMA), which rejects invalid eta_g, kappa and beta.
 
     fast_selector(t, gen) -> B positions is a test seam for enumerating fast
     subsets, called with each seed's stream; the default is a uniform draw.
@@ -180,7 +180,7 @@ def run_gap_trace(
         raise ValueError(f"need 1 <= B <= B_plus <= m, got {B}, {B_plus}, {quad.m}")
     if T < 1 or T_l < 1 or len(seeds) < 1:
         raise ValueError("need T >= 1, T_l >= 1 and at least one seed")
-    algo = algorithms.AlgoConfig("feast", eta_g=eta_g, eta_a=eta_a, feast_beta=beta)
+    algo = algorithms.AlgoConfig("feast", eta_g=eta_g, kappa=kappa, feast_beta=beta)
     n = len(seeds)
     cohort = np.empty((n, B_plus), dtype=np.int64)
     z = np.empty((n, B_plus, T_l, quad.d))
@@ -261,7 +261,7 @@ def check(fn: Callable[[int], tuple]) -> Callable[..., CheckReport]:
 # The round schedule of the gap and stationarity checks: 2 of 4 dispatched
 # clients are fast, 4 local steps each, beta = B / B_plus. The stationarity
 # check sets its own eta_l for each horizon.
-_GAP_SCHEDULE = dict(B=2, B_plus=4, T_l=4, eta_g=1.0, eta_l=0.05, eta_a=1.0, beta=0.5)
+_GAP_SCHEDULE = dict(B=2, B_plus=4, T_l=4, eta_g=1.0, eta_l=0.05, kappa=1.0, beta=0.5)
 
 
 def _seeded_gap_trace(
@@ -369,7 +369,7 @@ def check_gap_norm_bound(base_seed: int) -> tuple:
     n_seeds, T, sigma_l, clip = 100, 40, 0.5, 2.0
     trace = _seeded_gap_trace(base_seed, n_seeds=n_seeds, T=T, d=64, sigma_l=sigma_l, clip=clip)
     sq_gaps = np.stack([np.vecdot(gap, gap) for gap in map(trace.gap, range(1, T + 1))], axis=1)
-    schedule = {k: v for k, v in _GAP_SCHEDULE.items() if k != "eta_a"}
+    schedule = {k: v for k, v in _GAP_SCHEDULE.items() if k != "kappa"}
     bound = gap_norm_bound(sigma_l=sigma_l, G=clip, **schedule)
     mean_t = sq_gaps.mean(axis=0)
     se_t = sq_gaps.std(axis=0, ddof=1) / math.sqrt(n_seeds)
@@ -484,7 +484,7 @@ def check_engine_gap_recursion(base_seed: int) -> tuple:
     feast = ExperimentConfig(
         algo=algorithms.AlgoConfig(
             "feast", cohort_size=50, eta_l=0.1, eta_g=1.0, batch_size=20, epochs=1,
-            over_selection=True, feast_beta=0.95, kappa=0.9, tau_max=100000.0,
+            dispatch_size=60, feast_beta=0.95, kappa=0.9, tau_max=100000.0,
         ),
         dataset=DatasetConfig(
             d_in=32, median_shard_size=34.0, concentration=1.0, cluster_spread=3.0,

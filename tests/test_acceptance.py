@@ -175,11 +175,11 @@ def test_acceptance_7a_fare_dust_rho0_reduces_to_fedavg_over_selection():
 
 def test_acceptance_7b_feast_without_over_selection_tracks_w():
     # With B_plus == B every cohort member is fast, so the augmented delta
-    # equals the applied delta; with eta_a == eta_g the auxiliary model must
-    # ride the w trajectory.
+    # equals the applied delta; with kappa == 1 (eta_a == eta_g) the
+    # auxiliary model must ride the w trajectory.
     feast = _reduction_payload(
         {"name": "feast", "cohort_size": 5, "eta_l": 0.1, "eta_g": 1.0,
-         "batch_size": 4, "epochs": 1, "eta_a": 1.0, "feast_beta": 0.99,
+         "batch_size": 4, "epochs": 1, "kappa": 1.0, "feast_beta": 0.99,
          "tau_max": 100000.0}
     )
     sim = Simulation(feast, trial_seed=3, trace=True)
@@ -224,9 +224,9 @@ def test_acceptance_8_round_durations_and_factor_medians():
         "trials": 1,
         "base_seed": 0,
     }
-    for over_selection in (False, True):
+    for dispatch_size in (None, 6):
         cfg_payload = json.loads(json.dumps(payload))
-        cfg_payload["algo"]["over_selection"] = over_selection
+        cfg_payload["algo"]["dispatch_size"] = dispatch_size
         config = config_from_dict(cfg_payload)
         sim = Simulation(config, trial_seed=1, trace=True)
         sim.run()

@@ -291,21 +291,10 @@ def test_teacher_replays_averaged_delta():
 # ---- configuration resolution ---- #
 
 
-def test_over_selection_rounds_dispatch_size():
-    assert AlgoConfig("fedavg", cohort_size=50, over_selection=True).resolved_dispatch_size() == 60
-    assert AlgoConfig("fedavg", cohort_size=20, over_selection=True).resolved_dispatch_size() == 24
-    assert (
-        AlgoConfig("fedavg", cohort_size=100, over_selection=True).resolved_dispatch_size() == 120
-    )
+def test_dispatch_size_defaults_to_cohort_size():
     assert AlgoConfig("fedavg", cohort_size=50).resolved_dispatch_size() == 50
     assert (
         AlgoConfig("fedavg", cohort_size=50, dispatch_size=55).resolved_dispatch_size() == 55
-    )
-    assert (
-        AlgoConfig(
-            "fedavg", cohort_size=10, over_selection=True, over_selection_factor=1.5
-        ).resolved_dispatch_size()
-        == 15
     )
 
 
@@ -325,9 +314,8 @@ def test_ema_resolution():
     assert AlgoConfig("fedbuff", ema_enabled=True).resolved_ema_enabled() is True
 
 
-def test_eta_a_defaults_to_kappa_times_eta_g():
+def test_eta_a_is_kappa_times_eta_g():
     assert AlgoConfig("feast", eta_g=0.5, kappa=0.8).resolved_eta_a() == pytest.approx(0.4)
-    assert AlgoConfig("feast", eta_a=0.123).resolved_eta_a() == 0.123
 
 
 def test_config_validation():
@@ -450,10 +438,10 @@ def test_late_updates_fold_into_history_or_count_as_discarded():
 
 
 def test_aux_update_matches_hand_computation():
-    # beta = 0.5, eta_g = eta_a = 1, two contributors:
+    # beta = 0.5, eta_g = kappa = 1 (so eta_a = 1), two contributors:
     #   g = [1, 2], w_plus = [-0.5, 0]
     #   a1 = 0.5 * (a0 - g) + 0.5 * w_plus = [-0.25, -0.5]
-    sim = _StubSim(w=[0.0, 0.0], algo=AlgoConfig("feast", feast_beta=0.5, eta_a=1.0))
+    sim = _StubSim(w=[0.0, 0.0], algo=AlgoConfig("feast", feast_beta=0.5, kappa=1.0))
     np.testing.assert_array_equal(sim.state.aux, [0.0, 0.0])  # feast's aux starts at w
     sim.state.aux = np.array([1.0, 1.0])
     sim.now = 2.5

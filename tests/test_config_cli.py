@@ -89,8 +89,15 @@ def test_unknown_top_level_key_is_path_qualified():
 
 @pytest.mark.parametrize(
     "section, key, value",
-    # a typo, and two keys of earlier versions
-    [("algo", "eta_gl", 1.0), ("algo", "allow_busy_reuse", True), ("model", "activation", "tanh")],
+    # a typo, and keys of earlier versions
+    [
+        ("algo", "eta_gl", 1.0),
+        ("algo", "allow_busy_reuse", True),
+        ("model", "activation", "tanh"),
+        ("algo", "over_selection", True),
+        ("algo", "over_selection_factor", 1.2),
+        ("algo", "eta_a", 0.5),
+    ],
 )
 def test_unknown_section_key_is_path_qualified(tmp_path, capsys, section, key, value):
     payload = _payload()
@@ -138,6 +145,7 @@ def test_bad_algo_value_is_path_qualified():
         ("algo.cohort_size", "true"),
         ("algo.batch_size", "true"),
         ("algo.cohort_size", "50.5"),
+        ("algo.ema_enabled", "null"),
         ("algo.eta_g", "NaN"),
         ("algo.eta_l", "Infinity"),
         ("budget", "100.5"),
@@ -172,7 +180,6 @@ def test_number_fields_reject_bools_fractions_and_non_finite(tmp_path, path, lit
     [
         ("time_limit_s", 0.5, "time_limit"),
         ("time_limit_percentile", 50.0, "time_limit"),
-        ("over_selection_factor", 1.5, "over_selection"),
     ],
 )
 def test_knobs_without_their_flag_exit_2(tmp_path, capsys, knob, value, flag):
@@ -203,7 +210,13 @@ _FEDBUFF = {"name": "fedbuff", "buffer_size": 2, "max_concurrency": 4}
         (
             {**_FEDBUFF, "skip_distill_when_no_history": True},
             "skip_distill_when_no_history",
+            {"name": "fare_dust", "rho": 0.1, "skip_distill_when_no_history": True},
+        ),
+        # rho 0 sends no teacher, so no history is ever asked for
+        (
             {"name": "fare_dust", "skip_distill_when_no_history": True},
+            "skip_distill_when_no_history",
+            {"name": "fare_dust", "rho": 0.1, "skip_distill_when_no_history": True},
         ),
         (
             {"name": "fare_dust", "feast_beta": 0.9},
@@ -211,7 +224,6 @@ _FEDBUFF = {"name": "fedbuff", "buffer_size": 2, "max_concurrency": 4}
             {"name": "feast", "feast_beta": 0.9},
         ),
         ({"name": "fedavg", "kappa": 0.5}, "kappa", {"name": "feast", "kappa": 0.5}),
-        ({"name": "fedadam", "eta_a": 0.5}, "eta_a", {"name": "feast", "eta_a": 0.5}),
         ({"name": "fedavg", "tau_max": 5.0}, "tau_max", {"name": "feast", "tau_max": 5.0}),
         (
             {"name": "fare_dust", "strict_sequential": True},
@@ -230,18 +242,7 @@ _FEDBUFF = {"name": "fedbuff", "buffer_size": 2, "max_concurrency": 4}
             "ema_beta",
             {"name": "fare_dust", "ema_beta": 0.9},
         ),
-        (
-            {"name": "fedavg", "cohort_size": 2, "over_selection": True,
-             "over_selection_factor": 1.5, "dispatch_size": 3},
-            "over_selection_factor",
-            {"name": "fedavg", "over_selection": True, "over_selection_factor": 1.5},
-        ),
         ({**_FEDBUFF, "cohort_size": 7}, "cohort_size", {"name": "fedavg", "cohort_size": 7}),
-        (
-            {**_FEDBUFF, "over_selection": True},
-            "over_selection",
-            {"name": "feast", "cohort_size": 2, "over_selection": True},
-        ),
         (
             {**_FEDBUFF, "dispatch_size": 60},
             "dispatch_size",

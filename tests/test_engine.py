@@ -102,7 +102,7 @@ def _run(config, seed=0, trace=True):
 
 
 def test_round_advances_at_bth_order_statistic_exactly():
-    algo = AlgoConfig("fedavg", cohort_size=5, over_selection=True, eta_l=0.05, batch_size=4)
+    algo = AlgoConfig("fedavg", cohort_size=5, dispatch_size=6, eta_l=0.05, batch_size=4)
     config = _config(algo, budget=40)
     sim, result = _run(config)
     assert sim.driver.dispatch_size == 6
@@ -125,7 +125,7 @@ def test_full_participation_round_waits_for_slowest():
 def test_deterministic_latency_matches_formula():
     # With all sigmas at zero a client's duration is a closed-form function
     # of its group and shard size.
-    algo = AlgoConfig("fedavg", cohort_size=4, over_selection=True, eta_l=0.05, batch_size=4)
+    algo = AlgoConfig("fedavg", cohort_size=4, dispatch_size=5, eta_l=0.05, batch_size=4)
     config = _config(algo, budget=16)
     sim, result = _run(config)
     shards = sim.dataset.shards
@@ -154,7 +154,7 @@ def test_budget_invariant_and_step_counting():
 
 
 def test_over_selection_discards_late_updates():
-    algo = AlgoConfig("fedavg", cohort_size=4, over_selection=True, eta_l=0.05, batch_size=4)
+    algo = AlgoConfig("fedavg", cohort_size=4, dispatch_size=5, eta_l=0.05, batch_size=4)
     config = _config(algo, budget=40)
     sim, result = _run(config)
     rounds = sim.counters["rounds_started"]
@@ -167,7 +167,7 @@ def test_over_selection_discards_late_updates():
 
 
 def test_clients_are_never_double_booked():
-    algo = AlgoConfig("fedavg", cohort_size=6, over_selection=True, eta_l=0.05, batch_size=4)
+    algo = AlgoConfig("fedavg", cohort_size=6, dispatch_size=7, eta_l=0.05, batch_size=4)
     config = _config(algo, budget=60)
     sim, result = _run(config)
     intervals = {}
@@ -193,7 +193,7 @@ def test_a_round_waits_for_busy_clients():
         n_straggler_clients=1,
         eval_size=50,
     )
-    algo = AlgoConfig("fedavg", cohort_size=5, over_selection=True, eta_l=0.05, batch_size=4)
+    algo = AlgoConfig("fedavg", cohort_size=5, dispatch_size=6, eta_l=0.05, batch_size=4)
     config = _config(algo, dataset=dataset, budget=20)
     assert config.algo.resolved_dispatch_size() == 6
     sim, result = _run(config)
@@ -363,7 +363,7 @@ def test_a_run_hands_back_every_client_generator(diverging):
 
 
 def test_run_is_deterministic_in_the_trial_seed():
-    algo = AlgoConfig("fedavg", cohort_size=5, over_selection=True, eta_l=0.05, batch_size=4)
+    algo = AlgoConfig("fedavg", cohort_size=5, dispatch_size=6, eta_l=0.05, batch_size=4)
     config = _config(algo, budget=30, eval_every=2)
     _, a = _run(config, seed=3)
     _, b = _run(config, seed=3)
@@ -623,15 +623,15 @@ def test_a_failing_run_scores_no_queued_tick(monkeypatch):
 @pytest.mark.parametrize(
     "algo, served",
     [
-        (AlgoConfig("fedavg", cohort_size=4, over_selection=True, **_SMALL_STEP), "global"),
+        (AlgoConfig("fedavg", cohort_size=4, dispatch_size=5, **_SMALL_STEP), "global"),
         (AlgoConfig("fedadam", cohort_size=4, eta_g=0.05, **_SMALL_STEP), "global"),
         (AlgoConfig("fedbuff", buffer_size=3, max_concurrency=6, **_SMALL_STEP), "global"),
         (
             AlgoConfig("fedbuff", buffer_size=3, max_concurrency=6, ema_enabled=True, **_SMALL_STEP),
             "ema",
         ),
-        (AlgoConfig("fare_dust", cohort_size=4, over_selection=True, rho=0.1, **_SMALL_STEP), "ema"),
-        (AlgoConfig("feast", cohort_size=4, over_selection=True, tau_max=50.0, **_SMALL_STEP), "aux"),
+        (AlgoConfig("fare_dust", cohort_size=4, dispatch_size=5, rho=0.1, **_SMALL_STEP), "ema"),
+        (AlgoConfig("feast", cohort_size=4, dispatch_size=5, tau_max=50.0, **_SMALL_STEP), "aux"),
     ],
     ids=["fedavg", "fedadam", "fedbuff", "fedbuff_ema", "fare_dust", "feast"],
 )
@@ -649,7 +649,7 @@ def test_trace_accounts_for_every_dispatch_step_and_aux_round(algo, served):
     assert untraced.events == []
 
 
-_OVERSEL = dict(cohort_size=4, over_selection=True, **_SMALL_STEP)
+_OVERSEL = dict(cohort_size=4, dispatch_size=5, **_SMALL_STEP)
 # the counters that settle a dispatched update, each update under one of them
 _SETTLING_KINDS = (
     "aggregated_updates", "discarded_updates", "late_folded", "late_discarded",
@@ -960,8 +960,8 @@ def test_a_discarded_update_draws_what_training_it_would(monkeypatch, time_limit
     # nobody reads too, at the first server step after its dispatch, must
     # not move the outputs. A time limit cuts each plan to the steps that
     # fit the client's time.
-    algo = AlgoConfig("fedavg", cohort_size=5, over_selection=True, over_selection_factor=2.0,
-                      eta_l=0.05, batch_size=4, time_limit=time_limit)
+    algo = AlgoConfig("fedavg", cohort_size=5, dispatch_size=10, eta_l=0.05, batch_size=4,
+                      time_limit=time_limit)
     scenario = LatencyScenario("pdpe", _profile(1.0, -3.0, 0.5, 0.8), _profile(2.5, -2.0, 1.0, 0.8))
     config = _config(algo, scenario=scenario, budget=400)
     dispatched = _recording_dispatches(monkeypatch)
@@ -1151,7 +1151,7 @@ def test_each_update_of_a_round_owns_its_delta():
     # A delta viewing a stacked call's weights would keep the whole block
     # alive for as long as one late update is in flight.
     for algo in (
-        AlgoConfig("fedavg", cohort_size=5, over_selection=True, eta_l=0.05, batch_size=4),
+        AlgoConfig("fedavg", cohort_size=5, dispatch_size=6, eta_l=0.05, batch_size=4),
         AlgoConfig("fedbuff", buffer_size=2, max_concurrency=6, eta_l=0.05, batch_size=4,
                    rho=0.2, nu=0.1),
     ):
@@ -1231,10 +1231,8 @@ def test_a_run_may_end_with_dispatches_nobody_read(monkeypatch):
     "algo",
     [
         AlgoConfig("fedbuff", buffer_size=3, max_concurrency=8, time_limit=True, **_SMALL_STEP),
-        AlgoConfig("fedavg", cohort_size=4, over_selection=True, over_selection_factor=2.0,
-                   **_SMALL_STEP),
-        AlgoConfig("fare_dust", cohort_size=4, over_selection=True, over_selection_factor=2.0,
-                   rho=0.2, **_SMALL_STEP),
+        AlgoConfig("fedavg", cohort_size=4, dispatch_size=8, **_SMALL_STEP),
+        AlgoConfig("fare_dust", cohort_size=4, dispatch_size=8, rho=0.2, **_SMALL_STEP),
     ],
     ids=["fedbuff", "fedavg_oversel", "fare_dust"],
 )
@@ -1369,7 +1367,7 @@ def test_strict_sequential_blocks_a_full_deadline_per_round():
     algo = AlgoConfig(
         "feast",
         cohort_size=3,
-        over_selection=True,
+        dispatch_size=4,
         eta_l=0.05,
         batch_size=4,
         tau_max=512.0,
@@ -1423,7 +1421,7 @@ def test_overlapped_aux_rounds_apply_in_order_despite_readiness_inversions():
         "pdpe", _profile(0.0, -3.0, 0.5), _profile(8.0, -2.0, 1.0)
     )
     algo = AlgoConfig(
-        "feast", cohort_size=2, over_selection=True, dispatch_size=3,
+        "feast", cohort_size=2, dispatch_size=3,
         eta_l=0.05, batch_size=4, tau_max=4000.0, feast_beta=0.9,
     )
     config = _config(algo, dataset=dataset, scenario=scenario, budget=16)
@@ -1444,7 +1442,7 @@ def test_overlapped_aux_rounds_apply_in_order_despite_readiness_inversions():
 
 def test_zero_tau_max_finalizes_at_advance_and_drops_stragglers():
     algo = AlgoConfig(
-        "feast", cohort_size=3, over_selection=True, dispatch_size=4,
+        "feast", cohort_size=3, dispatch_size=4,
         eta_l=0.05, batch_size=4, tau_max=0.0, feast_beta=0.9,
     )
     config = _config(algo, budget=12)

@@ -84,7 +84,7 @@ def _variants():
         ),
         # no over-selection: each auxiliary round is ready at its own advance
         "feast_no_over_selection": _acceptance(
-            "feast", algo=dataclasses.replace(feast.algo, over_selection=False)
+            "feast", algo=dataclasses.replace(feast.algo, dispatch_size=None)
         ),
         # stragglers fold until the deadline, later ones are dropped
         "feast_tau_max_120": _acceptance(
@@ -149,7 +149,7 @@ def _variants():
         ),
         # knobs no other variant sets away from their defaults
         "fedavg_oversel_factor_1_4": _acceptance(
-            "fedavg_oversel", algo=dataclasses.replace(oversel.algo, over_selection_factor=1.4)
+            "fedavg_oversel", algo=dataclasses.replace(oversel.algo, dispatch_size=70)
         ),
         "fedavg_oversel_time_limit_p40": _acceptance(
             "fedavg_oversel",
@@ -169,7 +169,7 @@ def _variants():
             algo=AlgoConfig("fedadam", eta_l=0.1, eta_g=0.03, batch_size=20, adam_eps=0.01,
                             adam_beta1=0.8, adam_beta2=0.95),
         ),
-        "feast_eta_a_0_5": _acceptance("feast", algo=dataclasses.replace(feast.algo, eta_a=0.5)),
+        "feast_eta_a_0_5": _acceptance("feast", algo=dataclasses.replace(feast.algo, kappa=0.5)),
         # the per-example scenario: both groups draw from one profile
         "feast_pe": _acceptance(
             "feast", latency=LatencyScenario(PE_MODE, PE_PROFILE, PE_PROFILE)

@@ -335,13 +335,13 @@ def test_the_checks_and_the_engine_run_one_copy_of_each_update(monkeypatch):
         calls.clear()
     quad = verify.make_quad_set(4, 3, seed=0)
     verify.run_gap_trace(quad, T=3, B=1, B_plus=2, T_l=1, eta_g=1.0, eta_l=0.1,
-                         eta_a=1.0, beta=0.5, seeds=[0])
+                         kappa=1.0, beta=0.5, seeds=[0])
     assert len(aux) == len(server) == 3
     # stacked seeds take each step once for all of them
     aux.clear()
     server.clear()
     verify.run_gap_trace(quad, T=3, B=1, B_plus=2, T_l=1, eta_g=1.0, eta_l=0.1,
-                         eta_a=1.0, beta=0.5, seeds=[0, 1])
+                         kappa=1.0, beta=0.5, seeds=[0, 1])
     assert len(aux) == len(server) == 3
 
     layout = model.ModelLayout(d_in=2, hidden=0, n_classes=3)

@@ -123,30 +123,30 @@ def test_run_gap_trace_validation():
     quad = make_quad_set(4, 4, seed=0)
     with pytest.raises(ValueError):
         run_gap_trace(quad, T=1, B=3, B_plus=2, T_l=1, eta_g=1.0, eta_l=0.1,
-                      eta_a=1.0, beta=0.5, seeds=[0])
+                      kappa=1.0, beta=0.5, seeds=[0])
     with pytest.raises(ValueError):
         run_gap_trace(quad, T=1, B=2, B_plus=5, T_l=1, eta_g=1.0, eta_l=0.1,
-                      eta_a=1.0, beta=0.5, seeds=[0])
+                      kappa=1.0, beta=0.5, seeds=[0])
     with pytest.raises(ValueError):
         run_gap_trace(quad, T=0, B=2, B_plus=4, T_l=1, eta_g=1.0, eta_l=0.1,
-                      eta_a=1.0, beta=0.5, seeds=[0])
+                      kappa=1.0, beta=0.5, seeds=[0])
     with pytest.raises(ValueError):
         run_gap_trace(quad, T=1, B=2, B_plus=4, T_l=0, eta_g=1.0, eta_l=0.1,
-                      eta_a=1.0, beta=0.5, seeds=[0])
+                      kappa=1.0, beta=0.5, seeds=[0])
     # the step sizes go through feast's AlgoConfig
     with pytest.raises(ValueError, match="feast_beta"):
         run_gap_trace(quad, T=1, B=2, B_plus=4, T_l=1, eta_g=1.0, eta_l=0.1,
-                      eta_a=1.0, beta=1.0, seeds=[0])
+                      kappa=1.0, beta=1.0, seeds=[0])
     with pytest.raises(ValueError, match="eta_g > 0"):
         run_gap_trace(quad, T=1, B=2, B_plus=4, T_l=1, eta_g=0.0, eta_l=0.1,
-                      eta_a=1.0, beta=0.5, seeds=[0])
+                      kappa=1.0, beta=0.5, seeds=[0])
 
 
 def test_run_gap_trace_needs_a_seed():
     quad = make_quad_set(4, 4, seed=0)
     with pytest.raises(ValueError, match="at least one seed"):
         run_gap_trace(quad, T=1, B=1, B_plus=2, T_l=1, eta_g=1.0, eta_l=0.1,
-                      eta_a=1.0, beta=0.5, seeds=[])
+                      kappa=1.0, beta=0.5, seeds=[])
 
 
 def _assert_row_is_the_run(stacked, row, alone):
@@ -157,10 +157,11 @@ def _assert_row_is_the_run(stacked, row, alone):
     assert stacked.max_grad_norm[row] == alone.max_grad_norm[0]
 
 
-def _one_seed_loop(quad, seed, *, T, B, B_plus, T_l, eta_g, eta_l, eta_a, beta):
+def _one_seed_loop(quad, seed, *, T, B, B_plus, T_l, eta_g, eta_l, kappa, beta):
     """The gap trace of one seed taken one client and one local step at a
     time, with feast's SGD server step and auxiliary step written out."""
     gen = rng.stream(seed, rng.VERIFY, 1)
+    eta_a = kappa * eta_g
     w, a = np.zeros(quad.d), np.zeros(quad.d)
     log = {"w": [w], "a": [a], "delta_fast": [], "delta_slow": []}
     max_norm = 0.0
@@ -188,7 +189,7 @@ def _one_seed_loop(quad, seed, *, T, B, B_plus, T_l, eta_g, eta_l, eta_a, beta):
 @pytest.mark.parametrize("B, B_plus", [(2, 4), (1, 3), (3, 3)])
 def test_stacked_seeds_reproduce_each_seed_alone(B, B_plus):
     quad = make_quad_set(8, 8, sigma_l=0.3, grad_clip=1.0, seed=0)
-    kw = dict(T=6, B=B, B_plus=B_plus, T_l=3, eta_g=1.0, eta_l=0.05, eta_a=1.0, beta=0.5)
+    kw = dict(T=6, B=B, B_plus=B_plus, T_l=3, eta_g=1.0, eta_l=0.05, kappa=1.0, beta=0.5)
     both = run_gap_trace(quad, seeds=[3, 5], **kw)
     for row, seed in enumerate((3, 5)):
         _assert_row_is_the_run(both, row, run_gap_trace(quad, seeds=[seed], **kw))
@@ -203,7 +204,7 @@ def test_stacked_seeds_reproduce_each_seed_alone(B, B_plus):
 
 def test_fast_selector_enumerates_fast_subsets_per_seed():
     quad = make_quad_set(8, 8, sigma_l=0.3, grad_clip=2.0, seed=0)
-    kw = dict(T=4, B=2, B_plus=4, T_l=2, eta_g=1.0, eta_l=0.05, eta_a=1.0, beta=0.5)
+    kw = dict(T=4, B=2, B_plus=4, T_l=2, eta_g=1.0, eta_l=0.05, kappa=1.0, beta=0.5)
     # called once per round and seed, with that seed's stream: drawing what
     # the default draws reproduces the default run
     calls = []
@@ -233,7 +234,7 @@ def test_fast_selector_enumerates_fast_subsets_per_seed():
 
 def test_trace_is_deterministic_in_seed():
     quad = make_quad_set(8, 8, sigma_l=0.3, grad_clip=2.0, seed=0)
-    kw = dict(T=6, B=2, B_plus=4, T_l=3, eta_g=1.0, eta_l=0.05, eta_a=1.0, beta=0.5)
+    kw = dict(T=6, B=2, B_plus=4, T_l=3, eta_g=1.0, eta_l=0.05, kappa=1.0, beta=0.5)
     a = run_gap_trace(quad, seeds=[42], **kw)
     b = run_gap_trace(quad, seeds=[42], **kw)
     c = run_gap_trace(quad, seeds=[43], **kw)
@@ -244,10 +245,10 @@ def test_trace_is_deterministic_in_seed():
 
 def test_no_overselection_means_zero_gap():
     # B_plus == B makes the fast average equal the full average, so with
-    # eta_a == eta_g the auxiliary model tracks w exactly.
+    # kappa == 1 (eta_a == eta_g) the auxiliary model tracks w exactly.
     quad = make_quad_set(8, 16, sigma_l=0.4, grad_clip=3.0, seed=2)
     trace = run_gap_trace(
-        quad, T=30, B=4, B_plus=4, T_l=3, eta_g=0.7, eta_l=0.05, eta_a=0.7,
+        quad, T=30, B=4, B_plus=4, T_l=3, eta_g=0.7, eta_l=0.05, kappa=1.0,
         beta=0.9, seeds=[5],
     )
     for t in range(trace.T + 1):
@@ -258,7 +259,7 @@ def test_no_overselection_means_zero_gap():
 def test_closed_form_single_round():
     quad = make_quad_set(8, 8, sigma_l=0.2, grad_clip=2.0, seed=1)
     trace = run_gap_trace(
-        quad, T=1, B=2, B_plus=4, T_l=2, eta_g=0.8, eta_l=0.05, eta_a=0.8,
+        quad, T=1, B=2, B_plus=4, T_l=2, eta_g=0.8, eta_l=0.05, kappa=1.0,
         beta=0.5, seeds=[9],
     )
     expected = 0.8 * ((1 / 2 - 1 / 4) * trace.delta_fast[0] - (1 / 4) * trace.delta_slow[0])
@@ -269,7 +270,7 @@ def test_closed_form_single_round():
 def test_closed_form_beta_zero_is_memoryless():
     quad = make_quad_set(8, 8, sigma_l=0.2, grad_clip=2.0, seed=1)
     trace = run_gap_trace(
-        quad, T=8, B=2, B_plus=4, T_l=2, eta_g=1.0, eta_l=0.05, eta_a=1.0,
+        quad, T=8, B=2, B_plus=4, T_l=2, eta_g=1.0, eta_l=0.05, kappa=1.0,
         beta=0.0, seeds=[3],
     )
     for t_next in range(1, 9):
@@ -282,7 +283,7 @@ def test_closed_form_beta_zero_is_memoryless():
 def test_closed_form_bounds_checked():
     quad = make_quad_set(4, 4, seed=0)
     trace = run_gap_trace(quad, T=3, B=1, B_plus=2, T_l=1, eta_g=1.0, eta_l=0.1,
-                          eta_a=1.0, beta=0.5, seeds=[0])
+                          kappa=1.0, beta=0.5, seeds=[0])
     with pytest.raises(ValueError):
         closed_form_gap(trace, 0)
     with pytest.raises(ValueError):
@@ -294,7 +295,7 @@ def test_mirrored_fast_subsets_negate_the_gap():
     # produce exactly opposite deltas, so choosing the other client as the
     # fast one flips the sign of every gap.
     quad = _symmetric_pair()
-    kw = dict(T=5, B=1, B_plus=2, T_l=1, eta_g=1.0, eta_l=0.1, eta_a=1.0,
+    kw = dict(T=5, B=1, B_plus=2, T_l=1, eta_g=1.0, eta_l=0.1, kappa=1.0,
               beta=0.5, seeds=[17])
     pick_first = run_gap_trace(quad, fast_selector=lambda t, gen: [0], **kw)
     pick_second = run_gap_trace(quad, fast_selector=lambda t, gen: [1], **kw)
@@ -308,7 +309,7 @@ def test_mirrored_fast_subsets_negate_the_gap():
 def test_max_grad_norm_respects_clip_when_noiseless():
     quad = make_quad_set(8, 8, sigma_l=0.0, grad_clip=0.5, center_scale=10.0, seed=4)
     trace = run_gap_trace(
-        quad, T=5, B=2, B_plus=4, T_l=3, eta_g=1.0, eta_l=0.05, eta_a=1.0,
+        quad, T=5, B=2, B_plus=4, T_l=3, eta_g=1.0, eta_l=0.05, kappa=1.0,
         beta=0.5, seeds=[6],
     )
     assert trace.max_grad_norm.shape == (1,)

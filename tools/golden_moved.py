@@ -7,8 +7,11 @@ variants/fedavg_full/0/output_w or simulate_sha256/feast/stdout. An entry
 that REV holds and the working tree changes or removes is printed; an entry
 the working tree adds is not. So the output is empty exactly when the
 working tree's golden file keeps every value REV recorded. CI runs the A/B
-of tools/ab.py against the parent commit only then: a change that moves a
-golden value means to move outputs, and the A/B would report every pair.
+of tools/ab.py against the parent commit unless an entry under variants/
+moved: a change that moves a trial output means to move outputs, and the
+A/B would report every pair. The simulate_sha256 and report_sha256 digests
+hash logs that carry each config's hash, which the A/B's digest leaves out,
+so a change that only edits config fields moves them and is still checked.
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ class Mutant:
 ENGINE = "src/stragglersim/engine.py"
 ALGORITHMS = "src/stragglersim/algorithms.py"
 RNG = "src/stragglersim/rng.py"
+CONFIG = "src/stragglersim/config.py"
 GOLDEN = "tests/test_golden.py"
 
 MUTANTS = (
@@ -176,6 +177,34 @@ MUTANTS = (
         "    return aux\n",
         "the auxiliary step writes into the served auxiliary model",
         ("tests/test_algorithms.py",),
+    ),
+    Mutant(
+        ALGORITHMS,
+        "return self.cohort_size if self.dispatch_size is None else self.dispatch_size",
+        "return self.cohort_size",
+        "a synchronous round dispatches cohort_size clients whatever dispatch_size says",
+        (GOLDEN,),
+    ),
+    Mutant(
+        ALGORITHMS,
+        'return self.name == "fare_dust" or self.ema_enabled',
+        'return self.name == "fare_dust"',
+        "ema_enabled keeps no EMA outside fare_dust",
+        (GOLDEN,),
+    ),
+    Mutant(
+        ALGORITHMS,
+        "return self.kappa * self.eta_g",
+        "return self.eta_g",
+        "FeAST's auxiliary step ignores kappa",
+        (GOLDEN,),
+    ),
+    Mutant(
+        CONFIG,
+        'lambda algo: algo.name == "fare_dust" and algo.rho > 0,',
+        'lambda algo: algo.name == "fare_dust",',
+        "skip_distill_when_no_history loads on a fare_dust config that sends no teacher",
+        ("tests/test_config_cli.py",),
     ),
     Mutant(
         ALGORITHMS,
