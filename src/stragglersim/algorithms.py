@@ -47,9 +47,8 @@ class AlgoConfig:
     epochs: int = 1
     cohort_size: int = 50
     dispatch_size: int | None = None
-    time_limit: bool = False
     time_limit_s: float | None = None
-    time_limit_percentile: float = 75.0
+    time_limit_percentile: float | None = None
     buffer_size: int = 20
     max_concurrency: int = 100
     server_opt: str | None = None
@@ -96,9 +95,11 @@ class AlgoConfig:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
         if self.tau_max < 0:
             raise ValueError(f"tau_max must be >= 0, got {self.tau_max}")
+        if self.time_limit_s is not None and self.time_limit_percentile is not None:
+            raise ValueError("set time_limit_s or time_limit_percentile, not both")
         if self.time_limit_s is not None and self.time_limit_s <= 0:
             raise ValueError("time_limit_s must be > 0")
-        if not 0 < self.time_limit_percentile <= 100:
+        if self.time_limit_percentile is not None and not 0 < self.time_limit_percentile <= 100:
             raise ValueError("time_limit_percentile must be in (0, 100]")
 
     def resolved_dispatch_size(self) -> int:

@@ -213,23 +213,20 @@ def _parse_profile(payload: Any, path: str, default: LatencyProfile) -> LatencyP
     )
 
 
+# the keys of the latency section, which names its profiles without "_profile"
+LATENCY_KEYS = ("mode", "standard", "straggler", "teacher_download_factor")
+
+
 def _parse_latency(payload: Any, path: str) -> LatencyScenario:
-    _check_keys(payload, ("mode", "standard", "straggler", "teacher_download_factor"), path)
+    _check_keys(payload, LATENCY_KEYS, path)
     mode = payload.get("mode")
     if mode not in ("pe", "pdpe"):
         raise ConfigError(f"{path}.mode: must be 'pe' or 'pdpe', got {mode!r}")
-    if mode == "pe":
-        standard = _parse_profile(payload.get("standard", {}), f"{path}.standard", PE_PROFILE)
-        if "straggler" in payload:
-            raise ConfigError(f"{path}.straggler: pe mode uses a single shared profile")
-        straggler = standard
-    else:
-        standard = _parse_profile(
-            payload.get("standard", {}), f"{path}.standard", PDPE_STANDARD_PROFILE
-        )
-        straggler = _parse_profile(
-            payload.get("straggler", {}), f"{path}.straggler", PDPE_STRAGGLER_PROFILE
-        )
+    default = PE_PROFILE if mode == "pe" else PDPE_STANDARD_PROFILE
+    standard = _parse_profile(payload.get("standard", {}), f"{path}.standard", default)
+    straggler = standard if mode == "pe" else _parse_profile(
+        payload.get("straggler", {}), f"{path}.straggler", PDPE_STRAGGLER_PROFILE
+    )
     factor = payload.get("teacher_download_factor", 1.0)
     _check_number(factor, "float", f"{path}.teacher_download_factor")
     try:
@@ -243,58 +240,61 @@ def _parse_latency(payload: Any, path: str) -> LatencyScenario:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _only(*names: str):
-    """The setting "the algorithm is one of names", as a test and as words."""
-    return (lambda algo: algo.name in names), "name is " + " or ".join(map(repr, names))
+def _only(*names: str, distills: bool = False):
+    """The setting "the algorithm is one of names" (with distills, "and rho >
+    0", so that it sends a teacher), as a test of the whole config and as words."""
+    words = "algo.name is " + " or ".join(map(repr, names))
+    words += " and algo.rho > 0" if distills else ""
+    return (lambda c: c.algo.name in names and (c.algo.rho > 0 or not distills)), words
 
 
 # Knobs that act only under some setting: given without it they would change
-# the config hash and nothing else. Each maps to that setting, as a test and
-# as words. The base synchronous driver sends no teacher, so rho acts only in
-# fare_dust and fedbuff; fare_dust sends none at rho 0; fedbuff sizes no
-# rounds; fare_dust always keeps an EMA.
+# the config hash and nothing else. Each dotted path maps to that setting, as a
+# test of the whole config and as words. The base synchronous driver sends no
+# teacher, so rho and the distillation loss act only in fare_dust and fedbuff,
+# and at rho > 0; fedbuff's teacher is the model its client downloads anyway,
+# so only fare_dust pays the teacher download; fedbuff sizes no rounds;
+# only the soft_ce loss has a temperature; fare_dust always keeps an EMA, and
+# feast serves its auxiliary model, never the EMA; a time limit, not epochs,
+# fixes a client's steps; pe mode draws both groups from one profile.
 _SYNC = _only("fedavg", "fedadam", "fare_dust", "feast")
-_ADAM = (lambda algo: algo.resolved_server_opt() == "adam", "server_opt resolves to 'adam'")
+_ADAM = (lambda c: c.algo.resolved_server_opt() == "adam", "algo.server_opt resolves to 'adam'")
+_DISTILLS = _only("fare_dust", "fedbuff", distills=True)
 _KNOB_SETTINGS = {
-    "time_limit_s": (lambda algo: algo.time_limit, "time_limit is true"),
-    "time_limit_percentile": (lambda algo: algo.time_limit, "time_limit is true"),
-    "ema_beta": (
-        lambda algo: algo.resolved_ema_enabled(),
-        "ema_enabled is true or name is 'fare_dust'",
+    "algo.epochs": (
+        lambda c: c.algo.time_limit_s is None and c.algo.time_limit_percentile is None,
+        "neither algo.time_limit_s nor algo.time_limit_percentile is set",
     ),
-    "buffer_size": _only("fedbuff"),
-    "max_concurrency": _only("fedbuff"),
-    "history_k": _only("fare_dust"),
-    "skip_distill_when_no_history": (
-        lambda algo: algo.name == "fare_dust" and algo.rho > 0,
-        "name is 'fare_dust' and rho > 0",
+    "algo.ema_beta": (
+        lambda c: c.algo.resolved_ema_enabled() and c.algo.name != "feast",
+        "algo.ema_enabled is true or algo.name is 'fare_dust', and algo.name is not 'feast'",
     ),
-    "feast_beta": _only("feast"),
-    "kappa": _only("feast"),
-    "tau_max": _only("feast"),
-    "strict_sequential": _only("feast"),
-    "rho": _only("fare_dust", "fedbuff"),
-    "cohort_size": _SYNC,
-    "dispatch_size": _SYNC,
-    "ema_enabled": (lambda algo: algo.name != "fare_dust", "name is not 'fare_dust'"),
-    "adam_beta1": _ADAM,
-    "adam_beta2": _ADAM,
-    "adam_eps": _ADAM,
+    "algo.buffer_size": _only("fedbuff"),
+    "algo.max_concurrency": _only("fedbuff"),
+    "algo.history_k": _only("fare_dust"),
+    "algo.skip_distill_when_no_history": _only("fare_dust", distills=True),
+    "algo.feast_beta": _only("feast"),
+    "algo.kappa": _only("feast"),
+    "algo.tau_max": _only("feast"),
+    "algo.strict_sequential": _only("feast"),
+    "algo.rho": _only("fare_dust", "fedbuff"),
+    "algo.cohort_size": _SYNC,
+    "algo.dispatch_size": _SYNC,
+    "algo.ema_enabled": _only("fedavg", "fedadam", "fedbuff"),
+    "algo.adam_beta1": _ADAM,
+    "algo.adam_beta2": _ADAM,
+    "algo.adam_eps": _ADAM,
+    "model.distill_loss": _DISTILLS,
+    "model.distill_temperature": (
+        lambda c: _DISTILLS[0](c) and c.model.distill_loss == "soft_ce",
+        _DISTILLS[1] + ", and model.distill_loss is 'soft_ce'",
+    ),
+    "latency.teacher_download_factor": _only("fare_dust", distills=True),
+    "latency.straggler": (lambda c: c.latency.mode == "pdpe", "latency.mode is 'pdpe'"),
 }
 
-
-def _parse_algo(payload: Any, path: str) -> AlgoConfig:
-    """Build the algo section and reject a knob the run would ignore, by key
-    presence, so the hashes of configs without one do not change."""
-    algo = _build_dataclass(AlgoConfig, payload, path)
-    for knob, (acts, setting) in _KNOB_SETTINGS.items():
-        if knob in payload and not acts(algo):
-            raise ConfigError(f"{path}.{knob}: has no effect unless {path}.{setting}")
-    return algo
-
-
 _SECTIONS = {
-    "algo": _parse_algo,
+    "algo": functools.partial(_build_dataclass, AlgoConfig),
     "dataset": functools.partial(_build_dataclass, DatasetConfig),
     "model": functools.partial(_build_dataclass, ModelConfig),
     "latency": _parse_latency,
@@ -302,7 +302,15 @@ _SECTIONS = {
 
 
 def config_from_dict(payload: dict, path: str = "config") -> ExperimentConfig:
-    return _build_dataclass(ExperimentConfig, payload, path, _SECTIONS)
+    """Build a config and reject a knob the run would ignore
+    (_KNOB_SETTINGS), by key presence, so the hashes of configs without one
+    do not change."""
+    config = _build_dataclass(ExperimentConfig, payload, path, _SECTIONS)
+    for dotted, (acts, setting) in _KNOB_SETTINGS.items():
+        section, key = dotted.split(".")
+        if key in payload.get(section, {}) and not acts(config):
+            raise ConfigError(f"{path}.{dotted}: has no effect unless {setting}")
+    return config
 
 
 def _read_json(path: str | Path) -> Any:

@@ -187,13 +187,9 @@ class Simulation:
         ]
         self._client_streams: dict[int, tuple[np.random.Generator, np.random.Generator]] = {}
 
-        self.tau_limit: float | None = None
-        if self.algo.time_limit:
-            self.tau_limit = (
-                self.algo.time_limit_s
-                if self.algo.time_limit_s is not None
-                else self._monte_carlo_time_limit()
-            )
+        self.tau_limit = self.algo.time_limit_s
+        if self.algo.time_limit_percentile is not None:
+            self.tau_limit = self._monte_carlo_time_limit()
         self.driver = DRIVERS[self.algo.name](self.algo)
 
     # -- driver-facing interface -- #

@@ -2,6 +2,7 @@
 
 import csv
 import ctypes
+import dataclasses
 import json
 import os
 import re
@@ -12,9 +13,13 @@ import numpy as np
 import pytest
 
 from stragglersim import cli, metrics, model, verify
+from stragglersim.algorithms import AlgoConfig
 from stragglersim.config import (
+    _KNOB_SETTINGS,
+    LATENCY_KEYS,
     ConfigError,
     ExperimentConfig,
+    ModelConfig,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -22,7 +27,7 @@ from stragglersim.config import (
     load_sweep,
     sweep_points,
 )
-from stragglersim.data import build_dataset
+from stragglersim.data import DatasetConfig, build_dataset
 from stragglersim.engine import Simulation
 from stragglersim.verify import CheckReport
 
@@ -97,6 +102,7 @@ def test_unknown_top_level_key_is_path_qualified():
         ("algo", "over_selection", True),
         ("algo", "over_selection_factor", 1.2),
         ("algo", "eta_a", 0.5),
+        ("algo", "time_limit", True),
     ],
 )
 def test_unknown_section_key_is_path_qualified(tmp_path, capsys, section, key, value):
@@ -175,27 +181,17 @@ def test_number_fields_reject_bools_fractions_and_non_finite(tmp_path, path, lit
     assert str(excinfo.value).count(path) == 1, str(excinfo.value)
 
 
-@pytest.mark.parametrize(
-    "knob, value, flag",
-    [
-        ("time_limit_s", 0.5, "time_limit"),
-        ("time_limit_percentile", 50.0, "time_limit"),
-    ],
-)
-def test_knobs_without_their_flag_exit_2(tmp_path, capsys, knob, value, flag):
-    for flag_value in (None, False):
-        algo = {**BASE_PAYLOAD["algo"], knob: value}
-        if flag_value is not None:
-            algo[flag] = flag_value
-        config_path = _write_config(tmp_path, _payload(algo=algo))
-        assert cli.main(["simulate", "--config", str(config_path), "--out",
-                         str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert f"algo.{knob}: has no effect unless" in err
-        assert f"algo.{flag} is true" in err
-    # with the flag on, the knob loads and takes effect
-    config = config_from_dict(_payload(algo={**BASE_PAYLOAD["algo"], knob: value, flag: True}))
-    assert getattr(config.algo, knob) == value
+def test_time_limit_s_and_time_limit_percentile_together_exit_2(tmp_path, capsys):
+    limits = {"time_limit_s": 0.5, "time_limit_percentile": 50.0}
+    config_path = _write_config(tmp_path, _payload(algo={**BASE_PAYLOAD["algo"], **limits}))
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "algo: set time_limit_s or time_limit_percentile, not both" in err
+    # either one alone loads and limits the run's time
+    for knob, value in limits.items():
+        config = config_from_dict(_payload(algo={**BASE_PAYLOAD["algo"], knob: value}))
+        assert getattr(config.algo, knob) == value
+        assert Simulation(config, 0).tau_limit is not None
 
 
 _FEDBUFF = {"name": "fedbuff", "buffer_size": 2, "max_concurrency": 4}
@@ -253,6 +249,28 @@ _FEDBUFF = {"name": "fedbuff", "buffer_size": 2, "max_concurrency": 4}
             "ema_enabled",
             {**_FEDBUFF, "ema_enabled": True},
         ),
+        # feast serves its auxiliary model, never the EMA
+        (
+            {"name": "feast", "ema_enabled": True},
+            "ema_enabled",
+            {"name": "fedadam", "ema_enabled": True},
+        ),
+        (
+            {"name": "feast", "ema_enabled": True, "ema_beta": 0.5},
+            "ema_beta",
+            {"name": "fedavg", "ema_enabled": True, "ema_beta": 0.5},
+        ),
+        # a time limit, not epochs, fixes each client's steps
+        (
+            {"name": "fedavg", "time_limit_percentile": 50.0, "epochs": 2},
+            "epochs",
+            {"name": "fedavg", "epochs": 2},
+        ),
+        (
+            {"name": "fedbuff", "time_limit_s": 0.5, "epochs": 2},
+            "epochs",
+            {**_FEDBUFF, "epochs": 2},
+        ),
         ({"name": "fedavg", "adam_beta1": 0.5}, "adam_beta1", {"name": "fedadam", "adam_beta1": 0.5}),
         (
             {**_FEDBUFF, "adam_beta2": 0.9},
@@ -275,6 +293,65 @@ def test_knobs_the_algorithm_never_reads_exit_2(tmp_path, capsys, algo, knob, ho
     # where the algorithm reads it, the knob loads and is kept
     config = config_from_dict(_payload(algo={**base, **honoured_by}))
     assert getattr(config.algo, knob) == honoured_by[knob]
+
+
+_FARE_RHO = {"name": "fare_dust", "cohort_size": 2, "rho": 0.1}
+
+
+@pytest.mark.parametrize(
+    "overrides, knob, honoured_by",
+    [
+        ({"model": {"hidden": 0, "distill_loss": "logit_mse"}}, "model.distill_loss",
+         {"algo": _FARE_RHO, "model": {"hidden": 0, "distill_loss": "logit_mse"}}),
+        ({"model": {"hidden": 0, "distill_temperature": 2.0}}, "model.distill_temperature",
+         {"algo": {**_FEDBUFF, "rho": 0.1}, "model": {"hidden": 0, "distill_temperature": 2.0}}),
+        # rho 0 sends no teacher
+        ({"algo": {**_FARE_RHO, "rho": 0.0}, "model": {"hidden": 0, "distill_temperature": 2.0}},
+         "model.distill_temperature",
+         {"algo": _FARE_RHO, "model": {"hidden": 0, "distill_temperature": 2.0}}),
+        # the logit loss has no temperature
+        ({"algo": _FARE_RHO,
+          "model": {"hidden": 0, "distill_loss": "logit_mse", "distill_temperature": 2.0}},
+         "model.distill_temperature",
+         {"algo": _FARE_RHO, "model": {"hidden": 0, "distill_temperature": 2.0}}),
+        ({"latency": {"mode": "pdpe", "teacher_download_factor": 2.0}},
+         "latency.teacher_download_factor",
+         {"algo": _FARE_RHO, "latency": {"mode": "pdpe", "teacher_download_factor": 2.0}}),
+        # fedbuff's teacher is the model its client downloads anyway
+        ({"algo": {**_FEDBUFF, "rho": 0.1},
+          "latency": {"mode": "pdpe", "teacher_download_factor": 2.0}},
+         "latency.teacher_download_factor",
+         {"algo": _FARE_RHO, "latency": {"mode": "pdpe", "teacher_download_factor": 2.0}}),
+    ],
+    ids=[
+        "fedavg-distill_loss", "fedavg-distill_temperature", "fare_dust_rho_0-distill_temperature",
+        "logit_mse-distill_temperature", "fedavg-teacher_download_factor",
+        "fedbuff-teacher_download_factor",
+    ],
+)
+def test_knobs_outside_the_algo_section_exit_2_where_they_have_no_effect(
+    tmp_path, capsys, overrides, knob, honoured_by
+):
+    config_path = _write_config(tmp_path, _payload(**overrides))
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert f"config.json.{knob}: has no effect unless" in capsys.readouterr().err
+    # where the run reads it, the knob loads and changes the config
+    section, key = knob.split(".")
+    without = json.loads(json.dumps(_payload(**honoured_by)))
+    del without[section][key]
+    assert config_from_dict(_payload(**honoured_by)) != config_from_dict(without)
+
+
+def test_every_knob_rule_names_a_key_its_section_accepts():
+    accepted = {
+        "algo": [f.name for f in dataclasses.fields(AlgoConfig)],
+        "dataset": [f.name for f in dataclasses.fields(DatasetConfig)],
+        "model": [f.name for f in dataclasses.fields(ModelConfig)],
+        "latency": LATENCY_KEYS,
+    }
+    for dotted in _KNOB_SETTINGS:
+        section, key = dotted.split(".")
+        assert key in accepted[section], dotted
 
 
 def test_cohorts_larger_than_the_dataset_exit_2_before_the_first_event(tmp_path, capsys):
@@ -372,7 +449,7 @@ def test_a_round_whose_cohort_is_still_busy_waits_for_it(tmp_path, capsys, name)
 
 def test_pe_mode_rejects_straggler_profile():
     payload = _payload(latency={"mode": "pe", "straggler": {"comm": [1.0, 0.5]}})
-    with pytest.raises(ConfigError, match=r"config\.latency\.straggler.*single shared"):
+    with pytest.raises(ConfigError, match=r"config\.latency\.straggler: has no effect unless"):
         config_from_dict(payload)
 
 
@@ -385,6 +462,7 @@ def test_latency_mode_is_required_and_checked():
 
 def test_latency_profile_overrides_and_defaults():
     payload = _payload(
+        algo=_FARE_RHO,  # the one driver that pays a teacher download
         latency={
             "mode": "pdpe",
             "standard": {"comm": [1.5, 0.25]},

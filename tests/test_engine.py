@@ -665,7 +665,7 @@ _SETTLING_KINDS = (
         AlgoConfig("fedbuff", buffer_size=3, max_concurrency=6, **_SMALL_STEP),
         AlgoConfig("fare_dust", rho=0.1, history_k=2, **_OVERSEL),
         AlgoConfig("feast", tau_max=15.0, **_OVERSEL),
-        AlgoConfig("fedavg", time_limit=True, **_OVERSEL),
+        AlgoConfig("fedavg", time_limit_percentile=75.0, **_OVERSEL),
         # a buffer as large as the concurrency: a client completes, is drawn
         # again and completes again before the flush
         AlgoConfig("fedbuff", buffer_size=6, max_concurrency=6, **_SMALL_STEP),
@@ -873,9 +873,11 @@ def _redrawn(group) -> bool:
         # one version group, with different step counts
         (_acceptance(
             "fedavg_full",
-            AlgoConfig("fedbuff", time_limit=True, **{**_CROWD, "buffer_size": 100}),
+            AlgoConfig("fedbuff", time_limit_percentile=75.0, **{**_CROWD, "buffer_size": 100}),
         ), True),
-        (_acceptance("fedavg_full", AlgoConfig("fedbuff", time_limit=True, **_CROWD)), False),
+        (_acceptance(
+            "fedavg_full", AlgoConfig("fedbuff", time_limit_percentile=75.0, **_CROWD)
+        ), False),
     ],
     ids=[
         "fedavg_full", "fedavg_oversel", "fare_dust", "feast",
@@ -961,7 +963,7 @@ def test_a_discarded_update_draws_what_training_it_would(monkeypatch, time_limit
     # not move the outputs. A time limit cuts each plan to the steps that
     # fit the client's time.
     algo = AlgoConfig("fedavg", cohort_size=5, dispatch_size=10, eta_l=0.05, batch_size=4,
-                      time_limit=time_limit)
+                      time_limit_percentile=75.0 if time_limit else None)
     scenario = LatencyScenario("pdpe", _profile(1.0, -3.0, 0.5, 0.8), _profile(2.5, -2.0, 1.0, 0.8))
     config = _config(algo, scenario=scenario, budget=400)
     dispatched = _recording_dispatches(monkeypatch)
@@ -1006,7 +1008,7 @@ def _schedule(result, sim):
         *(_acceptance(name) for name in ("fedavg_full", "fedavg_oversel", "fare_dust", "feast")),
         _acceptance(
             "fedavg_oversel",
-            dataclasses.replace(_acceptance("fedavg_oversel").algo, time_limit=True),
+            dataclasses.replace(_acceptance("fedavg_oversel").algo, time_limit_percentile=75.0),
         ),
     ],
     ids=["fedavg_full", "fedavg_oversel", "fare_dust", "feast", "fedavg_oversel_time_limit"],
@@ -1096,7 +1098,7 @@ def test_feast_and_fare_dust_fold_the_stragglers_over_selection_discards(monkeyp
 def test_dispatch_charges_the_work_training_does(monkeypatch, time_limit):
     # Dispatch computes steps and examples by arithmetic, before training.
     algo = AlgoConfig("fedbuff", buffer_size=2, max_concurrency=4, eta_l=0.05, batch_size=3,
-                      epochs=2, time_limit=time_limit)
+                      epochs=2, time_limit_percentile=75.0 if time_limit else None)
     scenario = LatencyScenario("pdpe", _profile(1.0, -3.0, 0.5, 0.8), _profile(2.5, -2.0, 1.0, 0.8))
     sim = Simulation(_config(algo, scenario=scenario), trial_seed=0)
     trained = []
@@ -1230,7 +1232,9 @@ def test_a_run_may_end_with_dispatches_nobody_read(monkeypatch):
 @pytest.mark.parametrize(
     "algo",
     [
-        AlgoConfig("fedbuff", buffer_size=3, max_concurrency=8, time_limit=True, **_SMALL_STEP),
+        AlgoConfig(
+            "fedbuff", buffer_size=3, max_concurrency=8, time_limit_percentile=75.0, **_SMALL_STEP
+        ),
         AlgoConfig("fedavg", cohort_size=4, dispatch_size=8, **_SMALL_STEP),
         AlgoConfig("fare_dust", cohort_size=4, dispatch_size=8, rho=0.2, **_SMALL_STEP),
     ],
@@ -1280,8 +1284,7 @@ def test_buffered_budget_overshoot_is_bounded():
 
 def test_time_limit_threshold_matches_independent_oracle():
     algo = AlgoConfig(
-        "fedavg", cohort_size=4, eta_l=0.05, batch_size=4, time_limit=True,
-        time_limit_percentile=75.0,
+        "fedavg", cohort_size=4, eta_l=0.05, batch_size=4, time_limit_percentile=75.0,
     )
     config = _config(algo, budget=8)
     sim = Simulation(config, trial_seed=5)
@@ -1307,7 +1310,7 @@ def test_time_limit_threshold_matches_independent_oracle():
 
 def test_time_limit_step_budget_formula():
     algo = AlgoConfig(
-        "fedavg", cohort_size=4, eta_l=0.05, batch_size=4, time_limit=True, time_limit_s=3.0
+        "fedavg", cohort_size=4, eta_l=0.05, batch_size=4, time_limit_s=3.0
     )
     config = _config(algo, budget=8)
     sim = Simulation(config, trial_seed=0, trace=True)
@@ -1325,7 +1328,7 @@ def test_time_limit_step_budget_formula():
 def test_time_limit_charges_at_least_one_step():
     # A threshold below the per-batch cost still runs one step.
     algo = AlgoConfig(
-        "fedavg", cohort_size=2, eta_l=0.05, batch_size=4, time_limit=True, time_limit_s=0.001
+        "fedavg", cohort_size=2, eta_l=0.05, batch_size=4, time_limit_s=0.001
     )
     config = _config(algo, budget=4)
     sim = Simulation(config, trial_seed=0)

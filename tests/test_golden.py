@@ -80,7 +80,7 @@ def _variants():
         ),
         # a percentile time limit on a synchronous driver
         "fedavg_oversel_time_limit": _acceptance(
-            "fedavg_oversel", algo=dataclasses.replace(oversel.algo, time_limit=True)
+            "fedavg_oversel", algo=dataclasses.replace(oversel.algo, time_limit_percentile=75.0)
         ),
         # no over-selection: each auxiliary round is ready at its own advance
         "feast_no_over_selection": _acceptance(
@@ -106,14 +106,14 @@ def _variants():
             latency=dataclasses.replace(full.latency, teacher_download_factor=2.0),
         ),
         "fedbuff_time_limit": _acceptance(
-            "fedavg_full", algo=AlgoConfig("fedbuff", time_limit=True, **_CROWD)
+            "fedavg_full", algo=AlgoConfig("fedbuff", time_limit_percentile=75.0, **_CROWD)
         ),
         "feast_strict_sequential": _acceptance(
             "feast", algo=dataclasses.replace(feast.algo, strict_sequential=True)
         ),
         "fare_dust_nu_time_limit_s": _acceptance(
             "fare_dust",
-            algo=dataclasses.replace(fare.algo, nu=0.05, time_limit=True, time_limit_s=30.0),
+            algo=dataclasses.replace(fare.algo, nu=0.05, time_limit_s=30.0),
         ),
         # eval_cap below eval_size, evaluated every five server steps
         "fare_dust_mlp_logit_mse": _acceptance(
@@ -153,7 +153,7 @@ def _variants():
         ),
         "fedavg_oversel_time_limit_p40": _acceptance(
             "fedavg_oversel",
-            algo=dataclasses.replace(oversel.algo, time_limit=True, time_limit_percentile=40.0),
+            algo=dataclasses.replace(oversel.algo, time_limit_percentile=40.0),
         ),
         "fare_dust_skip_distill_t2_init_0_2": _acceptance(
             "fare_dust",

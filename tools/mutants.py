@@ -201,9 +201,23 @@ MUTANTS = (
     ),
     Mutant(
         CONFIG,
-        'lambda algo: algo.name == "fare_dust" and algo.rho > 0,',
-        'lambda algo: algo.name == "fare_dust",',
+        '"algo.skip_distill_when_no_history": _only("fare_dust", distills=True),',
+        '"algo.skip_distill_when_no_history": _only("fare_dust"),',
         "skip_distill_when_no_history loads on a fare_dust config that sends no teacher",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        CONFIG,
+        "if key in payload.get(section, {}) and not acts(config):",
+        'if section == "algo" and key in payload.get(section, {}) and not acts(config):',
+        "the knob table checks only the algo section",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        CONFIG,
+        "lambda c: c.algo.time_limit_s is None and c.algo.time_limit_percentile is None,",
+        "lambda c: True,",
+        "the algo.epochs rule never fires",
         ("tests/test_config_cli.py",),
     ),
     Mutant(
