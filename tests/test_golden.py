@@ -122,6 +122,12 @@ def _variants():
             eval_every=5,
             eval_cap=3000,
         ),
+        "fare_dust_mlp16_eval_every_5_cap_3000": _acceptance(
+            "fare_dust",
+            model=dataclasses.replace(fare.model, hidden=16),
+            eval_every=5,
+            eval_cap=3000,
+        ),
         # full-size evaluation after every server step, MLP and linear
         "fare_dust_mlp64_eval_every_1": _acceptance(
             "fare_dust",
@@ -159,6 +165,11 @@ def _variants():
             "fare_dust",
             algo=dataclasses.replace(fare.algo, skip_distill_when_no_history=True),
             model=dataclasses.replace(fare.model, distill_temperature=2.0, init_scale=0.2),
+        ),
+        "fare_dust_skip_distill_t2": _acceptance(
+            "fare_dust",
+            algo=dataclasses.replace(fare.algo, skip_distill_when_no_history=True),
+            model=dataclasses.replace(fare.model, distill_temperature=2.0),
         ),
         "fare_dust_server_sgd": _acceptance(
             "fare_dust",
