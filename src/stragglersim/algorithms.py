@@ -33,9 +33,6 @@ if TYPE_CHECKING:
     from .engine import Simulation
 
 
-ALGORITHM_NAMES = ("fedavg", "fedadam", "fedbuff", "fare_dust", "feast")
-
-
 @dataclass(frozen=True)
 class AlgoConfig:
     """Algorithm selection plus every tunable shared across the drivers."""
@@ -67,8 +64,8 @@ class AlgoConfig:
     skip_distill_when_no_history: bool = False
 
     def __post_init__(self) -> None:
-        if self.name not in ALGORITHM_NAMES:
-            raise ValueError(f"unknown algorithm {self.name!r}; expected one of {ALGORITHM_NAMES}")
+        if self.name not in DRIVERS:
+            raise ValueError(f"unknown algorithm {self.name!r}; expected one of {tuple(DRIVERS)}")
         if self.eta_g <= 0 or self.eta_l < 0:
             raise ValueError(f"need eta_g > 0 and eta_l >= 0, got {self.eta_g}, {self.eta_l}")
         if self.batch_size < 1 or self.epochs < 1:
@@ -570,7 +567,7 @@ class BufferedDriver:
         sim.schedule(update.completed_at, self.on_client_completed, update)
 
 
-# the driver class of each of ALGORITHM_NAMES, which AlgoConfig checks
+# the driver class of each algorithm; its keys are the names AlgoConfig accepts
 DRIVERS = {
     "fedavg": SyncRoundDriver,
     "fedadam": SyncRoundDriver,

@@ -45,15 +45,9 @@ class ModelConfig:
     """Classifier architecture and loss options shared by all clients."""
 
     hidden: int = 32
-    init_scale: float = 0.05
-    distill_loss: str = "soft_ce"
     distill_temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.init_scale < 0:
-            raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
-        if self.distill_loss not in ("soft_ce", "logit_mse"):
-            raise ValueError(f"distill_loss must be soft_ce or logit_mse, got {self.distill_loss!r}")
         if self.distill_temperature <= 0:
             raise ValueError(f"distill_temperature must be > 0, got {self.distill_temperature}")
 
@@ -251,12 +245,12 @@ def _only(*names: str, distills: bool = False):
 # Knobs that act only under some setting: given without it they would change
 # the config hash and nothing else. Each dotted path maps to that setting, as a
 # test of the whole config and as words. The base synchronous driver sends no
-# teacher, so rho and the distillation loss act only in fare_dust and fedbuff,
-# and at rho > 0; fedbuff's teacher is the model its client downloads anyway,
-# so only fare_dust pays the teacher download; fedbuff sizes no rounds;
-# only the soft_ce loss has a temperature; fare_dust always keeps an EMA, and
-# feast serves its auxiliary model, never the EMA; a time limit, not epochs,
-# fixes a client's steps; pe mode draws both groups from one profile.
+# teacher, so rho and the distillation temperature act only in fare_dust and
+# fedbuff, and at rho > 0; fedbuff's teacher is the model its client downloads
+# anyway, so only fare_dust pays the teacher download; fedbuff sizes no rounds;
+# fare_dust always keeps an EMA, and feast serves its auxiliary model, never
+# the EMA; a time limit, not epochs, fixes a client's steps; pe mode draws
+# both groups from one profile.
 _SYNC = _only("fedavg", "fedadam", "fare_dust", "feast")
 _ADAM = (lambda c: c.algo.resolved_server_opt() == "adam", "algo.server_opt resolves to 'adam'")
 _DISTILLS = _only("fare_dust", "fedbuff", distills=True)
@@ -284,11 +278,7 @@ _KNOB_SETTINGS = {
     "algo.adam_beta1": _ADAM,
     "algo.adam_beta2": _ADAM,
     "algo.adam_eps": _ADAM,
-    "model.distill_loss": _DISTILLS,
-    "model.distill_temperature": (
-        lambda c: _DISTILLS[0](c) and c.model.distill_loss == "soft_ce",
-        _DISTILLS[1] + ", and model.distill_loss is 'soft_ce'",
-    ),
+    "model.distill_temperature": _DISTILLS,
     "latency.teacher_download_factor": _only("fare_dust", distills=True),
     "latency.straggler": (lambda c: c.latency.mode == "pdpe", "latency.mode is 'pdpe'"),
 }

@@ -35,7 +35,6 @@ class DatasetConfig:
     concentration: float = 10.0
     cluster_spread: float = 1.0
     center_scale: float = 1.0
-    class_mixture: tuple[float, ...] | None = None
     eval_size: int = 4000
     straggler_classes: tuple[int, ...] = (0, 1, 2, 3, 4)
     n_straggler_clients: int = 94
@@ -66,17 +65,6 @@ class DatasetConfig:
             raise ValueError(
                 f"n_straggler_clients must be in [0, m_clients], got {self.n_straggler_clients}"
             )
-        if self.class_mixture is not None:
-            if len(self.class_mixture) != self.n_classes:
-                raise ValueError("class_mixture length must equal n_classes")
-            if any(p < 0 for p in self.class_mixture) or sum(self.class_mixture) <= 0:
-                raise ValueError("class_mixture must be nonnegative and sum to > 0")
-
-    def mixture(self) -> np.ndarray:
-        if self.class_mixture is None:
-            return np.full(self.n_classes, 1.0 / self.n_classes)
-        p = np.asarray(self.class_mixture, dtype=np.float64)
-        return p / p.sum()
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,17 +121,16 @@ def _generate(
     """The raw population as (features, labels, sizes): rows client by client.
 
     Shard sizes are lognormal around the configured median (rounded, min 1);
-    a client's class mixture is Dirichlet(concentration * global mixture).
+    a client's class mixture is Dirichlet(concentration * the uniform
+    mixture), so concentration alone sets how far clients skew.
     """
-    mixture = config.mixture()
-
     size_gen = rng.stream(seed, rng.DATA, 1)
     z = size_gen.standard_normal(config.m_clients)
     sizes = np.exp(np.log(config.median_shard_size) + config.size_sigma * z)
     sizes = np.maximum(1, np.rint(sizes).astype(int))
 
     mix_gen = rng.stream(seed, rng.DATA, 2)
-    alphas = config.concentration * mixture
+    alphas = config.concentration * np.full(config.n_classes, 1.0 / config.n_classes)
     client_mixtures = mix_gen.dirichlet(alphas, size=config.m_clients)
 
     keys = rng.stream_keys(seed, rng.DATA, 3, ids=np.arange(config.m_clients))
@@ -255,8 +242,8 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
     One rule draws and labels every example, a client's and the eval
     split's: its stream draws a block's uniforms, then its standard normals
     (_draw), and _label turns the block into rows of the class clusters,
-    each client's block from its own mixture, the eval split's from
-    config.mixture() and its own stream (rng.EVAL). eval_straggler_rows are
+    each client's block from its own mixture, the eval split's from the
+    uniform mixture and its own stream (rng.EVAL). eval_straggler_rows are
     the ascending indices of the eval split's straggler-class rows.
 
     Two lanes build a dataset. A worker thread builds the whole eval split
@@ -282,7 +269,8 @@ def build_dataset(config: DatasetConfig, seed: int) -> FederatedDataset:
 
     def eval_split() -> np.ndarray:
         _draw(eval_gen, uniform, eval_features)
-        mixture, spread = config.mixture()[None], config.cluster_spread
+        mixture = np.full((1, config.n_classes), 1.0 / config.n_classes)
+        spread = config.cluster_spread
         _label(mixture, [config.eval_size], uniform, eval_features, centers, spread, eval_labels)
         return np.flatnonzero(table[eval_labels])
 

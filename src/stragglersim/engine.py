@@ -139,9 +139,7 @@ class Simulation:
         self.dataset = dataset if dataset is not None else config.build_dataset()
         self.layout = config.layout()
 
-        w0 = model.init_params(
-            self.layout, rng.stream(trial_seed, rng.INIT), scale=config.model.init_scale
-        )
+        w0 = model.init_params(self.layout, rng.stream(trial_seed, rng.INIT))
         self.state = ServerState(w=w0, algo=self.algo)
 
         self.now = 0.0
@@ -363,10 +361,8 @@ class Simulation:
                 rho=self.algo.rho if distill else 0.0,
                 nu=self.algo.nu,
                 teacher_ws=teachers if distill else None,
-                anchor=w0 if self.algo.nu > 0 else None,
                 eta_l=self.algo.eta_l,
                 batch_size=self.algo.batch_size,
-                distill_loss=self.config.model.distill_loss,
                 distill_temperature=self.config.model.distill_temperature,
             )
         except model.TrainingDiverged as exc:

@@ -8,12 +8,12 @@ kind. The training loss is
 
     total = supervised + rho * distill + nu * proximal
 
-where supervised is mean softmax cross-entropy, distill compares student
-logits against fixed teacher logits (soft cross-entropy by default, logit
-mean-squared-error as an alternative), and proximal is half the squared
-distance to an anchor vector. All gradients are exact analytic expressions
-with one implementation, _grad, which loss_and_grad (the validated
-reference) and training (local_sgd, the one training function) share.
+where supervised is mean softmax cross-entropy, distill is the soft
+cross-entropy of the student against fixed teacher logits at a temperature,
+and proximal is half the squared distance to an anchor vector. All
+gradients are exact analytic expressions with one implementation, _grad,
+which loss_and_grad (the validated reference) and training (local_sgd, the
+one training function) share.
 """
 
 from __future__ import annotations
@@ -175,7 +175,6 @@ def loss_and_grad(
     nu: float = 0.0,
     teacher_logits: np.ndarray | None = None,
     anchor: np.ndarray | None = None,
-    distill_loss: str = "soft_ce",
     distill_temperature: float = 1.0,
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Composite loss and its exact gradient over one batch.
@@ -185,7 +184,9 @@ def loss_and_grad(
     """
     if len(y) == 0:
         raise ValueError("empty batch")
-    _check_loss_terms(rho, nu, anchor, distill_loss)
+    _check_loss_weights(rho, nu)
+    if (anchor is not None) != (nu > 0):
+        raise ValueError("anchor must be passed exactly when nu > 0")
     if (teacher_logits is not None) != (rho > 0):
         raise ValueError("teacher_logits must be passed exactly when rho > 0")
 
@@ -200,12 +201,8 @@ def loss_and_grad(
             raise ValueError(
                 f"teacher_logits shape {teacher_logits.shape} != logits shape {logits.shape}"
             )
-        if distill_loss == "soft_ce":
-            q = softmax(teacher_logits / distill_temperature)
-            distill = float(-(q * log_p).sum(axis=1).mean())
-        else:
-            diff = logits - teacher_logits
-            distill = float(0.5 * (diff * diff).sum(axis=1).mean())
+        q = softmax(teacher_logits / distill_temperature)
+        distill = float(-(q * log_p).sum(axis=1).mean())
 
     proximal = 0.0
     if nu > 0:
@@ -216,7 +213,7 @@ def loss_and_grad(
 
     grad = _grad(
         w, layout, x, y, n, logits, hidden, teacher_logits, rho=rho, nu=nu, anchor=anchor,
-        distill_loss=distill_loss, distill_temperature=distill_temperature,
+        distill_temperature=distill_temperature,
     )
     total = supervised + rho * distill + nu * proximal
     if not np.isfinite(total) or not np.isfinite(grad).all():
@@ -236,19 +233,13 @@ class TrainingDiverged(FloatingPointError):
         self.member = member
 
 
-def _check_loss_terms(rho, nu, anchor, distill_loss) -> None:
-    """The loss-term rules of loss_and_grad and local_sgd; each checks its own teacher."""
+def _check_loss_weights(rho, nu) -> None:
+    """The loss-weight rule of loss_and_grad and local_sgd; each checks its own teacher."""
     if rho < 0 or nu < 0:
         raise ValueError(f"rho and nu must be >= 0, got rho={rho}, nu={nu}")
-    if (anchor is not None) != (nu > 0):
-        raise ValueError("anchor must be passed exactly when nu > 0")
-    if distill_loss not in ("soft_ce", "logit_mse"):
-        raise ValueError(f"unknown distill_loss: {distill_loss!r}")
 
 
-def _check_training_args(
-    n_min, eta_l, batch_size, steps_min, rho, nu, teacher, anchor, distill_loss
-) -> None:
+def _check_training_args(n_min, eta_l, batch_size, steps_min, rho, nu, teacher) -> None:
     if steps_min < 1:
         raise ValueError(f"steps must be >= 1, got {steps_min}")
     if batch_size < 1:
@@ -257,14 +248,13 @@ def _check_training_args(
         raise ValueError(f"eta_l must be >= 0, got {eta_l}")
     if n_min == 0:
         raise ValueError("empty shard")
-    _check_loss_terms(rho, nu, anchor, distill_loss)
+    _check_loss_weights(rho, nu)
     if rho > 0 and teacher is None:
         raise ValueError("teacher_ws required when rho > 0")
 
 
 def _grad(
-    w, layout, x, y, n, logits, hidden, t_logits, *, rho, nu, anchor, distill_loss,
-    distill_temperature,
+    w, layout, x, y, n, logits, hidden, t_logits, *, rho, nu, anchor, distill_temperature
 ) -> np.ndarray:
     """The gradient loss_and_grad and training share, given the forward pass
     (logits, hidden) of x under w and, when rho > 0, the teacher's t_logits.
@@ -276,10 +266,7 @@ def _grad(
     """
     probs = np.exp(_log_softmax(logits))
     if rho > 0:
-        if distill_loss == "soft_ce":
-            pull = rho * (probs - softmax(t_logits / distill_temperature)) / n
-        else:
-            pull = rho * (logits - t_logits) / n
+        pull = rho * (probs - softmax(t_logits / distill_temperature)) / n
     # probs minus the one-hot labels, in place
     rows = probs.reshape(-1, layout.n_classes)
     rows[np.arange(len(rows)), y.ravel()] -= 1.0
@@ -293,7 +280,7 @@ def _grad(
 
 
 def _sgd_grad(
-    w, layout, x, y, n, *, rho, nu, teacher_w, anchor, distill_loss, distill_temperature
+    w, layout, x, y, n, *, rho, nu, teacher_w, anchor, distill_temperature
 ) -> np.ndarray:
     """Training's gradient: _grad after the forward passes of x under w and,
     when rho > 0, under teacher_w (shaped like w); no checks or loss values,
@@ -302,7 +289,7 @@ def _sgd_grad(
     t_logits = _forward(teacher_w, layout, x)[0] if rho > 0 else None
     return _grad(
         w, layout, x, y, n, logits, hidden, t_logits, rho=rho, nu=nu, anchor=anchor,
-        distill_loss=distill_loss, distill_temperature=distill_temperature,
+        distill_temperature=distill_temperature,
     )
 
 
@@ -366,14 +353,12 @@ def local_sgd(
     rho: float = 0.0,
     nu: float = 0.0,
     teacher_ws: list[np.ndarray] | None = None,
-    anchor: np.ndarray | None = None,
-    distill_loss: str = "soft_ce",
     distill_temperature: float = 1.0,
 ) -> tuple[np.ndarray, int, int]:
     """Mini-batch local SGD of B members as one stacked loop.
 
-    w0 holds the start weights, shared (P,) or one row per member (B, P),
-    and anchor (when nu > 0) the proximal anchors, shaped the same way.
+    w0 holds the start weights, shared (P,) or one row per member (B, P);
+    when nu > 0 each member's start weights are also its proximal anchor.
     Member i trains on the sizes[i] rows of features and labels from row
     starts[i] on, for steps[i] steps, distilling against the fixed
     teacher_ws[i]; members may share rows, and no shard is copied. A lone
@@ -388,17 +373,15 @@ def local_sgd(
     the call's totals over its members. The weights are checked once, at the
     end: TrainingDiverged names the first member whose weights are not finite.
     """
-    _check_training_args(
-        min(sizes), eta_l, batch_size, min(steps), rho, nu, teacher_ws, anchor, distill_loss
-    )
+    _check_training_args(min(sizes), eta_l, batch_size, min(steps), rho, nu, teacher_ws)
     order, index, lengths = _cohort_plan(starts, sizes, batch_size, steps, plans)
     n_active = (lengths > 0).sum(axis=1)
     real = np.arange(batch_size) < lengths[..., None]
     divisor = np.where(real, lengths[..., None], np.inf)[..., None]
     teachers = np.stack([teacher_ws[i] for i in order]) if rho > 0 else None
-    # each member's start weights and anchor, in step order
+    # each member's start weights, in step order, and when nu > 0 a copy as its anchor
     w = w0[order] if w0.ndim == 2 else np.repeat(w0[None, :], len(sizes), axis=0)
-    anchors = None if anchor is None else np.broadcast_to(anchor, w.shape)[order]
+    anchors = w.copy() if nu > 0 else None
     with np.errstate(over="ignore", invalid="ignore"):
         for s, a in enumerate(n_active):
             idx = index[s, :a]
@@ -412,7 +395,6 @@ def local_sgd(
                 nu=nu,
                 teacher_w=None if teachers is None else teachers[:a],
                 anchor=None if anchors is None else anchors[:a],
-                distill_loss=distill_loss,
                 distill_temperature=distill_temperature,
             )
             g *= eta_l

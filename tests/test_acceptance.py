@@ -63,12 +63,7 @@ def test_acceptance_1_gradient_correctness_100_random_configs():
         n = int(gen.integers(1, 8))
         rho = float(gen.choice([0.0, 0.3, 1.2]))
         nu = float(gen.choice([0.0, 0.5]))
-        kwargs = dict(
-            rho=rho,
-            nu=nu,
-            distill_loss=str(gen.choice(["soft_ce", "logit_mse"])),
-            distill_temperature=float(gen.choice([1.0, 2.0])),
-        )
+        kwargs = dict(rho=rho, nu=nu, distill_temperature=float(gen.choice([1.0, 2.0])))
         if rho > 0:
             kwargs["teacher_logits"] = gen.standard_normal((n, layout.n_classes))
         if nu > 0:

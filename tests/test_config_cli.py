@@ -103,6 +103,9 @@ def test_unknown_top_level_key_is_path_qualified():
         ("algo", "over_selection_factor", 1.2),
         ("algo", "eta_a", 0.5),
         ("algo", "time_limit", True),
+        ("model", "distill_loss", "soft_ce"),
+        ("model", "init_scale", 0.05),
+        ("dataset", "class_mixture", [0.25, 0.25, 0.25, 0.25]),
     ],
 )
 def test_unknown_section_key_is_path_qualified(tmp_path, capsys, section, key, value):
@@ -301,17 +304,10 @@ _FARE_RHO = {"name": "fare_dust", "cohort_size": 2, "rho": 0.1}
 @pytest.mark.parametrize(
     "overrides, knob, honoured_by",
     [
-        ({"model": {"hidden": 0, "distill_loss": "logit_mse"}}, "model.distill_loss",
-         {"algo": _FARE_RHO, "model": {"hidden": 0, "distill_loss": "logit_mse"}}),
         ({"model": {"hidden": 0, "distill_temperature": 2.0}}, "model.distill_temperature",
          {"algo": {**_FEDBUFF, "rho": 0.1}, "model": {"hidden": 0, "distill_temperature": 2.0}}),
         # rho 0 sends no teacher
         ({"algo": {**_FARE_RHO, "rho": 0.0}, "model": {"hidden": 0, "distill_temperature": 2.0}},
-         "model.distill_temperature",
-         {"algo": _FARE_RHO, "model": {"hidden": 0, "distill_temperature": 2.0}}),
-        # the logit loss has no temperature
-        ({"algo": _FARE_RHO,
-          "model": {"hidden": 0, "distill_loss": "logit_mse", "distill_temperature": 2.0}},
          "model.distill_temperature",
          {"algo": _FARE_RHO, "model": {"hidden": 0, "distill_temperature": 2.0}}),
         ({"latency": {"mode": "pdpe", "teacher_download_factor": 2.0}},
@@ -324,9 +320,8 @@ _FARE_RHO = {"name": "fare_dust", "cohort_size": 2, "rho": 0.1}
          {"algo": _FARE_RHO, "latency": {"mode": "pdpe", "teacher_download_factor": 2.0}}),
     ],
     ids=[
-        "fedavg-distill_loss", "fedavg-distill_temperature", "fare_dust_rho_0-distill_temperature",
-        "logit_mse-distill_temperature", "fedavg-teacher_download_factor",
-        "fedbuff-teacher_download_factor",
+        "fedavg-distill_temperature", "fare_dust_rho_0-distill_temperature",
+        "fedavg-teacher_download_factor", "fedbuff-teacher_download_factor",
     ],
 )
 def test_knobs_outside_the_algo_section_exit_2_where_they_have_no_effect(

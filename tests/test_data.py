@@ -1,5 +1,6 @@
 """Tests for synthetic data generation and the straggler partition."""
 
+import dataclasses
 import importlib.util
 import logging
 import sys
@@ -264,21 +265,22 @@ def test_low_concentration_skews_mixtures():
 
 
 def test_missing_straggler_class_in_straggler_shards_rejected():
-    # One straggler client whose shard happens to contain no examples of
-    # some straggler class should fail fast. Force it with a mixture that
-    # never emits class 0.
+    # One straggler client whose shard contains no examples of some
+    # straggler class should fail fast. Force it with one-example shards and
+    # two straggler classes: the lone straggler holds at most one of them.
     config = DatasetConfig(
         n_classes=3,
         d_in=2,
         m_clients=4,
-        median_shard_size=20.0,
-        class_mixture=(0.0, 0.5, 0.5),
-        straggler_classes=(0,),
+        median_shard_size=1.0,
+        size_sigma=0.0,
+        straggler_classes=(0, 1),
         n_straggler_clients=1,
         eval_size=20,
     )
-    with pytest.raises(ValueError, match="no straggler shard"):
-        build_dataset(config, seed=0)
+    for seed in range(5):
+        with pytest.raises(ValueError, match="no straggler shard"):
+            build_dataset(config, seed)
 
 
 def _cdf(mixtures):
@@ -331,19 +333,22 @@ def test_a_label_counts_the_cdf_entries_at_or_below_its_uniform(block):
 def test_a_one_row_eval_shaped_block_labels_at_ties():
     # the eval split's call: one mixture row over the whole block; the zero
     # weight makes two cdf entries equal, and the first uniforms tie each entry
-    config = DatasetConfig(n_classes=4, class_mixture=(0.4, 0.0, 0.3, 0.3), straggler_classes=(0,))
-    mixture = config.mixture()[None]
+    mixture = np.array([[0.4, 0.0, 0.3, 0.3]])
     uniform = np.concatenate([_cdf(mixture)[0, :-1], rng.stream(0, rng.VERIFY, 0).random(300)])
     _check_labels(mixture, [len(uniform)], uniform)
 
 
-def test_mixture_normalization():
-    config = DatasetConfig(
-        n_classes=3, class_mixture=(2.0, 1.0, 1.0), straggler_classes=(0,)
-    )
-    np.testing.assert_allclose(config.mixture(), [0.5, 0.25, 0.25])
-    uniform = DatasetConfig(n_classes=4, straggler_classes=(0,))
-    np.testing.assert_allclose(uniform.mixture(), [0.25] * 4)
+def test_the_eval_split_labels_from_the_uniform_mixture(monkeypatch):
+    calls = []
+    label = data._label
+
+    def spy(mixtures, sizes, *args):
+        calls.append((np.asarray(mixtures).tolist(), list(sizes)))
+        label(mixtures, sizes, *args)
+
+    monkeypatch.setattr(data, "_label", spy)
+    build_dataset(dataclasses.replace(SMALL, eval_size=50), 0)
+    assert [m for m, sizes in calls if sizes == [50]] == [[[0.25] * 4]]
 
 
 def test_total_examples_sums_shards():
@@ -364,8 +369,6 @@ def test_config_validation():
         DatasetConfig(straggler_classes=())
     with pytest.raises(ValueError):
         DatasetConfig(concentration=0.0)
-    with pytest.raises(ValueError):
-        DatasetConfig(n_classes=10, class_mixture=(0.5, 0.5))
 
 
 # ---- the built dataset, bit for bit ---- #
@@ -432,14 +435,6 @@ _FEDBUFF_CROWD = dict(_ACCEPTANCE, m_clients=2000, median_shard_size=8.0, n_stra
         ),
         (
             DatasetConfig(
-                n_classes=4, d_in=3, m_clients=50, class_mixture=(0.4, 0.3, 0.2, 0.1),
-                straggler_classes=(3,), n_straggler_clients=8, eval_size=200,
-            ),
-            1,
-            "6a004a83f4f49da796ebb49a58190aabdd4b6bb6fe156734b6114c4e24859cb4",
-        ),
-        (
-            DatasetConfig(
                 n_classes=10, d_in=4, m_clients=120, median_shard_size=6.0,
                 concentration=0.1, n_straggler_clients=20, eval_size=500,
             ),
@@ -447,7 +442,7 @@ _FEDBUFF_CROWD = dict(_ACCEPTANCE, m_clients=2000, median_shard_size=8.0, n_stra
             "33b3e008150bb527d3870f9bb3d7d635b5e762e552be5cf669f45a50a539264f",
         ),
     ],
-    ids=["acceptance", "mlp_eval", "fedbuff_crowd", "no_stragglers", "class_mixture", "drops"],
+    ids=["acceptance", "mlp_eval", "fedbuff_crowd", "no_stragglers", "drops"],
 )
 def test_built_datasets_match_their_recorded_digests(config, seed, want):
     assert _digest(build_dataset(config, seed)) == want
@@ -510,11 +505,6 @@ def test_every_stream_is_made_on_the_calling_thread(monkeypatch, section):
 def _small_configs(draw):
     n_classes = draw(st.integers(2, 6))
     m_clients = draw(st.integers(1, 30))
-    mixture = draw(
-        st.none() | st.lists(st.sampled_from([0.0, 0.2, 1.0, 3.0]), min_size=n_classes,
-                             max_size=n_classes).map(tuple)
-    )
-    assume(mixture is None or sum(mixture) > 0)
     return DatasetConfig(
         n_classes=n_classes,
         d_in=draw(st.integers(1, 4)),
@@ -523,7 +513,6 @@ def _small_configs(draw):
         size_sigma=draw(st.floats(0.0, 1.5)),
         concentration=draw(st.sampled_from([0.05, 0.5, 1.0, 10.0])),
         cluster_spread=draw(st.sampled_from([0.0, 1.0, 2.5])),
-        class_mixture=mixture,
         eval_size=draw(st.integers(1, 100)),
         straggler_classes=tuple(
             draw(st.sets(st.integers(0, n_classes - 1), min_size=1, max_size=n_classes))

@@ -116,12 +116,6 @@ def _variants():
             algo=dataclasses.replace(fare.algo, nu=0.05, time_limit_s=30.0),
         ),
         # eval_cap below eval_size, evaluated every five server steps
-        "fare_dust_mlp_logit_mse": _acceptance(
-            "fare_dust",
-            model=dataclasses.replace(fare.model, hidden=16, distill_loss="logit_mse"),
-            eval_every=5,
-            eval_cap=3000,
-        ),
         "fare_dust_mlp16_eval_every_5_cap_3000": _acceptance(
             "fare_dust",
             model=dataclasses.replace(fare.model, hidden=16),
@@ -160,11 +154,6 @@ def _variants():
         "fedavg_oversel_time_limit_p40": _acceptance(
             "fedavg_oversel",
             algo=dataclasses.replace(oversel.algo, time_limit_percentile=40.0),
-        ),
-        "fare_dust_skip_distill_t2_init_0_2": _acceptance(
-            "fare_dust",
-            algo=dataclasses.replace(fare.algo, skip_distill_when_no_history=True),
-            model=dataclasses.replace(fare.model, distill_temperature=2.0, init_scale=0.2),
         ),
         "fare_dust_skip_distill_t2": _acceptance(
             "fare_dust",

@@ -21,3 +21,11 @@ def test_changed_and_removed_entries_are_moved():
     assert golden_moved.moved(OLD, changed) == ["budget", "variants/a/0/output_w"]
     dropped = {**OLD, "variants": {"a": {"0": {"output_w": [1.0, 2.0]}}}}
     assert golden_moved.moved(OLD, dropped) == ["variants/a/0/tau_limit"]
+
+
+def test_a_variant_dropped_whole_is_one_removed_line():
+    two = {**OLD, "variants": {**OLD["variants"], "b": {"0": {"output_w": [3.0]}, "1": {}}}}
+    assert golden_moved.moved(two, OLD) == ["removed variants/b"]
+    # a change inside a kept variant still prints its entry, which CI's grep matches
+    changed = {"budget": 300, "variants": {"a": {"0": {"output_w": [1.0], "tau_limit": None}}}}
+    assert golden_moved.moved(two, changed) == ["variants/a/0/output_w", "removed variants/b"]

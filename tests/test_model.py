@@ -24,12 +24,12 @@ from stragglersim.model import (
 )
 
 
-def _random_problem(gen, layout, n, rho=0.0, nu=0.0, distill_loss="soft_ce", temp=1.0):
+def _random_problem(gen, layout, n, rho=0.0, nu=0.0, temp=1.0):
     """Random weights, batch, and optional teacher/anchor for a layout."""
     w = gen.standard_normal(layout.n_params) * 0.5
     x = gen.standard_normal((n, layout.d_in))
     y = gen.integers(layout.n_classes, size=n)
-    kwargs = dict(rho=rho, nu=nu, distill_loss=distill_loss, distill_temperature=temp)
+    kwargs = dict(rho=rho, nu=nu, distill_temperature=temp)
     if rho > 0:
         kwargs["teacher_logits"] = gen.standard_normal((n, layout.n_classes))
     if nu > 0:
@@ -50,23 +50,14 @@ def _numeric_grad(w, layout, x, y, kwargs, h=1e-5):
 
 
 @pytest.mark.parametrize(
-    "hidden,rho,nu,distill_loss",
-    [
-        (0, 0.0, 0.0, "soft_ce"),
-        (0, 0.3, 0.0, "soft_ce"),
-        (0, 0.3, 0.0, "logit_mse"),
-        (0, 0.0, 0.7, "soft_ce"),
-        (5, 0.0, 0.0, "soft_ce"),
-        (5, 0.2, 0.5, "soft_ce"),
-        (5, 0.2, 0.5, "logit_mse"),
-    ],
+    "hidden,rho,nu",
+    [(0, 0.0, 0.0), (0, 0.3, 0.0), (0, 0.0, 0.7), (0, 0.3, 0.7), (5, 0.0, 0.0), (5, 0.3, 0.0),
+     (5, 0.2, 0.5)],
 )
-def test_gradient_matches_central_differences(hidden, rho, nu, distill_loss):
+def test_gradient_matches_central_differences(hidden, rho, nu):
     gen = rng.stream(17, rng.VERIFY, 0)
     layout = ModelLayout(d_in=4, hidden=hidden, n_classes=3)
-    w, x, y, kwargs = _random_problem(
-        gen, layout, n=6, rho=rho, nu=nu, distill_loss=distill_loss, temp=1.7
-    )
+    w, x, y, kwargs = _random_problem(gen, layout, n=6, rho=rho, nu=nu, temp=1.7)
     _, grad = loss_and_grad(w, layout, x, y, **kwargs)
     numeric = _numeric_grad(w, layout, x, y, kwargs)
     scale = max(1.0, float(np.abs(numeric).max()))
@@ -280,10 +271,12 @@ def test_local_sgd_distill_uses_fixed_teacher():
 
 def _reference_sgd(
     w0, layout, x, y, gen, *, eta_l, batch_size, epochs=None, steps=None, rho, nu,
-    teacher_w, anchor, distill_loss, distill_temperature,
+    teacher_w, distill_temperature,
 ):
-    """Mini-batch SGD with one checked loss_and_grad call per batch."""
+    """Mini-batch SGD with one checked loss_and_grad call per batch; the
+    proximal anchor is the start weights."""
     w = w0.copy()
+    anchor = w0.copy() if nu > 0 else None
     steps_done = examples = epochs_done = 0
     while epochs_done != epochs and steps_done != steps:
         perm = gen.permutation(len(y))
@@ -292,7 +285,7 @@ def _reference_sgd(
             t_logits = forward_logits(teacher_w, layout, x[idx]) if rho > 0 else None
             _, grad = loss_and_grad(
                 w, layout, x[idx], y[idx], rho=rho, nu=nu, teacher_logits=t_logits,
-                anchor=anchor, distill_loss=distill_loss, distill_temperature=distill_temperature,
+                anchor=anchor, distill_temperature=distill_temperature,
             )
             w = w - eta_l * grad
             steps_done += 1
@@ -318,11 +311,11 @@ def _rows(xs, ys):
 @pytest.mark.parametrize("hidden", [0, 5], ids=["linear", "mlp"])
 @pytest.mark.parametrize("bound", ["epochs", "steps"])
 @pytest.mark.parametrize(
-    "rho,nu,distill_loss",
-    [(0.0, 0.0, "soft_ce"), (0.4, 0.0, "soft_ce"), (0.4, 0.0, "logit_mse"), (0.0, 0.3, "soft_ce")],
-    ids=["plain", "soft_ce", "logit_mse", "proximal"],
+    "rho,nu",
+    [(0.0, 0.0), (0.4, 0.0), (0.0, 0.3), (0.4, 0.3)],
+    ids=["plain", "soft_ce", "proximal", "soft_ce_proximal"],
 )
-def test_local_sgd_cohort_matches_per_client_local_sgd(hidden, bound, rho, nu, distill_loss):
+def test_local_sgd_cohort_matches_per_client_local_sgd(hidden, bound, rho, nu):
     gen = rng.stream(14, rng.VERIFY, hidden)
     layout = ModelLayout(d_in=3, hidden=hidden, n_classes=4)
     w0 = gen.standard_normal(layout.n_params) * 0.3
@@ -330,10 +323,7 @@ def test_local_sgd_cohort_matches_per_client_local_sgd(hidden, bound, rho, nu, d
     ys = [gen.integers(4, size=n) for n in _COHORT_SIZES]
     teachers = w0 + 0.2 * gen.standard_normal((len(xs), layout.n_params))
     steps = [int(s) for s in gen.integers(1, 7, size=len(xs))]
-    common = dict(
-        eta_l=0.2, batch_size=4, rho=rho, nu=nu, anchor=w0.copy() if nu > 0 else None,
-        distill_loss=distill_loss, distill_temperature=2.0,
-    )
+    common = dict(eta_l=0.2, batch_size=4, rho=rho, nu=nu, distill_temperature=2.0)
 
     def bounds(i):
         return {"epochs": 2} if bound == "epochs" else {"steps": steps[i]}
@@ -513,19 +503,17 @@ def test_passes_never_write_into_their_inputs(hidden):
     forward_logits(w, layout, x[4])
     _forward(w, layout, x, out=(np.empty((9, hidden)) if hidden else None, np.empty((9, 4))))
     _forward(teachers, layout, stacked_x)
-    for distill_loss in ("soft_ce", "logit_mse"):
-        loss_and_grad(w, layout, x, y, rho=0.3, nu=0.2, teacher_logits=t_logits, anchor=anchor,
-                      distill_loss=distill_loss)
-        gens = [rng.stream(7, rng.SHUFFLE, i) for i in range(3)]
-        local_sgd(
-            w, layout, x, y, starts=[0, 0, 2], sizes=[9, 5, 7], eta_l=0.1, batch_size=4,
-            steps=[6, 4, 4],  # two epochs
-            plans=_plans(gens, [9, 5, 7], [6, 4, 4], 4), rho=0.3, nu=0.2,
-            teacher_ws=list(teachers), anchor=anchor, distill_loss=distill_loss,
-        )
-        # the stacked kernel local_sgd runs on its own copies
-        _sgd_grad(teachers, layout, stacked_x, stacked_y, 9, rho=0.3, nu=0.2, teacher_w=teachers,
-                  anchor=anchor, distill_loss=distill_loss, distill_temperature=2.0)
+    loss_and_grad(w, layout, x, y, rho=0.3, nu=0.2, teacher_logits=t_logits, anchor=anchor)
+    gens = [rng.stream(7, rng.SHUFFLE, i) for i in range(3)]
+    local_sgd(
+        w, layout, x, y, starts=[0, 0, 2], sizes=[9, 5, 7], eta_l=0.1, batch_size=4,
+        steps=[6, 4, 4],  # two epochs
+        plans=_plans(gens, [9, 5, 7], [6, 4, 4], 4), rho=0.3, nu=0.2,
+        teacher_ws=list(teachers),
+    )
+    # the stacked kernel local_sgd runs on its own copies
+    _sgd_grad(teachers, layout, stacked_x, stacked_y, 9, rho=0.3, nu=0.2, teacher_w=teachers,
+              anchor=anchor, distill_temperature=2.0)
 
 
 def _out_of_place_logits(w, layout, x):
@@ -584,13 +572,11 @@ def test_row_max_and_batch_sum_equal_the_plain_reductions(members):
 @pytest.mark.parametrize("batch_size", [20, 129])
 @pytest.mark.parametrize("per_member", [False, True], ids=["shared", "per_member"])
 @pytest.mark.parametrize(
-    "rho,nu,distill_loss",
-    [(0.1, 0.0, "soft_ce"), (0.1, 0.2, "logit_mse"), (0.0, 0.3, "soft_ce")],
-    ids=["soft_ce", "logit_mse_proximal", "proximal"],
+    "rho,nu", [(0.1, 0.0), (0.1, 0.2), (0.0, 0.3)], ids=["soft_ce", "soft_ce_proximal", "proximal"]
 )
 @pytest.mark.parametrize("hidden", [0, 64], ids=["linear", "mlp64"])
 def test_local_sgd_is_bitwise_equal_under_the_plain_reductions(
-    monkeypatch, hidden, rho, nu, distill_loss, per_member, batch_size
+    monkeypatch, hidden, rho, nu, per_member, batch_size
 ):
     gen = rng.stream(21, rng.VERIFY, hidden + batch_size)
     layout = ModelLayout(d_in=32, hidden=hidden, n_classes=10)
@@ -602,8 +588,7 @@ def test_local_sgd_is_bitwise_equal_under_the_plain_reductions(
     kwargs = dict(
         starts=np.cumsum([0, *sizes[:-1]]).tolist(), sizes=sizes, eta_l=0.05,
         batch_size=batch_size, steps=[1, 2, 3, 2, 4, 5, 3], rho=rho, nu=nu,
-        teacher_ws=list(teachers) if rho > 0 else None, anchor=w0.copy() if nu > 0 else None,
-        distill_loss=distill_loss, distill_temperature=2.0,
+        teacher_ws=list(teachers) if rho > 0 else None, distill_temperature=2.0,
     )
 
     def train():
@@ -678,8 +663,6 @@ def test_argument_contracts():
         loss_and_grad(w, layout, x, y, nu=0.1)  # anchor missing
     with pytest.raises(ValueError):
         loss_and_grad(w, layout, x, y, anchor=w)  # nu == 0
-    with pytest.raises(ValueError):
-        loss_and_grad(w, layout, x, y, rho=0.1, teacher_logits=np.zeros((2, 2)), distill_loss="kl")
     with pytest.raises(ValueError):
         loss_and_grad(w, layout, np.zeros((0, 2)), np.array([], dtype=int))
     with pytest.raises(ValueError):

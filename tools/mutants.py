@@ -237,6 +237,13 @@ MUTANTS = (
         ("tests/test_model.py",),
     ),
     Mutant(
+        "src/stragglersim/model.py",
+        "anchors = w.copy() if nu > 0 else None",
+        "anchors = w if nu > 0 else None",
+        "the proximal anchor follows the running weights",
+        ("tests/test_model.py", GOLDEN),
+    ),
+    Mutant(
         RNG,
         '"state": {"counter": (0, 0, 0, 0), "key": key},',
         '"state": {"counter": gen.bit_generator.state["state"]["counter"], "key": key},',
