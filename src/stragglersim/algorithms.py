@@ -3,11 +3,10 @@
 A driver owns only the round semantics of one algorithm family: which
 clients are dispatched, which arrivals count, and where late straggler
 updates go. The engine owns everything else (see engine). A driver reaches
-it only through the sim argument of its hooks, an engine.Simulation, whose
-driver-facing names are the boundary: now, state, teacher_gen, idle_at,
-sample_cohort, dispatch, apply_server_update, apply_aux_update, tally,
-schedule and budget_reached. tests/test_source.py holds that list and checks
-it. A driver keeps no finished flag: budget_reached ends every run.
+it only through the sim argument of its hooks, an engine.Simulation, and
+only through the driver-facing names of tests/test_source.py::DRIVER_BOUNDARY,
+which checks them. A driver keeps no finished flag: sim.budget_reached ends
+every run.
 Conventions shared by every driver:
 
 * A client update carries delta = w_dispatched - w_final, so the server
@@ -183,8 +182,9 @@ class ServerState:
         return "global", self.w
 
 
-def server_apply(state: ServerState, summed_delta: np.ndarray, count: int) -> ServerState:
-    """Apply one aggregated update: the averaged delta acts as a pseudo-gradient.
+def server_apply(state: ServerState, summed_delta: np.ndarray, count: int) -> None:
+    """Apply one aggregated update to state in place: the averaged delta acts
+    as a pseudo-gradient.
 
     Every constant comes from state.algo.
     SGD:  w <- w - eta_g * (summed_delta / count)
@@ -211,7 +211,6 @@ def server_apply(state: ServerState, summed_delta: np.ndarray, count: int) -> Se
             state.ema = state.w.copy()
         else:
             state.ema = algo.ema_beta * state.ema + (1.0 - algo.ema_beta) * state.w
-    return state
 
 
 def aux_step(
@@ -254,9 +253,6 @@ class DeltaHistory:
             raise ValueError(f"history size must be >= 1, got {k}")
         self.k = k
         self._entries: dict[int, DeltaHistoryEntry] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def push(self, origin_round: int, summed_delta: np.ndarray, count: int) -> None:
         if self._entries and origin_round <= next(reversed(self._entries)):

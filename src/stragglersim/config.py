@@ -191,13 +191,12 @@ def _build_dataclass(cls: type, payload: Any, path: str, sections: dict | None =
 
 
 def _parse_lognormal(payload: Any, path: str) -> LognormalParams:
-    if isinstance(payload, (list, tuple)) and len(payload) == 2:
-        for key, value in zip(("mu", "sigma"), payload):
-            _check_number(value, "float", f"{path}.{key}")
-        payload = {"mu": float(payload[0]), "sigma": float(payload[1])}
-    if isinstance(payload, dict):
-        return _build_dataclass(LognormalParams, payload, path)
-    raise ConfigError(f"{path}: expected [mu, sigma] or an object with mu/sigma")
+    if not (isinstance(payload, (list, tuple)) and len(payload) == 2):
+        raise ConfigError(f"{path}: expected [mu, sigma], got {payload!r}")
+    for key, value in zip(("mu", "sigma"), payload):
+        _check_number(value, "float", f"{path}.{key}")
+    mu, sigma = map(float, payload)
+    return _build_dataclass(LognormalParams, {"mu": mu, "sigma": sigma}, path)
 
 
 def _parse_profile(payload: Any, path: str, default: LatencyProfile) -> LatencyProfile:

@@ -164,7 +164,6 @@ def latency_percentiles(
     population: "FederatedDataset",
     rng: np.random.Generator,
     epochs: int,
-    percentiles: tuple[float, ...] = (50.0, 95.0, 99.0),
 ) -> dict[str, dict[float, float]]:
     """Simulate per-client one-epoch totals and summarize them by group.
 
@@ -196,5 +195,5 @@ def latency_percentiles(
             totals[epoch * len(n_examples) : (epoch + 1) * len(n_examples)] = (
                 comm + overhead + per_example * n_examples
             )
-        table[group] = {pct: nearest_rank_percentile(totals, pct) for pct in percentiles}
+        table[group] = {pct: nearest_rank_percentile(totals, pct) for pct in (50.0, 95.0, 99.0)}
     return table

@@ -40,7 +40,7 @@ class MetricsRecord:
 
 
 def evaluate_accuracy(
-    w: np.ndarray, layout: ModelLayout, dataset: FederatedDataset, cap: int | None = None
+    w: np.ndarray, layout: ModelLayout, dataset: FederatedDataset, cap: int
 ) -> tuple[float, float]:
     """Accuracy on the total and straggler-class eval splits, capped to
     the first `cap` examples of each split.
@@ -54,7 +54,7 @@ def evaluate_accuracy(
 
 
 def eval_buffers(
-    layout: ModelLayout, dataset: FederatedDataset, cap: int | None = None
+    layout: ModelLayout, dataset: FederatedDataset, cap: int
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """One block's empty (rows, hidden) and (rows, n_classes) arrays, the
     out of _accuracy at this layout, dataset and cap. A run's worker holds
@@ -83,12 +83,12 @@ def _block_cuts(end: int, layout: ModelLayout) -> list[int]:
     return [k * block for k in range(n_blocks)] + [end]
 
 
-def _scored_rows(dataset: FederatedDataset, cap: int | None):
+def _scored_rows(dataset: FederatedDataset, cap: int):
     """(n_total, straggler_rows, end): the capped total split's length, the
     capped straggler split's rows of it, and how many rows are scored."""
-    if cap is not None and cap < 1:
+    if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    n_total = len(dataset.eval_total) if cap is None else min(cap, len(dataset.eval_total))
+    n_total = min(cap, len(dataset.eval_total))
     straggler_rows = dataset.eval_straggler_rows[:cap]
     return n_total, straggler_rows, max(n_total, straggler_rows[-1] + 1)
 
@@ -165,10 +165,10 @@ def write_run_jsonl(
 def read_run_jsonl(path: str | Path) -> tuple[dict, list[dict], dict]:
     """Read a run log back into (header, records, summary). A line that is
     not a JSON object, a record line that does not match MetricsRecord's
-    fields and types, and a log without a header, summary or record raise a
+    fields and types, a second header or summary line (two trials' logs in
+    one file), and a log without a header, summary or record raise a
     ConfigError naming path:line (or the path)."""
-    header: dict | None = None
-    summary: dict | None = None
+    ends: dict[str, dict] = {}  # the header and summary lines
     records: list[dict] = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -182,20 +182,20 @@ def read_run_jsonl(path: str | Path) -> tuple[dict, list[dict], dict]:
             if not isinstance(row, dict):
                 raise ConfigError(f"{path}:{line_no}: expected an object, got {type(row).__name__}")
             kind = row.pop("type", None)
-            if kind == "header":
-                header = row
+            if kind in ("header", "summary"):
+                if kind in ends:
+                    raise ConfigError(f"{path}:{line_no}: a second {kind} line")
+                ends[kind] = row
             elif kind == "record":
                 _build_dataclass(MetricsRecord, row, f"{path}:{line_no}")
                 records.append(row)
-            elif kind == "summary":
-                summary = row
             else:
                 raise ConfigError(f"{path}:{line_no}: unknown row type {kind!r}")
-    if header is None or summary is None:
+    if len(ends) < 2:
         raise ConfigError(f"{path}: missing header or summary line")
     if not records:
         raise ConfigError(f"{path}: no records")
-    return header, records, summary
+    return ends["header"], records, ends["summary"]
 
 
 def write_csv(path: str | Path, rows: list[dict], fieldnames: list[str]) -> None:

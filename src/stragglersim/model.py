@@ -62,9 +62,9 @@ class LossBreakdown:
     total: float
 
 
-def init_params(layout: ModelLayout, gen: np.random.Generator, scale: float = 0.05) -> np.ndarray:
-    """Uniform [-scale, scale] initialization of the flat parameter vector."""
-    return gen.uniform(-scale, scale, layout.n_params)
+def init_params(layout: ModelLayout, gen: np.random.Generator) -> np.ndarray:
+    """Uniform [-0.05, 0.05] initialization of the flat parameter vector."""
+    return gen.uniform(-0.05, 0.05, layout.n_params)
 
 
 def _layers(w: np.ndarray, layout: ModelLayout) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -111,22 +111,21 @@ def make_quad_set(
     m: int,
     d: int,
     *,
-    lipschitz: float = 1.0,
-    center_scale: float = 1.0,
     sigma_l: float = 0.0,
     grad_clip: float | None = None,
     seed: int = 0,
 ) -> QuadClientSet:
-    """Random population with curvatures in [0.1 L, L] and Gaussian centers."""
+    """Random population with curvatures uniform in [0.1, 1] and standard
+    normal centers."""
     if m < 2 or d < 1:
         raise ValueError(f"need m >= 2 and d >= 1, got m={m}, d={d}")
-    if lipschitz <= 0 or sigma_l < 0:
-        raise ValueError("need lipschitz > 0 and sigma_l >= 0")
+    if sigma_l < 0:
+        raise ValueError(f"need sigma_l >= 0, got {sigma_l}")
     if grad_clip is not None and grad_clip <= 0:
         raise ValueError("grad_clip must be > 0 when set")
     gen = rng.stream(seed, rng.VERIFY, 0)
-    curvatures = gen.uniform(0.1 * lipschitz, lipschitz, size=(m, d))
-    centers = gen.standard_normal((m, d)) * center_scale
+    curvatures = gen.uniform(0.1, 1.0, size=(m, d))
+    centers = gen.standard_normal((m, d))
     return QuadClientSet(curvatures, centers, sigma_l=sigma_l, grad_clip=grad_clip)
 
 
@@ -482,10 +481,7 @@ def check_engine_gap_recursion(base_seed: int) -> tuple:
     """
     bound, seeds = 1e-12, range(base_seed, base_seed + 3)
     feast = ExperimentConfig(
-        algo=algorithms.AlgoConfig(
-            "feast", cohort_size=50, eta_l=0.1, eta_g=1.0, batch_size=20, epochs=1,
-            dispatch_size=60, feast_beta=0.95, kappa=0.9, tau_max=100000.0,
-        ),
+        algo=algorithms.AlgoConfig("feast", dispatch_size=60, feast_beta=0.95),
         dataset=DatasetConfig(
             d_in=32, median_shard_size=34.0, concentration=1.0, cluster_spread=3.0,
             eval_size=16000, n_straggler_clients=60,

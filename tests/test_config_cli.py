@@ -461,7 +461,7 @@ def test_latency_profile_overrides_and_defaults():
         latency={
             "mode": "pdpe",
             "standard": {"comm": [1.5, 0.25]},
-            "straggler": {"per_example": {"mu": -0.5, "sigma": 0.1}},
+            "straggler": {"per_example": [-0.5, 0.1]},
             "teacher_download_factor": 1.5,
         }
     )
@@ -476,10 +476,26 @@ def test_latency_profile_overrides_and_defaults():
     assert lat.teacher_download_factor == 1.5
 
 
-def test_lognormal_payload_shape_checked():
-    payload = _payload(latency={"mode": "pe", "standard": {"comm": [1.0]}})
-    with pytest.raises(ConfigError, match=r"config\.latency\.standard\.comm"):
+@pytest.mark.parametrize("comm", [[1.0], {"mu": 1.0, "sigma": 0.1}], ids=["one_number", "object"])
+def test_lognormal_payload_shape_checked(tmp_path, capsys, comm):
+    payload = _payload(latency={"mode": "pe", "standard": {"comm": comm}})
+    message = ".latency.standard.comm: expected [mu, sigma], got "
+    with pytest.raises(ConfigError, match=re.escape(f"config{message}")):
         config_from_dict(payload)
+    config_path = _write_config(tmp_path, payload)
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}{message}") and err.count("\n") == 1, err
+
+
+def test_an_integer_latency_factor_loads_and_hashes_as_floats():
+    ints, floats = (
+        config_from_dict(_payload(latency={"mode": "pe", "standard": {"comm": pair}}))
+        for pair in ([2, 1], [2.0, 1.0])
+    )
+    comm = ints.latency.standard_profile.comm
+    assert (type(comm.mu), type(comm.sigma)) == (float, float)
+    assert config_hash(ints) == config_hash(floats)
 
 
 def test_top_level_value_validation():
@@ -959,7 +975,8 @@ def test_a_mixed_report_labels_each_group_with_its_config_hash(tmp_path, capsys)
 
 
 def _broken_logs(tmp_path):
-    """Copies of one good trial log: not JSON, without records, without a header."""
+    """Copies of one good trial log, each with the defect its key names;
+    two_logs is two one-record logs in one file."""
     run_dir = tmp_path / "run"
     assert cli.main(["simulate", "--config", str(_write_config(tmp_path, _payload(trials=1))),
                      "--out", str(run_dir)]) == 0
@@ -974,6 +991,7 @@ def _broken_logs(tmp_path):
         "no_total_acc": [header, json.dumps({k: v for k, v in record.items() if k != "total_acc"}),
                          *records[1:], summary],
         "str_total_acc": [header, json.dumps({**record, "total_acc": "x"}), *records[1:], summary],
+        "two_logs": [header, records[0], summary] * 2,
     }
 
 
@@ -984,6 +1002,7 @@ _DEFECT_WHERE = {
     "list_line": ":2: expected an object, got list",
     "no_total_acc": ":2.total_acc: required key is missing",
     "str_total_acc": ":2.total_acc: expected float, got 'x'",
+    "two_logs": ":4: a second header line",
 }
 
 

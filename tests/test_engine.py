@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import test_golden as golden
 from conftest import round_views
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,16 +102,36 @@ def _run(config, seed=0, trace=True):
     return sim, result
 
 
-def test_round_advances_at_bth_order_statistic_exactly():
-    algo = AlgoConfig("fedavg", cohort_size=5, dispatch_size=6, eta_l=0.05, batch_size=4)
-    config = _config(algo, budget=40)
-    sim, result = _run(config)
-    assert sim.driver.dispatch_size == 6
-    for entry in round_views(sim.events):
-        assert len(entry.completed_at) == 6
+REPO = Path(__file__).resolve().parent.parent
+ACCEPTANCE_DIR = REPO / "configs" / "acceptance"
+ACCEPTANCE = ("fedavg_full", "fedavg_oversel", "fare_dust", "feast")
+_CROWD = dict(eta_l=0.1, batch_size=20, buffer_size=10, max_concurrency=100)
+
+
+def _acceptance(name, algo=None, budget=1000):
+    config = load_config(ACCEPTANCE_DIR / f"{name}.json")
+    return dataclasses.replace(config, budget=budget, algo=algo or config.algo)
+
+
+@pytest.mark.parametrize(
+    "config, seed",
+    [(_config(AlgoConfig("fedavg", cohort_size=5, dispatch_size=6, eta_l=0.05, batch_size=4)), 0)]
+    + [(_acceptance(name, budget=500), seed) for name in ACCEPTANCE for seed in (0, 1)],
+    ids=["tied_small"] + [f"{name}-{seed}" for name in ACCEPTANCE for seed in (0, 1)],
+)
+def test_round_advances_at_bth_order_statistic_exactly(config, seed):
+    # Each round's step fires at the B-th smallest completion time of its
+    # dispatched clients, and steps exactly those B (ties go by client id).
+    sim, _ = _run(config, seed)
+    cohort = config.algo.cohort_size
+    assert sim.driver.dispatch_size == (config.algo.dispatch_size or cohort)
+    views = round_views(sim.events)
+    assert len(views) == config.budget // cohort
+    for entry in views:
+        assert len(entry.completed_at) == sim.driver.dispatch_size
         finishes = sorted((t, cid) for cid, t in entry.completed_at.items())
-        assert entry.advanced_at == finishes[4][0]  # 5th smallest of 6
-        assert entry.fast_ids == sorted(cid for _, cid in finishes[:5])
+        assert entry.advanced_at == finishes[cohort - 1][0]
+        assert entry.fast_ids == sorted(cid for _, cid in finishes[:cohort])
 
 
 def test_full_participation_round_waits_for_slowest():
@@ -120,6 +141,28 @@ def test_full_participation_round_waits_for_slowest():
     for entry in round_views(sim.events):
         assert entry.advanced_at == max(entry.completed_at.values())
         assert entry.fast_ids == sorted(entry.completed_at)
+
+
+def _fedbuff_runs():
+    """fedbuff_crowd at seeds 0-2, and the golden fedbuff variants at the golden seeds."""
+    crowd = load_config(REPO / "benchmarks" / "configs" / "fedbuff_crowd.json")
+    variants = golden._variants()
+    return [pytest.param(crowd, s, id=f"fedbuff_crowd-{s}") for s in range(3)] + [
+        pytest.param(variants[name], s, id=f"{name}-{s}")
+        for name in ("fedbuff", "fedbuff_time_limit") for s in golden.SEEDS
+    ]
+
+
+@pytest.mark.parametrize("config, seed", _fedbuff_runs())
+def test_fedbuff_keeps_max_concurrency_clients_in_flight(config, seed):
+    # Little's law on the sample path: clipped at the run's end T, the
+    # dispatches' busy times add up to max_concurrency x T exactly when
+    # max_concurrency clients are in flight at every instant of [0, T].
+    sim, _ = _run(config, seed)
+    end = sim.now
+    dispatched = [u for e in sim.events if e.kind == "dispatches" for u in e.updates]
+    busy = math.fsum(min(u.completed_at, end) - u.dispatched_at for u in dispatched)
+    assert busy == pytest.approx(config.algo.max_concurrency * end, rel=1e-12, abs=0.0)
 
 
 def test_deterministic_latency_matches_formula():
@@ -837,15 +880,6 @@ def test_buffered_lockstep_matches_synchronous_bitwise(k):
 
 
 # ---- version training against per-client training ---- #
-
-ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
-_CROWD = dict(eta_l=0.1, batch_size=20, buffer_size=10, max_concurrency=100)
-
-
-def _acceptance(name, algo=None):
-    config = load_config(ACCEPTANCE_DIR / f"{name}.json")
-    return dataclasses.replace(config, budget=1000, algo=algo or config.algo)
-
 
 def _redrawn(group) -> bool:
     """Whether a stacked call trains two updates of one client with

@@ -76,7 +76,7 @@ def test_evaluate_accuracy_on_crafted_model():
     layout = ModelLayout(d_in=4, hidden=0, n_classes=4)
     w = np.zeros(layout.n_params)
     w[-4:] = [0.0, 10.0, 0.0, 0.0]  # always predict class 1
-    total_acc, straggler_acc = evaluate_accuracy(w, layout, dataset, cap=None)
+    total_acc, straggler_acc = evaluate_accuracy(w, layout, dataset, len(dataset.eval_total))
     total_freq = float((dataset.eval_total.labels == 1).mean())
     strag_freq = float((dataset.eval_total.labels[dataset.eval_straggler_rows] == 1).mean())
     assert total_acc == total_freq
@@ -117,7 +117,7 @@ def test_capped_straggler_rows_may_lie_beyond_the_capped_total_rows():
         accuracy(total.features[:cap], total.labels[:cap]),
         accuracy(straggler_x[:cap], straggler_y[:cap]),
     )
-    assert evaluate_accuracy(w, layout, dataset) == (
+    assert evaluate_accuracy(w, layout, dataset, len(total)) == (
         accuracy(total.features, total.labels),
         accuracy(straggler_x, straggler_y),
     )
@@ -138,7 +138,7 @@ def test_straggler_split_isolates_straggler_behavior():
     w_bad[16 + 0] = -1e6
     w_bad[16 + 1] = -1e6
 
-    total_b, strag_b = evaluate_accuracy(w_bad, layout, dataset)
+    total_b, strag_b = evaluate_accuracy(w_bad, layout, dataset, len(dataset.eval_total))
     assert strag_b == 0.0
     # The total split decomposes: with straggler classes never predicted,
     # the only correct predictions come from non-straggler examples.
@@ -163,23 +163,23 @@ def test_evaluation_holds_one_hidden_and_one_logits_array():
                            eval_size=16000)
     dataset = build_dataset(config, seed=0)
     layout = ModelLayout(d_in=32, hidden=64, n_classes=10)
-    w = init_params(layout, np.random.Generator(np.random.Philox(0)), scale=0.3)
+    w = 6.0 * init_params(layout, np.random.Generator(np.random.Philox(0)))
     n = len(dataset.eval_total)
     assert n == 16000
     block = 16000 - 6 * 2048  # six 2,048-row blocks, then the remainder
-    out = eval_buffers(layout, dataset)
+    out = eval_buffers(layout, dataset, n)
     assert [a.shape for a in out] == [(block, layout.hidden), (block, layout.n_classes)]
     block_bytes = block * (layout.hidden + layout.n_classes) * 8
     peaks = []
-    for score in (evaluate_accuracy, lambda *args: metrics._accuracy(*args, None, out)):
+    for score in (evaluate_accuracy, lambda *args: metrics._accuracy(*args, out)):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            accuracies = score(w, layout, dataset)
+            accuracies = score(w, layout, dataset, n)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
-        assert accuracies == evaluate_accuracy(w, layout, dataset)
+        assert accuracies == evaluate_accuracy(w, layout, dataset, n)
     # evaluate_accuracy: one block's pair of its own, the (n,) predictions and hit mask
     assert peaks[0] <= 1.2 * block_bytes + 2 * n * 8, peaks
     assert peaks[0] < n * (layout.hidden + layout.n_classes) * 8 / 3, peaks
@@ -214,13 +214,13 @@ def _wide_dataset(n_classes, eval_size):
 @pytest.mark.parametrize("hidden", [0, 16, 64, 128])
 def test_blocked_scoring_is_bitwise_one_forward_pass(hidden, n_classes):
     layout = ModelLayout(d_in=32, hidden=hidden, n_classes=n_classes)
-    w = init_params(layout, np.random.Generator(np.random.Philox(hidden)), scale=0.3)
+    w = 6.0 * init_params(layout, np.random.Generator(np.random.Philox(hidden)))
     block = metrics._block_rows(layout)
     # below one block, an exact multiple of it, and a multiple plus a remainder
     for eval_size, n_blocks in ((block // 2, 1), (2 * block, 2), (2 * block + block // 3, 2)):
         dataset = _wide_dataset(n_classes, eval_size)
         assert len(metrics._block_cuts(eval_size, layout)) - 1 == n_blocks
-        for cap in (None, eval_size // 2):
+        for cap in (eval_size, eval_size // 2):
             blocked, one_pass, accuracies, expected = _blocked_against_one_pass(
                 w, layout, dataset, cap
             )
@@ -232,10 +232,10 @@ def test_blocks_below_the_block_size_move_bits(monkeypatch):
     # The bitwise check is not empty: 1,000-row blocks at hidden 64 take
     # OpenBLAS's small-matrix kernel for the output layer.
     layout = ModelLayout(d_in=32, hidden=64, n_classes=10)
-    w = init_params(layout, np.random.Generator(np.random.Philox(64)), scale=0.3)
+    w = 6.0 * init_params(layout, np.random.Generator(np.random.Philox(64)))
     dataset = _wide_dataset(10, 16000)
     monkeypatch.setattr(metrics, "_block_rows", lambda layout: 1000)
-    blocked, one_pass, _, _ = _blocked_against_one_pass(w, layout, dataset, None)
+    blocked, one_pass, _, _ = _blocked_against_one_pass(w, layout, dataset, 16000)
     assert blocked.shape == one_pass.shape
     assert not np.array_equal(blocked, one_pass)
 

@@ -643,10 +643,10 @@ def test_layers_tile_the_parameter_vector(hidden, lead):
 
 def test_init_params_shape_and_scale():
     layout = ModelLayout(d_in=4, hidden=3, n_classes=2)
-    w = init_params(layout, rng.stream(0, rng.INIT), scale=0.1)
+    w = init_params(layout, rng.stream(0, rng.INIT))
     assert w.shape == (layout.n_params,)
     assert w.dtype == np.float64
-    assert np.abs(w).max() <= 0.1
+    assert np.abs(w).max() <= 0.05
 
 
 def test_argument_contracts():

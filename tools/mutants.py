@@ -244,6 +244,14 @@ MUTANTS = (
         ("tests/test_model.py", GOLDEN),
     ),
     Mutant(
+        ALGORITHMS,
+        "            self.buffer.clear()\n",
+        "            self.buffer.clear()\n"
+        "            return\n",
+        "a buffer flush skips its refill",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
         RNG,
         '"state": {"counter": (0, 0, 0, 0), "key": key},',
         '"state": {"counter": gen.bit_generator.state["state"]["counter"], "key": key},',
